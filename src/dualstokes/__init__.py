@@ -14,11 +14,9 @@ from .cubes import (Chain, CubeDomain, SingularCube, boundary, chain_normalize,
                     chain_of, cubes_equal, face, standard_cube)
 from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       DEFAULT_TOL_RE, DEFAULT_TOL_ZE, IncomparableEndpoints,
-                      IntegralEstimate, MODE_ENCLOSURE, MODE_SAMPLE,
-                      NotConverged, Partition, ThetaInterval, ThetaRectangle,
-                      darboux_sums, integral_estimate, lower_sum,
-                      make_interval, make_rectangle, uniform_partition,
-                      upper_sum)
+                      IntegralEstimate, NotConverged, Partition, ThetaInterval,
+                      ThetaRectangle, darboux_sums, integral_estimate,
+                      make_interval, make_rectangle, uniform_partition)
 from .dual import (Dual, DualVec, EPS, ONE, Ordering, Theta, ZERO, as_dual,
                    nbhd_contains, theta_cmp, vec_norm)
 from .expr import (DualBox, DualMap, Expr, ExprMap, ParseError, compose,
@@ -47,8 +45,8 @@ __all__ = [
     "DEFAULT_TOL_RE", "DEFAULT_TOL_ZE", "DiffForm", "Dual", "DualBox",
     "DualMap", "DualVec", "EPS", "Expr", "ExprMap", "GenTensor",
     "IncomparableEndpoints", "IntegralEstimate", "MAX_PERMUTATION_DEGREE",
-    "MODE_ENCLOSURE", "MODE_SAMPLE", "NotConverged", "ONE", "Ordering",
-    "ParseError", "Partition", "REPORT_SCHEMA", "REPORT_SCHEMA_VERSION",
+    "NotConverged", "ONE", "Ordering", "ParseError", "Partition",
+    "REPORT_SCHEMA", "REPORT_SCHEMA_VERSION",
     "Refinement", "Scenario", "ScenarioError", "SingularCube", "StokesReport",
     "Theta", "ThetaInterval", "ThetaRectangle", "ZERO", "alt", "alt_sum",
     "as_dual", "ascending_tuples", "basis_form", "boundary",
@@ -58,12 +56,11 @@ __all__ = [
     "exp", "exprs_equal", "exterior_derivative", "face", "form_eval",
     "form_from_strings", "forms_equal", "integral_estimate",
     "integrate_over_chain", "integrate_over_cube", "is_zero_expr", "jacobian",
-    "lambda_dim", "load_scenarios", "lower_sum", "make_interval",
-    "make_rectangle", "merge_sign", "nbhd_contains", "parse_expr",
+    "lambda_dim", "load_scenarios", "make_interval", "make_rectangle",
+    "merge_sign", "nbhd_contains", "parse_expr",
     "partial_diff", "perm_sign", "pullback", "render_expr", "run_integral",
     "run_scenario", "run_suite", "sample_points", "scenario_from_dict", "sin",
     "standard_cube", "tensor_product", "tensors_equal", "theta_cmp",
-    "uniform_partition", "upper_sum", "vec_norm", "verify_stokes",
-    "wedge", "wedge_forms", "write_report_csv", "write_report_json",
-    "zero_form",
+    "uniform_partition", "vec_norm", "verify_stokes", "wedge", "wedge_forms",
+    "write_report_csv", "write_report_json", "zero_form",
 ]

@@ -7,10 +7,10 @@ the order type).  Products of such intervals are rectangles; uniform
 partitions, upper/lower sums, and a doubling refinement loop give
 two-sided integral estimates with an explicit gap.
 
-Upper and lower sums take the componentwise sup/inf of the integrand
-over each cell — this is exactly the least upper/greatest lower bound
-for the chosen order — weighted by the dual volume of the cell.  With
-enclosure bounds the two sums bracket the true integral, and the
+Upper and lower sums take the componentwise sup/inf of an interval
+enclosure of the integrand over each cell — this is exactly the least
+upper/greatest lower bound for the chosen order — weighted by the dual
+volume of the cell.  The two sums bracket the true integral, and the
 bracket is monotone even in floating point: every cell term of the
 lower sum is ``<=`` the matching upper term componentwise, and IEEE
 rounding preserves that through the final accumulation.
@@ -22,11 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .dual import Dual, Ordering, Theta, ZERO, as_dual, theta_cmp
-from .expr import DualBox, Expr, eval_enclosure, eval_dual
-
-MODE_ENCLOSURE = "enclosure"
-MODE_SAMPLE = "sample"
-_SAMPLES_PER_AXIS = 8
+from .expr import DualBox, Expr, eval_enclosure
 
 DEFAULT_TOL_RE = 1e-6
 DEFAULT_TOL_ZE = 1e-6
@@ -104,9 +100,6 @@ class ThetaRectangle:
             vol = vol * iv.width
         return vol
 
-    def corner(self) -> Dual | tuple[Dual, ...]:
-        return tuple(iv.a for iv in self.intervals)
-
 
 def make_rectangle(theta: Theta, bounds) -> ThetaRectangle:
     """Build a rectangle from (a, b) endpoint pairs."""
@@ -147,31 +140,7 @@ def uniform_partition(rect: ThetaRectangle, n: int) -> Partition:
     return Partition(rect, n, cells)
 
 
-def _axis_samples(iv: ThetaInterval) -> list[Dual]:
-    w = iv.width
-    if w.is_zero():
-        return [iv.a]
-    step = 1.0 / (_SAMPLES_PER_AXIS - 1)
-    return [iv.a + w * (t * step) for t in range(_SAMPLES_PER_AXIS)]
-
-
-def _cell_bounds(f: Expr, cell: ThetaRectangle, mode: str) -> DualBox:
-    if mode == MODE_ENCLOSURE:
-        return eval_enclosure(f, [iv.box() for iv in cell.intervals])
-    if mode == MODE_SAMPLE:
-        re_vals = []
-        ze_vals = []
-        for point in itertools.product(*(
-                _axis_samples(iv) for iv in cell.intervals)):
-            value = eval_dual(f, point)
-            re_vals.append(value.re)
-            ze_vals.append(value.ze)
-        return DualBox(min(re_vals), max(re_vals), min(ze_vals), max(ze_vals))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def darboux_sums(f: Expr, partition: Partition,
-                 mode: str = MODE_ENCLOSURE) -> tuple[Dual, Dual]:
+def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     """(lower, upper) sums over the partition, one enclosure pass per cell."""
     if f.arity != partition.rect.dim:
         raise ValueError(
@@ -181,7 +150,7 @@ def darboux_sums(f: Expr, partition: Partition,
     lower = ZERO
     upper = ZERO
     for cell in partition.cells:
-        bounds = _cell_bounds(f, cell, mode)
+        bounds = eval_enclosure(f, [iv.box() for iv in cell.intervals])
         vol = cell.volume()
         if sign > 0:
             sup = Dual(bounds.re_hi, bounds.ze_hi)
@@ -192,14 +161,6 @@ def darboux_sums(f: Expr, partition: Partition,
         upper = upper + sup * vol
         lower = lower + inf * vol
     return lower, upper
-
-
-def lower_sum(f: Expr, partition: Partition, mode: str = MODE_ENCLOSURE) -> Dual:
-    return darboux_sums(f, partition, mode)[0]
-
-
-def upper_sum(f: Expr, partition: Partition, mode: str = MODE_ENCLOSURE) -> Dual:
-    return darboux_sums(f, partition, mode)[1]
 
 
 @dataclass(frozen=True)
@@ -232,8 +193,8 @@ def integral_estimate(f: Expr, rect: ThetaRectangle, *,
                       tol_re: float = DEFAULT_TOL_RE,
                       tol_ze: float = DEFAULT_TOL_ZE,
                       base_subdivisions: int = DEFAULT_BASE_SUBDIVISIONS,
-                      max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-                      mode: str = MODE_ENCLOSURE) -> IntegralEstimate:
+                      max_doublings: int = DEFAULT_MAX_DOUBLINGS
+                      ) -> IntegralEstimate:
     """Refine uniform partitions until the bracket gap is within tolerance.
 
     Subdivision counts run `base_subdivisions * 2**t` for
@@ -250,7 +211,7 @@ def integral_estimate(f: Expr, rect: ThetaRectangle, *,
     estimate = None
     for t in range(max_doublings + 1):
         n = base_subdivisions * (1 << t)
-        lower, upper = darboux_sums(f, uniform_partition(rect, n), mode)
+        lower, upper = darboux_sums(f, uniform_partition(rect, n))
         estimate = IntegralEstimate.from_bounds(lower, upper, n)
         if estimate.gap_re <= tol_re and estimate.gap_ze <= tol_ze:
             return estimate

@@ -9,21 +9,23 @@ which keeps the check honest — a sloppy bracket widens the tolerance
 instead of silently passing.
 
 Scenarios bundle a form, a chain, and refinement settings into a plain
-dict (JSON-friendly); reports serialize the same way and have a schema
-constant for downstream validation.
+dict (JSON-friendly).  Loading validates every field, rejecting
+non-finite or negative numbers, and builds the form and chain once;
+running a scenario reuses them.  Reports serialize the same way and have
+a schema constant for downstream validation.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field
 
 from .cubes import Chain, CubeDomain, SingularCube, boundary, chain_normalize
 from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       DEFAULT_TOL_RE, DEFAULT_TOL_ZE, IntegralEstimate,
-                      MODE_ENCLOSURE, MODE_SAMPLE, NotConverged,
-                      integral_estimate)
+                      NotConverged, integral_estimate)
 from .dual import Dual, Theta
 from .expr import ExprMap, ParseError, eval_dual, parse_expr
 from .forms import DiffForm, exterior_derivative, pullback
@@ -36,6 +38,25 @@ class ScenarioError(ValueError):
     """Malformed scenario configuration."""
 
 
+def _number(value, what: str, lowest: float | None = 0.0) -> float:
+    """A finite JSON number (not a bool), at least `lowest` unless None."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (lowest is None or value >= lowest)):
+        return float(value)
+    bound = "" if lowest is None else f" >= {lowest:g}"
+    raise ScenarioError(f"{what} must be a finite number{bound}")
+
+
+def _integer(value, what: str, lowest: int | None = None) -> int:
+    """A JSON integer (not a bool), at least `lowest` unless None."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (lowest is None or value >= lowest)):
+        return value
+    bound = "" if lowest is None else f" >= {lowest}"
+    raise ScenarioError(f"{what} must be an integer{bound}")
+
+
 @dataclass(frozen=True)
 class Refinement:
     """Refinement budget and convergence targets for one integration."""
@@ -44,45 +65,33 @@ class Refinement:
     tol_ze: float = DEFAULT_TOL_ZE
     base_subdivisions: int = DEFAULT_BASE_SUBDIVISIONS
     max_doublings: int = DEFAULT_MAX_DOUBLINGS
-    mode: str = MODE_ENCLOSURE
 
     @staticmethod
     def from_dict(data: dict) -> "Refinement":
         if not isinstance(data, dict):
             raise ScenarioError("refinement must be an object")
-        known = {"tol_re", "tol_ze", "base_subdivisions", "max_doublings",
-                 "mode"}
-        extra = set(data) - known
+        extra = set(data) - set(Refinement().to_dict())
         if extra:
             raise ScenarioError(f"unknown refinement keys: {sorted(extra)}")
-        ref = replace(Refinement(), **data)
-        if ref.tol_re < 0 or ref.tol_ze < 0:
-            raise ScenarioError("refinement tolerances must be nonnegative")
-        if ref.mode not in (MODE_ENCLOSURE, MODE_SAMPLE):
-            raise ScenarioError(f"unknown mode {ref.mode!r}")
-        if not isinstance(ref.base_subdivisions, int) \
-                or ref.base_subdivisions < 1:
-            raise ScenarioError("base_subdivisions must be a positive integer")
-        if not isinstance(ref.max_doublings, int) or ref.max_doublings < 0:
-            raise ScenarioError("max_doublings must be a nonnegative integer")
-        return ref
+        get = data.get
+        return Refinement(
+            tol_re=_number(get("tol_re", DEFAULT_TOL_RE), "tol_re"),
+            tol_ze=_number(get("tol_ze", DEFAULT_TOL_ZE), "tol_ze"),
+            base_subdivisions=_integer(
+                get("base_subdivisions", DEFAULT_BASE_SUBDIVISIONS),
+                "base_subdivisions", 1),
+            max_doublings=_integer(
+                get("max_doublings", DEFAULT_MAX_DOUBLINGS),
+                "max_doublings", 0))
 
     def to_dict(self) -> dict:
         return {"tol_re": self.tol_re, "tol_ze": self.tol_ze,
                 "base_subdivisions": self.base_subdivisions,
-                "max_doublings": self.max_doublings, "mode": self.mode}
+                "max_doublings": self.max_doublings}
 
 
 # ---------------------------------------------------------------------------
 # integration of forms over cubes and chains
-
-
-def integrate_top_form(f_coeff, rect, refinement: Refinement) -> IntegralEstimate:
-    return integral_estimate(
-        f_coeff, rect,
-        tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
-        base_subdivisions=refinement.base_subdivisions,
-        max_doublings=refinement.max_doublings, mode=refinement.mode)
 
 
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
@@ -98,15 +107,20 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
     pulled = pullback(cube.mapping, w)
-    coeff = pulled.coefficient(tuple(range(cube.k)))
-    return integrate_top_form(coeff, cube.domain.rectangle(), refinement)
+    return integral_estimate(
+        pulled.coefficient(tuple(range(cube.k))), cube.domain.rectangle(),
+        tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
+        base_subdivisions=refinement.base_subdivisions,
+        max_doublings=refinement.max_doublings)
 
 
-def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,
-                         normalize: bool = True) -> IntegralEstimate:
-    """Weighted sum of per-cube brackets; gaps accumulate by |weight|."""
-    if normalize:
-        chain = chain_normalize(chain)
+def integrate_over_chain(w: DiffForm, chain: Chain,
+                         refinement: Refinement) -> IntegralEstimate:
+    """Weighted sum of per-cube brackets over the normalized chain.
+
+    Gaps accumulate by |weight|.
+    """
+    chain = chain_normalize(chain)
     lo_re = hi_re = lo_ze = hi_ze = 0.0
     finest = 0
     for weight, cube in chain.terms:
@@ -282,8 +296,7 @@ def verify_stokes(w: DiffForm, chain: Chain,
                 k=chain.k, n=chain.n)
     try:
         lhs = integrate_over_chain(exterior_derivative(w), chain, refinement)
-        rhs = integrate_over_chain(
-            w, chain_normalize(boundary(chain)), refinement)
+        rhs = integrate_over_chain(w, boundary(chain), refinement)
     except NotConverged as exc:
         return StokesReport(
             converged=False, passed=False, lhs=None, rhs=None,
@@ -305,7 +318,11 @@ def verify_stokes(w: DiffForm, chain: Chain,
 
 @dataclass(frozen=True)
 class Scenario:
-    """A form, a chain, and settings, all expressed with grammar strings."""
+    """A form, a chain, and settings, all expressed with grammar strings.
+
+    `form` and `chain` are built from the strings when the scenario is
+    made, so parse errors surface at load and runs never parse again.
+    """
 
     name: str
     theta: Theta
@@ -319,6 +336,12 @@ class Scenario:
     description: str = ""
     expected: tuple | None = None  # (re, ze) of both sides, if known
     tol_floor: float = DEFAULT_STOKES_TOL
+    form: DiffForm = field(init=False, repr=False, compare=False)
+    chain: Chain = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "form", self.build_form())
+        object.__setattr__(self, "chain", self.build_chain())
 
     def build_form(self) -> DiffForm:
         try:
@@ -347,38 +370,36 @@ class Scenario:
         return Chain(self.theta, self.r, self.k, self.n, tuple(terms))
 
 
-def _require(data: dict, key: str, kind, what: str):
+def _require(data: dict, key: str):
     if key not in data:
         raise ScenarioError(f"scenario is missing {key!r}")
-    value = data[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{key} must be {what}")
-        return float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ScenarioError(f"{key} must be {what}")
-    return value
+    return data[key]
+
+
+_SCENARIO_KEYS = {"name", "theta", "r", "n", "k", "form", "cubes",
+                  "refinement", "expected", "tol_floor", "description"}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a raw scenario dict (1-based indices) into a Scenario."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be an object")
-    name = _require(data, "name", str, "a string")
-    theta_raw = _require(data, "theta", int, "1 or 2")
-    if theta_raw not in (1, 2):
+    extra = set(data) - _SCENARIO_KEYS
+    if extra:
+        raise ScenarioError(f"unknown scenario keys: {sorted(extra)}")
+    name = _require(data, "name")
+    if not isinstance(name, str):
+        raise ScenarioError("name must be a string")
+    theta = _integer(_require(data, "theta"), "theta")
+    if theta not in (1, 2):
         raise ScenarioError("theta must be 1 or 2")
-    r = _require(data, "r", float, "a nonnegative number")
-    if r < 0:
-        raise ScenarioError("r must be nonnegative")
-    n = _require(data, "n", int, "a positive integer")
-    k = _require(data, "k", int, "a positive integer")
-    if n < 1 or k < 1:
-        raise ScenarioError("n and k must be positive")
-    form = _require(data, "form", dict, "an object")
-    degree = _require(form, "degree", int, "a nonnegative integer")
-    if degree < 0:
-        raise ScenarioError("form degree must be nonnegative")
+    r = _number(_require(data, "r"), "r")
+    n = _integer(_require(data, "n"), "n", 1)
+    k = _integer(_require(data, "k"), "k", 1)
+    form = _require(data, "form")
+    if not isinstance(form, dict):
+        raise ScenarioError("form must be an object")
+    degree = _integer(_require(form, "degree"), "form degree", 0)
     raw_coeffs = form.get("coeffs", [])
     if not isinstance(raw_coeffs, list):
         raise ScenarioError("form coeffs must be a list")
@@ -388,16 +409,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(
                 "each form coefficient needs exactly 'index' and 'expr'")
         index = item["index"]
-        if (not isinstance(index, list)
-                or any(not isinstance(i, int) or isinstance(i, bool)
-                       for i in index)):
-            raise ScenarioError("coefficient index must be a list of integers")
-        if len(index) != degree:
+        if not isinstance(index, list) or len(index) != degree:
             raise ScenarioError(
-                f"coefficient index {index} does not match degree {degree}")
-        if any(not 1 <= i <= n for i in index):
+                f"coefficient index {index!r} must list {degree} integers")
+        shifted = tuple(_integer(i, "coefficient index", 1) - 1 for i in index)
+        if any(i >= n for i in shifted):
             raise ScenarioError(f"coefficient index {index} out of range 1..{n}")
-        shifted = tuple(i - 1 for i in index)
         if any(a >= b for a, b in zip(shifted, shifted[1:])):
             raise ScenarioError(
                 f"coefficient index {index} must be strictly increasing")
@@ -409,7 +426,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if n != k:
             raise ScenarioError(
                 "omitting 'cubes' requires n == k (the identity cube)")
-        cubes = ((1, tuple(f"x{i + 1}" for i in range(k))),)
+        cubes = [(1, tuple(f"x{i + 1}" for i in range(k)))]
     else:
         if not isinstance(raw_cubes, list) or not raw_cubes:
             raise ScenarioError("cubes must be a nonempty list")
@@ -417,44 +434,28 @@ def scenario_from_dict(data: dict) -> Scenario:
         for item in raw_cubes:
             if not isinstance(item, dict) or set(item) - {"weight", "map"}:
                 raise ScenarioError("each cube needs 'map' (and maybe 'weight')")
-            weight = item.get("weight", 1)
-            if not isinstance(weight, int) or isinstance(weight, bool):
-                raise ScenarioError("cube weight must be an integer")
+            weight = _integer(item.get("weight", 1), "cube weight")
             comps = item.get("map")
             if (not isinstance(comps, list) or len(comps) != n
                     or any(not isinstance(c, str) for c in comps)):
                 raise ScenarioError(f"cube map must be a list of {n} strings")
             cubes.append((weight, tuple(comps)))
-        cubes = tuple(cubes)
     refinement = Refinement.from_dict(data.get("refinement", {}))
     expected = data.get("expected")
     if expected is not None:
-        if (not isinstance(expected, dict) or set(expected) != {"re", "ze"}
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in expected.values())):
+        if not isinstance(expected, dict) or set(expected) != {"re", "ze"}:
             raise ScenarioError("expected must be {'re': num, 'ze': num}")
-        expected = (float(expected["re"]), float(expected["ze"]))
-    tol_floor = data.get("tol_floor", DEFAULT_STOKES_TOL)
-    if isinstance(tol_floor, bool) or not isinstance(tol_floor, (int, float)) \
-            or tol_floor < 0:
-        raise ScenarioError("tol_floor must be a nonnegative number")
+        expected = (_number(expected["re"], "expected re", None),
+                    _number(expected["ze"], "expected ze", None))
+    tol_floor = _number(data.get("tol_floor", DEFAULT_STOKES_TOL), "tol_floor")
     description = data.get("description", "")
     if not isinstance(description, str):
         raise ScenarioError("description must be a string")
-    known = {"name", "theta", "r", "n", "k", "form", "cubes", "refinement",
-             "expected", "tol_floor", "description"}
-    extra = set(data) - known
-    if extra:
-        raise ScenarioError(f"unknown scenario keys: {sorted(extra)}")
-    scenario = Scenario(
-        name=name, theta=Theta(theta_raw), r=r, n=n, k=k,
+    return Scenario(
+        name=name, theta=Theta(theta), r=r, n=n, k=k,
         form_degree=degree, form_coeffs=tuple(coeffs), cubes=tuple(cubes),
         refinement=refinement, description=description,
-        expected=expected, tol_floor=float(tol_floor))
-    # surface parse errors at load time, not mid-run
-    scenario.build_form()
-    scenario.build_chain()
-    return scenario
+        expected=expected, tol_floor=tol_floor)
 
 
 def load_scenarios(path) -> list[Scenario]:
@@ -478,7 +479,7 @@ def run_scenario(scenario: Scenario) -> StokesReport:
             f"form against a {scenario.k}-chain, got degree "
             f"{scenario.form_degree}")
     return verify_stokes(
-        scenario.build_form(), scenario.build_chain(), scenario.refinement,
+        scenario.form, scenario.chain, scenario.refinement,
         tol_floor=scenario.tol_floor, scenario=scenario.name)
 
 
@@ -489,7 +490,7 @@ def run_integral(scenario: Scenario) -> IntegralEstimate:
             f"{scenario.name}: direct integration needs a degree-"
             f"{scenario.k} form, got degree {scenario.form_degree}")
     return integrate_over_chain(
-        scenario.build_form(), scenario.build_chain(), scenario.refinement)
+        scenario.form, scenario.chain, scenario.refinement)
 
 
 def run_suite(scenarios) -> list[StokesReport]:

@@ -2,10 +2,15 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import dualstokes
 import dualstokes.cli as cli
 from dualstokes import (Dual, IntegralEstimate, REPORT_SCHEMA, StokesReport,
                         Theta)
@@ -162,3 +167,18 @@ def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as info:
         run_cli()
     assert info.value.code == 2
+
+
+def test_verify_bad_number_is_config_error(tmp_path):
+    # a clean exit 2 from a fresh interpreter: no traceback, no exit 1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({**_AREA, "refinement": {"tol_re": "x"}}))
+    src = Path(dualstokes.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualstokes", "verify", "--scenario", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

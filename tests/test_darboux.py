@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from dualstokes import (Dual, IncomparableEndpoints, MODE_SAMPLE, NotConverged,
-                        Ordering, Theta, ZERO, darboux_sums, integral_estimate,
-                        lower_sum, make_interval, make_rectangle, parse_expr,
-                        theta_cmp, uniform_partition, upper_sum)
+from dualstokes import (Dual, IncomparableEndpoints, NotConverged, Ordering,
+                        Theta, ZERO, darboux_sums, integral_estimate,
+                        make_interval, make_rectangle, parse_expr, theta_cmp,
+                        uniform_partition)
 from helpers import THETAS, random_poly, random_rectangle
 
 
@@ -119,8 +119,6 @@ def test_sums_linear_hand_example():
     lo, up = darboux_sums(f, part)
     assert lo == Dual(0.375)
     assert up == Dual(0.625)
-    assert lower_sum(f, part) == lo
-    assert upper_sum(f, part) == up
 
 
 def test_sums_dual_interval_hand_example():
@@ -157,27 +155,11 @@ def test_sandwich_random():
         assert _leq(lo, up, theta)
 
 
-def test_sample_mode_sits_inside_enclosure_bracket():
-    rng = random.Random(555)
-    for _ in range(50):
-        theta = rng.choice(THETAS)
-        rect = random_rectangle(rng, theta, 1, span=1.0)
-        part = uniform_partition(rect, 4)
-        f = random_poly(rng, 1, depth=2)
-        lo_e, up_e = darboux_sums(f, part)
-        lo_s, up_s = darboux_sums(f, part, MODE_SAMPLE)
-        slack = 1e-9
-        assert lo_e.re <= lo_s.re + slack
-        assert up_s.re <= up_e.re + slack
-
-
 def test_sums_arity_mismatch():
     rect = make_rectangle(Theta.TYPE1, [(0, 1)])
     part = uniform_partition(rect, 2)
     with pytest.raises(ValueError):
         darboux_sums(parse_expr("x1+x2", 2), part)
-    with pytest.raises(ValueError):
-        darboux_sums(parse_expr("x1", 1), part, mode="bogus")
 
 
 # ---------------------------------------------------------------------------

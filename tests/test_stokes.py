@@ -1,13 +1,15 @@
 import csv
 import io
 import json
+import math
 import random
 
 import jsonschema
 import pytest
 
+import dualstokes.stokes as stokes
 from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
-                        ExprMap, IntegralEstimate, MODE_SAMPLE, Ordering,
+                        ExprMap, IntegralEstimate, Ordering,
                         REPORT_SCHEMA, Refinement, ScenarioError, SingularCube,
                         StokesReport, Theta, builtin_scenario,
                         builtin_scenarios, chain_of, exit_code,
@@ -37,12 +39,16 @@ def _report(converged: bool = True, passed: bool = True) -> StokesReport:
 
 def test_refinement_from_dict():
     assert Refinement.from_dict({}) == Refinement()
-    custom = Refinement.from_dict({"tol_re": 0.1, "mode": "sample"})
-    assert custom.tol_re == 0.1 and custom.mode == MODE_SAMPLE
+    custom = Refinement.from_dict({"tol_re": 0.1, "max_doublings": 3})
+    assert custom.tol_re == 0.1 and custom.max_doublings == 3
     assert Refinement.from_dict(custom.to_dict()) == custom
     for bad in ({"tol_re": -1}, {"mode": "magic"}, {"base_subdivisions": 0},
                 {"base_subdivisions": 2.5}, {"max_doublings": -1},
-                {"junk": 1}, ["not a dict"]):
+                {"junk": 1}, ["not a dict"], {"tol_re": "x"},
+                {"tol_re": math.nan}, {"tol_ze": math.inf},
+                {"tol_re": -math.inf}, {"tol_ze": 10 ** 400},
+                {"base_subdivisions": True}, {"max_doublings": False},
+                {"mode": "sample"}, {"mode": "enclosure"}):
         with pytest.raises(ScenarioError):
             Refinement.from_dict(bad)
 
@@ -270,13 +276,53 @@ def test_scenario_validation_errors():
         _broken(cubes=[{"map": ["x1", "x2"], "junk": 1}]),
         _broken(n=3),  # identity default needs n == k
         _broken(refinement={"mode": "magic"}),
+        _broken(refinement={"mode": "sample"}),
+        _broken(refinement={"mode": "enclosure"}),
+        _broken(refinement={"tol_re": "x"}),
+        _broken(refinement={"tol_re": math.nan}),
+        _broken(refinement={"tol_ze": math.inf}),
+        _broken(refinement={"base_subdivisions": True}),
         _broken(expected={"re": 1.0}),
+        _broken(expected={"re": math.nan, "ze": 0.0}),
+        _broken(expected={"re": 1.0, "ze": -math.inf}),
         _broken(tol_floor=-0.5),
+        _broken(tol_floor=math.nan),
+        _broken(tol_floor=math.inf),
+        _broken(r=math.nan),
+        _broken(r=math.inf),
+        _broken(r=10 ** 400),
         _broken(description=4),
     ]
     for data in cases:
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
+
+
+def test_loaded_scenario_is_not_parsed_again(monkeypatch):
+    verification = builtin_scenario("type1-saddle-surface")
+    top = scenario_from_dict({**_BASE, "form": {
+        "degree": 2, "coeffs": [{"index": [1, 2], "expr": "1"}]}})
+
+    def refuse(*args):
+        raise AssertionError("parse_expr called after load")
+
+    monkeypatch.setattr(stokes, "parse_expr", refuse)
+    assert run_scenario(verification).passed
+    assert run_integral(top).value == Dual(1.0, 1.0)
+
+
+def test_verify_normalizes_each_side_once(monkeypatch):
+    normalized = []
+    original = stokes.chain_normalize
+
+    def counting(chain, *args):
+        normalized.append(chain.k)
+        return original(chain, *args)
+
+    monkeypatch.setattr(stokes, "chain_normalize", counting)
+    report = run_scenario(builtin_scenario("type1-saddle-surface"))
+    assert report.passed
+    assert normalized == [2, 1]  # the chain, then its boundary
 
 
 def test_load_scenarios(tmp_path):
