@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 every check passed, 1 a check converged but failed,
-2 bad configuration or arguments, 3 an integration blew its refinement
-budget.  Configuration problems win over everything else; otherwise
-non-convergence outranks a plain failure.
+2 bad configuration or arguments, or a value that overflows the float
+range, 3 an integration blew its refinement budget.  Configuration
+problems win over everything else; otherwise non-convergence outranks
+a plain failure.
 """
 
 from __future__ import annotations
@@ -155,6 +156,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: an interval enclosure or a constant overflowed the "
+              f"float range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,15 +14,27 @@ volume of the cell.  The two sums bracket the true integral, and the
 bracket is monotone even in floating point: every cell term of the
 lower sum is ``<=`` the matching upper term componentwise, and IEEE
 rounding preserves that through the final accumulation.
+
+A partition stores the pieces of each axis, not its cells.  The sums
+lower the integrand once to a straight-line program (see
+:func:`.expr.lower_expr`) and walk the grid as nested loops, one per
+axis; each instruction runs in the loop of the highest variable it
+reads, and each loop carries the volume of the cells' common prefix.
+So an integrand in x1 alone is enclosed once per piece of the first
+axis, and no object is built per cell.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .dual import Dual, Ordering, Theta, ZERO, as_dual, theta_cmp
-from .expr import DualBox, Expr, eval_enclosure
+from .dual import Dual, Ordering, Theta, as_dual, theta_cmp
+# eval_enclosure is unused here but stays a module attribute: the
+# benchmark's tracer (bench/spans.py) rebinds darboux.eval_enclosure.
+from .expr import DualBox, Expr, enclose_step, eval_enclosure, lower_expr
 
 DEFAULT_TOL_RE = 1e-6
 DEFAULT_TOL_ZE = 1e-6
@@ -110,11 +122,45 @@ def make_rectangle(theta: Theta, bounds) -> ThetaRectangle:
 
 @dataclass(frozen=True)
 class Partition:
-    """Uniform grid over a rectangle; cells in lexicographic order."""
+    """Uniform grid over a rectangle, stored as the pieces of each axis.
+
+    The cells are the products of one piece per axis; `cells` lists them
+    in lexicographic order (the last axis varies fastest).
+    """
 
     rect: ThetaRectangle
     subdivisions: int
-    cells: tuple[ThetaRectangle, ...]
+    axes: tuple[tuple[ThetaInterval, ...], ...]
+
+    @property
+    def cells(self) -> "Cells":
+        return Cells(self.rect.theta, self.axes)
+
+
+class Cells(Sequence):
+    """The cells of a partition; each is built when it is asked for."""
+
+    def __init__(self, theta: Theta, axes):
+        self._theta = theta
+        self._axes = axes
+
+    def __len__(self) -> int:
+        return math.prod(len(pieces) for pieces in self._axes)
+
+    def __getitem__(self, i: int) -> ThetaRectangle:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("cell index out of range")
+        combo = []
+        for pieces in reversed(self._axes):
+            i, j = divmod(i, len(pieces))
+            combo.append(pieces[j])
+        return ThetaRectangle(self._theta, tuple(reversed(combo)))
+
+    def __iter__(self):
+        for combo in itertools.product(*self._axes):
+            yield ThetaRectangle(self._theta, combo)
 
 
 def _axis_points(iv: ThetaInterval, n: int) -> list[Dual]:
@@ -130,37 +176,84 @@ def uniform_partition(rect: ThetaRectangle, n: int) -> Partition:
     """Split every axis into `n` equal pieces (zero-width axes collapse)."""
     if n < 1:
         raise ValueError("subdivision count must be at least 1")
-    per_axis = []
+    axes = []
     for iv in rect.intervals:
         points = _axis_points(iv, n)
-        per_axis.append([ThetaInterval(rect.theta, lo, hi)
-                         for lo, hi in zip(points, points[1:])])
-    cells = tuple(ThetaRectangle(rect.theta, combo)
-                  for combo in itertools.product(*per_axis))
-    return Partition(rect, n, cells)
+        axes.append(tuple(ThetaInterval(rect.theta, lo, hi)
+                          for lo, hi in zip(points, points[1:])))
+    return Partition(rect, n, tuple(axes))
 
 
 def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
-    """(lower, upper) sums over the partition, one enclosure pass per cell."""
-    if f.arity != partition.rect.dim:
+    """(lower, upper) sums over the partition.
+
+    `f` is lowered once, and the grid is walked as one loop per axis,
+    nested in axis order, so cells come in the order of
+    `partition.cells`.  Each instruction of `f` runs in the loop of the
+    axis of its level (the highest variable it reads): a term in x1
+    alone is enclosed once per piece of the first axis, not once per
+    cell.  The volume of the cells' common prefix is carried down the
+    loops.  Volumes, the sup/inf choice and the two accumulations are
+    the float operations of ``Dual`` multiplication and addition, in the
+    order of summing ``sup * cell.volume()`` cell by cell, so the sums
+    equal that loop's bit for bit.
+    """
+    dim = partition.rect.dim
+    if f.arity != dim:
         raise ValueError(
             f"integrand arity {f.arity} does not match rectangle "
-            f"dimension {partition.rect.dim}")
-    sign = partition.rect.theta.sign
-    lower = ZERO
-    upper = ZERO
-    for cell in partition.cells:
-        bounds = eval_enclosure(f, [iv.box() for iv in cell.intervals])
-        vol = cell.volume()
-        if sign > 0:
-            sup = Dual(bounds.re_hi, bounds.ze_hi)
-            inf = Dual(bounds.re_lo, bounds.ze_lo)
+            f"dimension {dim}")
+    code = lower_expr(f)
+    regs = [None] * len(code)
+    args = [None] * dim
+    runs = [[] for _ in range(dim)]  # (register, instruction) by axis loop
+    for r, ins in enumerate(code):
+        if ins.level < 0:
+            regs[r] = enclose_step(ins, regs, args)
         else:
-            sup = Dual(bounds.re_hi, bounds.ze_lo)
-            inf = Dual(bounds.re_lo, bounds.ze_hi)
-        upper = upper + sup * vol
-        lower = lower + inf * vol
-    return lower, upper
+            runs[ins.level].append((r, ins))
+    pieces = [[(iv.box().intervals(), iv.width.re, iv.width.ze)
+               for iv in axis] for axis in partition.axes]
+    sign = partition.rect.theta.sign
+    top = code[-1].level  # the integrand's enclosure is final in this loop
+    last = dim - 1
+
+    def bounds():
+        # (inf re, inf ze, sup re, sup ze) in the rectangle's order
+        (re_lo, re_hi), (ze_lo, ze_hi) = regs[-1]
+        if sign > 0:
+            return re_lo, ze_lo, re_hi, ze_hi
+        return re_lo, ze_hi, re_hi, ze_lo
+
+    def walk(axis, p_re, p_ze, ends, sums):
+        lo_re, lo_ze, up_re, up_ze = sums
+        run = runs[axis]
+        for arg, w_re, w_ze in pieces[axis]:
+            if run:
+                args[axis] = arg
+                for r, ins in run:
+                    regs[r] = enclose_step(ins, regs, args)
+                if axis == top:
+                    ends = bounds()
+            if axis:
+                v_re = p_re * w_re
+                v_ze = p_re * w_ze + p_ze * w_re
+            else:
+                v_re, v_ze = w_re, w_ze
+            if axis < last:
+                lo_re, lo_ze, up_re, up_ze = walk(
+                    axis + 1, v_re, v_ze, ends, (lo_re, lo_ze, up_re, up_ze))
+                continue
+            i_re, i_ze, s_re, s_ze = ends
+            up_re = up_re + s_re * v_re
+            up_ze = up_ze + (s_re * v_ze + s_ze * v_re)
+            lo_re = lo_re + i_re * v_re
+            lo_ze = lo_ze + (i_re * v_ze + i_ze * v_re)
+        return lo_re, lo_ze, up_re, up_ze
+
+    ends = bounds() if top < 0 else None
+    lo_re, lo_ze, up_re, up_ze = walk(0, None, None, ends, (0.0,) * 4)
+    return Dual(lo_re, lo_ze), Dual(up_re, up_ze)
 
 
 @dataclass(frozen=True)

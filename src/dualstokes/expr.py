@@ -19,7 +19,11 @@ Grammar accepted by :func:`parse_expr` (whitespace insignificant)::
 ``eps`` is the zero-divisor unit; ``^`` binds tighter than unary minus,
 which binds tighter than ``*``, which binds tighter than ``+``/``-``.
 Construction applies constant folding and the 0/1 identities but no
-other simplification, so trees stay predictable.
+other simplification, so trees stay predictable.  Parentheses, function
+calls and unary minus may nest at most ``MAX_NESTING`` levels deep.
+
+Interval enclosures run on :func:`lower_expr`'s straight-line program,
+one :func:`enclose_step` per instruction.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 import random
 import re as _regex
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dual import Dual, DualVec, EPS, ONE, ZERO, as_dual, _as_dual_or_none
 
@@ -272,6 +276,84 @@ def _subst(node: Node, repl: tuple[Node, ...]) -> Node:
 
 
 # ---------------------------------------------------------------------------
+# lowering to a straight-line program
+
+# Instruction i writes register i and reads only earlier registers, so
+# one pass in order runs the program; the last instruction holds the
+# value of the whole expression.  Equal subexpressions, whether shared
+# objects or separately built equal trees, lower to one instruction.
+# `level` is the highest variable index an instruction reads, directly
+# or through its operands, or -1 for none: over a product of boxes its
+# result depends only on the boxes of axes 0..level, so a loop nest over
+# the axes can run it in the loop of axis `level`.
+
+
+class Instr(NamedTuple):
+    """One step of a lowered expression."""
+
+    op: str     # "const", "var", "neg", "add", "sub", "mul", "pow", a primitive
+    a: object   # the constant (Dual), the variable index, or an operand register
+    b: object   # the second operand register, the exponent, or None
+    level: int
+
+
+def _shape(node: Node):
+    """(op, child nodes, the field that is not a child or None)."""
+    match node:
+        case Const(value):
+            return "const", (), value
+        case Var(index):
+            return "var", (), index
+        case Neg(arg):
+            return "neg", (arg,), None
+        case Add(lhs, rhs):
+            return "add", (lhs, rhs), None
+        case Sub(lhs, rhs):
+            return "sub", (lhs, rhs), None
+        case Mul(lhs, rhs):
+            return "mul", (lhs, rhs), None
+        case PowInt(base, exponent):
+            return "pow", (base,), exponent
+        case Prim(name, arg):
+            return name, (arg,), None
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def lower_expr(f: Expr) -> tuple[Instr, ...]:
+    """The expression as a straight-line program, common subexpressions once."""
+    code: list[Instr] = []
+    by_key: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id(node) -> register; f keeps every node alive
+    stack = [f.node]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        op, kids, field = _shape(node)
+        waiting = [kid for kid in kids if id(kid) not in done]
+        if waiting:
+            stack.extend(reversed(waiting))  # lhs first
+            continue
+        stack.pop()
+        regs = [done[id(kid)] for kid in kids]
+        if op == "const":
+            # repr keeps 0.0 and -0.0 (and int and float) apart
+            key, ins = (op, repr(field)), Instr(op, field, None, -1)
+        elif op == "var":
+            key, ins = (op, field), Instr(op, field, None, field)
+        else:
+            a, b = regs if len(regs) == 2 else (regs[0], field)
+            level = max(code[r].level for r in regs)
+            key, ins = (op, a, b), Instr(op, a, b, level)
+        if key not in by_key:
+            by_key[key] = len(code)
+            code.append(ins)
+        done[id(node)] = by_key[key]
+    return tuple(code)
+
+
+# ---------------------------------------------------------------------------
 # interval enclosures
 
 # Plain real intervals are (lo, hi) tuples; a DualBox pairs one for each
@@ -364,6 +446,10 @@ class DualBox:
     def point(value: Dual) -> "DualBox":
         return DualBox(value.re, value.re, value.ze, value.ze)
 
+    def intervals(self):
+        """The box as the (re interval, ze interval) pair that programs run on."""
+        return ((self.re_lo, self.re_hi), (self.ze_lo, self.ze_hi))
+
     @property
     def width_re(self) -> float:
         return self.re_hi - self.re_lo
@@ -377,42 +463,45 @@ class DualBox:
                 and self.ze_lo - tol <= value.ze <= self.ze_hi + tol)
 
 
-def _enclose(node: Node, boxes: tuple[DualBox, ...]):
-    """Return (re interval, ze interval) enclosing the node over the boxes."""
-    match node:
-        case Const(value):
-            return ((value.re, value.re), (value.ze, value.ze))
-        case Var(index):
-            box = boxes[index]
-            return ((box.re_lo, box.re_hi), (box.ze_lo, box.ze_hi))
-        case Neg(arg):
-            r, z = _enclose(arg, boxes)
+def enclose_step(ins: Instr, regs: list, args: Sequence):
+    """Run one instruction over intervals: (re interval, ze interval).
+
+    `regs` holds the results of earlier instructions, and `args[i]` the
+    (re interval, ze interval) pair of variable ``x(i+1)``.
+    """
+    op, a, b, _ = ins
+    match op:
+        case "const":
+            return ((a.re, a.re), (a.ze, a.ze))
+        case "var":
+            return args[a]
+        case "neg":
+            r, z = regs[a]
             return (_ineg(r), _ineg(z))
-        case Add(lhs, rhs):
-            r1, z1 = _enclose(lhs, boxes)
-            r2, z2 = _enclose(rhs, boxes)
+        case "add":
+            (r1, z1), (r2, z2) = regs[a], regs[b]
             return (_iadd(r1, r2), _iadd(z1, z2))
-        case Sub(lhs, rhs):
-            r1, z1 = _enclose(lhs, boxes)
-            r2, z2 = _enclose(rhs, boxes)
+        case "sub":
+            (r1, z1), (r2, z2) = regs[a], regs[b]
             return (_isub(r1, r2), _isub(z1, z2))
-        case Mul(lhs, rhs):
-            r1, z1 = _enclose(lhs, boxes)
-            r2, z2 = _enclose(rhs, boxes)
+        case "mul":
+            (r1, z1), (r2, z2) = regs[a], regs[b]
             return (_imul(r1, r2), _iadd(_imul(r1, z2), _imul(z1, r2)))
-        case PowInt(base, exponent):
-            r, z = _enclose(base, boxes)
-            ze_part = _iscale(_imul(_ipow(r, exponent - 1), z), float(exponent))
-            return (_ipow(r, exponent), ze_part)
-        case Prim(name, arg):
-            r, z = _enclose(arg, boxes)
-            if name == "exp":
-                er = _iexp(r)
-                return (er, _imul(z, er))
-            if name == "sin":
-                return (_isin(r), _imul(z, _icos(r)))
+        case "pow":
+            r, z = regs[a]
+            ze_part = _iscale(_imul(_ipow(r, b - 1), z), float(b))
+            return (_ipow(r, b), ze_part)
+        case "exp":
+            r, z = regs[a]
+            er = _iexp(r)
+            return (er, _imul(z, er))
+        case "sin":
+            r, z = regs[a]
+            return (_isin(r), _imul(z, _icos(r)))
+        case "cos":
+            r, z = regs[a]
             return (_icos(r), _ineg(_imul(z, _isin(r))))
-    raise TypeError(f"not an expression node: {node!r}")
+    raise TypeError(f"not an instruction: {ins!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +593,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Parentheses, function calls and unary minus each nest one level; the
+# parser recurses per level, so the cap keeps it inside Python's stack.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str, arity: int):
         self.tokens = _tokenize(text)
         self.idx = 0
         self.arity = arity
+        self.depth = 0  # levels open around the current factor
 
     def peek(self):
         return self.tokens[self.idx]
@@ -553,15 +648,21 @@ class _Parser:
                 return node
 
     def factor(self) -> Node:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep", pos)
+        self.depth += 1
         if kind == "op" and value == "-":
             self.advance()
-            return _neg(self.factor())
-        node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            node = _pow(node, self.uint())
+            node = _neg(self.factor())
+        else:
+            node = self.atom()
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "^":
+                self.advance()
+                node = _pow(node, self.uint())
+        self.depth -= 1
         return node
 
     def uint(self) -> int:
@@ -731,7 +832,11 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
     boxes = tuple(boxes)
     if len(boxes) != f.arity:
         raise ValueError(f"expected {f.arity} boxes, got {len(boxes)}")
-    (re_lo, re_hi), (ze_lo, ze_hi) = _enclose(f.node, boxes)
+    args = [box.intervals() for box in boxes]
+    regs: list = []
+    for ins in lower_expr(f):
+        regs.append(enclose_step(ins, regs, args))
+    (re_lo, re_hi), (ze_lo, ze_hi) = regs[-1]
     return DualBox(re_lo, re_hi, ze_lo, ze_hi)
 
 

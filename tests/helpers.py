@@ -4,8 +4,8 @@ import random
 
 from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         Expr, ExprMap, SingularCube, Theta, ThetaInterval,
-                        ThetaRectangle, ZERO, ascending_tuples, cos, exp,
-                        make_interval, sin)
+                        ThetaRectangle, ZERO, ascending_tuples, cos,
+                        eval_enclosure, exp, make_interval, sin)
 
 THETAS = (Theta.TYPE1, Theta.TYPE2)
 
@@ -110,3 +110,25 @@ def random_chain(rng: random.Random, theta: Theta, r: float, k: int, n: int,
                    random_cube(rng, theta, r, k, n, depth))
                   for _ in range(terms))
     return Chain(theta, r, k, n, cubes)
+
+
+def reference_darboux_sums(f: Expr, partition) -> tuple[Dual, Dual]:
+    """(lower, upper) from one enclosure per cell, summed with Dual arithmetic.
+
+    This is the definition `darboux_sums` computes; it must match bit
+    for bit.
+    """
+    sign = partition.rect.theta.sign
+    lower = upper = ZERO
+    for cell in partition.cells:
+        box = eval_enclosure(f, [iv.box() for iv in cell.intervals])
+        vol = cell.volume()
+        if sign > 0:
+            sup = Dual(box.re_hi, box.ze_hi)
+            inf = Dual(box.re_lo, box.ze_lo)
+        else:
+            sup = Dual(box.re_hi, box.ze_lo)
+            inf = Dual(box.re_lo, box.ze_hi)
+        upper = upper + sup * vol
+        lower = lower + inf * vol
+    return lower, upper

@@ -169,10 +169,10 @@ def test_missing_subcommand_exits_with_usage():
     assert info.value.code == 2
 
 
-def test_verify_bad_number_is_config_error(tmp_path):
+def _assert_config_error_in_subprocess(tmp_path, scenario):
     # a clean exit 2 from a fresh interpreter: no traceback, no exit 1
     path = tmp_path / "f.json"
-    path.write_text(json.dumps({**_AREA, "refinement": {"tol_re": "x"}}))
+    path.write_text(json.dumps(scenario))
     src = Path(dualstokes.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
@@ -182,3 +182,30 @@ def test_verify_bad_number_is_config_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def _square_with_coefficient(expr: str) -> dict:
+    # verify the 1-form expr*dx1 over the unit square
+    return {**_AREA, "form": {"degree": 1, "coeffs": [
+        {"index": [1], "expr": expr}]}}
+
+
+def test_verify_bad_number_is_config_error(tmp_path):
+    _assert_config_error_in_subprocess(
+        tmp_path, {**_AREA, "refinement": {"tol_re": "x"}})
+
+
+@pytest.mark.parametrize("expr", ["exp(x1*1000)", "(x1*1e200)^2"])
+def test_verify_overflow_is_config_error(tmp_path, expr):
+    # the enclosures overflow during integration, not at load
+    err = _assert_config_error_in_subprocess(
+        tmp_path, _square_with_coefficient(expr))
+    assert "overflow" in err
+
+
+def test_verify_deep_nesting_is_config_error(tmp_path):
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    err = _assert_config_error_in_subprocess(
+        tmp_path, _square_with_coefficient(deep))
+    assert "nested" in err

@@ -6,7 +6,8 @@ from dualstokes import (Dual, IncomparableEndpoints, NotConverged, Ordering,
                         Theta, ZERO, darboux_sums, integral_estimate,
                         make_interval, make_rectangle, parse_expr, theta_cmp,
                         uniform_partition)
-from helpers import THETAS, random_poly, random_rectangle
+from helpers import (THETAS, random_expr, random_poly, random_rectangle,
+                     reference_darboux_sums)
 
 
 def _leq(x, y, theta):
@@ -93,6 +94,21 @@ def test_partition_collapses_degenerate_axis():
     assert all(c.intervals[0].width == ZERO for c in part.cells)
 
 
+def test_cells_are_built_on_demand():
+    rect = make_rectangle(Theta.TYPE2, [(0, Dual(1, -1))] * 3)
+    huge = uniform_partition(rect, 1000)
+    assert len(huge.cells) == 10 ** 9
+    last = huge.cells[-1]
+    assert [iv.b for iv in last.intervals] == [Dual(1, -1)] * 3
+    with pytest.raises(IndexError):
+        huge.cells[10 ** 9]
+    part = uniform_partition(rect, 3)
+    cells = list(part.cells)
+    assert len(cells) == len(part.cells) == 27
+    assert cells == [part.cells[i] for i in range(27)]
+    assert cells[-4] == part.cells[-4]
+
+
 def test_volume_additivity_random():
     rng = random.Random(314)
     for _ in range(120):
@@ -153,6 +169,27 @@ def test_sandwich_random():
         f = random_poly(rng, dim, depth=2)
         lo, up = darboux_sums(f, part)
         assert _leq(lo, up, theta)
+
+
+def test_sums_match_reference_loop():
+    rng = random.Random(1618)
+    for theta in THETAS:
+        for dim in (1, 2, 3):
+            for n in (1, 2, 5):
+                for _ in range(3):
+                    rect = random_rectangle(rng, theta, dim, span=1.0)
+                    f = random_expr(rng, dim, depth=rng.randint(1, 4))
+                    part = uniform_partition(rect, n)
+                    assert (repr(darboux_sums(f, part))
+                            == repr(reference_darboux_sums(f, part)))
+        # a zero-width axis between two wide ones
+        rect = make_rectangle(theta, [(0, Dual(1, theta.sign)), (1, 1),
+                                      (0, Dual(2, 0))])
+        f = parse_expr("exp(x1)*x2 - sin(x3*x1)^2 + eps*x2", 3)
+        for n in (1, 2, 5):
+            part = uniform_partition(rect, n)
+            assert (repr(darboux_sums(f, part))
+                    == repr(reference_darboux_sums(f, part)))
 
 
 def test_sums_arity_mismatch():

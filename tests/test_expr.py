@@ -8,6 +8,7 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         cr_check, eval_dual, eval_enclosure, exp, exprs_equal,
                         is_zero_expr, jacobian, parse_expr, partial_diff,
                         render_expr, sample_points, sin)
+from dualstokes.expr import MAX_NESTING, lower_expr
 from helpers import (point_in_box, random_box, random_expr, random_map,
                      small_point)
 
@@ -71,6 +72,22 @@ def test_parse_errors_carry_position():
         parse_expr("sin x1", 1)
     with pytest.raises(ParseError):
         parse_expr("x0", 1)  # variables are 1-based
+
+
+_NESTINGS = {"parens": ("(", ")"), "minus": ("-", ""), "calls": ("sin(", ")")}
+
+
+@pytest.mark.parametrize("opener, closer", _NESTINGS.values(), ids=_NESTINGS)
+def test_parse_nesting_cap(opener, closer):
+    def nested(depth):
+        return opener * depth + "x1" + closer * depth
+
+    parse_expr(nested(MAX_NESTING), 1)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError) as err:
+            parse_expr(nested(depth), 1)
+        # the offset of what sits inside the first level beyond the cap
+        assert err.value.position == len(opener) * (MAX_NESTING + 1)
 
 
 def test_parse_x_index_zero_padding():
@@ -331,6 +348,47 @@ def test_box_validation():
     assert b.width_re == 1.0 and b.width_ze == 2.0
     assert b.contains(Dual(0.5, 0.0))
     assert not b.contains(Dual(1.5, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# lowering
+
+
+def test_lowering_shares_equal_subtrees():
+    x1, x2 = Expr.variable(0, 2), Expr.variable(1, 2)
+    f = (x1 + x2) * (Expr.variable(0, 2) + Expr.variable(1, 2))
+    assert f.node.lhs is not f.node.rhs
+    code = lower_expr(f)
+    assert [ins.op for ins in code] == ["var", "var", "add", "mul"]
+    assert code[3].a == code[3].b == 2
+
+
+def test_lowering_keeps_signed_zero_constants_apart():
+    x1 = Expr.variable(0, 1)
+    f = x1 * Expr.constant(Dual(0.0, 1.0), 1) + x1 * Expr.constant(
+        Dual(-0.0, 1.0), 1)
+    consts = [ins.a for ins in lower_expr(f) if ins.op == "const"]
+    assert [repr(c) for c in consts] == [repr(Dual(0.0, 1.0)),
+                                         repr(Dual(-0.0, 1.0))]
+
+
+def test_lowering_levels_are_highest_variable_read():
+    rng = random.Random(61)
+    for _ in range(100):
+        arity = rng.randint(0, 3)
+        code = lower_expr(random_expr(rng, arity, depth=4))
+        reads = []  # variables each register reads, directly or not
+        for ins in code:
+            if ins.op == "const":
+                read = set()
+            elif ins.op == "var":
+                read = {ins.a}
+            else:
+                read = set(reads[ins.a])
+                if ins.op in ("add", "sub", "mul"):
+                    read |= reads[ins.b]
+            reads.append(read)
+            assert ins.level == max(read, default=-1)
 
 
 # ---------------------------------------------------------------------------
