@@ -11,11 +11,16 @@ Chains are finite integer combinations of cubes sharing one
 ``(theta, r, k, n)`` signature.  Normalization merges terms whose maps
 agree on a fixed pseudo-random sample of the domain — that is what lets
 the geometric cancellations in a double boundary actually cancel, since
-composed substitutions need not be syntactically identical.
+composed substitutions need not be syntactically identical.  Each
+domain's sample is built once per ``(k, b.ze)``, and within one
+normalization each term's map is evaluated at most once per sample
+point, only when a comparison reaches that point.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -56,14 +61,20 @@ class CubeDomain:
 
     def sample_points(self) -> tuple[tuple[Dual, ...], ...]:
         """Fixed pseudo-random points of the domain, for map comparison."""
-        if self.k == 0:
-            return ((),)
-        rng = random.Random(_FINGERPRINT_SEED ^ (self.k * 1009))
         ze_span = self.b.ze
-        return tuple(
-            tuple(Dual(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * ze_span)
-                  for _ in range(self.k))
-            for _ in range(_FINGERPRINT_POINTS))
+        return _domain_points(self.k, ze_span, math.copysign(1.0, ze_span))
+
+
+@functools.cache
+def _domain_points(k: int, ze_span: float, ze_sign: float):
+    # ze_sign is only a cache key: 0.0 == -0.0, but their points differ
+    if k == 0:
+        return ((),)
+    rng = random.Random(_FINGERPRINT_SEED ^ (k * 1009))
+    return tuple(
+        tuple(Dual(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * ze_span)
+              for _ in range(k))
+        for _ in range(_FINGERPRINT_POINTS))
 
 
 @dataclass(eq=False)
@@ -213,29 +224,63 @@ def boundary(obj) -> Chain:
     raise TypeError("expected a cube or a chain")
 
 
+class _Fingerprint:
+    """A cube's map values at its domain's sample points, evaluated on demand.
+
+    ``values[i]`` holds the components at point i flattened to
+    ``(re, ze, re, ze, ...)``; comparisons walk the points in order, so
+    the values evaluated so far are always a prefix.
+    """
+
+    __slots__ = ("cube", "points", "values")
+
+    def __init__(self, cube: SingularCube):
+        self.cube = cube
+        self.points = cube.domain.sample_points()
+        self.values: list[tuple[float, ...]] = []
+
+    def at(self, i: int) -> tuple[float, ...]:
+        if i == len(self.values):
+            self.values.append(tuple(
+                part for c in self.cube.mapping.eval(self.points[i])
+                for part in (c.re, c.ze)))
+        return self.values[i]
+
+
+def _agree(left: _Fingerprint, right: _Fingerprint, tol: float) -> bool:
+    """Maps of one signature within `tol` at every point, in point order."""
+    for i in range(len(left.points)):
+        for x, y in zip(left.at(i), right.at(i)):
+            if not abs(x - y) <= tol:  # so NaN and inf never agree
+                return False
+    return True
+
+
 def cubes_equal(left: SingularCube, right: SingularCube,
                 tol: float = MERGE_TOL) -> bool:
     """Same signature and maps agreeing on the domain's sample points."""
     if left.signature() != right.signature():
         return False
-    for point in left.domain.sample_points():
-        a = left.mapping.eval(point)
-        b = right.mapping.eval(point)
-        for x, y in zip(a, b):
-            if abs(x.re - y.re) > tol or abs(x.ze - y.ze) > tol:
-                return False
-    return True
+    return _agree(_Fingerprint(left), _Fingerprint(right), tol)
 
 
 def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
-    """Merge terms with pointwise-equal cubes and drop zero weights."""
-    groups: list[list] = []
+    """Merge terms with pointwise-equal cubes and drop zero weights.
+
+    Each term is compared, in order, with the group of every earlier
+    distinct cube and joins the first that agrees (see `cubes_equal`);
+    a group keeps its first cube and sums its weights.  A term's map is
+    evaluated at a sample point only when a comparison reaches it, and
+    at most once per point, so a one-term chain evaluates nothing.
+    """
+    groups: list[list] = []  # [weight, fingerprint]
     for weight, cube in chain.terms:
+        mine = _Fingerprint(cube)
         for entry in groups:
-            if cubes_equal(entry[1], cube, tol):
+            if _agree(entry[1], mine, tol):
                 entry[0] += weight
                 break
         else:
-            groups.append([weight, cube])
+            groups.append([weight, mine])
     return Chain(chain.theta, chain.r, chain.k, chain.n,
-                 tuple((w, c) for w, c in groups if w != 0))
+                 tuple((w, f.cube) for w, f in groups if w != 0))

@@ -28,6 +28,7 @@ one :func:`enclose_step` per instruction.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re as _regex
@@ -178,21 +179,6 @@ def _prim(name: str, a: Node) -> Node:
     return Prim(name, a)
 
 
-def _max_var(node: Node) -> int:
-    match node:
-        case Const(_):
-            return -1
-        case Var(index):
-            return index
-        case Neg(arg) | Prim(_, arg):
-            return _max_var(arg)
-        case Add(lhs, rhs) | Sub(lhs, rhs) | Mul(lhs, rhs):
-            return max(_max_var(lhs), _max_var(rhs))
-        case PowInt(base, _):
-            return _max_var(base)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # evaluation at dual points
 
@@ -317,6 +303,23 @@ def _shape(node: Node):
         case Prim(name, arg):
             return name, (arg,), None
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _max_var(node: Node) -> int:
+    """The highest variable index the tree reads, or -1; shared nodes once."""
+    top = -1
+    seen = set()  # ids; the root keeps every node alive
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        op, kids, field = _shape(node)
+        if op == "var":
+            top = max(top, field)
+        stack.extend(kids)
+    return top
 
 
 def lower_expr(f: Expr) -> tuple[Instr, ...]:
@@ -720,6 +723,15 @@ class Expr:
             raise ValueError(
                 f"expression uses x{top + 1} but arity is {self.arity}")
 
+    @classmethod
+    def _built(cls, node: Node, arity: int) -> "Expr":
+        """An Expr from operands checked against `arity`, without the walk:
+        operators, derivatives and substitutions read no new variable."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "node", node)
+        object.__setattr__(f, "arity", arity)
+        return f
+
     @staticmethod
     def constant(value, arity: int = 0) -> "Expr":
         return Expr(Const(as_dual(value)), arity)
@@ -742,58 +754,58 @@ class Expr:
         rhs = self._rhs_node(other)
         if rhs is None:
             return NotImplemented
-        return Expr(_add(self.node, rhs), self.arity)
+        return Expr._built(_add(self.node, rhs), self.arity)
 
     def __radd__(self, other) -> "Expr":
         lhs = self._rhs_node(other)
         if lhs is None:
             return NotImplemented
-        return Expr(_add(lhs, self.node), self.arity)
+        return Expr._built(_add(lhs, self.node), self.arity)
 
     def __sub__(self, other) -> "Expr":
         rhs = self._rhs_node(other)
         if rhs is None:
             return NotImplemented
-        return Expr(_sub(self.node, rhs), self.arity)
+        return Expr._built(_sub(self.node, rhs), self.arity)
 
     def __rsub__(self, other) -> "Expr":
         lhs = self._rhs_node(other)
         if lhs is None:
             return NotImplemented
-        return Expr(_sub(lhs, self.node), self.arity)
+        return Expr._built(_sub(lhs, self.node), self.arity)
 
     def __mul__(self, other) -> "Expr":
         rhs = self._rhs_node(other)
         if rhs is None:
             return NotImplemented
-        return Expr(_mul(self.node, rhs), self.arity)
+        return Expr._built(_mul(self.node, rhs), self.arity)
 
     def __rmul__(self, other) -> "Expr":
         lhs = self._rhs_node(other)
         if lhs is None:
             return NotImplemented
-        return Expr(_mul(lhs, self.node), self.arity)
+        return Expr._built(_mul(lhs, self.node), self.arity)
 
     def __neg__(self) -> "Expr":
-        return Expr(_neg(self.node), self.arity)
+        return Expr._built(_neg(self.node), self.arity)
 
     def __pow__(self, exponent: int) -> "Expr":
-        return Expr(_pow(self.node, exponent), self.arity)
+        return Expr._built(_pow(self.node, exponent), self.arity)
 
     def __str__(self) -> str:
         return _render(self.node, 0)
 
 
 def exp(f: Expr) -> Expr:
-    return Expr(_prim("exp", f.node), f.arity)
+    return Expr._built(_prim("exp", f.node), f.arity)
 
 
 def sin(f: Expr) -> Expr:
-    return Expr(_prim("sin", f.node), f.arity)
+    return Expr._built(_prim("sin", f.node), f.arity)
 
 
 def cos(f: Expr) -> Expr:
-    return Expr(_prim("cos", f.node), f.arity)
+    return Expr._built(_prim("cos", f.node), f.arity)
 
 
 def is_zero_expr(f: Expr) -> bool:
@@ -844,7 +856,7 @@ def partial_diff(f: Expr, index: int) -> Expr:
     """Exact symbolic partial derivative with respect to variable `index`."""
     if not 0 <= index < f.arity:
         raise ValueError("variable index out of range")
-    return Expr(_diff(f.node, index), f.arity)
+    return Expr._built(_diff(f.node, index), f.arity)
 
 
 def compose(outer: Expr, inner: Sequence[Expr]) -> Expr:
@@ -859,7 +871,8 @@ def compose(outer: Expr, inner: Sequence[Expr]) -> Expr:
             raise ValueError("inner expressions must share one arity")
     else:
         arity = 0
-    return Expr(_subst(outer.node, tuple(g.node for g in inner)), arity)
+    return Expr._built(_subst(outer.node, tuple(g.node for g in inner)),
+                       arity)
 
 
 _GRID_SEED = 0x51AB
@@ -867,6 +880,11 @@ _GRID_SEED = 0x51AB
 
 def sample_points(arity: int, count: int = 16) -> tuple[tuple[Dual, ...], ...]:
     """Fixed pseudo-random dual points in [-1,1]^(2*arity), for equality tests."""
+    return _grid_points(arity, count)
+
+
+@functools.cache
+def _grid_points(arity: int, count: int) -> tuple[tuple[Dual, ...], ...]:
     rng = random.Random(_GRID_SEED + 7919 * arity)
     return tuple(
         tuple(Dual(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
@@ -875,13 +893,16 @@ def sample_points(arity: int, count: int = 16) -> tuple[tuple[Dual, ...], ...]:
 
 
 def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
-    """Sample-grid equality: agreement at the fixed 16-point grid."""
+    """Sample-grid equality: agreement at the fixed 16-point grid.
+
+    A NaN or infinite value agrees with nothing.
+    """
     if f.arity != g.arity:
         return False
     for point in sample_points(f.arity):
         a = _eval(f.node, point)
         b = _eval(g.node, point)
-        if abs(a.re - b.re) > tol or abs(a.ze - b.ze) > tol:
+        if not (abs(a.re - b.re) <= tol and abs(a.ze - b.ze) <= tol):
             return False
     return True
 

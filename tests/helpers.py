@@ -1,13 +1,30 @@
 """Seeded random generators shared by the test modules."""
 
+import functools
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         Expr, ExprMap, SingularCube, Theta, ThetaInterval,
                         ThetaRectangle, ZERO, ascending_tuples, cos,
                         eval_enclosure, exp, make_interval, sin)
+from dualstokes.cubes import MERGE_TOL
 
 THETAS = (Theta.TYPE1, Theta.TYPE2)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@functools.cache
+def load_bench_module(name: str):
+    """bench/<name>.py, imported by path as ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_int_dual(rng: random.Random, span: int = 4) -> Dual:
@@ -132,3 +149,42 @@ def reference_darboux_sums(f: Expr, partition) -> tuple[Dual, Dual]:
         upper = upper + sup * vol
         lower = lower + inf * vol
     return lower, upper
+
+
+def reference_domain_points(domain: CubeDomain):
+    """A domain's 16 sample points, drawn from a fresh generator each call."""
+    if domain.k == 0:
+        return ((),)
+    rng = random.Random(0xC0BE ^ (domain.k * 1009))
+    ze_span = domain.b.ze
+    return tuple(
+        tuple(Dual(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * ze_span)
+              for _ in range(domain.k))
+        for _ in range(16))
+
+
+def reference_chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
+    """Pairwise merge: each term against each group, both maps evaluated anew.
+
+    This is the rule `chain_normalize` implements; it must give the same
+    weights, in the same order, keeping the same cube objects.
+    """
+    def agree(left, right):
+        for point in reference_domain_points(left.domain):
+            a = left.mapping.eval(point)
+            b = right.mapping.eval(point)
+            for x, y in zip(a, b):
+                if not abs(x.re - y.re) <= tol or not abs(x.ze - y.ze) <= tol:
+                    return False
+        return True
+
+    groups = []
+    for weight, cube in chain.terms:
+        for entry in groups:
+            if agree(entry[1], cube):
+                entry[0] += weight
+                break
+        else:
+            groups.append([weight, cube])
+    return Chain(chain.theta, chain.r, chain.k, chain.n,
+                 tuple((w, c) for w, c in groups if w != 0))

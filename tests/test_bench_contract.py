@@ -5,23 +5,12 @@ The tracer rebinds module attributes of ``stokes``, ``darboux``,
 would otherwise surface only when the benchmark runs.
 """
 
-import importlib.util
-from pathlib import Path
-
 from dualstokes import builtin_scenario, cubes, darboux, forms, stokes
-
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_bench_module
 
 
 def test_tracer_counts_one_verdict_and_restores_modules():
-    spans = _load_spans()
+    spans = load_bench_module("spans")
     modules = {"stokes": stokes, "darboux": darboux, "forms": forms,
                "cubes": cubes}
     before = {name: dict(vars(module)) for name, module in modules.items()}

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 from dualstokes import (Chain, CubeDomain, Dual, DualVec, ExprMap,
                         SingularCube, Theta, ZERO, boundary, chain_normalize,
                         chain_of, cubes_equal, eval_dual, face, parse_expr,
-                        standard_cube)
-from helpers import THETAS, random_chain, random_cube
+                        scenario_from_dict, standard_cube)
+from dualstokes.cubes import MERGE_TOL
+from helpers import (THETAS, load_bench_module, random_chain, random_cube,
+                     reference_chain_normalize, reference_domain_points)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +46,16 @@ def test_domain_sample_points():
         for c in p:
             assert box.contains(c)
     assert CubeDomain(Theta.TYPE1, 0.5, 0).sample_points() == ((),)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, -0.0, 0.5, 1.0))
+@pytest.mark.parametrize("k", (0, 1, 2, 3))
+def test_domain_sample_points_are_built_once(theta, r, k):
+    dom = CubeDomain(theta, r, k)
+    # repr tells 0.0 from -0.0, which the ze parts carry for r = 0
+    assert repr(dom.sample_points()) == repr(reference_domain_points(dom))
+    assert CubeDomain(theta, r, k).sample_points() is dom.sample_points()
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +166,108 @@ def test_cubes_equal_tolerance():
     assert cubes_equal(a, shifted, tol=1e-3)
     other_theta = standard_cube(Theta.TYPE2, 0.0, 1)
     assert not cubes_equal(a, other_theta)
+
+
+def test_non_finite_values_never_agree():
+    dom = CubeDomain(Theta.TYPE1, 0.5, 1)
+    a = SingularCube(dom, ExprMap((parse_expr("x1", 1),)))
+    # inf - inf: NaN at every sample point
+    b = SingularCube(dom, ExprMap((parse_expr(
+        "(x1+1)*1e200*1e200 - (x1+1)*1e200*1e200 + 7", 1),)))
+    assert not cubes_equal(a, b)
+    assert not cubes_equal(b, b)
+    assert len(chain_normalize(chain_of(a) - chain_of(b)).terms) == 2
+    assert len(chain_normalize(chain_of(b) - chain_of(b)).terms) == 2
+
+
+# ---------------------------------------------------------------------------
+# normalization against the pairwise reference
+
+
+def _shifted(cube: SingularCube, shift: Dual) -> SingularCube:
+    return SingularCube(cube.domain, ExprMap(
+        tuple(c + shift for c in cube.mapping.components)))
+
+
+def _variant(rng: random.Random, cube: SingularCube) -> SingularCube:
+    """The cube itself, an equal copy, or a copy shifted by tol/2 or more.
+
+    A term at tol/2 from two groups 1.2*tol apart agrees with both, so
+    the order of the groups decides where it goes.
+    """
+    roll = rng.random()
+    if roll < 0.25:
+        return cube
+    if roll < 0.4:
+        return SingularCube(cube.domain, ExprMap(cube.mapping.components))
+    step = MERGE_TOL * rng.choice((0.5, 0.5, 1.2, 2.0))
+    part = rng.choice(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+    sign = rng.choice((-1.0, 1.0))
+    return _shifted(cube, Dual(sign * step * part[0], sign * step * part[1]))
+
+
+def _terms(chain: Chain) -> list:
+    return [(w, id(c)) for w, c in chain.terms]
+
+
+def _tiled_boundary(seed: int) -> Chain:
+    """The boundary of the benchmark's 3x3x3 tiling: 162 faces."""
+    scenario = scenario_from_dict(
+        load_bench_module("workloads").tiled_chain_dict(seed))
+    return boundary(scenario.chain)
+
+
+def test_normalize_matches_reference_loop():
+    rng = random.Random(4242)
+    for _ in range(80):
+        theta = rng.choice(THETAS)
+        r = rng.choice((0.0, 0.5, 1.0))
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 3)
+        base = [random_cube(rng, theta, r, k, n)
+                for _ in range(rng.randint(1, 4))]
+        terms = tuple((rng.choice((-2, -1, 1, 2)),
+                       _variant(rng, rng.choice(base)))
+                      for _ in range(rng.randint(1, 12)))
+        chain = Chain(theta, r, k, n, terms)
+        for ch in (chain, boundary(chain)):
+            assert _terms(chain_normalize(ch)) == \
+                _terms(reference_chain_normalize(ch))
+
+
+def test_tiled_boundary_matches_reference_loop():
+    faces = _tiled_boundary(1)
+    merged = chain_normalize(faces)
+    assert len(faces.terms) == 162 and len(merged.terms) == 54
+    assert _terms(merged) == _terms(reference_chain_normalize(faces))
+
+
+def test_normalize_evaluates_each_map_at_most_once_per_point(monkeypatch):
+    calls = Counter()
+    original = ExprMap.eval
+
+    def counting(self, point):
+        calls[id(self)] += 1
+        return original(self, point)
+
+    monkeypatch.setattr(ExprMap, "eval", counting)
+    rng = random.Random(8)
+    chain_normalize(chain_of(random_cube(rng, Theta.TYPE1, 0.5, 2, 2)))
+    assert not calls
+    # maps that differ at the first point: one evaluation each
+    dom = CubeDomain(Theta.TYPE1, 0.5, 1)
+    x = SingularCube(dom, ExprMap((parse_expr("x1", 1),)))
+    y = SingularCube(dom, ExprMap((parse_expr("x1+1", 1),)))
+    chain_normalize(Chain(Theta.TYPE1, 0.5, 1, 1, ((1, x), (1, y))))
+    assert calls == {id(x.mapping): 1, id(y.mapping): 1}
+    calls.clear()
+    assert cubes_equal(x, _shifted(x, Dual(0.0)))
+    assert sorted(calls.values()) == [16, 16]
+    calls.clear()
+    faces = _tiled_boundary(1)
+    chain_normalize(faces)
+    assert len(calls) == len(faces.terms)
+    assert max(calls.values()) <= 16
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,17 @@ def test_lowering_keeps_signed_zero_constants_apart():
                                          repr(Dual(-0.0, 1.0))]
 
 
+def test_deep_operator_chains_build_and_lower():
+    f = Expr.variable(1, 2)
+    for _ in range(1000):
+        f = exp(f) * 2.0 + 1.0
+    code = lower_expr(f)
+    assert len(code) == 3 * 1000 + 3  # x2, 2.0, 1.0, then exp, mul, add
+    assert code[-1].op == "add" and code[-1].level == 1
+    with pytest.raises(ValueError):
+        Expr(f.node, 1)  # the full check still walks it, without recursion
+
+
 def test_lowering_levels_are_highest_variable_read():
     rng = random.Random(61)
     for _ in range(100):
@@ -402,12 +413,31 @@ def test_sample_points_fixed():
     assert sample_points(0) == ((),) * 16
 
 
+@pytest.mark.parametrize("arity", (0, 1, 3))
+def test_sample_points_are_built_once(arity):
+    rng = random.Random(0x51AB + 7919 * arity)
+    fresh = tuple(tuple(Dual(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                        for _ in range(arity))
+                  for _ in range(16))
+    assert sample_points(arity) == fresh
+    assert sample_points(arity) is sample_points(arity)
+    assert sample_points(arity, 4) == fresh[:4]
+
+
 def test_exprs_equal():
     a = parse_expr("(x1+x2)^2", 2)
     b = parse_expr("x1^2+2*x1*x2+x2^2", 2)
     assert exprs_equal(a, b)
     assert not exprs_equal(a, parse_expr("x1^2+x2^2", 2))
     assert not exprs_equal(parse_expr("x1", 1), parse_expr("x1", 2))
+
+
+def test_exprs_equal_rejects_non_finite_values():
+    nan = parse_expr("(x1+1)*1e200*1e200 - (x1+1)*1e200*1e200 + 7", 1)
+    inf = parse_expr("(x1+1)*1e200*1e200", 1)
+    assert not exprs_equal(parse_expr("x1", 1), nan)
+    assert not exprs_equal(nan, nan)
+    assert not exprs_equal(inf, inf)  # inf - inf is NaN
 
 
 # ---------------------------------------------------------------------------
