@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .darboux import ThetaRectangle, make_interval
 from .dual import Dual, Theta, ZERO
-from .expr import Expr, ExprMap, Var, compose
+from .expr import Expr, ExprMap, compose
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -135,14 +135,8 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
     pinned = ZERO if side == 0 else cube.domain.b
-    repl = []
-    for i in range(k):
-        if i < axis - 1:
-            repl.append(Expr(Var(i), k - 1))
-        elif i == axis - 1:
-            repl.append(Expr.constant(pinned, k - 1))
-        else:
-            repl.append(Expr(Var(i - 1), k - 1))
+    repl = [Expr.variable(i, k - 1) for i in range(k - 1)]
+    repl.insert(axis - 1, Expr.constant(pinned, k - 1))
     mapping = ExprMap(tuple(compose(c, repl) for c in cube.mapping.components))
     return SingularCube(CubeDomain(cube.theta, cube.r, k - 1), mapping)
 

@@ -22,14 +22,19 @@ Construction applies constant folding and the 0/1 identities but no
 other simplification, so trees stay predictable.  Parentheses, function
 calls and unary minus may nest at most ``MAX_NESTING`` levels deep.
 
-Interval enclosures run on :func:`lower_expr`'s straight-line program,
-one :func:`enclose_step` per instruction.
+After parsing, the only walk over a tree is the iterative one of
+:func:`lower_expr`, and every other walk runs on its straight-line
+program: point evaluation, substitution, differentiation and rendering
+are one interpreter under four arithmetics, and interval enclosures run
+one :func:`enclose_step` per instruction.  The parser is the only
+recursion, capped by ``MAX_NESTING``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import re as _regex
 from dataclasses import dataclass
@@ -180,88 +185,6 @@ def _prim(name: str, a: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# evaluation at dual points
-
-
-def _eval(node: Node, args: tuple[Dual, ...]) -> Dual:
-    match node:
-        case Const(value):
-            return value
-        case Var(index):
-            return args[index]
-        case Neg(arg):
-            return -_eval(arg, args)
-        case Add(lhs, rhs):
-            return _eval(lhs, args) + _eval(rhs, args)
-        case Sub(lhs, rhs):
-            return _eval(lhs, args) - _eval(rhs, args)
-        case Mul(lhs, rhs):
-            return _eval(lhs, args) * _eval(rhs, args)
-        case PowInt(base, exponent):
-            return _eval(base, args) ** exponent
-        case Prim(name, arg):
-            return _prim_value(name, _eval(arg, args))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# symbolic differentiation
-
-
-def _diff(node: Node, i: int) -> Node:
-    match node:
-        case Const(_):
-            return _ZERO_NODE
-        case Var(index):
-            return _ONE_NODE if index == i else _ZERO_NODE
-        case Neg(arg):
-            return _neg(_diff(arg, i))
-        case Add(lhs, rhs):
-            return _add(_diff(lhs, i), _diff(rhs, i))
-        case Sub(lhs, rhs):
-            return _sub(_diff(lhs, i), _diff(rhs, i))
-        case Mul(lhs, rhs):
-            return _add(_mul(_diff(lhs, i), rhs), _mul(lhs, _diff(rhs, i)))
-        case PowInt(base, exponent):
-            scaled = _mul(Const(Dual(float(exponent))), _pow(base, exponent - 1))
-            return _mul(scaled, _diff(base, i))
-        case Prim(name, arg):
-            if name == "exp":
-                outer: Node = Prim("exp", arg)
-            elif name == "sin":
-                outer = _prim("cos", arg)
-            else:
-                outer = _neg(_prim("sin", arg))
-            return _mul(outer, _diff(arg, i))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# substitution (composition)
-
-
-def _subst(node: Node, repl: tuple[Node, ...]) -> Node:
-    match node:
-        case Const(_):
-            return node
-        case Var(index):
-            return repl[index]
-        case Neg(arg):
-            return _neg(_subst(arg, repl))
-        case Add(lhs, rhs):
-            return _add(_subst(lhs, repl), _subst(rhs, repl))
-        case Sub(lhs, rhs):
-            return _sub(_subst(lhs, repl), _subst(rhs, repl))
-        case Mul(lhs, rhs):
-            return _mul(_subst(lhs, repl), _subst(rhs, repl))
-        case PowInt(base, exponent):
-            return _pow(_subst(base, repl), exponent)
-        case Prim(name, arg):
-            return _prim(name, _subst(arg, repl))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # lowering to a straight-line program
 
 # Instruction i writes register i and reads only earlier registers, so
@@ -283,69 +206,51 @@ class Instr(NamedTuple):
     level: int
 
 
-def _shape(node: Node):
-    """(op, child nodes, the field that is not a child or None)."""
-    match node:
-        case Const(value):
-            return "const", (), value
-        case Var(index):
-            return "var", (), index
-        case Neg(arg):
-            return "neg", (arg,), None
-        case Add(lhs, rhs):
-            return "add", (lhs, rhs), None
-        case Sub(lhs, rhs):
-            return "sub", (lhs, rhs), None
-        case Mul(lhs, rhs):
-            return "mul", (lhs, rhs), None
-        case PowInt(base, exponent):
-            return "pow", (base,), exponent
-        case Prim(name, arg):
-            return name, (arg,), None
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _max_var(node: Node) -> int:
-    """The highest variable index the tree reads, or -1; shared nodes once."""
-    top = -1
-    seen = set()  # ids; the root keeps every node alive
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        op, kids, field = _shape(node)
-        if op == "var":
-            top = max(top, field)
-        stack.extend(kids)
-    return top
+# node type -> (op, child nodes, the field that is not a child or None)
+_SHAPES = {
+    Const: lambda node: ("const", (), node.value),
+    Var: lambda node: ("var", (), node.index),
+    Neg: lambda node: ("neg", (node.arg,), None),
+    Add: lambda node: ("add", (node.lhs, node.rhs), None),
+    Sub: lambda node: ("sub", (node.lhs, node.rhs), None),
+    Mul: lambda node: ("mul", (node.lhs, node.rhs), None),
+    PowInt: lambda node: ("pow", (node.base,), node.exponent),
+    Prim: lambda node: (node.name, (node.arg,), None),
+}
 
 
 def lower_expr(f: Expr) -> tuple[Instr, ...]:
-    """The expression as a straight-line program, common subexpressions once."""
+    """The expression as a straight-line program, common subexpressions
+    once; it is built on first use and kept with `f`."""
+    return f._code
+
+
+def _lower(root: Node) -> tuple[Instr, ...]:
     code: list[Instr] = []
     by_key: dict[tuple, int] = {}
-    done: dict[int, int] = {}  # id(node) -> register; f keeps every node alive
-    stack = [f.node]
+    done: dict[int, int] = {}  # id(node) -> register; root keeps nodes alive
+    stack = [(root, None)]  # (node, its shape once its operands are queued)
     while stack:
-        node = stack[-1]
+        node, shape = stack.pop()
         if id(node) in done:
-            stack.pop()
             continue
-        op, kids, field = _shape(node)
-        waiting = [kid for kid in kids if id(kid) not in done]
-        if waiting:
-            stack.extend(reversed(waiting))  # lhs first
-            continue
-        stack.pop()
-        regs = [done[id(kid)] for kid in kids]
+        if shape is None:
+            if type(node) not in _SHAPES:
+                raise TypeError(f"not an expression node: {node!r}")
+            shape = _SHAPES[type(node)](node)
+            if shape[1]:
+                stack.append((node, shape))
+                stack.extend((kid, None) for kid in reversed(shape[1]))
+                continue
+        op, kids, field = shape
         if op == "const":
             # repr keeps 0.0 and -0.0 (and int and float) apart
-            key, ins = (op, repr(field)), Instr(op, field, None, -1)
+            key = (op, repr((field.re, field.ze)))
+            ins = Instr(op, field, None, -1)
         elif op == "var":
             key, ins = (op, field), Instr(op, field, None, field)
         else:
+            regs = [done[id(kid)] for kid in kids]
             a, b = regs if len(regs) == 2 else (regs[0], field)
             level = max(code[r].level for r in regs)
             key, ins = (op, a, b), Instr(op, a, b, level)
@@ -354,6 +259,83 @@ def lower_expr(f: Expr) -> tuple[Instr, ...]:
             code.append(ins)
         done[id(node)] = by_key[key]
     return tuple(code)
+
+
+# ---------------------------------------------------------------------------
+# running a program
+
+# An arithmetic says what the ops compute on one kind of register value.
+# It is the tuple (const, neg, add, sub, mul, pow, prim) of functions of
+# (Dual), (x), (x, y), (x, y), (x, y), (x, exponent) and (name, x).
+
+
+def _run(code: tuple[Instr, ...], arith: tuple, args: Sequence):
+    """The value of the last register; `args[i]` is the value of x(i+1)."""
+    const, neg, add, sub, mul, power, prim = arith
+    regs: list = []
+    put = regs.append
+    for op, a, b, _ in code:
+        match op:
+            case "var":
+                put(args[a])
+            case "const":
+                put(const(a))
+            case "add":
+                put(add(regs[a], regs[b]))
+            case "sub":
+                put(sub(regs[a], regs[b]))
+            case "mul":
+                put(mul(regs[a], regs[b]))
+            case "neg":
+                put(neg(regs[a]))
+            case "pow":
+                put(power(regs[a], b))
+            case _:
+                put(prim(op, regs[a]))
+    return regs[-1]
+
+
+# registers hold Dual values
+_POINT = (lambda value: value, operator.neg, operator.add, operator.sub,
+          operator.mul, operator.pow, _prim_value)
+
+# registers hold nodes, built (and folded) by the smart constructors
+_NODES = (Const, _neg, _add, _sub, _mul, _pow, _prim)
+
+
+# Registers hold (node, its derivative node) for one variable.  The node
+# is rebuilt as it was, unfolded, so each rule sees the operands of the
+# tree it differentiates.
+
+
+def _d_mul(x, y):
+    (u, du), (v, dv) = x, y
+    return Mul(u, v), _add(_mul(du, v), _mul(u, dv))
+
+
+def _d_pow(x, exponent: int):
+    u, du = x
+    scaled = _mul(Const(Dual(float(exponent))), _pow(u, exponent - 1))
+    return PowInt(u, exponent), _mul(scaled, du)
+
+
+def _d_prim(name: str, x):
+    u, du = x
+    if name == "exp":
+        outer = Prim("exp", u)
+    elif name == "sin":
+        outer = _prim("cos", u)
+    else:
+        outer = _neg(_prim("sin", u))
+    return Prim(name, u), _mul(outer, du)
+
+
+_DERIVATIVE = (
+    lambda value: (Const(value), _ZERO_NODE),
+    lambda x: (Neg(x[0]), _neg(x[1])),
+    lambda x, y: (Add(x[0], y[0]), _add(x[1], y[1])),
+    lambda x, y: (Sub(x[0], y[0]), _sub(x[1], y[1])),
+    _d_mul, _d_pow, _d_prim)
 
 
 # ---------------------------------------------------------------------------
@@ -533,33 +515,26 @@ def _const_text(value: Dual) -> tuple[str, int]:
             _PREC_ADD)
 
 
-def _render(node: Node, context: int) -> str:
-    match node:
-        case Const(value):
-            text, prec = _const_text(value)
-        case Var(index):
-            text, prec = f"x{index + 1}", _PREC_ATOM
-        case Neg(arg):
-            text, prec = "-" + _render(arg, _PREC_NEG), _PREC_NEG
-        case Add(lhs, rhs):
-            text = _render(lhs, _PREC_ADD) + "+" + _render(rhs, _PREC_ADD + 1)
-            prec = _PREC_ADD
-        case Sub(lhs, rhs):
-            text = _render(lhs, _PREC_ADD) + "-" + _render(rhs, _PREC_ADD + 1)
-            prec = _PREC_ADD
-        case Mul(lhs, rhs):
-            text = _render(lhs, _PREC_MUL) + "*" + _render(rhs, _PREC_MUL + 1)
-            prec = _PREC_MUL
-        case PowInt(base, exponent):
-            text = _render(base, _PREC_ATOM) + "^" + str(exponent)
-            prec = _PREC_POW
-        case Prim(name, arg):
-            text, prec = f"{name}({_render(arg, 0)})", _PREC_ATOM
-        case _:
-            raise TypeError(f"not an expression node: {node!r}")
-    if prec < context:
-        return "(" + text + ")"
-    return text
+# Registers hold (text, precedence); an operand is parenthesized when its
+# precedence is below what its place in the parent needs.
+
+
+def _wrap(x, context: int) -> str:
+    text, prec = x
+    return "(" + text + ")" if prec < context else text
+
+
+def _infix(symbol: str, prec: int):
+    return lambda x, y: (_wrap(x, prec) + symbol + _wrap(y, prec + 1), prec)
+
+
+_TEXT = (
+    _const_text,
+    lambda x: ("-" + _wrap(x, _PREC_NEG), _PREC_NEG),
+    _infix("+", _PREC_ADD), _infix("-", _PREC_ADD), _infix("*", _PREC_MUL),
+    lambda x, exponent: (_wrap(x, _PREC_ATOM) + "^" + str(exponent),
+                         _PREC_POW),
+    lambda name, x: (f"{name}({x[0]})", _PREC_ATOM))
 
 
 # ---------------------------------------------------------------------------
@@ -718,29 +693,35 @@ class Expr:
     def __post_init__(self):
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
-        top = _max_var(self.node)
+        top = _lower(self.node)[-1].level  # the highest variable read
         if top >= self.arity:
             raise ValueError(
                 f"expression uses x{top + 1} but arity is {self.arity}")
 
     @classmethod
     def _built(cls, node: Node, arity: int) -> "Expr":
-        """An Expr from operands checked against `arity`, without the walk:
-        operators, derivatives and substitutions read no new variable."""
+        """An Expr valid by construction, not checked nor lowered: the
+        parser range-checks variables, and operators read no new one."""
         f = object.__new__(cls)
         object.__setattr__(f, "node", node)
         object.__setattr__(f, "arity", arity)
         return f
 
+    @functools.cached_property
+    def _code(self) -> tuple[Instr, ...]:
+        return _lower(self.node)
+
     @staticmethod
     def constant(value, arity: int = 0) -> "Expr":
-        return Expr(Const(as_dual(value)), arity)
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        return Expr._built(Const(as_dual(value)), arity)
 
     @staticmethod
     def variable(index: int, arity: int) -> "Expr":
         if not 0 <= index < arity:
             raise ValueError("variable index out of range")
-        return Expr(Var(index), arity)
+        return Expr._built(Var(index), arity)
 
     def _rhs_node(self, other) -> Node | None:
         if isinstance(other, Expr):
@@ -793,7 +774,7 @@ class Expr:
         return Expr._built(_pow(self.node, exponent), self.arity)
 
     def __str__(self) -> str:
-        return _render(self.node, 0)
+        return render_expr(self)
 
 
 def exp(f: Expr) -> Expr:
@@ -817,12 +798,13 @@ def parse_expr(text: str, arity: int) -> Expr:
     """Parse grammar text into an expression of the given arity."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
-    return Expr(_Parser(text, arity).parse(), arity)
+    return Expr._built(_Parser(text, arity).parse(), arity)
 
 
 def render_expr(f: Expr) -> str:
     """Grammar-conformant text for an expression; parses back to the same tree."""
-    return _render(f.node, 0)
+    names = tuple((f"x{i + 1}", _PREC_ATOM) for i in range(f.arity))
+    return _run(f._code, _TEXT, names)[0]
 
 
 def _point_args(point) -> tuple[Dual, ...]:
@@ -836,7 +818,7 @@ def eval_dual(f: Expr, point) -> Dual:
     args = _point_args(point)
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} components, got {len(args)}")
-    return _eval(f.node, args)
+    return _run(f._code, _POINT, args)
 
 
 def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
@@ -846,7 +828,7 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
         raise ValueError(f"expected {f.arity} boxes, got {len(boxes)}")
     args = [box.intervals() for box in boxes]
     regs: list = []
-    for ins in lower_expr(f):
+    for ins in f._code:
         regs.append(enclose_step(ins, regs, args))
     (re_lo, re_hi), (ze_lo, ze_hi) = regs[-1]
     return DualBox(re_lo, re_hi, ze_lo, ze_hi)
@@ -856,7 +838,9 @@ def partial_diff(f: Expr, index: int) -> Expr:
     """Exact symbolic partial derivative with respect to variable `index`."""
     if not 0 <= index < f.arity:
         raise ValueError("variable index out of range")
-    return Expr._built(_diff(f.node, index), f.arity)
+    args = tuple((Var(i), _ONE_NODE if i == index else _ZERO_NODE)
+                 for i in range(f.arity))
+    return Expr._built(_run(f._code, _DERIVATIVE, args)[1], f.arity)
 
 
 def compose(outer: Expr, inner: Sequence[Expr]) -> Expr:
@@ -871,8 +855,8 @@ def compose(outer: Expr, inner: Sequence[Expr]) -> Expr:
             raise ValueError("inner expressions must share one arity")
     else:
         arity = 0
-    return Expr._built(_subst(outer.node, tuple(g.node for g in inner)),
-                       arity)
+    return Expr._built(
+        _run(outer._code, _NODES, tuple(g.node for g in inner)), arity)
 
 
 _GRID_SEED = 0x51AB
@@ -900,8 +884,8 @@ def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
     if f.arity != g.arity:
         return False
     for point in sample_points(f.arity):
-        a = _eval(f.node, point)
-        b = _eval(g.node, point)
+        a = _run(f._code, _POINT, point)
+        b = _run(g._code, _POINT, point)
         if not (abs(a.re - b.re) <= tol and abs(a.ze - b.ze) <= tol):
             return False
     return True
@@ -935,13 +919,13 @@ class ExprMap:
 
     @staticmethod
     def identity(n: int) -> "ExprMap":
-        return ExprMap(tuple(Expr(Var(i), n) for i in range(n)))
+        return ExprMap(tuple(Expr.variable(i, n) for i in range(n)))
 
     def eval(self, point) -> DualVec:
         args = _point_args(point)
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} components, got {len(args)}")
-        return DualVec(_eval(c.node, args) for c in self.components)
+        return DualVec(_run(c._code, _POINT, args) for c in self.components)
 
     def compose(self, inner: "ExprMap") -> "ExprMap":
         """This map after `inner` (symbolic substitution)."""
@@ -1012,7 +996,7 @@ def jacobian(f: ExprMap, point) -> DualMap:
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} components, got {len(args)}")
     return DualMap(tuple(
-        tuple(_eval(_diff(c.node, i), args) for i in range(f.arity))
+        tuple(eval_dual(partial_diff(c, i), args) for i in range(f.arity))
         for c in f.components))
 
 
@@ -1061,8 +1045,8 @@ def cr_check(f: ExprMap, point, h: float = 1e-6) -> float:
             args_hi = args[:i] + (hi,) + args[i + 1:]
             args_lo = args[:i] + (lo,) + args[i + 1:]
             for j, comp in enumerate(f.components):
-                f_hi = _eval(comp.node, args_hi)
-                f_lo = _eval(comp.node, args_lo)
+                f_hi = _run(comp._code, _POINT, args_hi)
+                f_lo = _run(comp._code, _POINT, args_lo)
                 d_re = (f_hi.re - f_lo.re) / (2.0 * h)
                 d_ze = (f_hi.ze - f_lo.ze) / (2.0 * h)
                 entry = jac.entries[j][i]

@@ -11,6 +11,11 @@ from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         ThetaRectangle, ZERO, ascending_tuples, cos,
                         eval_enclosure, exp, make_interval, sin)
 from dualstokes.cubes import MERGE_TOL
+from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
+                             _PREC_NEG, _PREC_POW, _ZERO_NODE, Add, Const,
+                             Mul, Neg, PowInt, Prim, Sub, Var, _add,
+                             _const_text, _mul, _neg, _pow, _prim,
+                             _prim_value, _sub)
 
 THETAS = (Theta.TYPE1, Theta.TYPE2)
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -188,3 +193,115 @@ def reference_chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
             groups.append([weight, cube])
     return Chain(chain.theta, chain.r, chain.k, chain.n,
                  tuple((w, c) for w, c in groups if w != 0))
+
+
+# The tree walks that expressions ran on before they ran on the lowered
+# program.  Each recurses once per level, so keep their inputs shallow.
+# The program's runs must match them: equal values, trees and text.
+
+
+def reference_eval(node, args):
+    """The value at a point (a tuple of Duals), walking the tree."""
+    match node:
+        case Const(value):
+            return value
+        case Var(index):
+            return args[index]
+        case Neg(arg):
+            return -reference_eval(arg, args)
+        case Add(lhs, rhs):
+            return reference_eval(lhs, args) + reference_eval(rhs, args)
+        case Sub(lhs, rhs):
+            return reference_eval(lhs, args) - reference_eval(rhs, args)
+        case Mul(lhs, rhs):
+            return reference_eval(lhs, args) * reference_eval(rhs, args)
+        case PowInt(base, exponent):
+            return reference_eval(base, args) ** exponent
+        case Prim(name, arg):
+            return _prim_value(name, reference_eval(arg, args))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_diff(node, i):
+    """The derivative node in variable i, walking the tree."""
+    match node:
+        case Const(_):
+            return _ZERO_NODE
+        case Var(index):
+            return _ONE_NODE if index == i else _ZERO_NODE
+        case Neg(arg):
+            return _neg(reference_diff(arg, i))
+        case Add(lhs, rhs):
+            return _add(reference_diff(lhs, i), reference_diff(rhs, i))
+        case Sub(lhs, rhs):
+            return _sub(reference_diff(lhs, i), reference_diff(rhs, i))
+        case Mul(lhs, rhs):
+            return _add(_mul(reference_diff(lhs, i), rhs),
+                        _mul(lhs, reference_diff(rhs, i)))
+        case PowInt(base, exponent):
+            scaled = _mul(Const(Dual(float(exponent))), _pow(base, exponent - 1))
+            return _mul(scaled, reference_diff(base, i))
+        case Prim(name, arg):
+            if name == "exp":
+                outer = Prim("exp", arg)
+            elif name == "sin":
+                outer = _prim("cos", arg)
+            else:
+                outer = _neg(_prim("sin", arg))
+            return _mul(outer, reference_diff(arg, i))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_subst(node, repl):
+    """`repl[i]` substituted for each variable i, walking the tree."""
+    match node:
+        case Const(_):
+            return node
+        case Var(index):
+            return repl[index]
+        case Neg(arg):
+            return _neg(reference_subst(arg, repl))
+        case Add(lhs, rhs):
+            return _add(reference_subst(lhs, repl), reference_subst(rhs, repl))
+        case Sub(lhs, rhs):
+            return _sub(reference_subst(lhs, repl), reference_subst(rhs, repl))
+        case Mul(lhs, rhs):
+            return _mul(reference_subst(lhs, repl), reference_subst(rhs, repl))
+        case PowInt(base, exponent):
+            return _pow(reference_subst(base, repl), exponent)
+        case Prim(name, arg):
+            return _prim(name, reference_subst(arg, repl))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_render(node, context=0):
+    """Grammar text, parenthesized where `context` needs it, walking the tree."""
+    match node:
+        case Const(value):
+            text, prec = _const_text(value)
+        case Var(index):
+            text, prec = f"x{index + 1}", _PREC_ATOM
+        case Neg(arg):
+            text, prec = "-" + reference_render(arg, _PREC_NEG), _PREC_NEG
+        case Add(lhs, rhs):
+            text = (reference_render(lhs, _PREC_ADD) + "+"
+                    + reference_render(rhs, _PREC_ADD + 1))
+            prec = _PREC_ADD
+        case Sub(lhs, rhs):
+            text = (reference_render(lhs, _PREC_ADD) + "-"
+                    + reference_render(rhs, _PREC_ADD + 1))
+            prec = _PREC_ADD
+        case Mul(lhs, rhs):
+            text = (reference_render(lhs, _PREC_MUL) + "*"
+                    + reference_render(rhs, _PREC_MUL + 1))
+            prec = _PREC_MUL
+        case PowInt(base, exponent):
+            text = reference_render(base, _PREC_ATOM) + "^" + str(exponent)
+            prec = _PREC_POW
+        case Prim(name, arg):
+            text, prec = f"{name}({reference_render(arg, 0)})", _PREC_ATOM
+        case _:
+            raise TypeError(f"not an expression node: {node!r}")
+    if prec < context:
+        return "(" + text + ")"
+    return text

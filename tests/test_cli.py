@@ -169,16 +169,21 @@ def test_missing_subcommand_exits_with_usage():
     assert info.value.code == 2
 
 
-def _assert_config_error_in_subprocess(tmp_path, scenario):
-    # a clean exit 2 from a fresh interpreter: no traceback, no exit 1
+def _verify_in_subprocess(tmp_path, scenario):
+    # a fresh interpreter, so nothing the test process set up can leak in
     path = tmp_path / "f.json"
     path.write_text(json.dumps(scenario))
     src = Path(dualstokes.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "dualstokes", "verify", "--scenario", str(path)],
         capture_output=True, text=True, env=env, timeout=60)
+
+
+def _assert_config_error_in_subprocess(tmp_path, scenario):
+    # a clean exit 2: no traceback, no exit 1
+    proc = _verify_in_subprocess(tmp_path, scenario)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -209,3 +214,15 @@ def test_verify_deep_nesting_is_config_error(tmp_path):
     err = _assert_config_error_in_subprocess(
         tmp_path, _square_with_coefficient(deep))
     assert "nested" in err
+
+
+def test_verify_long_flat_expression(tmp_path):
+    # 3000 terms parse in a loop; differentiating, composing and
+    # integrating them must not recurse once per term either
+    flat = _square_with_coefficient("+".join(["x1"] * 3000))
+    flat["refinement"] = {"tol_re": 1e4, "tol_ze": 1e4,
+                          "base_subdivisions": 2, "max_doublings": 0}
+    proc = _verify_in_subprocess(tmp_path, flat)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok")
+    assert "Traceback" not in proc.stderr

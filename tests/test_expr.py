@@ -8,9 +8,10 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         cr_check, eval_dual, eval_enclosure, exp, exprs_equal,
                         is_zero_expr, jacobian, parse_expr, partial_diff,
                         render_expr, sample_points, sin)
-from dualstokes.expr import MAX_NESTING, lower_expr
+from dualstokes.expr import MAX_NESTING, Add, Const, Mul, Var, lower_expr
 from helpers import (point_in_box, random_box, random_expr, random_map,
-                     small_point)
+                     reference_diff, reference_eval, reference_render,
+                     reference_subst, small_point)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,10 @@ def test_constant_folding_and_identities():
 def test_arity_validation():
     with pytest.raises(ValueError):
         Expr.variable(2, 2)
+    with pytest.raises(ValueError):
+        Expr(Var(2), 2)  # a raw tree is still checked
+    with pytest.raises(ParseError):
+        parse_expr("x3", 2)
     with pytest.raises(ValueError):
         parse_expr("x1", 1) + parse_expr("x1", 2)
     assert (parse_expr("x1", 3) + 1).arity == 3
@@ -383,6 +388,16 @@ def test_deep_operator_chains_build_and_lower():
         Expr(f.node, 1)  # the full check still walks it, without recursion
 
 
+def test_programs_are_lowered_on_first_use_and_kept():
+    f = parse_expr("x1*x2+exp(x1)", 2)
+    g = Expr.constant(2.0, 2) * Expr.variable(0, 2)
+    for h in (f, g):
+        assert "_code" not in vars(h)  # building lowers nothing
+        code = lower_expr(h)
+        assert lower_expr(h) is code
+    assert "_code" not in vars(Expr(f.node, 2))  # the check keeps nothing
+
+
 def test_lowering_levels_are_highest_variable_read():
     rng = random.Random(61)
     for _ in range(100):
@@ -540,3 +555,75 @@ def test_module_functions_wrap_nodes():
     assert exprs_equal(exp(f), parse_expr("exp(x1)", 1))
     assert exprs_equal(sin(f), parse_expr("sin(x1)", 1))
     assert exprs_equal(cos(f), parse_expr("cos(x1)", 1))
+
+
+# ---------------------------------------------------------------------------
+# the program's walks against the tree walks they replaced
+
+
+def _outcome(fn):
+    # repr tells 0.0 from -0.0 in values and in the constants of trees
+    try:
+        return repr(fn())
+    except OverflowError:  # from a folded or evaluated exp or power
+        return "OverflowError"
+
+
+def _walk_cases():
+    rng = random.Random(2024)
+    for _ in range(400):
+        arity = rng.randint(0, 3)
+        yield random_expr(rng, arity, depth=rng.randint(0, 5))
+    for _ in range(40):  # shared subtrees
+        arity = rng.randint(1, 3)
+        f = random_expr(rng, arity, depth=3)
+        yield f * f
+        yield exp(f) + f
+    # raw trees, unfolded by construction
+    yield Expr(Add(Const(Dual(1.0)), Const(Dual(2.0))), 0)
+    yield Expr(Mul(Const(Dual(3.0, 1.0)), Const(Dual(2.0))), 0)
+    yield Expr(Mul(Add(Const(Dual(1.0)), Const(Dual(2.0))), Var(0)), 1)
+    yield Expr(Mul(Mul(Const(Dual(1.0)), Var(0)), Var(0)), 1)
+
+
+def test_walks_match_reference_tree_walks():
+    rng = random.Random(7)
+    for f in _walk_cases():
+        node, arity = f.node, f.arity
+        p = small_point(rng, arity)
+        assert (_outcome(lambda: eval_dual(f, p))
+                == _outcome(lambda: reference_eval(node, p)))
+        assert render_expr(f) == reference_render(node)
+        for i in range(arity):
+            assert (_outcome(lambda: partial_diff(f, i).node)
+                    == _outcome(lambda: reference_diff(node, i)))
+        if arity:
+            assert _outcome(lambda: jacobian(ExprMap((f,)), p)) == _outcome(
+                lambda: DualMap([[reference_eval(reference_diff(node, i), p)
+                                  for i in range(arity)]]))
+        inner_arity = rng.randint(0, 3)
+        inner = [random_expr(rng, inner_arity, depth=2) for _ in range(arity)]
+        repl = tuple(g.node for g in inner)
+        assert (_outcome(lambda: compose(f, inner).node)
+                == _outcome(lambda: reference_subst(node, repl)))
+
+
+def test_long_chains_walk_without_recursion():
+    # 1000 rounds nest far deeper than Python's recursion limit
+    x1 = Expr.variable(0, 1)
+    f = x1
+    for _ in range(1000):
+        f = sin(f) * 0.5 + x1
+    x = Dual(0.3, 1.0)
+    want = x
+    for _ in range(1000):
+        want = Dual(math.sin(want.re), want.ze * math.cos(want.re)) \
+            * Dual(0.5) + x
+    assert repr(eval_dual(f, [x])) == repr(want)
+    # the eps part of f(x + eps) is f'(x)
+    slope = eval_dual(partial_diff(f, 0), [Dual(0.3)])
+    assert slope.re == pytest.approx(want.ze, rel=1e-12)
+    doubled = compose(f, [x1 * 2.0])
+    assert repr(eval_dual(doubled, [Dual(0.15, 0.5)])) == repr(want)
+    text = render_expr(f)
+    assert text.count("sin(") == 1000 and text.endswith(")*0.5+x1")
