@@ -15,18 +15,17 @@ bracket is monotone even in floating point: every cell term of the
 lower sum is ``<=`` the matching upper term componentwise, and IEEE
 rounding preserves that through the final accumulation.
 
-A partition stores the pieces of each axis, not its cells.  The sums
-lower the integrand once to a straight-line program (see
-:func:`.expr.lower_expr`) and walk the grid as nested loops, one per
-axis; each instruction runs in the loop of the highest variable it
-reads, and each loop carries the volume of the cells' common prefix.
-So an integrand in x1 alone is enclosed once per piece of the first
-axis, and no object is built per cell.
+A partition stores the breakpoints of each axis as ``(re, ze)`` float
+pairs, not its pieces or cells.  The sums lower the integrand once to a
+straight-line program (see :func:`.expr.lower_expr`) and walk the grid
+as nested loops, one per axis; each instruction runs in the loop of the
+highest variable it reads, and each loop carries the volume of the
+cells' common prefix.  So an integrand in x1 alone is enclosed once per
+piece of the first axis, and no object is built per piece or cell.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -122,15 +121,16 @@ def make_rectangle(theta: Theta, bounds) -> ThetaRectangle:
 
 @dataclass(frozen=True)
 class Partition:
-    """Uniform grid over a rectangle, stored as the pieces of each axis.
+    """Uniform grid over a rectangle, stored as the breakpoints of each axis.
 
-    The cells are the products of one piece per axis; `cells` lists them
-    in lexicographic order (the last axis varies fastest).
+    Breakpoints are ``(re, ze)`` float pairs, and consecutive ones bound
+    a piece.  `cells` lists the products of one piece per axis, in
+    lexicographic order (the last axis varies fastest).
     """
 
     rect: ThetaRectangle
     subdivisions: int
-    axes: tuple[tuple[ThetaInterval, ...], ...]
+    axes: tuple[tuple[tuple[float, float], ...], ...]
 
     @property
     def cells(self) -> "Cells":
@@ -145,7 +145,7 @@ class Cells(Sequence):
         self._axes = axes
 
     def __len__(self) -> int:
-        return math.prod(len(pieces) for pieces in self._axes)
+        return math.prod(len(points) - 1 for points in self._axes)
 
     def __getitem__(self, i: int) -> ThetaRectangle:
         if i < 0:
@@ -153,34 +153,43 @@ class Cells(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("cell index out of range")
         combo = []
-        for pieces in reversed(self._axes):
-            i, j = divmod(i, len(pieces))
-            combo.append(pieces[j])
+        for points in reversed(self._axes):
+            i, j = divmod(i, len(points) - 1)
+            combo.append(ThetaInterval(self._theta, Dual(*points[j]),
+                                       Dual(*points[j + 1])))
         return ThetaRectangle(self._theta, tuple(reversed(combo)))
 
-    def __iter__(self):
-        for combo in itertools.product(*self._axes):
-            yield ThetaRectangle(self._theta, combo)
 
-
-def _axis_points(iv: ThetaInterval, n: int) -> list[Dual]:
-    w = iv.width
-    if w.is_zero():
-        return [iv.a, iv.a]
-    points = [iv.a + w * (j / n) for j in range(n)]
-    points.append(iv.a + w)
-    return points
+def _count(value, least: int, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}")
 
 
 def uniform_partition(rect: ThetaRectangle, n: int) -> Partition:
-    """Split every axis into `n` equal pieces (zero-width axes collapse)."""
-    if n < 1:
-        raise ValueError("subdivision count must be at least 1")
+    """Split every axis into `n` equal pieces (zero-width axes collapse).
+
+    Breakpoint j < n is ``a + (b - a)*(j/n)`` in ``Dual`` arithmetic and
+    the last is ``a + (b - a)``.  A piece that runs against the order (as
+    a NaN one does) raises :class:`IncomparableEndpoints`.
+    """
+    _count(n, 1, "subdivision count")
+    sign = rect.theta.sign
     axes = []
     for iv in rect.intervals:
-        points = _axis_points(iv, n)
-        axes.append(tuple(ThetaInterval(rect.theta, lo, hi)
-                          for lo, hi in zip(points, points[1:])))
+        a_re, a_ze = iv.a.re, iv.a.ze
+        w_re, w_ze = iv.b.re - a_re, iv.b.ze - a_ze
+        if w_re == 0.0 and w_ze == 0.0:
+            axes.append(((a_re, a_ze),) * 2)
+            continue
+        points = [(a_re + w_re * t, a_ze + (w_re * 0.0 + w_ze * t))
+                  for t in [j / n for j in range(n)]]
+        points.append((a_re + w_re, a_ze + w_ze))
+        for lo, hi in zip(points, points[1:]):
+            # implies lo <= hi in the order; else ThetaInterval decides, and
+            # raises IncomparableEndpoints unless lo == hi
+            if not (hi[0] >= lo[0] and sign * (hi[1] - lo[1]) >= 0):
+                ThetaInterval(rect.theta, Dual(*lo), Dual(*hi))
+        axes.append(tuple(points))
     return Partition(rect, n, tuple(axes))
 
 
@@ -192,11 +201,13 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     `partition.cells`.  Each instruction of `f` runs in the loop of the
     axis of its level (the highest variable it reads): a term in x1
     alone is enclosed once per piece of the first axis, not once per
-    cell.  The volume of the cells' common prefix is carried down the
-    loops.  Volumes, the sup/inf choice and the two accumulations are
-    the float operations of ``Dual`` multiplication and addition, in the
-    order of summing ``sup * cell.volume()`` cell by cell, so the sums
-    equal that loop's bit for bit.
+    cell.  Each piece's box and width come from its two breakpoints by
+    the float operations of ``ThetaInterval.box()`` and ``.width``, and
+    the volume of the cells' common prefix is carried down the loops.
+    Volumes, the sup/inf choice and the two accumulations are the float
+    operations of ``Dual`` multiplication and addition, in the order of
+    summing ``sup * cell.volume()`` cell by cell, so the sums equal that
+    loop's bit for bit.
     """
     dim = partition.rect.dim
     if f.arity != dim:
@@ -212,8 +223,10 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
             regs[r] = enclose_step(ins, regs, args)
         else:
             runs[ins.level].append((r, ins))
-    pieces = [[(iv.box().intervals(), iv.width.re, iv.width.ze)
-               for iv in axis] for axis in partition.axes]
+    pieces = [[(((a_re, b_re), (b_ze, a_ze) if b_ze < a_ze else (a_ze, b_ze)),
+                b_re - a_re, b_ze - a_ze)
+               for (a_re, a_ze), (b_re, b_ze) in zip(points, points[1:])]
+              for points in partition.axes]
     sign = partition.rect.theta.sign
     top = code[-1].level  # the integrand's enclosure is final in this loop
     last = dim - 1
@@ -295,12 +308,10 @@ def integral_estimate(f: Expr, rect: ThetaRectangle, *,
     midpoint.  Raises :class:`NotConverged` (carrying the final
     estimate) if the budget runs out.
     """
-    if tol_re < 0 or tol_ze < 0:
-        raise ValueError("tolerances must be nonnegative")
-    if base_subdivisions < 1:
-        raise ValueError("base subdivision count must be at least 1")
-    if max_doublings < 0:
-        raise ValueError("doubling budget must be nonnegative")
+    if not (tol_re >= 0 and tol_ze >= 0):
+        raise ValueError("tolerances must be nonnegative numbers")
+    _count(base_subdivisions, 1, "base subdivision count")
+    _count(max_doublings, 0, "doubling budget")
     estimate = None
     for t in range(max_doublings + 1):
         n = base_subdivisions * (1 << t)

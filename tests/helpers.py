@@ -134,6 +134,25 @@ def random_chain(rng: random.Random, theta: Theta, r: float, k: int, n: int,
     return Chain(theta, r, k, n, cubes)
 
 
+def reference_uniform_partition(rect: ThetaRectangle, n: int):
+    """Each axis's pieces as validated ThetaIntervals, from Dual breakpoints.
+
+    This is the rule `uniform_partition` stores as float breakpoints;
+    the pieces of its `cells` must match these by `repr`.
+    """
+    axes = []
+    for iv in rect.intervals:
+        w = iv.width
+        if w.is_zero():
+            points = [iv.a, iv.a]
+        else:
+            points = [iv.a + w * (j / n) for j in range(n)]
+            points.append(iv.a + w)
+        axes.append(tuple(ThetaInterval(rect.theta, lo, hi)
+                          for lo, hi in zip(points, points[1:])))
+    return tuple(axes)
+
+
 def reference_darboux_sums(f: Expr, partition) -> tuple[Dual, Dual]:
     """(lower, upper) from one enclosure per cell, summed with Dual arithmetic.
 

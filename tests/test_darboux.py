@@ -1,13 +1,15 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from dualstokes import (Dual, IncomparableEndpoints, NotConverged, Ordering,
-                        Theta, ZERO, darboux_sums, integral_estimate,
-                        make_interval, make_rectangle, parse_expr, theta_cmp,
-                        uniform_partition)
+                        Theta, ThetaRectangle, ZERO, darboux_sums,
+                        integral_estimate, make_interval, make_rectangle,
+                        parse_expr, theta_cmp, uniform_partition)
 from helpers import (THETAS, random_expr, random_poly, random_rectangle,
-                     reference_darboux_sums)
+                     reference_darboux_sums, reference_uniform_partition)
 
 
 def _leq(x, y, theta):
@@ -107,6 +109,95 @@ def test_cells_are_built_on_demand():
     assert len(cells) == len(part.cells) == 27
     assert cells == [part.cells[i] for i in range(27)]
     assert cells[-4] == part.cells[-4]
+
+
+def _axis_bounds(theta):
+    """Axes whose breakpoints test signed zeros and degenerate widths."""
+    s = float(theta.sign)
+    return [(0, Dual(1, s)),
+            (Dual(-0.0, -0.0), Dual(1, -0.0)),
+            (Dual(-0.0, -0.0), Dual(-0.0, -0.0)),  # zero width
+            (Dual(1, 1), Dual(1, 1)),  # zero width
+            (1, Dual(1, s)),  # no real width, nonzero ze width
+            (Dual(-0.3, 0.7), Dual(0.9, 0.7 + 0.45 * s)),
+            (Dual(-2.5, -0.0), Dual(-0.0, -0.0))]
+
+
+def _partition_cases():
+    rng = random.Random(2024)
+    for theta in THETAS:
+        axes = _axis_bounds(theta)
+        for dim in (1, 2, 3):
+            combos = list(itertools.product(axes, repeat=dim))
+            if dim == 3:
+                combos = rng.sample(combos, 12)
+            for bounds in combos:
+                for n in (1, 2, 3, 7):
+                    yield make_rectangle(theta, bounds), n
+
+
+def test_partition_cells_match_reference_pieces():
+    for rect, n in _partition_cases():
+        part = uniform_partition(rect, n)
+        expected = itertools.product(*reference_uniform_partition(rect, n))
+        cells = list(part.cells)
+        assert len(cells) == len(part.cells)
+        for cell, pieces in zip(cells, expected, strict=True):
+            for iv, ref in zip(cell.intervals, pieces, strict=True):
+                assert repr((iv.a, iv.b, iv.width)) == repr(
+                    (ref.a, ref.b, ref.width))
+            assert repr(cell.volume()) == repr(
+                ThetaRectangle(rect.theta, pieces).volume())
+
+
+def test_sums_match_reference_on_partition_cases():
+    exprs = {1: parse_expr("-x1*x1 + eps*x1 - 0.5", 1),
+             2: parse_expr("x1*x2 - exp(x2)*eps + x1^3", 2),
+             3: parse_expr("sin(x1+x3)*x2 - x3*eps", 3)}
+    for rect, n in _partition_cases():
+        f = exprs[rect.dim]
+        part = uniform_partition(rect, n)
+        assert (repr(darboux_sums(f, part))
+                == repr(reference_darboux_sums(f, part)))
+
+
+@pytest.mark.parametrize("theta, bounds", [
+    (Theta.TYPE1, (0, math.inf)),
+    (Theta.TYPE1, (-math.inf, 0)),
+    (Theta.TYPE1, (0, Dual(1, math.inf))),
+    (Theta.TYPE2, (0, math.inf)),
+    (Theta.TYPE2, (-math.inf, 0)),
+    (Theta.TYPE2, (0, Dual(1, -math.inf))),
+])
+@pytest.mark.parametrize("n", [1, 4])
+def test_partition_rejects_infinite_endpoints(theta, bounds, n):
+    rect = make_rectangle(theta, [(0, 1), bounds])  # the endpoints rank
+    with pytest.raises(IncomparableEndpoints):
+        uniform_partition(rect, n)
+    with pytest.raises(IncomparableEndpoints):
+        reference_uniform_partition(rect, n)
+
+
+def test_partition_order_check_matches_reference_on_special_values():
+    specials = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, math.inf,
+                -math.inf, math.nan)
+    duals = [Dual(re, ze) for re in specials for ze in specials]
+    for theta in THETAS:
+        for a, b in itertools.product(duals, repeat=2):
+            try:
+                rect = make_rectangle(theta, [(a, b)])
+            except IncomparableEndpoints:
+                continue
+            for n in (1, 3):
+                try:
+                    expected = reference_uniform_partition(rect, n)
+                except IncomparableEndpoints:
+                    with pytest.raises(IncomparableEndpoints):
+                        uniform_partition(rect, n)
+                    continue
+                cells = uniform_partition(rect, n).cells
+                assert repr([c.intervals for c in cells]) == repr(
+                    [(iv,) for iv in expected[0]])
 
 
 def test_volume_additivity_random():
@@ -265,3 +356,25 @@ def test_parameter_validation():
         integral_estimate(f, rect, base_subdivisions=0)
     with pytest.raises(ValueError):
         integral_estimate(f, rect, max_doublings=-1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol_re": math.nan},
+    {"tol_ze": math.nan},
+    {"base_subdivisions": True},
+    {"base_subdivisions": 4.0},
+    {"max_doublings": True},
+    {"max_doublings": 1.5},
+    {"max_doublings": "2"},
+])
+def test_integral_estimate_rejects_bad_parameters(kwargs):
+    rect = make_rectangle(Theta.TYPE1, [(0, 1)])
+    with pytest.raises(ValueError):
+        integral_estimate(parse_expr("x1", 1), rect, **kwargs)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, math.nan, "2", None])
+def test_uniform_partition_rejects_non_integer_counts(n):
+    rect = make_rectangle(Theta.TYPE1, [(0, 1)])
+    with pytest.raises(ValueError):
+        uniform_partition(rect, n)
