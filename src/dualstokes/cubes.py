@@ -14,11 +14,14 @@ the geometric cancellations in a double boundary actually cancel, since
 composed substitutions need not be syntactically identical.  Each
 domain's sample is built once per ``(k, b.ze)``, and within one
 normalization each term's map is evaluated at most once per sample
-point, only when a comparison reaches that point.
+point, on float pairs, only when a comparison reaches that point.  A
+sorted index of each group's first value lets a term skip every group
+too far from it to agree (see :func:`chain_normalize`), which is exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import random
@@ -61,13 +64,16 @@ class CubeDomain:
 
     def sample_points(self) -> tuple[tuple[Dual, ...], ...]:
         """Fixed pseudo-random points of the domain, for map comparison."""
+        return _domain_points(*self._sample_key())
+
+    def _sample_key(self) -> tuple:
+        # the sign is only a cache key: 0.0 == -0.0, but their points differ
         ze_span = self.b.ze
-        return _domain_points(self.k, ze_span, math.copysign(1.0, ze_span))
+        return (self.k, ze_span, math.copysign(1.0, ze_span))
 
 
 @functools.cache
 def _domain_points(k: int, ze_span: float, ze_sign: float):
-    # ze_sign is only a cache key: 0.0 == -0.0, but their points differ
     if k == 0:
         return ((),)
     rng = random.Random(_FINGERPRINT_SEED ^ (k * 1009))
@@ -75,6 +81,13 @@ def _domain_points(k: int, ze_span: float, ze_sign: float):
         tuple(Dual(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * ze_span)
               for _ in range(k))
         for _ in range(_FINGERPRINT_POINTS))
+
+
+@functools.cache
+def _domain_pairs(k: int, ze_span: float, ze_sign: float):
+    # the same points, each coordinate as its (re, ze) float pair
+    return tuple(tuple((c.re, c.ze) for c in point)
+                 for point in _domain_points(k, ze_span, ze_sign))
 
 
 @dataclass(eq=False)
@@ -230,15 +243,17 @@ class _Fingerprint:
 
     def __init__(self, cube: SingularCube):
         self.cube = cube
-        self.points = cube.domain.sample_points()
+        self.points = _domain_pairs(*cube.domain._sample_key())
         self.values: list[tuple[float, ...]] = []
 
     def at(self, i: int) -> tuple[float, ...]:
         if i == len(self.values):
-            self.values.append(tuple(
-                part for c in self.cube.mapping.eval(self.points[i])
-                for part in (c.re, c.ze)))
+            self.values.append(self.cube.mapping.flat_values(self.points[i]))
         return self.values[i]
+
+    def key(self) -> float:
+        """The first float at the first point: the candidate index's key."""
+        return self.at(0)[0]
 
 
 def _agree(left: _Fingerprint, right: _Fingerprint, tol: float) -> bool:
@@ -261,20 +276,58 @@ def cubes_equal(left: SingularCube, right: SingularCube,
 def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     """Merge terms with pointwise-equal cubes and drop zero weights.
 
-    Each term is compared, in order, with the group of every earlier
-    distinct cube and joins the first that agrees (see `cubes_equal`);
-    a group keeps its first cube and sums its weights.  A term's map is
-    evaluated at a sample point only when a comparison reaches it, and
-    at most once per point, so a one-term chain evaluates nothing.
+    Each term joins the first earlier group, in creation order, whose
+    cube agrees with it (see `cubes_equal`), or else starts a group; a
+    group keeps its first cube and sums its weights.
+
+    Only groups near the term are compared.  A sorted index holds each
+    group's key, the first float of its map at the first sample point,
+    and a term with key ``x`` is compared only with the groups whose key
+    lies in ``[x - 2*tol, x + 2*tol]``.  That loses no merge: agreeing
+    needs ``abs(x - y) <= tol`` in floats, which puts the exact
+    difference below ``2*tol``, and the window's bounds, each rounded
+    once, still hold every such ``y``.  A NaN key agrees with nothing
+    and is left out of the index; a NaN bound (infinite ``x`` and
+    ``tol``) falls back to comparing every group.
+
+    A map is evaluated at a sample point only when a comparison reaches
+    it, and at most once per point, so a one-term chain evaluates
+    nothing: the first group's key is read when a second term arrives.
     """
-    groups: list[list] = []  # [weight, fingerprint]
+    groups: list[list] = []  # [weight, fingerprint], in creation order
+    keys: list[float] = []   # the index: sorted keys of the groups ...
+    ids: list[int] = []      # ... and those groups' places in `groups`
+    keyed = 0                # groups whose key has been read
     for weight, cube in chain.terms:
         mine = _Fingerprint(cube)
-        for entry in groups:
-            if _agree(entry[1], mine, tol):
-                entry[0] += weight
+        near = ()
+        if groups:
+            if keyed < len(groups):  # the group the last term started
+                key = groups[keyed][1].key()
+                if key == key:  # a NaN key agrees with nothing
+                    at = bisect.bisect_right(keys, key)
+                    keys.insert(at, key)
+                    ids.insert(at, keyed)
+                keyed += 1
+            near = _near(keys, ids, mine.key(), tol, len(groups))
+        for g in near:
+            if _agree(groups[g][1], mine, tol):
+                groups[g][0] += weight
                 break
         else:
             groups.append([weight, mine])
     return Chain(chain.theta, chain.r, chain.k, chain.n,
                  tuple((w, f.cube) for w, f in groups if w != 0))
+
+
+def _near(keys: list[float], ids: list[int], x: float, tol: float,
+          count: int):
+    """The groups, in creation order, that a term with key `x` may agree
+    with; `count` groups exist."""
+    if x != x:  # NaN agrees with nothing
+        return ()
+    lo, hi = x - 2 * tol, x + 2 * tol
+    if lo != lo or hi != hi:
+        return range(count)
+    return sorted(ids[bisect.bisect_left(keys, lo):
+                      bisect.bisect_right(keys, hi)])

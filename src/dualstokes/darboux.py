@@ -147,7 +147,10 @@ class Cells(Sequence):
     def __len__(self) -> int:
         return math.prod(len(points) - 1 for points in self._axes)
 
-    def __getitem__(self, i: int) -> ThetaRectangle:
+    def __getitem__(self, i):
+        """The cell at index `i`, or a list of the cells of a slice."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):

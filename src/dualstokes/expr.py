@@ -28,13 +28,17 @@ program: point evaluation, substitution, differentiation and rendering
 are one interpreter under four arithmetics, and interval enclosures run
 one :func:`enclose_step` per instruction.  The parser is the only
 recursion, capped by ``MAX_NESTING``.
+
+Point programs run on ``(re, ze)`` float pairs with the float operations
+of :class:`Dual`, so they give Dual arithmetic's bits, and its
+``OverflowError``, without building a Dual per step; ``Dual`` objects
+are made only where a function returns one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 import re as _regex
 from dataclasses import dataclass
@@ -151,11 +155,15 @@ def _mul(a: Node, b: Node) -> Node:
     return Mul(a, b)
 
 
-def _pow(a: Node, exponent: int) -> Node:
+def _check_exponent(exponent) -> None:
     if not isinstance(exponent, int) or isinstance(exponent, bool):
         raise TypeError("exponents must be integers")
     if exponent < 0:
         raise ValueError("exponents must be nonnegative")
+
+
+def _pow(a: Node, exponent: int) -> Node:
+    _check_exponent(exponent)
     if exponent == 0:
         return _ONE_NODE
     if exponent == 1:
@@ -165,15 +173,21 @@ def _pow(a: Node, exponent: int) -> Node:
     return PowInt(a, exponent)
 
 
-def _prim_value(name: str, x: Dual) -> Dual:
+def _prim_pair(name: str, x: tuple) -> tuple:
+    """A lifted primitive at the dual point given as its (re, ze) pair."""
+    re, ze = x
     if name == "exp":
-        e = math.exp(x.re)
-        return Dual(e, x.ze * e)
+        e = math.exp(re)
+        return (e, ze * e)
     if name == "sin":
-        return Dual(math.sin(x.re), x.ze * math.cos(x.re))
+        return (math.sin(re), ze * math.cos(re))
     if name == "cos":
-        return Dual(math.cos(x.re), -x.ze * math.sin(x.re))
+        return (math.cos(re), -ze * math.sin(re))
     raise ValueError(f"unknown primitive {name!r}")
+
+
+def _prim_value(name: str, x: Dual) -> Dual:
+    return Dual(*_prim_pair(name, (x.re, x.ze)))
 
 
 def _prim(name: str, a: Node) -> Node:
@@ -250,6 +264,8 @@ def _lower(root: Node) -> tuple[Instr, ...]:
         elif op == "var":
             key, ins = (op, field), Instr(op, field, None, field)
         else:
+            if op == "pow":  # a raw PowInt skipped `_pow`'s check
+                _check_exponent(field)
             regs = [done[id(kid)] for kid in kids]
             a, b = regs if len(regs) == 2 else (regs[0], field)
             level = max(code[r].level for r in regs)
@@ -295,9 +311,25 @@ def _run(code: tuple[Instr, ...], arith: tuple, args: Sequence):
     return regs[-1]
 
 
-# registers hold Dual values
-_POINT = (lambda value: value, operator.neg, operator.add, operator.sub,
-          operator.mul, operator.pow, _prim_value)
+# Registers hold a dual value as its (re, ze) pair, computed with the
+# float operations of `Dual`, so a run builds no Dual objects and gives
+# the same bits, and the same OverflowError, as Dual arithmetic would.
+
+
+def _pair_pow(x, exponent: int):
+    if exponent == 0:
+        return (1.0, 0.0)
+    re, ze = x
+    return (re ** exponent, exponent * re ** (exponent - 1) * ze)
+
+
+_PAIRS = (
+    lambda value: (value.re, value.ze),
+    lambda x: (-x[0], -x[1]),
+    lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    lambda x, y: (x[0] * y[0], x[0] * y[1] + x[1] * y[0]),
+    _pair_pow, _prim_pair)
 
 # registers hold nodes, built (and folded) by the smart constructors
 _NODES = (Const, _neg, _add, _sub, _mul, _pow, _prim)
@@ -813,12 +845,16 @@ def _point_args(point) -> tuple[Dual, ...]:
     return tuple(as_dual(c) for c in point)
 
 
+def _pairs(args: Sequence[Dual]) -> tuple[tuple, ...]:
+    return tuple((c.re, c.ze) for c in args)
+
+
 def eval_dual(f: Expr, point) -> Dual:
     """Evaluate at a dual point (a DualVec or any sequence of scalars)."""
     args = _point_args(point)
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} components, got {len(args)}")
-    return _run(f._code, _POINT, args)
+    return Dual(*_run(f._code, _PAIRS, _pairs(args)))
 
 
 def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
@@ -884,9 +920,10 @@ def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
     if f.arity != g.arity:
         return False
     for point in sample_points(f.arity):
-        a = _run(f._code, _POINT, point)
-        b = _run(g._code, _POINT, point)
-        if not (abs(a.re - b.re) <= tol and abs(a.ze - b.ze) <= tol):
+        args = _pairs(point)
+        a_re, a_ze = _run(f._code, _PAIRS, args)
+        b_re, b_ze = _run(g._code, _PAIRS, args)
+        if not (abs(a_re - b_re) <= tol and abs(a_ze - b_ze) <= tol):
             return False
     return True
 
@@ -922,10 +959,19 @@ class ExprMap:
         return ExprMap(tuple(Expr.variable(i, n) for i in range(n)))
 
     def eval(self, point) -> DualVec:
-        args = _point_args(point)
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} components, got {len(args)}")
-        return DualVec(_run(c._code, _POINT, args) for c in self.components)
+        flat = self.flat_values(_pairs(_point_args(point)))
+        return DualVec(Dual(re, ze) for re, ze in zip(flat[::2], flat[1::2]))
+
+    def flat_values(self, pairs: Sequence[tuple]) -> tuple:
+        """The components at a point given as (re, ze) float pairs, one per
+        variable, flattened to ``(re, ze, re, ze, ...)``."""
+        if len(pairs) != self.arity:
+            raise ValueError(
+                f"expected {self.arity} components, got {len(pairs)}")
+        flat = []
+        for c in self.components:
+            flat.extend(_run(c._code, _PAIRS, pairs))
+        return tuple(flat)
 
     def compose(self, inner: "ExprMap") -> "ExprMap":
         """This map after `inner` (symbolic substitution)."""
@@ -1032,23 +1078,22 @@ def cr_check(f: ExprMap, point, h: float = 1e-6) -> float:
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} components, got {len(args)}")
     jac = jacobian(f, args)
+    pairs = _pairs(args)
     worst = 0.0
     for i in range(f.arity):
-        base = args[i]
+        re, ze = pairs[i]
         for part in (0, 1):  # 0: re direction, 1: ze direction
             if part == 0:
-                hi = Dual(base.re + h, base.ze)
-                lo = Dual(base.re - h, base.ze)
+                hi, lo = (re + h, ze), (re - h, ze)
             else:
-                hi = Dual(base.re, base.ze + h)
-                lo = Dual(base.re, base.ze - h)
-            args_hi = args[:i] + (hi,) + args[i + 1:]
-            args_lo = args[:i] + (lo,) + args[i + 1:]
+                hi, lo = (re, ze + h), (re, ze - h)
+            args_hi = pairs[:i] + (hi,) + pairs[i + 1:]
+            args_lo = pairs[:i] + (lo,) + pairs[i + 1:]
             for j, comp in enumerate(f.components):
-                f_hi = _run(comp._code, _POINT, args_hi)
-                f_lo = _run(comp._code, _POINT, args_lo)
-                d_re = (f_hi.re - f_lo.re) / (2.0 * h)
-                d_ze = (f_hi.ze - f_lo.ze) / (2.0 * h)
+                hi_re, hi_ze = _run(comp._code, _PAIRS, args_hi)
+                lo_re, lo_ze = _run(comp._code, _PAIRS, args_lo)
+                d_re = (hi_re - lo_re) / (2.0 * h)
+                d_ze = (hi_ze - lo_ze) / (2.0 * h)
                 entry = jac.entries[j][i]
                 if part == 0:
                     worst = max(worst, abs(d_re - entry.re), abs(d_ze - entry.ze))

@@ -404,6 +404,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(raw_coeffs, list):
         raise ScenarioError("form coeffs must be a list")
     coeffs = []
+    seen = set()
     for item in raw_coeffs:
         if not isinstance(item, dict) or set(item) != {"index", "expr"}:
             raise ScenarioError(
@@ -418,6 +419,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if any(a >= b for a, b in zip(shifted, shifted[1:])):
             raise ScenarioError(
                 f"coefficient index {index} must be strictly increasing")
+        if shifted in seen:
+            raise ScenarioError(f"coefficient index {index} is repeated")
+        seen.add(shifted)
         if not isinstance(item["expr"], str):
             raise ScenarioError("coefficient expr must be a string")
         coeffs.append((shifted, item["expr"]))

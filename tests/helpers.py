@@ -9,7 +9,8 @@ from pathlib import Path
 from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         Expr, ExprMap, SingularCube, Theta, ThetaInterval,
                         ThetaRectangle, ZERO, ascending_tuples, cos,
-                        eval_enclosure, exp, make_interval, sin)
+                        eval_enclosure, exp, make_interval, sample_points,
+                        sin)
 from dualstokes.cubes import MERGE_TOL
 from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
                              _PREC_NEG, _PREC_POW, _ZERO_NODE, Add, Const,
@@ -239,6 +240,47 @@ def reference_eval(node, args):
         case Prim(name, arg):
             return _prim_value(name, reference_eval(arg, args))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_exprs_equal(f, g, tol: float = 1e-9) -> bool:
+    """`exprs_equal` with every value from `reference_eval`."""
+    if f.arity != g.arity:
+        return False
+    for point in sample_points(f.arity):
+        a = reference_eval(f.node, point)
+        b = reference_eval(g.node, point)
+        if not (abs(a.re - b.re) <= tol and abs(a.ze - b.ze) <= tol):
+            return False
+    return True
+
+
+def reference_cr_check(f, args, h: float = 1e-6) -> float:
+    """`cr_check` of a map at a tuple of Duals, with every value from the
+    tree walks on Dual arithmetic."""
+    worst = 0.0
+    for i in range(f.arity):
+        base = args[i]
+        for part in (0, 1):  # 0: re direction, 1: ze direction
+            if part == 0:
+                hi = Dual(base.re + h, base.ze)
+                lo = Dual(base.re - h, base.ze)
+            else:
+                hi = Dual(base.re, base.ze + h)
+                lo = Dual(base.re, base.ze - h)
+            args_hi = args[:i] + (hi,) + args[i + 1:]
+            args_lo = args[:i] + (lo,) + args[i + 1:]
+            for comp in f.components:
+                entry = reference_eval(reference_diff(comp.node, i), args)
+                f_hi = reference_eval(comp.node, args_hi)
+                f_lo = reference_eval(comp.node, args_lo)
+                d_re = (f_hi.re - f_lo.re) / (2.0 * h)
+                d_ze = (f_hi.ze - f_lo.ze) / (2.0 * h)
+                if part == 0:
+                    worst = max(worst, abs(d_re - entry.re),
+                                abs(d_ze - entry.ze))
+                else:
+                    worst = max(worst, abs(d_re), abs(d_ze - entry.re))
+    return worst
 
 
 def reference_diff(node, i):

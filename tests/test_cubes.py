@@ -1,9 +1,10 @@
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from dualstokes import (Chain, CubeDomain, Dual, DualVec, ExprMap,
+from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         SingularCube, Theta, ZERO, boundary, chain_normalize,
                         chain_of, cubes_equal, eval_dual, face, parse_expr,
                         scenario_from_dict, standard_cube)
@@ -242,15 +243,117 @@ def test_tiled_boundary_matches_reference_loop():
     assert _terms(merged) == _terms(reference_chain_normalize(faces))
 
 
+# The candidate index compares a term only with the groups whose key,
+# the first float at the first sample point, lies within 2*tol of its
+# own.  These chains put many terms at or near one key, and non-finite
+# values and signed zeros in the key and in later floats and points.
+
+_TOLS = (0.0, MERGE_TOL, 1.0, math.inf)
+_MAGNITUDES = (1e-3, 1.0, 1e8, 1e12)
+_SHIFTS = (0.0, 0.5, 1.0, 1.2, 2.0)  # in units of tol
+
+
+def _unit(tol: float) -> float:
+    return tol if 0.0 < tol < math.inf else (MERGE_TOL if tol == 0 else 1.0)
+
+
+def _adversarial_cube(domain, key, later=0.0, second=0.0):
+    """A map whose first float at the first sample point is `key`.
+
+    `later` (a float, "inf" or "nan") scales a term that is zero at the
+    first point, so it moves only later points; `second` shifts the
+    second component.
+    """
+    x1 = Expr.variable(0, 1)
+    first = Expr.constant(key, 1)
+    bump = x1 - domain.sample_points()[0][0].re  # re part 0 at point 0
+    if later in ("inf", "nan"):
+        big = bump * 1e300 * 1e300  # +-inf at every later point
+        first = first + (big if later == "inf" else big - big)
+    elif later:
+        first = first + bump * later
+    return SingularCube(domain, ExprMap((first, x1 + second)))
+
+
+def _adversarial_chain(rng, tol, magnitude, r):
+    domain = CubeDomain(Theta.TYPE1, r, 1)
+    unit = _unit(tol)
+    keys = [sign * magnitude + shift * unit
+            for sign in (1.0, -1.0) for shift in _SHIFTS]
+    keys += [0.0, -0.0, math.nan, math.inf, -math.inf]
+    laters = [0.0, "inf", "nan"] + [s * unit for s in _SHIFTS]
+    seconds = [magnitude + s * unit for s in _SHIFTS]
+    seconds += [-0.0, math.nan, math.inf]
+    bases = [(rng.choice(keys), rng.choice(laters), rng.choice(seconds))
+             for _ in range(rng.randint(1, 4))]
+    terms = []
+    for _ in range(rng.randint(2, 24)):
+        key, later, second = rng.choice(bases)
+        roll = rng.random()
+        if roll < 0.3:  # the same key, differing later
+            later = rng.choice(laters)
+        elif roll < 0.5:
+            key = key + rng.choice(_SHIFTS) * unit * rng.choice((1.0, -1.0))
+        elif roll < 0.6:
+            second = rng.choice(seconds)
+        terms.append((rng.choice((-2, -1, 1, 1, 2)),
+                      _adversarial_cube(domain, key, later, second)))
+    return Chain(Theta.TYPE1, r, 1, 2, tuple(terms))
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+@pytest.mark.parametrize("magnitude", _MAGNITUDES)
+def test_normalize_index_matches_reference_on_adversarial_chains(tol,
+                                                                 magnitude):
+    rng = random.Random(f"{tol!r}/{magnitude!r}")
+    for _ in range(12):
+        chain = _adversarial_chain(rng, tol, magnitude, rng.choice((0.0, 0.5)))
+        assert _terms(chain_normalize(chain, tol)) == \
+            _terms(reference_chain_normalize(chain, tol))
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_normalize_index_fixed_cases(tol):
+    dom = CubeDomain(Theta.TYPE1, 0.5, 1)
+    unit = _unit(tol)
+
+    def cube(key, later=0.0, second=0.0):
+        return _adversarial_cube(dom, key, later, second)
+
+    cases = [
+        # one key, thirty maps differing later; then each again
+        [cube(1.0, j * unit) for j in range(30)] * 2,
+        # a term 0.6*tol from two groups 1.2*tol apart joins the older
+        [cube(1.2 * unit), cube(0.0), cube(0.6 * unit), cube(0.6 * unit)],
+        [cube(0.0), cube(1.2 * unit), cube(0.6 * unit)],
+        # unit - (-unit * 2**-60) rounds to unit: they agree at tol = unit,
+        # though the exact difference is above tol
+        [cube(unit), cube(-unit * 2.0 ** -60)],
+        [cube(-unit * 2.0 ** -60), cube(unit)],
+        [cube(-0.0), cube(0.0), cube(0.0, second=-0.0), cube(-0.0)],
+        [cube(math.nan), cube(math.nan), cube(1.0), cube(math.nan)],
+        [cube(math.inf), cube(1.0), cube(math.inf), cube(-math.inf),
+         cube(1.0), cube(-math.inf)],
+        [cube(1.0, "inf"), cube(1.0, "nan"), cube(1.0), cube(1.0, "inf")],
+        [cube(1.0, second=math.nan), cube(1.0), cube(1.0, second=math.nan)],
+    ]
+    for cubes in cases:
+        chain = Chain(Theta.TYPE1, 0.5, 1, 2,
+                      tuple(((-1) ** i, c) for i, c in enumerate(cubes)))
+        for ch in (chain, chain + chain):
+            assert _terms(chain_normalize(ch, tol)) == \
+                _terms(reference_chain_normalize(ch, tol))
+
+
 def test_normalize_evaluates_each_map_at_most_once_per_point(monkeypatch):
     calls = Counter()
-    original = ExprMap.eval
+    original = ExprMap.flat_values
 
-    def counting(self, point):
+    def counting(self, pairs):
         calls[id(self)] += 1
-        return original(self, point)
+        return original(self, pairs)
 
-    monkeypatch.setattr(ExprMap, "eval", counting)
+    monkeypatch.setattr(ExprMap, "flat_values", counting)
     rng = random.Random(8)
     chain_normalize(chain_of(random_cube(rng, Theta.TYPE1, 0.5, 2, 2)))
     assert not calls

@@ -104,11 +104,29 @@ def test_cells_are_built_on_demand():
     assert [iv.b for iv in last.intervals] == [Dual(1, -1)] * 3
     with pytest.raises(IndexError):
         huge.cells[10 ** 9]
+    # a slice builds only the cells it selects
+    tail = huge.cells[-3:]
+    assert repr(tail) == repr([huge.cells[i] for i in (-3, -2, -1)])
+    assert repr(huge.cells[5:10 ** 10:10 ** 8]) == repr(
+        [huge.cells[i] for i in range(5, 10 ** 9, 10 ** 8)])
     part = uniform_partition(rect, 3)
     cells = list(part.cells)
     assert len(cells) == len(part.cells) == 27
     assert cells == [part.cells[i] for i in range(27)]
     assert cells[-4] == part.cells[-4]
+
+
+@pytest.mark.parametrize("s", [
+    slice(0, 2), slice(None), slice(3, None), slice(None, -2),
+    slice(-5, -1), slice(None, None, -1), slice(10, 2, -3),
+    slice(1, None, 4), slice(-100, 100), slice(50, 60), slice(2, 2),
+    slice(5, 1), slice(None, None, -7), slice(100, -100, -2)])
+def test_cells_slice_like_indexing_one_by_one(s):
+    rect = make_rectangle(Theta.TYPE1, [(0, Dual(1, 1)), (Dual(-1, 0), 2)])
+    cells = uniform_partition(rect, 4).cells
+    want = [cells[i] for i in range(len(cells))[s]]
+    assert repr(cells[s]) == repr(want)
+    assert repr(cells[s]) == repr(list(cells)[s])
 
 
 def _axis_bounds(theta):

@@ -8,9 +8,11 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         cr_check, eval_dual, eval_enclosure, exp, exprs_equal,
                         is_zero_expr, jacobian, parse_expr, partial_diff,
                         render_expr, sample_points, sin)
-from dualstokes.expr import MAX_NESTING, Add, Const, Mul, Var, lower_expr
+from dualstokes.expr import (MAX_NESTING, Add, Const, Mul, Neg, PowInt, Prim,
+                             Sub, Var, lower_expr)
 from helpers import (point_in_box, random_box, random_expr, random_map,
-                     reference_diff, reference_eval, reference_render,
+                     reference_cr_check, reference_diff, reference_eval,
+                     reference_exprs_equal, reference_render,
                      reference_subst, small_point)
 
 
@@ -567,6 +569,8 @@ def _outcome(fn):
         return repr(fn())
     except OverflowError:  # from a folded or evaluated exp or power
         return "OverflowError"
+    except ValueError:  # the derivative of a raw x^0 asks for x^-1
+        return "ValueError"
 
 
 def _walk_cases():
@@ -584,6 +588,20 @@ def _walk_cases():
     yield Expr(Mul(Const(Dual(3.0, 1.0)), Const(Dual(2.0))), 0)
     yield Expr(Mul(Add(Const(Dual(1.0)), Const(Dual(2.0))), Var(0)), 1)
     yield Expr(Mul(Mul(Const(Dual(1.0)), Var(0)), Var(0)), 1)
+    # constants with int fields keep int arithmetic where Dual's does
+    two = Expr.constant(Dual(2, 1), 1)
+    x1 = Expr.variable(0, 1)
+    yield two
+    yield two * x1 - x1 ** 3 + two * two
+    yield Expr(PowInt(Const(Dual(2, 1)), 3), 0)
+    yield Expr(PowInt(Add(Const(Dual(2, -1)), Var(0)), 0), 1)
+    yield Expr(Mul(Neg(Const(Dual(2, 1))), Sub(Var(1), Const(Dual(3)))), 2)
+    # OverflowError from ** and from exp, raised where Dual's raise it
+    huge = Add(Const(Dual(1e200)), Var(0))
+    yield Expr(PowInt(huge, 2), 1)
+    yield Expr(Mul(Var(0), PowInt(huge, 3)), 1)
+    yield Expr(Prim("exp", Add(Const(Dual(1e4)), Var(0))), 1)
+    yield Expr(Add(Var(1), Prim("exp", Mul(Const(Dual(800.0)), Var(1)))), 2)
 
 
 def test_walks_match_reference_tree_walks():
@@ -597,15 +615,47 @@ def test_walks_match_reference_tree_walks():
         for i in range(arity):
             assert (_outcome(lambda: partial_diff(f, i).node)
                     == _outcome(lambda: reference_diff(node, i)))
+        assert (_outcome(lambda: ExprMap((f, -f)).eval(p))
+                == _outcome(lambda: DualVec([reference_eval(node, p),
+                                             reference_eval(Neg(node), p)])))
+        g = random_expr(rng, arity, depth=2)
+        for other in (f, g, f + 1e-10, f * 1.5):
+            assert (_outcome(lambda: exprs_equal(f, other))
+                    == _outcome(lambda: reference_exprs_equal(f, other)))
         if arity:
             assert _outcome(lambda: jacobian(ExprMap((f,)), p)) == _outcome(
                 lambda: DualMap([[reference_eval(reference_diff(node, i), p)
                                   for i in range(arity)]]))
+            m = ExprMap((f, g))
+            assert (_outcome(lambda: cr_check(m, p))
+                    == _outcome(lambda: reference_cr_check(m, p)))
         inner_arity = rng.randint(0, 3)
         inner = [random_expr(rng, inner_arity, depth=2) for _ in range(arity)]
         repl = tuple(g.node for g in inner)
         assert (_outcome(lambda: compose(f, inner).node)
                 == _outcome(lambda: reference_subst(node, repl)))
+
+
+@pytest.mark.parametrize("exponent, error", [
+    (-1, ValueError), (2.0, TypeError), (True, TypeError)])
+def test_raw_powers_need_nonnegative_int_exponents(exponent, error):
+    with pytest.raises(error):
+        Expr(PowInt(Var(0), exponent), 1)
+    with pytest.raises(error):
+        lower_expr(Expr.variable(0, 1) + Expr._built(
+            PowInt(Var(0), exponent), 1))
+
+
+def test_point_overflow_raises():
+    x1 = Expr.variable(0, 1)
+    for f in (exp(x1 + 1e4), (x1 + 1e200) ** 2, x1 * (x1 + 1e200) ** 3):
+        for run in (lambda: eval_dual(f, [Dual(0.5)]),
+                    lambda: ExprMap((x1, f)).eval([Dual(0.5)]),
+                    lambda: exprs_equal(f, x1)):
+            with pytest.raises(OverflowError):
+                run()
+    # an infinite value is not an overflow
+    assert eval_dual(x1 * 1e300 * 1e300, [Dual(0.5)]).re == math.inf
 
 
 def test_long_chains_walk_without_recursion():

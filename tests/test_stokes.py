@@ -269,6 +269,9 @@ def test_scenario_validation_errors():
         _broken(form={"degree": 1,
                       "coeffs": [{"index": [2], "expr": "x1 +"}]}),
         _broken(form={"degree": 1, "coeffs": [{"index": [2]}]}),
+        _broken(form={"degree": 1,
+                      "coeffs": [{"index": [1], "expr": "x2"},
+                                 {"index": [1], "expr": "x1"}]}),
         _broken(cubes=[]),
         _broken(cubes=[{"weight": 1, "map": ["x1"]}]),
         _broken(cubes=[{"weight": 1.5, "map": ["x1", "x2"]}]),
