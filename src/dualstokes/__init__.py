@@ -1,13 +1,13 @@
 """Calculus over the dual reals R + R*eps with eps^2 = 0.
 
 The pieces fit together in layers: dual scalars and the two partial
-orders (:mod:`.dual`), symbolic expressions with exact derivatives and
-interval enclosures (:mod:`.expr`), order-interval Darboux integration
-(:mod:`.darboux`), alternating tensors (:mod:`.tensors`), differential
-forms (:mod:`.forms`), cubical chains (:mod:`.cubes`), and the
-boundary-theorem verifier with its scenario/report plumbing
-(:mod:`.stokes`).  The ``dualstokes`` console script fronts the last
-layer.
+orders (:mod:`.dual`), interval enclosures (:mod:`.intervals`), symbolic
+expressions with exact derivatives (:mod:`.expr`), order-interval
+Darboux integration (:mod:`.darboux`), alternating tensors
+(:mod:`.tensors`), differential forms (:mod:`.forms`), cubical chains
+(:mod:`.cubes`), and the boundary-theorem verifier with its
+scenario/report plumbing (:mod:`.stokes`).  The ``dualstokes`` console
+script fronts the last layer.
 """
 
 from .cubes import (Chain, CubeDomain, SingularCube, boundary, chain_normalize,

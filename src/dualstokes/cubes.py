@@ -16,7 +16,9 @@ domain's sample is built once per ``(k, b.ze)``, and within one
 normalization each term's map is evaluated at most once per sample
 point, on float pairs, only when a comparison reaches that point.  A
 sorted index of each group's first value lets a term skip every group
-too far from it to agree (see :func:`chain_normalize`), which is exact.
+too far from it to agree, and a term whose map is identical to an
+earlier term's (the same interned nodes) is settled without evaluating
+it (see :func:`chain_normalize`); both are exact.
 """
 
 from __future__ import annotations
@@ -224,10 +226,9 @@ def boundary(obj) -> Chain:
     if isinstance(obj, Chain):
         if obj.k == 0:
             raise ValueError("0-dimensional chains have no boundary")
-        total = Chain(obj.theta, obj.r, obj.k - 1, obj.n, ())
-        for weight, cube in obj.terms:
-            total = total + boundary(cube).scale(weight)
-        return total
+        terms = [(weight * sign, f) for weight, cube in obj.terms
+                 for sign, f in boundary(cube).terms]
+        return Chain(obj.theta, obj.r, obj.k - 1, obj.n, tuple(terms))
     raise TypeError("expected a cube or a chain")
 
 
@@ -239,17 +240,27 @@ class _Fingerprint:
     the values evaluated so far are always a prefix.
     """
 
-    __slots__ = ("cube", "points", "values")
+    __slots__ = ("cube", "points", "values", "_finite")
 
     def __init__(self, cube: SingularCube):
         self.cube = cube
         self.points = _domain_pairs(*cube.domain._sample_key())
         self.values: list[tuple[float, ...]] = []
+        self._finite = None
 
     def at(self, i: int) -> tuple[float, ...]:
         if i == len(self.values):
             self.values.append(self.cube.mapping.flat_values(self.points[i]))
         return self.values[i]
+
+    def finite(self) -> bool:
+        """Every value finite, at every point; evaluation stops at the
+        first point that has a NaN or infinite value."""
+        if self._finite is None:
+            self._finite = all(math.isfinite(x)
+                               for i in range(len(self.points))
+                               for x in self.at(i))
+        return self._finite
 
     def key(self) -> float:
         """The first float at the first point: the candidate index's key."""
@@ -280,6 +291,15 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     cube agrees with it (see `cubes_equal`), or else starts a group; a
     group keeps its first cube and sums its weights.
 
+    A term whose map is identical to an earlier term's, the same
+    component nodes, which interning makes of equal trees, is settled
+    without evaluating it.  If the earlier term joined a group G, the
+    term joins G.  If it started G, the term joins G when G's values are
+    all finite and ``tol >= 0``, the case where identical values agree;
+    otherwise it goes on as below.  Either way this is the group the
+    comparisons would pick: the identical term has the earlier term's
+    values, so it disagrees with every group before G, as that term did.
+
     Only groups near the term are compared.  A sorted index holds each
     group's key, the first float of its map at the first sample point,
     and a term with key ``x`` is compared only with the groups whose key
@@ -298,7 +318,15 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     keys: list[float] = []   # the index: sorted keys of the groups ...
     ids: list[int] = []      # ... and those groups' places in `groups`
     keyed = 0                # groups whose key has been read
+    # a map's component nodes -> (its group, whether it started the group)
+    seen: dict[tuple, tuple[int, bool]] = {}
     for weight, cube in chain.terms:
+        nodes = tuple(c.node for c in cube.mapping.components)
+        if nodes in seen:
+            g, started = seen[nodes]
+            if not started or (tol >= 0 and groups[g][1].finite()):
+                groups[g][0] += weight
+                continue
         mine = _Fingerprint(cube)
         near = ()
         if groups:
@@ -313,8 +341,10 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
         for g in near:
             if _agree(groups[g][1], mine, tol):
                 groups[g][0] += weight
+                seen.setdefault(nodes, (g, False))
                 break
         else:
+            seen.setdefault(nodes, (len(groups), True))
             groups.append([weight, mine])
     return Chain(chain.theta, chain.r, chain.k, chain.n,
                  tuple((w, f.cube) for w, f in groups if w != 0))

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from .dual import Dual, Ordering, Theta, as_dual, theta_cmp
 # eval_enclosure is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds darboux.eval_enclosure.
-from .expr import DualBox, Expr, enclose_step, eval_enclosure, lower_expr
+from .expr import Expr, eval_enclosure, lower_expr
+from .intervals import DualBox, enclose_step
 
 DEFAULT_TOL_RE = 1e-6
 DEFAULT_TOL_ZE = 1e-6
@@ -65,6 +66,10 @@ class ThetaInterval:
     b: Dual
 
     def __post_init__(self):
+        for name, end in (("a", self.a), ("b", self.b)):
+            if not (math.isfinite(end.re) and math.isfinite(end.ze)):
+                raise IncomparableEndpoints(
+                    f"endpoint {name} = {end} is not finite")
         order = theta_cmp(self.a, self.b, self.theta)
         if order not in (Ordering.LESS, Ordering.EQUAL):
             raise IncomparableEndpoints(

@@ -22,12 +22,23 @@ Construction applies constant folding and the 0/1 identities but no
 other simplification, so trees stay predictable.  Parentheses, function
 calls and unary minus may nest at most ``MAX_NESTING`` levels deep.
 
+Nodes are hash-consed: building a node equal to a live one returns that
+one, so equal trees are one object and ``==`` and ``hash`` on nodes are
+identity.  Each node stores the highest variable it reads, so an
+:class:`Expr` checks its arity without a walk.
+
 After parsing, the only walk over a tree is the iterative one of
-:func:`lower_expr`, and every other walk runs on its straight-line
-program: point evaluation, substitution, differentiation and rendering
-are one interpreter under four arithmetics, and interval enclosures run
-one :func:`enclose_step` per instruction.  The parser is the only
-recursion, capped by ``MAX_NESTING``.
+:func:`lower_expr`, which visits each distinct node once, by identity.
+A node's program is built when first asked for and kept with the node,
+so every expression holding that node shares it.  Every other walk runs
+on the program: point evaluation, substitution, differentiation and
+rendering are one interpreter under several arithmetics, and interval
+enclosures run one :func:`.intervals.enclose_step` per instruction.
+:func:`partial_diffs` takes every partial a caller needs from one
+gradient run, whose registers hold each instruction's node and its
+partials; each partial is the tree :func:`partial_diff` builds for its
+variable alone.  The parser is the only recursion, capped by
+``MAX_NESTING``.
 
 Point programs run on ``(re, ze)`` float pairs with the float operations
 of :class:`Dual`, so they give Dual arithmetic's bits, and its
@@ -41,135 +52,242 @@ import functools
 import math
 import random
 import re as _regex
+import struct
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .dual import Dual, DualVec, EPS, ONE, ZERO, as_dual, _as_dual_or_none
-
-_TWO_PI = 2.0 * math.pi
-
+from .intervals import DualBox, enclose_step
 
 # ---------------------------------------------------------------------------
 # tree nodes
 
+# Nodes are hash-consed: each class's constructor looks the node up in
+# one table keyed by (op, child ids, field) and returns the live node
+# with that key if there is one, so equal trees are one object and
+# `==` and `hash` are identity.  The table holds its nodes weakly, and
+# a node leaves it when nobody else holds it.  A live node keeps its
+# children alive, so the child ids in its key stay theirs.  Two
+# constants are one node when ``repr((re, ze))`` agrees, which keeps
+# 0.0 and -0.0, and int and float parts, apart.  Each node stores its
+# `level`, the highest variable index it reads or -1, and, once asked
+# for, its program.
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_NODES_BY_KEY: dict[object, _Ref] = {}
+_FLOAT_PAIR = struct.Struct("<dd").pack
+
+
+def _forget(ref: _Ref) -> None:
+    # by the time a dead node's callback runs, its key may name a new node
+    if _NODES_BY_KEY.get(ref.key) is ref:
+        del _NODES_BY_KEY[ref.key]
+
+
+def _node(cls, key, op: str, a, b):
+    """The live node with `key`, or a new node of class `cls` with these
+    slots, entered under `key`."""
+    ref = _NODES_BY_KEY.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    if op == "const":
+        level = -1
+    elif op == "var":
+        level = a
+    elif not isinstance(a, Node):
+        raise TypeError(f"not an expression node: {a!r}")
+    elif op not in _BINARY:
+        level = a._level
+    elif not isinstance(b, Node):
+        raise TypeError(f"not an expression node: {b!r}")
+    else:
+        level = a._level if a._level >= b._level else b._level
+    node = object.__new__(cls)
+    node._op, node._a, node._b, node._level, node._code = op, a, b, level, None
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _NODES_BY_KEY[key] = ref
+    return node
+
 
 class Node:
-    """Base of the expression tree; concrete nodes are frozen dataclasses."""
+    """Base of the expression tree; nodes are interned and immutable.
 
-    __slots__ = ()
+    `_op` is the op of the node's instruction, `_a` and `_b` its
+    operands: the child nodes, then the constant, variable index,
+    exponent or None.
+    """
+
+    __slots__ = ("_op", "_a", "_b", "_level", "_code", "__weakref__")
+
+    def __reduce__(self):  # copies and unpickled nodes intern again
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        names = tuple(f"Var(index={i})" for i in range(self._level + 1))
+        return _run(_program(self), _REPR, names)
 
 
-@dataclass(frozen=True)
 class Const(Node):
-    value: Dual
+    __slots__ = ()
+    __match_args__ = ("value",)
+    value = property(lambda self: self._a)
+
+    def __new__(cls, value: Dual):
+        if not isinstance(value, Dual):
+            raise TypeError(f"constants must be Duals, not {value!r}")
+        re, ze = value.re, value.ze
+        if type(re) is float and type(ze) is float and re == re and ze == ze:
+            key = _FLOAT_PAIR(re, ze)  # the bits, which repr tells apart
+        else:  # an int part, or NaN, whose repr ignores sign and payload
+            key = ("const", repr((re, ze)))
+        return _node(cls, key, "const", value, None)
 
 
-@dataclass(frozen=True)
 class Var(Node):
-    index: int  # 0-based
+    __slots__ = ()
+    __match_args__ = ("index",)
+    index = property(lambda self: self._a)
+
+    def __new__(cls, index: int):  # 0-based
+        _check_natural(index, "variable indices")
+        return _node(cls, ("var", index), "var", index, None)
 
 
-@dataclass(frozen=True)
 class Neg(Node):
-    arg: Node
+    __slots__ = ()
+    __match_args__ = ("arg",)
+    arg = property(lambda self: self._a)
+
+    def __new__(cls, arg: Node):
+        return _node(cls, ("neg", id(arg)), "neg", arg, None)
 
 
-@dataclass(frozen=True)
-class Add(Node):
-    lhs: Node
-    rhs: Node
+class _Binary(Node):
+    __slots__ = ()
+    __match_args__ = ("lhs", "rhs")
+    lhs = property(lambda self: self._a)
+    rhs = property(lambda self: self._b)
+    _OP = ""
+
+    def __new__(cls, lhs: Node, rhs: Node):
+        op = cls._OP
+        return _node(cls, (op, id(lhs), id(rhs)), op, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class Sub(Node):
-    lhs: Node
-    rhs: Node
+class Add(_Binary):
+    __slots__ = ()
+    _OP = "add"
 
 
-@dataclass(frozen=True)
-class Mul(Node):
-    lhs: Node
-    rhs: Node
+class Sub(_Binary):
+    __slots__ = ()
+    _OP = "sub"
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    __slots__ = ()
+    _OP = "mul"
+
+
+_BINARY = ("add", "sub", "mul")
+
+
 class PowInt(Node):
-    base: Node
-    exponent: int
+    __slots__ = ()
+    __match_args__ = ("base", "exponent")
+    base = property(lambda self: self._a)
+    exponent = property(lambda self: self._b)
+
+    def __new__(cls, base: Node, exponent: int):
+        _check_natural(exponent, "exponents")
+        return _node(cls, ("pow", id(base), exponent), "pow", base, exponent)
 
 
-@dataclass(frozen=True)
 class Prim(Node):
-    name: str  # "exp" | "sin" | "cos"
-    arg: Node
+    __slots__ = ()
+    __match_args__ = ("name", "arg")
+    name = property(lambda self: self._op)
+    arg = property(lambda self: self._a)
+
+    def __new__(cls, name: str, arg: Node):  # name: "exp" | "sin" | "cos"
+        if name not in PRIMITIVES:
+            raise ValueError(f"unknown primitive {name!r}")
+        return _node(cls, (name, id(arg)), name, arg, None)
 
 
+def _check_natural(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be integers")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative")
+
+
+PRIMITIVES = ("exp", "sin", "cos")
 _ZERO_NODE = Const(ZERO)
 _ONE_NODE = Const(ONE)
-PRIMITIVES = ("exp", "sin", "cos")
 
 
 def _is_zero_node(node: Node) -> bool:
-    return isinstance(node, Const) and node.value.is_zero()
+    return type(node) is Const and node._a.is_zero()
 
 
-def _is_one_node(node: Node) -> bool:
-    return isinstance(node, Const) and node.value == ONE
+# Two constants fold to one; past that test at most one operand is a
+# constant, and only its 0/1 identities apply.
 
 
 def _add(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if _is_zero_node(a):
-        return b
-    if _is_zero_node(b):
-        return a
-    return Add(a, b)
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a._a + b._a)
+        return b if a._a.is_zero() else Add(a, b)
+    return a if _is_zero_node(b) else Add(a, b)
 
 
 def _sub(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_zero_node(b):
-        return a
-    if _is_zero_node(a):
-        return _neg(b)
-    return Sub(a, b)
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a._a - b._a)
+        return a if b._a.is_zero() else Sub(a, b)
+    return _neg(b) if _is_zero_node(a) else Sub(a, b)
 
 
 def _neg(a: Node) -> Node:
-    if isinstance(a, Const):
-        return Const(-a.value)
+    if type(a) is Const:
+        return Const(-a._a)
     return Neg(a)
 
 
 def _mul(a: Node, b: Node) -> Node:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if _is_zero_node(a) or _is_zero_node(b):
-        return _ZERO_NODE
-    if _is_one_node(a):
-        return b
-    if _is_one_node(b):
-        return a
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a._a * b._a)
+        if a._a.is_zero():
+            return _ZERO_NODE
+        return b if a._a == ONE else Mul(a, b)
+    if type(b) is Const:
+        if b._a.is_zero():
+            return _ZERO_NODE
+        if b._a == ONE:
+            return a
     return Mul(a, b)
 
 
-def _check_exponent(exponent) -> None:
-    if not isinstance(exponent, int) or isinstance(exponent, bool):
-        raise TypeError("exponents must be integers")
-    if exponent < 0:
-        raise ValueError("exponents must be nonnegative")
-
-
 def _pow(a: Node, exponent: int) -> Node:
-    _check_exponent(exponent)
+    _check_natural(exponent, "exponents")
     if exponent == 0:
         return _ONE_NODE
     if exponent == 1:
         return a
-    if isinstance(a, Const):
-        return Const(a.value ** exponent)
+    if type(a) is Const:
+        return Const(a._a ** exponent)
     return PowInt(a, exponent)
 
 
@@ -193,8 +311,8 @@ def _prim_value(name: str, x: Dual) -> Dual:
 def _prim(name: str, a: Node) -> Node:
     if name not in PRIMITIVES:
         raise ValueError(f"unknown primitive {name!r}")
-    if isinstance(a, Const):
-        return Const(_prim_value(name, a.value))
+    if type(a) is Const:
+        return Const(_prim_value(name, a._a))
     return Prim(name, a)
 
 
@@ -203,12 +321,12 @@ def _prim(name: str, a: Node) -> Node:
 
 # Instruction i writes register i and reads only earlier registers, so
 # one pass in order runs the program; the last instruction holds the
-# value of the whole expression.  Equal subexpressions, whether shared
-# objects or separately built equal trees, lower to one instruction.
-# `level` is the highest variable index an instruction reads, directly
-# or through its operands, or -1 for none: over a product of boxes its
-# result depends only on the boxes of axes 0..level, so a loop nest over
-# the axes can run it in the loop of axis `level`.
+# value of the whole expression.  Equal subexpressions are one node, so
+# each lowers to one instruction.  `level` is the node's: the highest
+# variable index an instruction reads, directly or through its operands,
+# or -1 for none.  Over a product of boxes its result depends only on the
+# boxes of axes 0..level, so a loop nest over the axes can run it in the
+# loop of axis `level`.
 
 
 class Instr(NamedTuple):
@@ -220,60 +338,50 @@ class Instr(NamedTuple):
     level: int
 
 
-# node type -> (op, child nodes, the field that is not a child or None)
-_SHAPES = {
-    Const: lambda node: ("const", (), node.value),
-    Var: lambda node: ("var", (), node.index),
-    Neg: lambda node: ("neg", (node.arg,), None),
-    Add: lambda node: ("add", (node.lhs, node.rhs), None),
-    Sub: lambda node: ("sub", (node.lhs, node.rhs), None),
-    Mul: lambda node: ("mul", (node.lhs, node.rhs), None),
-    PowInt: lambda node: ("pow", (node.base,), node.exponent),
-    Prim: lambda node: (node.name, (node.arg,), None),
-}
-
-
 def lower_expr(f: Expr) -> tuple[Instr, ...]:
     """The expression as a straight-line program, common subexpressions
-    once; it is built on first use and kept with `f`."""
-    return f._code
+    once; it is built on first use and kept with `f`'s node."""
+    return _program(f.node)
+
+
+def _program(node: Node) -> tuple[Instr, ...]:
+    code = node._code
+    if code is None:
+        code = node._code = _lower(node)
+    return code
+
+
+_LEAVES = ("const", "var")
 
 
 def _lower(root: Node) -> tuple[Instr, ...]:
     code: list[Instr] = []
-    by_key: dict[tuple, int] = {}
-    done: dict[int, int] = {}  # id(node) -> register; root keeps nodes alive
-    stack = [(root, None)]  # (node, its shape once its operands are queued)
+    regs: dict[int, int] = {}  # id(node) -> register; root keeps nodes alive
+    stack = [root]
     while stack:
-        node, shape = stack.pop()
-        if id(node) in done:
+        node = stack[-1]
+        if id(node) in regs:
+            stack.pop()
             continue
-        if shape is None:
-            if type(node) not in _SHAPES:
-                raise TypeError(f"not an expression node: {node!r}")
-            shape = _SHAPES[type(node)](node)
-            if shape[1]:
-                stack.append((node, shape))
-                stack.extend((kid, None) for kid in reversed(shape[1]))
+        op, a, b = node._op, node._a, node._b
+        if op in _BINARY:  # operands first, left to right
+            ra, rb = regs.get(id(a)), regs.get(id(b))
+            if ra is None or rb is None:
+                if rb is None:
+                    stack.append(b)
+                if ra is None:
+                    stack.append(a)
                 continue
-        op, kids, field = shape
-        if op == "const":
-            # repr keeps 0.0 and -0.0 (and int and float) apart
-            key = (op, repr((field.re, field.ze)))
-            ins = Instr(op, field, None, -1)
-        elif op == "var":
-            key, ins = (op, field), Instr(op, field, None, field)
-        else:
-            if op == "pow":  # a raw PowInt skipped `_pow`'s check
-                _check_exponent(field)
-            regs = [done[id(kid)] for kid in kids]
-            a, b = regs if len(regs) == 2 else (regs[0], field)
-            level = max(code[r].level for r in regs)
-            key, ins = (op, a, b), Instr(op, a, b, level)
-        if key not in by_key:
-            by_key[key] = len(code)
-            code.append(ins)
-        done[id(node)] = by_key[key]
+            a, b = ra, rb
+        elif op not in _LEAVES:
+            ra = regs.get(id(a))
+            if ra is None:
+                stack.append(a)
+                continue
+            a = ra
+        stack.pop()
+        regs[id(node)] = len(code)
+        code.append(Instr(op, a, b, node._level))
     return tuple(code)
 
 
@@ -335,23 +443,33 @@ _PAIRS = (
 _NODES = (Const, _neg, _add, _sub, _mul, _pow, _prim)
 
 
-# Registers hold (node, its derivative node) for one variable.  The node
-# is rebuilt as it was, unfolded, so each rule sees the operands of the
-# tree it differentiates.
+# The gradient run: registers hold (node, partials).  The node is the
+# instruction's own, which its raw constructor returns, interned, from
+# the operands' nodes; the partials, one per variable asked for, are
+# built by the smart constructors, each as a run for that variable alone
+# would build it.
 
 
-def _d_mul(x, y):
+def _gradient_arithmetic(count: int) -> tuple:
+    zeros = (_ZERO_NODE,) * count
+    return (lambda value: (Const(value), zeros),) + _GRADIENT
+
+
+def _g_mul(x, y):
     (u, du), (v, dv) = x, y
-    return Mul(u, v), _add(_mul(du, v), _mul(u, dv))
+    return Mul(u, v), tuple([_add(_mul(p, v), _mul(u, q))
+                             for p, q in zip(du, dv)])
 
 
-def _d_pow(x, exponent: int):
+def _g_pow(x, exponent: int):
     u, du = x
+    if exponent == 0:  # a raw x^0 is the constant 1
+        return PowInt(u, 0), (_ZERO_NODE,) * len(du)
     scaled = _mul(Const(Dual(float(exponent))), _pow(u, exponent - 1))
-    return PowInt(u, exponent), _mul(scaled, du)
+    return PowInt(u, exponent), tuple([_mul(scaled, p) for p in du])
 
 
-def _d_prim(name: str, x):
+def _g_prim(name: str, x):
     u, du = x
     if name == "exp":
         outer = Prim("exp", u)
@@ -359,166 +477,29 @@ def _d_prim(name: str, x):
         outer = _prim("cos", u)
     else:
         outer = _neg(_prim("sin", u))
-    return Prim(name, u), _mul(outer, du)
+    return Prim(name, u), tuple([_mul(outer, p) for p in du])
 
 
-_DERIVATIVE = (
-    lambda value: (Const(value), _ZERO_NODE),
-    lambda x: (Neg(x[0]), _neg(x[1])),
-    lambda x, y: (Add(x[0], y[0]), _add(x[1], y[1])),
-    lambda x, y: (Sub(x[0], y[0]), _sub(x[1], y[1])),
-    _d_mul, _d_pow, _d_prim)
+_GRADIENT = (
+    lambda x: (Neg(x[0]), tuple(map(_neg, x[1]))),
+    lambda x, y: (Add(x[0], y[0]), tuple(map(_add, x[1], y[1]))),
+    lambda x, y: (Sub(x[0], y[0]), tuple(map(_sub, x[1], y[1]))),
+    _g_mul, _g_pow, _g_prim)
 
 
-# ---------------------------------------------------------------------------
-# interval enclosures
-
-# Plain real intervals are (lo, hi) tuples; a DualBox pairs one for each
-# part.  Rounding is to nearest (no outward rounding), so enclosures are
-# sound up to roundoff, which is all the integration layer relies on.
+# Registers hold a node's repr, in the form a dataclass would give it.
 
 
-def _iadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _repr_binary(cls: str):
+    return lambda x, y: f"{cls}(lhs={x}, rhs={y})"
 
 
-def _isub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def _ineg(a):
-    return (-a[1], -a[0])
-
-
-def _imul(a, b):
-    p0 = a[0] * b[0]
-    p1 = a[0] * b[1]
-    p2 = a[1] * b[0]
-    p3 = a[1] * b[1]
-    return (min(p0, p1, p2, p3), max(p0, p1, p2, p3))
-
-
-def _iscale(a, c: float):
-    if c >= 0:
-        return (c * a[0], c * a[1])
-    return (c * a[1], c * a[0])
-
-
-def _ipow(a, k: int):
-    if k == 0:
-        return (1.0, 1.0)
-    lo = a[0] ** k
-    hi = a[1] ** k
-    if k % 2 == 1:
-        return (lo, hi)
-    if a[0] <= 0.0 <= a[1]:
-        return (0.0, max(lo, hi))
-    return (min(lo, hi), max(lo, hi))
-
-
-def _iexp(a):
-    return (math.exp(a[0]), math.exp(a[1]))
-
-
-def _crosses(lo: float, hi: float, phase: float) -> bool:
-    # does [lo, hi] contain a point congruent to phase mod 2*pi?
-    k = math.ceil((lo - phase) / _TWO_PI)
-    return phase + _TWO_PI * k <= hi
-
-
-def _isin(a):
-    lo, hi = a
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    s_lo, s_hi = math.sin(lo), math.sin(hi)
-    top = 1.0 if _crosses(lo, hi, 0.5 * math.pi) else max(s_lo, s_hi)
-    bot = -1.0 if _crosses(lo, hi, -0.5 * math.pi) else min(s_lo, s_hi)
-    return (bot, top)
-
-
-def _icos(a):
-    lo, hi = a
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    c_lo, c_hi = math.cos(lo), math.cos(hi)
-    top = 1.0 if _crosses(lo, hi, 0.0) else max(c_lo, c_hi)
-    bot = -1.0 if _crosses(lo, hi, math.pi) else min(c_lo, c_hi)
-    return (bot, top)
-
-
-@dataclass(frozen=True)
-class DualBox:
-    """Axis-aligned set of duals: re in [re_lo, re_hi], ze in [ze_lo, ze_hi]."""
-
-    re_lo: float
-    re_hi: float
-    ze_lo: float
-    ze_hi: float
-
-    def __post_init__(self):
-        if self.re_lo > self.re_hi or self.ze_lo > self.ze_hi:
-            raise ValueError("box bounds out of order")
-
-    @staticmethod
-    def point(value: Dual) -> "DualBox":
-        return DualBox(value.re, value.re, value.ze, value.ze)
-
-    def intervals(self):
-        """The box as the (re interval, ze interval) pair that programs run on."""
-        return ((self.re_lo, self.re_hi), (self.ze_lo, self.ze_hi))
-
-    @property
-    def width_re(self) -> float:
-        return self.re_hi - self.re_lo
-
-    @property
-    def width_ze(self) -> float:
-        return self.ze_hi - self.ze_lo
-
-    def contains(self, value: Dual, tol: float = 0.0) -> bool:
-        return (self.re_lo - tol <= value.re <= self.re_hi + tol
-                and self.ze_lo - tol <= value.ze <= self.ze_hi + tol)
-
-
-def enclose_step(ins: Instr, regs: list, args: Sequence):
-    """Run one instruction over intervals: (re interval, ze interval).
-
-    `regs` holds the results of earlier instructions, and `args[i]` the
-    (re interval, ze interval) pair of variable ``x(i+1)``.
-    """
-    op, a, b, _ = ins
-    match op:
-        case "const":
-            return ((a.re, a.re), (a.ze, a.ze))
-        case "var":
-            return args[a]
-        case "neg":
-            r, z = regs[a]
-            return (_ineg(r), _ineg(z))
-        case "add":
-            (r1, z1), (r2, z2) = regs[a], regs[b]
-            return (_iadd(r1, r2), _iadd(z1, z2))
-        case "sub":
-            (r1, z1), (r2, z2) = regs[a], regs[b]
-            return (_isub(r1, r2), _isub(z1, z2))
-        case "mul":
-            (r1, z1), (r2, z2) = regs[a], regs[b]
-            return (_imul(r1, r2), _iadd(_imul(r1, z2), _imul(z1, r2)))
-        case "pow":
-            r, z = regs[a]
-            ze_part = _iscale(_imul(_ipow(r, b - 1), z), float(b))
-            return (_ipow(r, b), ze_part)
-        case "exp":
-            r, z = regs[a]
-            er = _iexp(r)
-            return (er, _imul(z, er))
-        case "sin":
-            r, z = regs[a]
-            return (_isin(r), _imul(z, _icos(r)))
-        case "cos":
-            r, z = regs[a]
-            return (_icos(r), _ineg(_imul(z, _isin(r))))
-    raise TypeError(f"not an instruction: {ins!r}")
+_REPR = (
+    lambda value: f"Const(value={value!r})",
+    lambda x: f"Neg(arg={x})",
+    _repr_binary("Add"), _repr_binary("Sub"), _repr_binary("Mul"),
+    lambda x, exponent: f"PowInt(base={x}, exponent={exponent!r})",
+    lambda name, x: f"Prim(name={name!r}, arg={x})")
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +696,7 @@ class _Parser:
 # public wrapper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """A dual-analytic function of `arity` dual variables."""
 
@@ -723,37 +704,26 @@ class Expr:
     arity: int
 
     def __post_init__(self):
+        if not isinstance(self.node, Node):
+            raise TypeError(f"not an expression node: {self.node!r}")
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
-        top = _lower(self.node)[-1].level  # the highest variable read
+        top = self.node._level  # the highest variable read
         if top >= self.arity:
             raise ValueError(
                 f"expression uses x{top + 1} but arity is {self.arity}")
-
-    @classmethod
-    def _built(cls, node: Node, arity: int) -> "Expr":
-        """An Expr valid by construction, not checked nor lowered: the
-        parser range-checks variables, and operators read no new one."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "node", node)
-        object.__setattr__(f, "arity", arity)
-        return f
-
-    @functools.cached_property
-    def _code(self) -> tuple[Instr, ...]:
-        return _lower(self.node)
 
     @staticmethod
     def constant(value, arity: int = 0) -> "Expr":
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        return Expr._built(Const(as_dual(value)), arity)
+        return Expr(Const(as_dual(value)), arity)
 
     @staticmethod
     def variable(index: int, arity: int) -> "Expr":
         if not 0 <= index < arity:
             raise ValueError("variable index out of range")
-        return Expr._built(Var(index), arity)
+        return Expr(Var(index), arity)
 
     def _rhs_node(self, other) -> Node | None:
         if isinstance(other, Expr):
@@ -767,58 +737,58 @@ class Expr:
         rhs = self._rhs_node(other)
         if rhs is None:
             return NotImplemented
-        return Expr._built(_add(self.node, rhs), self.arity)
+        return Expr(_add(self.node, rhs), self.arity)
 
     def __radd__(self, other) -> "Expr":
         lhs = self._rhs_node(other)
         if lhs is None:
             return NotImplemented
-        return Expr._built(_add(lhs, self.node), self.arity)
+        return Expr(_add(lhs, self.node), self.arity)
 
     def __sub__(self, other) -> "Expr":
         rhs = self._rhs_node(other)
         if rhs is None:
             return NotImplemented
-        return Expr._built(_sub(self.node, rhs), self.arity)
+        return Expr(_sub(self.node, rhs), self.arity)
 
     def __rsub__(self, other) -> "Expr":
         lhs = self._rhs_node(other)
         if lhs is None:
             return NotImplemented
-        return Expr._built(_sub(lhs, self.node), self.arity)
+        return Expr(_sub(lhs, self.node), self.arity)
 
     def __mul__(self, other) -> "Expr":
         rhs = self._rhs_node(other)
         if rhs is None:
             return NotImplemented
-        return Expr._built(_mul(self.node, rhs), self.arity)
+        return Expr(_mul(self.node, rhs), self.arity)
 
     def __rmul__(self, other) -> "Expr":
         lhs = self._rhs_node(other)
         if lhs is None:
             return NotImplemented
-        return Expr._built(_mul(lhs, self.node), self.arity)
+        return Expr(_mul(lhs, self.node), self.arity)
 
     def __neg__(self) -> "Expr":
-        return Expr._built(_neg(self.node), self.arity)
+        return Expr(_neg(self.node), self.arity)
 
     def __pow__(self, exponent: int) -> "Expr":
-        return Expr._built(_pow(self.node, exponent), self.arity)
+        return Expr(_pow(self.node, exponent), self.arity)
 
     def __str__(self) -> str:
         return render_expr(self)
 
 
 def exp(f: Expr) -> Expr:
-    return Expr._built(_prim("exp", f.node), f.arity)
+    return Expr(_prim("exp", f.node), f.arity)
 
 
 def sin(f: Expr) -> Expr:
-    return Expr._built(_prim("sin", f.node), f.arity)
+    return Expr(_prim("sin", f.node), f.arity)
 
 
 def cos(f: Expr) -> Expr:
-    return Expr._built(_prim("cos", f.node), f.arity)
+    return Expr(_prim("cos", f.node), f.arity)
 
 
 def is_zero_expr(f: Expr) -> bool:
@@ -830,13 +800,14 @@ def parse_expr(text: str, arity: int) -> Expr:
     """Parse grammar text into an expression of the given arity."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
-    return Expr._built(_Parser(text, arity).parse(), arity)
+    return Expr(_Parser(text, arity).parse(), arity)
 
 
 def render_expr(f: Expr) -> str:
-    """Grammar-conformant text for an expression; parses back to the same tree."""
+    """Grammar-conformant text for an expression; parses back to the same
+    tree up to constants equal as Duals (0.0 and -0.0, 2 and 2.0)."""
     names = tuple((f"x{i + 1}", _PREC_ATOM) for i in range(f.arity))
-    return _run(f._code, _TEXT, names)[0]
+    return _run(lower_expr(f), _TEXT, names)[0]
 
 
 def _point_args(point) -> tuple[Dual, ...]:
@@ -854,7 +825,7 @@ def eval_dual(f: Expr, point) -> Dual:
     args = _point_args(point)
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} components, got {len(args)}")
-    return Dual(*_run(f._code, _PAIRS, _pairs(args)))
+    return Dual(*_run(lower_expr(f), _PAIRS, _pairs(args)))
 
 
 def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
@@ -864,7 +835,7 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
         raise ValueError(f"expected {f.arity} boxes, got {len(boxes)}")
     args = [box.intervals() for box in boxes]
     regs: list = []
-    for ins in f._code:
+    for ins in lower_expr(f):
         regs.append(enclose_step(ins, regs, args))
     (re_lo, re_hi), (ze_lo, ze_hi) = regs[-1]
     return DualBox(re_lo, re_hi, ze_lo, ze_hi)
@@ -872,11 +843,23 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
 
 def partial_diff(f: Expr, index: int) -> Expr:
     """Exact symbolic partial derivative with respect to variable `index`."""
-    if not 0 <= index < f.arity:
+    return partial_diffs(f, (index,))[0]
+
+
+def partial_diffs(f: Expr, indices: Sequence[int]) -> tuple[Expr, ...]:
+    """The partials with respect to each variable of `indices`, from one
+    run of f's program; each is the tree `partial_diff` gives."""
+    indices = tuple(indices)
+    if not indices:
+        return ()
+    if not (0 <= min(indices) and max(indices) < f.arity):
         raise ValueError("variable index out of range")
-    args = tuple((Var(i), _ONE_NODE if i == index else _ZERO_NODE)
-                 for i in range(f.arity))
-    return Expr._built(_run(f._code, _DERIVATIVE, args)[1], f.arity)
+    args = [(Var(i), tuple([_ONE_NODE if i == j else _ZERO_NODE
+                            for j in indices]))
+            for i in range(f.arity)]
+    _, partials = _run(lower_expr(f), _gradient_arithmetic(len(indices)),
+                       args)
+    return tuple([Expr(p, f.arity) for p in partials])
 
 
 def compose(outer: Expr, inner: Sequence[Expr]) -> Expr:
@@ -891,8 +874,8 @@ def compose(outer: Expr, inner: Sequence[Expr]) -> Expr:
             raise ValueError("inner expressions must share one arity")
     else:
         arity = 0
-    return Expr._built(
-        _run(outer._code, _NODES, tuple(g.node for g in inner)), arity)
+    return Expr(
+        _run(lower_expr(outer), _NODES, tuple(g.node for g in inner)), arity)
 
 
 _GRID_SEED = 0x51AB
@@ -921,8 +904,8 @@ def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
         return False
     for point in sample_points(f.arity):
         args = _pairs(point)
-        a_re, a_ze = _run(f._code, _PAIRS, args)
-        b_re, b_ze = _run(g._code, _PAIRS, args)
+        a_re, a_ze = _run(lower_expr(f), _PAIRS, args)
+        b_re, b_ze = _run(lower_expr(g), _PAIRS, args)
         if not (abs(a_re - b_re) <= tol and abs(a_ze - b_ze) <= tol):
             return False
     return True
@@ -970,7 +953,7 @@ class ExprMap:
                 f"expected {self.arity} components, got {len(pairs)}")
         flat = []
         for c in self.components:
-            flat.extend(_run(c._code, _PAIRS, pairs))
+            flat.extend(_run(lower_expr(c), _PAIRS, pairs))
         return tuple(flat)
 
     def compose(self, inner: "ExprMap") -> "ExprMap":
@@ -1042,7 +1025,7 @@ def jacobian(f: ExprMap, point) -> DualMap:
     if len(args) != f.arity:
         raise ValueError(f"expected {f.arity} components, got {len(args)}")
     return DualMap(tuple(
-        tuple(eval_dual(partial_diff(c, i), args) for i in range(f.arity))
+        tuple(eval_dual(p, args) for p in partial_diffs(c, range(f.arity)))
         for c in f.components))
 
 
@@ -1090,8 +1073,8 @@ def cr_check(f: ExprMap, point, h: float = 1e-6) -> float:
             args_hi = pairs[:i] + (hi,) + pairs[i + 1:]
             args_lo = pairs[:i] + (lo,) + pairs[i + 1:]
             for j, comp in enumerate(f.components):
-                hi_re, hi_ze = _run(comp._code, _PAIRS, args_hi)
-                lo_re, lo_ze = _run(comp._code, _PAIRS, args_lo)
+                hi_re, hi_ze = _run(lower_expr(comp), _PAIRS, args_hi)
+                lo_re, lo_ze = _run(lower_expr(comp), _PAIRS, args_lo)
                 d_re = (hi_re - lo_re) / (2.0 * h)
                 d_ze = (hi_ze - lo_ze) / (2.0 * h)
                 entry = jac.entries[j][i]

@@ -21,8 +21,10 @@ import itertools
 from dataclasses import dataclass
 
 from .dual import Dual
+# partial_diff is unused here but stays a module attribute: the
+# benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
 from .expr import (Expr, ExprMap, compose, eval_dual, is_zero_expr,
-                   partial_diff)
+                   partial_diff, partial_diffs)
 from .tensors import (MAX_PERMUTATION_DEGREE, AltTensor, ascending_tuples,
                       merge_sign, perm_sign)
 
@@ -111,23 +113,20 @@ def form_from_strings(n: int, k: int, coeffs: dict) -> DiffForm:
 
 def d_of_function(f: Expr) -> DiffForm:
     """Differential of a 0-form: the sum of partials against coordinates."""
-    return DiffForm(f.arity, 1,
-                    {(i,): partial_diff(f, i) for i in range(f.arity)})
+    partials = partial_diffs(f, range(f.arity))
+    return DiffForm(f.arity, 1, {(i,): p for i, p in enumerate(partials)})
 
 
 def exterior_derivative(w: DiffForm) -> DiffForm:
     """Degree-raising derivative; signs come from sorting dx^i into dx^I."""
     out: dict = {}
     for index, coeff in w.coeffs.items():
-        for i in range(w.n):
-            sign = merge_sign((i,), index)
-            if sign == 0:
-                continue
-            partial = partial_diff(coeff, i)
+        wrt = [i for i in range(w.n) if merge_sign((i,), index) != 0]
+        for i, partial in zip(wrt, partial_diffs(coeff, wrt)):
             if is_zero_expr(partial):
                 continue
             merged = tuple(sorted((i,) + index))
-            term = partial if sign > 0 else -partial
+            term = partial if merge_sign((i,), index) > 0 else -partial
             out[merged] = out[merged] + term if merged in out else term
     return DiffForm(w.n, w.k + 1, out)
 
@@ -167,8 +166,7 @@ def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
             f"map lands in dimension {f.dim_out} but the form lives in "
             f"dimension {w.n}")
     m = f.arity
-    jac = [[partial_diff(component, j) for j in range(m)]
-           for component in f.components]
+    jac = [partial_diffs(component, range(m)) for component in f.components]
     out: dict = {}
     for target in ascending_tuples(m, w.k):
         acc = None

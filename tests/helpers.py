@@ -14,7 +14,7 @@ from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
 from dualstokes.cubes import MERGE_TOL
 from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
                              _PREC_NEG, _PREC_POW, _ZERO_NODE, Add, Const,
-                             Mul, Neg, PowInt, Prim, Sub, Var, _add,
+                             Mul, Neg, Node, PowInt, Prim, Sub, Var, _add,
                              _const_text, _mul, _neg, _pow, _prim,
                              _prim_value, _sub)
 
@@ -299,6 +299,8 @@ def reference_diff(node, i):
         case Mul(lhs, rhs):
             return _add(_mul(reference_diff(lhs, i), rhs),
                         _mul(lhs, reference_diff(rhs, i)))
+        case PowInt(base, 0):  # a raw x^0 is the constant 1
+            return _ZERO_NODE
         case PowInt(base, exponent):
             scaled = _mul(Const(Dual(float(exponent))), _pow(base, exponent - 1))
             return _mul(scaled, reference_diff(base, i))
@@ -311,6 +313,18 @@ def reference_diff(node, i):
                 outer = _neg(_prim("sin", arg))
             return _mul(outer, reference_diff(arg, i))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def trees_match(left, right) -> bool:
+    """Equal trees with constants compared as Duals, so 0.0 matches -0.0
+    (the nodes themselves are one object only when the bits agree too)."""
+    if type(left) is not type(right):
+        return False
+    for name in left.__match_args__:
+        x, y = getattr(left, name), getattr(right, name)
+        if not (trees_match(x, y) if isinstance(x, Node) else x == y):
+            return False
+    return True
 
 
 def reference_subst(node, repl):

@@ -369,8 +369,56 @@ def test_normalize_evaluates_each_map_at_most_once_per_point(monkeypatch):
     calls.clear()
     faces = _tiled_boundary(1)
     chain_normalize(faces)
-    assert len(calls) == len(faces.terms)
+    # each inner face's map is identical to its twin's: 54 twins are
+    # settled without an evaluation, 108 maps are evaluated
+    assert len(calls) == 108
     assert max(calls.values()) <= 16
+    assert sum(calls.values()) <= 918
+
+
+@pytest.mark.parametrize("tol", (math.nan, 0.0, MERGE_TOL, math.inf))
+def test_normalize_identical_maps_match_reference(tol):
+    # separately built equal maps share their nodes, so a term identical
+    # to an earlier one is settled without evaluating it
+    dom = CubeDomain(Theta.TYPE1, 0.5, 1)
+    unit = _unit(tol)
+
+    def cube(key, later=0.0, second=0.0):
+        return _adversarial_cube(dom, key, later, second)
+
+    one = cube(1.0)
+    assert cube(1.0).mapping.components == one.mapping.components
+    cases = [
+        [one, one, cube(1.0), one, cube(2.0), cube(1.0)],
+        # identical maps with NaN or +-inf at later points only
+        [cube(1.0, "inf"), cube(1.0, "inf"), cube(1.0), cube(1.0, "inf")],
+        [cube(1.0, "nan"), cube(1.0), cube(1.0, "nan"), cube(1.0, "nan")],
+        [cube(1.0, second=math.inf)] * 3,
+        [cube(math.nan), cube(math.nan), cube(-math.inf), cube(-math.inf)],
+        # identical to a later member of a group, not to its first cube
+        [cube(0.0), cube(0.5 * unit), cube(0.5 * unit), cube(0.0)],
+        [cube(1.0), cube(1.0, "inf"), cube(1.0, "inf"), cube(1.0)],
+        [cube(1.2 * unit), cube(0.0), cube(0.6 * unit), cube(0.6 * unit)],
+    ]
+    for cubes in cases:
+        chain = Chain(Theta.TYPE1, 0.5, 1, 2,
+                      tuple(((-1) ** i, c) for i, c in enumerate(cubes)))
+        for ch in (chain, chain + chain, chain + chain.scale(2)):
+            assert _terms(chain_normalize(ch, tol)) == \
+                _terms(reference_chain_normalize(ch, tol))
+    rng = random.Random(f"identical/{tol!r}")
+    for _ in range(12):
+        chain = _adversarial_chain(rng, tol, 1.0, 0.5)
+        ch = chain + chain
+        assert _terms(chain_normalize(ch, tol)) == \
+            _terms(reference_chain_normalize(ch, tol))
+
+
+@pytest.mark.parametrize("tol", (math.nan, 0.0, math.inf))
+def test_tiled_boundary_matches_reference_at_other_tolerances(tol):
+    faces = _tiled_boundary(3)
+    assert _terms(chain_normalize(faces, tol)) == \
+        _terms(reference_chain_normalize(faces, tol))
 
 
 # ---------------------------------------------------------------------------

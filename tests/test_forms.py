@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from dualstokes import (DiffForm, Dual, DualVec, Expr, ExprMap, basis_form,
-                        d_of_function, eval_dual, exprs_equal,
-                        exterior_derivative, form_eval, form_from_strings,
-                        forms_equal, jacobian, parse_expr, pullback,
-                        wedge_forms, zero_form)
-from helpers import random_form, random_map, small_point
+from dualstokes import (DiffForm, Dual, DualVec, Expr, ExprMap,
+                        ascending_tuples, basis_form, compose, d_of_function,
+                        eval_dual, exprs_equal, exterior_derivative,
+                        form_eval, form_from_strings, forms_equal,
+                        is_zero_expr, jacobian, merge_sign, parse_expr,
+                        partial_diff, pullback, wedge_forms, zero_form)
+from dualstokes.forms import _sym_det
+from helpers import random_expr, random_form, random_map, small_point
 
 
 def _vecs(rng, n, count):
@@ -94,6 +96,49 @@ def test_d_of_function_is_gradient_row():
     assert df.k == 1
     assert exprs_equal(df.coefficient((0,)), parse_expr("2*x1*x2", 2))
     assert exprs_equal(df.coefficient((1,)), parse_expr("x1^2", 2))
+
+
+def _nodes(w: DiffForm) -> dict:
+    return {index: coeff.node for index, coeff in w.coeffs.items()}
+
+
+def test_derivatives_build_the_trees_of_partial_diff():
+    # d and pullback take every partial of a coefficient or component
+    # from one gradient run; each is the tree partial_diff builds alone,
+    # so the forms are node for node what per-variable partials give
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        k = rng.randint(0, n - 1)
+        w = random_form(rng, n, k, depth=3, prims=True)
+        want = {}
+        for index, coeff in w.coeffs.items():
+            for i in range(n):
+                sign = merge_sign((i,), index)
+                partial = partial_diff(coeff, i)
+                if sign == 0 or is_zero_expr(partial):
+                    continue
+                merged = tuple(sorted((i,) + index))
+                term = partial if sign > 0 else -partial
+                want[merged] = want[merged] + term if merged in want else term
+        assert _nodes(exterior_derivative(w)) == _nodes(DiffForm(n, k + 1, want))
+        f = random_expr(rng, n, depth=3)
+        assert _nodes(d_of_function(f)) == _nodes(DiffForm(n, 1, {
+            (i,): partial_diff(f, i) for i in range(n)}))
+        m = rng.randint(max(k, 1), 3)
+        phi = random_map(rng, m, n, depth=2)
+        jac = [[partial_diff(c, j) for j in range(m)] for c in phi.components]
+        want = {}
+        for target in ascending_tuples(m, k):
+            acc = None
+            for index, coeff in w.coeffs.items():
+                det = _sym_det([[jac[i][j] for j in target] for i in index], m)
+                if not is_zero_expr(det):
+                    term = compose(coeff, phi.components) * det
+                    acc = term if acc is None else acc + term
+            if acc is not None and not is_zero_expr(acc):
+                want[target] = acc.node
+        assert _nodes(pullback(phi, w)) == want
 
 
 def test_exterior_derivative_fixed():
