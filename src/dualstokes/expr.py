@@ -852,7 +852,9 @@ def partial_diffs(f: Expr, indices: Sequence[int]) -> tuple[Expr, ...]:
     indices = tuple(indices)
     if not indices:
         return ()
-    if not (0 <= min(indices) and max(indices) < f.arity):
+    for i in indices:
+        _check_natural(i, "variable indices")
+    if max(indices) >= f.arity:
         raise ValueError("variable index out of range")
     args = [(Var(i), tuple([_ONE_NODE if i == j else _ZERO_NODE
                             for j in indices]))

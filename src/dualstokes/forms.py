@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dual import Dual
+from .dual import ZERO, Dual
 # partial_diff is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
-from .expr import (Expr, ExprMap, compose, eval_dual, is_zero_expr,
-                   partial_diff, partial_diffs)
+from .expr import (Const, Expr, ExprMap, _add, _mul, compose, eval_dual,
+                   is_zero_expr, partial_diff, partial_diffs)
 from .tensors import (MAX_PERMUTATION_DEGREE, AltTensor, ascending_tuples,
                       merge_sign, perm_sign)
 
@@ -145,13 +145,14 @@ def _sym_det(matrix, arity: int) -> Expr:
         raise ValueError(
             f"degree {k} exceeds the permutation-expansion cap "
             f"{MAX_PERMUTATION_DEGREE}")
-    total = Expr.constant(0.0, arity)
+    # built on bare nodes and wrapped once: every Expr checks its arity
+    total = Const(ZERO)
     for perm in itertools.permutations(range(k)):
-        term = Expr.constant(float(perm_sign(perm)), arity)
+        term = Const(Dual(float(perm_sign(perm))))
         for row in range(k):
-            term = term * matrix[row][perm[row]]
-        total = total + term
-    return total
+            term = _mul(term, matrix[row][perm[row]].node)
+        total = _add(total, term)
+    return Expr(total, arity)
 
 
 def pullback(f: ExprMap, w: DiffForm) -> DiffForm:

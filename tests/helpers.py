@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
@@ -154,26 +155,60 @@ def reference_uniform_partition(rect: ThetaRectangle, n: int):
     return tuple(axes)
 
 
+def _cell_bounds(f: Expr, cell, sign: int) -> tuple[Dual, Dual]:
+    """(inf, sup) of f's enclosure over the cell, in the order of `sign`."""
+    box = eval_enclosure(f, [iv.box() for iv in cell.intervals])
+    if sign > 0:
+        return Dual(box.re_lo, box.ze_lo), Dual(box.re_hi, box.ze_hi)
+    return Dual(box.re_lo, box.ze_hi), Dual(box.re_hi, box.ze_lo)
+
+
 def reference_darboux_sums(f: Expr, partition) -> tuple[Dual, Dual]:
     """(lower, upper) from one enclosure per cell, summed with Dual arithmetic.
 
-    This is the definition `darboux_sums` computes; it must match bit
-    for bit.
+    This is the definition `darboux_sums` computes.  When f reads the
+    last axis, `darboux_sums` must match it bit for bit; otherwise both
+    are equal in exact arithmetic, and each must lie within the bound
+    that `exact_darboux_sums` gives.
     """
     sign = partition.rect.theta.sign
     lower = upper = ZERO
     for cell in partition.cells:
-        box = eval_enclosure(f, [iv.box() for iv in cell.intervals])
+        inf, sup = _cell_bounds(f, cell, sign)
         vol = cell.volume()
-        if sign > 0:
-            sup = Dual(box.re_hi, box.ze_hi)
-            inf = Dual(box.re_lo, box.ze_lo)
-        else:
-            sup = Dual(box.re_hi, box.ze_lo)
-            inf = Dual(box.re_lo, box.ze_hi)
         upper = upper + sup * vol
         lower = lower + inf * vol
     return lower, upper
+
+
+def exact_darboux_sums(f: Expr, partition):
+    """The (lower, upper) Darboux sums in exact rational arithmetic.
+
+    Cells have the exact widths of the partition's float breakpoints and
+    the float enclosures `reference_darboux_sums` uses.  Each sum is
+    ``(re, ze, abs_re, abs_ze)`` in Fractions: its two parts, and for
+    each part the sum of the absolute values of its terms, with every
+    cell's ``bound * volume`` expanded into products of one part of the
+    bound and one part of each axis's width.  A float sum over `cells`
+    cells of a `dim`-axis partition lies within
+    ``(cells + 2*dim + 4) * 2**-52 * abs_part`` of each part.
+    """
+    sign = partition.rect.theta.sign
+    sums = ([Fraction(0)] * 4, [Fraction(0)] * 4)
+    for cell in partition.cells:
+        vol, mag = (Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))
+        for iv in cell.intervals:
+            w_re = Fraction(iv.b.re) - Fraction(iv.a.re)
+            w_ze = Fraction(iv.b.ze) - Fraction(iv.a.ze)
+            vol = vol[0] * w_re, vol[0] * w_ze + vol[1] * w_re
+            mag = mag[0] * abs(w_re), mag[0] * abs(w_ze) + mag[1] * abs(w_re)
+        for acc, bound in zip(sums, _cell_bounds(f, cell, sign)):
+            b_re, b_ze = Fraction(bound.re), Fraction(bound.ze)
+            acc[0] += b_re * vol[0]
+            acc[1] += b_re * vol[1] + b_ze * vol[0]
+            acc[2] += abs(b_re) * mag[0]
+            acc[3] += abs(b_re) * mag[1] + abs(b_ze) * mag[0]
+    return tuple(tuple(acc) for acc in sums)
 
 
 def reference_domain_points(domain: CubeDomain):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +9,10 @@ from dualstokes import (Dual, IncomparableEndpoints, NotConverged, Ordering,
                         Theta, ThetaRectangle, ZERO, darboux_sums,
                         integral_estimate, make_interval, make_rectangle,
                         parse_expr, theta_cmp, uniform_partition)
-from helpers import (THETAS, random_expr, random_poly, random_rectangle,
-                     reference_darboux_sums, reference_uniform_partition)
+from dualstokes.expr import lower_expr
+from helpers import (THETAS, exact_darboux_sums, random_expr, random_poly,
+                     random_rectangle, reference_darboux_sums,
+                     reference_uniform_partition)
 
 
 def _leq(x, y, theta):
@@ -280,6 +283,23 @@ def test_sandwich_random():
         assert _leq(lo, up, theta)
 
 
+def _assert_sums_match_reference(f, part):
+    """Bit for bit when f reads the last axis; else both the sums and the
+    reference loop's lie within the rounding bound of the exact sums."""
+    got = darboux_sums(f, part)
+    ref = reference_darboux_sums(f, part)
+    dim = part.rect.dim
+    if lower_expr(f)[-1].level == dim - 1:
+        assert repr(got) == repr(ref)
+        return
+    slack = (len(part.cells) + 2 * dim + 4) * Fraction(2) ** -52
+    exact = exact_darboux_sums(f, part)
+    for sums in (got, ref):
+        for value, (re, ze, abs_re, abs_ze) in zip(sums, exact):
+            assert abs(Fraction(value.re) - re) <= slack * abs_re
+            assert abs(Fraction(value.ze) - ze) <= slack * abs_ze
+
+
 def test_sums_match_reference_loop():
     rng = random.Random(1618)
     for theta in THETAS:
@@ -288,17 +308,48 @@ def test_sums_match_reference_loop():
                 for _ in range(3):
                     rect = random_rectangle(rng, theta, dim, span=1.0)
                     f = random_expr(rng, dim, depth=rng.randint(1, 4))
-                    part = uniform_partition(rect, n)
-                    assert (repr(darboux_sums(f, part))
-                            == repr(reference_darboux_sums(f, part)))
+                    _assert_sums_match_reference(f, uniform_partition(rect, n))
         # a zero-width axis between two wide ones
         rect = make_rectangle(theta, [(0, Dual(1, theta.sign)), (1, 1),
                                       (0, Dual(2, 0))])
-        f = parse_expr("exp(x1)*x2 - sin(x3*x1)^2 + eps*x2", 3)
-        for n in (1, 2, 5):
+        for text in ("exp(x1)*x2 - sin(x3*x1)^2 + eps*x2",
+                     "exp(x1)*x2 + eps*x2", "sin(x1) - eps", "0.1"):
+            f = parse_expr(text, 3)
+            for n in (1, 2, 5):
+                _assert_sums_match_reference(f, uniform_partition(rect, n))
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_sums_over_unread_axes_match_reference_exactly(theta):
+    # a zero-width trailing axis makes every sum exactly zero, and
+    # constants over dyadic breakpoints round nowhere
+    s = float(theta.sign)
+    wide = make_rectangle(theta, [(0, Dual(1, 0.3 * s)), (Dual(-0.7, 0.1),
+                                  Dual(0.4, 0.1 + 1.9 * s)), (1, 1)])
+    dyadic = make_rectangle(theta, [(Dual(-1, 0.5), Dual(1, 0.5 + 2 * s)),
+                                    (0, Dual(0.75, 0)), (2, Dual(2, s))])
+    flat = make_rectangle(theta, [(Dual(-0.0, -0.0), Dual(-0.0, -0.0)),
+                                  (0, Dual(1, s))])
+    cases = [(wide, "exp(x1)*x2 - eps*x1"), (wide, "sin(x1) + 3"),
+             (wide, "-1 + 2*eps"), (flat, "-1 + 2*eps"), (flat, "x1 - 2")]
+    cases += [(dyadic, text) for text in ("2", "-0.5 + 3*eps", "0", "-0.0",
+                                          "x1 - x2*eps", "x1*eps")]
+    for rect, text in cases:
+        f = parse_expr(text, rect.dim)
+        assert lower_expr(f)[-1].level < rect.dim - 1
+        for n in (1, 2, 4, 8):
             part = uniform_partition(rect, n)
             assert (repr(darboux_sums(f, part))
                     == repr(reference_darboux_sums(f, part)))
+
+
+def test_sums_walk_only_the_axes_the_integrand_reads():
+    # about 1.07e9 cells, one enclosure per piece of the first axis
+    rect = make_rectangle(Theta.TYPE1, [(0, 1)] * 3)
+    part = uniform_partition(rect, 1024)
+    assert len(part.cells) == 1024 ** 3
+    lo, up = darboux_sums(parse_expr("x1", 3), part)
+    assert repr((lo, up)) == repr((Dual(0.5 - 2 ** -11), Dual(0.5 + 2 ** -11)))
 
 
 def test_sums_arity_mismatch():

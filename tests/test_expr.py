@@ -229,8 +229,15 @@ def test_partial_diff_fixed():
     assert eval_dual(fx, p) == Dual(3) * (p[0] ** 2) * p[1]
     assert eval_dual(fy, p) == p[0] ** 3
     assert is_zero_expr(partial_diff(parse_expr("x2", 2), 0))
-    with pytest.raises(ValueError):
-        partial_diff(f, 2)
+    for bad in (2, -1):
+        with pytest.raises(ValueError):
+            partial_diff(f, bad)
+    # as for Var: no bool or float stands in for an index
+    for bad in (0.5, 1.0, True, False, "1", None):
+        with pytest.raises(TypeError):
+            partial_diff(parse_expr("x1*x2", 2), bad)
+        with pytest.raises(TypeError):
+            partial_diffs(f, (0, bad))
 
 
 def test_partial_diff_primitives():

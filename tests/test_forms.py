@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from dualstokes import (DiffForm, Dual, DualVec, Expr, ExprMap,
                         eval_dual, exprs_equal, exterior_derivative,
                         form_eval, form_from_strings, forms_equal,
                         is_zero_expr, jacobian, merge_sign, parse_expr,
-                        partial_diff, pullback, wedge_forms, zero_form)
-from dualstokes.forms import _sym_det
+                        partial_diff, perm_sign, pullback, wedge_forms,
+                        zero_form)
 from helpers import random_expr, random_form, random_map, small_point
 
 
@@ -102,10 +103,22 @@ def _nodes(w: DiffForm) -> dict:
     return {index: coeff.node for index, coeff in w.coeffs.items()}
 
 
+def _reference_det(matrix, arity):
+    """Permutation expansion through Expr operators, one product at a time."""
+    total = Expr.constant(0.0, arity)
+    for perm in itertools.permutations(range(len(matrix))):
+        term = Expr.constant(float(perm_sign(perm)), arity)
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        total = total + term
+    return total
+
+
 def test_derivatives_build_the_trees_of_partial_diff():
     # d and pullback take every partial of a coefficient or component
     # from one gradient run; each is the tree partial_diff builds alone,
-    # so the forms are node for node what per-variable partials give
+    # and pullback's minors are the trees Expr operators build, so the
+    # forms are node for node what per-variable partials give
     rng = random.Random(71)
     for _ in range(60):
         n = rng.randint(1, 3)
@@ -132,7 +145,8 @@ def test_derivatives_build_the_trees_of_partial_diff():
         for target in ascending_tuples(m, k):
             acc = None
             for index, coeff in w.coeffs.items():
-                det = _sym_det([[jac[i][j] for j in target] for i in index], m)
+                det = _reference_det(
+                    [[jac[i][j] for j in target] for i in index], m)
                 if not is_zero_expr(det):
                     term = compose(coeff, phi.components) * det
                     acc = term if acc is None else acc + term
