@@ -666,7 +666,11 @@ class _Parser:
     def atom(self) -> Node:
         kind, value, pos = self.advance()
         if kind == "num":
-            return Const(Dual(float(value)))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ParseError(f"number {value} overflows the float range",
+                                 pos)
+            return Const(Dual(number))
         if kind == "name":
             if value == "eps":
                 return Const(EPS)

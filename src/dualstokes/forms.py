@@ -8,6 +8,11 @@ pulled-back form can be differentiated or pulled back again without any
 numerics.  Pointwise evaluation hands off to the alternating-tensor
 machinery.
 
+A form is the container of :mod:`.tensors` with expression
+coefficients: :class:`~.tensors.Graded` checks the indices and supplies
+``scale``, ``+``, ``-`` and negation, and ``wedge_forms`` is the wedge
+that tensors use.  Only the coefficient check lives here.
+
 Only coefficients that fold to the literal constant zero are dropped;
 functionally-zero coefficients (for instance the cancelling mixed
 partials inside ``d(d w)``) survive as trees, which is why form
@@ -17,47 +22,26 @@ structural equality.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 from .dual import ZERO, Dual
 # partial_diff is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
 from .expr import (Const, Expr, ExprMap, _add, _mul, compose, eval_dual,
                    is_zero_expr, partial_diff, partial_diffs)
-from .tensors import (MAX_PERMUTATION_DEGREE, AltTensor, ascending_tuples,
-                      merge_sign, perm_sign)
+from .tensors import (AltTensor, Graded, add_term, ascending_tuples,
+                      merge_sign, signed_permutations, wedge)
 
 
-@dataclass(eq=False)
-class DiffForm:
+class DiffForm(Graded):
     """Degree-k form on dual n-space; `coeffs` maps ascending tuples to exprs."""
 
-    n: int
-    k: int
-    coeffs: dict
-
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError("dimensions must be nonnegative")
-        cleaned = {}
-        for index, coeff in dict(self.coeffs).items():
-            index = tuple(index)
-            if len(index) != self.k:
-                raise ValueError(f"index {index} does not have length {self.k}")
-            if any(not (0 <= i < self.n) for i in index):
-                raise ValueError(f"index {index} out of range for n={self.n}")
-            if any(a >= b for a, b in zip(index, index[1:])):
-                raise ValueError(f"index {index} is not strictly ascending")
-            if not isinstance(coeff, Expr):
-                raise TypeError("coefficients must be expressions")
-            if coeff.arity != self.n:
-                raise ValueError(
-                    f"coefficient for {index} has arity {coeff.arity}, "
-                    f"expected {self.n}")
-            if not is_zero_expr(coeff):
-                cleaned[index] = coeff
-        self.coeffs = cleaned
+    def _clean(self, index, coeff):
+        if not isinstance(coeff, Expr):
+            raise TypeError("coefficients must be expressions")
+        if coeff.arity != self.n:
+            raise ValueError(
+                f"coefficient for {index} has arity {coeff.arity}, "
+                f"expected {self.n}")
+        return None if is_zero_expr(coeff) else coeff
 
     def is_zero(self) -> bool:
         """True when no coefficient survived folding (syntactic check only)."""
@@ -65,33 +49,6 @@ class DiffForm:
 
     def coefficient(self, index) -> Expr:
         return self.coeffs.get(tuple(index), Expr.constant(0.0, self.n))
-
-    def scale(self, factor) -> "DiffForm":
-        if not isinstance(factor, Expr):
-            factor = Expr.constant(factor, self.n)
-        elif factor.arity != self.n:
-            raise ValueError("scaling expression must have arity n")
-        return DiffForm(self.n, self.k,
-                        {i: factor * c for i, c in self.coeffs.items()})
-
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        if not isinstance(other, DiffForm):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("forms must share dimension and degree")
-        merged = dict(self.coeffs)
-        for index, coeff in other.coeffs.items():
-            merged[index] = merged[index] + coeff if index in merged else coeff
-        return DiffForm(self.n, self.k, merged)
-
-    def __neg__(self) -> "DiffForm":
-        return DiffForm(self.n, self.k,
-                        {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        if not isinstance(other, DiffForm):
-            return NotImplemented
-        return self + (-other)
 
 
 def zero_form(n: int, k: int) -> DiffForm:
@@ -125,9 +82,8 @@ def exterior_derivative(w: DiffForm) -> DiffForm:
         for i, partial in zip(wrt, partial_diffs(coeff, wrt)):
             if is_zero_expr(partial):
                 continue
-            merged = tuple(sorted((i,) + index))
-            term = partial if merge_sign((i,), index) > 0 else -partial
-            out[merged] = out[merged] + term if merged in out else term
+            add_term(out, tuple(sorted((i,) + index)),
+                     partial if merge_sign((i,), index) > 0 else -partial)
     return DiffForm(w.n, w.k + 1, out)
 
 
@@ -140,17 +96,12 @@ def form_eval(w: DiffForm, point, vectors) -> Dual:
 
 def _sym_det(matrix, arity: int) -> Expr:
     """Determinant of a square matrix of expressions, by permutation expansion."""
-    k = len(matrix)
-    if k > MAX_PERMUTATION_DEGREE:
-        raise ValueError(
-            f"degree {k} exceeds the permutation-expansion cap "
-            f"{MAX_PERMUTATION_DEGREE}")
     # built on bare nodes and wrapped once: every Expr checks its arity
     total = Const(ZERO)
-    for perm in itertools.permutations(range(k)):
-        term = Const(Dual(float(perm_sign(perm))))
-        for row in range(k):
-            term = _mul(term, matrix[row][perm[row]].node)
+    for perm, sign in signed_permutations(len(matrix)):
+        term = Const(Dual(sign))
+        for row, col in enumerate(perm):
+            term = _mul(term, matrix[row][col].node)
         total = _add(total, term)
     return Expr(total, arity)
 
@@ -182,22 +133,7 @@ def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
     return DiffForm(m, w.k, out)
 
 
-def wedge_forms(left: DiffForm, right: DiffForm) -> DiffForm:
-    """Wedge product; index tuples merge with the usual sort sign."""
-    if left.n != right.n:
-        raise ValueError("forms must live over the same space")
-    out: dict = {}
-    for li, lc in left.coeffs.items():
-        for ri, rc in right.coeffs.items():
-            sign = merge_sign(li, ri)
-            if sign == 0:
-                continue
-            index = tuple(sorted(li + ri))
-            term = lc * rc
-            if sign < 0:
-                term = -term
-            out[index] = out[index] + term if index in out else term
-    return DiffForm(left.n, left.k + right.k, out)
+wedge_forms = wedge  # the forms-layer name of the shared wedge
 
 
 def forms_equal(left: DiffForm, right: DiffForm, tol: float = 1e-9) -> bool:

@@ -471,6 +471,8 @@ def load_scenarios(path) -> list[Scenario]:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path} nests too deeply to load") from exc
     items = raw if isinstance(raw, list) else [raw]
     return [scenario_from_dict(item) for item in items]
 

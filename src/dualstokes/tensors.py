@@ -8,6 +8,12 @@ antisymmetrization, and the wedge product all reduce to permutation
 bookkeeping, which stays exact because every sign is computed as an
 integer.
 
+Tensors and differential forms share one container, :class:`Graded`:
+it checks the index tuples and supplies ``scale``, ``+``, ``-`` and
+negation, and :func:`wedge` multiplies two alternating tensors or two
+forms with the same loop.  The kinds differ only in their coefficients,
+dual numbers here and expressions in :mod:`.forms`.
+
 The permutation expansions are factorial in k, so degrees above
 ``MAX_PERMUTATION_DEGREE`` are rejected outright.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, factorial
 
 from .dual import Dual, DualVec, ONE, ZERO, as_dual
@@ -42,6 +49,21 @@ def perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
+@cache
+def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """Every permutation of 0..k-1, in lexicographic order, with its sign.
+
+    Raises ValueError for a degree above ``MAX_PERMUTATION_DEGREE``, so
+    the table is also the one place that enforces the cap.
+    """
+    if k > MAX_PERMUTATION_DEGREE:
+        raise ValueError(
+            f"degree {k} exceeds the permutation-expansion cap "
+            f"{MAX_PERMUTATION_DEGREE}")
+    return tuple((perm, float(perm_sign(perm)))
+                 for perm in itertools.permutations(range(k)))
+
+
 def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     """Sign that sorts the concatenation of two ascending tuples.
 
@@ -53,11 +75,9 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _check_degree(k: int):
-    if k > MAX_PERMUTATION_DEGREE:
-        raise ValueError(
-            f"degree {k} exceeds the permutation-expansion cap "
-            f"{MAX_PERMUTATION_DEGREE}")
+def add_term(coeffs: dict, index, value) -> None:
+    """Add ``value`` to the coefficient at ``index``, or set it if absent."""
+    coeffs[index] = coeffs[index] + value if index in coeffs else value
 
 
 def _coerce_vectors(n: int, k: int, vectors) -> tuple[DualVec, ...]:
@@ -69,35 +89,74 @@ def _coerce_vectors(n: int, k: int, vectors) -> tuple[DualVec, ...]:
     return vecs
 
 
-def _clean_coeffs(n: int, k: int, coeffs, *, ascending: bool) -> dict:
-    out = {}
-    for index, raw in dict(coeffs).items():
-        index = tuple(index)
-        if len(index) != k:
-            raise ValueError(f"index {index} does not have length {k}")
-        if any(not (0 <= i < n) for i in index):
-            raise ValueError(f"index {index} out of range for n={n}")
-        if ascending and any(a >= b for a, b in zip(index, index[1:])):
-            raise ValueError(f"index {index} is not strictly ascending")
-        value = as_dual(raw)
-        if not value.is_zero():
-            out[index] = value
-    return out
-
-
 @dataclass(eq=False)
-class GenTensor:
-    """General k-linear tensor: coefficients over full index tuples."""
+class Graded:
+    """Degree-k coefficients on n-space, keyed by index tuples.
+
+    Every index has length k and entries in 0..n-1, strictly ascending
+    unless the class sets ``alternating = False``.  Each coefficient goes
+    through the ``_clean`` hook, which returns the value to store or None
+    to drop it.  ``+`` and ``-`` need two operands of the same class,
+    dimension and degree.
+    """
 
     n: int
     k: int
     coeffs: dict = field(default_factory=dict)
 
+    alternating = True
+
     def __post_init__(self):
         if self.n < 0 or self.k < 0:
             raise ValueError("dimensions must be nonnegative")
-        self.coeffs = _clean_coeffs(self.n, self.k, self.coeffs,
-                                    ascending=False)
+        cleaned = {}
+        for index, raw in dict(self.coeffs).items():
+            index = tuple(index)
+            if len(index) != self.k:
+                raise ValueError(f"index {index} does not have length {self.k}")
+            if any(not (0 <= i < self.n) for i in index):
+                raise ValueError(f"index {index} out of range for n={self.n}")
+            if self.alternating and any(
+                    a >= b for a, b in zip(index, index[1:])):
+                raise ValueError(f"index {index} is not strictly ascending")
+            value = self._clean(index, raw)
+            if value is not None:
+                cleaned[index] = value
+        self.coeffs = cleaned
+
+    def _clean(self, index, raw):
+        """Dual coefficients; exact zeros are dropped."""
+        value = as_dual(raw)
+        return None if value.is_zero() else value
+
+    def scale(self, scalar):
+        return type(self)(self.n, self.k,
+                          {i: scalar * c for i, c in self.coeffs.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if (self.n, self.k) != (other.n, other.k):
+            raise ValueError("operands must share dimension and degree")
+        merged = dict(self.coeffs)
+        for index, coeff in other.coeffs.items():
+            add_term(merged, index, coeff)
+        return type(self)(self.n, self.k, merged)
+
+    def __neg__(self):
+        return type(self)(self.n, self.k,
+                          {i: -c for i, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+
+class GenTensor(Graded):
+    """General k-linear tensor: coefficients over full index tuples."""
+
+    alternating = False
 
     @staticmethod
     def basis(n: int, index) -> "GenTensor":
@@ -114,29 +173,6 @@ class GenTensor:
             total = total + term
         return total
 
-    def scale(self, scalar) -> "GenTensor":
-        s = as_dual(scalar)
-        return GenTensor(self.n, self.k,
-                         {i: s * c for i, c in self.coeffs.items()})
-
-    def __add__(self, other: "GenTensor") -> "GenTensor":
-        if not isinstance(other, GenTensor):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("tensors must share dimension and degree")
-        merged = dict(self.coeffs)
-        for index, coeff in other.coeffs.items():
-            merged[index] = merged.get(index, ZERO) + coeff
-        return GenTensor(self.n, self.k, merged)
-
-    def __neg__(self) -> "GenTensor":
-        return self.scale(-1.0)
-
-    def __sub__(self, other: "GenTensor") -> "GenTensor":
-        if not isinstance(other, GenTensor):
-            return NotImplemented
-        return self + (-other)
-
 
 def tensor_product(left: GenTensor, right: GenTensor) -> GenTensor:
     """Concatenate index tuples; degrees add."""
@@ -145,27 +181,12 @@ def tensor_product(left: GenTensor, right: GenTensor) -> GenTensor:
     coeffs = {}
     for li, lc in left.coeffs.items():
         for ri, rc in right.coeffs.items():
-            index = li + ri
-            value = lc * rc
-            if index in coeffs:
-                value = coeffs[index] + value
-            coeffs[index] = value
+            add_term(coeffs, li + ri, lc * rc)
     return GenTensor(left.n, left.k + right.k, coeffs)
 
 
-@dataclass(eq=False)
-class AltTensor:
+class AltTensor(Graded):
     """Alternating k-tensor: coefficients over strictly ascending tuples."""
-
-    n: int
-    k: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError("dimensions must be nonnegative")
-        self.coeffs = _clean_coeffs(self.n, self.k, self.coeffs,
-                                    ascending=True)
 
     @staticmethod
     def basis(n: int, index) -> "AltTensor":
@@ -174,67 +195,39 @@ class AltTensor:
 
     def evaluate(self, vectors) -> Dual:
         """Sum of coefficient times determinant of the selected components."""
-        _check_degree(self.k)
+        perms = signed_permutations(self.k)
         vecs = _coerce_vectors(self.n, self.k, vectors)
         total = ZERO
         for index, coeff in self.coeffs.items():
             det = ZERO
-            for perm in itertools.permutations(range(self.k)):
+            for perm, sign in perms:
                 term = ONE
                 for slot in range(self.k):
                     term = term * vecs[slot][index[perm[slot]]]
-                det = det + term * float(perm_sign(perm))
+                det = det + term * sign
             total = total + coeff * det
         return total
 
     def as_general(self) -> GenTensor:
         """Expand each determinant functional into signed elementary products."""
-        _check_degree(self.k)
+        perms = signed_permutations(self.k)
         coeffs = {}
         for index, coeff in self.coeffs.items():
-            for perm in itertools.permutations(range(self.k)):
-                full = tuple(index[perm[slot]] for slot in range(self.k))
-                value = coeff * float(perm_sign(perm))
-                if full in coeffs:
-                    value = coeffs[full] + value
-                coeffs[full] = value
+            for perm, sign in perms:
+                add_term(coeffs, tuple(index[p] for p in perm), coeff * sign)
         return GenTensor(self.n, self.k, coeffs)
-
-    def scale(self, scalar) -> "AltTensor":
-        s = as_dual(scalar)
-        return AltTensor(self.n, self.k,
-                         {i: s * c for i, c in self.coeffs.items()})
-
-    def __add__(self, other: "AltTensor") -> "AltTensor":
-        if not isinstance(other, AltTensor):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("tensors must share dimension and degree")
-        merged = dict(self.coeffs)
-        for index, coeff in other.coeffs.items():
-            merged[index] = merged.get(index, ZERO) + coeff
-        return AltTensor(self.n, self.k, merged)
-
-    def __neg__(self) -> "AltTensor":
-        return self.scale(-1.0)
-
-    def __sub__(self, other: "AltTensor") -> "AltTensor":
-        if not isinstance(other, AltTensor):
-            return NotImplemented
-        return self + (-other)
 
 
 def _alt_coeffs(t: GenTensor) -> dict:
     """Ascending-index evaluations of the unnormalized antisymmetrization."""
-    _check_degree(t.k)
+    perms = signed_permutations(t.k)
     out = {}
     for index in ascending_tuples(t.n, t.k):
         acc = ZERO
-        for perm in itertools.permutations(range(t.k)):
-            permuted = tuple(index[perm[slot]] for slot in range(t.k))
-            coeff = t.coeffs.get(permuted)
+        for perm, sign in perms:
+            coeff = t.coeffs.get(tuple(index[p] for p in perm))
             if coeff is not None:
-                acc = acc + coeff * float(perm_sign(perm))
+                acc = acc + coeff * sign
         if not acc.is_zero():
             out[index] = acc
     return out
@@ -254,22 +247,25 @@ def alt(t: GenTensor) -> AltTensor:
                       for i, c in _alt_coeffs(t).items()})
 
 
-def wedge(left: AltTensor, right: AltTensor) -> AltTensor:
-    """Determinant-convention product: basis tuples merge with a sort sign."""
+def wedge(left, right):
+    """Wedge product of two alternating tensors or of two forms.
+
+    Determinant convention: basis tuples merge with their sort sign.
+    """
+    if type(left) is not type(right) or not (
+            isinstance(left, Graded) and left.alternating):
+        raise TypeError("wedge needs two alternating tensors or two forms")
     if left.n != right.n:
-        raise ValueError("tensors must live over the same space")
+        raise ValueError("operands must live over the same space")
     coeffs = {}
     for li, lc in left.coeffs.items():
         for ri, rc in right.coeffs.items():
             sign = merge_sign(li, ri)
-            if sign == 0:
-                continue
-            index = tuple(sorted(li + ri))
-            value = (lc * rc) * float(sign)
-            if index in coeffs:
-                value = coeffs[index] + value
-            coeffs[index] = value
-    return AltTensor(left.n, left.k + right.k, coeffs)
+            if sign:
+                term = lc * rc
+                add_term(coeffs, tuple(sorted(li + ri)),
+                         term if sign > 0 else -term)
+    return type(left)(left.n, left.k + right.k, coeffs)
 
 
 def tensors_equal(left, right, tol: float = 1e-9) -> bool:

@@ -172,7 +172,8 @@ def test_missing_subcommand_exits_with_usage():
 def _verify_in_subprocess(tmp_path, scenario):
     # a fresh interpreter, so nothing the test process set up can leak in
     path = tmp_path / "f.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(scenario if isinstance(scenario, str)
+                    else json.dumps(scenario))
     src = Path(dualstokes.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
@@ -214,6 +215,21 @@ def test_verify_deep_nesting_is_config_error(tmp_path):
     err = _assert_config_error_in_subprocess(
         tmp_path, _square_with_coefficient(deep))
     assert "nested" in err
+
+
+def test_verify_deeply_nested_json_is_config_error(tmp_path):
+    # the JSON decoder itself runs out of stack before any scenario check
+    err = _assert_config_error_in_subprocess(
+        tmp_path, "[" * 100_000 + "]" * 100_000)
+    assert "nests too deeply" in err
+
+
+def test_verify_overflowing_literal_is_config_error(tmp_path):
+    # 1e999 would read as inf and spend the whole refinement budget on
+    # NaN brackets, exiting 3 as if it merely failed to converge
+    err = _assert_config_error_in_subprocess(
+        tmp_path, _square_with_coefficient("1e999*x1"))
+    assert "1e999" in err
 
 
 def test_verify_long_flat_expression(tmp_path):

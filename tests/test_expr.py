@@ -80,6 +80,17 @@ def test_parse_errors_carry_position():
         parse_expr("x0", 1)  # variables are 1-based
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1e999", 0), ("2 + 1e999*x1", 4), ("x1*(1.5e400)", 4)])
+def test_parse_rejects_overflowing_literal(text, position):
+    # a literal beyond the float range would read as inf and poison every
+    # bracket; it is refused at its own offset
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, 1)
+    assert err.value.position == position
+    assert eval_dual(parse_expr("1.7e308", 0), ()) == Dual(1.7e308)
+
+
 _NESTINGS = {"parens": ("(", ")"), "minus": ("-", ""), "calls": ("sin(", ")")}
 
 

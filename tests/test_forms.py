@@ -8,8 +8,8 @@ from dualstokes import (DiffForm, Dual, DualVec, Expr, ExprMap,
                         eval_dual, exprs_equal, exterior_derivative,
                         form_eval, form_from_strings, forms_equal,
                         is_zero_expr, jacobian, merge_sign, parse_expr,
-                        partial_diff, perm_sign, pullback, wedge_forms,
-                        zero_form)
+                        partial_diff, perm_sign, pullback, wedge,
+                        wedge_forms, zero_form)
 from helpers import random_expr, random_form, random_map, small_point
 
 
@@ -223,6 +223,29 @@ def test_wedge_forms_with_zero_form_is_scaling():
     a = basis_form(2, (1,))
     w = wedge_forms(f, a)
     assert exprs_equal(w.coefficient((1,)), parse_expr("x1+x2", 2))
+
+
+def test_wedge_on_forms_builds_the_trees_of_wedge_forms():
+    # one wedge serves tensors and forms; on forms it builds, node for
+    # node, the products Expr operators give
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        k, l = rng.randint(0, n), rng.randint(0, n)
+        a = random_form(rng, n, k, depth=2)
+        b = random_form(rng, n, l, depth=2)
+        want = {}
+        for li, lc in a.coeffs.items():
+            for ri, rc in b.coeffs.items():
+                sign = merge_sign(li, ri)
+                if sign:
+                    term = lc * rc if sign > 0 else -(lc * rc)
+                    index = tuple(sorted(li + ri))
+                    want[index] = want[index] + term if index in want else term
+        got = wedge(a, b)
+        assert isinstance(got, DiffForm) and got.k == k + l
+        assert _nodes(got) == _nodes(wedge_forms(a, b))
+        assert _nodes(got) == _nodes(DiffForm(n, k + l, want))
 
 
 def test_wedge_forms_dimension_check():

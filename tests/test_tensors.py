@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from dualstokes import (AltTensor, Dual, DualVec, GenTensor,
+from dualstokes import (AltTensor, DiffForm, Dual, DualVec, Expr, GenTensor,
                         MAX_PERMUTATION_DEGREE, ONE, ZERO, alt, alt_sum,
-                        ascending_tuples, lambda_dim, merge_sign, perm_sign,
-                        tensor_product, tensors_equal, wedge)
+                        ascending_tuples, basis_form, lambda_dim, merge_sign,
+                        perm_sign, tensor_product, tensors_equal, wedge)
+from dualstokes.forms import _sym_det
 from helpers import random_alt_coeffs, random_int_vector, small_int_dual
 
 
@@ -295,6 +296,11 @@ def test_permutation_degree_cap():
     with pytest.raises(ValueError):
         big.evaluate(vs)
     assert MAX_PERMUTATION_DEGREE == 8
+    with pytest.raises(ValueError):
+        big.as_general()
+    x1 = Expr.variable(0, 1)
+    with pytest.raises(ValueError):
+        _sym_det([[x1] * 9 for _ in range(9)], 1)
 
 
 def test_tensors_equal_discriminates():
@@ -303,3 +309,74 @@ def test_tensors_equal_discriminates():
     assert not tensors_equal(a, b)
     assert not tensors_equal(a, a.as_general())
     assert tensors_equal(a, a + AltTensor(2, 1, {}), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the container shared by tensors and forms
+
+# class, whether indices must ascend, and a nonzero and a zero coefficient
+# on n-space
+_KINDS = {
+    "GenTensor": (GenTensor, False, lambda n: ONE, lambda n: ZERO),
+    "AltTensor": (AltTensor, True, lambda n: ONE, lambda n: ZERO),
+    "DiffForm": (DiffForm, True, lambda n: Expr.constant(1.0, n),
+                 lambda n: Expr.constant(0.0, n)),
+}
+
+# (n, k, index, rejected by every kind or only where indices ascend)
+_INDEX_CASES = [
+    (2, 1, (0, 1), "all"),         # wrong length
+    (2, 2, (0,), "all"),           # wrong length
+    (2, 1, (2,), "all"),           # out of range
+    (2, 1, (-1,), "all"),          # out of range
+    (3, 2, (1, 0), "ascending"),   # descending
+    (3, 2, (1, 1), "ascending"),   # repeated
+]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("n, k, index, rejected_by", _INDEX_CASES)
+def test_container_index_validation(kind, n, k, index, rejected_by):
+    cls, ascending, one, zero = _KINDS[kind]
+    if rejected_by == "all" or ascending:
+        for coeff in (one(n), zero(n)):  # a zero does not excuse the index
+            with pytest.raises(ValueError):
+                cls(n, k, {index: coeff})
+    else:
+        assert list(cls(n, k, {index: one(n)}).coeffs) == [index]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_container_dimensions_and_zeros(kind):
+    cls, _, one, zero = _KINDS[kind]
+    for n, k in ((-1, 0), (0, -1), (-2, -2)):
+        with pytest.raises(ValueError):
+            cls(n, k, {})
+    t = cls(3, 1, {(0,): zero(3), (2,): one(3)})
+    assert list(t.coeffs) == [(2,)]
+    # cancellation leaves no stored zero behind
+    assert (t - t).coeffs == {}
+    assert (t + (-t)).coeffs == {}
+    assert t.scale(0.0).coeffs == {}
+
+
+def test_container_operations_need_one_kind():
+    gen = GenTensor.basis(2, (0,))
+    alt_ = AltTensor.basis(2, (0,))
+    form = basis_form(2, (0,))
+    for a, b in itertools.permutations((gen, alt_, form), 2):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    for a, b in ((alt_, form), (form, alt_), (alt_, gen), (gen, alt_),
+                 (gen, gen), (alt_, ONE)):
+        with pytest.raises(TypeError):
+            wedge(a, b)
+
+
+def test_negation_keeps_infinite_coefficients_finite_in_ze():
+    t = AltTensor(1, 1, {(0,): Dual(math.inf, 0.0)})
+    neg = (-t).coeffs[(0,)]
+    assert neg.re == -math.inf and neg.ze == 0.0
+    assert (t - t).coeffs[(0,)].ze == 0.0
