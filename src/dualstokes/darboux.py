@@ -18,10 +18,10 @@ rounding preserves that through the final accumulation.
 A partition stores the breakpoints of each axis as ``(re, ze)`` float
 pairs, not its pieces or cells.  The sums lower the integrand once to a
 straight-line program (see :func:`.expr.lower_expr`) and walk the grid
-as nested loops, one per axis; each instruction runs in the loop of the
-highest variable it reads, and each loop carries the volume of the
-cells' common prefix.  So an integrand in x1 alone is enclosed once per
-piece of the first axis, and no object is built per piece or cell.
+as nested loops, one per axis, under the box arithmetic; an instruction
+runs in the loop of the highest variable it reads, each loop carries the
+volume of the cells' common prefix, and no object is built per piece or
+cell.  So an integrand in x1 alone is enclosed once per piece of axis 1.
 Axes after the integrand's level are not walked at all: their widths
 are summed once per level into one trailing volume, so a level costs
 ``n**(level + 1)`` steps, not ``n**dim``.  The sums equal summing cell
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from .dual import Dual, Ordering, Theta, as_dual, theta_cmp
 # eval_enclosure is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds darboux.eval_enclosure.
-from .expr import Expr, eval_enclosure, lower_expr
-from .intervals import DualBox, enclose_step
+from .expr import Expr, eval_enclosure, lower_expr, run_steps
+from .intervals import BOXES, DualBox
 
 DEFAULT_TOL_RE = 1e-6
 DEFAULT_TOL_ZE = 1e-6
@@ -213,10 +213,11 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     nested in axis order, so cells come in the order of
     `partition.cells`.  Each instruction of `f` runs in the loop of the
     axis of its level (the highest variable it reads): a term in x1
-    alone is enclosed once per piece of the first axis, not once per
-    cell.  Each piece's box and width come from its two breakpoints by
-    the float operations of ``ThetaInterval.box()`` and ``.width``, and
-    the volume of the cells' common prefix is carried down the loops.
+    alone is enclosed once per piece of the first axis, by one
+    :func:`.expr.run_steps` under :data:`.intervals.BOXES`.  Each
+    piece's box and width come from its two breakpoints by the float
+    operations of ``ThetaInterval.box()`` and ``.width``, and the volume
+    of the cells' common prefix is carried down the loops.
 
     Only the axes up to the integrand's level `top` are walked.  The
     piece widths of each later axis are summed once, in piece order, and
@@ -239,12 +240,11 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     code = lower_expr(f)
     regs = [None] * len(code)
     args = [None] * dim
-    runs = [[] for _ in range(dim)]  # (register, instruction) by axis loop
+    # (register, instruction) by level; the constants' level -1 is last
+    runs = [[] for _ in range(dim + 1)]
     for r, ins in enumerate(code):
-        if ins.level < 0:
-            regs[r] = enclose_step(ins, regs, args)
-        else:
-            runs[ins.level].append((r, ins))
+        runs[ins.level].append((r, ins))
+    run_steps(runs.pop(), BOXES, regs, args)
     top = code[-1].level  # the integrand's enclosure is final in this loop
     pieces = [[(((a_re, b_re), (b_ze, a_ze) if b_ze < a_ze else (a_ze, b_ze)),
                 b_re - a_re, b_ze - a_ze)
@@ -286,8 +286,7 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
         for arg, w_re, w_ze in pieces[axis]:
             if run:
                 args[axis] = arg
-                for r, ins in run:
-                    regs[r] = enclose_step(ins, regs, args)
+                run_steps(run, BOXES, regs, args)
             if axis:
                 v_re = p_re * w_re
                 v_ze = p_re * w_ze + p_ze * w_re
@@ -345,7 +344,8 @@ def integral_estimate(f: Expr, rect: ThetaRectangle, *,
     Subdivision counts run `base_subdivisions * 2**t` for
     `t = 0 .. max_doublings`; the reported value is the bracket
     midpoint.  Raises :class:`NotConverged` (carrying the final
-    estimate) if the budget runs out.
+    estimate) if the budget runs out, and ``OverflowError`` as soon as
+    a level's lower or upper sum has an infinite or NaN part.
     """
     if not (tol_re >= 0 and tol_ze >= 0):
         raise ValueError("tolerances must be nonnegative numbers")
@@ -355,6 +355,10 @@ def integral_estimate(f: Expr, rect: ThetaRectangle, *,
     for t in range(max_doublings + 1):
         n = base_subdivisions * (1 << t)
         lower, upper = darboux_sums(f, uniform_partition(rect, n))
+        sums = (lower.re, lower.ze, upper.re, upper.ze)
+        if not all(map(math.isfinite, sums)):
+            raise OverflowError(f"lower and upper sums at {n} subdivisions "
+                                f"per axis are not finite: {lower}, {upper}")
         estimate = IntegralEstimate.from_bounds(lower, upper, n)
         if estimate.gap_re <= tol_re and estimate.gap_ze <= tol_ze:
             return estimate

@@ -31,9 +31,9 @@ After parsing, the only walk over a tree is the iterative one of
 :func:`lower_expr`, which visits each distinct node once, by identity.
 A node's program is built when first asked for and kept with the node,
 so every expression holding that node shares it.  Every other walk runs
-on the program: point evaluation, substitution, differentiation and
-rendering are one interpreter under several arithmetics, and interval
-enclosures run one :func:`.intervals.enclose_step` per instruction.
+on the program: point evaluation, substitution, differentiation,
+rendering and interval enclosure are one interpreter, :func:`run_steps`,
+under several arithmetics (for boxes, :data:`.intervals.BOXES`).
 :func:`partial_diffs` takes every partial a caller needs from one
 gradient run, whose registers hold each instruction's node and its
 partials; each partial is the tree :func:`partial_diff` builds for its
@@ -55,10 +55,10 @@ import re as _regex
 import struct
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dual import Dual, DualVec, EPS, ONE, ZERO, as_dual, _as_dual_or_none
-from .intervals import DualBox, enclose_step
+from .intervals import BOXES, DualBox
 
 # ---------------------------------------------------------------------------
 # tree nodes
@@ -393,29 +393,35 @@ def _lower(root: Node) -> tuple[Instr, ...]:
 # (Dual), (x), (x, y), (x, y), (x, y), (x, exponent) and (name, x).
 
 
-def _run(code: tuple[Instr, ...], arith: tuple, args: Sequence):
-    """The value of the last register; `args[i]` is the value of x(i+1)."""
+def run_steps(steps: Iterable[tuple[int, Instr]], arith: tuple, regs: list,
+              args: Sequence) -> None:
+    """Run (register, instruction) pairs, in order, into `regs`, which
+    holds the registers they read; `args[i]` is the value of x(i+1)."""
     const, neg, add, sub, mul, power, prim = arith
-    regs: list = []
-    put = regs.append
-    for op, a, b, _ in code:
+    for r, (op, a, b, _) in steps:
         match op:
             case "var":
-                put(args[a])
+                regs[r] = args[a]
             case "const":
-                put(const(a))
+                regs[r] = const(a)
             case "add":
-                put(add(regs[a], regs[b]))
+                regs[r] = add(regs[a], regs[b])
             case "sub":
-                put(sub(regs[a], regs[b]))
+                regs[r] = sub(regs[a], regs[b])
             case "mul":
-                put(mul(regs[a], regs[b]))
+                regs[r] = mul(regs[a], regs[b])
             case "neg":
-                put(neg(regs[a]))
+                regs[r] = neg(regs[a])
             case "pow":
-                put(power(regs[a], b))
+                regs[r] = power(regs[a], b)
             case _:
-                put(prim(op, regs[a]))
+                regs[r] = prim(op, regs[a])
+
+
+def _run(code: tuple[Instr, ...], arith: tuple, args: Sequence):
+    """The value of the last register; `args[i]` is the value of x(i+1)."""
+    regs = [None] * len(code)
+    run_steps(enumerate(code), arith, regs, args)
     return regs[-1]
 
 
@@ -837,11 +843,8 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
     boxes = tuple(boxes)
     if len(boxes) != f.arity:
         raise ValueError(f"expected {f.arity} boxes, got {len(boxes)}")
-    args = [box.intervals() for box in boxes]
-    regs: list = []
-    for ins in lower_expr(f):
-        regs.append(enclose_step(ins, regs, args))
-    (re_lo, re_hi), (ze_lo, ze_hi) = regs[-1]
+    (re_lo, re_hi), (ze_lo, ze_hi) = _run(
+        lower_expr(f), BOXES, [box.intervals() for box in boxes])
     return DualBox(re_lo, re_hi, ze_lo, ze_hi)
 
 

@@ -1,18 +1,19 @@
-"""Interval enclosures: dual boxes, and one interval step per instruction.
+"""Interval enclosures: dual boxes, and the box arithmetic.
 
-:func:`.expr.eval_enclosure` and the Darboux sums run an expression's
-straight-line program (see :func:`.expr.lower_expr`) over boxes, one
-:func:`enclose_step` per instruction.  Plain real intervals are
-``(lo, hi)`` tuples; a :class:`DualBox` pairs one for each part.
-Rounding is to nearest (no outward rounding), so enclosures are sound
-up to roundoff, which is all the integration layer relies on.
+:data:`BOXES` is the arithmetic under which the expression interpreter
+(:func:`.expr.run_steps`) runs a straight-line program (see
+:func:`.expr.lower_expr`) over boxes, for :func:`.expr.eval_enclosure`
+and the Darboux sums alike.  Plain real intervals are ``(lo, hi)``
+tuples; a :class:`DualBox` pairs one for each part, and a register of
+:data:`BOXES` holds the pair as ``(re interval, ze interval)``.  Rounding
+is to nearest (no outward rounding), so enclosures are sound up to
+roundoff, which is all the integration layer relies on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .dual import Dual
 
@@ -67,24 +68,23 @@ def _crosses(lo: float, hi: float, phase: float) -> bool:
     return phase + _TWO_PI * k <= hi
 
 
-def _isin(a):
+def _iwave(a, wave, peak: float, trough: float):
+    # sin or cos over [lo, hi]; it is 1 at phase `peak`, -1 at `trough`
     lo, hi = a
     if hi - lo >= _TWO_PI:
         return (-1.0, 1.0)
-    s_lo, s_hi = math.sin(lo), math.sin(hi)
-    top = 1.0 if _crosses(lo, hi, 0.5 * math.pi) else max(s_lo, s_hi)
-    bot = -1.0 if _crosses(lo, hi, -0.5 * math.pi) else min(s_lo, s_hi)
+    w_lo, w_hi = wave(lo), wave(hi)
+    top = 1.0 if _crosses(lo, hi, peak) else max(w_lo, w_hi)
+    bot = -1.0 if _crosses(lo, hi, trough) else min(w_lo, w_hi)
     return (bot, top)
+
+
+def _isin(a):
+    return _iwave(a, math.sin, 0.5 * math.pi, -0.5 * math.pi)
 
 
 def _icos(a):
-    lo, hi = a
-    if hi - lo >= _TWO_PI:
-        return (-1.0, 1.0)
-    c_lo, c_hi = math.cos(lo), math.cos(hi)
-    top = 1.0 if _crosses(lo, hi, 0.0) else max(c_lo, c_hi)
-    bot = -1.0 if _crosses(lo, hi, math.pi) else min(c_lo, c_hi)
-    return (bot, top)
+    return _iwave(a, math.cos, 0.0, math.pi)
 
 
 @dataclass(frozen=True)
@@ -121,42 +121,30 @@ class DualBox:
                 and self.ze_lo - tol <= value.ze <= self.ze_hi + tol)
 
 
-def enclose_step(ins: tuple, regs: list, args: Sequence):
-    """Run one instruction over intervals: (re interval, ze interval).
+def _box_mul(x, y):
+    (r1, z1), (r2, z2) = x, y
+    return (_imul(r1, r2), _iadd(_imul(r1, z2), _imul(z1, r2)))
 
-    `regs` holds the results of earlier instructions, and `args[i]` the
-    (re interval, ze interval) pair of variable ``x(i+1)``.
-    """
-    op, a, b, _ = ins
-    match op:
-        case "const":
-            return ((a.re, a.re), (a.ze, a.ze))
-        case "var":
-            return args[a]
-        case "neg":
-            r, z = regs[a]
-            return (_ineg(r), _ineg(z))
-        case "add":
-            (r1, z1), (r2, z2) = regs[a], regs[b]
-            return (_iadd(r1, r2), _iadd(z1, z2))
-        case "sub":
-            (r1, z1), (r2, z2) = regs[a], regs[b]
-            return (_isub(r1, r2), _isub(z1, z2))
-        case "mul":
-            (r1, z1), (r2, z2) = regs[a], regs[b]
-            return (_imul(r1, r2), _iadd(_imul(r1, z2), _imul(z1, r2)))
-        case "pow":
-            r, z = regs[a]
-            ze_part = _iscale(_imul(_ipow(r, b - 1), z), float(b))
-            return (_ipow(r, b), ze_part)
-        case "exp":
-            r, z = regs[a]
-            er = _iexp(r)
-            return (er, _imul(z, er))
-        case "sin":
-            r, z = regs[a]
-            return (_isin(r), _imul(z, _icos(r)))
-        case "cos":
-            r, z = regs[a]
-            return (_icos(r), _ineg(_imul(z, _isin(r))))
-    raise TypeError(f"not an instruction: {ins!r}")
+
+def _box_pow(x, k: int):
+    r, z = x
+    ze_part = _iscale(_imul(_ipow(r, k - 1), z), float(k))
+    return (_ipow(r, k), ze_part)
+
+
+def _box_prim(name: str, x):
+    r, z = x
+    if name == "exp":
+        er = _iexp(r)
+        return (er, _imul(z, er))
+    if name == "sin":
+        return (_isin(r), _imul(z, _icos(r)))
+    return (_icos(r), _ineg(_imul(z, _isin(r))))
+
+
+BOXES = (
+    lambda value: ((value.re, value.re), (value.ze, value.ze)),
+    lambda x: (_ineg(x[0]), _ineg(x[1])),
+    lambda x, y: (_iadd(x[0], y[0]), _iadd(x[1], y[1])),
+    lambda x, y: (_isub(x[0], y[0]), _isub(x[1], y[1])),
+    _box_mul, _box_pow, _box_prim)

@@ -399,6 +399,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     form = _require(data, "form")
     if not isinstance(form, dict):
         raise ScenarioError("form must be an object")
+    extra = set(form) - {"degree", "coeffs"}
+    if extra:
+        raise ScenarioError(f"unknown form keys: {sorted(extra)}")
     degree = _integer(_require(form, "degree"), "form degree", 0)
     raw_coeffs = form.get("coeffs", [])
     if not isinstance(raw_coeffs, list):

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
@@ -9,15 +10,16 @@ from pathlib import Path
 
 from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         Expr, ExprMap, SingularCube, Theta, ThetaInterval,
-                        ThetaRectangle, ZERO, ascending_tuples, cos,
-                        eval_enclosure, exp, make_interval, sample_points,
-                        sin)
+                        ThetaRectangle, ZERO, ascending_tuples, cos, exp,
+                        make_interval, sample_points, sin)
 from dualstokes.cubes import MERGE_TOL
 from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
                              _PREC_NEG, _PREC_POW, _ZERO_NODE, Add, Const,
                              Mul, Neg, Node, PowInt, Prim, Sub, Var, _add,
                              _const_text, _mul, _neg, _pow, _prim,
                              _prim_value, _sub)
+from dualstokes.intervals import (_TWO_PI, _crosses, _iadd, _iexp, _imul,
+                                  _ineg, _ipow, _iscale, _isub)
 
 THETAS = (Theta.TYPE1, Theta.TYPE2)
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -156,8 +158,12 @@ def reference_uniform_partition(rect: ThetaRectangle, n: int):
 
 
 def _cell_bounds(f: Expr, cell, sign: int) -> tuple[Dual, Dual]:
-    """(inf, sup) of f's enclosure over the cell, in the order of `sign`."""
-    box = eval_enclosure(f, [iv.box() for iv in cell.intervals])
+    """(inf, sup) of f's enclosure over the cell, in the order of `sign`.
+
+    The enclosure is `reference_enclose`'s, so the sums are checked
+    against a walk that shares nothing with the program interpreter.
+    """
+    box = reference_enclose(f.node, [iv.box() for iv in cell.intervals])
     if sign > 0:
         return Dual(box.re_lo, box.ze_lo), Dual(box.re_hi, box.ze_hi)
     return Dual(box.re_lo, box.ze_hi), Dual(box.re_hi, box.ze_lo)
@@ -275,6 +281,76 @@ def reference_eval(node, args):
         case Prim(name, arg):
             return _prim_value(name, reference_eval(arg, args))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_enclose(node, boxes) -> DualBox:
+    """The enclosure over a sequence of DualBoxes, walking the tree."""
+    (re_lo, re_hi), (ze_lo, ze_hi) = _reference_intervals(
+        node, [box.intervals() for box in boxes])
+    return DualBox(re_lo, re_hi, ze_lo, ze_hi)
+
+
+def _reference_intervals(node, args):
+    # (re interval, ze interval) of the node; args[i] is x(i+1)'s
+    match node:
+        case Const(value):
+            return ((value.re, value.re), (value.ze, value.ze))
+        case Var(index):
+            return args[index]
+        case Neg(arg):
+            r, z = _reference_intervals(arg, args)
+            return (_ineg(r), _ineg(z))
+        case Add(lhs, rhs):
+            (r1, z1), (r2, z2) = (_reference_intervals(lhs, args),
+                                  _reference_intervals(rhs, args))
+            return (_iadd(r1, r2), _iadd(z1, z2))
+        case Sub(lhs, rhs):
+            (r1, z1), (r2, z2) = (_reference_intervals(lhs, args),
+                                  _reference_intervals(rhs, args))
+            return (_isub(r1, r2), _isub(z1, z2))
+        case Mul(lhs, rhs):
+            (r1, z1), (r2, z2) = (_reference_intervals(lhs, args),
+                                  _reference_intervals(rhs, args))
+            return (_imul(r1, r2), _iadd(_imul(r1, z2), _imul(z1, r2)))
+        case PowInt(base, exponent):
+            r, z = _reference_intervals(base, args)
+            ze_part = _iscale(_imul(_ipow(r, exponent - 1), z),
+                              float(exponent))
+            return (_ipow(r, exponent), ze_part)
+        case Prim("exp", arg):
+            r, z = _reference_intervals(arg, args)
+            er = _iexp(r)
+            return (er, _imul(z, er))
+        case Prim("sin", arg):
+            r, z = _reference_intervals(arg, args)
+            return (_reference_isin(r), _imul(z, _reference_icos(r)))
+        case Prim("cos", arg):
+            r, z = _reference_intervals(arg, args)
+            return (_reference_icos(r), _ineg(_imul(z, _reference_isin(r))))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+# sine and cosine over an interval, each written out on its own
+
+
+def _reference_isin(a):
+    lo, hi = a
+    if hi - lo >= _TWO_PI:
+        return (-1.0, 1.0)
+    s_lo, s_hi = math.sin(lo), math.sin(hi)
+    top = 1.0 if _crosses(lo, hi, 0.5 * math.pi) else max(s_lo, s_hi)
+    bot = -1.0 if _crosses(lo, hi, -0.5 * math.pi) else min(s_lo, s_hi)
+    return (bot, top)
+
+
+def _reference_icos(a):
+    lo, hi = a
+    if hi - lo >= _TWO_PI:
+        return (-1.0, 1.0)
+    c_lo, c_hi = math.cos(lo), math.cos(hi)
+    top = 1.0 if _crosses(lo, hi, 0.0) else max(c_lo, c_hi)
+    bot = -1.0 if _crosses(lo, hi, math.pi) else min(c_lo, c_hi)
+    return (bot, top)
 
 
 def reference_exprs_equal(f, g, tol: float = 1e-9) -> bool:

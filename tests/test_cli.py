@@ -232,6 +232,16 @@ def test_verify_overflowing_literal_is_config_error(tmp_path):
     assert "1e999" in err
 
 
+@pytest.mark.parametrize("expr", ["1e308*10*x1", "1e200*x1*1e200"])
+def test_verify_non_finite_bracket_is_config_error(tmp_path, expr):
+    # finite literals whose product overflows: folded to inf, or inf in
+    # the enclosures; either way the bracket is not finite at the first
+    # level, which is not a failure to converge (exit 3)
+    err = _assert_config_error_in_subprocess(
+        tmp_path, _square_with_coefficient(expr))
+    assert "not finite" in err
+
+
 def test_verify_long_flat_expression(tmp_path):
     # 3000 terms parse in a loop; differentiating, composing and
     # integrating them must not recurse once per term either

@@ -403,6 +403,18 @@ def test_not_converged_carries_estimate():
     assert abs(est.value.re - 1 / 3) < 0.1
 
 
+@pytest.mark.parametrize("text", ["1e308*10*x1", "1e200*x1*1e200",
+                                  "x1*1e300*1e300*eps", "x1 - 1e308*10"])
+@pytest.mark.parametrize("tol", [1e-6, math.inf])
+def test_integral_estimate_rejects_non_finite_sums(text, tol):
+    # an inf or NaN bracket is an overflow at the first level, not a
+    # failure to converge, and no tolerance makes it converge
+    rect = make_rectangle(Theta.TYPE1, [(0, Dual(1, 1))])
+    f = parse_expr(text, 1)
+    with pytest.raises(OverflowError, match="not finite"):
+        integral_estimate(f, rect, tol_re=tol, tol_ze=tol, max_doublings=3)
+
+
 def test_refinement_tightens_bracket():
     rng = random.Random(808)
     for _ in range(30):

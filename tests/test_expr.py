@@ -14,8 +14,8 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
 from dualstokes.expr import (MAX_NESTING, Add, Const, Mul, Neg, PowInt, Prim,
                              Sub, Var, lower_expr, partial_diffs)
 from helpers import (point_in_box, random_box, random_expr, random_map,
-                     reference_cr_check, reference_diff, reference_eval,
-                     reference_exprs_equal, reference_render,
+                     reference_cr_check, reference_diff, reference_enclose,
+                     reference_eval, reference_exprs_equal, reference_render,
                      reference_subst, small_point, trees_match)
 
 
@@ -722,6 +722,52 @@ def test_walks_match_reference_tree_walks():
         repl = tuple(g.node for g in inner)
         assert (_outcome(lambda: compose(f, inner).node)
                 == _outcome(lambda: reference_subst(node, repl)))
+
+
+def _enclosure_outcome(fn):
+    try:
+        return repr(fn())
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+def _enclosure_cases():
+    rng = random.Random(4711)
+    for _ in range(400):
+        arity = rng.randint(1, 3)
+        yield random_expr(rng, arity, depth=rng.randint(0, 5))
+    for _ in range(40):  # shared subtrees
+        f = random_expr(rng, rng.randint(1, 3), depth=3)
+        yield f * f
+        yield sin(f) * cos(f) + exp(f)
+    # raw x^0, whose ze part takes x^-1 of the box and scales it by 0.0
+    x1 = Var(0)
+    yield Expr(PowInt(x1, 0), 1)
+    yield Expr(PowInt(Add(Const(Dual(2, -1)), x1), 0), 1)
+    yield Expr(Mul(PowInt(Var(1), 0), Prim("sin", Var(2))), 3)
+    # int constants, and overflow in ** and exp
+    yield Expr(Mul(Const(Dual(2, 1)), PowInt(x1, 3)), 1)
+    yield Expr(PowInt(Add(Const(Dual(1e200)), x1), 2), 1)
+    yield Expr(Prim("exp", Mul(Const(Dual(800.0)), Var(1))), 2)
+
+
+def test_enclosure_matches_reference_tree_walk():
+    # bit for bit, exp/sin/cos included: the golden reports leave them out
+    rng = random.Random(99)
+    fixed = [DualBox(0.0, 1.0, -0.5, 0.0), DualBox(-7.0, 0.5, 0.0, 2.0),
+             DualBox(1.0, 2.0, -1.0, 1.0), DualBox(-2.0, -2.0, 0.5, 0.5),
+             DualBox(0.1, 0.2, 0.0, 0.0), DualBox(-0.0, 0.0, -0.0, -0.0)]
+    seen = set()
+    for f in _enclosure_cases():
+        cases = [[random_box(rng) for _ in range(f.arity)] for _ in range(3)]
+        cases += [[fixed[(i + shift) % len(fixed)] for i in range(f.arity)]
+                  for shift in range(len(fixed))]
+        for boxes in cases:
+            got = _enclosure_outcome(lambda: eval_enclosure(f, boxes))
+            assert got == _enclosure_outcome(
+                lambda: reference_enclose(f.node, boxes))
+            seen.add(got if got.endswith("Error") else "box")
+    assert seen == {"box", "OverflowError", "ZeroDivisionError"}
 
 
 @pytest.mark.parametrize("exponent, error", [

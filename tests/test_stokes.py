@@ -270,6 +270,9 @@ def test_scenario_validation_errors():
                       "coeffs": [{"index": [2], "expr": "x1 +"}]}),
         _broken(form={"degree": 1, "coeffs": [{"index": [2]}]}),
         _broken(form={"degree": 1,
+                      "coef": [{"index": [2], "expr": "x1"}]}),
+        _broken(form={"degree": 1, "coeffs": [], "extra": None}),
+        _broken(form={"degree": 1,
                       "coeffs": [{"index": [1], "expr": "x2"},
                                  {"index": [1], "expr": "x1"}]}),
         _broken(cubes=[]),
