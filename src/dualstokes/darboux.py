@@ -22,6 +22,10 @@ as nested loops, one per axis, under the box arithmetic; an instruction
 runs in the loop of the highest variable it reads, each loop carries the
 volume of the cells' common prefix, and no object is built per piece or
 cell.  So an integrand in x1 alone is enclosed once per piece of axis 1.
+The innermost walked loop runs as columns: its instructions run once
+per entry into it, over all its pieces, by the box ops mapped over the
+column, so an integrand that fails on several pieces raises the error
+of its first failing instruction, not of its first failing piece.
 Axes after the integrand's level are not walked at all: their widths
 are summed once per level into one trailing volume, so a level costs
 ``n**(level + 1)`` steps, not ``n**dim``.  The sums equal summing cell
@@ -34,6 +38,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .dual import Dual, Ordering, Theta, as_dual, theta_cmp
 # eval_enclosure is unused here but stays a module attribute: the
@@ -206,31 +212,73 @@ def uniform_partition(rect: ThetaRectangle, n: int) -> Partition:
     return Partition(rect, n, tuple(axes))
 
 
+# The pieces between consecutive breakpoints: each one's box, as a
+# register of BOXES, and its width, by the float operations of
+# ``ThetaInterval.box()`` and ``.width``.
+
+
+def _boxes(points) -> list:
+    return [(a_re, b_re, b_ze, a_ze) if b_ze < a_ze
+            else (a_re, b_re, a_ze, b_ze)
+            for (a_re, a_ze), (b_re, b_ze) in zip(points, points[1:])]
+
+
+def _widths(points) -> list:
+    return [(b_re - a_re, b_ze - a_ze)
+            for (a_re, a_ze), (b_re, b_ze) in zip(points, points[1:])]
+
+
+# Column registers hold one box per piece of the innermost walked axis,
+# in piece order, as a list, since several instructions may read one;
+# each op of BOXES runs over the column by map, and a register of an
+# outer level enters a column run as repeat(its box).
+
+
+def _columns(arith: tuple) -> tuple:
+    const, neg, add, sub, mul, power, prim = arith
+    return (const,  # constants are at level -1, never in a column run
+            lambda x: list(map(neg, x)),
+            lambda x, y: list(map(add, x, y)),
+            lambda x, y: list(map(sub, x, y)),
+            lambda x, y: list(map(mul, x, y)),
+            lambda x, k: list(map(power, x, repeat(k))),
+            lambda name, x: list(map(prim, repeat(name), x)))
+
+
+_BOX_COLUMNS = _columns(BOXES)
+_SWAP_ZE = itemgetter(0, 1, 3, 2)  # (re_lo, re_hi, ze_hi, ze_lo)
+
+
 def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     """(lower, upper) sums over the partition.
 
     `f` is lowered once, and the grid is walked as one loop per axis,
     nested in axis order, so cells come in the order of
     `partition.cells`.  Each instruction of `f` runs in the loop of the
-    axis of its level (the highest variable it reads): a term in x1
-    alone is enclosed once per piece of the first axis, by one
-    :func:`.expr.run_steps` under :data:`.intervals.BOXES`.  Each
-    piece's box and width come from its two breakpoints by the float
-    operations of ``ThetaInterval.box()`` and ``.width``, and the volume
-    of the cells' common prefix is carried down the loops.
+    axis of its level (the highest variable it reads), by
+    :func:`.expr.run_steps` under :data:`.intervals.BOXES`: a term in x1
+    alone is enclosed once per piece of the first axis.  The innermost
+    walked axis, the integrand's level `top`, runs as columns: each time
+    its loop is entered, each of its instructions runs once over the
+    boxes of all its pieces (the ops of ``BOXES`` mapped over the
+    column), and one loop adds up the cells.  So a failing enclosure
+    raises the error of its first failing instruction, in program
+    order, not of its first failing piece.  Each piece's box and width
+    come from its two breakpoints by the float operations of
+    ``ThetaInterval.box()`` and ``.width``, and the volume of the cells'
+    common prefix is carried down the loops.
 
-    Only the axes up to the integrand's level `top` are walked.  The
-    piece widths of each later axis are summed once, in piece order, and
-    the sums multiplied into one trailing volume ``T`` (all in ``Dual``
-    arithmetic), which scales the widths of axis `top`; with ``top ==
-    -1`` the sums are ``inf * T`` and ``sup * T``.  In exact arithmetic
-    this is the cell-by-cell sum, since multiplication distributes over
-    it, and it takes fewer roundings.  When `f` reads the last axis
-    there is no ``T``: volumes, the sup/inf choice and the two
-    accumulations are then the float operations of ``Dual``
-    multiplication and addition, in the order of summing
-    ``sup * cell.volume()`` cell by cell, so the sums equal that loop's
-    bit for bit.
+    Only the axes up to `top` are walked.  The piece widths of each
+    later axis are summed once, in piece order, and the sums multiplied
+    into one trailing volume ``T`` (all in ``Dual`` arithmetic), which
+    scales the widths of axis `top`; with ``top == -1`` the sums are
+    ``inf * T`` and ``sup * T``.  In exact arithmetic this is the
+    cell-by-cell sum, since multiplication distributes over it, and it
+    takes fewer roundings.  When `f` reads the last axis there is no
+    ``T``: volumes, the sup/inf choice and the two accumulations are
+    then the float operations of ``Dual`` multiplication and addition,
+    in the order of summing ``sup * cell.volume()`` cell by cell, so the
+    sums equal that loop's bit for bit.
     """
     dim = partition.rect.dim
     if f.arity != dim:
@@ -246,44 +294,56 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
         runs[ins.level].append((r, ins))
     run_steps(runs.pop(), BOXES, regs, args)
     top = code[-1].level  # the integrand's enclosure is final in this loop
-    pieces = [[(((a_re, b_re), (b_ze, a_ze) if b_ze < a_ze else (a_ze, b_ze)),
-                b_re - a_re, b_ze - a_ze)
-               for (a_re, a_ze), (b_re, b_ze) in zip(points, points[1:])]
-              for points in partition.axes[:top + 1]]
+    axes = partition.axes
+    pieces = [list(zip(_boxes(points), _widths(points)))
+              for points in axes[:top]]
     trailing = None  # the volume T of the axes after top
-    for points in partition.axes[top + 1:]:
+    for points in axes[top + 1:]:
         s_re = s_ze = 0.0
-        for (a_re, a_ze), (b_re, b_ze) in zip(points, points[1:]):
-            s_re = s_re + (b_re - a_re)
-            s_ze = s_ze + (b_ze - a_ze)
+        for w_re, w_ze in _widths(points):
+            s_re = s_re + w_re
+            s_ze = s_ze + w_ze
         if trailing is None:
             trailing = s_re, s_ze
         else:
             t_re, t_ze = trailing
             trailing = t_re * s_re, t_re * s_ze + t_ze * s_re
-    sign = partition.rect.theta.sign
-
-    def bounds():
-        # (inf re, inf ze, sup re, sup ze) in the rectangle's order
-        (re_lo, re_hi), (ze_lo, ze_hi) = regs[-1]
-        if sign > 0:
-            return re_lo, ze_lo, re_hi, ze_hi
-        return re_lo, ze_hi, re_hi, ze_lo
+    # an enclosure (re_lo, re_hi, ze_lo, ze_hi) read as (inf re, sup re,
+    # inf ze, sup ze) in the rectangle's order
+    flip = partition.rect.theta.sign < 0
 
     if top < 0:  # adding to 0.0, as the cell loop does, makes -0.0 into 0.0
         t_re, t_ze = trailing
-        i_re, i_ze, s_re, s_ze = bounds()
+        i_re, s_re, i_ze, s_ze = _SWAP_ZE(regs[-1]) if flip else regs[-1]
         return (Dual(0.0 + i_re * t_re, 0.0 + (i_re * t_ze + i_ze * t_re)),
                 Dual(0.0 + s_re * t_re, 0.0 + (s_re * t_ze + s_ze * t_re)))
+    widths = _widths(axes[top])
     if trailing is not None:
         t_re, t_ze = trailing
-        pieces[top] = [(arg, w_re * t_re, w_re * t_ze + w_ze * t_re)
-                       for arg, w_re, w_ze in pieces[top]]
+        widths = [(w_re * t_re, w_re * t_ze + w_ze * t_re)
+                  for w_re, w_ze in widths]
+    column_args = [None] * top + [_boxes(axes[top])]
+    column_run = runs[top]
+    outer = [r for r, ins in enumerate(code) if ins.level < top]
+    cols = [None] * len(code)
+
+    def sum_column(vols, sums):
+        # the cells of each piece of axis top, whose volumes are `vols`
+        for r in outer:
+            cols[r] = repeat(regs[r])
+        run_steps(column_run, _BOX_COLUMNS, cols, column_args)
+        lo_re, lo_ze, up_re, up_ze = sums
+        for (v_re, v_ze), (i_re, s_re, i_ze, s_ze) in zip(
+                vols, map(_SWAP_ZE, cols[-1]) if flip else cols[-1]):
+            up_re = up_re + s_re * v_re
+            up_ze = up_ze + (s_re * v_ze + s_ze * v_re)
+            lo_re = lo_re + i_re * v_re
+            lo_ze = lo_ze + (i_re * v_ze + i_ze * v_re)
+        return lo_re, lo_ze, up_re, up_ze
 
     def walk(axis, p_re, p_ze, sums):
-        lo_re, lo_ze, up_re, up_ze = sums
         run = runs[axis]
-        for arg, w_re, w_ze in pieces[axis]:
+        for arg, (w_re, w_ze) in pieces[axis]:
             if run:
                 args[axis] = arg
                 run_steps(run, BOXES, regs, args)
@@ -292,18 +352,18 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
                 v_ze = p_re * w_ze + p_ze * w_re
             else:
                 v_re, v_ze = w_re, w_ze
-            if axis < top:
-                lo_re, lo_ze, up_re, up_ze = walk(
-                    axis + 1, v_re, v_ze, (lo_re, lo_ze, up_re, up_ze))
-                continue
-            i_re, i_ze, s_re, s_ze = bounds()
-            up_re = up_re + s_re * v_re
-            up_ze = up_ze + (s_re * v_ze + s_ze * v_re)
-            lo_re = lo_re + i_re * v_re
-            lo_ze = lo_ze + (i_re * v_ze + i_ze * v_re)
-        return lo_re, lo_ze, up_re, up_ze
+            if axis + 1 < top:
+                sums = walk(axis + 1, v_re, v_ze, sums)
+            else:
+                sums = sum_column([(v_re * u_re, v_re * u_ze + v_ze * u_re)
+                                   for u_re, u_ze in widths], sums)
+        return sums
 
-    lo_re, lo_ze, up_re, up_ze = walk(0, None, None, (0.0,) * 4)
+    if top:
+        sums = walk(0, None, None, (0.0,) * 4)
+    else:
+        sums = sum_column(widths, (0.0,) * 4)
+    lo_re, lo_ze, up_re, up_ze = sums
     return Dual(lo_re, lo_ze), Dual(up_re, up_ze)
 
 

@@ -297,11 +297,14 @@ def _prim_pair(name: str, x: tuple) -> tuple:
     if name == "exp":
         e = math.exp(re)
         return (e, ze * e)
+    if name not in ("sin", "cos"):
+        raise ValueError(f"unknown primitive {name!r}")
+    if not math.isfinite(re):
+        raise OverflowError(f"{name} of the non-finite value {re}")
+    s, c = math.sin(re), math.cos(re)
     if name == "sin":
-        return (math.sin(re), ze * math.cos(re))
-    if name == "cos":
-        return (math.cos(re), -ze * math.sin(re))
-    raise ValueError(f"unknown primitive {name!r}")
+        return (s, ze * c)
+    return (c, -ze * s)
 
 
 def _prim_value(name: str, x: Dual) -> Dual:
@@ -843,9 +846,8 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
     boxes = tuple(boxes)
     if len(boxes) != f.arity:
         raise ValueError(f"expected {f.arity} boxes, got {len(boxes)}")
-    (re_lo, re_hi), (ze_lo, ze_hi) = _run(
-        lower_expr(f), BOXES, [box.intervals() for box in boxes])
-    return DualBox(re_lo, re_hi, ze_lo, ze_hi)
+    return DualBox(*_run(lower_expr(f), BOXES,
+                         [box.intervals() for box in boxes]))
 
 
 def partial_diff(f: Expr, index: int) -> Expr:

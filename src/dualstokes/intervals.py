@@ -4,10 +4,20 @@
 (:func:`.expr.run_steps`) runs a straight-line program (see
 :func:`.expr.lower_expr`) over boxes, for :func:`.expr.eval_enclosure`
 and the Darboux sums alike.  Plain real intervals are ``(lo, hi)``
-tuples; a :class:`DualBox` pairs one for each part, and a register of
-:data:`BOXES` holds the pair as ``(re interval, ze interval)``.  Rounding
-is to nearest (no outward rounding), so enclosures are sound up to
-roundoff, which is all the integration layer relies on.
+tuples; a :class:`DualBox` holds one for each part, and a register of
+:data:`BOXES` holds the box flat, as ``(re_lo, re_hi, ze_lo, ze_hi)``.
+
+Every interval product takes its bounds from one helper, :func:`_span`;
+the box ops add, subtract or negate endpoints, and powers, scaling and
+the primitives round in :func:`_ipow`, :func:`_iscale` and libm.
+Rounding is to nearest (no outward rounding), so enclosures are sound
+up to roundoff, which is all the integration layer relies on.  Outward
+rounding of products and sums is an edit to :func:`_span` and to the
+endpoint sums of :data:`BOXES`.
+
+A sine or cosine of a box with an infinite or NaN endpoint raises
+``OverflowError``, as the point arithmetic does at such a value: sine
+and cosine have no value there.
 """
 
 from __future__ import annotations
@@ -20,12 +30,28 @@ from .dual import Dual
 _TWO_PI = 2.0 * math.pi
 
 
-def _iadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _span(p0: float, p1: float, p2: float, p3: float) -> tuple[float, float]:
+    """(min, max) of four products, as builtin min and max give them.
 
-
-def _isub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
+    A value replaces the current bound only if it is below (above) it,
+    as in min (max), so signed zeros and NaN come out the same.  A value
+    below `lo` is never above `hi`: either both are NaN, and no value
+    compares, or ``lo <= hi``.
+    """
+    lo = hi = p0
+    if p1 < lo:
+        lo = p1
+    elif p1 > hi:
+        hi = p1
+    if p2 < lo:
+        lo = p2
+    elif p2 > hi:
+        hi = p2
+    if p3 < lo:
+        lo = p3
+    elif p3 > hi:
+        hi = p3
+    return lo, hi
 
 
 def _ineg(a):
@@ -33,11 +59,9 @@ def _ineg(a):
 
 
 def _imul(a, b):
-    p0 = a[0] * b[0]
-    p1 = a[0] * b[1]
-    p2 = a[1] * b[0]
-    p3 = a[1] * b[1]
-    return (min(p0, p1, p2, p3), max(p0, p1, p2, p3))
+    a_lo, a_hi = a
+    b_lo, b_hi = b
+    return _span(a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
 
 
 def _iscale(a, c: float):
@@ -71,6 +95,9 @@ def _crosses(lo: float, hi: float, phase: float) -> bool:
 def _iwave(a, wave, peak: float, trough: float):
     # sin or cos over [lo, hi]; it is 1 at phase `peak`, -1 at `trough`
     lo, hi = a
+    if not (-math.inf < lo and hi < math.inf):
+        raise OverflowError(f"sine or cosine of the non-finite interval "
+                            f"[{lo}, {hi}]")
     if hi - lo >= _TWO_PI:
         return (-1.0, 1.0)
     w_lo, w_hi = wave(lo), wave(hi)
@@ -105,8 +132,8 @@ class DualBox:
         return DualBox(value.re, value.re, value.ze, value.ze)
 
     def intervals(self):
-        """The box as the (re interval, ze interval) pair that programs run on."""
-        return ((self.re_lo, self.re_hi), (self.ze_lo, self.ze_hi))
+        """The box as the flat register that programs run on."""
+        return (self.re_lo, self.re_hi, self.ze_lo, self.ze_hi)
 
     @property
     def width_re(self) -> float:
@@ -121,30 +148,39 @@ class DualBox:
                 and self.ze_lo - tol <= value.ze <= self.ze_hi + tol)
 
 
+# A register is (re_lo, re_hi, ze_lo, ze_hi); the ze part of a product is
+# re1*ze2 + ze1*re2, each product an interval product.
+
+
 def _box_mul(x, y):
-    (r1, z1), (r2, z2) = x, y
-    return (_imul(r1, r2), _iadd(_imul(r1, z2), _imul(z1, r2)))
+    a_lo, a_hi, z_lo, z_hi = x
+    b_lo, b_hi, w_lo, w_hi = y
+    re_lo, re_hi = _span(a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    q_lo, q_hi = _span(a_lo * w_lo, a_lo * w_hi, a_hi * w_lo, a_hi * w_hi)
+    s_lo, s_hi = _span(z_lo * b_lo, z_lo * b_hi, z_hi * b_lo, z_hi * b_hi)
+    return (re_lo, re_hi, q_lo + s_lo, q_hi + s_hi)
 
 
 def _box_pow(x, k: int):
-    r, z = x
-    ze_part = _iscale(_imul(_ipow(r, k - 1), z), float(k))
-    return (_ipow(r, k), ze_part)
+    if k == 0:  # a raw x^0 is the constant 1
+        return (1.0, 1.0, 0.0, 0.0)
+    r, z = x[:2], x[2:]
+    return _ipow(r, k) + _iscale(_imul(_ipow(r, k - 1), z), float(k))
 
 
 def _box_prim(name: str, x):
-    r, z = x
+    r, z = x[:2], x[2:]
     if name == "exp":
         er = _iexp(r)
-        return (er, _imul(z, er))
+        return er + _imul(z, er)
     if name == "sin":
-        return (_isin(r), _imul(z, _icos(r)))
-    return (_icos(r), _ineg(_imul(z, _isin(r))))
+        return _isin(r) + _imul(z, _icos(r))
+    return _icos(r) + _ineg(_imul(z, _isin(r)))
 
 
 BOXES = (
-    lambda value: ((value.re, value.re), (value.ze, value.ze)),
-    lambda x: (_ineg(x[0]), _ineg(x[1])),
-    lambda x, y: (_iadd(x[0], y[0]), _iadd(x[1], y[1])),
-    lambda x, y: (_isub(x[0], y[0]), _isub(x[1], y[1])),
+    lambda value: (value.re, value.re, value.ze, value.ze),
+    lambda x: (-x[1], -x[0], -x[3], -x[2]),
+    lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]),
+    lambda x, y: (x[0] - y[1], x[1] - y[0], x[2] - y[3], x[3] - y[2]),
     _box_mul, _box_pow, _box_prim)

@@ -18,8 +18,7 @@ from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
                              Mul, Neg, Node, PowInt, Prim, Sub, Var, _add,
                              _const_text, _mul, _neg, _pow, _prim,
                              _prim_value, _sub)
-from dualstokes.intervals import (_TWO_PI, _crosses, _iadd, _iexp, _imul,
-                                  _ineg, _ipow, _iscale, _isub)
+from dualstokes.intervals import _TWO_PI, _crosses, _iexp, _ipow, _iscale
 
 THETAS = (Theta.TYPE1, Theta.TYPE2)
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -286,8 +285,28 @@ def reference_eval(node, args):
 def reference_enclose(node, boxes) -> DualBox:
     """The enclosure over a sequence of DualBoxes, walking the tree."""
     (re_lo, re_hi), (ze_lo, ze_hi) = _reference_intervals(
-        node, [box.intervals() for box in boxes])
+        node, [((b.re_lo, b.re_hi), (b.ze_lo, b.ze_hi)) for b in boxes])
     return DualBox(re_lo, re_hi, ze_lo, ze_hi)
+
+
+# interval sums and products on (lo, hi) pairs, bounds by builtin min/max
+
+
+def _iadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _isub(a, b):
+    return (a[0] - b[1], a[1] - b[0])
+
+
+def _ineg(a):
+    return (-a[1], -a[0])
+
+
+def _imul(a, b):
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(products), max(products))
 
 
 def _reference_intervals(node, args):
@@ -312,6 +331,8 @@ def _reference_intervals(node, args):
             (r1, z1), (r2, z2) = (_reference_intervals(lhs, args),
                                   _reference_intervals(rhs, args))
             return (_imul(r1, r2), _iadd(_imul(r1, z2), _imul(z1, r2)))
+        case PowInt(_, 0):
+            return ((1.0, 1.0), (0.0, 0.0))
         case PowInt(base, exponent):
             r, z = _reference_intervals(base, args)
             ze_part = _iscale(_imul(_ipow(r, exponent - 1), z),
@@ -335,6 +356,8 @@ def _reference_intervals(node, args):
 
 def _reference_isin(a):
     lo, hi = a
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OverflowError("non-finite argument")
     if hi - lo >= _TWO_PI:
         return (-1.0, 1.0)
     s_lo, s_hi = math.sin(lo), math.sin(hi)
@@ -345,6 +368,8 @@ def _reference_isin(a):
 
 def _reference_icos(a):
     lo, hi = a
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OverflowError("non-finite argument")
     if hi - lo >= _TWO_PI:
         return (-1.0, 1.0)
     c_lo, c_hi = math.cos(lo), math.cos(hi)

@@ -242,6 +242,16 @@ def test_verify_non_finite_bracket_is_config_error(tmp_path, expr):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("expr", ["sin(1e308*10*x1)", "sin(1e308*10+x1)",
+                                  "cos(x1*1e300*1e300)"])
+def test_verify_wave_of_non_finite_argument_is_overflow(tmp_path, expr):
+    # NaN, inf at a constant, and inf in the enclosures: no float encloses
+    # sin or cos there, which is an overflow, not a NaN or domain error
+    err = _assert_config_error_in_subprocess(
+        tmp_path, _square_with_coefficient(expr))
+    assert "overflowed the float range" in err
+
+
 def test_verify_long_flat_expression(tmp_path):
     # 3000 terms parse in a loop; differentiating, composing and
     # integrating them must not recurse once per term either

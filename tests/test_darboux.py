@@ -343,6 +343,37 @@ def test_sums_over_unread_axes_match_reference_exactly(theta):
                     == repr(reference_darboux_sums(f, part)))
 
 
+@pytest.mark.parametrize("theta", THETAS)
+def test_sums_match_reference_on_column_cases(theta):
+    # the innermost walked axis runs as columns: with trailing axes after
+    # it, lower registers read by several of its instructions (or by one
+    # of them twice over), primitives on it, and one piece per axis
+    s = float(theta.sign)
+    bounds = [(0, Dual(1, 0.3 * s)),
+              (Dual(-0.7, 0.1), Dual(0.4, 0.1 + 1.9 * s)),
+              (Dual(0.5, -1), Dual(2, -1 + 0.5 * s))]
+    texts = {1: ["x1*x1 - eps", "sin(x1)*exp(x1) + cos(x1)*eps"],
+             2: ["x1*x1*x2", "x1*x1", "x1*x2 - eps*x2 + x1^2*x2 - x1",
+                 "sin(x2)*exp(x1*x2) + cos(x2 - x1)*eps", "x2"],
+             3: ["x1*x1*x2", "x1*x1*x2*x3", "(x1 + x2)*x3 - (x1 + x2)^2*x3",
+                 "sin(x3) - x3*eps + x1", "cos(x1)*x1 - eps", "exp(x2)*x1"]}
+    for dim, cases in texts.items():
+        rect = make_rectangle(theta, bounds[:dim])
+        for text in cases:
+            f = parse_expr(text, dim)
+            for n in (1, 2, 3, 5):
+                _assert_sums_match_reference(f, uniform_partition(rect, n))
+
+
+@pytest.mark.parametrize("text", ["exp(x2*1000)*x1", "(x2*1e200)^2 + x1",
+                                  "x1*exp(800*x2*x2)", "exp(x1*1000)*x2"])
+def test_sums_raise_overflow_inside_a_column(text):
+    # only the last pieces overflow, so the error comes mid-column
+    rect = make_rectangle(Theta.TYPE1, [(0, 1), (0, Dual(1, 1))])
+    with pytest.raises(OverflowError):
+        darboux_sums(parse_expr(text, 2), uniform_partition(rect, 3))
+
+
 def test_sums_walk_only_the_axes_the_integrand_reads():
     # about 1.07e9 cells, one enclosure per piece of the first axis
     rect = make_rectangle(Theta.TYPE1, [(0, 1)] * 3)
