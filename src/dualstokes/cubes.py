@@ -49,8 +49,8 @@ class CubeDomain:
     def __post_init__(self):
         object.__setattr__(self, "theta", Theta(self.theta))
         object.__setattr__(self, "r", float(self.r))
-        if self.r < 0:
-            raise ValueError("inflation must be nonnegative")
+        if not 0 <= self.r < math.inf:
+            raise ValueError("inflation must be finite and nonnegative")
         if self.k < 0:
             raise ValueError("dimension must be nonnegative")
 

@@ -271,14 +271,16 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     Only the axes up to `top` are walked.  The piece widths of each
     later axis are summed once, in piece order, and the sums multiplied
     into one trailing volume ``T`` (all in ``Dual`` arithmetic), which
-    scales the widths of axis `top`; with ``top == -1`` the sums are
-    ``inf * T`` and ``sup * T``.  In exact arithmetic this is the
-    cell-by-cell sum, since multiplication distributes over it, and it
-    takes fewer roundings.  When `f` reads the last axis there is no
-    ``T``: volumes, the sup/inf choice and the two accumulations are
-    then the float operations of ``Dual`` multiplication and addition,
-    in the order of summing ``sup * cell.volume()`` cell by cell, so the
-    sums equal that loop's bit for bit.
+    scales the widths of axis `top`.  A constant integrand
+    (``top == -1``) is one column of one cell, of volume ``T``, so the
+    column's loop is the one place where cells enter the sums.  In
+    exact arithmetic this is the cell-by-cell sum, since multiplication
+    distributes over it, and it takes fewer roundings.  When `f` reads
+    the last axis there is no ``T``: volumes, the sup/inf choice and the
+    two accumulations are then the float operations of ``Dual``
+    multiplication and addition, in the order of summing
+    ``sup * cell.volume()`` cell by cell, so the sums equal that loop's
+    bit for bit.
     """
     dim = partition.rect.dim
     if f.arity != dim:
@@ -296,7 +298,7 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     top = code[-1].level  # the integrand's enclosure is final in this loop
     axes = partition.axes
     pieces = [list(zip(_boxes(points), _widths(points)))
-              for points in axes[:top]]
+              for points in axes[:max(top, 0)]]
     trailing = None  # the volume T of the axes after top
     for points in axes[top + 1:]:
         s_re = s_ze = 0.0
@@ -312,19 +314,19 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     # inf ze, sup ze) in the rectangle's order
     flip = partition.rect.theta.sign < 0
 
-    if top < 0:  # adding to 0.0, as the cell loop does, makes -0.0 into 0.0
-        t_re, t_ze = trailing
-        i_re, s_re, i_ze, s_ze = _SWAP_ZE(regs[-1]) if flip else regs[-1]
-        return (Dual(0.0 + i_re * t_re, 0.0 + (i_re * t_ze + i_ze * t_re)),
-                Dual(0.0 + s_re * t_re, 0.0 + (s_re * t_ze + s_ze * t_re)))
-    widths = _widths(axes[top])
-    if trailing is not None:
-        t_re, t_ze = trailing
-        widths = [(w_re * t_re, w_re * t_ze + w_ze * t_re)
-                  for w_re, w_ze in widths]
-    column_args = [None] * top + [_boxes(axes[top])]
+    if top < 0:  # a constant: one column of one cell, of volume T
+        widths, column_args = [trailing], None
+    else:
+        widths = _widths(axes[top])
+        if trailing is not None:
+            t_re, t_ze = trailing
+            widths = [(w_re * t_re, w_re * t_ze + w_ze * t_re)
+                      for w_re, w_ze in widths]
+        column_args = [None] * top + [_boxes(axes[top])]
+    # a constant's registers have all run: its column run, runs[-1], is
+    # empty, and its column repeats its enclosure
     column_run = runs[top]
-    outer = [r for r, ins in enumerate(code) if ins.level < top]
+    outer = [r for r, ins in enumerate(code) if ins.level < max(top, 0)]
     cols = [None] * len(code)
 
     def sum_column(vols, sums):
@@ -359,10 +361,11 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
                                    for u_re, u_ze in widths], sums)
         return sums
 
-    if top:
+    if top > 0:
         sums = walk(0, None, None, (0.0,) * 4)
     else:
         sums = sum_column(widths, (0.0,) * 4)
+    del walk  # its closure holds it; unbound, it is freed at once
     lo_re, lo_ze, up_re, up_ze = sums
     return Dual(lo_re, lo_ze), Dual(up_re, up_ze)
 

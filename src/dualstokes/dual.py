@@ -226,7 +226,7 @@ def vec_norm(v: DualVec) -> float:
 def nbhd_contains(center: DualVec, radius: float, point: DualVec,
                   deleted: bool = False) -> bool:
     """Whether `point` lies in the (optionally deleted) radius-ball at `center`."""
-    if radius <= 0:
+    if not radius > 0:  # NaN included
         raise ValueError("neighborhood radius must be positive")
     if len(center) != len(point):
         raise ValueError("vector length mismatch")

@@ -312,8 +312,6 @@ def _prim_value(name: str, x: Dual) -> Dual:
 
 
 def _prim(name: str, a: Node) -> Node:
-    if name not in PRIMITIVES:
-        raise ValueError(f"unknown primitive {name!r}")
     if type(a) is Const:
         return Const(_prim_value(name, a._a))
     return Prim(name, a)
@@ -709,6 +707,25 @@ class _Parser:
 # public wrapper
 
 
+def _operator(build, reflected: bool = False):
+    """The Expr method `self <op> other`, or `other <op> self` when
+    `reflected`, whose node the smart constructor `build` makes; `other`
+    is an Expr of the same arity, a real or a Dual."""
+    def method(self, other):
+        if isinstance(other, Expr):
+            if other.arity != self.arity:
+                raise ValueError("cannot combine expressions of different arity")
+            node = other.node
+        else:
+            dual = _as_dual_or_none(other)
+            if dual is None:
+                return NotImplemented
+            node = Const(dual)
+        lhs, rhs = (node, self.node) if reflected else (self.node, node)
+        return Expr(build(lhs, rhs), self.arity)
+    return method
+
+
 @dataclass(frozen=True, slots=True)
 class Expr:
     """A dual-analytic function of `arity` dual variables."""
@@ -728,8 +745,6 @@ class Expr:
 
     @staticmethod
     def constant(value, arity: int = 0) -> "Expr":
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
         return Expr(Const(as_dual(value)), arity)
 
     @staticmethod
@@ -738,49 +753,9 @@ class Expr:
             raise ValueError("variable index out of range")
         return Expr(Var(index), arity)
 
-    def _rhs_node(self, other) -> Node | None:
-        if isinstance(other, Expr):
-            if other.arity != self.arity:
-                raise ValueError("cannot combine expressions of different arity")
-            return other.node
-        dual = _as_dual_or_none(other)
-        return None if dual is None else Const(dual)
-
-    def __add__(self, other) -> "Expr":
-        rhs = self._rhs_node(other)
-        if rhs is None:
-            return NotImplemented
-        return Expr(_add(self.node, rhs), self.arity)
-
-    def __radd__(self, other) -> "Expr":
-        lhs = self._rhs_node(other)
-        if lhs is None:
-            return NotImplemented
-        return Expr(_add(lhs, self.node), self.arity)
-
-    def __sub__(self, other) -> "Expr":
-        rhs = self._rhs_node(other)
-        if rhs is None:
-            return NotImplemented
-        return Expr(_sub(self.node, rhs), self.arity)
-
-    def __rsub__(self, other) -> "Expr":
-        lhs = self._rhs_node(other)
-        if lhs is None:
-            return NotImplemented
-        return Expr(_sub(lhs, self.node), self.arity)
-
-    def __mul__(self, other) -> "Expr":
-        rhs = self._rhs_node(other)
-        if rhs is None:
-            return NotImplemented
-        return Expr(_mul(self.node, rhs), self.arity)
-
-    def __rmul__(self, other) -> "Expr":
-        lhs = self._rhs_node(other)
-        if lhs is None:
-            return NotImplemented
-        return Expr(_mul(lhs, self.node), self.arity)
+    __add__, __radd__ = _operator(_add), _operator(_add, reflected=True)
+    __sub__, __rsub__ = _operator(_sub), _operator(_sub, reflected=True)
+    __mul__, __rmul__ = _operator(_mul), _operator(_mul, reflected=True)
 
     def __neg__(self) -> "Expr":
         return Expr(_neg(self.node), self.arity)
@@ -811,8 +786,6 @@ def is_zero_expr(f: Expr) -> bool:
 
 def parse_expr(text: str, arity: int) -> Expr:
     """Parse grammar text into an expression of the given arity."""
-    if arity < 0:
-        raise ValueError("arity must be nonnegative")
     return Expr(_Parser(text, arity).parse(), arity)
 
 
@@ -823,22 +796,19 @@ def render_expr(f: Expr) -> str:
     return _run(lower_expr(f), _TEXT, names)[0]
 
 
-def _point_args(point) -> tuple[Dual, ...]:
-    if isinstance(point, DualVec):
-        return point.components
-    return tuple(as_dual(c) for c in point)
-
-
-def _pairs(args: Sequence[Dual]) -> tuple[tuple, ...]:
-    return tuple((c.re, c.ze) for c in args)
+def _point_pairs(point, arity: int) -> tuple[tuple, ...]:
+    """A dual point (a DualVec or any sequence of scalars) with `arity`
+    components, as their (re, ze) pairs."""
+    if not isinstance(point, DualVec):
+        point = [as_dual(c) for c in point]
+    if len(point) != arity:
+        raise ValueError(f"expected {arity} components, got {len(point)}")
+    return tuple([(c.re, c.ze) for c in point])
 
 
 def eval_dual(f: Expr, point) -> Dual:
     """Evaluate at a dual point (a DualVec or any sequence of scalars)."""
-    args = _point_args(point)
-    if len(args) != f.arity:
-        raise ValueError(f"expected {f.arity} components, got {len(args)}")
-    return Dual(*_run(lower_expr(f), _PAIRS, _pairs(args)))
+    return Dual(*_run(lower_expr(f), _PAIRS, _point_pairs(point, f.arity)))
 
 
 def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
@@ -892,13 +862,9 @@ def compose(outer: Expr, inner: Sequence[Expr]) -> Expr:
 _GRID_SEED = 0x51AB
 
 
+@functools.cache
 def sample_points(arity: int, count: int = 16) -> tuple[tuple[Dual, ...], ...]:
     """Fixed pseudo-random dual points in [-1,1]^(2*arity), for equality tests."""
-    return _grid_points(arity, count)
-
-
-@functools.cache
-def _grid_points(arity: int, count: int) -> tuple[tuple[Dual, ...], ...]:
     rng = random.Random(_GRID_SEED + 7919 * arity)
     return tuple(
         tuple(Dual(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
@@ -914,7 +880,7 @@ def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
     if f.arity != g.arity:
         return False
     for point in sample_points(f.arity):
-        args = _pairs(point)
+        args = _point_pairs(point, f.arity)
         a_re, a_ze = _run(lower_expr(f), _PAIRS, args)
         b_re, b_ze = _run(lower_expr(g), _PAIRS, args)
         if not (abs(a_re - b_re) <= tol and abs(a_ze - b_ze) <= tol):
@@ -953,15 +919,13 @@ class ExprMap:
         return ExprMap(tuple(Expr.variable(i, n) for i in range(n)))
 
     def eval(self, point) -> DualVec:
-        flat = self.flat_values(_pairs(_point_args(point)))
+        flat = self.flat_values(_point_pairs(point, self.arity))
         return DualVec(Dual(re, ze) for re, ze in zip(flat[::2], flat[1::2]))
 
     def flat_values(self, pairs: Sequence[tuple]) -> tuple:
         """The components at a point given as (re, ze) float pairs, one per
-        variable, flattened to ``(re, ze, re, ze, ...)``."""
-        if len(pairs) != self.arity:
-            raise ValueError(
-                f"expected {self.arity} components, got {len(pairs)}")
+        variable (the caller checks their count), flattened to
+        ``(re, ze, re, ze, ...)``."""
         flat = []
         for c in self.components:
             flat.extend(_run(lower_expr(c), _PAIRS, pairs))
@@ -1032,11 +996,10 @@ def jacobian(f: ExprMap, point) -> DualMap:
     """Matrix of symbolic partials evaluated at the point."""
     if f.arity < 1:
         raise ValueError("jacobian needs at least one input variable")
-    args = _point_args(point)
-    if len(args) != f.arity:
-        raise ValueError(f"expected {f.arity} components, got {len(args)}")
+    pairs = _point_pairs(point, f.arity)
     return DualMap(tuple(
-        tuple(eval_dual(p, args) for p in partial_diffs(c, range(f.arity)))
+        tuple(Dual(*_run(lower_expr(p), _PAIRS, pairs))
+              for p in partial_diffs(c, range(f.arity)))
         for c in f.components))
 
 
@@ -1046,16 +1009,8 @@ def compose_maps(outer: DualMap, inner: DualMap) -> DualMap:
         raise ValueError(
             f"dimension mismatch: {outer.rows}x{outer.cols} after "
             f"{inner.rows}x{inner.cols}")
-    rows = []
-    for i in range(outer.rows):
-        row = []
-        for j in range(inner.cols):
-            acc = ZERO
-            for t in range(outer.cols):
-                acc = acc + outer.entries[i][t] * inner.entries[t][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return DualMap(tuple(rows))
+    columns = [outer.apply(DualVec(column)) for column in zip(*inner.entries)]
+    return DualMap(tuple(zip(*columns)))
 
 
 def cr_check(f: ExprMap, point, h: float = 1e-6) -> float:
@@ -1063,17 +1018,15 @@ def cr_check(f: ExprMap, point, h: float = 1e-6) -> float:
 
     Each dual entry d = d1 + d2*eps of the jacobian must act on real
     coordinate pairs (re, ze) as the block [[d1, 0], [d2, d1]].  Central
-    differences with step `h` probe all 2n real directions; the return
-    value is the worst absolute deviation from that block structure.
+    differences with step `h`, positive and finite, probe all 2n real
+    directions; the return value is the worst absolute deviation from
+    that block structure, or NaN if any deviation is NaN.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
-    args = _point_args(point)
-    if len(args) != f.arity:
-        raise ValueError(f"expected {f.arity} components, got {len(args)}")
-    jac = jacobian(f, args)
-    pairs = _pairs(args)
-    worst = 0.0
+    if not 0 < h < math.inf:
+        raise ValueError("step must be a positive finite number")
+    jac = jacobian(f, point)
+    pairs = _point_pairs(point, f.arity)
+    deviations = []
     for i in range(f.arity):
         re, ze = pairs[i]
         for part in (0, 1):  # 0: re direction, 1: ze direction
@@ -1090,7 +1043,9 @@ def cr_check(f: ExprMap, point, h: float = 1e-6) -> float:
                 d_ze = (hi_ze - lo_ze) / (2.0 * h)
                 entry = jac.entries[j][i]
                 if part == 0:
-                    worst = max(worst, abs(d_re - entry.re), abs(d_ze - entry.ze))
+                    deviations += abs(d_re - entry.re), abs(d_ze - entry.ze)
                 else:
-                    worst = max(worst, abs(d_re), abs(d_ze - entry.re))
-    return worst
+                    deviations += abs(d_re), abs(d_ze - entry.re)
+    if any(map(math.isnan, deviations)):
+        return math.nan
+    return max(deviations)

@@ -57,6 +57,27 @@ def _integer(value, what: str, lowest: int | None = None) -> int:
     raise ScenarioError(f"{what} must be an integer{bound}")
 
 
+def _object(data, what: str, required=(), optional=()) -> dict:
+    """`data`, checked to be a JSON object holding every key of
+    `required` and no key outside `required` and `optional`."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{what} must be an object")
+    extra = data.keys() - {*required, *optional}
+    if extra:
+        raise ScenarioError(f"unknown {what} keys: {sorted(extra)}")
+    for key in required:
+        if key not in data:
+            raise ScenarioError(f"{what} is missing {key!r}")
+    return data
+
+
+# each refinement field's JSON reader and least value; an absent field
+# keeps its default
+_REFINEMENT_FIELDS = {"tol_re": (_number, 0.0), "tol_ze": (_number, 0.0),
+                      "base_subdivisions": (_integer, 1),
+                      "max_doublings": (_integer, 0)}
+
+
 @dataclass(frozen=True)
 class Refinement:
     """Refinement budget and convergence targets for one integration."""
@@ -68,26 +89,13 @@ class Refinement:
 
     @staticmethod
     def from_dict(data: dict) -> "Refinement":
-        if not isinstance(data, dict):
-            raise ScenarioError("refinement must be an object")
-        extra = set(data) - set(Refinement().to_dict())
-        if extra:
-            raise ScenarioError(f"unknown refinement keys: {sorted(extra)}")
-        get = data.get
-        return Refinement(
-            tol_re=_number(get("tol_re", DEFAULT_TOL_RE), "tol_re"),
-            tol_ze=_number(get("tol_ze", DEFAULT_TOL_ZE), "tol_ze"),
-            base_subdivisions=_integer(
-                get("base_subdivisions", DEFAULT_BASE_SUBDIVISIONS),
-                "base_subdivisions", 1),
-            max_doublings=_integer(
-                get("max_doublings", DEFAULT_MAX_DOUBLINGS),
-                "max_doublings", 0))
+        _object(data, "refinement", optional=_REFINEMENT_FIELDS)
+        fields = _REFINEMENT_FIELDS.items()
+        return Refinement(**{key: read(data[key], key, least)
+                             for key, (read, least) in fields if key in data})
 
     def to_dict(self) -> dict:
-        return {"tol_re": self.tol_re, "tol_ze": self.tol_ze,
-                "base_subdivisions": self.base_subdivisions,
-                "max_doublings": self.max_doublings}
+        return {key: getattr(self, key) for key in _REFINEMENT_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -370,49 +378,28 @@ class Scenario:
         return Chain(self.theta, self.r, self.k, self.n, tuple(terms))
 
 
-def _require(data: dict, key: str):
-    if key not in data:
-        raise ScenarioError(f"scenario is missing {key!r}")
-    return data[key]
-
-
-_SCENARIO_KEYS = {"name", "theta", "r", "n", "k", "form", "cubes",
-                  "refinement", "expected", "tol_floor", "description"}
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a raw scenario dict (1-based indices) into a Scenario."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be an object")
-    extra = set(data) - _SCENARIO_KEYS
-    if extra:
-        raise ScenarioError(f"unknown scenario keys: {sorted(extra)}")
-    name = _require(data, "name")
+    _object(data, "scenario", ("name", "theta", "r", "n", "k", "form"),
+            ("cubes", "refinement", "expected", "tol_floor", "description"))
+    name = data["name"]
     if not isinstance(name, str):
         raise ScenarioError("name must be a string")
-    theta = _integer(_require(data, "theta"), "theta")
+    theta = _integer(data["theta"], "theta")
     if theta not in (1, 2):
         raise ScenarioError("theta must be 1 or 2")
-    r = _number(_require(data, "r"), "r")
-    n = _integer(_require(data, "n"), "n", 1)
-    k = _integer(_require(data, "k"), "k", 1)
-    form = _require(data, "form")
-    if not isinstance(form, dict):
-        raise ScenarioError("form must be an object")
-    extra = set(form) - {"degree", "coeffs"}
-    if extra:
-        raise ScenarioError(f"unknown form keys: {sorted(extra)}")
-    degree = _integer(_require(form, "degree"), "form degree", 0)
+    r = _number(data["r"], "r")
+    n = _integer(data["n"], "n", 1)
+    k = _integer(data["k"], "k", 1)
+    form = _object(data["form"], "form", ("degree",), ("coeffs",))
+    degree = _integer(form["degree"], "form degree", 0)
     raw_coeffs = form.get("coeffs", [])
     if not isinstance(raw_coeffs, list):
         raise ScenarioError("form coeffs must be a list")
     coeffs = []
     seen = set()
     for item in raw_coeffs:
-        if not isinstance(item, dict) or set(item) != {"index", "expr"}:
-            raise ScenarioError(
-                "each form coefficient needs exactly 'index' and 'expr'")
-        index = item["index"]
+        index = _object(item, "form coefficient", ("index", "expr"))["index"]
         if not isinstance(index, list) or len(index) != degree:
             raise ScenarioError(
                 f"coefficient index {index!r} must list {degree} integers")
@@ -439,10 +426,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError("cubes must be a nonempty list")
         cubes = []
         for item in raw_cubes:
-            if not isinstance(item, dict) or set(item) - {"weight", "map"}:
-                raise ScenarioError("each cube needs 'map' (and maybe 'weight')")
+            _object(item, "cube", ("map",), ("weight",))
             weight = _integer(item.get("weight", 1), "cube weight")
-            comps = item.get("map")
+            comps = item["map"]
             if (not isinstance(comps, list) or len(comps) != n
                     or any(not isinstance(c, str) for c in comps)):
                 raise ScenarioError(f"cube map must be a list of {n} strings")
@@ -450,8 +436,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     refinement = Refinement.from_dict(data.get("refinement", {}))
     expected = data.get("expected")
     if expected is not None:
-        if not isinstance(expected, dict) or set(expected) != {"re", "ze"}:
-            raise ScenarioError("expected must be {'re': num, 'ze': num}")
+        _object(expected, "expected", ("re", "ze"))
         expected = (_number(expected["re"], "expected re", None),
                     _number(expected["ze"], "expected ze", None))
     tol_floor = _number(data.get("tol_floor", DEFAULT_STOKES_TOL), "tol_floor")

@@ -269,7 +269,11 @@ def wedge(left, right):
 
 
 def tensors_equal(left, right, tol: float = 1e-9) -> bool:
-    """Coefficientwise comparison for two tensors of the same kind."""
+    """Coefficientwise comparison for two tensors of the same kind.
+
+    A NaN coefficient agrees with nothing, and at a finite `tol` neither
+    does an infinite one.
+    """
     if type(left) is not type(right):
         return False
     if (left.n, left.k) != (right.n, right.k):
@@ -277,6 +281,6 @@ def tensors_equal(left, right, tol: float = 1e-9) -> bool:
     for index in left.coeffs.keys() | right.coeffs.keys():
         a = left.coeffs.get(index, ZERO)
         b = right.coeffs.get(index, ZERO)
-        if abs(a.re - b.re) > tol or abs(a.ze - b.ze) > tol:
+        if not (abs(a.re - b.re) <= tol and abs(a.ze - b.ze) <= tol):
             return False
     return True

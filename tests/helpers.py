@@ -392,8 +392,10 @@ def reference_exprs_equal(f, g, tol: float = 1e-9) -> bool:
 
 def reference_cr_check(f, args, h: float = 1e-6) -> float:
     """`cr_check` of a map at a tuple of Duals, with every value from the
-    tree walks on Dual arithmetic."""
-    worst = 0.0
+    tree walks on Dual arithmetic: NaN if any deviation is NaN."""
+    if not 0 < h < math.inf:
+        raise ValueError("step must be a positive finite number")
+    deviations = []
     for i in range(f.arity):
         base = args[i]
         for part in (0, 1):  # 0: re direction, 1: ze direction
@@ -412,11 +414,12 @@ def reference_cr_check(f, args, h: float = 1e-6) -> float:
                 d_re = (f_hi.re - f_lo.re) / (2.0 * h)
                 d_ze = (f_hi.ze - f_lo.ze) / (2.0 * h)
                 if part == 0:
-                    worst = max(worst, abs(d_re - entry.re),
-                                abs(d_ze - entry.ze))
+                    deviations += abs(d_re - entry.re), abs(d_ze - entry.ze)
                 else:
-                    worst = max(worst, abs(d_re), abs(d_ze - entry.re))
-    return worst
+                    deviations += abs(d_re), abs(d_ze - entry.re)
+    if any(math.isnan(d) for d in deviations):
+        return math.nan
+    return max(deviations)
 
 
 def reference_diff(node, i):

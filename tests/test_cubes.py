@@ -25,6 +25,9 @@ def test_domain_endpoint():
         CubeDomain(Theta.TYPE1, -0.1, 1)
     with pytest.raises(ValueError):
         CubeDomain(Theta.TYPE1, 1.0, -1)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            CubeDomain(Theta.TYPE1, r, 2)
 
 
 def test_domain_rectangle():

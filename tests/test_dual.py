@@ -168,5 +168,8 @@ def test_neighborhoods():
     assert not nbhd_contains(center, 1.0, center, deleted=True)
     with pytest.raises(ValueError):
         nbhd_contains(center, 0.0, center)
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            nbhd_contains(center, radius, center)
     with pytest.raises(ValueError):
         nbhd_contains(center, 1.0, DualVec.zero(2))

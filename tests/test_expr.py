@@ -1,18 +1,20 @@
 import copy
 import gc
 import math
+import operator
 import pickle
 import random
 
 import pytest
 
 from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
-                        ONE, ParseError, ZERO, compose, compose_maps, cos,
-                        cr_check, eval_dual, eval_enclosure, exp, exprs_equal,
-                        is_zero_expr, jacobian, parse_expr, partial_diff,
-                        render_expr, sample_points, sin)
+                        ONE, ParseError, ZERO, as_dual, compose, compose_maps,
+                        cos, cr_check, eval_dual, eval_enclosure, exp,
+                        exprs_equal, is_zero_expr, jacobian, parse_expr,
+                        partial_diff, render_expr, sample_points, sin)
 from dualstokes.expr import (MAX_NESTING, Add, Const, Mul, Neg, PowInt, Prim,
-                             Sub, Var, lower_expr, partial_diffs)
+                             Sub, Var, _add, _mul, _sub, lower_expr,
+                             partial_diffs)
 from helpers import (point_in_box, random_box, random_expr, random_map,
                      reference_cr_check, reference_diff, reference_enclose,
                      reference_eval, reference_exprs_equal, reference_render,
@@ -141,6 +143,23 @@ def test_polynomial_on_duals():
     assert eval_dual(f, [x, y]) == want
 
 
+def test_point_arguments_are_dual_vecs_or_sequences_of_scalars():
+    f = parse_expr("x1*x2 + eps*x2", 2)
+    m = ExprMap((f, parse_expr("x1 - x2", 2)))
+    values = DualVec([Dual(-3.0, -2.0), Dual(3.5)])
+    jac = DualMap(((Dual(-2.0), Dual(1.5, 1.0)), (ONE, Dual(-1.0))))
+    for point in ([1.5, -2.0], (1.5, -2), DualVec([1.5, -2.0]),
+                  [Dual(1.5), Dual(-2.0)]):
+        assert eval_dual(f, point) == Dual(-3.0, -2.0)
+        assert m.eval(point) == values
+        assert jacobian(m, point) == jac
+    for point in ([1.0], [1.0, 2.0, 3.0], DualVec([1.0, 2.0, 3.0]), []):
+        for call in (lambda: eval_dual(f, point), lambda: m.eval(point),
+                     lambda: jacobian(m, point)):
+            with pytest.raises(ValueError):
+                call()
+
+
 def test_eval_arity_mismatch():
     f = parse_expr("x1", 1)
     with pytest.raises(ValueError):
@@ -191,6 +210,30 @@ def test_arity_validation():
     with pytest.raises(ValueError):
         parse_expr("x1", 1) + parse_expr("x1", 2)
     assert (parse_expr("x1", 3) + 1).arity == 3
+
+
+@pytest.mark.parametrize("symbol, build", (("add", _add), ("sub", _sub),
+                                           ("mul", _mul)))
+def test_operators_build_the_smart_constructors_node(symbol, build):
+    f = parse_expr("x1*x2 + 1", 2)
+    g = parse_expr("x2 - 3", 2)
+    apply = getattr(operator, symbol)
+    for other in (g, 3, 0, 2.5, 1.0, Dual(0.5, -1.0)):
+        node = other.node if isinstance(other, Expr) else Const(as_dual(other))
+        for got, want in ((apply(f, other), build(f.node, node)),
+                          (apply(other, f), build(node, f.node))):
+            assert got.arity == 2 and got.node is want
+    # an Expr on the left never reaches the reflected method by syntax
+    reflected = getattr(Expr, f"__r{symbol}__")(f, g)
+    assert reflected.node is build(g.node, f.node)
+    for bad in ((f, "x1"), ("x1", f)):
+        with pytest.raises(TypeError):
+            apply(*bad)
+    for bad in ((f, parse_expr("x1", 1)), (parse_expr("x1", 3), f)):
+        with pytest.raises(ValueError):
+            apply(*bad)
+    with pytest.raises(ValueError):
+        getattr(Expr, f"__r{symbol}__")(f, parse_expr("x1", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +681,24 @@ def test_cr_check_validation():
         cr_check(m, [Dual(0)], h=0.0)
     with pytest.raises(ValueError):
         cr_check(m, [Dual(0), Dual(1)])
+
+
+@pytest.mark.parametrize("h", (-1e-6, math.nan, math.inf, -math.inf))
+def test_cr_check_needs_a_positive_finite_step(h):
+    m = ExprMap((parse_expr("x1", 1),))
+    for check in (cr_check, reference_cr_check):
+        with pytest.raises(ValueError):
+            check(m, (Dual(0.5),), h=h)
+
+
+def test_cr_check_reports_a_nan_deviation():
+    # (1e200 + h)^2 overflows on both sides: inf - inf is NaN
+    m = ExprMap((parse_expr("x1*x1", 1),))
+    assert math.isnan(cr_check(m, [Dual(1e200)]))
+    assert math.isnan(reference_cr_check(m, (Dual(1e200),)))
+    # the NaN is kept wherever it falls among finite deviations
+    m = ExprMap((parse_expr("x2", 2), parse_expr("x1*x1", 2)))
+    assert math.isnan(cr_check(m, [Dual(1e200), Dual(1.0)]))
 
 
 def test_module_functions_wrap_nodes():

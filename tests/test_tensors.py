@@ -311,6 +311,15 @@ def test_tensors_equal_discriminates():
     assert tensors_equal(a, a + AltTensor(2, 1, {}), tol=0.0)
 
 
+@pytest.mark.parametrize("value", (Dual(math.nan), Dual(0.0, math.nan),
+                                   Dual(math.inf), Dual(0.0, -math.inf)))
+def test_tensors_equal_rejects_non_finite_coefficients(value):
+    a = AltTensor(2, 1, {(0,): value})
+    assert not tensors_equal(a, AltTensor(2, 1, {}))
+    assert not tensors_equal(a, a)  # inf - inf is NaN
+    assert not tensors_equal(a, a, tol=math.inf)
+
+
 # ---------------------------------------------------------------------------
 # the container shared by tensors and forms
 
