@@ -5,7 +5,10 @@ parts range over ``[re(a), re(b)]`` and the zero-divisor parts over the
 interval between ``ze(a)`` and ``ze(b)`` (which way it leans depends on
 the order type).  Products of such intervals are rectangles; uniform
 partitions, upper/lower sums, and a doubling refinement loop give
-two-sided integral estimates with an explicit gap.
+two-sided integral estimates with an explicit gap.  A polynomial
+integrand has an exact bracket too, :func:`polynomial_estimate`, whose
+gap bounds the rounding alone; the Darboux sums stay the definition,
+and the path for every other integrand.
 
 Upper and lower sums take the componentwise sup/inf of an interval
 enclosure of the integrand over each cell — this is exactly the least
@@ -44,7 +47,8 @@ from operator import itemgetter
 from .dual import Dual, Ordering, Theta, as_dual, theta_cmp
 # eval_enclosure is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds darboux.eval_enclosure.
-from .expr import Expr, eval_enclosure, lower_expr, run_steps
+from .expr import (KEY_BITS, TINY, Expr, NotPolynomial, eval_enclosure,
+                   expand_polynomial, lower_expr, run_steps)
 from .intervals import BOXES, DualBox
 
 DEFAULT_TOL_RE = 1e-6
@@ -394,6 +398,126 @@ class IntegralEstimate:
     def exact(value: Dual) -> "IntegralEstimate":
         return IntegralEstimate(value=value, lower=value, upper=value,
                                 gap_re=0.0, gap_ze=0.0, subdivisions=0)
+
+
+_U = 2.0 ** -53       # the unit roundoff of round to nearest
+_MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
+
+
+def _axis_weights(iv: ThetaInterval, degree: int) -> list:
+    """``(re, ze, shadow, order)`` of ``(b^(p+1) - a^(p+1)) / (p+1)`` for
+    p = 0 .. degree, the powers by repeated Dual multiplication."""
+    a, b = iv.a, iv.b
+    table = []
+    # the powers a^j, b^j and their shadows ||a||^j, ||b||^j (+ 3 TINY a
+    # product); order 2j - 1, then 2j for the difference, 2j + 2 for the
+    # quotient and its shadow's sum
+    a_re, a_ze, a_s = a.re, a.ze, abs(a.re) + abs(a.ze)
+    b_re, b_ze, b_s = b.re, b.ze, abs(b.re) + abs(b.ze)
+    pa_re, pa_ze, pa_s = a_re, a_ze, a_s
+    pb_re, pb_ze, pb_s = b_re, b_ze, b_s
+    for p in range(degree + 1):
+        j = float(p + 1)
+        table.append(((pb_re - pa_re) / j, (pb_ze - pa_ze) / j,
+                      (pb_s + pa_s) / j + 2.0 * TINY, 2 * p + 4))
+        pa_re, pa_ze = pa_re * a_re, pa_re * a_ze + pa_ze * a_re
+        pb_re, pb_ze = pb_re * b_re, pb_re * b_ze + pb_ze * b_re
+        pa_s = pa_s * a_s + 3.0 * TINY
+        pb_s = pb_s * b_s + 3.0 * TINY
+    return table
+
+
+def polynomial_estimate(f: Expr, rect: ThetaRectangle
+                        ) -> IntegralEstimate | None:
+    """The exact integral of a polynomial integrand, in a bracket that
+    bounds every rounding; None for a constant integrand, one that is no
+    polynomial within the caps of :func:`.expr.expand_polynomial`, or one
+    whose value or bound is not finite.
+
+    The integrand is expanded into monomials ``c x^P`` with dual float
+    coefficients (:func:`.expr.expand_polynomial`).  By the fundamental
+    theorem of calculus, which the dual reals keep (eps^2 = 0), each
+    integrates over the box to ``c`` times the product over the axes of
+    ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)``, and the value is the sum of
+    those products, all in the float operations of ``Dual``.
+
+    The bound is the a-priori one of Higham, *Accuracy and Stability of
+    Numerical Algorithms* (2nd ed., SIAM 2002), section 3.1.  Read the
+    whole computation, from the program's float constants and the
+    rectangle's float endpoints to the value, as one straight-line
+    program of real sums, differences, products and quotients by an
+    integer.  A float operation returns ``(x op y)(1 + d) + e`` with
+    ``|d| <= u = 2^-53``, and ``e = 0`` except for a product or quotient
+    that underflows, where ``|e| <= u * TINY`` (sums are exact there).
+    Expanded, the computed value is the sum of the exact value's terms
+    ``t``, each times a product ``1 + theta`` of at most N factors
+    ``1 + d``, ``|theta| <= gamma(N) = N u / (1 - N u)``, plus the terms
+    that carry an ``e``, each at most ``u * TINY`` times the cofactors
+    it is multiplied into.  So the error is at most ``gamma(N)`` times
+    the shadow: the same program run exactly on absolute values, with
+    TINY added at each float product or quotient.  Each register
+    carries N (its `order`) and the shadow's 1-norm over its
+    coefficients, summed in floats; on nonnegative values that rounding
+    is itself a ``1 + theta`` of order at most N, so the float shadow
+    ``S`` gives the bound ``gamma(N) S / (1 - gamma(N)) <= gamma(2N) S``.
+    For the integral, N adds the order of the weights, the two
+    roundings of a dual product and one per accumulated monomial, and
+    ``S = S(coefficients) * max S(weight) + 3 TINY`` per monomial, as
+    the 1-norm of a product is at most the product of the 1-norms.
+
+    With ``N <= 2^24``, ``(2N + 1) u`` is at least ``gamma(2N)``; the
+    radius is that times ``S``, rounded up by one float, and the
+    bracket's ends are the value's parts minus and plus the radius,
+    each rounded outward by one float with ``math.nextafter``.  Both
+    parts get the same radius.  A value, shadow or radius that
+    overflowed is not finite, so no overflow goes unseen.  Lower and
+    upper follow the rectangle's order, as a Darboux bracket's do, and
+    ``subdivisions`` is 0.
+    """
+    code = lower_expr(f)
+    if code[-1].level < 0:  # a constant: one Darboux cell, with no gap
+        return None
+    if f.arity != rect.dim:
+        raise ValueError(
+            f"integrand arity {f.arity} does not match rectangle "
+            f"dimension {rect.dim}")
+    try:
+        terms, shadow, order, degree = expand_polynomial(f)
+    except (NotPolynomial, OverflowError):  # an int constant past floats
+        return None
+    tables = [_axis_weights(iv, degree) for iv in rect.intervals]
+    mask = (1 << KEY_BITS) - 1
+    v_re = v_ze = 0.0
+    w_top, n_top = 0.0, 0
+    for key, (c_re, c_ze) in terms.items():
+        w_re, w_ze, w_s, w_n = tables[0][key & mask]
+        for table in tables[1:]:
+            key >>= KEY_BITS
+            o_re, o_ze, o_s, o_n = table[key & mask]
+            w_re, w_ze = w_re * o_re, w_re * o_ze + w_ze * o_re
+            w_s = w_s * o_s + 3.0 * TINY
+            w_n += o_n + 2
+        v_re = v_re + c_re * w_re
+        v_ze = v_ze + (c_re * w_ze + c_ze * w_re)
+        if w_s > w_top:
+            w_top = w_s
+        if w_n > n_top:
+            n_top = w_n
+    n = order + n_top + len(terms) + 1
+    if n > _MAX_ORDER:
+        return None
+    total = shadow * w_top + (3 * len(terms)) * TINY
+    radius = math.nextafter((2 * n + 1) * _U * total, math.inf)
+    if not all(map(math.isfinite, (v_re, v_ze, radius))):
+        return None
+    lo_re = math.nextafter(v_re - radius, -math.inf)
+    hi_re = math.nextafter(v_re + radius, math.inf)
+    lo_ze = math.nextafter(v_ze - radius, -math.inf)
+    hi_ze = math.nextafter(v_ze + radius, math.inf)
+    if rect.theta.sign < 0:
+        lo_ze, hi_ze = hi_ze, lo_ze
+    return IntegralEstimate.from_bounds(Dual(lo_re, lo_ze),
+                                        Dual(hi_re, hi_ze), 0)
 
 
 def integral_estimate(f: Expr, rect: ThetaRectangle, *,

@@ -32,8 +32,9 @@ After parsing, the only walk over a tree is the iterative one of
 A node's program is built when first asked for and kept with the node,
 so every expression holding that node shares it.  Every other walk runs
 on the program: point evaluation, substitution, differentiation,
-rendering and interval enclosure are one interpreter, :func:`run_steps`,
-under several arithmetics (for boxes, :data:`.intervals.BOXES`).
+rendering, interval enclosure and expansion into monomials are one
+interpreter, :func:`run_steps`, under several arithmetics (for boxes,
+:data:`.intervals.BOXES`; for polynomials, ``_POLYS``).
 :func:`partial_diffs` takes every partial a caller needs from one
 gradient run, whose registers hold each instruction's node and its
 partials; each partial is the tree :func:`partial_diff` builds for its
@@ -446,6 +447,103 @@ _PAIRS = (
     lambda x, y: (x[0] * y[0], x[0] * y[1] + x[1] * y[0]),
     _pair_pow, _prim_pair)
 
+
+# Polynomial registers, for exact integration (see
+# :func:`.darboux.polynomial_estimate`, which derives the bound).  A
+# register is (terms, shadow, order, degree):
+#   terms   a dict from a packed exponent key to the (re, ze) float
+#           coefficient of that monomial; the exponent of x(i+1) is the
+#           i-th KEY_BITS-bit field of the key, so the key of a product
+#           of monomials is the sum of their keys;
+#   shadow  a float that, divided by 1 - gamma(order), bounds the sum of
+#           |re| + |ze| over the coefficients of the same program run
+#           exactly on the absolute values of its inputs, with sub as
+#           add, plus TINY for every float product, which stands for the
+#           absolute error that product may have if it underflows;
+#   order   the most roundings, counted with repetition, on any term of
+#           any coefficient, of the terms and of the shadow alike;
+#   degree  at least the total degree of every monomial.
+# Coefficients are floats, so no int of a constant rounds unseen.
+
+KEY_BITS = 8
+MAX_DEGREE = 64       # below 2**KEY_BITS, so no exponent spills over
+MAX_MONOMIALS = 256
+TINY = 2.0 ** -1022   # the least normal float
+
+
+class NotPolynomial(ValueError):
+    """A program that is no polynomial within the caps."""
+
+
+def _poly_const(value: Dual):
+    re, ze = float(value.re), float(value.ze)
+    if re != value.re or ze != value.ze:  # an int that rounds, or NaN
+        raise NotPolynomial(f"the constant {value} is not a pair of floats")
+    return {0: (re, ze)}, abs(re) + abs(ze), 1, 0
+
+
+def _checked(terms: dict, shadow: float, order: int, degree: int):
+    if len(terms) > MAX_MONOMIALS:
+        raise NotPolynomial(f"more than {MAX_MONOMIALS} monomials")
+    return terms, shadow, order, degree
+
+
+def _poly_sum(sign: float):
+    """add (sign 1.0) or sub (sign -1.0); the sign multiplies exactly."""
+    def combine(x, y):
+        terms = dict(x[0])
+        get = terms.get
+        for k, (re, ze) in y[0].items():
+            old = get(k)
+            terms[k] = ((sign * re, sign * ze) if old is None
+                        else (old[0] + sign * re, old[1] + sign * ze))
+        return _checked(terms, x[1] + y[1], max(x[2], y[2]) + 1,
+                        max(x[3], y[3]))
+    return combine
+
+
+def _poly_mul(x, y):
+    # a coefficient sums at most min(len) pair products, whose ze parts
+    # round twice: order x + y + min(len) + 1
+    (xt, xs, xo, xd), (yt, ys, yo, yd) = x, y
+    if xd + yd > MAX_DEGREE:
+        raise NotPolynomial(f"degree above {MAX_DEGREE}")
+    terms = {}
+    get = terms.get
+    pairs = yt.items()
+    for ka, (ar, az) in xt.items():
+        for kb, (br, bz) in pairs:
+            k = ka + kb
+            old = get(k)
+            if old is None:
+                terms[k] = (ar * br, ar * bz + az * br)
+            else:
+                terms[k] = (old[0] + ar * br, old[1] + (ar * bz + az * br))
+    shadow = xs * ys + (3 * len(xt) * len(yt)) * TINY
+    return _checked(terms, shadow, xo + yo + min(len(xt), len(yt)) + 1,
+                    xd + yd)
+
+
+def _poly_pow(x, exponent: int):
+    if exponent == 0:  # a raw x^0 is the constant 1
+        return {0: (1.0, 0.0)}, 1.0, 0, 0
+    if exponent > MAX_DEGREE:
+        raise NotPolynomial(f"degree above {MAX_DEGREE}")
+    power = x
+    for _ in range(exponent - 1):
+        power = _poly_mul(power, x)
+    return power
+
+
+def _poly_prim(name: str, x):
+    raise NotPolynomial(f"{name} is not a polynomial")
+
+
+_POLYS = (
+    _poly_const,
+    lambda x: ({k: (-re, -ze) for k, (re, ze) in x[0].items()},) + x[1:],
+    _poly_sum(1.0), _poly_sum(-1.0), _poly_mul, _poly_pow, _poly_prim)
+
 # registers hold nodes, built (and folded) by the smart constructors
 _NODES = (Const, _neg, _add, _sub, _mul, _pow, _prim)
 
@@ -818,6 +916,16 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
         raise ValueError(f"expected {f.arity} boxes, got {len(boxes)}")
     return DualBox(*_run(lower_expr(f), BOXES,
                          [box.intervals() for box in boxes]))
+
+
+def expand_polynomial(f: Expr) -> tuple:
+    """f's program run on polynomial registers: the register
+    ``(terms, shadow, order, degree)`` that the comment above ``_POLYS``
+    describes.  Raises :class:`NotPolynomial` at a primitive, or past
+    ``MAX_DEGREE`` or ``MAX_MONOMIALS``."""
+    args = [({1 << (KEY_BITS * i): (1.0, 0.0)}, 1.0, 0, 1)
+            for i in range(f.arity)]
+    return _run(lower_expr(f), _POLYS, args)
 
 
 def partial_diff(f: Expr, index: int) -> Expr:

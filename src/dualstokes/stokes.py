@@ -2,11 +2,12 @@
 
 For a (k-1)-form w and a k-chain c the claim under test is that the
 integral of dw over c matches the integral of w over the normalized
-boundary of c.  Both sides are computed as Darboux brackets, so each
-carries an explicit gap; the verdict compares the bracket midpoints
-against a tolerance derived from those gaps (with an absolute floor),
-which keeps the check honest — a sloppy bracket widens the tolerance
-instead of silently passing.
+boundary of c.  Both sides are sums of per-cube brackets, so each
+carries an explicit gap: exact brackets for polynomial integrands that
+are not constant, Darboux brackets for the rest.  The verdict compares
+the bracket midpoints against a tolerance derived from those gaps (with
+an absolute floor), which keeps the check honest — a sloppy bracket
+widens the tolerance instead of silently passing.
 
 Scenarios bundle a form, a chain, and refinement settings into a plain
 dict (JSON-friendly).  Loading validates every field, rejecting
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from .cubes import Chain, CubeDomain, SingularCube, boundary, chain_normalize
 from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       DEFAULT_TOL_RE, DEFAULT_TOL_ZE, IntegralEstimate,
-                      NotConverged, integral_estimate)
+                      NotConverged, integral_estimate, polynomial_estimate)
 from .dual import Dual, Theta
 from .expr import ExprMap, ParseError, eval_dual, parse_expr
 from .forms import DiffForm, exterior_derivative, pullback
@@ -104,7 +105,12 @@ class Refinement:
 
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
                         refinement: Refinement) -> IntegralEstimate:
-    """Pull the form back through the cube's map and integrate the result."""
+    """Pull the form back through the cube's map and integrate the result.
+
+    The exact bracket of :func:`.darboux.polynomial_estimate` is taken
+    when there is one and its gaps meet the refinement's tolerances;
+    otherwise the Darboux refinement runs, as if there were none.
+    """
     if w.n != cube.n:
         raise ValueError(
             f"form lives in dimension {w.n} but the cube maps into {cube.n}")
@@ -115,9 +121,14 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
     pulled = pullback(cube.mapping, w)
+    integrand = pulled.coefficient(tuple(range(cube.k)))
+    rect = cube.domain.rectangle()
+    est = polynomial_estimate(integrand, rect)
+    if (est is not None and est.gap_re <= refinement.tol_re
+            and est.gap_ze <= refinement.tol_ze):
+        return est
     return integral_estimate(
-        pulled.coefficient(tuple(range(cube.k))), cube.domain.rectangle(),
-        tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
+        integrand, rect, tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
         base_subdivisions=refinement.base_subdivisions,
         max_doublings=refinement.max_doublings)
 

@@ -17,7 +17,7 @@ from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
                              _PREC_NEG, _PREC_POW, _ZERO_NODE, Add, Const,
                              Mul, Neg, Node, PowInt, Prim, Sub, Var, _add,
                              _const_text, _mul, _neg, _pow, _prim,
-                             _prim_value, _sub)
+                             _prim_value, _sub, lower_expr)
 from dualstokes.intervals import _TWO_PI, _crosses, _iexp, _ipow, _iscale
 
 THETAS = (Theta.TYPE1, Theta.TYPE2)
@@ -214,6 +214,94 @@ def exact_darboux_sums(f: Expr, partition):
             acc[2] += abs(b_re) * mag[0]
             acc[3] += abs(b_re) * mag[1] + abs(b_ze) * mag[0]
     return tuple(tuple(acc) for acc in sums)
+
+
+def _exact_mul(x, y):
+    # dual-coefficient polynomials as {exponent tuple: (re, ze)} Fractions
+    out = {}
+    for ka, (ar, az) in x.items():
+        for kb, (br, bz) in y.items():
+            key = tuple(p + q for p, q in zip(ka, kb))
+            re, ze = out.get(key, (0, 0))
+            out[key] = (re + ar * br, ze + ar * bz + az * br)
+    return out
+
+
+def _exact_add(x, y, sign=1):
+    out = dict(x)
+    for key, (re, ze) in y.items():
+        old_re, old_ze = out.get(key, (0, 0))
+        out[key] = (old_re + sign * re, old_ze + sign * ze)
+    return out
+
+
+def _exact_dual_power(x, n: int):
+    # (re + ze*eps)^n = re^n + n*re^(n-1)*ze*eps
+    re, ze = x
+    return re ** n, n * re ** (n - 1) * ze
+
+
+def reference_exact_expansion(f: Expr) -> dict:
+    """f's lowered program run on polynomials with ``Fraction`` dual
+    coefficients (eps^2 = 0), from the exact values of its float
+    constants: ``{exponent tuple: (re, ze)}``.  Raises ``ValueError`` at
+    exp, sin or cos."""
+    dim = f.arity
+    zero = (0,) * dim
+    regs = []
+    for op, a, b, _ in lower_expr(f):
+        if op == "const":
+            value = {zero: (Fraction(a.re), Fraction(a.ze))}
+        elif op == "var":
+            value = {tuple(int(i == a) for i in range(dim)): (Fraction(1), 0)}
+        elif op == "neg":
+            value = _exact_add({}, regs[a], -1)
+        elif op in ("add", "sub"):
+            value = _exact_add(regs[a], regs[b], 1 if op == "add" else -1)
+        elif op == "mul":
+            value = _exact_mul(regs[a], regs[b])
+        elif op == "pow":
+            value = {zero: (Fraction(1), 0)}
+            for _ in range(b):
+                value = _exact_mul(value, regs[a])
+        else:
+            raise ValueError(f"{op} is not a polynomial")
+        regs.append(value)
+    return regs[-1]
+
+
+def reference_exact_integral(f: Expr, rect: ThetaRectangle):
+    """The integral of a polynomial integrand over the rectangle, exactly.
+
+    Each monomial ``c x^P`` of :func:`reference_exact_expansion` integrates
+    to ``c`` times the product over the axes of
+    ``(b^(p+1) - a^(p+1)) / (p+1)``, in exact dual arithmetic from the
+    rectangle's float endpoints.  Returns ``(re, ze)`` as Fractions.
+    """
+    @functools.cache
+    def piece(axis: int, p: int):
+        iv = rect.intervals[axis]
+        ends = [(Fraction(x.re), Fraction(x.ze)) for x in (iv.a, iv.b)]
+        lo, hi = (_exact_dual_power(x, p + 1) for x in ends)
+        return (hi[0] - lo[0]) / (p + 1), (hi[1] - lo[1]) / (p + 1)
+
+    total_re = total_ze = Fraction(0)
+    for key, (c_re, c_ze) in reference_exact_expansion(f).items():
+        w = (Fraction(1), Fraction(0))
+        for axis, p in enumerate(key):
+            w_re, w_ze = piece(axis, p)
+            w = (w[0] * w_re, w[0] * w_ze + w[1] * w_re)
+        total_re += c_re * w[0]
+        total_ze += c_re * w[1] + c_ze * w[0]
+    return total_re, total_ze
+
+
+def bracket_contains(est, value) -> bool:
+    """Whether an estimate's bracket holds the (re, ze) value in both
+    components, whichever way its ze part is oriented."""
+    return all(min(lo, hi) <= x <= max(lo, hi)
+               for lo, hi, x in ((est.lower.re, est.upper.re, value[0]),
+                                 (est.lower.ze, est.upper.ze, value[1])))
 
 
 def reference_domain_points(domain: CubeDomain):

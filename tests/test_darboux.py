@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from dualstokes import (Dual, IncomparableEndpoints, NotConverged, Ordering,
-                        Theta, ThetaRectangle, ZERO, darboux_sums,
-                        integral_estimate, make_interval, make_rectangle,
-                        parse_expr, theta_cmp, uniform_partition)
-from dualstokes.expr import lower_expr
-from helpers import (THETAS, exact_darboux_sums, random_expr, random_poly,
-                     random_rectangle, reference_darboux_sums,
+from dualstokes import (CubeDomain, Dual, Expr, IncomparableEndpoints,
+                        NotConverged, Ordering, Theta, ThetaRectangle, ZERO,
+                        darboux_sums, integral_estimate, make_interval,
+                        make_rectangle, parse_expr, theta_cmp,
+                        uniform_partition)
+from dualstokes.darboux import polynomial_estimate
+from dualstokes.expr import MAX_MONOMIALS, lower_expr
+from helpers import (THETAS, bracket_contains, exact_darboux_sums,
+                     random_expr, random_poly, random_rectangle,
+                     reference_darboux_sums, reference_exact_integral,
                      reference_uniform_partition)
 
 
@@ -490,3 +493,132 @@ def test_uniform_partition_rejects_non_integer_counts(n):
     rect = make_rectangle(Theta.TYPE1, [(0, 1)])
     with pytest.raises(ValueError):
         uniform_partition(rect, n)
+
+
+# ---------------------------------------------------------------------------
+# exact brackets for polynomial integrands
+
+
+def _dual_poly(rng: random.Random, dim: int) -> Expr:
+    """A seeded polynomial with float dual coefficients: a sum of products
+    of affine factors, so that its expansion cancels and rounds."""
+    total = Expr.constant(0.0, dim)
+    for _ in range(rng.randint(1, 3)):
+        term = Expr.constant(Dual(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                             dim)
+        for _ in range(rng.randint(1, 4)):
+            factor = Expr.constant(
+                Dual(rng.uniform(-2, 2), rng.uniform(-2, 2)), dim)
+            factor = factor + Expr.variable(rng.randrange(dim), dim) * \
+                Dual(rng.uniform(-2, 2), rng.uniform(-1, 1))
+            term = term * (factor ** rng.randint(1, 3))
+        total = total - term if rng.random() < 0.5 else total + term
+    return total
+
+
+def _exact_cases(seed: int, count: int):
+    """(integrand, rectangle) over dims 1-3, both orders and r in
+    {0, 0.5, 1}, with dual-coefficient and small random polynomials."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        dim = rng.randint(1, 3)
+        theta = rng.choice(THETAS)
+        rect = CubeDomain(theta, rng.choice((0.0, 0.5, 1.0)), dim).rectangle()
+        if rng.random() < 0.5:
+            f = _dual_poly(rng, dim)
+        else:
+            f = random_poly(rng, dim, depth=3)
+        if lower_expr(f)[-1].level >= 0:  # constants are not exact cases
+            cases.append((f, rect))
+    return cases
+
+
+def test_exact_bracket_holds_the_exact_integral():
+    for f, rect in _exact_cases(1414, 240):
+        est = polynomial_estimate(f, rect)
+        assert est is not None, f
+        assert est.subdivisions == 0
+        assert _leq(est.lower, est.upper, rect.theta)
+        assert bracket_contains(est, reference_exact_integral(f, rect)), f
+
+
+def test_exact_bracket_holds_the_exact_integral_on_wide_rectangles():
+    rng = random.Random(1415)
+    for _ in range(120):
+        dim = rng.randint(1, 3)
+        theta = rng.choice(THETAS)
+        rect = random_rectangle(rng, theta, dim, span=rng.choice((0.5, 40.0)))
+        f = _dual_poly(rng, dim)
+        est = polynomial_estimate(f, rect)
+        assert est is not None and _leq(est.lower, est.upper, theta)
+        assert bracket_contains(est, reference_exact_integral(f, rect)), f
+
+
+def _overlap(est, lower, upper) -> bool:
+    return all(max(min(a, b), min(c, d)) <= min(max(a, b), max(c, d))
+               for a, b, c, d in ((est.lower.re, est.upper.re,
+                                   lower.re, upper.re),
+                                  (est.lower.ze, est.upper.ze,
+                                   lower.ze, upper.ze)))
+
+
+def test_exact_bracket_overlaps_the_darboux_brackets():
+    # at the default base level and at one doubling
+    for f, rect in _exact_cases(1416, 60):
+        est = polynomial_estimate(f, rect)
+        for n in (4, 8):
+            lower, upper = darboux_sums(f, uniform_partition(rect, n))
+            assert _overlap(est, lower, upper), (f, n)
+
+
+@pytest.mark.parametrize("text", ["1e-200*x1*1e-200", "(x1*1e-170)^2*x2",
+                                  "x1*1e-320 - x2*1e-310*eps"])
+def test_exact_bracket_bounds_underflow(text):
+    # the products underflow, to zero or to subnormals; the exact
+    # integral is still inside, and the gap is no wider than a tolerance
+    # could ask of it
+    rect = CubeDomain(Theta.TYPE2, 0.5, 2).rectangle()
+    f = parse_expr(text, 2)
+    est = polynomial_estimate(f, rect)
+    assert bracket_contains(est, reference_exact_integral(f, rect))
+    assert est.gap_re < 1e-290 and est.gap_ze < 1e-290
+
+
+def test_exact_bracket_of_a_hand_example():
+    # x1 over [0, 1+eps]: (1+eps)^2/2 = 0.5+eps, rounding nowhere
+    rect = make_rectangle(Theta.TYPE1, [(0, Dual(1, 1))])
+    est = polynomial_estimate(parse_expr("x1", 1), rect)
+    assert est.value == Dual(0.5, 1.0)
+    assert 0.0 < est.gap_re < 1e-14 and 0.0 < est.gap_ze < 1e-14
+    mirrored = make_rectangle(Theta.TYPE2, [(0, Dual(1, -1))])
+    est = polynomial_estimate(parse_expr("x1", 1), mirrored)
+    assert est.value == Dual(0.5, -1.0)
+    assert est.lower.ze > est.upper.ze
+
+
+@pytest.mark.parametrize("text", [
+    "2.5+eps",                      # a constant: one Darboux cell
+    "exp(x1)*x2",                   # a primitive
+    "(x1+x2+x3+1)^12",              # more than MAX_MONOMIALS monomials
+    "x1^65",                        # degree above MAX_DEGREE
+    "1e200*x1*1e200",               # an infinite coefficient
+    "(x1+1e308)-(x1+1e308)",        # a finite value, an infinite shadow
+])
+def test_exact_bracket_declines(text):
+    rect = CubeDomain(Theta.TYPE1, 0.5, 3).rectangle()
+    assert polynomial_estimate(parse_expr(text, 3), rect) is None
+
+
+def test_monomial_cap_is_what_declines():
+    rect = CubeDomain(Theta.TYPE1, 0.5, 3).rectangle()
+    # C(10 + 3, 3) = 286 monomials of degree at most 10 in three variables
+    assert polynomial_estimate(parse_expr("(x1+x2+x3+1)^9", 3), rect)
+    assert MAX_MONOMIALS < 286
+    assert polynomial_estimate(parse_expr("(x1+x2+x3+1)^10", 3), rect) is None
+
+
+def test_exact_bracket_checks_arity():
+    rect = CubeDomain(Theta.TYPE1, 0.5, 2).rectangle()
+    with pytest.raises(ValueError, match="arity"):
+        polynomial_estimate(parse_expr("x1", 1), rect)

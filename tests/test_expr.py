@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,13 +13,16 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         cos, cr_check, eval_dual, eval_enclosure, exp,
                         exprs_equal, is_zero_expr, jacobian, parse_expr,
                         partial_diff, render_expr, sample_points, sin)
-from dualstokes.expr import (MAX_NESTING, Add, Const, Mul, Neg, PowInt, Prim,
-                             Sub, Var, _add, _mul, _sub, lower_expr,
-                             partial_diffs)
+from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
+                             Add, Const, Mul, Neg, NotPolynomial, PowInt, Prim,
+                             Sub, Var, _add, _mul, _sub, expand_polynomial,
+                             lower_expr, partial_diffs)
 from helpers import (point_in_box, random_box, random_expr, random_map,
-                     reference_cr_check, reference_diff, reference_enclose,
-                     reference_eval, reference_exprs_equal, reference_render,
-                     reference_subst, small_point, trees_match)
+                     random_poly, reference_cr_check, reference_diff,
+                     reference_enclose, reference_eval,
+                     reference_exact_expansion, reference_exprs_equal,
+                     reference_render, reference_subst, small_point,
+                     trees_match)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +459,16 @@ def test_deep_operator_chains_build_and_lower():
 
 
 def test_programs_are_lowered_on_first_use_and_kept():
-    f = parse_expr("x1*x2+exp(x1)", 2)
+    # the subtree is one no other test builds: a failing test's traceback
+    # that prints a tree lowers every node in it and keeps it alive
+    f = parse_expr("x1*x2*7.25+exp(x1)", 2)
     g = Expr.constant(2.0, 2) * Expr.variable(0, 2)
     for h in (f, g):
         assert h.node._code is None  # building lowers nothing
         code = lower_expr(h)
         assert lower_expr(h) is code
         assert lower_expr(Expr(h.node, 3)) is code  # kept with the node
-    assert parse_expr("x1*x2", 2).node._code is None  # not with subtrees
+    assert parse_expr("x1*x2*7.25", 2).node._code is None  # not with subtrees
 
 
 # ---------------------------------------------------------------------------
@@ -901,3 +907,64 @@ def test_long_chains_walk_without_recursion():
     assert repr(eval_dual(doubled, [Dual(0.15, 0.5)])) == repr(want)
     text = render_expr(f)
     assert text.count("sin(") == 1000 and text.endswith(")*0.5+x1")
+
+
+# ---------------------------------------------------------------------------
+# polynomial registers
+
+
+def _exponents(key: int, arity: int) -> tuple:
+    mask = (1 << KEY_BITS) - 1
+    return tuple((key >> (KEY_BITS * i)) & mask for i in range(arity))
+
+
+def _check_expansion(f):
+    """The register's coefficients are within gamma(2N) times its float
+    shadow, in 1-norm, of the exact expansion, and its degree bounds
+    every monomial's."""
+    terms, shadow, order, degree = expand_polynomial(f)
+    got = {_exponents(key, f.arity): pair for key, pair in terms.items()}
+    exact = reference_exact_expansion(f)
+    error = Fraction(0)
+    for exps in got.keys() | exact.keys():
+        re, ze = got.get(exps, (0.0, 0.0))
+        exact_re, exact_ze = exact.get(exps, (0, 0))
+        error += abs(Fraction(re) - exact_re) + abs(Fraction(ze) - exact_ze)
+        if exps in got:
+            assert sum(exps) <= degree
+    u = Fraction(1, 2 ** 53)
+    assert error <= (2 * order + 1) * u * Fraction(shadow), str(f)
+
+
+def test_polynomial_registers_bound_their_expansion():
+    rng = random.Random(4343)
+    for _ in range(200):
+        _check_expansion(random_poly(rng, rng.randint(1, 3), depth=4))
+
+
+@pytest.mark.parametrize("text", [
+    "(0.1*x1 + 0.3*x2 - 0.7*eps)^5 - (0.1*x1 + 0.3*x2)^5",
+    "x1*1e-200*1e-200*x2 + x1*0.1",
+    "(x1 - 1/3*x2)^3*(x2 + 0.2)^2"])
+def test_polynomial_registers_bound_rounding_and_underflow(text):
+    _check_expansion(parse_expr(text.replace("1/3", "0.3333333333333333"), 2))
+
+
+@pytest.mark.parametrize("text", ["exp(x1)", "x2*sin(x1)", "cos(x1+x2)^2",
+                                  f"x1^{MAX_DEGREE + 1}",
+                                  "*".join(["x1"] * (MAX_DEGREE + 1))])
+def test_polynomial_registers_refuse_primitives_and_degree(text):
+    with pytest.raises(NotPolynomial):
+        expand_polynomial(parse_expr(text, 2))
+
+
+def test_polynomial_registers_refuse_too_many_monomials():
+    expand_polynomial(parse_expr("(x1+x2+1)^21", 2))  # 253 monomials
+    assert MAX_MONOMIALS < 276
+    with pytest.raises(NotPolynomial, match="monomials"):
+        expand_polynomial(parse_expr("(x1+x2+1)^22", 2))  # 276 monomials
+
+
+def test_polynomial_register_of_a_raw_zeroth_power_is_one():
+    f = Expr(PowInt(Add(Var(0), Const(Dual(2.0, -1.0))), 0), 1)
+    assert expand_polynomial(f) == ({0: (1.0, 0.0)}, 1.0, 0, 0)

@@ -9,16 +9,19 @@ import pytest
 
 import dualstokes.stokes as stokes
 from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
-                        ExprMap, IntegralEstimate, Ordering,
+                        ExprMap, IntegralEstimate, NotConverged, Ordering,
                         REPORT_SCHEMA, Refinement, ScenarioError, SingularCube,
-                        StokesReport, Theta, builtin_scenario,
-                        builtin_scenarios, chain_of, exit_code,
+                        StokesReport, Theta, boundary, builtin_scenario,
+                        builtin_scenarios, chain_normalize, chain_of,
+                        exit_code, exterior_derivative, integral_estimate,
                         integrate_over_chain, integrate_over_cube,
-                        load_scenarios, parse_expr, run_integral, run_scenario,
-                        run_suite, scenario_from_dict, standard_cube,
-                        theta_cmp, verify_stokes, write_report_csv,
-                        write_report_json)
-from helpers import THETAS, random_chain, random_form
+                        load_scenarios, parse_expr, pullback, run_integral,
+                        run_scenario, run_suite, scenario_from_dict,
+                        standard_cube, theta_cmp, verify_stokes,
+                        write_report_csv, write_report_json)
+from dualstokes.expr import lower_expr
+from helpers import (THETAS, bracket_contains, load_bench_module,
+                     random_chain, random_form, reference_exact_integral)
 
 
 def _report(converged: bool = True, passed: bool = True) -> StokesReport:
@@ -380,3 +383,114 @@ def test_run_suite_reports():
     for report, pick in zip(reports, picks):
         assert report.converged and report.passed
         assert report.lhs.value == Dual(*pick.expected)
+
+
+# ---------------------------------------------------------------------------
+# which integrals are exact, and which refine
+
+
+def _is_constant(f) -> bool:
+    return lower_expr(f)[-1].level < 0
+
+
+def _integrals(scenario):
+    """(integrand, rectangle) of every cube integral the verdict runs;
+    a 0-cube is a point value, not an integral."""
+    w = scenario.form
+    for form, chain in ((exterior_derivative(w), scenario.chain),
+                        (w, boundary(scenario.chain))):
+        for _, cube in chain_normalize(chain).terms:
+            if cube.k == 0:
+                continue
+            yield (pullback(cube.mapping, form).coefficient(
+                tuple(range(cube.k))), cube.domain.rectangle())
+
+
+_FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
+          + [("saddle-fine", 0)]
+          + [("tiled-chain-3d", seed) for seed in range(1, 21)])
+
+
+@pytest.mark.parametrize("kind, arg", _FIXED)
+def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
+    if kind == "bundled":
+        scenario = builtin_scenario(arg)
+    else:
+        workloads = load_bench_module("workloads")
+        load = getattr(workloads, kind.replace("-", "_"))
+        scenario = load(stokes, arg)[0]
+    refined = []
+    darboux = stokes.integral_estimate
+
+    def spy(f, rect, **refinement):
+        refined.append(f)
+        return darboux(f, rect, **refinement)
+
+    monkeypatch.setattr(stokes, "integral_estimate", spy)
+    report = run_scenario(scenario)
+    assert report.converged and report.passed
+    # only constants refine; every other integral is an exact bracket
+    # that holds the exact integral of its float-folded integrand
+    assert all(map(_is_constant, refined))
+    for f, rect in _integrals(scenario):
+        est = stokes.polynomial_estimate(f, rect)
+        if _is_constant(f):
+            assert est is None
+        else:
+            assert bracket_contains(est, reference_exact_integral(f, rect))
+    if kind == "tiled-chain-3d":
+        for side in (report.lhs, report.rhs):
+            assert side.gap_re < 1e-9 and side.gap_ze < 1e-9
+        for part in ("re", "ze"):
+            (lo1, hi1), (lo2, hi2) = (
+                sorted((getattr(s.lower, part), getattr(s.upper, part)))
+                for s in (report.lhs, report.rhs))
+            assert max(lo1, lo2) <= min(hi1, hi2), part
+
+
+def _square(text: str, theta=Theta.TYPE1):
+    """The integrand and rectangle of text*dx1^dx2 over the inflated
+    square, and the form and cube that give them."""
+    w = DiffForm(2, 2, {(0, 1): parse_expr(text, 2)})
+    cube = standard_cube(theta, 0.5, 2)
+    f = pullback(cube.mapping, w).coefficient((0, 1))
+    return f, cube.domain.rectangle(), w, cube
+
+
+@pytest.mark.parametrize("text, refinement", [
+    ("2.5+eps", Refinement()),                      # a constant
+    ("exp(x1)*sin(x2*3)", Refinement(0.5, 0.5, 4, 4)),  # a primitive
+    # 276 monomials, above the cap
+    ("(x1+x2+1)^22*1e-9", Refinement(math.inf, math.inf, 2, 0)),
+])
+@pytest.mark.parametrize("theta", THETAS)
+def test_fallback_is_the_darboux_refinement(text, refinement, theta):
+    f, rect, w, cube = _square(text, theta)
+    assert stokes.polynomial_estimate(f, rect) is None
+    est = integrate_over_cube(w, cube, refinement)
+    assert est.subdivisions > 0
+    assert est == integral_estimate(
+        f, rect, tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
+        base_subdivisions=refinement.base_subdivisions,
+        max_doublings=refinement.max_doublings)
+
+
+def test_bracket_wider_than_the_tolerance_falls_back():
+    # the exact bracket always has a gap, so tolerance 0 refines, and
+    # runs out of budget as it did before exact brackets
+    f, rect, w, cube = _square("x1*x2")
+    assert stokes.polynomial_estimate(f, rect).gap_re > 0.0
+    refinement = Refinement(0.0, 0.0, 2, 1)
+    with pytest.raises(NotConverged) as got:
+        integrate_over_cube(w, cube, refinement)
+    with pytest.raises(NotConverged) as want:
+        integral_estimate(f, rect, tol_re=0.0, tol_ze=0.0,
+                          base_subdivisions=2, max_doublings=1)
+    assert got.value.estimate == want.value.estimate
+
+
+def test_non_finite_exact_bracket_falls_back_to_the_overflow():
+    f, rect, w, cube = _square("1e200*x1*1e200")
+    assert stokes.polynomial_estimate(f, rect) is None
+    with pytest.raises(OverflowError, match="not finite"):
+        integrate_over_cube(w, cube, Refinement())
