@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 every check passed, 1 a check converged but failed,
-2 bad configuration or arguments, or a value that overflows the float
-range, 3 an integration blew its refinement budget.  Configuration
-problems win over everything else; otherwise non-convergence outranks
-a plain failure.
+2 bad configuration or arguments, a value past the float range, or a
+refinement too large for memory, 3 an integration blew its refinement
+budget.  Configuration problems win over everything else; otherwise
+non-convergence outranks a plain failure.
 """
 
 from __future__ import annotations
@@ -160,6 +160,11 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: an interval enclosure or a constant overflowed the "
               f"float range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; a refinement level's partition may be "
+              "too large (lower base_subdivisions or max_doublings)",
+              file=sys.stderr)
         return 2
 
 

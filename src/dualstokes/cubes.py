@@ -27,10 +27,9 @@ import bisect
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 from .darboux import ThetaRectangle, make_interval
-from .dual import Dual, Theta, ZERO
+from .dual import Dual, Record, Theta, ZERO
 from .expr import Expr, ExprMap, compose
 
 _FINGERPRINT_SEED = 0xC0BE
@@ -38,20 +37,16 @@ _FINGERPRINT_POINTS = 16
 MERGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CubeDomain:
-    """The model domain: k axes of [0, 1 + (sign of theta)*r*eps]."""
+class CubeDomain(Record):
+    """The immutable model domain: k axes of [0, 1 + (sign of theta)*r*eps]."""
 
-    theta: Theta
-    r: float
-    k: int
+    __slots__ = _fields = ("theta", "r", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", Theta(self.theta))
-        object.__setattr__(self, "r", float(self.r))
+    def __init__(self, theta: Theta, r: float, k: int):
+        self.theta, self.r, self.k = Theta(theta), float(r), k
         if not 0 <= self.r < math.inf:
             raise ValueError("inflation must be finite and nonnegative")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("dimension must be nonnegative")
 
     @property
@@ -92,34 +87,23 @@ def _domain_pairs(k: int, ze_span: float, ze_sign: float):
                  for point in _domain_points(k, ze_span, ze_sign))
 
 
-@dataclass(eq=False)
-class SingularCube:
-    """A symbolic map from the model domain into dual n-space."""
+class SingularCube(Record):
+    """An immutable symbolic map from the model domain into dual n-space."""
 
-    domain: CubeDomain
-    mapping: ExprMap
+    __slots__ = _fields = ("domain", "mapping")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity
 
-    def __post_init__(self):
-        if self.mapping.arity != self.domain.k:
+    def __init__(self, domain: CubeDomain, mapping: ExprMap):
+        if mapping.arity != domain.k:
             raise ValueError(
-                f"map takes {self.mapping.arity} variables but the domain "
-                f"has dimension {self.domain.k}")
+                f"map takes {mapping.arity} variables but the domain "
+                f"has dimension {domain.k}")
+        self.domain, self.mapping = domain, mapping
 
-    @property
-    def theta(self) -> Theta:
-        return self.domain.theta
-
-    @property
-    def r(self) -> float:
-        return self.domain.r
-
-    @property
-    def k(self) -> int:
-        return self.domain.k
-
-    @property
-    def n(self) -> int:
-        return self.mapping.dim_out
+    theta = property(lambda self: self.domain.theta)
+    r = property(lambda self: self.domain.r)
+    k = property(lambda self: self.domain.k)
+    n = property(lambda self: self.mapping.dim_out)
 
     def signature(self) -> tuple:
         return (self.theta, self.r, self.k, self.n)
@@ -156,27 +140,24 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
     return SingularCube(CubeDomain(cube.theta, cube.r, k - 1), mapping)
 
 
-@dataclass(eq=False)
-class Chain:
-    """Integer combination of cubes sharing one (theta, r, k, n) signature."""
+class Chain(Record):
+    """Immutable integer combination of cubes sharing one (theta, r, k, n)
+    signature."""
 
-    theta: Theta
-    r: float
-    k: int
-    n: int
-    terms: tuple
+    __slots__ = _fields = ("theta", "r", "k", "n", "terms")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity
 
-    def __post_init__(self):
-        self.theta = Theta(self.theta)
-        self.r = float(self.r)
+    def __init__(self, theta: Theta, r: float, k: int, n: int, terms: tuple):
+        signature = (Theta(theta), float(r), k, n)
+        self.theta, self.r, self.k, self.n = signature
         kept = []
-        for weight, cube in tuple(self.terms):
+        for weight, cube in tuple(terms):
             if not isinstance(weight, int) or isinstance(weight, bool):
                 raise TypeError("chain weights must be integers")
-            if cube.signature() != (self.theta, self.r, self.k, self.n):
+            if cube.signature() != signature:
                 raise ValueError(
                     f"cube signature {cube.signature()} does not match "
-                    f"chain signature {(self.theta, self.r, self.k, self.n)}")
+                    f"chain signature {signature}")
             if weight != 0:
                 kept.append((weight, cube))
         self.terms = tuple(kept)

@@ -38,13 +38,13 @@ otherwise in exact arithmetic, with fewer roundings.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .dual import Dual, Ordering, Theta, as_dual, theta_cmp
+from .dual import Dual, Ordering, Record, Theta, as_dual, theta_cmp
 # eval_enclosure is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds darboux.eval_enclosure.
 from .expr import (KEY_BITS, TINY, Expr, NotPolynomial, eval_enclosure,
@@ -72,24 +72,20 @@ class NotConverged(RuntimeError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
-class ThetaInterval:
-    """All points between `a` and `b` in the order of the given type."""
+class ThetaInterval(Record):
+    """All points between `a` and `b` in the type-theta order; immutable."""
 
-    theta: Theta
-    a: Dual
-    b: Dual
+    __slots__ = _fields = ("theta", "a", "b")
 
-    def __post_init__(self):
-        for name, end in (("a", self.a), ("b", self.b)):
+    def __init__(self, theta: Theta, a: Dual, b: Dual):
+        for name, end in (("a", a), ("b", b)):
             if not (math.isfinite(end.re) and math.isfinite(end.ze)):
                 raise IncomparableEndpoints(
                     f"endpoint {name} = {end} is not finite")
-        order = theta_cmp(self.a, self.b, self.theta)
-        if order not in (Ordering.LESS, Ordering.EQUAL):
+        if theta_cmp(a, b, theta) not in (Ordering.LESS, Ordering.EQUAL):
             raise IncomparableEndpoints(
-                f"{self.a} does not precede {self.b} in the type-"
-                f"{int(self.theta)} order")
+                f"{a} does not precede {b} in the type-{int(theta)} order")
+        self.theta, self.a, self.b = theta, a, b
 
     @property
     def width(self) -> Dual:
@@ -107,18 +103,16 @@ def make_interval(theta: Theta, a, b) -> ThetaInterval:
     return ThetaInterval(Theta(theta), as_dual(a), as_dual(b))
 
 
-@dataclass(frozen=True)
-class ThetaRectangle:
-    """Product of order intervals, all of one type."""
+class ThetaRectangle(Record):
+    """Product of order intervals, all of one type; immutable."""
 
-    theta: Theta
-    intervals: tuple[ThetaInterval, ...]
+    __slots__ = _fields = ("theta", "intervals")
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+    def __init__(self, theta: Theta, intervals: tuple[ThetaInterval, ...]):
+        self.theta, self.intervals = theta, tuple(intervals)
         if not self.intervals:
             raise ValueError("a rectangle needs at least one axis")
-        if any(iv.theta != self.theta for iv in self.intervals):
+        if any(iv.theta != theta for iv in self.intervals):
             raise ValueError("all axes must use the rectangle's order type")
 
     @property
@@ -139,18 +133,18 @@ def make_rectangle(theta: Theta, bounds) -> ThetaRectangle:
         theta, tuple(make_interval(theta, a, b) for a, b in bounds))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Uniform grid over a rectangle, stored as the breakpoints of each axis.
 
     Breakpoints are ``(re, ze)`` float pairs, and consecutive ones bound
     a piece.  `cells` lists the products of one piece per axis, in
-    lexicographic order (the last axis varies fastest).
+    lexicographic order (the last axis varies fastest).  Immutable.
     """
 
-    rect: ThetaRectangle
-    subdivisions: int
-    axes: tuple[tuple[tuple[float, float], ...], ...]
+    __slots__ = _fields = ("rect", "subdivisions", "axes")
+
+    def __init__(self, rect: ThetaRectangle, subdivisions: int, axes: tuple):
+        self.rect, self.subdivisions, self.axes = rect, subdivisions, axes
 
     @property
     def cells(self) -> "Cells":
@@ -374,46 +368,51 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     return Dual(lo_re, lo_ze), Dual(up_re, up_ze)
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
-    """Two-sided bracket: lower <= integral <= upper in the rectangle's order."""
+class IntegralEstimate(Record):
+    """Immutable bracket: lower <= integral <= upper in the rectangle's order."""
 
-    value: Dual
-    lower: Dual
-    upper: Dual
-    gap_re: float
-    gap_ze: float
-    subdivisions: int
+    __slots__ = _fields = ("value", "lower", "upper", "gap_re", "gap_ze",
+                           "subdivisions")
+
+    def __init__(self, value: Dual, lower: Dual, upper: Dual, gap_re: float,
+                 gap_ze: float, subdivisions: int):
+        self.value, self.lower, self.upper = value, lower, upper
+        self.gap_re, self.gap_ze = gap_re, gap_ze
+        self.subdivisions = subdivisions
 
     @staticmethod
     def from_bounds(lower: Dual, upper: Dual,
                     subdivisions: int) -> "IntegralEstimate":
-        mid = (lower + upper) * 0.5
-        return IntegralEstimate(
-            value=mid, lower=lower, upper=upper,
-            gap_re=abs(upper.re - lower.re), gap_ze=abs(upper.ze - lower.ze),
-            subdivisions=subdivisions)
+        return IntegralEstimate((lower + upper) * 0.5, lower, upper,
+                                abs(upper.re - lower.re),
+                                abs(upper.ze - lower.ze), subdivisions)
 
     @staticmethod
     def exact(value: Dual) -> "IntegralEstimate":
-        return IntegralEstimate(value=value, lower=value, upper=value,
-                                gap_re=0.0, gap_ze=0.0, subdivisions=0)
+        return IntegralEstimate(value, value, value, 0.0, 0.0, 0)
 
 
 _U = 2.0 ** -53       # the unit roundoff of round to nearest
 _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
 
 
-def _axis_weights(iv: ThetaInterval, degree: int) -> list:
+def _axis_weights(iv: ThetaInterval, degree: int) -> tuple:
     """``(re, ze, shadow, order)`` of ``(b^(p+1) - a^(p+1)) / (p+1)`` for
-    p = 0 .. degree, the powers by repeated Dual multiplication."""
-    a, b = iv.a, iv.b
+    p = 0 .. degree, the powers by repeated Dual multiplication; built once
+    per interval and degree, keyed by the repr of the endpoints, which
+    tells 0.0 from -0.0 and 1 from 1.0 as the float operations do."""
+    ends = (iv.a.re, iv.a.ze, iv.b.re, iv.b.ze)
+    return _weight_table(repr(ends), ends, degree)
+
+
+@functools.lru_cache(maxsize=256)
+def _weight_table(key: str, ends: tuple, degree: int) -> tuple:
+    a_re, a_ze, b_re, b_ze = ends
     table = []
     # the powers a^j, b^j and their shadows ||a||^j, ||b||^j (+ 3 TINY a
     # product); order 2j - 1, then 2j for the difference, 2j + 2 for the
     # quotient and its shadow's sum
-    a_re, a_ze, a_s = a.re, a.ze, abs(a.re) + abs(a.ze)
-    b_re, b_ze, b_s = b.re, b.ze, abs(b.re) + abs(b.ze)
+    a_s, b_s = abs(a_re) + abs(a_ze), abs(b_re) + abs(b_ze)
     pa_re, pa_ze, pa_s = a_re, a_ze, a_s
     pb_re, pb_ze, pb_s = b_re, b_ze, b_s
     for p in range(degree + 1):
@@ -424,7 +423,7 @@ def _axis_weights(iv: ThetaInterval, degree: int) -> list:
         pb_re, pb_ze = pb_re * b_re, pb_re * b_ze + pb_ze * b_re
         pa_s = pa_s * a_s + 3.0 * TINY
         pb_s = pb_s * b_s + 3.0 * TINY
-    return table
+    return tuple(table)
 
 
 def polynomial_estimate(f: Expr, rect: ThetaRectangle

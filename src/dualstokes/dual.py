@@ -11,10 +11,8 @@ coefficients) is built out of these scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from numbers import Real
-from typing import Iterable, Iterator
 
 
 class Theta(IntEnum):
@@ -38,17 +36,49 @@ class Ordering(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True, slots=True)
-class Dual:
-    """Dual real number ``re + ze*eps`` with ``eps**2 == 0``.
+class Record:
+    """Base of the value classes: plain slotted classes with hand-written
+    ``__init__``s, whose `_fields` name their fields in order.  As a
+    frozen dataclass would, a record compares, hashes and pickles as the
+    tuple of its fields, and prints as ``Name(field=value, ...)``.
+    Records are immutable by convention, unguarded: a ``__setattr__``
+    guard would cost every construction.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join([f"{name}={getattr(self, name)!r}"
+                           for name in self._fields])
+        return f"{type(self).__name__}({inner})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Dual(Record):
+    """Dual real number ``re + ze*eps`` with ``eps**2 == 0``; immutable.
 
     Supports ``+``, ``-``, ``*`` and nonnegative integer powers.
     Division is deliberately absent: the ring has zero divisors and
     nothing in this package needs it.
     """
 
-    re: float
-    ze: float = 0.0
+    __slots__ = _fields = ("re", "ze")
+
+    def __init__(self, re: float, ze: float = 0.0):
+        self.re, self.ze = re, ze
 
     def __add__(self, other: "Dual | Real") -> "Dual":
         other = _as_dual_or_none(other)
@@ -56,8 +86,7 @@ class Dual:
             return NotImplemented
         return Dual(self.re + other.re, self.ze + other.ze)
 
-    def __radd__(self, other: "Dual | Real") -> "Dual":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other: "Dual | Real") -> "Dual":
         other = _as_dual_or_none(other)
@@ -77,8 +106,7 @@ class Dual:
             return NotImplemented
         return Dual(self.re * other.re, self.re * other.ze + self.ze * other.re)
 
-    def __rmul__(self, other: "Dual | Real") -> "Dual":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __neg__(self) -> "Dual":
         return Dual(-self.re, -self.ze)

@@ -55,10 +55,10 @@ import random
 import re as _regex
 import struct
 import weakref
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
 
-from .dual import Dual, DualVec, EPS, ONE, ZERO, as_dual, _as_dual_or_none
+from .dual import (Dual, DualVec, EPS, ONE, Record, ZERO, as_dual,
+                   _as_dual_or_none)
 from .intervals import BOXES, DualBox
 
 # ---------------------------------------------------------------------------
@@ -328,16 +328,12 @@ def _prim(name: str, a: Node) -> Node:
 # variable index an instruction reads, directly or through its operands,
 # or -1 for none.  Over a product of boxes its result depends only on the
 # boxes of axes 0..level, so a loop nest over the axes can run it in the
-# loop of axis `level`.
-
-
-class Instr(NamedTuple):
-    """One step of a lowered expression."""
-
-    op: str     # "const", "var", "neg", "add", "sub", "mul", "pow", a primitive
-    a: object   # the constant (Dual), the variable index, or an operand register
-    b: object   # the second operand register, the exponent, or None
-    level: int
+# loop of axis `level`.  An instruction's fields:
+#   op     "const", "var", "neg", "add", "sub", "mul", "pow", a primitive
+#   a      the constant (Dual), the variable index, or an operand register
+#   b      the second operand register, the exponent, or None
+#   level  that highest variable index
+Instr = namedtuple("Instr", "op a b level")
 
 
 def lower_expr(f: Expr) -> tuple[Instr, ...]:
@@ -592,7 +588,7 @@ _GRADIENT = (
     _g_mul, _g_pow, _g_prim)
 
 
-# Registers hold a node's repr, in the form a dataclass would give it.
+# Registers hold a node's repr, in the Name(field=value, ...) form of a Record.
 
 
 def _repr_binary(cls: str):
@@ -824,22 +820,20 @@ def _operator(build, reflected: bool = False):
     return method
 
 
-@dataclass(frozen=True, slots=True)
-class Expr:
-    """A dual-analytic function of `arity` dual variables."""
+class Expr(Record):
+    """A dual-analytic function of `arity` dual variables; immutable."""
 
-    node: Node
-    arity: int
+    __slots__ = _fields = ("node", "arity")
 
-    def __post_init__(self):
-        if not isinstance(self.node, Node):
-            raise TypeError(f"not an expression node: {self.node!r}")
-        if self.arity < 0:
+    def __init__(self, node: Node, arity: int):
+        if not isinstance(node, Node):
+            raise TypeError(f"not an expression node: {node!r}")
+        if arity < 0:
             raise ValueError("arity must be nonnegative")
-        top = self.node._level  # the highest variable read
-        if top >= self.arity:
+        if node._level >= arity:  # the highest variable read
             raise ValueError(
-                f"expression uses x{top + 1} but arity is {self.arity}")
+                f"expression uses x{node._level + 1} but arity is {arity}")
+        self.node, self.arity = node, arity
 
     @staticmethod
     def constant(value, arity: int = 0) -> "Expr":
@@ -1000,27 +994,21 @@ def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
 # maps and derivatives
 
 
-@dataclass(frozen=True)
-class ExprMap:
-    """Function into dual m-space: one expression per output component."""
+class ExprMap(Record):
+    """Immutable function into dual m-space: one expression per component."""
 
-    components: tuple[Expr, ...]
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[Expr, ...]):
+        self.components = components = tuple(components)
+        if not components:
             raise ValueError("a map needs at least one component")
-        arity = self.components[0].arity
-        if any(c.arity != arity for c in self.components):
+        arity = components[0].arity
+        if any(c.arity != arity for c in components):
             raise ValueError("components must share one arity")
 
-    @property
-    def arity(self) -> int:
-        return self.components[0].arity
-
-    @property
-    def dim_out(self) -> int:
-        return len(self.components)
+    arity = property(lambda self: self.components[0].arity)
+    dim_out = property(lambda self: len(self.components))
 
     @staticmethod
     def identity(n: int) -> "ExprMap":
@@ -1047,28 +1035,22 @@ class ExprMap:
                              for c in self.components))
 
 
-@dataclass(frozen=True)
-class DualMap:
-    """Matrix of dual scalars acting on dual vectors: the derivative object."""
+class DualMap(Record):
+    """Immutable matrix of duals acting on dual vectors: the derivative."""
 
-    entries: tuple[tuple[Dual, ...], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_dual(x) for x in row) for row in self.entries)
+    def __init__(self, entries: tuple[tuple[Dual, ...], ...]):
+        rows = tuple(tuple(as_dual(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("matrix rows must have equal length")
-        object.__setattr__(self, "entries", rows)
+        self.entries = rows
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
+    rows = property(lambda self: len(self.entries))
+    cols = property(lambda self: len(self.entries[0]))
 
     @staticmethod
     def identity(n: int) -> "DualMap":

@@ -25,14 +25,17 @@ from __future__ import annotations
 from .dual import ZERO, Dual
 # partial_diff is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
-from .expr import (Const, Expr, ExprMap, _add, _mul, compose, eval_dual,
-                   is_zero_expr, partial_diff, partial_diffs)
+from .expr import (_PAIRS, Const, Expr, ExprMap, _add, _mul, _point_pairs,
+                   _run, compose, is_zero_expr, lower_expr, partial_diff,
+                   partial_diffs)
 from .tensors import (AltTensor, Graded, add_term, ascending_tuples,
                       merge_sign, signed_permutations, wedge)
 
 
 class DiffForm(Graded):
     """Degree-k form on dual n-space; `coeffs` maps ascending tuples to exprs."""
+
+    __slots__ = ()
 
     def _clean(self, index, coeff):
         if not isinstance(coeff, Expr):
@@ -88,9 +91,12 @@ def exterior_derivative(w: DiffForm) -> DiffForm:
 
 
 def form_eval(w: DiffForm, point, vectors) -> Dual:
-    """Evaluate coefficients at the point, then apply the alternating tensor."""
-    tensor = AltTensor(w.n, w.k, {index: eval_dual(coeff, point)
-                                  for index, coeff in w.coeffs.items()})
+    """Evaluate coefficients at the point, then apply the alternating tensor;
+    the point becomes (re, ze) pairs once, for every coefficient."""
+    pairs = _point_pairs(point, w.n) if w.coeffs else ()
+    tensor = AltTensor(w.n, w.k, {
+        index: Dual(*_run(lower_expr(coeff), _PAIRS, pairs))
+        for index, coeff in w.coeffs.items()})
     return tensor.evaluate(vectors)
 
 

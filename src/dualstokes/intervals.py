@@ -23,9 +23,8 @@ and cosine have no value there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .dual import Dual
+from .dual import Dual, Record
 
 _TWO_PI = 2.0 * math.pi
 
@@ -114,18 +113,16 @@ def _icos(a):
     return _iwave(a, math.cos, 0.0, math.pi)
 
 
-@dataclass(frozen=True)
-class DualBox:
-    """Axis-aligned set of duals: re in [re_lo, re_hi], ze in [ze_lo, ze_hi]."""
+class DualBox(Record):
+    """Immutable set of duals: re in [re_lo, re_hi], ze in [ze_lo, ze_hi]."""
 
-    re_lo: float
-    re_hi: float
-    ze_lo: float
-    ze_hi: float
+    __slots__ = _fields = ("re_lo", "re_hi", "ze_lo", "ze_hi")
 
-    def __post_init__(self):
-        if self.re_lo > self.re_hi or self.ze_lo > self.ze_hi:
+    def __init__(self, re_lo: float, re_hi: float, ze_lo: float, ze_hi: float):
+        if re_lo > re_hi or ze_lo > ze_hi:
             raise ValueError("box bounds out of order")
+        self.re_lo, self.re_hi = re_lo, re_hi
+        self.ze_lo, self.ze_hi = ze_lo, ze_hi
 
     @staticmethod
     def point(value: Dual) -> "DualBox":

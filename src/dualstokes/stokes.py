@@ -18,16 +18,13 @@ a schema constant for downstream validation.
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
-from dataclasses import dataclass, field
 
 from .cubes import Chain, CubeDomain, SingularCube, boundary, chain_normalize
 from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       DEFAULT_TOL_RE, DEFAULT_TOL_ZE, IntegralEstimate,
                       NotConverged, integral_estimate, polynomial_estimate)
-from .dual import Dual, Theta
+from .dual import Dual, Record, Theta
 from .expr import ExprMap, ParseError, eval_dual, parse_expr
 from .forms import DiffForm, exterior_derivative, pullback
 
@@ -79,14 +76,17 @@ _REFINEMENT_FIELDS = {"tol_re": (_number, 0.0), "tol_ze": (_number, 0.0),
                       "max_doublings": (_integer, 0)}
 
 
-@dataclass(frozen=True)
-class Refinement:
-    """Refinement budget and convergence targets for one integration."""
+class Refinement(Record):
+    """Immutable refinement budget and convergence targets of an integration."""
 
-    tol_re: float = DEFAULT_TOL_RE
-    tol_ze: float = DEFAULT_TOL_ZE
-    base_subdivisions: int = DEFAULT_BASE_SUBDIVISIONS
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS
+    __slots__ = _fields = tuple(_REFINEMENT_FIELDS)
+
+    def __init__(self, tol_re=DEFAULT_TOL_RE, tol_ze=DEFAULT_TOL_ZE,
+                 base_subdivisions=DEFAULT_BASE_SUBDIVISIONS,
+                 max_doublings=DEFAULT_MAX_DOUBLINGS):
+        self.tol_re, self.tol_ze = tol_re, tol_ze
+        self.base_subdivisions = base_subdivisions
+        self.max_doublings = max_doublings
 
     @staticmethod
     def from_dict(data: dict) -> "Refinement":
@@ -96,7 +96,7 @@ class Refinement:
                              for key, (read, least) in fields if key in data})
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _REFINEMENT_FIELDS}
+        return dict(zip(self._fields, self._values()))
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +175,24 @@ def _side_from_dict(data: dict | None, theta: Theta) -> IntegralEstimate | None:
         return None
     value = Dual(data["re"], data["ze"])
     half = Dual(data["gap_re"] / 2.0, theta.sign * data["gap_ze"] / 2.0)
-    return IntegralEstimate(
-        value=value, lower=value - half, upper=value + half,
-        gap_re=data["gap_re"], gap_ze=data["gap_ze"],
-        subdivisions=data["subdivisions"])
+    return IntegralEstimate(value, value - half, value + half, data["gap_re"],
+                            data["gap_ze"], data["subdivisions"])
 
 
-@dataclass(frozen=True)
-class StokesReport:
-    """Outcome of one boundary-theorem check, JSON-serializable."""
+class StokesReport(Record):
+    """Outcome of one boundary-theorem check, JSON-serializable; immutable."""
 
-    scenario: str | None
-    theta: Theta
-    r: float
-    k: int
-    n: int
-    converged: bool
-    passed: bool
-    lhs: IntegralEstimate | None
-    rhs: IntegralEstimate | None
-    diff_re: float | None
-    diff_ze: float | None
-    tol_re: float
-    tol_ze: float
-    note: str = ""
+    __slots__ = _fields = ("scenario", "theta", "r", "k", "n", "converged",
+                           "passed", "lhs", "rhs", "diff_re", "diff_ze",
+                           "tol_re", "tol_ze", "note")
+
+    def __init__(self, scenario, theta, r, k, n, converged, passed, lhs, rhs,
+                 diff_re, diff_ze, tol_re, tol_ze, note=""):
+        self.scenario, self.theta, self.r, self.k = scenario, theta, r, k
+        self.n, self.converged, self.passed = n, converged, passed
+        self.lhs, self.rhs, self.note = lhs, rhs, note
+        self.diff_re, self.diff_ze = diff_re, diff_ze
+        self.tol_re, self.tol_ze = tol_re, tol_ze
 
     def to_dict(self) -> dict:
         diff = None
@@ -252,6 +246,14 @@ _SIDE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# a nonnegative (re, ze) pair: the diff and the tolerance
+_PAIR_SCHEMA = {
+    "properties": {"re": {"type": "number", "minimum": 0},
+                   "ze": {"type": "number", "minimum": 0}},
+    "required": ["re", "ze"],
+    "additionalProperties": False,
+}
+
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "Boundary-theorem verification report",
@@ -267,20 +269,8 @@ REPORT_SCHEMA = {
         "passed": {"type": "boolean"},
         "lhs": _SIDE_SCHEMA,
         "rhs": _SIDE_SCHEMA,
-        "diff": {
-            "type": ["object", "null"],
-            "properties": {"re": {"type": "number", "minimum": 0},
-                           "ze": {"type": "number", "minimum": 0}},
-            "required": ["re", "ze"],
-            "additionalProperties": False,
-        },
-        "tolerance": {
-            "type": "object",
-            "properties": {"re": {"type": "number", "minimum": 0},
-                           "ze": {"type": "number", "minimum": 0}},
-            "required": ["re", "ze"],
-            "additionalProperties": False,
-        },
+        "diff": {"type": ["object", "null"], **_PAIR_SCHEMA},
+        "tolerance": {"type": "object", **_PAIR_SCHEMA},
         "note": {"type": "string"},
     },
     "required": ["schema", "scenario", "theta", "r", "k", "n", "converged",
@@ -335,32 +325,31 @@ def verify_stokes(w: DiffForm, chain: Chain,
 # scenarios
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A form, a chain, and settings, all expressed with grammar strings.
 
     `form` and `chain` are built from the strings when the scenario is
     made, so parse errors surface at load and runs never parse again.
+    They are not fields, so ``==``, ``hash`` and ``repr`` leave them
+    out.  Immutable.  `form_coeffs` holds ``(ascending 0-based index
+    tuple, expr text)`` pairs, `cubes` ``(integer weight, (component
+    text, ...))`` pairs, `expected` the ``(re, ze)`` of both sides or None.
     """
 
-    name: str
-    theta: Theta
-    r: float
-    n: int
-    k: int
-    form_degree: int
-    form_coeffs: tuple  # ((ascending 0-based index tuple, expr text), ...)
-    cubes: tuple        # ((integer weight, (component text, ...)), ...)
-    refinement: Refinement
-    description: str = ""
-    expected: tuple | None = None  # (re, ze) of both sides, if known
-    tol_floor: float = DEFAULT_STOKES_TOL
-    form: DiffForm = field(init=False, repr=False, compare=False)
-    chain: Chain = field(init=False, repr=False, compare=False)
+    _fields = ("name", "theta", "r", "n", "k", "form_degree", "form_coeffs",
+               "cubes", "refinement", "description", "expected", "tol_floor")
+    __slots__ = _fields + ("form", "chain")
 
-    def __post_init__(self):
-        object.__setattr__(self, "form", self.build_form())
-        object.__setattr__(self, "chain", self.build_chain())
+    def __init__(self, name: str, theta: Theta, r: float, n: int, k: int,
+                 form_degree: int, form_coeffs: tuple, cubes: tuple,
+                 refinement: Refinement, description: str = "",
+                 expected: tuple | None = None,
+                 tol_floor: float = DEFAULT_STOKES_TOL):
+        self.name, self.theta, self.r, self.n, self.k = name, theta, r, n, k
+        self.form_degree, self.form_coeffs = form_degree, form_coeffs
+        self.cubes, self.refinement, self.tol_floor = cubes, refinement, tol_floor
+        self.description, self.expected = description, expected
+        self.form, self.chain = self.build_form(), self.build_chain()
 
     def build_form(self) -> DiffForm:
         try:
@@ -463,6 +452,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenarios(path) -> list[Scenario]:
     """Read one scenario object or a list of them from a JSON file."""
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -611,6 +601,7 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 def write_report_json(reports, fh):
+    import json
     json.dump([r.to_dict() for r in reports], fh, indent=2)
     fh.write("\n")
 
@@ -622,6 +613,7 @@ _CSV_COLUMNS = ("scenario", "theta", "r", "k", "n", "converged", "passed",
 
 
 def write_report_csv(reports, fh):
+    import csv
     writer = csv.writer(fh)
     writer.writerow(_CSV_COLUMNS)
     for report in reports:

@@ -21,11 +21,10 @@ The permutation expansions are factorial in k, so degrees above
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache
 from math import comb, factorial
 
-from .dual import Dual, DualVec, ONE, ZERO, as_dual
+from .dual import Dual, DualVec, ONE, Record, ZERO, as_dual
 
 MAX_PERMUTATION_DEGREE = 8
 
@@ -89,33 +88,32 @@ def _coerce_vectors(n: int, k: int, vectors) -> tuple[DualVec, ...]:
     return vecs
 
 
-@dataclass(eq=False)
-class Graded:
+class Graded(Record):
     """Degree-k coefficients on n-space, keyed by index tuples.
 
     Every index has length k and entries in 0..n-1, strictly ascending
     unless the class sets ``alternating = False``.  Each coefficient goes
     through the ``_clean`` hook, which returns the value to store or None
     to drop it.  ``+`` and ``-`` need two operands of the same class,
-    dimension and degree.
+    dimension and degree.  Immutable.
     """
 
-    n: int
-    k: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = _fields = ("n", "k", "coeffs")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity
 
     alternating = True
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
+    def __init__(self, n: int, k: int, coeffs=()):
+        if n < 0 or k < 0:
             raise ValueError("dimensions must be nonnegative")
+        self.n, self.k = n, k
         cleaned = {}
-        for index, raw in dict(self.coeffs).items():
+        for index, raw in dict(coeffs).items():
             index = tuple(index)
-            if len(index) != self.k:
-                raise ValueError(f"index {index} does not have length {self.k}")
-            if any(not (0 <= i < self.n) for i in index):
-                raise ValueError(f"index {index} out of range for n={self.n}")
+            if len(index) != k:
+                raise ValueError(f"index {index} does not have length {k}")
+            if any(not (0 <= i < n) for i in index):
+                raise ValueError(f"index {index} out of range for n={n}")
             if self.alternating and any(
                     a >= b for a, b in zip(index, index[1:])):
                 raise ValueError(f"index {index} is not strictly ascending")
@@ -156,6 +154,7 @@ class Graded:
 class GenTensor(Graded):
     """General k-linear tensor: coefficients over full index tuples."""
 
+    __slots__ = ()
     alternating = False
 
     @staticmethod
@@ -187,6 +186,8 @@ def tensor_product(left: GenTensor, right: GenTensor) -> GenTensor:
 
 class AltTensor(Graded):
     """Alternating k-tensor: coefficients over strictly ascending tuples."""
+
+    __slots__ = ()
 
     @staticmethod
     def basis(n: int, index) -> "AltTensor":

@@ -169,22 +169,33 @@ def test_missing_subcommand_exits_with_usage():
     assert info.value.code == 2
 
 
-def _verify_in_subprocess(tmp_path, scenario):
-    # a fresh interpreter, so nothing the test process set up can leak in
+# runs `python -m dualstokes` with the address space capped at {cap} bytes
+_CAPPED = ("import resource, runpy, sys; "
+           "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+           "resource.setrlimit(resource.RLIMIT_AS, ({cap}, hard)); "
+           "sys.argv[0] = 'dualstokes'; "
+           "runpy.run_module('dualstokes', run_name='__main__')")
+
+
+def _verify_in_subprocess(tmp_path, scenario, memory_cap=None):
+    # a fresh interpreter, so nothing the test process set up can leak in;
+    # a memory cap applies to that interpreter alone
     path = tmp_path / "f.json"
     path.write_text(scenario if isinstance(scenario, str)
                     else json.dumps(scenario))
     src = Path(dualstokes.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    run = (["-m", "dualstokes"] if memory_cap is None
+           else ["-c", _CAPPED.format(cap=memory_cap)])
     return subprocess.run(
-        [sys.executable, "-m", "dualstokes", "verify", "--scenario", str(path)],
+        [sys.executable, *run, "verify", "--scenario", str(path)],
         capture_output=True, text=True, env=env, timeout=60)
 
 
-def _assert_config_error_in_subprocess(tmp_path, scenario):
+def _assert_config_error_in_subprocess(tmp_path, scenario, memory_cap=None):
     # a clean exit 2: no traceback, no exit 1
-    proc = _verify_in_subprocess(tmp_path, scenario)
+    proc = _verify_in_subprocess(tmp_path, scenario, memory_cap)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -250,6 +261,20 @@ def test_verify_wave_of_non_finite_argument_is_overflow(tmp_path, expr):
     err = _assert_config_error_in_subprocess(
         tmp_path, _square_with_coefficient(expr))
     assert "overflowed the float range" in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS bounds allocations on Linux")
+def test_verify_partition_too_large_for_memory_is_config_error(tmp_path):
+    # 10**12 pieces of one axis cannot be allocated; under a 256 MiB cap
+    # the first level raises MemoryError after a few million breakpoints,
+    # which is an error (exit 2), not a failed verdict (exit 1)
+    huge = {"name": "huge", "theta": 1, "r": 0.5, "n": 1, "k": 1,
+            "form": {"degree": 0, "coeffs": [{"index": [], "expr": "2"}]},
+            "refinement": {"base_subdivisions": 10 ** 12}}
+    err = _assert_config_error_in_subprocess(tmp_path, huge,
+                                             memory_cap=256 * 2 ** 20)
+    assert "out of memory" in err
 
 
 def test_verify_long_flat_expression(tmp_path):

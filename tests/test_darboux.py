@@ -10,12 +10,14 @@ from dualstokes import (CubeDomain, Dual, Expr, IncomparableEndpoints,
                         darboux_sums, integral_estimate, make_interval,
                         make_rectangle, parse_expr, theta_cmp,
                         uniform_partition)
-from dualstokes.darboux import polynomial_estimate
+import dualstokes.darboux as darboux
+import dualstokes.stokes as stokes
+from dualstokes.darboux import ThetaInterval, polynomial_estimate
 from dualstokes.expr import MAX_MONOMIALS, lower_expr
 from helpers import (THETAS, bracket_contains, exact_darboux_sums,
-                     random_expr, random_poly, random_rectangle,
-                     reference_darboux_sums, reference_exact_integral,
-                     reference_uniform_partition)
+                     load_bench_module, random_expr, random_poly,
+                     random_rectangle, reference_darboux_sums,
+                     reference_exact_integral, reference_uniform_partition)
 
 
 def _leq(x, y, theta):
@@ -622,3 +624,38 @@ def test_exact_bracket_checks_arity():
     rect = CubeDomain(Theta.TYPE1, 0.5, 2).rectangle()
     with pytest.raises(ValueError, match="arity"):
         polynomial_estimate(parse_expr("x1", 1), rect)
+
+
+def test_weight_tables_are_built_once_per_interval_and_degree(monkeypatch):
+    # all 81 integrals of the tiled chain share one interval per axis
+    scenario = load_bench_module("workloads").tiled_chain_3d(stokes, 1)[0]
+    asked = []
+    build = darboux._axis_weights
+
+    def spy(iv, degree):
+        asked.append((repr((iv.a.re, iv.a.ze, iv.b.re, iv.b.ze)), degree))
+        return build(iv, degree)
+
+    monkeypatch.setattr(darboux, "_axis_weights", spy)
+    darboux._weight_table.cache_clear()
+    assert stokes.run_scenario(scenario).passed
+    builds = darboux._weight_table.cache_info().misses
+    assert 0 < builds <= len(set(asked)) < len(asked)
+
+
+def test_weight_tables_tell_apart_what_the_float_operations_do():
+    # 0.0 and -0.0, and 1 and 1.0, are equal endpoints whose powers and
+    # differences may differ in bits, so each has a table of its own
+    darboux._weight_table.cache_clear()
+    fresh = darboux._weight_table.__wrapped__
+    ends = [(0.0, 1.0), (-0.0, 1.0), (0, 1), (0.0, 3.0), (0, 3)]
+    tables = []
+    for a, b in ends:
+        iv = ThetaInterval(Theta.TYPE1, Dual(a, 0.0), Dual(b, 0.5))
+        table = darboux._axis_weights(iv, 40)
+        parts = (iv.a.re, iv.a.ze, iv.b.re, iv.b.ze)
+        assert repr(table) == repr(fresh(repr(parts), parts, 40))
+        assert darboux._axis_weights(iv, 40) is table
+        tables.append(table)
+    assert darboux._weight_table.cache_info().misses == len(ends)
+    assert repr(tables[3]) != repr(tables[4])  # 3**41 rounds as a float
