@@ -44,11 +44,13 @@ def _gather_scenarios(args) -> list:
         scenarios.extend(load_scenarios(path))
     for name in args.builtin or ():
         scenarios.append(builtin_scenario(name))
-    if getattr(args, "all_builtin", False):
+    all_builtin = getattr(args, "all_builtin", None)  # verify's flag only
+    if all_builtin:
         scenarios.extend(builtin_scenarios())
     if not scenarios:
-        raise ScenarioError(
-            "nothing to run: pass --scenario, --builtin, or --all-builtin")
+        flags = ("--scenario or --builtin" if all_builtin is None
+                 else "--scenario, --builtin, or --all-builtin")
+        raise ScenarioError(f"nothing to run: pass {flags}")
     return scenarios
 
 
@@ -131,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser(
         "integrate", help="integrate a top-degree form over a chain")
     _add_scenario_options(p_int)
-    p_int.set_defaults(func=_cmd_integrate, all_builtin=False)
+    p_int.set_defaults(func=_cmd_integrate)
 
     p_self = sub.add_parser(
         "selftest", help="run every bundled scenario and summarize")
@@ -158,8 +160,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        print(f"error: an interval enclosure or a constant overflowed the "
-              f"float range: {exc}", file=sys.stderr)
+        print(f"error: an interval enclosure, a constant or a chain sum "
+              f"overflowed the float range: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory; a refinement level's partition may be "

@@ -5,20 +5,22 @@ The model k-cube of type theta with inflation r is the rectangle
 ``b = 1 - r*eps`` for type-2; ``r = 0`` recovers the classical unit
 cube.  A singular cube is a symbolic map from that domain into dual
 n-space; faces substitute an endpoint for one coordinate, and the
-boundary is the usual signed sum of faces.
+boundary is the usual signed sum of faces, built in one pass over a
+chain's terms (a cube counts as its one-term chain).
 
 Chains are finite integer combinations of cubes sharing one
-``(theta, r, k, n)`` signature.  Normalization merges terms whose maps
-agree on a fixed pseudo-random sample of the domain — that is what lets
-the geometric cancellations in a double boundary actually cancel, since
+``(theta, r, k, n)`` signature; ``Chain(...)`` is their one constructor
+and checks every term.  Normalization merges terms whose maps agree on a
+fixed pseudo-random sample of the domain — that is what lets the
+geometric cancellations in a double boundary actually cancel, since
 composed substitutions need not be syntactically identical.  Each
 domain's sample is built once per ``(k, b.ze)``, and within one
 normalization each term's map is evaluated at most once per sample
 point, on float pairs, only when a comparison reaches that point.  A
 sorted index of each group's first value lets a term skip every group
 too far from it to agree, and a term whose map is identical to an
-earlier term's (the same interned nodes) is settled without evaluating
-it (see :func:`chain_normalize`); both are exact.
+earlier term's (the same interned nodes) skips the comparisons (see
+:func:`chain_normalize`); both are exact.
 """
 
 from __future__ import annotations
@@ -194,23 +196,21 @@ def chain_of(cube: SingularCube, weight: int = 1) -> Chain:
 
 
 def boundary(obj) -> Chain:
-    """Signed sum of faces, with weight (-1)^(axis + side)."""
+    """Signed sum of faces, with weight (-1)^(axis + side); a cube counts
+    as its one-term chain."""
     if isinstance(obj, SingularCube):
-        if obj.k == 0:
-            raise ValueError("a 0-dimensional cube has no boundary")
-        terms = []
-        for axis in range(1, obj.k + 1):
-            for side in (0, 1):
-                weight = -1 if (axis + side) % 2 else 1
-                terms.append((weight, face(obj, axis, side)))
-        return Chain(obj.theta, obj.r, obj.k - 1, obj.n, tuple(terms))
-    if isinstance(obj, Chain):
-        if obj.k == 0:
-            raise ValueError("0-dimensional chains have no boundary")
-        terms = [(weight * sign, f) for weight, cube in obj.terms
-                 for sign, f in boundary(cube).terms]
-        return Chain(obj.theta, obj.r, obj.k - 1, obj.n, tuple(terms))
-    raise TypeError("expected a cube or a chain")
+        terms = ((1, obj),)
+    elif isinstance(obj, Chain):
+        terms = obj.terms
+    else:
+        raise TypeError("expected a cube or a chain")
+    if obj.k == 0:
+        raise ValueError("a 0-dimensional cube or chain has no boundary")
+    faces = tuple((-weight if (axis + side) % 2 else weight,
+                   face(cube, axis, side))
+                  for weight, cube in terms
+                  for axis in range(1, obj.k + 1) for side in (0, 1))
+    return Chain(obj.theta, obj.r, obj.k - 1, obj.n, faces)
 
 
 class _Fingerprint:
@@ -221,27 +221,17 @@ class _Fingerprint:
     the values evaluated so far are always a prefix.
     """
 
-    __slots__ = ("cube", "points", "values", "_finite")
+    __slots__ = ("cube", "points", "values")
 
     def __init__(self, cube: SingularCube):
         self.cube = cube
         self.points = _domain_pairs(*cube.domain._sample_key())
         self.values: list[tuple[float, ...]] = []
-        self._finite = None
 
     def at(self, i: int) -> tuple[float, ...]:
         if i == len(self.values):
             self.values.append(self.cube.mapping.flat_values(self.points[i]))
         return self.values[i]
-
-    def finite(self) -> bool:
-        """Every value finite, at every point; evaluation stops at the
-        first point that has a NaN or infinite value."""
-        if self._finite is None:
-            self._finite = all(math.isfinite(x)
-                               for i in range(len(self.points))
-                               for x in self.at(i))
-        return self._finite
 
     def key(self) -> float:
         """The first float at the first point: the candidate index's key."""
@@ -272,14 +262,11 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     cube agrees with it (see `cubes_equal`), or else starts a group; a
     group keeps its first cube and sums its weights.
 
-    A term whose map is identical to an earlier term's, the same
-    component nodes, which interning makes of equal trees, is settled
-    without evaluating it.  If the earlier term joined a group G, the
-    term joins G.  If it started G, the term joins G when G's values are
-    all finite and ``tol >= 0``, the case where identical values agree;
-    otherwise it goes on as below.  Either way this is the group the
-    comparisons would pick: the identical term has the earlier term's
-    values, so it disagrees with every group before G, as that term did.
+    A term whose map is identical to an earlier term's (the same
+    interned component nodes) has that term's values, so it joins the
+    group that term joined, or the group it started when
+    ``_agree(first, first, tol)`` holds for that group's first
+    fingerprint, and otherwise goes on as below.
 
     Only groups near the term are compared.  A sorted index holds each
     group's key, the first float of its map at the first sample point,
@@ -305,7 +292,8 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
         nodes = tuple(c.node for c in cube.mapping.components)
         if nodes in seen:
             g, started = seen[nodes]
-            if not started or (tol >= 0 and groups[g][1].finite()):
+            first = groups[g][1]
+            if not started or _agree(first, first, tol):
                 groups[g][0] += weight
                 continue
         mine = _Fingerprint(cube)
@@ -328,7 +316,7 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
             seen.setdefault(nodes, (len(groups), True))
             groups.append([weight, mine])
     return Chain(chain.theta, chain.r, chain.k, chain.n,
-                 tuple((w, f.cube) for w, f in groups if w != 0))
+                 tuple((w, f.cube) for w, f in groups))
 
 
 def _near(keys: list[float], ids: list[int], x: float, tol: float,

@@ -18,6 +18,7 @@ a schema constant for downstream validation.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .cubes import Chain, CubeDomain, SingularCube, boundary, chain_normalize
@@ -137,7 +138,8 @@ def integrate_over_chain(w: DiffForm, chain: Chain,
                          refinement: Refinement) -> IntegralEstimate:
     """Weighted sum of per-cube brackets over the normalized chain.
 
-    Gaps accumulate by |weight|.
+    Gaps accumulate by |weight|.  Raises ``OverflowError`` when the sum's
+    value or a gap is not finite.
     """
     chain = chain_normalize(chain)
     lo_re = hi_re = lo_ze = hi_ze = 0.0
@@ -155,7 +157,12 @@ def integrate_over_chain(w: DiffForm, chain: Chain,
         lower, upper = Dual(lo_re, lo_ze), Dual(hi_re, hi_ze)
     else:
         lower, upper = Dual(lo_re, hi_ze), Dual(hi_re, lo_ze)
-    return IntegralEstimate.from_bounds(lower, upper, finest)
+    est = IntegralEstimate.from_bounds(lower, upper, finest)
+    parts = (est.value.re, est.value.ze, est.gap_re, est.gap_ze)
+    if not all(map(math.isfinite, parts)):
+        raise OverflowError(
+            f"the chain sum is not finite: {lower}, {upper}")
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +373,10 @@ class Scenario(Record):
             for weight, components in self.cubes:
                 mapping = ExprMap(tuple(parse_expr(text, self.k)
                                         for text in components))
-                if mapping.dim_out != self.n:
-                    raise ScenarioError(
-                        f"{self.name}: cube map has {mapping.dim_out} "
-                        f"components, expected {self.n}")
                 terms.append((weight, SingularCube(domain, mapping)))
+            return Chain(self.theta, self.r, self.k, self.n, tuple(terms))
         except (ParseError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
             raise ScenarioError(f"{self.name}: bad cube map: {exc}") from exc
-        return Chain(self.theta, self.r, self.k, self.n, tuple(terms))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -428,6 +429,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         for item in raw_cubes:
             _object(item, "cube", ("map",), ("weight",))
             weight = _integer(item.get("weight", 1), "cube weight")
+            if abs(weight) > sys.float_info.max:
+                raise ScenarioError("cube weight is past the float range")
             comps = item["map"]
             if (not isinstance(comps, list) or len(comps) != n
                     or any(not isinstance(c, str) for c in comps)):

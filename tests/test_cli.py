@@ -78,7 +78,14 @@ def test_verify_scenario_file(tmp_path):
 def test_verify_without_inputs_is_config_error():
     code, out, err = run_cli("verify")
     assert code == 2
-    assert err.startswith("error:")
+    assert err == ("error: nothing to run: pass --scenario, --builtin, "
+                   "or --all-builtin\n")
+
+
+def test_integrate_without_inputs_names_only_its_flags():
+    code, out, err = run_cli("integrate")
+    assert code == 2
+    assert err == "error: nothing to run: pass --scenario or --builtin\n"
 
 
 def test_verify_bad_inputs(tmp_path):
@@ -177,7 +184,8 @@ _CAPPED = ("import resource, runpy, sys; "
            "runpy.run_module('dualstokes', run_name='__main__')")
 
 
-def _verify_in_subprocess(tmp_path, scenario, memory_cap=None):
+def _cli_in_subprocess(tmp_path, scenario, *options, memory_cap=None,
+                       command="verify"):
     # a fresh interpreter, so nothing the test process set up can leak in;
     # a memory cap applies to that interpreter alone
     path = tmp_path / "f.json"
@@ -189,13 +197,15 @@ def _verify_in_subprocess(tmp_path, scenario, memory_cap=None):
     run = (["-m", "dualstokes"] if memory_cap is None
            else ["-c", _CAPPED.format(cap=memory_cap)])
     return subprocess.run(
-        [sys.executable, *run, "verify", "--scenario", str(path)],
+        [sys.executable, *run, command, "--scenario", str(path), *options],
         capture_output=True, text=True, env=env, timeout=60)
 
 
-def _assert_config_error_in_subprocess(tmp_path, scenario, memory_cap=None):
+def _assert_config_error_in_subprocess(tmp_path, scenario, *options,
+                                       memory_cap=None, command="verify"):
     # a clean exit 2: no traceback, no exit 1
-    proc = _verify_in_subprocess(tmp_path, scenario, memory_cap)
+    proc = _cli_in_subprocess(tmp_path, scenario, *options,
+                              memory_cap=memory_cap, command=command)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -263,6 +273,30 @@ def test_verify_wave_of_non_finite_argument_is_overflow(tmp_path, expr):
     assert "overflowed the float range" in err
 
 
+def test_integrate_chain_sum_past_the_float_range_is_overflow(tmp_path):
+    # each cube's bracket is finite; weight times bracket is not
+    big = {**_AREA, "form": {"degree": 2, "coeffs": [
+        {"index": [1, 2], "expr": "1e300"}]},
+        "cubes": [{"weight": 10 ** 30, "map": ["x1", "x2"]}]}
+    err = _assert_config_error_in_subprocess(tmp_path, big,
+                                             command="integrate")
+    assert "overflowed the float range" in err
+    assert "chain sum is not finite" in err
+
+
+def test_verify_chain_sum_past_the_float_range_is_overflow(tmp_path):
+    # both sides overflow: a NaN verdict would exit 1 as a failed check
+    big = {**_AREA, "form": {"degree": 1, "coeffs": [
+        {"index": [2], "expr": "1e120*x1"}]},
+        "cubes": [{"weight": 10 ** 200, "map": ["x1", "x2"]}] * 2}
+    report = tmp_path / "report.json"
+    err = _assert_config_error_in_subprocess(tmp_path, big,
+                                             "--json", str(report))
+    assert "overflowed the float range" in err
+    assert "chain sum is not finite" in err
+    assert not report.exists()
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="RLIMIT_AS bounds allocations on Linux")
 def test_verify_partition_too_large_for_memory_is_config_error(tmp_path):
@@ -283,7 +317,7 @@ def test_verify_long_flat_expression(tmp_path):
     flat = _square_with_coefficient("+".join(["x1"] * 3000))
     flat["refinement"] = {"tol_re": 1e4, "tol_ze": 1e4,
                           "base_subdivisions": 2, "max_doublings": 0}
-    proc = _verify_in_subprocess(tmp_path, flat)
+    proc = _cli_in_subprocess(tmp_path, flat)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ok")
     assert "Traceback" not in proc.stderr

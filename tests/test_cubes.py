@@ -379,7 +379,7 @@ def test_normalize_evaluates_each_map_at_most_once_per_point(monkeypatch):
     assert sum(calls.values()) <= 918
 
 
-@pytest.mark.parametrize("tol", (math.nan, 0.0, MERGE_TOL, math.inf))
+@pytest.mark.parametrize("tol", (math.nan, -1.0, 0.0, MERGE_TOL, math.inf))
 def test_normalize_identical_maps_match_reference(tol):
     # separately built equal maps share their nodes, so a term identical
     # to an earlier one is settled without evaluating it
@@ -464,6 +464,45 @@ def test_boundary_of_chain_scales():
         boundary(standard_cube(Theta.TYPE1, 0.5, 0))
     with pytest.raises(TypeError):
         boundary("not a cube")
+
+
+def _reference_boundary(terms, k):
+    # each face from face() itself, weighted w*(-1)^(axis+side)
+    return [(w * (-1) ** (axis + side), face(cube, axis, side))
+            for w, cube in terms
+            for axis in range(1, k + 1) for side in (0, 1)]
+
+
+def _nodes(terms):
+    return [(w, tuple(c.node for c in cube.mapping.components))
+            for w, cube in terms]
+
+
+def test_boundary_matches_faces():
+    rng = random.Random(23)
+    cube = random_cube(rng, Theta.TYPE2, 0.5, 3, 4)
+    assert _nodes(boundary(cube).terms) == \
+        _nodes(_reference_boundary(((1, cube),), 3))
+    terms = ((3, cube), (-2, random_cube(rng, Theta.TYPE2, 0.5, 3, 4)),
+             (1, random_cube(rng, Theta.TYPE2, 0.5, 3, 4)))
+    bd = boundary(Chain(Theta.TYPE2, 0.5, 3, 4, terms))
+    assert (bd.theta, bd.r, bd.k, bd.n) == (Theta.TYPE2, 0.5, 2, 4)
+    assert len(bd.terms) == 18
+    assert _nodes(bd.terms) == _nodes(_reference_boundary(terms, 3))
+
+
+def test_boundary_of_chain_builds_one_chain(monkeypatch):
+    built = []
+    original = Chain.__init__
+
+    def counting(self, *args):
+        built.append(args[2])  # k
+        original(self, *args)
+
+    chain = random_chain(random.Random(29), Theta.TYPE1, 0.5, 2, 3, terms=3)
+    monkeypatch.setattr(Chain, "__init__", counting)
+    bd = boundary(chain)
+    assert built == [1] and len(bd.terms) == 12
 
 
 def test_double_boundary_vanishes():

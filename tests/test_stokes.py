@@ -94,6 +94,17 @@ def test_empty_chain_integral_is_zero():
     assert est.gap_re == 0.0 and est.gap_ze == 0.0
 
 
+@pytest.mark.parametrize("text, weight", [
+    ("1e300", 10 ** 30),  # the sums themselves overflow
+    ("1.7e308", 1),       # finite sums whose midpoint overflows
+])
+def test_chain_sum_past_the_float_range_overflows(text, weight):
+    w = DiffForm(2, 2, {(0, 1): parse_expr(text, 2)})
+    cube = standard_cube(Theta.TYPE1, 0.5, 2)
+    with pytest.raises(OverflowError, match="chain sum is not finite"):
+        integrate_over_chain(w, chain_of(cube, weight), Refinement())
+
+
 def test_type2_bracket_orientation():
     w = DiffForm(2, 2, {(0, 1): parse_expr("x1*x2", 2)})
     cube = standard_cube(Theta.TYPE2, 0.5, 2)
@@ -283,6 +294,7 @@ def test_scenario_validation_errors():
         _broken(cubes=[{"weight": 1.5, "map": ["x1", "x2"]}]),
         _broken(cubes=[{"weight": True, "map": ["x1", "x2"]}]),
         _broken(cubes=[{"map": ["x1", "x2"], "junk": 1}]),
+        _broken(cubes=[{"weight": 10 ** 400, "map": ["x1", "x2"]}]),
         _broken(n=3),  # identity default needs n == k
         _broken(refinement={"mode": "magic"}),
         _broken(refinement={"mode": "sample"}),
