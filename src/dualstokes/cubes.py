@@ -90,9 +90,11 @@ def _domain_pairs(k: int, ze_span: float, ze_sign: float):
 
 
 class SingularCube(Record):
-    """An immutable symbolic map from the model domain into dual n-space."""
+    """An immutable symbolic map from the model domain into dual n-space;
+    its signature is taken once, and kept outside the fields."""
 
-    __slots__ = _fields = ("domain", "mapping")
+    _fields = ("domain", "mapping")
+    __slots__ = _fields + ("_signature",)
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity
 
     def __init__(self, domain: CubeDomain, mapping: ExprMap):
@@ -101,6 +103,7 @@ class SingularCube(Record):
                 f"map takes {mapping.arity} variables but the domain "
                 f"has dimension {domain.k}")
         self.domain, self.mapping = domain, mapping
+        self._signature = (domain.theta, domain.r, domain.k, mapping.dim_out)
 
     theta = property(lambda self: self.domain.theta)
     r = property(lambda self: self.domain.r)
@@ -108,7 +111,7 @@ class SingularCube(Record):
     n = property(lambda self: self.mapping.dim_out)
 
     def signature(self) -> tuple:
-        return (self.theta, self.r, self.k, self.n)
+        return self._signature
 
 
 def standard_cube(theta: Theta, r: float, k: int) -> SingularCube:
@@ -156,7 +159,7 @@ class Chain(Record):
         for weight, cube in tuple(terms):
             if not isinstance(weight, int) or isinstance(weight, bool):
                 raise TypeError("chain weights must be integers")
-            if cube.signature() != signature:
+            if cube._signature != signature:
                 raise ValueError(
                     f"cube signature {cube.signature()} does not match "
                     f"chain signature {signature}")

@@ -57,6 +57,10 @@ DEFAULT_BASE_SUBDIVISIONS = 4
 DEFAULT_MAX_DOUBLINGS = 8
 
 
+class NotFinite(OverflowError):
+    """A bracket whose sums, midpoint or gap are past the float range."""
+
+
 class IncomparableEndpoints(ValueError):
     """Interval endpoints that the chosen order cannot rank."""
 
@@ -391,6 +395,11 @@ class IntegralEstimate(Record):
     def exact(value: Dual) -> "IntegralEstimate":
         return IntegralEstimate(value, value, value, 0.0, 0.0, 0)
 
+    def finite(self) -> bool:
+        """Whether the midpoint and the gaps are finite (so the ends are)."""
+        return all(map(math.isfinite, (self.value.re, self.value.ze,
+                                       self.gap_re, self.gap_ze)))
+
 
 _U = 2.0 ** -53       # the unit roundoff of round to nearest
 _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
@@ -426,15 +435,16 @@ def _weight_table(key: str, ends: tuple, degree: int) -> tuple:
     return tuple(table)
 
 
-def polynomial_estimate(f: Expr, rect: ThetaRectangle
+def polynomial_estimate(f: Expr | tuple, rect: ThetaRectangle
                         ) -> IntegralEstimate | None:
     """The exact integral of a polynomial integrand, in a bracket that
-    bounds every rounding; None for a constant integrand, one that is no
+    bounds every rounding; None for a constant expression, one that is no
     polynomial within the caps of :func:`.expr.expand_polynomial`, or one
-    whose value or bound is not finite.
+    whose bracket is not finite.
 
-    The integrand is expanded into monomials ``c x^P`` with dual float
-    coefficients (:func:`.expr.expand_polynomial`).  By the fundamental
+    `f` is an :class:`.expr.Expr`, expanded into monomials ``c x^P`` with
+    dual float coefficients, or such a polynomial register already, as
+    :func:`.forms.pullback_polynomial` makes.  By the fundamental
     theorem of calculus, which the dual reals keep (eps^2 = 0), each
     integrates over the box to ``c`` times the product over the axes of
     ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)``, and the value is the sum of
@@ -469,21 +479,22 @@ def polynomial_estimate(f: Expr, rect: ThetaRectangle
     bracket's ends are the value's parts minus and plus the radius,
     each rounded outward by one float with ``math.nextafter``.  Both
     parts get the same radius.  A value, shadow or radius that
-    overflowed is not finite, so no overflow goes unseen.  Lower and
-    upper follow the rectangle's order, as a Darboux bracket's do, and
-    ``subdivisions`` is 0.
+    overflowed is not finite, and neither is the bracket then, so no
+    overflow goes unseen.  Lower and upper follow the rectangle's
+    order, as a Darboux bracket's do, and ``subdivisions`` is 0.
     """
-    code = lower_expr(f)
-    if code[-1].level < 0:  # a constant: one Darboux cell, with no gap
-        return None
-    if f.arity != rect.dim:
-        raise ValueError(
-            f"integrand arity {f.arity} does not match rectangle "
-            f"dimension {rect.dim}")
-    try:
-        terms, shadow, order, degree = expand_polynomial(f)
-    except (NotPolynomial, OverflowError):  # an int constant past floats
-        return None
+    if isinstance(f, Expr):
+        if lower_expr(f)[-1].level < 0:  # a constant: one Darboux cell
+            return None
+        if f.arity != rect.dim:
+            raise ValueError(
+                f"integrand arity {f.arity} does not match rectangle "
+                f"dimension {rect.dim}")
+        try:
+            f = expand_polynomial(f)
+        except (NotPolynomial, OverflowError):  # an int constant past floats
+            return None
+    terms, shadow, order, degree = f
     tables = [_axis_weights(iv, degree) for iv in rect.intervals]
     mask = (1 << KEY_BITS) - 1
     v_re = v_ze = 0.0
@@ -507,16 +518,15 @@ def polynomial_estimate(f: Expr, rect: ThetaRectangle
         return None
     total = shadow * w_top + (3 * len(terms)) * TINY
     radius = math.nextafter((2 * n + 1) * _U * total, math.inf)
-    if not all(map(math.isfinite, (v_re, v_ze, radius))):
-        return None
     lo_re = math.nextafter(v_re - radius, -math.inf)
     hi_re = math.nextafter(v_re + radius, math.inf)
     lo_ze = math.nextafter(v_ze - radius, -math.inf)
     hi_ze = math.nextafter(v_ze + radius, math.inf)
     if rect.theta.sign < 0:
         lo_ze, hi_ze = hi_ze, lo_ze
-    return IntegralEstimate.from_bounds(Dual(lo_re, lo_ze),
-                                        Dual(hi_re, hi_ze), 0)
+    est = IntegralEstimate.from_bounds(Dual(lo_re, lo_ze), Dual(hi_re, hi_ze),
+                                       0)
+    return est if est.finite() else None
 
 
 def integral_estimate(f: Expr, rect: ThetaRectangle, *,
@@ -530,8 +540,8 @@ def integral_estimate(f: Expr, rect: ThetaRectangle, *,
     Subdivision counts run `base_subdivisions * 2**t` for
     `t = 0 .. max_doublings`; the reported value is the bracket
     midpoint.  Raises :class:`NotConverged` (carrying the final
-    estimate) if the budget runs out, and ``OverflowError`` as soon as
-    a level's lower or upper sum has an infinite or NaN part.
+    estimate) if the budget runs out, and :class:`NotFinite` as soon as
+    a level's sums, midpoint or gap have an infinite or NaN part.
     """
     if not (tol_re >= 0 and tol_ze >= 0):
         raise ValueError("tolerances must be nonnegative numbers")
@@ -541,11 +551,11 @@ def integral_estimate(f: Expr, rect: ThetaRectangle, *,
     for t in range(max_doublings + 1):
         n = base_subdivisions * (1 << t)
         lower, upper = darboux_sums(f, uniform_partition(rect, n))
-        sums = (lower.re, lower.ze, upper.re, upper.ze)
-        if not all(map(math.isfinite, sums)):
-            raise OverflowError(f"lower and upper sums at {n} subdivisions "
-                                f"per axis are not finite: {lower}, {upper}")
         estimate = IntegralEstimate.from_bounds(lower, upper, n)
+        if not estimate.finite():
+            raise NotFinite(f"lower and upper sums at {n} subdivisions per "
+                            f"axis, or their midpoint or gap, are not "
+                            f"finite: {lower}, {upper}")
         if estimate.gap_re <= tol_re and estimate.gap_ze <= tol_ze:
             return estimate
     raise NotConverged(estimate, tol_re, tol_ze)

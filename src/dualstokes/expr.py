@@ -502,6 +502,8 @@ def _poly_mul(x, y):
     # a coefficient sums at most min(len) pair products, whose ze parts
     # round twice: order x + y + min(len) + 1
     (xt, xs, xo, xd), (yt, ys, yo, yd) = x, y
+    if not (xs and ys):  # a shadow of 0 is exactly 0, as is the product
+        return {}, 0.0, 0, 0
     if xd + yd > MAX_DEGREE:
         raise NotPolynomial(f"degree above {MAX_DEGREE}")
     terms = {}
@@ -533,6 +535,23 @@ def _poly_pow(x, exponent: int):
 
 def _poly_prim(name: str, x):
     raise NotPolynomial(f"{name} is not a polynomial")
+
+
+def poly_diff(x, index: int):
+    """The partial derivative of a polynomial register in variable `index`.
+
+    Each coefficient is multiplied by its exponent, one more rounding,
+    and the shadow by the largest exponent of the variable, which bounds
+    that factor on every coefficient; no term in it gives no terms."""
+    terms, shadow, order, degree = x
+    shift, mask = KEY_BITS * index, (1 << KEY_BITS) - 1
+    out, top = {}, 0
+    for k, (re, ze) in terms.items():
+        p = (k >> shift) & mask
+        if p:
+            out[k - (1 << shift)] = (re * p, ze * p)
+            top = max(top, p)
+    return out, shadow * top if top else 0.0, order + 1, max(degree - 1, 0)
 
 
 _POLYS = (

@@ -25,9 +25,9 @@ from __future__ import annotations
 from .dual import ZERO, Dual
 # partial_diff is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
-from .expr import (_PAIRS, Const, Expr, ExprMap, _add, _mul, _point_pairs,
-                   _run, compose, is_zero_expr, lower_expr, partial_diff,
-                   partial_diffs)
+from .expr import (_NODES, _PAIRS, _POLYS, Expr, ExprMap, _point_pairs,
+                   _run, compose, expand_polynomial, is_zero_expr,
+                   lower_expr, partial_diff, partial_diffs, poly_diff)
 from .tensors import (AltTensor, Graded, add_term, ascending_tuples,
                       merge_sign, signed_permutations, wedge)
 
@@ -100,16 +100,24 @@ def form_eval(w: DiffForm, point, vectors) -> Dual:
     return tensor.evaluate(vectors)
 
 
-def _sym_det(matrix, arity: int) -> Expr:
-    """Determinant of a square matrix of expressions, by permutation expansion."""
-    # built on bare nodes and wrapped once: every Expr checks its arity
-    total = Const(ZERO)
+def _minor(matrix, arith: tuple):
+    """Determinant of a square matrix by permutation expansion, under an
+    arithmetic of :mod:`.expr`: nodes for :func:`pullback`, polynomial
+    registers for :func:`pullback_polynomial`."""
+    const, _, add, _, mul, _, _ = arith
+    total = const(ZERO)
     for perm, sign in signed_permutations(len(matrix)):
-        term = Const(Dual(sign))
+        term = const(Dual(sign))
         for row, col in enumerate(perm):
-            term = _mul(term, matrix[row][col].node)
-        total = _add(total, term)
-    return Expr(total, arity)
+            term = mul(term, matrix[row][col])
+        total = add(total, term)
+    return total
+
+
+def _sym_det(matrix, arity: int) -> Expr:
+    """Determinant of a square matrix of expressions."""
+    return Expr(_minor([[e.node for e in row] for row in matrix], _NODES),
+                arity)
 
 
 def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
@@ -137,6 +145,27 @@ def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
         if acc is not None and not is_zero_expr(acc):
             out[target] = acc
     return DiffForm(m, w.k, out)
+
+
+def pullback_polynomial(f: ExprMap, w: DiffForm) -> tuple:
+    """:func:`pullback`'s coefficient on dx1^...^dxm, for a map of arity m
+    and an m-form, as a polynomial register of :mod:`.expr`: the form's
+    coefficients run on the map's registers, and the jacobian (by
+    :func:`.expr.poly_diff`) and its minors are registers too, so the
+    shadow and order bound all their roundings.  Raises where
+    :func:`.expr.expand_polynomial` would."""
+    if f.dim_out != w.n or f.arity != w.k:
+        raise ValueError(
+            f"need a form of degree {f.arity} on dimension {f.dim_out}")
+    _, _, add, _, mul, _, _ = _POLYS
+    comps = [expand_polynomial(c) for c in f.components]
+    jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
+    acc = ({}, 0.0, 0, 0)  # the zero polynomial
+    for index, coeff in w.coeffs.items():
+        det = _minor([jac[i] for i in index], _POLYS)
+        if any(det[0]) or any(det[0].get(0, ())):  # else the constant 0
+            acc = add(acc, mul(_run(lower_expr(coeff), _POLYS, comps), det))
+    return acc
 
 
 wedge_forms = wedge  # the forms-layer name of the shared wedge

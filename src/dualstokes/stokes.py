@@ -18,16 +18,18 @@ a schema constant for downstream validation.
 
 from __future__ import annotations
 
-import math
 import sys
 
 from .cubes import Chain, CubeDomain, SingularCube, boundary, chain_normalize
 from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       DEFAULT_TOL_RE, DEFAULT_TOL_ZE, IntegralEstimate,
-                      NotConverged, integral_estimate, polynomial_estimate)
+                      NotConverged, NotFinite, integral_estimate,
+                      polynomial_estimate)
 from .dual import Dual, Record, Theta
-from .expr import ExprMap, ParseError, eval_dual, parse_expr
-from .forms import DiffForm, exterior_derivative, pullback
+from .expr import (Expr, ExprMap, NotPolynomial, ParseError, eval_dual,
+                   parse_expr)
+from .forms import (DiffForm, exterior_derivative, pullback,
+                    pullback_polynomial)
 
 DEFAULT_STOKES_TOL = 1e-3
 REPORT_SCHEMA_VERSION = "stokes-report/1"
@@ -104,13 +106,19 @@ class Refinement(Record):
 # integration of forms over cubes and chains
 
 
+def _within(est: IntegralEstimate | None, refinement: Refinement) -> bool:
+    return (est is not None and est.gap_re <= refinement.tol_re
+            and est.gap_ze <= refinement.tol_ze)
+
+
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
                         refinement: Refinement) -> IntegralEstimate:
     """Pull the form back through the cube's map and integrate the result.
 
-    The exact bracket of :func:`.darboux.polynomial_estimate` is taken
-    when there is one and its gaps meet the refinement's tolerances;
-    otherwise the Darboux refinement runs, as if there were none.
+    The pullback runs on polynomial registers where it can: an exact
+    bracket is taken when its gaps meet the refinement's tolerances, and
+    a constant takes the Darboux refinement.  Otherwise the symbolic
+    pullback's integrand is integrated in the same way.
     """
     if w.n != cube.n:
         raise ValueError(
@@ -121,13 +129,22 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
     if cube.k == 0:
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
-    pulled = pullback(cube.mapping, w)
-    integrand = pulled.coefficient(tuple(range(cube.k)))
     rect = cube.domain.rectangle()
-    est = polynomial_estimate(integrand, rect)
-    if (est is not None and est.gap_re <= refinement.tol_re
-            and est.gap_ze <= refinement.tol_ze):
-        return est
+    try:
+        register = pullback_polynomial(cube.mapping, w)
+    except (NotPolynomial, OverflowError):  # an int constant past floats
+        register = None
+    if register is not None and not any(register[0]):  # a constant
+        integrand = Expr.constant(Dual(*register[0].get(0, (0.0, 0.0))),
+                                  cube.k)
+    else:
+        est = None if register is None else polynomial_estimate(register, rect)
+        if not _within(est, refinement):
+            integrand = pullback(cube.mapping, w).coefficient(
+                tuple(range(cube.k)))
+            est = polynomial_estimate(integrand, rect)
+        if _within(est, refinement):
+            return est
     return integral_estimate(
         integrand, rect, tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
         base_subdivisions=refinement.base_subdivisions,
@@ -138,14 +155,17 @@ def integrate_over_chain(w: DiffForm, chain: Chain,
                          refinement: Refinement) -> IntegralEstimate:
     """Weighted sum of per-cube brackets over the normalized chain.
 
-    Gaps accumulate by |weight|.  Raises ``OverflowError`` when the sum's
-    value or a gap is not finite.
+    Gaps accumulate by |weight|.  Raises :class:`.darboux.NotFinite`
+    when a cube's bracket, or the sum's value or a gap, is not finite.
     """
     chain = chain_normalize(chain)
     lo_re = hi_re = lo_ze = hi_ze = 0.0
     finest = 0
     for weight, cube in chain.terms:
-        est = integrate_over_cube(w, cube, refinement)
+        try:
+            est = integrate_over_cube(w, cube, refinement)
+        except NotFinite as exc:
+            raise NotFinite(f"the chain sum is not finite: {exc}") from exc
         a, b = weight * est.lower.re, weight * est.upper.re
         lo_re += min(a, b)
         hi_re += max(a, b)
@@ -158,10 +178,8 @@ def integrate_over_chain(w: DiffForm, chain: Chain,
     else:
         lower, upper = Dual(lo_re, hi_ze), Dual(hi_re, lo_ze)
     est = IntegralEstimate.from_bounds(lower, upper, finest)
-    parts = (est.value.re, est.value.ze, est.gap_re, est.gap_ze)
-    if not all(map(math.isfinite, parts)):
-        raise OverflowError(
-            f"the chain sum is not finite: {lower}, {upper}")
+    if not est.finite():
+        raise NotFinite(f"the chain sum is not finite: {lower}, {upper}")
     return est
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -241,19 +242,23 @@ def _exact_dual_power(x, n: int):
     return re ** n, n * re ** (n - 1) * ze
 
 
-def reference_exact_expansion(f: Expr) -> dict:
+def reference_exact_expansion(f: Expr, args=None, dim: int = None) -> dict:
     """f's lowered program run on polynomials with ``Fraction`` dual
     coefficients (eps^2 = 0), from the exact values of its float
-    constants: ``{exponent tuple: (re, ze)}``.  Raises ``ValueError`` at
-    exp, sin or cos."""
-    dim = f.arity
+    constants: ``{exponent tuple: (re, ze)}``.  ``args[i]``, an exact
+    polynomial in `dim` variables, stands for x(i+1); by default x(i+1)
+    is itself.  Raises ``ValueError`` at exp, sin or cos."""
+    if args is None:
+        dim = f.arity
+        args = [{tuple(int(i == j) for i in range(dim)): (Fraction(1), 0)}
+                for j in range(dim)]
     zero = (0,) * dim
     regs = []
     for op, a, b, _ in lower_expr(f):
         if op == "const":
             value = {zero: (Fraction(a.re), Fraction(a.ze))}
         elif op == "var":
-            value = {tuple(int(i == a) for i in range(dim)): (Fraction(1), 0)}
+            value = args[a]
         elif op == "neg":
             value = _exact_add({}, regs[a], -1)
         elif op in ("add", "sub"):
@@ -270,8 +275,43 @@ def reference_exact_expansion(f: Expr) -> dict:
     return regs[-1]
 
 
-def reference_exact_integral(f: Expr, rect: ThetaRectangle):
-    """The integral of a polynomial integrand over the rectangle, exactly.
+def reference_exact_partial(poly: dict, index: int) -> dict:
+    """The partial derivative in variable `index` of an exact polynomial."""
+    out = {}
+    for key, (re, ze) in poly.items():
+        p = key[index]
+        if p:
+            out[key[:index] + (p - 1,) + key[index + 1:]] = (p * re, p * ze)
+    return out
+
+
+def reference_exact_pullback(mapping: ExprMap, w: DiffForm) -> dict:
+    """The coefficient on dx1^...^dxm of the pullback of the m-form `w`
+    through the map of arity m, as an exact polynomial: the components
+    expanded, their partials, each minor by permutation expansion with
+    the sign counted from inversions, and each coefficient composed with
+    the components, all in ``Fraction`` arithmetic."""
+    m = mapping.arity
+    comps = [reference_exact_expansion(c) for c in mapping.components]
+    jac = [[reference_exact_partial(c, j) for j in range(m)] for c in comps]
+    one = {(0,) * m: (Fraction(1), Fraction(0))}
+    total = {}
+    for index, coeff in w.coeffs.items():
+        det = {}
+        for perm in itertools.permutations(range(m)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            term = _exact_add({}, one, (-1) ** inversions)
+            for row, col in enumerate(perm):
+                term = _exact_mul(term, jac[index[row]][col])
+            det = _exact_add(det, term)
+        composed = reference_exact_expansion(coeff, comps, m)
+        total = _exact_add(total, _exact_mul(composed, det))
+    return total
+
+
+def reference_exact_integral(f, rect: ThetaRectangle):
+    """The integral of a polynomial integrand, an Expr or an exact
+    polynomial, over the rectangle, exactly.
 
     Each monomial ``c x^P`` of :func:`reference_exact_expansion` integrates
     to ``c`` times the product over the axes of
@@ -285,8 +325,9 @@ def reference_exact_integral(f: Expr, rect: ThetaRectangle):
         lo, hi = (_exact_dual_power(x, p + 1) for x in ends)
         return (hi[0] - lo[0]) / (p + 1), (hi[1] - lo[1]) / (p + 1)
 
+    poly = f if isinstance(f, dict) else reference_exact_expansion(f)
     total_re = total_ze = Fraction(0)
-    for key, (c_re, c_ze) in reference_exact_expansion(f).items():
+    for key, (c_re, c_ze) in poly.items():
         w = (Fraction(1), Fraction(0))
         for axis, p in enumerate(key):
             w_re, w_ze = piece(axis, p)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -533,3 +534,22 @@ def test_boundary_keeps_signature():
     assert bd.k == 2
     assert bd.n == 3
     assert len(bd.terms) == 6
+
+
+def test_cube_signature_is_taken_once(monkeypatch):
+    cube = random_cube(random.Random(6), Theta.TYPE2, 0.7, 2, 3)
+    signature = (Theta.TYPE2, 0.7, 2, 3)
+    assert cube.signature() == signature
+    assert SingularCube._fields == ("domain", "mapping")
+    assert pickle.loads(pickle.dumps(cube)).signature() == signature
+    # a chain checks each term against the signature taken at construction,
+    # without reading the cube's domain or map again
+    for name in ("theta", "r", "k", "n"):
+        monkeypatch.setattr(SingularCube, name, property(_unread))
+    assert Chain(Theta.TYPE2, 0.7, 2, 3, ((2, cube),)).terms == ((2, cube),)
+    with pytest.raises(ValueError, match="does not match"):
+        Chain(Theta.TYPE2, 0.7, 2, 2, ((1, cube),))
+
+
+def _unread(cube):
+    raise AssertionError("the signature is read again")

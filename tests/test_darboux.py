@@ -12,8 +12,8 @@ from dualstokes import (CubeDomain, Dual, Expr, IncomparableEndpoints,
                         uniform_partition)
 import dualstokes.darboux as darboux
 import dualstokes.stokes as stokes
-from dualstokes.darboux import ThetaInterval, polynomial_estimate
-from dualstokes.expr import MAX_MONOMIALS, lower_expr
+from dualstokes.darboux import NotFinite, ThetaInterval, polynomial_estimate
+from dualstokes.expr import MAX_MONOMIALS, expand_polynomial, lower_expr
 from helpers import (THETAS, bracket_contains, exact_darboux_sums,
                      load_bench_module, random_expr, random_poly,
                      random_rectangle, reference_darboux_sums,
@@ -659,3 +659,20 @@ def test_weight_tables_tell_apart_what_the_float_operations_do():
         tables.append(table)
     assert darboux._weight_table.cache_info().misses == len(ends)
     assert repr(tables[3]) != repr(tables[4])  # 3**41 rounds as a float
+
+
+def test_exact_bracket_whose_midpoint_overflows_is_none():
+    # the value is about 1.7e308 and finite; the midpoint of its ends is not
+    rect = make_rectangle(Theta.TYPE1, [(0, math.sqrt(2.0))])
+    f = parse_expr("1.7e308*x1", 1)
+    assert polynomial_estimate(f, rect) is None
+    assert polynomial_estimate(expand_polynomial(f), rect) is None
+
+
+def test_integral_estimate_rejects_an_overflowing_midpoint():
+    rect = make_rectangle(Theta.TYPE1, [(0, Dual(1, 0.5))] * 2)
+    lower, upper = darboux_sums(parse_expr("1.7e308", 2),
+                                uniform_partition(rect, 4))
+    assert math.isfinite(lower.re) and math.isfinite(upper.ze)
+    with pytest.raises(NotFinite, match="midpoint"):
+        integral_estimate(parse_expr("1.7e308", 2), rect)

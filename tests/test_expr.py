@@ -16,11 +16,12 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
 from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
                              Add, Const, Mul, Neg, NotPolynomial, PowInt, Prim,
                              Sub, Var, _add, _mul, _sub, expand_polynomial,
-                             lower_expr, partial_diffs)
+                             lower_expr, partial_diffs, poly_diff)
 from helpers import (point_in_box, random_box, random_expr, random_map,
                      random_poly, reference_cr_check, reference_diff,
                      reference_enclose, reference_eval,
-                     reference_exact_expansion, reference_exprs_equal,
+                     reference_exact_expansion, reference_exact_partial,
+                     reference_exprs_equal,
                      reference_render, reference_subst, small_point,
                      trees_match)
 
@@ -968,3 +969,85 @@ def test_polynomial_registers_refuse_too_many_monomials():
 def test_polynomial_register_of_a_raw_zeroth_power_is_one():
     f = Expr(PowInt(Add(Var(0), Const(Dual(2.0, -1.0))), 0), 1)
     assert expand_polynomial(f) == ({0: (1.0, 0.0)}, 1.0, 0, 0)
+
+
+# the register derivative
+
+
+def _nonzero(terms: dict) -> dict:
+    return {key: pair for key, pair in terms.items() if pair != (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("text", [
+    "x1", "x1*x2 + 3*x2^2 - eps*x1^3*x2", "(x1 + 2*eps)*(x2 - 1)^3",
+    "(x1+1*(1+0.5*eps))*(x3+2*(1+0.5*eps))*0.03 + x2", "-x2 + 4"])
+def test_register_derivative_has_the_symbolic_partials_keys(text):
+    f = parse_expr(text, 3)
+    register = expand_polynomial(f)
+    for j in range(3):
+        got = poly_diff(register, j)[0]
+        want = expand_polynomial(partial_diff(f, j))[0]
+        # a partial that folds to the constant 0 expands to {0: 0}
+        assert got.keys() == (want.keys() if got else set())
+        assert _nonzero(want) == _nonzero(got)
+
+
+def test_register_derivative_matches_random_symbolic_partials():
+    # small integer coefficients: every float operation is exact, so the
+    # two agree up to the zero coefficients the partial's folding drops
+    rng = random.Random(1717)
+    for _ in range(300):
+        f = random_poly(rng, rng.randint(1, 3), depth=4)
+        try:
+            register = expand_polynomial(f)
+        except NotPolynomial:
+            continue
+        for j in range(f.arity):
+            got = poly_diff(register, j)[0]
+            want = expand_polynomial(partial_diff(f, j))[0]
+            assert _nonzero(got) == _nonzero(want), (str(f), j)
+
+
+def _check_derivative(f, j):
+    """The register derivative is within gamma(2N) times its shadow, in
+    1-norm, of the exact partial of the exact expansion, and its degree
+    bounds every monomial's."""
+    terms, shadow, order, degree = poly_diff(expand_polynomial(f), j)
+    got = {_exponents(key, f.arity): pair for key, pair in terms.items()}
+    exact = reference_exact_partial(reference_exact_expansion(f), j)
+    error = Fraction(0)
+    for exps in got.keys() | exact.keys():
+        re, ze = got.get(exps, (0.0, 0.0))
+        exact_re, exact_ze = exact.get(exps, (0, 0))
+        error += abs(Fraction(re) - exact_re) + abs(Fraction(ze) - exact_ze)
+        if exps in got:
+            assert sum(exps) <= degree
+    u = Fraction(1, 2 ** 53)
+    assert error <= (2 * order + 1) * u * Fraction(shadow), (str(f), j)
+
+
+def test_register_derivative_bounds_its_rounding():
+    rng = random.Random(2929)
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        scale = Expr.constant(Dual(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                              arity)
+        f = random_poly(rng, arity, depth=4) * scale + scale * 0.1
+        for j in range(arity):
+            _check_derivative(f, j)
+
+
+@pytest.mark.parametrize("text", [
+    "(0.1*x1 + 0.3*x2 - 0.7*eps)^5 - (0.1*x1 + 0.3*x2)^5",
+    "x1*1e-200*1e-200*x2 + x1^3*0.1", "(x1 - 1/3*x2)^3*(x2 + 0.2)^2"])
+def test_register_derivative_bounds_rounding_and_underflow(text):
+    f = parse_expr(text.replace("1/3", "0.3333333333333333"), 2)
+    for j in range(2):
+        _check_derivative(f, j)
+
+
+def test_register_derivative_of_a_variable_it_does_not_read_is_zero():
+    register = expand_polynomial(parse_expr("x1^2*3.5 + 2", 2))
+    assert poly_diff(register, 1) == ({}, 0.0, register[2] + 1, 1)
+    # the shadow scales by the largest exponent of the variable, 2 here
+    assert poly_diff(register, 0)[1] == register[1] * 2

@@ -1,16 +1,22 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from dualstokes import (DiffForm, Dual, DualVec, Expr, ExprMap,
+from dualstokes import (CubeDomain, DiffForm, Dual, DualVec, Expr, ExprMap,
                         ascending_tuples, basis_form, compose, d_of_function,
                         eval_dual, exprs_equal, exterior_derivative,
                         form_eval, form_from_strings, forms_equal,
                         is_zero_expr, jacobian, merge_sign, parse_expr,
                         partial_diff, perm_sign, pullback, wedge,
                         wedge_forms, zero_form)
-from helpers import random_expr, random_form, random_map, small_point
+from dualstokes.darboux import polynomial_estimate
+from dualstokes.expr import NotPolynomial, expand_polynomial
+from dualstokes.forms import pullback_polynomial
+from helpers import (THETAS, bracket_contains, random_expr, random_form,
+                     random_map, reference_exact_integral,
+                     reference_exact_pullback, small_point)
 
 
 def _vecs(rng, n, count):
@@ -346,3 +352,74 @@ def test_forms_equal_discriminates():
     assert not forms_equal(a, b)
     assert not forms_equal(a, basis_form(2, (0, 1)))
     assert not forms_equal(a, basis_form(3, (0,)))
+
+
+# ---------------------------------------------------------------------------
+# the pullback on polynomial registers
+
+
+def _scaled(rng, exprs, arity):
+    """Each expression times and plus a random dual, so that its float
+    constants round."""
+    def dual():
+        return Dual(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+    return [e * Expr.constant(dual(), arity) + Expr.constant(dual(), arity)
+            for e in exprs]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, 0.5, 1.0))
+def test_register_pullback_brackets_the_exact_integral(k, theta, r):
+    # the oracle composes, differentiates and expands the map and form as
+    # given, in Fractions, so the bracket holds the integral of the literal
+    # form over the literal map, not of a float-folded integrand
+    rng = random.Random(7000 + 100 * k + 10 * int(theta) + int(2 * r))
+    rect = CubeDomain(theta, r, k).rectangle()
+    u = Fraction(1, 2 ** 53)
+    exact_brackets = 0
+    while exact_brackets < 8:
+        n = rng.randint(k, k + 1)
+        mapping = ExprMap(_scaled(rng, random_map(
+            rng, k, n, depth=2, prims=False).components, k))
+        w = random_form(rng, n, k, depth=2)
+        w = DiffForm(n, k, dict(zip(w.coeffs, _scaled(rng, w.coeffs.values(),
+                                                       n))))
+        register = pullback_polynomial(mapping, w)
+        exact = reference_exact_pullback(mapping, w)
+        if any(register[0]):
+            est = polynomial_estimate(register, rect)
+            assert bracket_contains(
+                est, reference_exact_integral(exact, rect)), (mapping, w)
+            exact_brackets += 1
+        else:  # a constant, within the register's bound of the exact one
+            re, ze = register[0].get(0, (0.0, 0.0))
+            want_re, want_ze = exact.get((0,) * k, (0, 0))
+            assert all(c == 0 for key, pair in exact.items() if any(key)
+                       for c in pair)
+            error = abs(Fraction(re) - want_re) + abs(Fraction(ze) - want_ze)
+            assert error <= (2 * register[2] + 1) * u * Fraction(register[1])
+
+
+def test_register_pullback_is_the_symbolic_pullback():
+    rng = random.Random(4141)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        n = rng.randint(k, k + 1)
+        mapping = random_map(rng, k, n, depth=2, prims=False)
+        w = random_form(rng, n, k, depth=2)
+        terms = pullback_polynomial(mapping, w)[0]
+        want = expand_polynomial(pullback(mapping, w).coefficient(
+            tuple(range(k))))[0]
+        # integer coefficients: both are exact, up to zero coefficients
+        assert ({key: c for key, c in terms.items() if c != (0.0, 0.0)}
+                == {key: c for key, c in want.items() if c != (0.0, 0.0)})
+
+
+def test_register_pullback_refuses_what_is_no_polynomial():
+    w = form_from_strings(2, 2, {(0, 1): "x1"})
+    with pytest.raises(NotPolynomial):
+        pullback_polynomial(ExprMap((parse_expr("exp(x1)", 2),
+                                     parse_expr("x2", 2))), w)
+    with pytest.raises(ValueError):
+        pullback_polynomial(ExprMap.identity(3), w)  # a 3-cube, a 2-form

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,7 +20,9 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         run_scenario, run_suite, scenario_from_dict,
                         standard_cube, theta_cmp, verify_stokes,
                         write_report_csv, write_report_json)
+from dualstokes.darboux import NotFinite
 from dualstokes.expr import lower_expr
+from dualstokes.forms import pullback_polynomial
 from helpers import (THETAS, bracket_contains, load_bench_module,
                      random_chain, random_form, reference_exact_integral)
 
@@ -506,3 +509,69 @@ def test_non_finite_exact_bracket_falls_back_to_the_overflow():
     assert stokes.polynomial_estimate(f, rect) is None
     with pytest.raises(OverflowError, match="not finite"):
         integrate_over_cube(w, cube, Refinement())
+
+
+_NONPOLYNOMIAL = Path(__file__).with_name("nonpolynomial_scenarios.json")
+_POLYNOMIAL_CHAIN = Path(__file__).with_name("polynomial_chain_scenarios.json")
+
+
+def _pullbacks(scenario, monkeypatch) -> int:
+    """How often a verdict pulls a form back symbolically."""
+    calls = []
+    symbolic = stokes.pullback
+
+    def spy(f, w):
+        calls.append(f)
+        return symbolic(f, w)
+
+    monkeypatch.setattr(stokes, "pullback", spy)
+    report = run_scenario(scenario)
+    assert report.converged and report.passed
+    return len(calls)
+
+
+@pytest.mark.parametrize("kind, arg", _FIXED)
+def test_polynomial_verdicts_pull_back_on_registers(kind, arg, monkeypatch):
+    if kind == "bundled":
+        scenario = builtin_scenario(arg)
+    else:
+        workloads = load_bench_module("workloads")
+        scenario = getattr(workloads, kind.replace("-", "_"))(stokes, arg)[0]
+    assert _pullbacks(scenario, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("scenario", load_scenarios(_NONPOLYNOMIAL),
+                         ids=lambda s: s.name)
+def test_nonpolynomial_verdicts_pull_back_symbolically(scenario, monkeypatch):
+    assert _pullbacks(scenario, monkeypatch) >= 1
+
+
+def test_register_bracket_that_is_not_finite_falls_back(monkeypatch):
+    f, rect, w, cube = _square("x1*1e200*1e200")
+    register = pullback_polynomial(cube.mapping, w)
+    assert any(register[0])  # no constant
+    assert stokes.polynomial_estimate(register, rect) is None
+    calls = []
+    symbolic = stokes.pullback
+    monkeypatch.setattr(stokes, "pullback",
+                        lambda f, w: calls.append(f) or symbolic(f, w))
+    with pytest.raises(OverflowError, match="not finite"):
+        integrate_over_cube(w, cube, Refinement())
+    assert calls == [cube.mapping]
+
+
+def test_cube_integral_whose_midpoint_overflows_raises():
+    # finite Darboux sums, 1.7e308 each, whose midpoint is past the range
+    w = DiffForm(2, 2, {(0, 1): parse_expr("1.7e308", 2)})
+    cube = standard_cube(Theta.TYPE1, 0.5, 2)
+    with pytest.raises(NotFinite, match="midpoint"):
+        integrate_over_cube(w, cube, Refinement())
+
+
+@pytest.mark.parametrize("scenario", load_scenarios(_POLYNOMIAL_CHAIN),
+                         ids=lambda s: s.name)
+def test_warped_polynomial_chain(scenario, monkeypatch):
+    # the shared face of the two cubes cancels, and every integral is an
+    # exact bracket or a constant, with no symbolic pullback
+    assert len(chain_normalize(boundary(scenario.chain)).terms) == 10
+    assert _pullbacks(scenario, monkeypatch) == 0
