@@ -6,9 +6,10 @@ interval between ``ze(a)`` and ``ze(b)`` (which way it leans depends on
 the order type).  Products of such intervals are rectangles; uniform
 partitions, upper/lower sums, and a doubling refinement loop give
 two-sided integral estimates with an explicit gap.  A polynomial
-integrand has an exact bracket too, :func:`polynomial_estimate`, whose
-gap bounds the rounding alone; the Darboux sums stay the definition,
-and the path for every other integrand.
+integrand, a constant included, has an exact bracket too,
+:func:`polynomial_estimate`, whose gap bounds the rounding alone; the
+Darboux sums stay the definition, and the path for every other
+integrand.
 
 Upper and lower sums take the componentwise sup/inf of an interval
 enclosure of the integrand over each cell — this is exactly the least
@@ -437,10 +438,10 @@ def _weight_table(key: str, ends: tuple, degree: int) -> tuple:
 
 def polynomial_estimate(f: Expr | tuple, rect: ThetaRectangle
                         ) -> IntegralEstimate | None:
-    """The exact integral of a polynomial integrand, in a bracket that
-    bounds every rounding; None for a constant expression, one that is no
-    polynomial within the caps of :func:`.expr.expand_polynomial`, or one
-    whose bracket is not finite.
+    """The exact integral of a polynomial integrand, a constant included,
+    in a bracket that bounds every rounding; None for an expression that
+    is no polynomial within the caps of :func:`.expr.expand_polynomial`,
+    or one whose bracket is not finite.
 
     `f` is an :class:`.expr.Expr`, expanded into monomials ``c x^P`` with
     dual float coefficients, or such a polynomial register already, as
@@ -484,8 +485,6 @@ def polynomial_estimate(f: Expr | tuple, rect: ThetaRectangle
     order, as a Darboux bracket's do, and ``subdivisions`` is 0.
     """
     if isinstance(f, Expr):
-        if lower_expr(f)[-1].level < 0:  # a constant: one Darboux cell
-            return None
         if f.arity != rect.dim:
             raise ValueError(
                 f"integrand arity {f.arity} does not match rectangle "

@@ -163,7 +163,7 @@ def pullback_polynomial(f: ExprMap, w: DiffForm) -> tuple:
     acc = ({}, 0.0, 0, 0)  # the zero polynomial
     for index, coeff in w.coeffs.items():
         det = _minor([jac[i] for i in index], _POLYS)
-        if any(det[0]) or any(det[0].get(0, ())):  # else the constant 0
+        if det[1]:  # a shadow of 0 is the exact zero
             acc = add(acc, mul(_run(lower_expr(coeff), _POLYS, comps), det))
     return acc
 

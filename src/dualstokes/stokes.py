@@ -3,8 +3,8 @@
 For a (k-1)-form w and a k-chain c the claim under test is that the
 integral of dw over c matches the integral of w over the normalized
 boundary of c.  Both sides are sums of per-cube brackets, so each
-carries an explicit gap: exact brackets for polynomial integrands that
-are not constant, Darboux brackets for the rest.  The verdict compares
+carries an explicit gap: exact brackets for polynomial integrands,
+constants included, Darboux brackets for the rest.  The verdict compares
 the bracket midpoints against a tolerance derived from those gaps (with
 an absolute floor), which keeps the check honest — a sloppy bracket
 widens the tolerance instead of silently passing.
@@ -26,8 +26,7 @@ from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       NotConverged, NotFinite, integral_estimate,
                       polynomial_estimate)
 from .dual import Dual, Record, Theta
-from .expr import (Expr, ExprMap, NotPolynomial, ParseError, eval_dual,
-                   parse_expr)
+from .expr import ExprMap, NotPolynomial, ParseError, eval_dual, parse_expr
 from .forms import (DiffForm, exterior_derivative, pullback,
                     pullback_polynomial)
 
@@ -115,10 +114,12 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
                         refinement: Refinement) -> IntegralEstimate:
     """Pull the form back through the cube's map and integrate the result.
 
-    The pullback runs on polynomial registers where it can: an exact
-    bracket is taken when its gaps meet the refinement's tolerances, and
-    a constant takes the Darboux refinement.  Otherwise the symbolic
-    pullback's integrand is integrated in the same way.
+    Each representation is tried once, and the first exact bracket whose
+    gaps meet the refinement's tolerances is taken: that of the pullback
+    on polynomial registers, then that of the symbolic pullback's
+    integrand, which is a polynomial also where the fold makes a
+    primitive of a pinned coordinate a constant.  Otherwise that
+    integrand takes the Darboux refinement.
     """
     if w.n != cube.n:
         raise ValueError(
@@ -131,20 +132,15 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
     rect = cube.domain.rectangle()
     try:
-        register = pullback_polynomial(cube.mapping, w)
+        est = polynomial_estimate(pullback_polynomial(cube.mapping, w), rect)
     except (NotPolynomial, OverflowError):  # an int constant past floats
-        register = None
-    if register is not None and not any(register[0]):  # a constant
-        integrand = Expr.constant(Dual(*register[0].get(0, (0.0, 0.0))),
-                                  cube.k)
-    else:
-        est = None if register is None else polynomial_estimate(register, rect)
-        if not _within(est, refinement):
-            integrand = pullback(cube.mapping, w).coefficient(
-                tuple(range(cube.k)))
-            est = polynomial_estimate(integrand, rect)
-        if _within(est, refinement):
-            return est
+        est = None
+    if _within(est, refinement):
+        return est
+    integrand = pullback(cube.mapping, w).coefficient(tuple(range(cube.k)))
+    est = polynomial_estimate(integrand, rect)
+    if _within(est, refinement):
+        return est
     return integral_estimate(
         integrand, rect, tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
         base_subdivisions=refinement.base_subdivisions,

@@ -41,14 +41,15 @@ def _traced_metrics(scenario) -> dict:
 def test_tracer_counts_one_verdict_and_restores_modules():
     metrics = _traced_metrics(builtin_scenario("type1-saddle-surface"))
     # the partition hook counts the levels and cells the loop works
-    # through: the polynomial integrals are exact, and only the three
-    # constant faces are Darboux sums
-    assert metrics["darboux.levels"] == 3
-    assert metrics["darboux.cells"] == 12
+    # through: every integral is polynomial, constants included, so
+    # every one is an exact bracket and none is a Darboux sum
+    assert metrics["darboux.levels"] == 0
+    assert metrics["darboux.cells"] == 0
 
 
 def test_tracer_counts_the_refinement_of_a_wave():
     metrics = _traced_metrics(load_scenarios(WAVES)[0])
-    # no integral is polynomial: each side refines to 32 pieces per axis
-    assert metrics["darboux.levels"] == 13
-    assert metrics["darboux.cells"] == 1456
+    # the two faces on which dx2 pulls back to 0 are exact; every other
+    # integral is no polynomial, and each side refines to 32 pieces per axis
+    assert metrics["darboux.levels"] == 11
+    assert metrics["darboux.cells"] == 1448

@@ -302,9 +302,11 @@ def test_verify_chain_sum_past_the_float_range_is_overflow(tmp_path):
 def test_verify_partition_too_large_for_memory_is_config_error(tmp_path):
     # 10**12 pieces of one axis cannot be allocated; under a 256 MiB cap
     # the first level raises MemoryError after a few million breakpoints,
-    # which is an error (exit 2), not a failed verdict (exit 1)
+    # which is an error (exit 2), not a failed verdict (exit 1); exp is
+    # no polynomial, so its integral is a Darboux sum over a partition
     huge = {"name": "huge", "theta": 1, "r": 0.5, "n": 1, "k": 1,
-            "form": {"degree": 0, "coeffs": [{"index": [], "expr": "2"}]},
+            "form": {"degree": 0,
+                     "coeffs": [{"index": [], "expr": "exp(x1)"}]},
             "refinement": {"base_subdivisions": 10 ** 12}}
     err = _assert_config_error_in_subprocess(tmp_path, huge,
                                              memory_cap=256 * 2 ** 20)

@@ -520,10 +520,11 @@ def _dual_poly(rng: random.Random, dim: int) -> Expr:
 
 def _exact_cases(seed: int, count: int):
     """(integrand, rectangle) over dims 1-3, both orders and r in
-    {0, 0.5, 1}, with dual-coefficient and small random polynomials."""
+    {0, 0.5, 1}, with dual-coefficient and small random polynomials,
+    constants among them."""
     rng = random.Random(seed)
     cases = []
-    while len(cases) < count:
+    for _ in range(count):
         dim = rng.randint(1, 3)
         theta = rng.choice(THETAS)
         rect = CubeDomain(theta, rng.choice((0.0, 0.5, 1.0)), dim).rectangle()
@@ -531,8 +532,7 @@ def _exact_cases(seed: int, count: int):
             f = _dual_poly(rng, dim)
         else:
             f = random_poly(rng, dim, depth=3)
-        if lower_expr(f)[-1].level >= 0:  # constants are not exact cases
-            cases.append((f, rect))
+        cases.append((f, rect))
     return cases
 
 
@@ -600,7 +600,6 @@ def test_exact_bracket_of_a_hand_example():
 
 
 @pytest.mark.parametrize("text", [
-    "2.5+eps",                      # a constant: one Darboux cell
     "exp(x1)*x2",                   # a primitive
     "(x1+x2+x3+1)^12",              # more than MAX_MONOMIALS monomials
     "x1^65",                        # degree above MAX_DEGREE
@@ -610,6 +609,16 @@ def test_exact_bracket_of_a_hand_example():
 def test_exact_bracket_declines(text):
     rect = CubeDomain(Theta.TYPE1, 0.5, 3).rectangle()
     assert polynomial_estimate(parse_expr(text, 3), rect) is None
+
+
+def test_exact_bracket_of_a_constant():
+    # a polynomial of degree 0: the bracket bounds the rounding of the
+    # volume as it does for any other polynomial
+    rect = CubeDomain(Theta.TYPE1, 0.5, 3).rectangle()
+    f = parse_expr("2.5+eps", 3)
+    est = polynomial_estimate(f, rect)
+    assert est.subdivisions == 0 and 0.0 < est.gap_re < 1e-12
+    assert bracket_contains(est, reference_exact_integral(f, rect))
 
 
 def test_monomial_cap_is_what_declines():

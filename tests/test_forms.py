@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from dualstokes import (CubeDomain, DiffForm, Dual, DualVec, Expr, ExprMap,
-                        ascending_tuples, basis_form, compose, d_of_function,
-                        eval_dual, exprs_equal, exterior_derivative,
-                        form_eval, form_from_strings, forms_equal,
-                        is_zero_expr, jacobian, merge_sign, parse_expr,
-                        partial_diff, perm_sign, pullback, wedge,
+                        Theta, ascending_tuples, basis_form, compose,
+                        d_of_function, eval_dual, exprs_equal,
+                        exterior_derivative, form_eval, form_from_strings,
+                        forms_equal, is_zero_expr, jacobian, merge_sign,
+                        parse_expr, partial_diff, perm_sign, pullback, wedge,
                         wedge_forms, zero_form)
 from dualstokes.darboux import polynomial_estimate
 from dualstokes.expr import NotPolynomial, expand_polynomial
@@ -376,9 +376,8 @@ def test_register_pullback_brackets_the_exact_integral(k, theta, r):
     # form over the literal map, not of a float-folded integrand
     rng = random.Random(7000 + 100 * k + 10 * int(theta) + int(2 * r))
     rect = CubeDomain(theta, r, k).rectangle()
-    u = Fraction(1, 2 ** 53)
-    exact_brackets = 0
-    while exact_brackets < 8:
+    nonconstant = 0
+    while nonconstant < 8:
         n = rng.randint(k, k + 1)
         mapping = ExprMap(_scaled(rng, random_map(
             rng, k, n, depth=2, prims=False).components, k))
@@ -386,19 +385,34 @@ def test_register_pullback_brackets_the_exact_integral(k, theta, r):
         w = DiffForm(n, k, dict(zip(w.coeffs, _scaled(rng, w.coeffs.values(),
                                                        n))))
         register = pullback_polynomial(mapping, w)
-        exact = reference_exact_pullback(mapping, w)
-        if any(register[0]):
-            est = polynomial_estimate(register, rect)
-            assert bracket_contains(
-                est, reference_exact_integral(exact, rect)), (mapping, w)
-            exact_brackets += 1
-        else:  # a constant, within the register's bound of the exact one
-            re, ze = register[0].get(0, (0.0, 0.0))
-            want_re, want_ze = exact.get((0,) * k, (0, 0))
-            assert all(c == 0 for key, pair in exact.items() if any(key)
-                       for c in pair)
-            error = abs(Fraction(re) - want_re) + abs(Fraction(ze) - want_ze)
-            assert error <= (2 * register[2] + 1) * u * Fraction(register[1])
+        # a constant is a polynomial of degree 0, and its bracket is exact
+        # in the same way
+        est = polynomial_estimate(register, rect)
+        assert bracket_contains(est, reference_exact_integral(
+            reference_exact_pullback(mapping, w), rect)), (mapping, w)
+        nonconstant += any(register[0])
+
+
+def test_register_pullback_keeps_a_minor_that_rounds_to_zero():
+    # a*d - b*c rounds to 0.0 in floats, but is 2^-38 exactly; the minor's
+    # shadow bounds that rounding, so the register keeps the minor, and
+    # both brackets hold the exact integral (too wide to be taken)
+    a = d = 2.0 ** 33 * (1 + 2.0 ** -52)
+    b, c = 2.0 ** 33 * (1 + 2.0 ** -51), 2.0 ** 33
+    assert a * d - b * c == 0.0
+    assert Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c) == Fraction(
+        1, 2 ** 38)
+    rect = CubeDomain(Theta.TYPE1, 0.0, 2).rectangle()
+    rows = [f"{a!r}*x1+{b!r}*x2", f"{c!r}*x1+{d!r}*x2", "x1"]
+    for n, coeffs in ((3, {(0, 1): "1", (0, 2): "1e-20*x3"}),
+                      (2, {(0, 1): "1"})):
+        mapping = ExprMap(tuple(parse_expr(t, 2) for t in rows[:n]))
+        w = form_from_strings(n, 2, coeffs)
+        register = pullback_polynomial(mapping, w)
+        assert register[1] > 0.0  # not the exact zero
+        est = polynomial_estimate(register, rect)
+        assert bracket_contains(est, reference_exact_integral(
+            reference_exact_pullback(mapping, w), rect)), n
 
 
 def test_register_pullback_is_the_symbolic_pullback():

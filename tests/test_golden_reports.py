@@ -4,12 +4,12 @@
 and of each side's lower and upper sums.  The cases are the bundled
 scenarios, the benchmark's ``saddle-fine`` and ``tiled-chain-3d``
 inputs, and the scenarios of ``nonpolynomial_scenarios.json``.  The
-first three kinds have polynomial integrands, so their non-constant
-integrals are exact brackets; the last call ``exp``, ``sin`` and
-``cos``, so every integral of theirs is a Darboux bracket, and their
-bits rest on the platform's libm.  A change meant to keep results exact
-must keep this test passing; one meant to move them regenerates the
-file with::
+first three kinds have polynomial integrands, so every integral of
+theirs, constants included, is an exact bracket; the last call ``exp``,
+``sin`` and ``cos``, so every integral of theirs that is not a constant
+is a Darboux bracket, and their bits rest on the platform's libm.  A
+change meant to keep results exact must keep this test passing; one
+meant to move them regenerates the file with::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -14,17 +15,16 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         REPORT_SCHEMA, Refinement, ScenarioError, SingularCube,
                         StokesReport, Theta, boundary, builtin_scenario,
                         builtin_scenarios, chain_normalize, chain_of,
-                        exit_code, exterior_derivative, integral_estimate,
-                        integrate_over_chain, integrate_over_cube,
-                        load_scenarios, parse_expr, pullback, run_integral,
-                        run_scenario, run_suite, scenario_from_dict,
-                        standard_cube, theta_cmp, verify_stokes,
-                        write_report_csv, write_report_json)
+                        exit_code, integral_estimate, integrate_over_chain,
+                        integrate_over_cube, load_scenarios, parse_expr,
+                        pullback, run_integral, run_scenario, run_suite,
+                        scenario_from_dict, standard_cube, theta_cmp,
+                        verify_stokes, write_report_csv, write_report_json)
 from dualstokes.darboux import NotFinite
-from dualstokes.expr import lower_expr
 from dualstokes.forms import pullback_polynomial
 from helpers import (THETAS, bracket_contains, load_bench_module,
-                     random_chain, random_form, reference_exact_integral)
+                     random_chain, random_form, reference_exact_integral,
+                     reference_exact_pullback)
 
 
 def _report(converged: bool = True, passed: bool = True) -> StokesReport:
@@ -145,7 +145,7 @@ def test_inflated_square_exact():
     assert report.lhs.value == Dual(1.0, 1.0)
     assert report.rhs.value == Dual(1.0, 1.0)
     assert report.diff_re == 0.0 and report.diff_ze == 0.0
-    assert report.lhs.gap_re == 0.0
+    assert bracket_contains(report.lhs, (1, 1))
     mirrored = verify_stokes(w, chain_of(standard_cube(Theta.TYPE2, 0.5, 2)))
     assert mirrored.passed
     assert mirrored.lhs.value == Dual(1.0, -1.0)
@@ -404,55 +404,50 @@ def test_run_suite_reports():
 # which integrals are exact, and which refine
 
 
-def _is_constant(f) -> bool:
-    return lower_expr(f)[-1].level < 0
-
-
-def _integrals(scenario):
-    """(integrand, rectangle) of every cube integral the verdict runs;
-    a 0-cube is a point value, not an integral."""
-    w = scenario.form
-    for form, chain in ((exterior_derivative(w), scenario.chain),
-                        (w, boundary(scenario.chain))):
-        for _, cube in chain_normalize(chain).terms:
-            if cube.k == 0:
-                continue
-            yield (pullback(cube.mapping, form).coefficient(
-                tuple(range(cube.k))), cube.domain.rectangle())
-
+_NONPOLYNOMIAL = Path(__file__).with_name("nonpolynomial_scenarios.json")
+_POLYNOMIAL_CHAIN = Path(__file__).with_name("polynomial_chain_scenarios.json")
+_FOLDED_PRIMITIVE = Path(__file__).with_name("folded_primitive_scenarios.json")
 
 _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
           + [("saddle-fine", 0)]
           + [("tiled-chain-3d", seed) for seed in range(1, 21)])
 
 
-@pytest.mark.parametrize("kind, arg", _FIXED)
-def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
+def _fixed_scenario(kind, arg):
     if kind == "bundled":
-        scenario = builtin_scenario(arg)
-    else:
-        workloads = load_bench_module("workloads")
-        load = getattr(workloads, kind.replace("-", "_"))
-        scenario = load(stokes, arg)[0]
-    refined = []
-    darboux = stokes.integral_estimate
+        return builtin_scenario(arg)
+    if kind == "polynomial-chain":
+        return next(s for s in load_scenarios(_POLYNOMIAL_CHAIN)
+                    if s.name == arg)
+    workloads = load_bench_module("workloads")
+    return getattr(workloads, kind.replace("-", "_"))(stokes, arg)[0]
 
-    def spy(f, rect, **refinement):
-        refined.append(f)
-        return darboux(f, rect, **refinement)
 
-    monkeypatch.setattr(stokes, "integral_estimate", spy)
+@pytest.mark.parametrize("kind, arg", _FIXED + [
+    ("polynomial-chain", s.name) for s in load_scenarios(_POLYNOMIAL_CHAIN)])
+def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
+    scenario = _fixed_scenario(kind, arg)
+    monkeypatch.setattr(stokes, "integral_estimate",
+                        lambda f, rect, **_: pytest.fail(f"{f} refines"))
+    brackets = []
+    integrate = stokes.integrate_over_cube
+
+    def spy(w, cube, refinement):
+        est = integrate(w, cube, refinement)
+        brackets.append((w, cube, est))
+        return est
+
+    monkeypatch.setattr(stokes, "integrate_over_cube", spy)
     report = run_scenario(scenario)
     assert report.converged and report.passed
-    # only constants refine; every other integral is an exact bracket
-    # that holds the exact integral of its float-folded integrand
-    assert all(map(_is_constant, refined))
-    for f, rect in _integrals(scenario):
-        est = stokes.polynomial_estimate(f, rect)
-        if _is_constant(f):
-            assert est is None
-        else:
-            assert bracket_contains(est, reference_exact_integral(f, rect))
+    # every cube integral, constants included, is an exact bracket that
+    # holds the exact integral of the literal form over the literal map;
+    # a 0-cube is a point value, not an integral
+    for w, cube, est in brackets:
+        if cube.k:
+            assert bracket_contains(est, reference_exact_integral(
+                reference_exact_pullback(cube.mapping, w),
+                cube.domain.rectangle())), cube
     if kind == "tiled-chain-3d":
         for side in (report.lhs, report.rhs):
             assert side.gap_re < 1e-9 and side.gap_ze < 1e-9
@@ -473,10 +468,12 @@ def _square(text: str, theta=Theta.TYPE1):
 
 
 @pytest.mark.parametrize("text, refinement", [
-    ("2.5+eps", Refinement()),                      # a constant
-    ("exp(x1)*sin(x2*3)", Refinement(0.5, 0.5, 4, 4)),  # a primitive
+    # ids given in full, so that each case keeps its name in reports
+    pytest.param("exp(x1)*sin(x2*3)", Refinement(0.5, 0.5, 4, 4),
+                 id="exp(x1)*sin(x2*3)-refinement1"),  # a primitive
     # 276 monomials, above the cap
-    ("(x1+x2+1)^22*1e-9", Refinement(math.inf, math.inf, 2, 0)),
+    pytest.param("(x1+x2+1)^22*1e-9", Refinement(math.inf, math.inf, 2, 0),
+                 id="(x1+x2+1)^22*1e-9-refinement2"),
 ])
 @pytest.mark.parametrize("theta", THETAS)
 def test_fallback_is_the_darboux_refinement(text, refinement, theta):
@@ -488,6 +485,20 @@ def test_fallback_is_the_darboux_refinement(text, refinement, theta):
         f, rect, tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
         base_subdivisions=refinement.base_subdivisions,
         max_doublings=refinement.max_doublings)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_constant_bracket_holds_the_exact_value(theta):
+    # 0.1 over [0, 1 +- 0.3 eps] at 7 cells: the Darboux sums of a
+    # constant round to nearest, to 0.1 +- 0.03 eps at both ends, which
+    # misses 0.1 * (1 +- 0.3 eps) in the exact values of the floats
+    w = DiffForm(1, 1, {(0,): parse_expr("0.1", 1)})
+    est = integrate_over_cube(w, standard_cube(theta, 0.3, 1),
+                              Refinement(base_subdivisions=7,
+                                         max_doublings=0))
+    exact = (Fraction(0.1), theta.sign * Fraction(0.1) * Fraction(0.3))
+    assert est.subdivisions == 0
+    assert bracket_contains(est, exact)
 
 
 def test_bracket_wider_than_the_tolerance_falls_back():
@@ -511,10 +522,6 @@ def test_non_finite_exact_bracket_falls_back_to_the_overflow():
         integrate_over_cube(w, cube, Refinement())
 
 
-_NONPOLYNOMIAL = Path(__file__).with_name("nonpolynomial_scenarios.json")
-_POLYNOMIAL_CHAIN = Path(__file__).with_name("polynomial_chain_scenarios.json")
-
-
 def _pullbacks(scenario, monkeypatch) -> int:
     """How often a verdict pulls a form back symbolically."""
     calls = []
@@ -532,12 +539,7 @@ def _pullbacks(scenario, monkeypatch) -> int:
 
 @pytest.mark.parametrize("kind, arg", _FIXED)
 def test_polynomial_verdicts_pull_back_on_registers(kind, arg, monkeypatch):
-    if kind == "bundled":
-        scenario = builtin_scenario(arg)
-    else:
-        workloads = load_bench_module("workloads")
-        scenario = getattr(workloads, kind.replace("-", "_"))(stokes, arg)[0]
-    assert _pullbacks(scenario, monkeypatch) == 0
+    assert _pullbacks(_fixed_scenario(kind, arg), monkeypatch) == 0
 
 
 @pytest.mark.parametrize("scenario", load_scenarios(_NONPOLYNOMIAL),
@@ -572,6 +574,23 @@ def test_cube_integral_whose_midpoint_overflows_raises():
                          ids=lambda s: s.name)
 def test_warped_polynomial_chain(scenario, monkeypatch):
     # the shared face of the two cubes cancels, and every integral is an
-    # exact bracket or a constant, with no symbolic pullback
+    # exact bracket on registers, with no symbolic pullback
     assert len(chain_normalize(boundary(scenario.chain)).terms) == 10
     assert _pullbacks(scenario, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("scenario", load_scenarios(_FOLDED_PRIMITIVE),
+                         ids=lambda s: s.name)
+def test_folded_primitive_is_exact_after_the_symbolic_pullback(
+        scenario, monkeypatch):
+    # sin(x3) is no polynomial on registers, but on the face x3 = 0.5 the
+    # symbolic pullback folds it to the constant sin(0.5), so the
+    # integrand it gives is a polynomial, and its bracket exact
+    calls = []
+    symbolic = stokes.pullback
+    monkeypatch.setattr(stokes, "pullback",
+                        lambda f, w: calls.append(f) or symbolic(f, w))
+    report = run_scenario(scenario)
+    assert report.converged and report.passed
+    assert report.lhs.subdivisions == report.rhs.subdivisions == 0
+    assert calls
