@@ -14,9 +14,10 @@ and checks every term.  Normalization merges terms whose maps agree on a
 fixed pseudo-random sample of the domain — that is what lets the
 geometric cancellations in a double boundary actually cancel, since
 composed substitutions need not be syntactically identical.  Each
-domain's sample is built once per ``(k, b.ze)``, and within one
-normalization each term's map is evaluated at most once per sample
-point, on float pairs, only when a comparison reaches that point.  A
+domain's sample is built once per ``(k, b.ze)``, for the 256 most
+recently used, and within one normalization each term's map is
+evaluated at most once per sample point, on float pairs, only when a
+comparison reaches that point.  A
 sorted index of each group's first value lets a term skip every group
 too far from it to agree, and a term whose map is identical to an
 earlier term's (the same interned nodes) skips the comparisons (see
@@ -32,6 +33,8 @@ import random
 
 from .darboux import ThetaRectangle, make_interval
 from .dual import Dual, Record, Theta, ZERO
+# compose is unused here but stays a module attribute: the benchmark's
+# tracer (bench/spans.py) rebinds cubes.compose.
 from .expr import Expr, ExprMap, compose
 
 _FINGERPRINT_SEED = 0xC0BE
@@ -71,7 +74,8 @@ class CubeDomain(Record):
         return (self.k, ze_span, math.copysign(1.0, ze_span))
 
 
-@functools.cache
+# one entry per (k, b.ze), so a sweep over r would grow an unbounded cache
+@functools.lru_cache(maxsize=256)
 def _domain_points(k: int, ze_span: float, ze_sign: float):
     if k == 0:
         return ((),)
@@ -82,7 +86,7 @@ def _domain_points(k: int, ze_span: float, ze_sign: float):
         for _ in range(_FINGERPRINT_POINTS))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _domain_pairs(k: int, ze_span: float, ze_sign: float):
     # the same points, each coordinate as its (re, ze) float pair
     return tuple(tuple((c.re, c.ze) for c in point)
@@ -129,7 +133,8 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
 
     Coordinate `axis` is pinned to 0 or to the inflated endpoint b, and
     the remaining coordinates close ranks, so the face is a cube of one
-    dimension less over the same (theta, r).
+    dimension less over the same (theta, r).  Its map is one run of the
+    cube's map program on nodes (:meth:`.expr.ExprMap.compose`).
     """
     k = cube.k
     if k == 0:
@@ -141,7 +146,7 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
     pinned = ZERO if side == 0 else cube.domain.b
     repl = [Expr.variable(i, k - 1) for i in range(k - 1)]
     repl.insert(axis - 1, Expr.constant(pinned, k - 1))
-    mapping = ExprMap(tuple(compose(c, repl) for c in cube.mapping.components))
+    mapping = cube.mapping.compose(ExprMap(repl))
     return SingularCube(CubeDomain(cube.theta, cube.r, k - 1), mapping)
 
 

@@ -30,11 +30,13 @@ identity.  Each node stores the highest variable it reads, so an
 After parsing, the only walk over a tree is the iterative one of
 :func:`lower_expr`, which visits each distinct node once, by identity.
 A node's program is built when first asked for and kept with the node,
-so every expression holding that node shares it.  Every other walk runs
-on the program: point evaluation, substitution, differentiation,
-rendering, interval enclosure and expansion into monomials are one
-interpreter, :func:`run_steps`, under several arithmetics (for boxes,
-:data:`.intervals.BOXES`; for polynomials, ``_POLYS``).
+so every expression holding that node shares it; an :class:`ExprMap`
+lowers all its components into one program, so what they share runs
+once.  Every other walk runs on the program: point evaluation,
+substitution, differentiation, rendering, interval enclosure and
+expansion into monomials are one interpreter, :func:`run_steps`, under
+several arithmetics (for boxes, :data:`.intervals.BOXES`; for
+polynomials, ``_POLYS``).
 :func:`partial_diffs` takes every partial a caller needs from one
 gradient run, whose registers hold each instruction's node and its
 partials; each partial is the tree :func:`partial_diff` builds for its
@@ -323,12 +325,14 @@ def _prim(name: str, a: Node) -> Node:
 
 # Instruction i writes register i and reads only earlier registers, so
 # one pass in order runs the program; the last instruction holds the
-# value of the whole expression.  Equal subexpressions are one node, so
-# each lowers to one instruction.  `level` is the node's: the highest
-# variable index an instruction reads, directly or through its operands,
-# or -1 for none.  Over a product of boxes its result depends only on the
-# boxes of axes 0..level, so a loop nest over the axes can run it in the
-# loop of axis `level`.  An instruction's fields:
+# value of the whole expression.  A map's program, lowered from all its
+# components at once, holds each component's value in the register
+# `_lower` gives for it.  Equal subexpressions are one node, so each
+# lowers to one instruction, once per program.  `level` is the node's:
+# the highest variable index an instruction reads, directly or through
+# its operands, or -1 for none.  Over a product of boxes its result
+# depends only on the boxes of axes 0..level, so a loop nest over the
+# axes can run it in the loop of axis `level`.  An instruction's fields:
 #   op     "const", "var", "neg", "add", "sub", "mul", "pow", a primitive
 #   a      the constant (Dual), the variable index, or an operand register
 #   b      the second operand register, the exponent, or None
@@ -345,17 +349,19 @@ def lower_expr(f: Expr) -> tuple[Instr, ...]:
 def _program(node: Node) -> tuple[Instr, ...]:
     code = node._code
     if code is None:
-        code = node._code = _lower(node)
+        code = node._code = _lower((node,))[0]
     return code
 
 
 _LEAVES = ("const", "var")
 
 
-def _lower(root: Node) -> tuple[Instr, ...]:
+def _lower(roots) -> tuple:
+    """One program for all of `roots`, in order, and the list of each
+    root's register."""
     code: list[Instr] = []
-    regs: dict[int, int] = {}  # id(node) -> register; root keeps nodes alive
-    stack = [root]
+    regs: dict[int, int] = {}  # id(node) -> register; roots keep nodes alive
+    stack = list(roots)[::-1]
     while stack:
         node = stack[-1]
         if id(node) in regs:
@@ -380,7 +386,7 @@ def _lower(root: Node) -> tuple[Instr, ...]:
         stack.pop()
         regs[id(node)] = len(code)
         code.append(Instr(op, a, b, node._level))
-    return tuple(code)
+    return tuple(code), [regs[id(root)] for root in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -936,9 +942,13 @@ def expand_polynomial(f: Expr) -> tuple:
     ``(terms, shadow, order, degree)`` that the comment above ``_POLYS``
     describes.  Raises :class:`NotPolynomial` at a primitive, or past
     ``MAX_DEGREE`` or ``MAX_MONOMIALS``."""
-    args = [({1 << (KEY_BITS * i): (1.0, 0.0)}, 1.0, 0, 1)
-            for i in range(f.arity)]
-    return _run(lower_expr(f), _POLYS, args)
+    return _run(lower_expr(f), _POLYS, _poly_vars(f.arity))
+
+
+def _poly_vars(arity: int) -> list:
+    """The polynomial registers of x1 .. x(arity)."""
+    return [({1 << (KEY_BITS * i): (1.0, 0.0)}, 1.0, 0, 1)
+            for i in range(arity)]
 
 
 def partial_diff(f: Expr, index: int) -> Expr:
@@ -1000,10 +1010,10 @@ def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
     """
     if f.arity != g.arity:
         return False
+    both = ExprMap((f, g))  # one program, so what f and g share runs once
     for point in sample_points(f.arity):
-        args = _point_pairs(point, f.arity)
-        a_re, a_ze = _run(lower_expr(f), _PAIRS, args)
-        b_re, b_ze = _run(lower_expr(g), _PAIRS, args)
+        (a_re, a_ze), (b_re, b_ze) = both.run(
+            _PAIRS, _point_pairs(point, f.arity))
         if not (abs(a_re - b_re) <= tol and abs(a_ze - b_ze) <= tol):
             return False
     return True
@@ -1014,9 +1024,15 @@ def exprs_equal(f: Expr, g: Expr, tol: float = 1e-9) -> bool:
 
 
 class ExprMap(Record):
-    """Immutable function into dual m-space: one expression per component."""
+    """Immutable function into dual m-space: one expression per component.
 
-    __slots__ = _fields = ("components",)
+    The components share one program, lowered by :meth:`run` on first
+    use and kept outside the fields, so copies, pickles, ``==`` and
+    ``hash`` see only the components; a node that several components
+    share runs once per run."""
+
+    _fields = ("components",)
+    __slots__ = _fields + ("_code",)
 
     def __init__(self, components: tuple[Expr, ...]):
         self.components = components = tuple(components)
@@ -1025,6 +1041,17 @@ class ExprMap(Record):
         arity = components[0].arity
         if any(c.arity != arity for c in components):
             raise ValueError("components must share one arity")
+        self._code = None
+
+    def run(self, arith: tuple, args: Sequence) -> list:
+        """Each component's register, from one run of the map's program
+        under `arith`; `args[i]` is the value of x(i+1)."""
+        if self._code is None:
+            self._code = _lower([c.node for c in self.components])
+        code, outs = self._code
+        regs = [None] * len(code)
+        run_steps(enumerate(code), arith, regs, args)
+        return [regs[r] for r in outs]
 
     arity = property(lambda self: self.components[0].arity)
     dim_out = property(lambda self: len(self.components))
@@ -1034,24 +1061,21 @@ class ExprMap(Record):
         return ExprMap(tuple(Expr.variable(i, n) for i in range(n)))
 
     def eval(self, point) -> DualVec:
-        flat = self.flat_values(_point_pairs(point, self.arity))
-        return DualVec(Dual(re, ze) for re, ze in zip(flat[::2], flat[1::2]))
+        return DualVec(Dual(*x) for x in self.run(
+            _PAIRS, _point_pairs(point, self.arity)))
 
     def flat_values(self, pairs: Sequence[tuple]) -> tuple:
         """The components at a point given as (re, ze) float pairs, one per
         variable (the caller checks their count), flattened to
         ``(re, ze, re, ze, ...)``."""
-        flat = []
-        for c in self.components:
-            flat.extend(_run(lower_expr(c), _PAIRS, pairs))
-        return tuple(flat)
+        return sum(self.run(_PAIRS, pairs), ())
 
     def compose(self, inner: "ExprMap") -> "ExprMap":
         """This map after `inner` (symbolic substitution)."""
         if inner.dim_out != self.arity:
             raise ValueError("dimension mismatch in composition")
-        return ExprMap(tuple(compose(c, inner.components)
-                             for c in self.components))
+        nodes = self.run(_NODES, [g.node for g in inner.components])
+        return ExprMap([Expr(node, inner.arity) for node in nodes])
 
 
 class DualMap(Record):
@@ -1136,25 +1160,20 @@ def cr_check(f: ExprMap, point, h: float = 1e-6) -> float:
     jac = jacobian(f, point)
     pairs = _point_pairs(point, f.arity)
     deviations = []
-    for i in range(f.arity):
-        re, ze = pairs[i]
-        for part in (0, 1):  # 0: re direction, 1: ze direction
-            if part == 0:
-                hi, lo = (re + h, ze), (re - h, ze)
-            else:
-                hi, lo = (re, ze + h), (re, ze - h)
-            args_hi = pairs[:i] + (hi,) + pairs[i + 1:]
-            args_lo = pairs[:i] + (lo,) + pairs[i + 1:]
-            for j, comp in enumerate(f.components):
-                hi_re, hi_ze = _run(lower_expr(comp), _PAIRS, args_hi)
-                lo_re, lo_ze = _run(lower_expr(comp), _PAIRS, args_lo)
+    for i, (re, ze) in enumerate(pairs):
+        # part 0 steps in the re direction, part 1 in the ze direction
+        for part, hi, lo in ((0, (re + h, ze), (re - h, ze)),
+                             (1, (re, ze + h), (re, ze - h))):
+            his = f.run(_PAIRS, pairs[:i] + (hi,) + pairs[i + 1:])
+            los = f.run(_PAIRS, pairs[:i] + (lo,) + pairs[i + 1:])
+            for row, (hi_re, hi_ze), (lo_re, lo_ze) in zip(jac.entries, his,
+                                                           los):
                 d_re = (hi_re - lo_re) / (2.0 * h)
                 d_ze = (hi_ze - lo_ze) / (2.0 * h)
-                entry = jac.entries[j][i]
-                if part == 0:
-                    deviations += abs(d_re - entry.re), abs(d_ze - entry.ze)
+                if part:
+                    deviations += abs(d_re), abs(d_ze - row[i].re)
                 else:
-                    deviations += abs(d_re), abs(d_ze - entry.re)
+                    deviations += abs(d_re - row[i].re), abs(d_ze - row[i].ze)
     if any(map(math.isnan, deviations)):
         return math.nan
     return max(deviations)

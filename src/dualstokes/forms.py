@@ -26,8 +26,8 @@ from .dual import ZERO, Dual
 # partial_diff is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
 from .expr import (_NODES, _PAIRS, _POLYS, Expr, ExprMap, _point_pairs,
-                   _run, compose, expand_polynomial, is_zero_expr,
-                   lower_expr, partial_diff, partial_diffs, poly_diff)
+                   _poly_vars, _run, compose, is_zero_expr, lower_expr,
+                   partial_diff, partial_diffs, poly_diff)
 from .tensors import (AltTensor, Graded, add_term, ascending_tuples,
                       merge_sign, signed_permutations, wedge)
 
@@ -149,8 +149,9 @@ def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
 
 def pullback_polynomial(f: ExprMap, w: DiffForm) -> tuple:
     """:func:`pullback`'s coefficient on dx1^...^dxm, for a map of arity m
-    and an m-form, as a polynomial register of :mod:`.expr`: the form's
-    coefficients run on the map's registers, and the jacobian (by
+    and an m-form, as a polynomial register of :mod:`.expr`: the map's
+    program runs once on polynomial registers, the form's coefficients
+    run on the components' registers, and the jacobian (by
     :func:`.expr.poly_diff`) and its minors are registers too, so the
     shadow and order bound all their roundings.  Raises where
     :func:`.expr.expand_polynomial` would."""
@@ -158,7 +159,7 @@ def pullback_polynomial(f: ExprMap, w: DiffForm) -> tuple:
         raise ValueError(
             f"need a form of degree {f.arity} on dimension {f.dim_out}")
     _, _, add, _, mul, _, _ = _POLYS
-    comps = [expand_polynomial(c) for c in f.components]
+    comps = f.run(_POLYS, _poly_vars(f.arity))
     jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
     acc = ({}, 0.0, 0, 0)  # the zero polynomial
     for index, coeff in w.coeffs.items():

@@ -7,9 +7,9 @@ import pytest
 
 from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         SingularCube, Theta, ZERO, boundary, chain_normalize,
-                        chain_of, cubes_equal, eval_dual, face, parse_expr,
-                        scenario_from_dict, standard_cube)
-from dualstokes.cubes import MERGE_TOL
+                        chain_of, compose, cubes_equal, eval_dual, face,
+                        parse_expr, scenario_from_dict, standard_cube)
+from dualstokes.cubes import MERGE_TOL, _domain_pairs, _domain_points
 from helpers import (THETAS, load_bench_module, random_chain, random_cube,
                      reference_chain_normalize, reference_domain_points)
 
@@ -63,6 +63,24 @@ def test_domain_sample_points_are_built_once(theta, r, k):
     assert CubeDomain(theta, r, k).sample_points() is dom.sample_points()
 
 
+def test_domain_sample_caches_are_bounded():
+    # one entry per (k, b.ze): a sweep over r must not grow them forever
+    for i in range(300):
+        dom = CubeDomain(Theta.TYPE1, 1.0 + i / 64, 2)
+        dom.sample_points()
+        _domain_pairs(*dom._sample_key())
+    for cache in (_domain_points, _domain_pairs):
+        assert cache.cache_info().maxsize == 256
+        assert cache.cache_info().currsize <= 256
+    # a -0.0 domain still gets its own points, not those of 0.0
+    plus, minus = (CubeDomain(Theta.TYPE2, r, 2) for r in (0.0, -0.0))
+    assert repr(minus.sample_points()) == repr(reference_domain_points(minus))
+    assert repr(plus.sample_points()) == repr(reference_domain_points(plus))
+    assert repr(minus.sample_points()) != repr(plus.sample_points())
+    assert repr(_domain_pairs(*minus._sample_key())) != repr(
+        _domain_pairs(*plus._sample_key()))
+
+
 # ---------------------------------------------------------------------------
 # cubes and faces
 
@@ -94,6 +112,52 @@ def test_face_substitution():
     assert bottom.mapping.eval((t,)) == DualVec([t, ZERO])
     # faces keep theta and r
     assert top.theta == c.theta and top.r == c.r
+
+
+def _face_repl(cube, axis: int, side: int) -> list:
+    # the substitution face() makes: the pinned end for x(axis)
+    k = cube.k
+    repl = [Expr.variable(i, k - 1) for i in range(k - 1)]
+    repl.insert(axis - 1, Expr.constant(ZERO if side == 0 else cube.domain.b,
+                                        k - 1))
+    return repl
+
+
+def _check_faces_keep_compose_nodes(cube):
+    for axis in range(1, cube.k + 1):
+        for side in (0, 1):
+            got = face(cube, axis, side).mapping.components
+            repl = _face_repl(cube, axis, side)
+            want = [compose(c, repl) for c in cube.mapping.components]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.node is w.node and g.arity == w.arity == cube.k - 1
+
+
+def test_faces_keep_the_nodes_compose_builds():
+    # a face is one run of its cube's map program; each component is the
+    # interned node compose() builds for that component alone
+    for seed in range(1, 21):
+        scenario = scenario_from_dict(
+            load_bench_module("workloads").tiled_chain_dict(seed))
+        for _, cube in scenario.chain.terms:
+            _check_faces_keep_compose_nodes(cube)
+    rng = random.Random(77)
+    for _ in range(60):
+        cube = random_cube(rng, rng.choice(THETAS), rng.choice((0.0, 0.5)),
+                           rng.randint(1, 3), rng.randint(1, 3))
+        _check_faces_keep_compose_nodes(cube)
+        # components that share a node, and twice the same component
+        c = cube.mapping.components[0]
+        shared = SingularCube(cube.domain, ExprMap((c, c * c, c, -c)))
+        _check_faces_keep_compose_nodes(shared)
+
+
+def test_tiled_boundary_has_108_distinct_maps():
+    faces = _tiled_boundary(1)
+    nodes = {tuple(c.node for c in cube.mapping.components)
+             for _, cube in faces.terms}
+    assert len(faces.terms) == 162 and len(nodes) == 108
 
 
 def test_face_of_segment_is_point():

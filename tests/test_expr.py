@@ -14,8 +14,9 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         exprs_equal, is_zero_expr, jacobian, parse_expr,
                         partial_diff, render_expr, sample_points, sin)
 from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
-                             Add, Const, Mul, Neg, NotPolynomial, PowInt, Prim,
-                             Sub, Var, _add, _mul, _sub, expand_polynomial,
+                             _NODES, _PAIRS, _POLYS, Add, Const, Mul, Neg,
+                             NotPolynomial, PowInt, Prim, Sub, Var, _add, _mul,
+                             _poly_vars, _run, _sub, expand_polynomial,
                              lower_expr, partial_diffs, poly_diff)
 from helpers import (point_in_box, random_box, random_expr, random_map,
                      random_poly, reference_cr_check, reference_diff,
@@ -621,6 +622,88 @@ def test_expr_map_compose():
     assert h.eval([Dual(1), Dual(2)]) == DualVec([Dual(9)])
     with pytest.raises(ValueError):
         g.compose(f)  # 1 output feeding a 2-input map
+
+
+# A map's program runs all its components at once; each component's
+# register must be what a run of that component's own program gives.
+
+
+def _run_outcome(run):
+    """(True, what `run()` returns), or (False, the type it raises)."""
+    try:
+        return True, run()
+    except (OverflowError, NotPolynomial) as exc:
+        return False, type(exc)
+
+
+def _check_map_program(m, rng):
+    def agree(kind, arith, args, same):
+        ok_map, got = _run_outcome(lambda: m.run(arith, args))
+        per = [_run_outcome(lambda c=c: _run(lower_expr(c), arith, args))
+               for c in m.components]
+        if not ok_map:  # the map raises where the first component raising does
+            assert got == next(value for ok, value in per if not ok), kind
+            return
+        assert all(ok for ok, _ in per), kind
+        assert len(got) == len(per) == m.dim_out, kind
+        for x, (_, y) in zip(got, per):
+            assert same(x, y), (kind, x, y)
+
+    point = tuple((c.re, c.ze) for c in small_point(rng, m.arity))
+    agree("pairs", _PAIRS, point, lambda x, y: repr(x) == repr(y))
+    inner_arity = rng.randint(0, 3)
+    inner = [random_expr(rng, inner_arity, depth=2).node
+             for _ in range(m.arity)]
+    agree("nodes", _NODES, inner, lambda x, y: x is y)
+    # repr shows the terms in their order, each coefficient's bits (a NaN
+    # one too, which == would refuse), the shadow, order and degree
+    agree("polys", _POLYS, _poly_vars(m.arity),
+          lambda x, y: repr(x) == repr(y) and (x == y or "nan" in repr(x)))
+
+
+def _sharing_map(rng, arity: int) -> ExprMap:
+    """Components built on one shared subexpression, one of them twice."""
+    # f reads a variable, and g is no zero constant, so no product folds
+    f = (random_expr(rng, arity, depth=3, prims=rng.random() < 0.5)
+         + Expr.variable(rng.randrange(arity), arity))
+    g = random_expr(rng, arity, depth=2, prims=False) + 0.75
+    comps = [f * g, f + 1.5, -f, f * g]
+    rng.shuffle(comps)
+    return ExprMap(comps[:rng.randint(2, 4)])
+
+
+def test_map_programs_match_component_programs_bit_for_bit():
+    rng = random.Random(1919)
+    for _ in range(150):
+        arity, dim_out = rng.randint(1, 3), rng.randint(1, 3)
+        _check_map_program(random_map(rng, arity, dim_out, depth=3), rng)
+        _check_map_program(random_map(rng, arity, dim_out, depth=3,
+                                      prims=False), rng)
+        _check_map_program(_sharing_map(rng, arity), rng)
+    # overflow in a later component only, and shared by two components
+    huge = parse_expr("(x1+1e200)^2", 1)
+    _check_map_program(ExprMap((parse_expr("x1", 1), huge)), rng)
+    _check_map_program(ExprMap((huge * 2.0, huge)), rng)
+
+
+def test_map_programs_lower_shared_nodes_once():
+    x1, x2 = Expr.variable(0, 2), Expr.variable(1, 2)
+    x = x1 + 2.5
+    m = ExprMap((x, x2 + x * x2 * 0.25, x2 + x ** 2 * 0.5))
+    assert m._code is None  # building lowers nothing
+    m.run(_PAIRS, ((0.5, 0.25), (1.0, -1.0)))
+    code, outs = m._code
+    # x1, 2.5 and x once, not three times; x2 once, not twice
+    assert [len(lower_expr(c)) for c in m.components] == [3, 8, 8]
+    assert len(code) == 3 + 5 + 4
+    assert outs == [2, 7, 11] and code[2].op == "add"
+    m.run(_NODES, [Var(1), Var(0)])
+    assert m._code[0] is code  # kept with the map, whatever the arithmetic
+    rng = random.Random(5)
+    for _ in range(40):
+        m = _sharing_map(rng, rng.randint(1, 3))
+        m.run(_NODES, [Var(i) for i in range(m.arity)])
+        assert len(m._code[0]) < sum(len(lower_expr(c)) for c in m.components)
 
 
 def test_jacobian_fixed():

@@ -94,6 +94,25 @@ def test_value_classes_behave_as_frozen_dataclasses(cls, fields, values,
     assert not hasattr(value, "__dict__")
 
 
+def test_expr_map_keeps_its_program_outside_the_fields():
+    from dualstokes.expr import _PAIRS
+    comps = (parse_expr("x1*x2+x1", 2), parse_expr("(x1*x2)^2", 2))
+    text = ("ExprMap(components=(Expr(node=Add(lhs=Mul(lhs=Var(index=0), "
+            "rhs=Var(index=1)), rhs=Var(index=0)), arity=2), "
+            "Expr(node=PowInt(base=Mul(lhs=Var(index=0), rhs=Var(index=1)), "
+            "exponent=2), arity=2)))")
+    point = ((0.5, -0.25), (3.0, 0.125))
+    m = ExprMap(comps)
+    values = m.run(_PAIRS, point)  # the program is built and kept
+    assert m._code is not None
+    assert repr(m) == text and m == ExprMap(comps) and m != comps
+    assert hash(m) == hash((comps,)) == hash(ExprMap(comps))
+    assert not hasattr(m, "__dict__")
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(twin) is ExprMap and twin == m and repr(twin) == text
+        assert repr(twin.run(_PAIRS, point)) == repr(values)
+
+
 def test_fields_are_compared_in_order():
     assert Dual(1.0, 2.0) != Dual(2.0, 1.0)
     assert DualBox(0.0, 1.0, 0.0, 2.0) != DualBox(0.0, 1.0, 0.0, 1.0)
