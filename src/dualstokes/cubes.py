@@ -4,24 +4,25 @@ The model k-cube of type theta with inflation r is the rectangle
 ``[0, b]^k`` where ``b = 1 + r*eps`` for the type-1 order and
 ``b = 1 - r*eps`` for type-2; ``r = 0`` recovers the classical unit
 cube.  A singular cube is a symbolic map from that domain into dual
-n-space; faces substitute an endpoint for one coordinate, and the
-boundary is the usual signed sum of faces, built in one pass over a
-chain's terms (a cube counts as its one-term chain).
+n-space; a face is the cube's map with one coordinate pinned to an
+endpoint (:meth:`.expr.ExprMap.pin`), which runs the cube's program and
+builds no nodes of its own, and the boundary is the usual signed sum of
+faces, built in one pass over a chain's terms (a cube counts as its
+one-term chain).
 
 Chains are finite integer combinations of cubes sharing one
 ``(theta, r, k, n)`` signature; ``Chain(...)`` is their one constructor
 and checks every term.  Normalization merges terms whose maps agree on a
 fixed pseudo-random sample of the domain — that is what lets the
 geometric cancellations in a double boundary actually cancel, since
-composed substitutions need not be syntactically identical.  Each
-domain's sample is built once per ``(k, b.ze)``, for the 256 most
+twin faces of neighbouring cubes are different maps with equal values.
+Each domain's sample is built once per ``(k, b.ze)``, for the 256 most
 recently used, and within one normalization each term's map is
 evaluated at most once per sample point, on float pairs, only when a
-comparison reaches that point.  A
-sorted index of each group's first value lets a term skip every group
-too far from it to agree, and a term whose map is identical to an
-earlier term's (the same interned nodes) skips the comparisons (see
-:func:`chain_normalize`); both are exact.
+comparison reaches that point: point 0 in one run, and points 1..15 in
+one more run on lane registers.  A sorted index of each group's first
+value lets a term skip every group too far from it to agree (see
+:func:`chain_normalize`); that is exact.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .darboux import ThetaRectangle, make_interval
 from .dual import Dual, Record, Theta, ZERO
 # compose is unused here but stays a module attribute: the benchmark's
 # tracer (bench/spans.py) rebinds cubes.compose.
-from .expr import Expr, ExprMap, compose
+from .expr import _PAIRS, Expr, ExprMap, compose
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -133,8 +134,12 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
 
     Coordinate `axis` is pinned to 0 or to the inflated endpoint b, and
     the remaining coordinates close ranks, so the face is a cube of one
-    dimension less over the same (theta, r).  Its map is one run of the
-    cube's map program on nodes (:meth:`.expr.ExprMap.compose`).
+    dimension less over the same (theta, r).  Its map is the cube's map
+    with that argument pinned (:meth:`.expr.ExprMap.pin`): it runs the
+    cube's program with the endpoint as a constant of each arithmetic,
+    so on polynomial registers the endpoint's roundings are bounded, and
+    it builds the nodes composing with the endpoint would only when its
+    components are asked for.
     """
     k = cube.k
     if k == 0:
@@ -144,10 +149,8 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
     pinned = ZERO if side == 0 else cube.domain.b
-    repl = [Expr.variable(i, k - 1) for i in range(k - 1)]
-    repl.insert(axis - 1, Expr.constant(pinned, k - 1))
-    mapping = cube.mapping.compose(ExprMap(repl))
-    return SingularCube(CubeDomain(cube.theta, cube.r, k - 1), mapping)
+    return SingularCube(CubeDomain(cube.theta, cube.r, k - 1),
+                        cube.mapping.pin(axis - 1, pinned))
 
 
 class Chain(Record):
@@ -221,12 +224,40 @@ def boundary(obj) -> Chain:
     return Chain(obj.theta, obj.r, obj.k - 1, obj.n, faces)
 
 
+# Lane registers: a dual value at each of the sample points 1..15 as the
+# list of its (re, ze) pairs, so one run of a map's program evaluates all
+# fifteen points, each by the point arithmetic of .expr, with its bits and
+# its OverflowError.
+_LANES = _FINGERPRINT_POINTS - 1
+
+
+def _lanewise(op):
+    return lambda *regs: list(map(op, *regs))
+
+
+_LANE_ARITH = (lambda value: [_PAIRS[0](value)] * _LANES,
+               *map(_lanewise, _PAIRS[1:5]),
+               lambda x, exponent: [_PAIRS[5](p, exponent) for p in x],
+               lambda name, x: [_PAIRS[6](name, p) for p in x])
+
+
+@functools.lru_cache(maxsize=256)
+def _domain_lanes(k: int, ze_span: float, ze_sign: float):
+    # points 1.. of the same sample, each variable as a lane register
+    points = _domain_pairs(k, ze_span, ze_sign)[1:]
+    return tuple(zip(*points))
+
+
 class _Fingerprint:
     """A cube's map values at its domain's sample points, evaluated on demand.
 
     ``values[i]`` holds the components at point i flattened to
     ``(re, ze, re, ze, ...)``; comparisons walk the points in order, so
-    the values evaluated so far are always a prefix.
+    the values evaluated so far are always a prefix.  Point 0 is one run
+    of the map's program; the first comparison that passes it evaluates
+    all the others in one run on lane registers, or, if that run raises
+    ``OverflowError``, point by point, so an error surfaces at the point
+    where it arises.
     """
 
     __slots__ = ("cube", "points", "values")
@@ -237,9 +268,17 @@ class _Fingerprint:
         self.values: list[tuple[float, ...]] = []
 
     def at(self, i: int) -> tuple[float, ...]:
-        if i == len(self.values):
-            self.values.append(self.cube.mapping.flat_values(self.points[i]))
-        return self.values[i]
+        values = self.values
+        if i == 1 == len(values):
+            try:
+                lanes = _domain_lanes(*self.cube.domain._sample_key())
+                comps = self.cube.mapping.run(_LANE_ARITH, lanes)
+                values += [sum(point, ()) for point in zip(*comps)]
+            except OverflowError:
+                pass  # point by point, as below
+        if i == len(values):
+            values.append(self.cube.mapping.flat_values(self.points[i]))
+        return values[i]
 
     def key(self) -> float:
         """The first float at the first point: the candidate index's key."""
@@ -270,12 +309,6 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     cube agrees with it (see `cubes_equal`), or else starts a group; a
     group keeps its first cube and sums its weights.
 
-    A term whose map is identical to an earlier term's (the same
-    interned component nodes) has that term's values, so it joins the
-    group that term joined, or the group it started when
-    ``_agree(first, first, tol)`` holds for that group's first
-    fingerprint, and otherwise goes on as below.
-
     Only groups near the term are compared.  A sorted index holds each
     group's key, the first float of its map at the first sample point,
     and a term with key ``x`` is compared only with the groups whose key
@@ -287,23 +320,15 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     ``tol``) falls back to comparing every group.
 
     A map is evaluated at a sample point only when a comparison reaches
-    it, and at most once per point, so a one-term chain evaluates
+    it, and at most once per point, in two runs unless the second
+    overflows (see :class:`_Fingerprint`), so a one-term chain evaluates
     nothing: the first group's key is read when a second term arrives.
     """
     groups: list[list] = []  # [weight, fingerprint], in creation order
     keys: list[float] = []   # the index: sorted keys of the groups ...
     ids: list[int] = []      # ... and those groups' places in `groups`
     keyed = 0                # groups whose key has been read
-    # a map's component nodes -> (its group, whether it started the group)
-    seen: dict[tuple, tuple[int, bool]] = {}
     for weight, cube in chain.terms:
-        nodes = tuple(c.node for c in cube.mapping.components)
-        if nodes in seen:
-            g, started = seen[nodes]
-            first = groups[g][1]
-            if not started or _agree(first, first, tol):
-                groups[g][0] += weight
-                continue
         mine = _Fingerprint(cube)
         near = ()
         if groups:
@@ -318,10 +343,8 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
         for g in near:
             if _agree(groups[g][1], mine, tol):
                 groups[g][0] += weight
-                seen.setdefault(nodes, (g, False))
                 break
         else:
-            seen.setdefault(nodes, (len(groups), True))
             groups.append([weight, mine])
     return Chain(chain.theta, chain.r, chain.k, chain.n,
                  tuple((w, f.cube) for w, f in groups))

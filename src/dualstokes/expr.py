@@ -1029,32 +1029,67 @@ class ExprMap(Record):
     The components share one program, lowered by :meth:`run` on first
     use and kept outside the fields, so copies, pickles, ``==`` and
     ``hash`` see only the components; a node that several components
-    share runs once per run."""
+    share runs once per run.
+
+    A pinned map (:meth:`pin`) is its parent with one variable fixed: it
+    runs the parent's program and has none of its own, and builds its
+    components, the nodes :func:`compose` builds, only when asked."""
 
     _fields = ("components",)
-    __slots__ = _fields + ("_code",)
+    __slots__ = ("_components", "_code", "_pin", "arity", "dim_out")
 
     def __init__(self, components: tuple[Expr, ...]):
-        self.components = components = tuple(components)
+        self._components = components = tuple(components)
         if not components:
             raise ValueError("a map needs at least one component")
-        arity = components[0].arity
-        if any(c.arity != arity for c in components):
+        self.arity, self.dim_out = components[0].arity, len(components)
+        if any(c.arity != self.arity for c in components):
             raise ValueError("components must share one arity")
-        self._code = None
+        self._code = self._pin = None
+
+    @property
+    def components(self) -> tuple[Expr, ...]:
+        if self._components is None:  # pinned: one run on nodes
+            nodes = self.run(_NODES, [Var(i) for i in range(self.arity)])
+            self._components = tuple([Expr(n, self.arity) for n in nodes])
+        return self._components
+
+    def pin(self, index: int, value: Dual) -> "ExprMap":
+        """This map with x(index+1) fixed at `value`: its components are
+        the nodes composing with that constant builds, and it runs, under
+        any arithmetic, the parent's program with the arithmetic's
+        constant of `value` as that argument.  A pinned map's own pin
+        composes its components.
+
+        The components fold constants as they are built and the run does
+        not, so the two can differ where a constant 0 or 1 multiplies a
+        non-finite value, or in the sign of a zero sum: on the face
+        x1 = 0 of ``x1*((x2+1)*1e300*1e300)`` the components give 0 and the
+        run NaN, and the sample values chains normalize by come from the
+        run."""
+        if not 0 <= index < self.arity:
+            raise ValueError("variable index out of range")
+        pinned = object.__new__(ExprMap)
+        pinned._components = pinned._code = None
+        pinned._pin = (self if self._pin is None else ExprMap(self.components),
+                       index, as_dual(value))
+        pinned.arity, pinned.dim_out = self.arity - 1, self.dim_out
+        return pinned
 
     def run(self, arith: tuple, args: Sequence) -> list:
         """Each component's register, from one run of the map's program
         under `arith`; `args[i]` is the value of x(i+1)."""
+        if self._pin is not None:
+            parent, index, value = self._pin
+            args = list(args)
+            args.insert(index, arith[0](value))
+            return parent.run(arith, args)
         if self._code is None:
-            self._code = _lower([c.node for c in self.components])
+            self._code = _lower([c.node for c in self._components])
         code, outs = self._code
         regs = [None] * len(code)
         run_steps(enumerate(code), arith, regs, args)
         return [regs[r] for r in outs]
-
-    arity = property(lambda self: self.components[0].arity)
-    dim_out = property(lambda self: len(self.components))
 
     @staticmethod
     def identity(n: int) -> "ExprMap":

@@ -285,14 +285,29 @@ def reference_exact_partial(poly: dict, index: int) -> dict:
     return out
 
 
+def reference_exact_map(mapping: ExprMap) -> list:
+    """Each component of the map as an exact polynomial.  A pinned map's
+    (a face's) are its parent's components composed exactly with the
+    pinned constant, so no rounding of the substitution is folded in."""
+    if mapping._pin is None:
+        return [reference_exact_expansion(c) for c in mapping.components]
+    parent, index, value = mapping._pin
+    dim = mapping.arity
+    args = [{tuple(int(i == j) for i in range(dim)): (Fraction(1), 0)}
+            for j in range(dim)]
+    args.insert(index, {(0,) * dim: (Fraction(value.re), Fraction(value.ze))})
+    return [reference_exact_expansion(c, args, dim) for c in parent.components]
+
+
 def reference_exact_pullback(mapping: ExprMap, w: DiffForm) -> dict:
     """The coefficient on dx1^...^dxm of the pullback of the m-form `w`
     through the map of arity m, as an exact polynomial: the components
-    expanded, their partials, each minor by permutation expansion with
-    the sign counted from inversions, and each coefficient composed with
-    the components, all in ``Fraction`` arithmetic."""
+    expanded (:func:`reference_exact_map`), their partials, each minor by
+    permutation expansion with the sign counted from inversions, and
+    each coefficient composed with the components, all in ``Fraction``
+    arithmetic."""
     m = mapping.arity
-    comps = [reference_exact_expansion(c) for c in mapping.components]
+    comps = reference_exact_map(mapping)
     jac = [[reference_exact_partial(c, j) for j in range(m)] for c in comps]
     one = {(0,) * m: (Fraction(1), Fraction(0))}
     total = {}

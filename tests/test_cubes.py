@@ -1,17 +1,21 @@
 import math
 import pickle
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
 from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         SingularCube, Theta, ZERO, boundary, chain_normalize,
-                        chain_of, compose, cubes_equal, eval_dual, face,
-                        parse_expr, scenario_from_dict, standard_cube)
-from dualstokes.cubes import MERGE_TOL, _domain_pairs, _domain_points
+                        chain_of, compose, cubes_equal, eval_dual, exp, face,
+                        parse_expr, run_scenario, scenario_from_dict, sin,
+                        standard_cube)
+from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _domain_lanes,
+                              _domain_pairs, _domain_points)
+from dualstokes.expr import Add, Const, Mul, PowInt, Var
 from helpers import (THETAS, load_bench_module, random_chain, random_cube,
-                     reference_chain_normalize, reference_domain_points)
+                     random_map, reference_chain_normalize,
+                     reference_domain_points)
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +127,34 @@ def _face_repl(cube, axis: int, side: int) -> list:
     return repl
 
 
-def _check_faces_keep_compose_nodes(cube):
+def _check_faces_keep_compose_nodes(cube, depth: int = 2):
     for axis in range(1, cube.k + 1):
         for side in (0, 1):
-            got = face(cube, axis, side).mapping.components
+            sub = face(cube, axis, side)
             repl = _face_repl(cube, axis, side)
-            want = [compose(c, repl) for c in cube.mapping.components]
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
+            want = ExprMap([compose(c, repl) for c in cube.mapping.components])
+            got = sub.mapping.components
+            assert len(got) == len(want.components)
+            for g, w in zip(got, want.components):
                 assert g.node is w.node and g.arity == w.arity == cube.k - 1
+            # the pinned map is a map with these components to repr, ==,
+            # hash and pickle, and an unpickled copy is a plain map
+            assert sub.mapping == want and hash(sub.mapping) == hash(want)
+            assert repr(sub.mapping) == repr(want)
+            assert pickle.loads(pickle.dumps(sub.mapping)) == want
+            if depth > 1 and sub.k:  # a face of a face composes its face
+                _check_faces_keep_compose_nodes(sub, depth - 1)
 
 
 def test_faces_keep_the_nodes_compose_builds():
-    # a face is one run of its cube's map program; each component is the
-    # interned node compose() builds for that component alone
+    # a face is its cube's map with one argument pinned; its components,
+    # built when first asked for, are the interned nodes compose() builds
+    # for each component alone
     for seed in range(1, 21):
         scenario = scenario_from_dict(
             load_bench_module("workloads").tiled_chain_dict(seed))
         for _, cube in scenario.chain.terms:
-            _check_faces_keep_compose_nodes(cube)
+            _check_faces_keep_compose_nodes(cube, depth=1)
     rng = random.Random(77)
     for _ in range(60):
         cube = random_cube(rng, rng.choice(THETAS), rng.choice((0.0, 0.5)),
@@ -151,6 +164,44 @@ def test_faces_keep_the_nodes_compose_builds():
         c = cube.mapping.components[0]
         shared = SingularCube(cube.domain, ExprMap((c, c * c, c, -c)))
         _check_faces_keep_compose_nodes(shared)
+
+
+def test_face_runs_its_cube_program_with_the_endpoint_pinned():
+    rng = random.Random(78)
+    for _ in range(30):
+        cube = random_cube(rng, rng.choice(THETAS), rng.choice((0.0, 0.5)),
+                           rng.randint(1, 3), rng.randint(1, 3))
+        points = _domain_pairs(*cube.domain._sample_key())
+        for axis in range(1, cube.k + 1):
+            for side in (0, 1):
+                f = face(cube, axis, side)
+                end = ZERO if side == 0 else cube.domain.b
+                for point in points[:4]:
+                    args = list(point[:cube.k - 1])
+                    args.insert(axis - 1, (end.re, end.ze))
+                    assert repr(f.mapping.flat_values(point[:cube.k - 1])) \
+                        == repr(cube.mapping.flat_values(args))
+                # a face lowers no program and builds no nodes of its own
+                assert f.mapping._code is f.mapping._components is None
+    with pytest.raises(ValueError, match="out of range"):
+        ExprMap.identity(2).pin(2, ZERO)
+
+
+def test_verdict_builds_no_face_components(monkeypatch):
+    # the rhs integrates every face on registers and compares faces by
+    # running their cubes' programs, so no face's nodes are built
+    built = []
+    components = ExprMap.components
+
+    def spy(self):
+        if self._components is None:
+            built.append(self)
+        return components.fget(self)
+
+    monkeypatch.setattr(ExprMap, "components", property(spy))
+    workloads = load_bench_module("workloads")
+    report = run_scenario(scenario_from_dict(workloads.tiled_chain_dict(1)))
+    assert report.converged and report.passed and not built
 
 
 def test_tiled_boundary_has_108_distinct_maps():
@@ -413,35 +464,175 @@ def test_normalize_index_fixed_cases(tol):
                 _terms(reference_chain_normalize(ch, tol))
 
 
+def _count_runs(monkeypatch) -> dict:
+    """id(map) -> the sample points each run of that map evaluated, one
+    tuple of points per run; a pinned map's run of its parent is its own."""
+    runs = defaultdict(list)
+    depth = [0]
+    original = ExprMap.run
+
+    def counting(self, arith, args):
+        if depth[0] == 0:
+            if arith is _LANE_ARITH:
+                points = tuple(zip(*args))
+            else:
+                points = (tuple(args),)
+            runs[id(self)].append(points)
+        depth[0] += 1
+        try:
+            return original(self, arith, args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ExprMap, "run", counting)
+    return runs
+
+
+def _evaluated(runs: dict) -> dict:
+    """id(map) -> how many sample points were evaluated, each checked to
+    be evaluated once and each map to run at most twice."""
+    for key, points in runs.items():
+        flat = [p for run in points for p in run]
+        assert len(points) <= 2 and len(set(flat)) == len(flat), key
+    return {key: sum(map(len, points)) for key, points in runs.items()}
+
+
 def test_normalize_evaluates_each_map_at_most_once_per_point(monkeypatch):
-    calls = Counter()
-    original = ExprMap.flat_values
-
-    def counting(self, pairs):
-        calls[id(self)] += 1
-        return original(self, pairs)
-
-    monkeypatch.setattr(ExprMap, "flat_values", counting)
+    # point 0 is one run, and the first comparison past it evaluates the
+    # other 15 points in one lane run, so no point is evaluated twice and
+    # no map's program runs more than twice in one normalization
+    runs = _count_runs(monkeypatch)
     rng = random.Random(8)
     chain_normalize(chain_of(random_cube(rng, Theta.TYPE1, 0.5, 2, 2)))
-    assert not calls
+    assert not runs
     # maps that differ at the first point: one evaluation each
     dom = CubeDomain(Theta.TYPE1, 0.5, 1)
     x = SingularCube(dom, ExprMap((parse_expr("x1", 1),)))
     y = SingularCube(dom, ExprMap((parse_expr("x1+1", 1),)))
     chain_normalize(Chain(Theta.TYPE1, 0.5, 1, 1, ((1, x), (1, y))))
-    assert calls == {id(x.mapping): 1, id(y.mapping): 1}
-    calls.clear()
-    assert cubes_equal(x, _shifted(x, Dual(0.0)))
-    assert sorted(calls.values()) == [16, 16]
-    calls.clear()
-    faces = _tiled_boundary(1)
-    chain_normalize(faces)
-    # each inner face's map is identical to its twin's: 54 twins are
-    # settled without an evaluation, 108 maps are evaluated
-    assert len(calls) == 108
-    assert max(calls.values()) <= 16
-    assert sum(calls.values()) <= 918
+    assert _evaluated(runs) == {id(x.mapping): 1, id(y.mapping): 1}
+    runs.clear()
+    shifted = _shifted(x, Dual(0.0))
+    assert cubes_equal(x, shifted)
+    assert _evaluated(runs) == {id(x.mapping): 16, id(shifted.mapping): 16}
+    runs.clear()
+    cubes = scenario_from_dict(
+        load_bench_module("workloads").tiled_chain_dict(1)).chain
+    faces = boundary(cubes)
+    assert len(chain_normalize(faces).terms) == 54
+    # twin inner faces come from different cubes: all 162 face maps are
+    # read at point 0, and the 108 that a comparison takes past it are
+    # evaluated at all 16 points
+    counts = _evaluated(runs)
+    assert set(counts) == {id(cube.mapping) for _, cube in faces.terms}
+    assert Counter(counts.values()) == {16: 108, 1: 54}
+
+
+def _lane_maps(rng: random.Random, k: int) -> list:
+    """Seeded maps with exp, sin and cos, and with a raw x^0, a -0.0
+    constant and a product that is -0.0 at every point."""
+    x = Var(0)
+    raw = [Expr(PowInt(x, 0), k), Expr.constant(Dual(-0.0, -0.0), k),
+           Expr(Mul(Const(Dual(-0.0, 0.0)), x), k),
+           Expr(PowInt(Add(x, Const(Dual(-1.0, 0.5))), 3), k)]
+    maps = [ExprMap(raw)]
+    for _ in range(12):
+        mapping = random_map(rng, k, rng.randint(1, 3), depth=3)
+        maps.append(ExprMap(mapping.components + (rng.choice(raw),)))
+    # exp past the float range at some points, and sin of an infinite value
+    big = Expr.constant(800.0, k) * Expr.variable(0, k)
+    maps += [ExprMap((exp(big),)), ExprMap((sin(big * 1e306),))]
+    return maps
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, 0.5))
+def test_lane_run_gives_the_point_values(theta, r):
+    # one run on lane registers gives each of points 1..15 the bits one
+    # run per point gives, -0.0 included, or raises where any would
+    rng = random.Random(f"lanes/{theta}/{r}")
+    raised = 0
+    for k in (1, 2, 3):
+        key = CubeDomain(theta, r, k)._sample_key()
+        points = _domain_pairs(*key)
+        for mapping in _lane_maps(rng, k):
+            want = []
+            try:
+                for point in points[1:]:
+                    want.append(mapping.flat_values(point))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    mapping.run(_LANE_ARITH, _domain_lanes(*key))
+                raised += 1
+                continue
+            lanes = mapping.run(_LANE_ARITH, _domain_lanes(*key))
+            got = [sum(point, ()) for point in zip(*lanes)]
+            assert repr(got) == repr(want), mapping
+    assert raised == 6
+
+
+def _normalize_outcome(normalize, chain):
+    try:
+        return _terms(normalize(chain))
+    except OverflowError as exc:
+        return type(exc), str(exc)
+
+
+def test_overflow_at_a_later_point_surfaces_as_it_did():
+    # exp(c*x1) overflows at sample point j > 1 only.  The lane run raises
+    # at once; the fingerprint then evaluates point by point, so a chain
+    # whose maps part before point j returns, and one whose maps agree up
+    # to j raises, just as the reference does
+    dom = CubeDomain(Theta.TYPE1, 0.0, 1)  # r = 0: every ze part is 0
+    xs = [p[0].re for p in reference_domain_points(dom)]
+    j = max(range(2, 16), key=xs.__getitem__)
+    assert xs[j] > max(xs[:2])
+    c = 709.9 / xs[j] * (1 + 1e-3)
+    assert c * max(xs[:j]) < 709.7
+    p0 = repr(xs[0])
+
+    def cube(first, second):
+        return SingularCube(dom, ExprMap((parse_expr(first, 1),
+                                          parse_expr(second, 1))))
+
+    grow, grown = f"exp({c!r}*x1)", f"exp(x1*{c!r})"  # equal values
+    parting = f"x1+(x1-{p0})"  # equal to x1 at point 0 only
+    cases = [[cube("x1", grow), cube("x1", grown)],
+             [cube("x1", grow), cube(parting, grown)],
+             [cube("x1", grow), cube("x1", "x1"), cube("x1", grown)]]
+    outcomes = set()
+    for cubes in cases:
+        chain = Chain(Theta.TYPE1, 0.0, 1, 2, tuple((1, c) for c in cubes))
+        for ch in (chain, chain + chain):
+            got = _normalize_outcome(chain_normalize, ch)
+            assert got == _normalize_outcome(reference_chain_normalize, ch)
+            outcomes.add(type(got))
+    assert outcomes == {list, tuple}  # some returned, some raised
+
+
+def test_pinned_faces_normalize_by_their_runs():
+    # the components of a pinned map fold 0 * inf to 0, its run does not:
+    # on the face x1 = 0 the components are the constant 0 and the sample
+    # values NaN, so twin faces of two such cubes agree with nothing and
+    # stay, as in the reference, while plain maps of their components
+    # cancel
+    dom = CubeDomain(Theta.TYPE1, 0.5, 2)
+    big = "((x2+1)*1e300*1e300)"
+    twins = [face(SingularCube(dom, ExprMap((parse_expr(text, 2),
+                                             parse_expr("x2", 2)))), 1, 0)
+             for text in (f"x1*{big}", f"{big}*x1")]
+    point = reference_domain_points(twins[0].domain)[0]
+    for twin in twins:
+        assert twin.mapping.components[0] == Expr.constant(0.0, 1)
+        assert math.isnan(twin.mapping.eval(point)[0].re)
+    chain = Chain(Theta.TYPE1, 0.5, 1, 2, ((1, twins[0]), (-1, twins[1])))
+    assert _terms(chain_normalize(chain)) == \
+        _terms(reference_chain_normalize(chain)) == _terms(chain)
+    plain = Chain(Theta.TYPE1, 0.5, 1, 2, tuple(
+        (w, SingularCube(c.domain, ExprMap(c.mapping.components)))
+        for w, c in chain.terms))
+    assert not chain_normalize(plain).terms
+    assert not reference_chain_normalize(plain).terms
 
 
 @pytest.mark.parametrize("tol", (math.nan, -1.0, 0.0, MERGE_TOL, math.inf))

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from dualstokes import (CubeDomain, DiffForm, Dual, DualVec, Expr, ExprMap,
-                        Theta, ascending_tuples, basis_form, compose,
-                        d_of_function, eval_dual, exprs_equal,
-                        exterior_derivative, form_eval, form_from_strings,
-                        forms_equal, is_zero_expr, jacobian, merge_sign,
-                        parse_expr, partial_diff, perm_sign, pullback, wedge,
-                        wedge_forms, zero_form)
+                        SingularCube, Theta, ascending_tuples, basis_form,
+                        compose, d_of_function, eval_dual, exprs_equal,
+                        exterior_derivative, face, form_eval,
+                        form_from_strings, forms_equal, is_zero_expr,
+                        jacobian, merge_sign, parse_expr, partial_diff,
+                        perm_sign, pullback, wedge, wedge_forms, zero_form)
 from dualstokes.darboux import polynomial_estimate
 from dualstokes.expr import NotPolynomial, expand_polynomial
 from dualstokes.forms import pullback_polynomial
@@ -391,6 +391,52 @@ def test_register_pullback_brackets_the_exact_integral(k, theta, r):
         assert bracket_contains(est, reference_exact_integral(
             reference_exact_pullback(mapping, w), rect)), (mapping, w)
         nonconstant += any(register[0])
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, 0.5, 1.0))
+def test_face_pullback_brackets_the_exact_integral(k, theta, r):
+    # a face runs its cube's program with the endpoint pinned, so the
+    # bracket holds the integral over the cube's literal map composed
+    # exactly with the endpoint, the oracle's face
+    rng = random.Random(8000 + 100 * k + 10 * int(theta) + int(2 * r))
+    for _ in range(4):
+        n = rng.randint(k, k + 1)
+        cube = SingularCube(CubeDomain(theta, r, k + 1), ExprMap(_scaled(
+            rng, random_map(rng, k + 1, n, depth=2, prims=False).components,
+            k + 1)))
+        w = random_form(rng, n, k, depth=2)
+        w = DiffForm(n, k, dict(zip(w.coeffs, _scaled(rng, w.coeffs.values(),
+                                                       n))))
+        for axis in range(1, k + 2):
+            for side in (0, 1):
+                f = face(cube, axis, side)
+                rect = f.domain.rectangle()
+                est = polynomial_estimate(pullback_polynomial(f.mapping, w),
+                                          rect)
+                assert bracket_contains(est, reference_exact_integral(
+                    reference_exact_pullback(f.mapping, w), rect)), (
+                    cube, axis, side)
+
+
+def test_face_bracket_bounds_the_endpoint_rounding():
+    # on the face x1 = b = 1 + 0.3*eps, b*b*b - (1 + 0.9*eps) is -5.55e-17
+    # exactly but folds to -1.11e-16 in floats, and the factor 1e16 makes
+    # that the whole ze part: the folded face's bracket, 2.4e-14 wide,
+    # misses the exact integral, and the pinned face's holds it
+    cube = SingularCube(CubeDomain(Theta.TYPE1, 0.3, 2), ExprMap((
+        parse_expr("(x1*x1*x1-(1+0.9*eps))*1e16+x2", 2), parse_expr("x2", 2))))
+    f = face(cube, 1, 1)
+    w = form_from_strings(2, 1, {(1,): "x1"})
+    rect = f.domain.rectangle()
+    exact = reference_exact_integral(reference_exact_pullback(f.mapping, w),
+                                     rect)
+    pinned = polynomial_estimate(pullback_polynomial(f.mapping, w), rect)
+    folded = polynomial_estimate(
+        pullback_polynomial(ExprMap(f.mapping.components), w), rect)
+    assert bracket_contains(pinned, exact)
+    assert not bracket_contains(folded, exact)
 
 
 def test_register_pullback_keeps_a_minor_that_rounds_to_zero():

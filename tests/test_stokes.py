@@ -407,6 +407,7 @@ def test_run_suite_reports():
 _NONPOLYNOMIAL = Path(__file__).with_name("nonpolynomial_scenarios.json")
 _POLYNOMIAL_CHAIN = Path(__file__).with_name("polynomial_chain_scenarios.json")
 _FOLDED_PRIMITIVE = Path(__file__).with_name("folded_primitive_scenarios.json")
+_TILED_CHAIN = Path(__file__).with_name("tiled_chain_scenarios.json")
 
 _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
           + [("saddle-fine", 0)]
@@ -416,15 +417,19 @@ _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
 def _fixed_scenario(kind, arg):
     if kind == "bundled":
         return builtin_scenario(arg)
-    if kind == "polynomial-chain":
-        return next(s for s in load_scenarios(_POLYNOMIAL_CHAIN)
-                    if s.name == arg)
+    if kind in ("polynomial-chain", "tiled-chain"):
+        path = {"polynomial-chain": _POLYNOMIAL_CHAIN,
+                "tiled-chain": _TILED_CHAIN}[kind]
+        return next(s for s in load_scenarios(path) if s.name == arg)
     workloads = load_bench_module("workloads")
     return getattr(workloads, kind.replace("-", "_"))(stokes, arg)[0]
 
 
 @pytest.mark.parametrize("kind, arg", _FIXED + [
-    ("polynomial-chain", s.name) for s in load_scenarios(_POLYNOMIAL_CHAIN)])
+    (kind, s.name)
+    for kind, path in (("polynomial-chain", _POLYNOMIAL_CHAIN),
+                       ("tiled-chain", _TILED_CHAIN))
+    for s in load_scenarios(path)])
 def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
     scenario = _fixed_scenario(kind, arg)
     monkeypatch.setattr(stokes, "integral_estimate",
@@ -441,13 +446,17 @@ def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
     report = run_scenario(scenario)
     assert report.converged and report.passed
     # every cube integral, constants included, is an exact bracket that
-    # holds the exact integral of the literal form over the literal map;
-    # a 0-cube is a point value, not an integral
+    # holds the exact integral of the literal form over the literal map,
+    # and a face's over its cube's map composed exactly with the pinned
+    # endpoint; a 0-cube is a point value, not an integral
+    faces = 0
     for w, cube, est in brackets:
+        faces += cube.mapping._pin is not None
         if cube.k:
             assert bracket_contains(est, reference_exact_integral(
                 reference_exact_pullback(cube.mapping, w),
                 cube.domain.rectangle())), cube
+    assert faces == len(chain_normalize(boundary(scenario.chain)).terms)
     if kind == "tiled-chain-3d":
         for side in (report.lhs, report.rhs):
             assert side.gap_re < 1e-9 and side.gap_ze < 1e-9
@@ -576,6 +585,17 @@ def test_warped_polynomial_chain(scenario, monkeypatch):
     # the shared face of the two cubes cancels, and every integral is an
     # exact bracket on registers, with no symbolic pullback
     assert len(chain_normalize(boundary(scenario.chain)).terms) == 10
+    assert _pullbacks(scenario, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("scenario", load_scenarios(_TILED_CHAIN),
+                         ids=lambda s: s.name)
+def test_warped_tiling(scenario, monkeypatch):
+    # a 2x2x2 tiling: its 12 pairs of inner faces come from different
+    # cubes, and cancel on sample values, leaving the 24 outer faces; the
+    # verdict passes at the default tolerance on registers alone
+    assert len(chain_normalize(boundary(scenario.chain)).terms) == 24
+    assert scenario.refinement == Refinement()
     assert _pullbacks(scenario, monkeypatch) == 0
 
 
