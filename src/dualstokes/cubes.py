@@ -5,10 +5,10 @@ The model k-cube of type theta with inflation r is the rectangle
 ``b = 1 - r*eps`` for type-2; ``r = 0`` recovers the classical unit
 cube.  A singular cube is a symbolic map from that domain into dual
 n-space; a face is the cube's map with one coordinate pinned to an
-endpoint (:meth:`.expr.ExprMap.pin`), which runs the cube's program and
-builds no nodes of its own, and the boundary is the usual signed sum of
-faces, built in one pass over a chain's terms (a cube counts as its
-one-term chain).
+endpoint (:meth:`.expr.ExprMap.pin`), which at any depth, faces of faces
+included, runs its root cube's one program and builds no nodes of its
+own, and the boundary is the usual signed sum of faces, built in one
+pass over a chain's terms (a cube counts as its one-term chain).
 
 Chains are finite integer combinations of cubes sharing one
 ``(theta, r, k, n)`` signature; ``Chain(...)`` is their one constructor
@@ -16,8 +16,8 @@ and checks every term.  Normalization merges terms whose maps agree on a
 fixed pseudo-random sample of the domain — that is what lets the
 geometric cancellations in a double boundary actually cancel, since
 twin faces of neighbouring cubes are different maps with equal values.
-Each domain's sample is built once per ``(k, b.ze)``, for the 256 most
-recently used, and within one normalization each term's map is
+Each domain's sample is one table built once per ``(k, b.ze)``, for the
+256 most recently used, and within one normalization each term's map is
 evaluated at most once per sample point, on float pairs, only when a
 comparison reaches that point: point 0 in one run, and points 1..15 in
 one more run on lane registers.  A sorted index of each group's first
@@ -36,7 +36,7 @@ from .darboux import ThetaRectangle, make_interval
 from .dual import Dual, Record, Theta, ZERO
 # compose is unused here but stays a module attribute: the benchmark's
 # tracer (bench/spans.py) rebinds cubes.compose.
-from .expr import _PAIRS, Expr, ExprMap, compose
+from .expr import _PAIRS, Expr, ExprMap, _check_natural, compose
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -52,8 +52,7 @@ class CubeDomain(Record):
         self.theta, self.r, self.k = Theta(theta), float(r), k
         if not 0 <= self.r < math.inf:
             raise ValueError("inflation must be finite and nonnegative")
-        if k < 0:
-            raise ValueError("dimension must be nonnegative")
+        _check_natural(k, "dimensions")
 
     @property
     def b(self) -> Dual:
@@ -67,7 +66,7 @@ class CubeDomain(Record):
 
     def sample_points(self) -> tuple[tuple[Dual, ...], ...]:
         """Fixed pseudo-random points of the domain, for map comparison."""
-        return _domain_points(*self._sample_key())
+        return _domain_sample(*self._sample_key())[0]
 
     def _sample_key(self) -> tuple:
         # the sign is only a cache key: 0.0 == -0.0, but their points differ
@@ -77,21 +76,17 @@ class CubeDomain(Record):
 
 # one entry per (k, b.ze), so a sweep over r would grow an unbounded cache
 @functools.lru_cache(maxsize=256)
-def _domain_points(k: int, ze_span: float, ze_sign: float):
-    if k == 0:
-        return ((),)
+def _domain_sample(k: int, ze_span: float, ze_sign: float):
+    """The sample points as duals, the same points with each coordinate as
+    its (re, ze) float pair, and points 1.. as one lane register per
+    variable (see :data:`_LANE_ARITH`)."""
     rng = random.Random(_FINGERPRINT_SEED ^ (k * 1009))
-    return tuple(
+    points = tuple(  # a 0-dimensional domain is one point
         tuple(Dual(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * ze_span)
               for _ in range(k))
-        for _ in range(_FINGERPRINT_POINTS))
-
-
-@functools.lru_cache(maxsize=256)
-def _domain_pairs(k: int, ze_span: float, ze_sign: float):
-    # the same points, each coordinate as its (re, ze) float pair
-    return tuple(tuple((c.re, c.ze) for c in point)
-                 for point in _domain_points(k, ze_span, ze_sign))
+        for _ in range(_FINGERPRINT_POINTS if k else 1))
+    pairs = tuple(tuple((c.re, c.ze) for c in point) for point in points)
+    return points, pairs, tuple(zip(*pairs[1:]))
 
 
 class SingularCube(Record):
@@ -136,12 +131,15 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
     the remaining coordinates close ranks, so the face is a cube of one
     dimension less over the same (theta, r).  Its map is the cube's map
     with that argument pinned (:meth:`.expr.ExprMap.pin`): it runs the
-    cube's program with the endpoint as a constant of each arithmetic,
-    so on polynomial registers the endpoint's roundings are bounded, and
-    it builds the nodes composing with the endpoint would only when its
-    components are asked for.
+    program of the cube's root map (its own, unless the cube is a face)
+    with each endpoint as a constant of each arithmetic, so on polynomial
+    registers the endpoints' roundings are bounded, and it builds the
+    nodes composing with the endpoints would only when its components
+    are asked for.
     """
     k = cube.k
+    _check_natural(axis, "axes")
+    _check_natural(side, "sides")
     if k == 0:
         raise ValueError("a 0-dimensional cube has no faces")
     if not 1 <= axis <= k:
@@ -241,13 +239,6 @@ _LANE_ARITH = (lambda value: [_PAIRS[0](value)] * _LANES,
                lambda name, x: [_PAIRS[6](name, p) for p in x])
 
 
-@functools.lru_cache(maxsize=256)
-def _domain_lanes(k: int, ze_span: float, ze_sign: float):
-    # points 1.. of the same sample, each variable as a lane register
-    points = _domain_pairs(k, ze_span, ze_sign)[1:]
-    return tuple(zip(*points))
-
-
 class _Fingerprint:
     """A cube's map values at its domain's sample points, evaluated on demand.
 
@@ -260,24 +251,23 @@ class _Fingerprint:
     where it arises.
     """
 
-    __slots__ = ("cube", "points", "values")
+    __slots__ = ("cube", "points", "lanes", "values")
 
     def __init__(self, cube: SingularCube):
         self.cube = cube
-        self.points = _domain_pairs(*cube.domain._sample_key())
+        _, self.points, self.lanes = _domain_sample(*cube.domain._sample_key())
         self.values: list[tuple[float, ...]] = []
 
     def at(self, i: int) -> tuple[float, ...]:
-        values = self.values
+        values, mapping = self.values, self.cube.mapping
         if i == 1 == len(values):
             try:
-                lanes = _domain_lanes(*self.cube.domain._sample_key())
-                comps = self.cube.mapping.run(_LANE_ARITH, lanes)
+                comps = mapping.run(_LANE_ARITH, self.lanes)
                 values += [sum(point, ()) for point in zip(*comps)]
             except OverflowError:
                 pass  # point by point, as below
         if i == len(values):
-            values.append(self.cube.mapping.flat_values(self.points[i]))
+            values.append(sum(mapping.run(_PAIRS, self.points[i]), ()))
         return values[i]
 
     def key(self) -> float:

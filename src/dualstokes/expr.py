@@ -866,8 +866,7 @@ class Expr(Record):
 
     @staticmethod
     def variable(index: int, arity: int) -> "Expr":
-        if not 0 <= index < arity:
-            raise ValueError("variable index out of range")
+        # Var checks the index, and __init__ that it is below the arity
         return Expr(Var(index), arity)
 
     __add__, __radd__ = _operator(_add), _operator(_add, reflected=True)
@@ -1031,8 +1030,8 @@ class ExprMap(Record):
     ``hash`` see only the components; a node that several components
     share runs once per run.
 
-    A pinned map (:meth:`pin`) is its parent with one variable fixed: it
-    runs the parent's program and has none of its own, and builds its
+    A pinned map (:meth:`pin`) is a root map with some variables fixed:
+    it runs the root's program and has none of its own, and builds its
     components, the nodes :func:`compose` builds, only when asked."""
 
     _fields = ("components",)
@@ -1055,11 +1054,10 @@ class ExprMap(Record):
         return self._components
 
     def pin(self, index: int, value: Dual) -> "ExprMap":
-        """This map with x(index+1) fixed at `value`: its components are
-        the nodes composing with that constant builds, and it runs, under
-        any arithmetic, the parent's program with the arithmetic's
-        constant of `value` as that argument.  A pinned map's own pin
-        composes its components.
+        """This map with x(index+1) fixed at `value`: it runs, under any
+        arithmetic, its root map's program with the arithmetic's constant
+        of each pinned value in its argument's place, and its components
+        are the nodes composing the root once with those constants builds.
 
         The components fold constants as they are built and the run does
         not, so the two can differ where a constant 0 or 1 multiplies a
@@ -1067,12 +1065,15 @@ class ExprMap(Record):
         x1 = 0 of ``x1*((x2+1)*1e300*1e300)`` the components give 0 and the
         run NaN, and the sample values chains normalize by come from the
         run."""
-        if not 0 <= index < self.arity:
+        _check_natural(index, "variable indices")
+        if index >= self.arity:
             raise ValueError("variable index out of range")
+        root, pins = self._pin or (self, ())
+        for at, _ in pins:  # ascending, so `index` becomes the root's
+            index += at <= index
         pinned = object.__new__(ExprMap)
         pinned._components = pinned._code = None
-        pinned._pin = (self if self._pin is None else ExprMap(self.components),
-                       index, as_dual(value))
+        pinned._pin = root, tuple(sorted(pins + ((index, as_dual(value)),)))
         pinned.arity, pinned.dim_out = self.arity - 1, self.dim_out
         return pinned
 
@@ -1080,10 +1081,11 @@ class ExprMap(Record):
         """Each component's register, from one run of the map's program
         under `arith`; `args[i]` is the value of x(i+1)."""
         if self._pin is not None:
-            parent, index, value = self._pin
+            root, pins = self._pin
             args = list(args)
-            args.insert(index, arith[0](value))
-            return parent.run(arith, args)
+            for index, value in pins:
+                args.insert(index, arith[0](value))
+            return root.run(arith, args)
         if self._code is None:
             self._code = _lower([c.node for c in self._components])
         code, outs = self._code
@@ -1098,12 +1100,6 @@ class ExprMap(Record):
     def eval(self, point) -> DualVec:
         return DualVec(Dual(*x) for x in self.run(
             _PAIRS, _point_pairs(point, self.arity)))
-
-    def flat_values(self, pairs: Sequence[tuple]) -> tuple:
-        """The components at a point given as (re, ze) float pairs, one per
-        variable (the caller checks their count), flattened to
-        ``(re, ze, re, ze, ...)``."""
-        return sum(self.run(_PAIRS, pairs), ())
 
     def compose(self, inner: "ExprMap") -> "ExprMap":
         """This map after `inner` (symbolic substitution)."""

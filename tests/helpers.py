@@ -287,31 +287,51 @@ def reference_exact_partial(poly: dict, index: int) -> dict:
 
 def reference_exact_map(mapping: ExprMap) -> list:
     """Each component of the map as an exact polynomial.  A pinned map's
-    (a face's) are its parent's components composed exactly with the
-    pinned constant, so no rounding of the substitution is folded in."""
+    (a face's, or a face of a face's) are its root map's components
+    composed exactly with the pinned constants, so no rounding of the
+    substitution is folded in."""
     if mapping._pin is None:
         return [reference_exact_expansion(c) for c in mapping.components]
-    parent, index, value = mapping._pin
+    root, pins = mapping._pin
     dim = mapping.arity
     args = [{tuple(int(i == j) for i in range(dim)): (Fraction(1), 0)}
             for j in range(dim)]
-    args.insert(index, {(0,) * dim: (Fraction(value.re), Fraction(value.ze))})
-    return [reference_exact_expansion(c, args, dim) for c in parent.components]
+    for index, value in pins:  # ascending root indices
+        args.insert(index,
+                    {(0,) * dim: (Fraction(value.re), Fraction(value.ze))})
+    return [reference_exact_expansion(c, args, dim) for c in root.components]
 
 
-def reference_exact_pullback(mapping: ExprMap, w: DiffForm) -> dict:
+def reference_exact_compose(poly: dict, args: list, dim: int) -> dict:
+    """An exact polynomial with ``args[i]``, an exact polynomial in `dim`
+    variables, for x(i+1)."""
+    total = {}
+    for key, value in poly.items():
+        term = {(0,) * dim: value}
+        for arg, p in zip(args, key):
+            for _ in range(p):
+                term = _exact_mul(term, arg)
+        total = _exact_add(total, term)
+    return total
+
+
+def reference_exact_pullback(mapping: ExprMap, w) -> dict:
     """The coefficient on dx1^...^dxm of the pullback of the m-form `w`
     through the map of arity m, as an exact polynomial: the components
     expanded (:func:`reference_exact_map`), their partials, each minor by
     permutation expansion with the sign counted from inversions, and
-    each coefficient composed with the components, all in ``Fraction``
-    arithmetic."""
+    each coefficient expanded and composed with the components, all in
+    ``Fraction`` arithmetic.  `w` is a :class:`DiffForm`, or its
+    coefficients as ``{index: exact polynomial}``."""
+    if not isinstance(w, dict):
+        w = {index: reference_exact_expansion(coeff)
+             for index, coeff in w.coeffs.items()}
     m = mapping.arity
     comps = reference_exact_map(mapping)
     jac = [[reference_exact_partial(c, j) for j in range(m)] for c in comps]
     one = {(0,) * m: (Fraction(1), Fraction(0))}
     total = {}
-    for index, coeff in w.coeffs.items():
+    for index, coeff in w.items():
         det = {}
         for perm in itertools.permutations(range(m)):
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
@@ -319,7 +339,7 @@ def reference_exact_pullback(mapping: ExprMap, w: DiffForm) -> dict:
             for row, col in enumerate(perm):
                 term = _exact_mul(term, jac[index[row]][col])
             det = _exact_add(det, term)
-        composed = reference_exact_expansion(coeff, comps, m)
+        composed = reference_exact_compose(coeff, comps, m)
         total = _exact_add(total, _exact_mul(composed, det))
     return total
 

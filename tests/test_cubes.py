@@ -10,9 +10,9 @@ from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         chain_of, compose, cubes_equal, eval_dual, exp, face,
                         parse_expr, run_scenario, scenario_from_dict, sin,
                         standard_cube)
-from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _domain_lanes,
-                              _domain_pairs, _domain_points)
-from dualstokes.expr import Add, Const, Mul, PowInt, Var
+from dualstokes import expr
+from dualstokes.cubes import MERGE_TOL, _LANE_ARITH, _domain_sample
+from dualstokes.expr import _PAIRS, Add, Const, Mul, PowInt, Var
 from helpers import (THETAS, load_bench_module, random_chain, random_cube,
                      random_map, reference_chain_normalize,
                      reference_domain_points)
@@ -33,6 +33,12 @@ def test_domain_endpoint():
     for r in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             CubeDomain(Theta.TYPE1, r, 2)
+    # the dimension is an integer: True is not 1, nor 2.0 two
+    for k in (2.0, True, "2", None):
+        with pytest.raises(TypeError, match="integers"):
+            CubeDomain(Theta.TYPE1, 0.5, k)
+    with pytest.raises(TypeError, match="integers"):
+        standard_cube(Theta.TYPE1, 0.5, False)
 
 
 def test_domain_rectangle():
@@ -65,24 +71,28 @@ def test_domain_sample_points_are_built_once(theta, r, k):
     # repr tells 0.0 from -0.0, which the ze parts carry for r = 0
     assert repr(dom.sample_points()) == repr(reference_domain_points(dom))
     assert CubeDomain(theta, r, k).sample_points() is dom.sample_points()
+    # one table: the same points as float pairs, and 1.. as lane registers
+    points, pairs, lanes = _domain_sample(*dom._sample_key())
+    assert points is dom.sample_points()
+    assert repr(pairs) == repr(tuple(tuple((c.re, c.ze) for c in point)
+                                     for point in points))
+    assert len(lanes) == k and all(len(lane) == 15 for lane in lanes)
+    assert repr(lanes) == repr(tuple(zip(*pairs[1:])))
 
 
 def test_domain_sample_caches_are_bounded():
-    # one entry per (k, b.ze): a sweep over r must not grow them forever
+    # one entry per (k, b.ze): a sweep over r must not grow it forever
     for i in range(300):
-        dom = CubeDomain(Theta.TYPE1, 1.0 + i / 64, 2)
-        dom.sample_points()
-        _domain_pairs(*dom._sample_key())
-    for cache in (_domain_points, _domain_pairs):
-        assert cache.cache_info().maxsize == 256
-        assert cache.cache_info().currsize <= 256
+        CubeDomain(Theta.TYPE1, 1.0 + i / 64, 2).sample_points()
+    assert _domain_sample.cache_info().maxsize == 256
+    assert _domain_sample.cache_info().currsize <= 256
     # a -0.0 domain still gets its own points, not those of 0.0
     plus, minus = (CubeDomain(Theta.TYPE2, r, 2) for r in (0.0, -0.0))
     assert repr(minus.sample_points()) == repr(reference_domain_points(minus))
     assert repr(plus.sample_points()) == repr(reference_domain_points(plus))
     assert repr(minus.sample_points()) != repr(plus.sample_points())
-    assert repr(_domain_pairs(*minus._sample_key())) != repr(
-        _domain_pairs(*plus._sample_key()))
+    assert repr(_domain_sample(*minus._sample_key())) != repr(
+        _domain_sample(*plus._sample_key()))
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +137,20 @@ def _face_repl(cube, axis: int, side: int) -> list:
     return repl
 
 
-def _check_faces_keep_compose_nodes(cube, depth: int = 2):
+def _check_faces_keep_compose_nodes(cube, depth: int = 2, root=None,
+                                    repl=None):
+    # `repl` gives the root cube's arguments in the variables of `cube`, a
+    # face of it: a face of a face has the nodes that composing the root
+    # once with both endpoints builds, which can differ from composing its
+    # face again in the sign of a zero
+    if root is None:
+        root, repl = cube, [Expr.variable(i, cube.k) for i in range(cube.k)]
     for axis in range(1, cube.k + 1):
         for side in (0, 1):
             sub = face(cube, axis, side)
-            repl = _face_repl(cube, axis, side)
-            want = ExprMap([compose(c, repl) for c in cube.mapping.components])
+            sub_repl = [compose(e, _face_repl(cube, axis, side)) for e in repl]
+            want = ExprMap([compose(c, sub_repl)
+                            for c in root.mapping.components])
             got = sub.mapping.components
             assert len(got) == len(want.components)
             for g, w in zip(got, want.components):
@@ -142,8 +160,9 @@ def _check_faces_keep_compose_nodes(cube, depth: int = 2):
             assert sub.mapping == want and hash(sub.mapping) == hash(want)
             assert repr(sub.mapping) == repr(want)
             assert pickle.loads(pickle.dumps(sub.mapping)) == want
-            if depth > 1 and sub.k:  # a face of a face composes its face
-                _check_faces_keep_compose_nodes(sub, depth - 1)
+            if depth > 1 and sub.k:
+                _check_faces_keep_compose_nodes(sub, depth - 1, root,
+                                                sub_repl)
 
 
 def test_faces_keep_the_nodes_compose_builds():
@@ -171,20 +190,59 @@ def test_face_runs_its_cube_program_with_the_endpoint_pinned():
     for _ in range(30):
         cube = random_cube(rng, rng.choice(THETAS), rng.choice((0.0, 0.5)),
                            rng.randint(1, 3), rng.randint(1, 3))
-        points = _domain_pairs(*cube.domain._sample_key())
+        _, points, _ = _domain_sample(*cube.domain._sample_key())
+        end = [(e.re, e.ze) for e in (ZERO, cube.domain.b)]  # by side
         for axis in range(1, cube.k + 1):
             for side in (0, 1):
                 f = face(cube, axis, side)
-                end = ZERO if side == 0 else cube.domain.b
                 for point in points[:4]:
                     args = list(point[:cube.k - 1])
-                    args.insert(axis - 1, (end.re, end.ze))
-                    assert repr(f.mapping.flat_values(point[:cube.k - 1])) \
-                        == repr(cube.mapping.flat_values(args))
+                    args.insert(axis - 1, end[side])
+                    assert repr(f.mapping.run(_PAIRS, point[:cube.k - 1])) \
+                        == repr(cube.mapping.run(_PAIRS, args))
                 # a face lowers no program and builds no nodes of its own
                 assert f.mapping._code is f.mapping._components is None
+                # a face of a face runs the root's program with both pins
+                for sub_axis in range(1, f.k + 1):
+                    for sub_side in (0, 1):
+                        ff = face(f, sub_axis, sub_side)
+                        assert ff.mapping._pin[0] is cube.mapping
+                        assert ff.mapping._code is None
+                        for point in points[:4]:
+                            args = list(point[:cube.k - 2])
+                            args.insert(sub_axis - 1, end[sub_side])
+                            args.insert(axis - 1, end[side])
+                            assert repr(ff.mapping.run(
+                                _PAIRS, point[:cube.k - 2])) == repr(
+                                    cube.mapping.run(_PAIRS, args))
     with pytest.raises(ValueError, match="out of range"):
         ExprMap.identity(2).pin(2, ZERO)
+    with pytest.raises(ValueError, match="out of range"):
+        ExprMap.identity(2).pin(0, ZERO).pin(1, ZERO)
+    for index in (0.5, 1.0, True, False, "0", None):
+        with pytest.raises(TypeError, match="integers"):
+            ExprMap.identity(2).pin(index, 0.5)
+
+
+def test_faces_of_faces_lower_only_their_root_program(monkeypatch):
+    # every face of a face pins its root map, so a double boundary lowers
+    # one program per cube it came from, and none for its faces
+    lowered = []
+    lower = expr._lower
+
+    def counting(nodes):
+        lowered.append(nodes)
+        return lower(nodes)
+
+    monkeypatch.setattr(expr, "_lower", counting)
+    cube = random_cube(random.Random(79), Theta.TYPE1, 0.5, 3, 3, depth=2)
+    assert chain_normalize(boundary(boundary(cube))).is_zero()
+    assert len(lowered) == 1
+    lowered.clear()
+    cubes = scenario_from_dict(
+        load_bench_module("workloads").tiled_chain_dict(1)).chain
+    assert chain_normalize(boundary(boundary(cubes))).is_zero()
+    assert len(lowered) == len(cubes.terms) == 27
 
 
 def test_verdict_builds_no_face_components(monkeypatch):
@@ -228,6 +286,11 @@ def test_face_validation():
         face(c, 1, 2)
     with pytest.raises(ValueError):
         face(standard_cube(Theta.TYPE1, 0.5, 0), 1, 0)
+    # axis and side are integers: True is not axis 1, nor 1.0
+    for axis, side in ((True, True), (1, True), (True, 0), (1.0, 0),
+                       (1, 0.0), (1, None)):
+        with pytest.raises(TypeError, match="integers"):
+            face(c, axis, side)
 
 
 # ---------------------------------------------------------------------------
@@ -554,19 +617,19 @@ def test_lane_run_gives_the_point_values(theta, r):
     raised = 0
     for k in (1, 2, 3):
         key = CubeDomain(theta, r, k)._sample_key()
-        points = _domain_pairs(*key)
+        _, points, lanes = _domain_sample(*key)
         for mapping in _lane_maps(rng, k):
             want = []
             try:
                 for point in points[1:]:
-                    want.append(mapping.flat_values(point))
+                    want.append(sum(mapping.run(_PAIRS, point), ()))
             except OverflowError:
                 with pytest.raises(OverflowError):
-                    mapping.run(_LANE_ARITH, _domain_lanes(*key))
+                    mapping.run(_LANE_ARITH, lanes)
                 raised += 1
                 continue
-            lanes = mapping.run(_LANE_ARITH, _domain_lanes(*key))
-            got = [sum(point, ()) for point in zip(*lanes)]
+            comps = mapping.run(_LANE_ARITH, lanes)
+            got = [sum(point, ()) for point in zip(*comps)]
             assert repr(got) == repr(want), mapping
     assert raised == 6
 

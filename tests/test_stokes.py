@@ -15,15 +15,17 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         REPORT_SCHEMA, Refinement, ScenarioError, SingularCube,
                         StokesReport, Theta, boundary, builtin_scenario,
                         builtin_scenarios, chain_normalize, chain_of,
-                        exit_code, integral_estimate, integrate_over_chain,
-                        integrate_over_cube, load_scenarios, parse_expr,
+                        exit_code, exterior_derivative, integral_estimate,
+                        integrate_over_chain, integrate_over_cube,
+                        load_scenarios, parse_expr,
                         pullback, run_integral, run_scenario, run_suite,
                         scenario_from_dict, standard_cube, theta_cmp,
                         verify_stokes, write_report_csv, write_report_json)
 from dualstokes.darboux import NotFinite
 from dualstokes.forms import pullback_polynomial
-from helpers import (THETAS, bracket_contains, load_bench_module,
-                     random_chain, random_form, reference_exact_integral,
+from helpers import (THETAS, _exact_add, bracket_contains, load_bench_module,
+                     random_chain, random_form, reference_exact_expansion,
+                     reference_exact_integral, reference_exact_partial,
                      reference_exact_pullback)
 
 
@@ -465,6 +467,50 @@ def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
                 sorted((getattr(s.lower, part), getattr(s.upper, part)))
                 for s in (report.lhs, report.rhs))
             assert max(lo1, lo2) <= min(hi1, hi2), part
+
+
+def _exact_chain_integral(coeffs, chain) -> tuple:
+    """The weighted sum of the exact integrals of the form with exact
+    coefficients `coeffs` over each term of the chain, unnormalized."""
+    total_re = total_ze = Fraction(0)
+    for weight, cube in chain.terms:
+        re, ze = reference_exact_integral(
+            reference_exact_pullback(cube.mapping, coeffs),
+            cube.domain.rectangle())
+        total_re, total_ze = total_re + weight * re, total_ze + weight * ze
+    return total_re, total_ze
+
+
+@pytest.mark.parametrize("kind, arg", [
+    ("tiled-chain-3d", 1), ("tiled-chain-3d", 9)] + [
+    ("tiled-chain", s.name) for s in load_scenarios(_TILED_CHAIN)])
+def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
+    # the integral of dw over the chain and of w over its boundary, both
+    # exact in dual rationals: d from the coefficients' exact partials,
+    # each face its root map composed exactly with its pinned endpoints,
+    # and every face summed, the cancelling ones included.  The two are
+    # equal, and each float chain bracket holds that value
+    scenario = _fixed_scenario(kind, arg)
+    w, chain = scenario.form, scenario.chain
+    dw = {}
+    for index, coeff in w.coeffs.items():
+        poly = reference_exact_expansion(coeff)
+        for i in range(w.n):
+            if i in index:
+                continue
+            # dx(i+1) moves past each dx(j+1) with j < i into place
+            sign = (-1) ** sum(j < i for j in index)
+            key = tuple(sorted(index + (i,)))
+            dw[key] = _exact_add(dw.get(key, {}),
+                                 reference_exact_partial(poly, i), sign)
+    faces = boundary(chain)
+    assert len(faces.terms) == 6 * len(chain.terms)
+    exact = _exact_chain_integral(dw, chain)
+    assert exact == _exact_chain_integral(w, faces)
+    assert exact != (0, 0)
+    for form, side in ((exterior_derivative(w), chain), (w, faces)):
+        est = integrate_over_chain(form, side, scenario.refinement)
+        assert bracket_contains(est, exact), (est, exact)
 
 
 def _square(text: str, theta=Theta.TYPE1):
