@@ -20,9 +20,14 @@ Each domain's sample is one table built once per ``(k, b.ze)``, for the
 256 most recently used, and within one normalization each term's map is
 evaluated at most once per sample point, on float pairs, only when a
 comparison reaches that point: point 0 in one run, and points 1..15 in
-one more run on lane registers.  A sorted index of each group's first
-value lets a term skip every group too far from it to agree (see
-:func:`chain_normalize`); that is exact.
+one more run on lane registers.  A sorted index of each group's key, a
+weighted sum of all the floats of its map at point 0, lets a term skip
+every group too far from it to agree; the window is wide enough for the
+key's own roundings, so that is exact (see :func:`chain_normalize`).
+
+A domain object keeps its rectangle, its sample table and the domain of
+its faces once built, so the cubes of a scenario, which share one
+domain, share one rectangle, and all their faces one face domain.
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import random
 
 from .darboux import ThetaRectangle, make_interval
 from .dual import Dual, Record, Theta, ZERO
 # compose is unused here but stays a module attribute: the benchmark's
 # tracer (bench/spans.py) rebinds cubes.compose.
-from .expr import _PAIRS, Expr, ExprMap, _check_natural, compose
+from .expr import TINY, _PAIRS, Expr, ExprMap, _check_natural, compose
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -44,15 +50,24 @@ MERGE_TOL = 1e-9
 
 
 class CubeDomain(Record):
-    """The immutable model domain: k axes of [0, 1 + (sign of theta)*r*eps]."""
+    """The immutable model domain: k axes of [0, 1 + (sign of theta)*r*eps].
 
-    __slots__ = _fields = ("theta", "r", "k")
+    Its rectangle, its sample table and its face domain are built on
+    first use and kept outside the fields, so they neither compare nor
+    pickle: every cube and face over one domain object shares them.
+    They hang on the object, not on a table keyed by ``(theta, r, k)``,
+    because ``0.0 == -0.0`` while their endpoints and samples differ.
+    """
+
+    _fields = ("theta", "r", "k")
+    __slots__ = _fields + ("_rectangle", "_sample", "_faces")
 
     def __init__(self, theta: Theta, r: float, k: int):
         self.theta, self.r, self.k = Theta(theta), float(r), k
         if not 0 <= self.r < math.inf:
             raise ValueError("inflation must be finite and nonnegative")
         _check_natural(k, "dimensions")
+        self._rectangle = self._sample = self._faces = None
 
     @property
     def b(self) -> Dual:
@@ -61,17 +76,31 @@ class CubeDomain(Record):
     def rectangle(self) -> ThetaRectangle:
         if self.k == 0:
             raise ValueError("a 0-dimensional domain has no rectangle")
-        side = make_interval(self.theta, ZERO, self.b)
-        return ThetaRectangle(self.theta, (side,) * self.k)
+        if self._rectangle is None:
+            side = make_interval(self.theta, ZERO, self.b)
+            self._rectangle = ThetaRectangle(self.theta, (side,) * self.k)
+        return self._rectangle
 
     def sample_points(self) -> tuple[tuple[Dual, ...], ...]:
         """Fixed pseudo-random points of the domain, for map comparison."""
-        return _domain_sample(*self._sample_key())[0]
+        return self._table()[0]
 
-    def _sample_key(self) -> tuple:
-        # the sign is only a cache key: 0.0 == -0.0, but their points differ
-        ze_span = self.b.ze
-        return (self.k, ze_span, math.copysign(1.0, ze_span))
+    def _table(self) -> tuple:
+        if self._sample is None:
+            # the sign is only a cache key: 0.0 == -0.0, but their points
+            # differ
+            ze_span = self.b.ze
+            self._sample = _domain_sample(self.k, ze_span,
+                                          math.copysign(1.0, ze_span))
+        return self._sample
+
+    def _face_domain(self) -> tuple:
+        """The domain of this domain's faces, and the endpoints 0 and b
+        that its sides 0 and 1 pin."""
+        if self._faces is None:
+            self._faces = (CubeDomain(self.theta, self.r, self.k - 1),
+                           (ZERO, self.b))
+        return self._faces
 
 
 # one entry per (k, b.ze), so a sweep over r would grow an unbounded cache
@@ -129,13 +158,14 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
 
     Coordinate `axis` is pinned to 0 or to the inflated endpoint b, and
     the remaining coordinates close ranks, so the face is a cube of one
-    dimension less over the same (theta, r).  Its map is the cube's map
-    with that argument pinned (:meth:`.expr.ExprMap.pin`): it runs the
-    program of the cube's root map (its own, unless the cube is a face)
-    with each endpoint as a constant of each arithmetic, so on polynomial
-    registers the endpoints' roundings are bounded, and it builds the
-    nodes composing with the endpoints would only when its components
-    are asked for.
+    dimension less over the same (theta, r), on the one face domain of
+    the cube's domain object (:class:`CubeDomain`).  Its map is the
+    cube's map with that argument pinned (:meth:`.expr.ExprMap.pin`): it
+    runs the program of the cube's root map (its own, unless the cube is
+    a face) with each endpoint as a constant of each arithmetic, so on
+    polynomial registers the endpoints' roundings are bounded, and it
+    builds the nodes composing with the endpoints would only when its
+    components are asked for.
     """
     k = cube.k
     _check_natural(axis, "axes")
@@ -146,9 +176,12 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
         raise ValueError(f"axis must be in 1..{k}")
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
-    pinned = ZERO if side == 0 else cube.domain.b
-    return SingularCube(CubeDomain(cube.theta, cube.r, k - 1),
-                        cube.mapping.pin(axis - 1, pinned))
+    return _face(cube, axis - 1, side)
+
+
+def _face(cube: SingularCube, index: int, side: int) -> SingularCube:
+    domain, ends = cube.domain._face_domain()
+    return SingularCube(domain, cube.mapping.pin(index, ends[side]))
 
 
 class Chain(Record):
@@ -216,7 +249,7 @@ def boundary(obj) -> Chain:
     if obj.k == 0:
         raise ValueError("a 0-dimensional cube or chain has no boundary")
     faces = tuple((-weight if (axis + side) % 2 else weight,
-                   face(cube, axis, side))
+                   _face(cube, axis - 1, side))
                   for weight, cube in terms
                   for axis in range(1, obj.k + 1) for side in (0, 1))
     return Chain(obj.theta, obj.r, obj.k - 1, obj.n, faces)
@@ -251,12 +284,13 @@ class _Fingerprint:
     where it arises.
     """
 
-    __slots__ = ("cube", "points", "lanes", "values")
+    __slots__ = ("cube", "points", "lanes", "values", "_key")
 
     def __init__(self, cube: SingularCube):
         self.cube = cube
-        _, self.points, self.lanes = _domain_sample(*cube.domain._sample_key())
+        _, self.points, self.lanes = cube.domain._table()
         self.values: list[tuple[float, ...]] = []
+        self._key = None
 
     def at(self, i: int) -> tuple[float, ...]:
         values, mapping = self.values, self.cube.mapping
@@ -271,8 +305,31 @@ class _Fingerprint:
         return values[i]
 
     def key(self) -> float:
-        """The first float at the first point: the candidate index's key."""
-        return self.at(0)[0]
+        """The candidate index's key: ``fsum`` of the floats at point 0,
+        each times its weight (see :func:`_key_weights`); NaN when one of
+        them is NaN, and inf when one is infinite and none is NaN."""
+        if self._key is None:
+            values = self.at(0)
+            try:
+                key = math.fsum(map(operator.mul,
+                                    _key_weights(len(values))[0], values))
+            except ValueError:  # inf + -inf
+                key = math.inf
+            if key - key != 0.0 and any(x != x for x in values):
+                key = math.nan
+            self._key = key
+        return self._key
+
+
+@functools.lru_cache(maxsize=None)
+def _key_weights(count: int) -> tuple:
+    """Weights for `count` floats, and their sum: the integers 1..count
+    (a fixed, generic choice) times the power of two that brings their
+    sum to at most 1/4, so each product and every partial sum of them
+    stays finite for finite floats."""
+    total = count * (count + 1) // 2
+    scale = 0.25 / 2.0 ** max(total - 1, 0).bit_length()
+    return tuple((i + 1) * scale for i in range(count)), total * scale
 
 
 def _agree(left: _Fingerprint, right: _Fingerprint, tol: float) -> bool:
@@ -300,14 +357,19 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     group keeps its first cube and sums its weights.
 
     Only groups near the term are compared.  A sorted index holds each
-    group's key, the first float of its map at the first sample point,
-    and a term with key ``x`` is compared only with the groups whose key
-    lies in ``[x - 2*tol, x + 2*tol]``.  That loses no merge: agreeing
-    needs ``abs(x - y) <= tol`` in floats, which puts the exact
-    difference below ``2*tol``, and the window's bounds, each rounded
-    once, still hold every such ``y``.  A NaN key agrees with nothing
-    and is left out of the index; a NaN bound (infinite ``x`` and
-    ``tol``) falls back to comparing every group.
+    group's key, a weighted sum of all the floats of its map at the first
+    sample point (:meth:`_Fingerprint.key`), and a term is compared only
+    with the groups whose key lies in its window (:func:`_near`).  That
+    is exact: floats that agree differ by at most ``2*tol``, so the keys
+    of agreeing maps differ by at most ``2*tol`` times the weights' sum
+    plus the keys' own roundings, and the window's half-width bounds
+    both, its own roundings included (the derivation is above
+    :func:`_near`).  So no merge is lost, and the first agreeing group
+    is the one found.  A group whose key is not
+    finite is left out of the index: the weights keep the key of finite
+    floats finite, so it has a NaN or an infinite value at point 0 and
+    agrees with nothing unless ``tol`` is infinite, and then every term
+    is compared with every group.
 
     A map is evaluated at a sample point only when a comparison reaches
     it, and at most once per point, in two runs unless the second
@@ -324,12 +386,12 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
         if groups:
             if keyed < len(groups):  # the group the last term started
                 key = groups[keyed][1].key()
-                if key == key:  # a NaN key agrees with nothing
+                if key - key == 0.0:  # finite
                     at = bisect.bisect_right(keys, key)
                     keys.insert(at, key)
                     ids.insert(at, keyed)
                 keyed += 1
-            near = _near(keys, ids, mine.key(), tol, len(groups))
+            near = _near(keys, ids, mine, tol, len(groups))
         for g in near:
             if _agree(groups[g][1], mine, tol):
                 groups[g][0] += weight
@@ -340,14 +402,38 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
                  tuple((w, f.cube) for w, f in groups))
 
 
-def _near(keys: list[float], ids: list[int], x: float, tol: float,
-          count: int):
-    """The groups, in creation order, that a term with key `x` may agree
-    with; `count` groups exist."""
+# The window of `_near` holds every agreeing key.  Let u = 2^-53, x and
+# y the floats of two maps at point 0, w the weights, W their sum and X
+# and Y the keys.  Agreeing needs abs(x_i - y_i) <= tol in floats at
+# each i, which puts the exact difference at most 2*tol, so the exact
+# weighted sums differ by at most 2*tol*W.  Each product w_i*x_i rounds
+# once, by at most u*|w_i*x_i| or, if it underflows, 2^-1075, and fsum
+# rounds their sum once more, by at most u times it.  With
+# A = sum(w_i*|x_i|) <= W*max|x_i| and A(y) <= A(x) + 2*tol*W, that puts
+# |X - Y| at most 2*tol*W*(1 + 3u) + 5u*A(x) + 3*len(x)*2^-1075.
+# Rounding X -+ h moves the window's ends by at most u*(|X| + h), and
+# |X| <= 1.01*W*max|x_i| + 1.01*len(x)*2^-1075.  So the half-width
+#     h = (2*tol + max|x_i|*2^-48) * W * (1 + 2^-48) + len(x)*TINY,
+# computed in floats with four roundings of at most u each (or 2^-1075
+# where they underflow) on nonnegative values, is wide enough.
+_SLACK = 1.0 + 2.0 ** -48
+
+
+def _near(keys: list[float], ids: list[int], mine: _Fingerprint,
+          tol: float, count: int):
+    """The groups, in creation order, that the term `mine` may agree
+    with; `count` groups exist.  None for a NaN key, which agrees with
+    nothing; all of them when an end of the window is not finite (an
+    infinite key, an infinite or NaN `tol`, or a half-width past the
+    float range)."""
+    x, values = mine.key(), mine.at(0)
     if x != x:  # NaN agrees with nothing
         return ()
-    lo, hi = x - 2 * tol, x + 2 * tol
-    if lo != lo or hi != hi:
+    top = max(map(abs, values), default=0.0)
+    h = ((2.0 * tol + top * 2.0 ** -48) * _key_weights(len(values))[1]
+         * _SLACK + len(values) * TINY)
+    lo, hi = x - h, x + h
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         return range(count)
     return sorted(ids[bisect.bisect_left(keys, lo):
                       bisect.bisect_right(keys, hi)])

@@ -22,12 +22,14 @@ structural equality.
 
 from __future__ import annotations
 
-from .dual import ZERO, Dual
+import functools
+
+from .dual import ONE, ZERO, Dual
 # partial_diff is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
-from .expr import (_NODES, _PAIRS, _POLYS, Expr, ExprMap, _point_pairs,
-                   _poly_vars, _run, compose, is_zero_expr, lower_expr,
-                   partial_diff, partial_diffs, poly_diff)
+from .expr import (_NODES, _PAIRS, _POLYS, Expr, ExprMap, _is_zero_node,
+                   _point_pairs, _poly_vars, _run, compose, is_zero_expr,
+                   lower_expr, partial_diff, partial_diffs, poly_diff)
 from .tensors import (AltTensor, Graded, add_term, ascending_tuples,
                       merge_sign, signed_permutations, wedge)
 
@@ -103,15 +105,34 @@ def form_eval(w: DiffForm, point, vectors) -> Dual:
 def _minor(matrix, arith: tuple):
     """Determinant of a square matrix by permutation expansion, under an
     arithmetic of :mod:`.expr`: nodes for :func:`pullback`, polynomial
-    registers for :func:`pullback_polynomial`."""
-    const, _, add, _, mul, _, _ = arith
-    total = const(ZERO)
+    registers for :func:`pullback_polynomial`.
+
+    A term with an exact-zero entry (the zero node, or a register whose
+    shadow is 0) is skipped, and each sign is applied by adding or
+    subtracting the term (negating a first odd one), not by a product
+    with a constant 1 or -1.  Both only drop operations that are exact:
+    a product with the exact zero is zero on the values and on their
+    absolute values alike, and a product with -1 is a negation.  So the
+    result is the exact determinant of the same float entries, and a
+    register's shadow and order bound the roundings of the operations
+    that remain, which are fewer."""
+    const, neg, add, sub, mul, _, _ = arith
+    total = None
     for perm, sign in signed_permutations(len(matrix)):
-        term = const(Dual(sign))
-        for row, col in enumerate(perm):
-            term = mul(term, matrix[row][col])
-        total = add(total, term)
-    return total
+        entries = [matrix[row][col] for row, col in enumerate(perm)]
+        if any(map(_exact_zero, entries)):
+            continue
+        term = functools.reduce(mul, entries) if entries else const(ONE)
+        if total is None:
+            total = term if sign > 0 else neg(term)
+        else:
+            total = (add if sign > 0 else sub)(total, term)
+    return const(ZERO) if total is None else total
+
+
+def _exact_zero(entry) -> bool:
+    # a register is a tuple, and a shadow of 0 makes it the exact zero
+    return not entry[1] if type(entry) is tuple else _is_zero_node(entry)
 
 
 def _sym_det(matrix, arity: int) -> Expr:

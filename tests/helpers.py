@@ -12,7 +12,7 @@ from pathlib import Path
 from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         Expr, ExprMap, SingularCube, Theta, ThetaInterval,
                         ThetaRectangle, ZERO, ascending_tuples, cos, exp,
-                        make_interval, sample_points, sin)
+                        make_interval, perm_sign, sample_points, sin)
 from dualstokes.cubes import MERGE_TOL
 from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
                              _PREC_NEG, _PREC_POW, _ZERO_NODE, Add, Const,
@@ -329,18 +329,41 @@ def reference_exact_pullback(mapping: ExprMap, w) -> dict:
     m = mapping.arity
     comps = reference_exact_map(mapping)
     jac = [[reference_exact_partial(c, j) for j in range(m)] for c in comps]
-    one = {(0,) * m: (Fraction(1), Fraction(0))}
     total = {}
     for index, coeff in w.items():
-        det = {}
-        for perm in itertools.permutations(range(m)):
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            term = _exact_add({}, one, (-1) ** inversions)
-            for row, col in enumerate(perm):
-                term = _exact_mul(term, jac[index[row]][col])
-            det = _exact_add(det, term)
+        det = reference_exact_det([jac[i] for i in index], m)
         composed = reference_exact_compose(coeff, comps, m)
         total = _exact_add(total, _exact_mul(composed, det))
+    return total
+
+
+def reference_exact_det(matrix, dim: int) -> dict:
+    """The determinant of a square matrix of exact polynomials in `dim`
+    variables, by permutation expansion with the sign counted from
+    inversions, in ``Fraction`` arithmetic."""
+    one = {(0,) * dim: (Fraction(1), Fraction(0))}
+    det = {}
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = _exact_add({}, one, (-1) ** inversions)
+        for row, col in enumerate(perm):
+            term = _exact_mul(term, matrix[row][col])
+        det = _exact_add(det, term)
+    return det
+
+
+def reference_dense_minor(matrix, arith: tuple):
+    """A determinant by dense permutation expansion under an arithmetic of
+    ``dualstokes.expr``: every term is the product of the constant +-1
+    with all its entries, zeros included, added to a running total that
+    starts at the constant 0."""
+    const, _, add, _, mul, _, _ = arith
+    total = const(ZERO)
+    for perm in itertools.permutations(range(len(matrix))):
+        term = const(Dual(float(perm_sign(perm))))
+        for row, col in enumerate(perm):
+            term = mul(term, matrix[row][col])
+        total = add(total, term)
     return total
 
 

@@ -10,8 +10,9 @@ from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         chain_of, compose, cubes_equal, eval_dual, exp, face,
                         parse_expr, run_scenario, scenario_from_dict, sin,
                         standard_cube)
-from dualstokes import expr
-from dualstokes.cubes import MERGE_TOL, _LANE_ARITH, _domain_sample
+from dualstokes import cubes as cubes_module, expr
+from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _Fingerprint,
+                              _domain_sample, _key_weights, _near)
 from dualstokes.expr import _PAIRS, Add, Const, Mul, PowInt, Var
 from helpers import (THETAS, load_bench_module, random_chain, random_cube,
                      random_map, reference_chain_normalize,
@@ -72,7 +73,7 @@ def test_domain_sample_points_are_built_once(theta, r, k):
     assert repr(dom.sample_points()) == repr(reference_domain_points(dom))
     assert CubeDomain(theta, r, k).sample_points() is dom.sample_points()
     # one table: the same points as float pairs, and 1.. as lane registers
-    points, pairs, lanes = _domain_sample(*dom._sample_key())
+    points, pairs, lanes = dom._table()
     assert points is dom.sample_points()
     assert repr(pairs) == repr(tuple(tuple((c.re, c.ze) for c in point)
                                      for point in points))
@@ -91,8 +92,79 @@ def test_domain_sample_caches_are_bounded():
     assert repr(minus.sample_points()) == repr(reference_domain_points(minus))
     assert repr(plus.sample_points()) == repr(reference_domain_points(plus))
     assert repr(minus.sample_points()) != repr(plus.sample_points())
-    assert repr(_domain_sample(*minus._sample_key())) != repr(
-        _domain_sample(*plus._sample_key()))
+    assert repr(minus._table()) != repr(plus._table())
+
+
+def test_domain_keeps_what_it_derives():
+    # the rectangle, the sample table and the face domain are built once
+    # per domain object and kept outside the fields
+    dom = CubeDomain(Theta.TYPE1, 0.5, 2)
+    fresh = CubeDomain(Theta.TYPE1, 0.5, 2)
+    assert dom.rectangle() is dom.rectangle()
+    assert dom._table() is dom._table()
+    assert dom._face_domain() is dom._face_domain()
+    sub, ends = dom._face_domain()
+    assert sub == CubeDomain(Theta.TYPE1, 0.5, 1) and ends == (ZERO, dom.b)
+    # ==, hash, repr and pickling see the fields only
+    assert dom == fresh and hash(dom) == hash(fresh)
+    assert hash(dom) == hash((Theta.TYPE1, 0.5, 2))
+    assert repr(dom) == repr(fresh) == \
+        "CubeDomain(theta=<Theta.TYPE1: 1>, r=0.5, k=2)"
+    assert pickle.dumps(dom) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(dom))
+    assert copy == dom and copy.rectangle() is not dom.rectangle()
+    assert repr(copy.rectangle()) == repr(dom.rectangle())
+
+
+def test_signed_zero_domains_keep_their_own_derived_data():
+    # 0.0 == -0.0, so the domains are equal, but their endpoints, and so
+    # their rectangles, samples and faces, carry the sign of the zero
+    plus, minus = (CubeDomain(Theta.TYPE1, r, 2) for r in (0.0, -0.0))
+    assert plus == minus
+    for dom in (plus, minus):
+        side = dom.rectangle().intervals[0]
+        assert repr(side.b) == repr(dom.b)
+        assert repr(dom.sample_points()) == repr(reference_domain_points(dom))
+        sub, ends = dom._face_domain()
+        assert repr(sub.r) == repr(dom.r) and repr(ends[1]) == repr(dom.b)
+    assert repr(plus.rectangle()) != repr(minus.rectangle())
+    assert repr(plus.sample_points()) != repr(minus.sample_points())
+    for dom in (minus, plus):  # built in the other order: still their own
+        again = CubeDomain(Theta.TYPE1, dom.r, 2)
+        assert repr(again.rectangle()) == repr(dom.rectangle())
+
+
+def test_faces_of_one_boundary_share_one_domain():
+    # a scenario's cubes share one domain, so their faces, and the faces
+    # of those, share one face domain each
+    chain = scenario_from_dict(
+        load_bench_module("workloads").tiled_chain_dict(1)).chain
+    assert len({id(cube.domain) for _, cube in chain.terms}) == 1
+    faces = boundary(chain)
+    assert len({id(cube.domain) for _, cube in faces.terms}) == 1
+    assert faces.terms[0][1].domain is \
+        chain.terms[0][1].domain._face_domain()[0]
+    edges = boundary(faces)
+    assert len({id(cube.domain) for _, cube in edges.terms}) == 1
+    assert face(chain.terms[0][1], 3, 1).domain is faces.terms[0][1].domain
+
+
+def test_tiled_verdict_builds_two_intervals(monkeypatch):
+    # one rectangle for the 27 cubes and one for their 54 faces
+    from dualstokes import cubes as cubes_module, darboux
+    calls = []
+    original = darboux.make_interval
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(darboux, "make_interval", counting)
+    monkeypatch.setattr(cubes_module, "make_interval", counting)
+    scenario = scenario_from_dict(
+        load_bench_module("workloads").tiled_chain_dict(1))
+    report = run_scenario(scenario)
+    assert report.passed and len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +262,7 @@ def test_face_runs_its_cube_program_with_the_endpoint_pinned():
     for _ in range(30):
         cube = random_cube(rng, rng.choice(THETAS), rng.choice((0.0, 0.5)),
                            rng.randint(1, 3), rng.randint(1, 3))
-        _, points, _ = _domain_sample(*cube.domain._sample_key())
+        _, points, _ = cube.domain._table()
         end = [(e.re, e.ze) for e in (ZERO, cube.domain.b)]  # by side
         for axis in range(1, cube.k + 1):
             for side in (0, 1):
@@ -502,6 +574,12 @@ def test_normalize_index_fixed_cases(tol):
     def cube(key, later=0.0, second=0.0):
         return _adversarial_cube(dom, key, later, second)
 
+    def point(first, second):
+        # a constant map: these two duals at every point, point 0 included
+        return SingularCube(dom, ExprMap((Expr.constant(first, 1),
+                                          Expr.constant(second, 1))))
+
+    inf, nan, big, huge = math.inf, math.nan, 1e300, 1.5e308
     cases = [
         # one key, thirty maps differing later; then each again
         [cube(1.0, j * unit) for j in range(30)] * 2,
@@ -518,6 +596,27 @@ def test_normalize_index_fixed_cases(tol):
          cube(1.0), cube(-math.inf)],
         [cube(1.0, "inf"), cube(1.0, "nan"), cube(1.0), cube(1.0, "inf")],
         [cube(1.0, second=math.nan), cube(1.0), cube(1.0, second=math.nan)],
+        # NaN or +-inf in a later float of point 0 only, inf + -inf in one
+        # map, and NaN beside both
+        [point(Dual(1.0, inf), 2.0), point(1.0, 2.0), point(Dual(1.0, inf), 2.0),
+         point(1.0, Dual(2.0, -inf)), point(1.0, Dual(2.0, nan)),
+         point(1.0, Dual(inf, -inf)), point(1.0, 2.0),
+         point(Dual(1.0, inf), Dual(-inf, nan)), point(1.0, Dual(inf, -inf))],
+        # point-0 values 1e300 in size, one float tol from the first map's
+        # (the most that still agrees), one ulp of 1e300 away, or 2*tol
+        [point(Dual(big, -big), Dual(unit, 0.0)),
+         point(Dual(big, -big), Dual(-unit, 0.0)),
+         point(Dual(big, -big), 0.0),
+         point(Dual(math.nextafter(big, inf), -big), 0.0),
+         point(Dual(big, -big), Dual(0.0, unit)),
+         point(Dual(big, -big), Dual(-unit, 0.0))],
+        # finite values whose weighted sum at integer weights overflows
+        [point(Dual(huge, huge), Dual(huge, huge)),
+         point(Dual(huge, huge), Dual(huge, -huge)),
+         point(Dual(huge, huge), Dual(huge, math.nextafter(huge, 0.0))),
+         point(Dual(huge, huge), Dual(huge, huge)),
+         point(Dual(-huge, huge), Dual(huge, huge)),
+         point(Dual(huge, huge), Dual(huge, -huge))],
     ]
     for cubes in cases:
         chain = Chain(Theta.TYPE1, 0.5, 1, 2,
@@ -525,6 +624,82 @@ def test_normalize_index_fixed_cases(tol):
         for ch in (chain, chain + chain):
             assert _terms(chain_normalize(ch, tol)) == \
                 _terms(reference_chain_normalize(ch, tol))
+
+
+class _Point0:
+    """A stand-in for a fingerprint whose floats at point 0 are given."""
+
+    def __init__(self, values):
+        self.values, self._key = tuple(values), None
+
+    def at(self, i: int):
+        assert i == 0
+        return self.values
+
+    key = _Fingerprint.key
+
+
+def _edge(rng, x: float, tol: float) -> float:
+    """A float y at most `tol` from x in floats, as far as it goes."""
+    y = x + rng.choice((-1.0, 1.0)) * tol
+    while not abs(x - y) <= tol:
+        y = math.nextafter(y, x)
+    return y
+
+
+@pytest.mark.parametrize("size", (2, 4, 6))
+def test_normalize_window_holds_every_agreeing_key(size):
+    # the window of a term holds the key of every map that agrees with it,
+    # at the edge of agreement, at any magnitude and tolerance, and where
+    # the two exact weighted sums straddle a tie, so the keys round apart
+    rng = random.Random(f"window/{size}")
+    weights = _key_weights(size)[0]
+    for _ in range(2000):
+        scale = 10.0 ** rng.randint(-310, 308)
+        x = [scale * rng.uniform(-1.0, 1.0) for _ in range(size)]
+        if rng.random() < 0.3:  # w0*x0 + w1*x1 is a tie, the rest is 0
+            x[1:] = [math.ulp(x[0] * weights[0]) / 2 / weights[1]]
+            x += [0.0] * (size - 2)
+            tol = x[1] * 2.0 ** -rng.randint(1, 20)
+        else:
+            tol = scale * 10.0 ** rng.randint(-20, 1) * rng.random()
+        y = [_edge(rng, v, tol) if rng.random() < 0.8 else v for v in x]
+        mine, group = _Point0(x), _Point0(y)
+        key = group.key()
+        assert math.isfinite(key) and math.isfinite(mine.key())
+        assert _near([key], [0], mine, tol, 1) in ([0], range(1))
+
+
+def test_normalize_key_of_non_finite_values():
+    inf, nan = math.inf, math.nan
+    for values in ((1.0, inf, 2.0, 3.0), (inf, -inf, 1.0, 1.0)):
+        assert _Point0(values).key() == inf
+    for values in ((1.0, nan, 2.0, 3.0), (inf, -inf, nan, 1.0),
+                   (nan, inf, 1.0, 1.0)):
+        assert math.isnan(_Point0(values).key())
+        assert _near([1.0], [0], _Point0(values), 1.0, 1) == ()
+    # finite floats at the top of the range still have a finite key
+    assert math.isfinite(_Point0((1.7e308,) * 4).key())
+
+
+def test_normalize_compares_only_near_keys(monkeypatch):
+    # the key reads every float at point 0, so a term is compared with
+    # little more than the groups it merges with
+    calls = [0]
+    original = cubes_module._agree
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cubes_module, "_agree", counting)
+    chain = scenario_from_dict(
+        load_bench_module("workloads").tiled_chain_dict(1)).chain
+    assert len(chain_normalize(boundary(chain)).terms) == 54
+    assert calls[0] <= 100
+    calls[0] = 0
+    assert len(chain_normalize(chain).terms) == 27
+    assert calls[0] <= 5
 
 
 def _count_runs(monkeypatch) -> dict:
@@ -616,8 +791,7 @@ def test_lane_run_gives_the_point_values(theta, r):
     rng = random.Random(f"lanes/{theta}/{r}")
     raised = 0
     for k in (1, 2, 3):
-        key = CubeDomain(theta, r, k)._sample_key()
-        _, points, lanes = _domain_sample(*key)
+        _, points, lanes = CubeDomain(theta, r, k)._table()
         for mapping in _lane_maps(rng, k):
             want = []
             try:

@@ -12,11 +12,13 @@ from dualstokes import (CubeDomain, DiffForm, Dual, DualVec, Expr, ExprMap,
                         jacobian, merge_sign, parse_expr, partial_diff,
                         perm_sign, pullback, wedge, wedge_forms, zero_form)
 from dualstokes.darboux import polynomial_estimate
-from dualstokes.expr import NotPolynomial, expand_polynomial
-from dualstokes.forms import pullback_polynomial
+from dualstokes.expr import _POLYS, NotPolynomial, expand_polynomial, poly_diff
+from dualstokes.forms import _minor, pullback_polynomial
 from helpers import (THETAS, bracket_contains, random_expr, random_form,
-                     random_map, reference_exact_integral,
-                     reference_exact_pullback, small_point)
+                     random_map, reference_dense_minor, reference_exact_det,
+                     reference_exact_expansion, reference_exact_integral,
+                     reference_exact_partial, reference_exact_pullback,
+                     small_point)
 
 
 def _vecs(rng, n, count):
@@ -110,14 +112,22 @@ def _nodes(w: DiffForm) -> dict:
 
 
 def _reference_det(matrix, arity):
-    """Permutation expansion through Expr operators, one product at a time."""
-    total = Expr.constant(0.0, arity)
+    """Permutation expansion through Expr operators, one product at a
+    time: a term with a zero entry is skipped, and each term is added or
+    subtracted by its sign, a first odd one negated."""
+    total = None
     for perm in itertools.permutations(range(len(matrix))):
-        term = Expr.constant(float(perm_sign(perm)), arity)
-        for row, col in enumerate(perm):
-            term = term * matrix[row][col]
-        total = total + term
-    return total
+        entries = [matrix[row][col] for row, col in enumerate(perm)]
+        if any(map(is_zero_expr, entries)):
+            continue
+        term = entries[0] if entries else Expr.constant(1.0, arity)
+        for entry in entries[1:]:
+            term = term * entry
+        if total is None:
+            total = term if perm_sign(perm) > 0 else -term
+        else:
+            total = total + term if perm_sign(perm) > 0 else total - term
+    return Expr.constant(0.0, arity) if total is None else total
 
 
 def test_derivatives_build_the_trees_of_partial_diff():
@@ -459,6 +469,52 @@ def test_register_pullback_keeps_a_minor_that_rounds_to_zero():
         est = polynomial_estimate(register, rect)
         assert bracket_contains(est, reference_exact_integral(
             reference_exact_pullback(mapping, w), rect)), n
+
+
+def _minor_entry(rng: random.Random):
+    """A polynomial register in x1, x2 and its exact value: an exact zero,
+    a zero coefficient of either sign, a coefficient that rounds to 0.0
+    but keeps a positive shadow, or seeded float coefficients; the
+    expansion of an expression, or its partial derivative in x1."""
+    a = d = 2.0 ** 33 * (1 + 2.0 ** -52)  # a*d - b*c rounds to 0.0
+    b, c = 2.0 ** 33 * (1 + 2.0 ** -51), 2.0 ** 33
+    floats = [repr(rng.uniform(-2.0, 2.0)) for _ in range(4)]
+    text = rng.choice((
+        "0", "-0", "-(0*eps)", "x2+3",
+        "x1-x1", "-(x1-x1)", "x2*eps-x2*eps+x1", "-(x1*x2-x1*x2)*eps",
+        f"{a!r}*x1*{d!r}-{b!r}*x1*{c!r}", f"({a!r}*x1*{d!r}-{b!r}*x1*{c!r})*x2",
+        "{}*x1+{}*x1*x2-{}*eps*x2+{}".format(*floats),
+        "({}+{}*eps)*x1^2-{}*x2+{}*eps".format(*floats)))
+    f = parse_expr(text, 2)
+    register, exact = expand_polynomial(f), reference_exact_expansion(f)
+    if rng.random() < 0.4:
+        return poly_diff(register, 0), reference_exact_partial(exact, 0)
+    return register, exact
+
+
+def test_minor_brackets_the_exact_determinant():
+    # the sparse, sign-free expansion skips exact-zero entries and applies
+    # signs by add, sub and neg: its bracket holds the exact determinant
+    # of the entries' exact values, and it counts no more roundings than
+    # the dense expansion through constants +-1
+    rng = random.Random(2323)
+    skipped = 0
+    for _ in range(160):
+        size = rng.randint(1, 4)
+        entries = [[_minor_entry(rng) for _ in range(size)]
+                   for _ in range(size)]
+        registers = [[e[0] for e in row] for row in entries]
+        det = _minor(registers, _POLYS)
+        dense = reference_dense_minor(registers, _POLYS)
+        assert det[2] <= dense[2]
+        skipped += det[2] < dense[2]
+        rect = CubeDomain(rng.choice(THETAS), rng.choice((0.0, 0.5, 1.0)),
+                          2).rectangle()
+        exact = reference_exact_det([[e[1] for e in row] for row in entries],
+                                    2)
+        est = polynomial_estimate(det, rect)
+        assert bracket_contains(est, reference_exact_integral(exact, rect))
+    assert skipped > 100
 
 
 def test_register_pullback_is_the_symbolic_pullback():

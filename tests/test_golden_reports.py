@@ -9,15 +9,15 @@ theirs, constants included, is an exact bracket; the last call ``exp``,
 ``sin`` and ``cos``, so every integral of theirs that is not a constant
 is a Darboux bracket, and their bits rest on the platform's libm.  A
 change meant to keep results exact must keep this test passing; one
-meant to move them regenerates the file with::
+meant to move them regenerates both golden files with::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
 ``golden_darboux_reports.json`` holds the polynomial cases as the
-Darboux refinement reports them, before their integrals were exact.
-With the exact brackets switched off, the refinement must still report
-them bit for bit, and each exact bracket must overlap its Darboux one
-with the same verdict.
+Darboux refinement reports them, with the exact brackets switched off,
+as they were before their integrals were exact: the refinement must
+report them bit for bit, and each exact bracket must overlap its
+Darboux one with the same verdict.
 """
 
 import ast
@@ -117,7 +117,19 @@ def test_exact_brackets_overlap_darboux_golden(name):
                 assert abs(side[key] - want) <= slack, (label, key)
 
 
-if __name__ == "__main__":
+def _write_goldens() -> None:
     records = {name: _record(_scenario(name)) for name in NAMES}
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
+    exact = stokes.polynomial_estimate
+    stokes.polynomial_estimate = lambda f, rect: None
+    try:
+        records = {name: _record(_scenario(name)) for name in POLYNOMIAL_NAMES}
+    finally:
+        stokes.polynomial_estimate = exact
+    DARBOUX_GOLDEN.write_text(
+        json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _write_goldens()
