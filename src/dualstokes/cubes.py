@@ -42,7 +42,8 @@ from .darboux import ThetaRectangle, make_interval
 from .dual import Dual, Record, Theta, ZERO
 # compose is unused here but stays a module attribute: the benchmark's
 # tracer (bench/spans.py) rebinds cubes.compose.
-from .expr import TINY, _PAIRS, Expr, ExprMap, _check_natural, compose
+from .expr import (TINY, _PAIRS, Expr, ExprMap, _check_natural, compose,
+                   listwise)
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -262,14 +263,7 @@ def boundary(obj) -> Chain:
 _LANES = _FINGERPRINT_POINTS - 1
 
 
-def _lanewise(op):
-    return lambda *regs: list(map(op, *regs))
-
-
-_LANE_ARITH = (lambda value: [_PAIRS[0](value)] * _LANES,
-               *map(_lanewise, _PAIRS[1:5]),
-               lambda x, exponent: [_PAIRS[5](p, exponent) for p in x],
-               lambda name, x: [_PAIRS[6](name, p) for p in x])
+_LANE_ARITH = listwise(_PAIRS, _LANES)
 
 
 class _Fingerprint:

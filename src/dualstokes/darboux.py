@@ -49,7 +49,7 @@ from .dual import Dual, Ordering, Record, Theta, as_dual, theta_cmp
 # eval_enclosure is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds darboux.eval_enclosure.
 from .expr import (KEY_BITS, TINY, Expr, NotPolynomial, eval_enclosure,
-                   expand_polynomial, lower_expr, run_steps)
+                   expand_polynomial, listwise, lower_expr, run_steps)
 from .intervals import BOXES, DualBox
 
 DEFAULT_TOL_RE = 1e-6
@@ -231,24 +231,6 @@ def _widths(points) -> list:
             for (a_re, a_ze), (b_re, b_ze) in zip(points, points[1:])]
 
 
-# Column registers hold one box per piece of the innermost walked axis,
-# in piece order, as a list, since several instructions may read one;
-# each op of BOXES runs over the column by map, and a register of an
-# outer level enters a column run as repeat(its box).
-
-
-def _columns(arith: tuple) -> tuple:
-    const, neg, add, sub, mul, power, prim = arith
-    return (const,  # constants are at level -1, never in a column run
-            lambda x: list(map(neg, x)),
-            lambda x, y: list(map(add, x, y)),
-            lambda x, y: list(map(sub, x, y)),
-            lambda x, y: list(map(mul, x, y)),
-            lambda x, k: list(map(power, x, repeat(k))),
-            lambda name, x: list(map(prim, repeat(name), x)))
-
-
-_BOX_COLUMNS = _columns(BOXES)
 _SWAP_ZE = itemgetter(0, 1, 3, 2)  # (re_lo, re_hi, ze_hi, ze_lo)
 
 
@@ -263,8 +245,8 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     alone is enclosed once per piece of the first axis.  The innermost
     walked axis, the integrand's level `top`, runs as columns: each time
     its loop is entered, each of its instructions runs once over the
-    boxes of all its pieces (the ops of ``BOXES`` mapped over the
-    column), and one loop adds up the cells.  So a failing enclosure
+    boxes of all its pieces (``BOXES`` under :func:`.expr.listwise`),
+    and one loop adds up the cells.  So a failing enclosure
     raises the error of its first failing instruction, in program
     order, not of its first failing piece.  Each piece's box and width
     come from its two breakpoints by the float operations of
@@ -326,9 +308,11 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
             widths = [(w_re * t_re, w_re * t_ze + w_ze * t_re)
                       for w_re, w_ze in widths]
         column_args = [None] * top + [_boxes(axes[top])]
-    # a constant's registers have all run: its column run, runs[-1], is
-    # empty, and its column repeats its enclosure
-    column_run = runs[top]
+    # column registers hold one box per piece of axis top, as a list,
+    # since several instructions may read one, and an outer register
+    # enters as repeat(its box); a constant's registers have all run: its
+    # column run, runs[-1], is empty, and its column repeats its enclosure
+    column_run, columns = runs[top], listwise(BOXES, len(widths))
     outer = [r for r, ins in enumerate(code) if ins.level < max(top, 0)]
     cols = [None] * len(code)
 
@@ -336,7 +320,7 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
         # the cells of each piece of axis top, whose volumes are `vols`
         for r in outer:
             cols[r] = repeat(regs[r])
-        run_steps(column_run, _BOX_COLUMNS, cols, column_args)
+        run_steps(column_run, columns, cols, column_args)
         lo_re, lo_ze, up_re, up_ze = sums
         for (v_re, v_ze), (i_re, s_re, i_ze, s_ze) in zip(
                 vols, map(_SWAP_ZE, cols[-1]) if flip else cols[-1]):

@@ -36,7 +36,8 @@ once.  Every other walk runs on the program: point evaluation,
 substitution, differentiation, rendering, interval enclosure and
 expansion into monomials are one interpreter, :func:`run_steps`, under
 several arithmetics (for boxes, :data:`.intervals.BOXES`; for
-polynomials, ``_POLYS``).
+polynomials, ``_POLYS``), and :func:`listwise` runs any of them over
+lists of values, one per lane.
 :func:`partial_diffs` takes every partial a caller needs from one
 gradient run, whose registers hold each instruction's node and its
 partials; each partial is the tree :func:`partial_diff` builds for its
@@ -420,6 +421,21 @@ def run_steps(steps: Iterable[tuple[int, Instr]], arith: tuple, regs: list,
                 regs[r] = power(regs[a], b)
             case _:
                 regs[r] = prim(op, regs[a])
+
+
+def listwise(arith: tuple, n: int) -> tuple:
+    """`arith` mapped over registers that hold a list of `n` values, one
+    per lane: a constant is its value `n` times, and each op runs lane by
+    lane, in lane order.  An operand may be any iterable of the values,
+    such as ``repeat(value)`` for a value that every lane shares."""
+    const, neg, add, sub, mul, power, prim = arith
+    return (lambda value: [const(value)] * n,
+            lambda x: list(map(neg, x)),
+            lambda x, y: list(map(add, x, y)),
+            lambda x, y: list(map(sub, x, y)),
+            lambda x, y: list(map(mul, x, y)),
+            lambda x, exponent: [power(p, exponent) for p in x],
+            lambda name, x: [prim(name, p) for p in x])
 
 
 def _run(code: tuple[Instr, ...], arith: tuple, args: Sequence):
@@ -1157,14 +1173,16 @@ class DualMap(Record):
 
 
 def jacobian(f: ExprMap, point) -> DualMap:
-    """Matrix of symbolic partials evaluated at the point."""
+    """Matrix of symbolic partials evaluated at the point, all of them by
+    one run of one program."""
     if f.arity < 1:
         raise ValueError("jacobian needs at least one input variable")
-    pairs = _point_pairs(point, f.arity)
-    return DualMap(tuple(
-        tuple(Dual(*_run(lower_expr(p), _PAIRS, pairs))
-              for p in partial_diffs(c, range(f.arity)))
-        for c in f.components))
+    m = f.arity
+    partials = ExprMap([p for c in f.components
+                        for p in partial_diffs(c, range(m))])
+    values = partials.run(_PAIRS, _point_pairs(point, m))
+    return DualMap(tuple(tuple(Dual(*x) for x in values[i:i + m])
+                         for i in range(0, len(values), m)))
 
 
 def compose_maps(outer: DualMap, inner: DualMap) -> DualMap:

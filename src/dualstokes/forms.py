@@ -25,11 +25,13 @@ from __future__ import annotations
 import functools
 
 from .dual import ONE, ZERO, Dual
-# partial_diff is unused here but stays a module attribute: the
-# benchmark's tracer (bench/spans.py) rebinds forms.partial_diff.
-from .expr import (_NODES, _PAIRS, _POLYS, Expr, ExprMap, _is_zero_node,
-                   _point_pairs, _poly_vars, _run, compose, is_zero_expr,
-                   lower_expr, partial_diff, partial_diffs, poly_diff)
+# compose and partial_diff are unused here but stay module attributes:
+# the benchmark's tracer (bench/spans.py) rebinds forms.compose and
+# forms.partial_diff.
+from .expr import (_NODES, _PAIRS, _POLYS, Const, Expr, ExprMap,
+                   _is_zero_node, _point_pairs, _poly_vars, _run, compose,
+                   is_zero_expr, lower_expr, partial_diff, partial_diffs,
+                   poly_diff)
 from .tensors import (AltTensor, Graded, add_term, ascending_tuples,
                       merge_sign, signed_permutations, wedge)
 
@@ -75,8 +77,7 @@ def form_from_strings(n: int, k: int, coeffs: dict) -> DiffForm:
 
 def d_of_function(f: Expr) -> DiffForm:
     """Differential of a 0-form: the sum of partials against coordinates."""
-    partials = partial_diffs(f, range(f.arity))
-    return DiffForm(f.arity, 1, {(i,): p for i, p in enumerate(partials)})
+    return exterior_derivative(DiffForm(f.arity, 0, {(): f}))
 
 
 def exterior_derivative(w: DiffForm) -> DiffForm:
@@ -105,7 +106,8 @@ def form_eval(w: DiffForm, point, vectors) -> Dual:
 def _minor(matrix, arith: tuple):
     """Determinant of a square matrix by permutation expansion, under an
     arithmetic of :mod:`.expr`: nodes for :func:`pullback`, polynomial
-    registers for :func:`pullback_polynomial`.
+    registers for :func:`pullback_polynomial`, both through
+    :func:`_pullback`.
 
     A term with an exact-zero entry (the zero node, or a register whose
     shadow is 0) is skipped, and each sign is applied by adding or
@@ -135,37 +137,41 @@ def _exact_zero(entry) -> bool:
     return not entry[1] if type(entry) is tuple else _is_zero_node(entry)
 
 
-def _sym_det(matrix, arity: int) -> Expr:
-    """Determinant of a square matrix of expressions."""
-    return Expr(_minor([[e.node for e in row] for row in matrix], _NODES),
-                arity)
+def _pullback(w: DiffForm, comps, jac, targets, arith: tuple, zero) -> dict:
+    """The pulled-back coefficient on each target index, under an
+    arithmetic of :mod:`.expr`: the sum, from `zero`, over the form's
+    indices I of the coefficient run on the map's component registers
+    `comps`, times the minor of the jacobian registers `jac`, rows I
+    against the target's columns.  A coefficient whose minor is the
+    exact zero is neither run nor added."""
+    _, _, add, _, mul, _, _ = arith
+    out = {}
+    for target in targets:
+        acc = zero
+        for index, coeff in w.coeffs.items():
+            det = _minor([[jac[i][j] for j in target] for i in index], arith)
+            if not _exact_zero(det):
+                acc = add(acc, mul(_run(lower_expr(coeff), arith, comps), det))
+        out[target] = acc
+    return out
 
 
 def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
-    """Substitute the map into a form, symbolically.
-
-    The coefficient on dx^J downstairs is the sum over upstairs indices I
-    of (coefficient composed with f) times the minor determinant of the
-    symbolic jacobian rows I against columns J.
-    """
+    """Substitute the map into a form, symbolically: :func:`_pullback` on
+    nodes, with the symbolic jacobian, for every target index."""
     if f.dim_out != w.n:
         raise ValueError(
             f"map lands in dimension {f.dim_out} but the form lives in "
             f"dimension {w.n}")
     m = f.arity
-    jac = [partial_diffs(component, range(m)) for component in f.components]
-    out: dict = {}
-    for target in ascending_tuples(m, w.k):
-        acc = None
-        for index, coeff in w.coeffs.items():
-            det = _sym_det([[jac[i][j] for j in target] for i in index], m)
-            if is_zero_expr(det):
-                continue
-            term = compose(coeff, f.components) * det
-            acc = term if acc is None else acc + term
-        if acc is not None and not is_zero_expr(acc):
-            out[target] = acc
-    return DiffForm(m, w.k, out)
+    comps = [c.node for c in f.components]
+    jac = [[p.node for p in partial_diffs(c, range(m))]
+           for c in f.components]
+    # the zero is -0.0, the exact identity of float addition, so a sum
+    # from it is its first term, signed zeros included
+    out = _pullback(w, comps, jac, ascending_tuples(m, w.k), _NODES,
+                    Const(Dual(-0.0, -0.0)))
+    return DiffForm(m, w.k, {t: Expr(node, m) for t, node in out.items()})
 
 
 def pullback_polynomial(f: ExprMap, w: DiffForm) -> tuple:
@@ -179,15 +185,10 @@ def pullback_polynomial(f: ExprMap, w: DiffForm) -> tuple:
     if f.dim_out != w.n or f.arity != w.k:
         raise ValueError(
             f"need a form of degree {f.arity} on dimension {f.dim_out}")
-    _, _, add, _, mul, _, _ = _POLYS
     comps = f.run(_POLYS, _poly_vars(f.arity))
     jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
-    acc = ({}, 0.0, 0, 0)  # the zero polynomial
-    for index, coeff in w.coeffs.items():
-        det = _minor([jac[i] for i in index], _POLYS)
-        if det[1]:  # a shadow of 0 is the exact zero
-            acc = add(acc, mul(_run(lower_expr(coeff), _POLYS, comps), det))
-    return acc
+    top, zero = tuple(range(f.arity)), ({}, 0.0, 0, 0)  # zero polynomial
+    return _pullback(w, comps, jac, (top,), _POLYS, zero)[top]
 
 
 wedge_forms = wedge  # the forms-layer name of the shared wedge

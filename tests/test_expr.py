@@ -13,6 +13,7 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         cos, cr_check, eval_dual, eval_enclosure, exp,
                         exprs_equal, is_zero_expr, jacobian, parse_expr,
                         partial_diff, render_expr, sample_points, sin)
+from dualstokes import expr
 from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
                              _NODES, _PAIRS, _POLYS, Add, Const, Mul, Neg,
                              NotPolynomial, PowInt, Prim, Sub, Var, _add, _mul,
@@ -715,6 +716,23 @@ def test_jacobian_fixed():
     assert jac.entries[0][1] == p[0]
     assert jac.entries[1][0] == Dual(2) * p[0]
     assert jac.entries[1][1] == ZERO
+
+
+def test_jacobian_runs_one_program(monkeypatch):
+    # every partial of every component, lowered together and run once
+    m = ExprMap((parse_expr("x1*x2 + exp(x3)", 3),
+                 parse_expr("x1^3 - x2*x3", 3)))
+    for c in m.components:  # each component's own program, which the
+        lower_expr(c)       # gradient runs read
+    lowered = []
+    lower = expr._lower
+    monkeypatch.setattr(expr, "_lower",
+                        lambda roots: lowered.append(roots) or lower(roots))
+    p = [Dual(0.5, 1), Dual(-2), Dual(1.5, -0.25)]
+    jac = jacobian(m, p)
+    assert len(lowered) == 1
+    assert jac == DualMap([[eval_dual(partial_diff(c, j), p)
+                            for j in range(3)] for c in m.components])
 
 
 def test_dual_map_operations():

@@ -410,6 +410,9 @@ _NONPOLYNOMIAL = Path(__file__).with_name("nonpolynomial_scenarios.json")
 _POLYNOMIAL_CHAIN = Path(__file__).with_name("polynomial_chain_scenarios.json")
 _FOLDED_PRIMITIVE = Path(__file__).with_name("folded_primitive_scenarios.json")
 _TILED_CHAIN = Path(__file__).with_name("tiled_chain_scenarios.json")
+_SCENARIO_FILES = {
+    "polynomial-chain": _POLYNOMIAL_CHAIN, "tiled-chain": _TILED_CHAIN,
+    "dimension": Path(__file__).with_name("dimension_scenarios.json")}
 
 _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
           + [("saddle-fine", 0)]
@@ -419,19 +422,18 @@ _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
 def _fixed_scenario(kind, arg):
     if kind == "bundled":
         return builtin_scenario(arg)
-    if kind in ("polynomial-chain", "tiled-chain"):
-        path = {"polynomial-chain": _POLYNOMIAL_CHAIN,
-                "tiled-chain": _TILED_CHAIN}[kind]
-        return next(s for s in load_scenarios(path) if s.name == arg)
+    if kind in _SCENARIO_FILES:
+        return next(s for s in load_scenarios(_SCENARIO_FILES[kind])
+                    if s.name == arg)
     workloads = load_bench_module("workloads")
     return getattr(workloads, kind.replace("-", "_"))(stokes, arg)[0]
 
 
-@pytest.mark.parametrize("kind, arg", _FIXED + [
-    (kind, s.name)
-    for kind, path in (("polynomial-chain", _POLYNOMIAL_CHAIN),
-                       ("tiled-chain", _TILED_CHAIN))
-    for s in load_scenarios(path)])
+_FILED = [(kind, s.name) for kind, path in _SCENARIO_FILES.items()
+          for s in load_scenarios(path)]
+
+
+@pytest.mark.parametrize("kind, arg", _FIXED + _FILED)
 def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
     scenario = _fixed_scenario(kind, arg)
     monkeypatch.setattr(stokes, "integral_estimate",
@@ -471,30 +473,43 @@ def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
 
 def _exact_chain_integral(coeffs, chain) -> tuple:
     """The weighted sum of the exact integrals of the form with exact
-    coefficients `coeffs` over each term of the chain, unnormalized."""
+    coefficients `coeffs` over each term of the chain, unnormalized; a
+    0-cube's is the form's exact value at its point."""
     total_re = total_ze = Fraction(0)
     for weight, cube in chain.terms:
-        re, ze = reference_exact_integral(
-            reference_exact_pullback(cube.mapping, coeffs),
-            cube.domain.rectangle())
+        poly = reference_exact_pullback(cube.mapping, coeffs)
+        re, ze = (poly.get((), (0, 0)) if cube.k == 0 else
+                  reference_exact_integral(poly, cube.domain.rectangle()))
         total_re, total_ze = total_re + weight * re, total_ze + weight * ze
     return total_re, total_ze
 
 
+_ROUNDED_ENDS = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: a curve's boundary is 0-cubes, whose point values "
+        "IntegralEstimate.exact rounds to nearest with gap 0, so the rhs "
+        "bracket misses the exact value of the float data"))
+
+
 @pytest.mark.parametrize("kind, arg", [
-    ("tiled-chain-3d", 1), ("tiled-chain-3d", 9)] + [
-    ("tiled-chain", s.name) for s in load_scenarios(_TILED_CHAIN)])
+    pytest.param(kind, arg, marks=_ROUNDED_ENDS)
+    if arg == "rounded-ends-curve-type1" else (kind, arg)
+    for kind, arg in _FILED] + [
+    ("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS] + [
+    ("tiled-chain-3d", seed) for seed in range(1, 21)])
 def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
     # the integral of dw over the chain and of w over its boundary, both
     # exact in dual rationals: d from the coefficients' exact partials,
     # each face its root map composed exactly with its pinned endpoints,
-    # and every face summed, the cancelling ones included.  The two are
-    # equal, and each float chain bracket holds that value
+    # a 0-cube its exact point value, and every face summed, the
+    # cancelling ones included.  The two are equal, and each float chain
+    # bracket holds that value.  Every bundled scenario and every scenario
+    # file but the folded-primitive and nonpolynomial ones is polynomial
     scenario = _fixed_scenario(kind, arg)
     w, chain = scenario.form, scenario.chain
-    dw = {}
+    exact_w, dw = {}, {}
     for index, coeff in w.coeffs.items():
-        poly = reference_exact_expansion(coeff)
+        exact_w[index] = poly = reference_exact_expansion(coeff)
         for i in range(w.n):
             if i in index:
                 continue
@@ -504,9 +519,9 @@ def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
             dw[key] = _exact_add(dw.get(key, {}),
                                  reference_exact_partial(poly, i), sign)
     faces = boundary(chain)
-    assert len(faces.terms) == 6 * len(chain.terms)
+    assert len(faces.terms) == 2 * chain.k * len(chain.terms)
     exact = _exact_chain_integral(dw, chain)
-    assert exact == _exact_chain_integral(w, faces)
+    assert exact == _exact_chain_integral(exact_w, faces)
     assert exact != (0, 0)
     for form, side in ((exterior_derivative(w), chain), (w, faces)):
         est = integrate_over_chain(form, side, scenario.refinement)
@@ -592,8 +607,12 @@ def _pullbacks(scenario, monkeypatch) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("kind, arg", _FIXED)
+@pytest.mark.parametrize("kind, arg", _FIXED + [
+    (kind, arg) for kind, arg in _FILED if kind == "dimension"])
 def test_polynomial_verdicts_pull_back_on_registers(kind, arg, monkeypatch):
+    # the dimension scenarios add curves in the plane and in space, whose
+    # boundaries are 0-cubes, a surface in 4-space, r = 1 and negative
+    # weights
     assert _pullbacks(_fixed_scenario(kind, arg), monkeypatch) == 0
 
 

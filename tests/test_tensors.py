@@ -8,7 +8,8 @@ from dualstokes import (AltTensor, DiffForm, Dual, DualVec, Expr, GenTensor,
                         MAX_PERMUTATION_DEGREE, ONE, ZERO, alt, alt_sum,
                         ascending_tuples, basis_form, lambda_dim, merge_sign,
                         perm_sign, tensor_product, tensors_equal, wedge)
-from dualstokes.forms import _sym_det
+from dualstokes.expr import _NODES
+from dualstokes.forms import _minor
 from helpers import random_alt_coeffs, random_int_vector, small_int_dual
 
 
@@ -300,7 +301,7 @@ def test_permutation_degree_cap():
         big.as_general()
     x1 = Expr.variable(0, 1)
     with pytest.raises(ValueError):
-        _sym_det([[x1] * 9 for _ in range(9)], 1)
+        _minor([[x1.node] * 9 for _ in range(9)], _NODES)
 
 
 def test_tensors_equal_discriminates():
