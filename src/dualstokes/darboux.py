@@ -6,10 +6,10 @@ interval between ``ze(a)`` and ``ze(b)`` (which way it leans depends on
 the order type).  Products of such intervals are rectangles; uniform
 partitions, upper/lower sums, and a doubling refinement loop give
 two-sided integral estimates with an explicit gap.  A polynomial
-integrand, a constant included, has an exact bracket too,
-:func:`polynomial_estimate`, whose gap bounds the rounding alone; the
-Darboux sums stay the definition, and the path for every other
-integrand.
+integrand, a constant included, has an exact bracket too: that of its
+polynomial register, :func:`polynomial_estimate`, whose gap bounds the
+rounding alone; the Darboux sums stay the definition, and the path for
+every other integrand.
 
 Upper and lower sums take the componentwise sup/inf of an interval
 enclosure of the integrand over each cell — this is exactly the least
@@ -48,8 +48,8 @@ from operator import itemgetter
 from .dual import Dual, Ordering, Record, Theta, as_dual, theta_cmp
 # eval_enclosure is unused here but stays a module attribute: the
 # benchmark's tracer (bench/spans.py) rebinds darboux.eval_enclosure.
-from .expr import (KEY_BITS, TINY, Expr, NotPolynomial, eval_enclosure,
-                   expand_polynomial, listwise, lower_expr, run_steps)
+from .expr import (_U, KEY_BITS, TINY, Expr, eval_enclosure, listwise,
+                   lower_expr, run_steps)
 from .intervals import BOXES, DualBox
 
 DEFAULT_TOL_RE = 1e-6
@@ -386,7 +386,6 @@ class IntegralEstimate(Record):
                                        self.gap_re, self.gap_ze)))
 
 
-_U = 2.0 ** -53       # the unit roundoff of round to nearest
 _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
 
 
@@ -420,16 +419,16 @@ def _weight_table(key: str, ends: tuple, degree: int) -> tuple:
     return tuple(table)
 
 
-def polynomial_estimate(f: Expr | tuple, rect: ThetaRectangle
+def polynomial_estimate(f: tuple, rect: ThetaRectangle
                         ) -> IntegralEstimate | None:
     """The exact integral of a polynomial integrand, a constant included,
-    in a bracket that bounds every rounding; None for an expression that
-    is no polynomial within the caps of :func:`.expr.expand_polynomial`,
-    or one whose bracket is not finite.
+    in a bracket that bounds every rounding; None when that bracket is
+    not finite, or its order is past the bound below.
 
-    `f` is an :class:`.expr.Expr`, expanded into monomials ``c x^P`` with
-    dual float coefficients, or such a polynomial register already, as
-    :func:`.forms.pullback_polynomial` makes.  By the fundamental
+    `f` is a polynomial register of :mod:`.expr`, monomials ``c x^P``
+    with dual float coefficients, as :func:`.forms.pullback_polynomial`
+    and :func:`.expr.expand_polynomial` make; its variables beyond the
+    rectangle's dimension are not checked.  By the fundamental
     theorem of calculus, which the dual reals keep (eps^2 = 0), each
     integrates over the box to ``c`` times the product over the axes of
     ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)``, and the value is the sum of
@@ -454,6 +453,10 @@ def polynomial_estimate(f: Expr | tuple, rect: ThetaRectangle
     coefficients, summed in floats; on nonnegative values that rounding
     is itself a ``1 + theta`` of order at most N, so the float shadow
     ``S`` gives the bound ``gamma(N) S / (1 - gamma(N)) <= gamma(2N) S``.
+    A primitive folded on a constant register (``expr._poly_prim``)
+    expands into no such terms; its register carries a shadow and an
+    order for which the same bound holds, and every later operation
+    keeps it, as the comment above ``expr._POLYS`` says.
     For the integral, N adds the order of the weights, the two
     roundings of a dual product and one per accumulated monomial, and
     ``S = S(coefficients) * max S(weight) + 3 TINY`` per monomial, as
@@ -468,15 +471,6 @@ def polynomial_estimate(f: Expr | tuple, rect: ThetaRectangle
     overflow goes unseen.  Lower and upper follow the rectangle's
     order, as a Darboux bracket's do, and ``subdivisions`` is 0.
     """
-    if isinstance(f, Expr):
-        if f.arity != rect.dim:
-            raise ValueError(
-                f"integrand arity {f.arity} does not match rectangle "
-                f"dimension {rect.dim}")
-        try:
-            f = expand_polynomial(f)
-        except (NotPolynomial, OverflowError):  # an int constant past floats
-            return None
     terms, shadow, order, degree = f
     tables = [_axis_weights(iv, degree) for iv in rect.intervals]
     mask = (1 << KEY_BITS) - 1

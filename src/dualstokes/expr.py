@@ -473,20 +473,28 @@ _PAIRS = (
 #           coefficient of that monomial; the exponent of x(i+1) is the
 #           i-th KEY_BITS-bit field of the key, so the key of a product
 #           of monomials is the sum of their keys;
-#   shadow  a float that, divided by 1 - gamma(order), bounds the sum of
-#           |re| + |ze| over the coefficients of the same program run
+#   shadow  a float that, divided by 1 - gamma(order), bounds an A
+#           such that the 1-norm (the sum of |re| + |ze| over the
+#           coefficients) of the exact register is at most A, and that
+#           of the terms' error at most gamma(order) A.  The program run
 #           exactly on the absolute values of its inputs, with sub as
 #           add, plus TINY for every float product, which stands for the
-#           absolute error that product may have if it underflows;
+#           absolute error that product may have if it underflows, is
+#           such an A, with
 #   order   the most roundings, counted with repetition, on any term of
 #           any coefficient, of the terms and of the shadow alike;
 #   degree  at least the total degree of every monomial.
-# Coefficients are floats, so no int of a constant rounds unseen.
+# Coefficients are floats, so no int of a constant rounds unseen.  Each
+# op keeps the two bounds however its operands got theirs, so exp, sin
+# and cos of a constant register fold to a constant whose shadow and
+# order `_poly_prim` sets by its own bound; of any other register they
+# raise NotPolynomial.
 
 KEY_BITS = 8
 MAX_DEGREE = 64       # below 2**KEY_BITS, so no exponent spills over
 MAX_MONOMIALS = 256
 TINY = 2.0 ** -1022   # the least normal float
+_U = 2.0 ** -53       # the unit roundoff of round to nearest
 
 
 class NotPolynomial(ValueError):
@@ -555,8 +563,46 @@ def _poly_pow(x, exponent: int):
     return power
 
 
+# exp, sin and cos fold on a constant register.  The argument's exact
+# value is within E = gamma(2N) S of its float pair in the 1-norm (N
+# its order, S its shadow), and libm's values are taken within one ulp
+# of the true ones.  On that error box the primitive and its derivative
+# change by at most L per unit (1 for sin and cos; for exp, e^(re + E),
+# or no bound where that nears the float range), so the pair is off by
+# at most L (1 + |ze|) E plus one ulp of the value, |ze| ulps of the
+# derivative and one ulp of the rounded ze product.  With order
+# K = 2N + 1 and the shadow |value| + |ze part| + L (1 + |ze|) S +
+# ulps / (K u), each operation rounded up, gamma(K) times the shadow
+# bounds that error and the shadow bounds the exact pair: the two
+# bounds the other ops carry on (see the comment above `_POLYS`).
+
+
+def _up(x: float) -> float:
+    # the next float up, which bounds a nonnegative sum, product or
+    # quotient that rounded to nearest to x
+    return math.nextafter(x, math.inf)
+
+
 def _poly_prim(name: str, x):
-    raise NotPolynomial(f"{name} is not a polynomial")
+    """exp, sin or cos of a register with no non-constant monomial, the
+    exact zero included: the pair :func:`_prim_pair` gives, raising where
+    it raises, with the shadow and order the comment above derives.  Any
+    other register raises :class:`NotPolynomial`."""
+    terms, shadow, order, _ = x
+    if terms.keys() - {0}:
+        raise NotPolynomial(f"{name} of a non-constant is not a polynomial")
+    re, ze = terms.get(0, (0.0, 0.0))
+    value, slope = pair = _prim_pair(name, (re, ze))
+    k = 2 * order + 1
+    hi = _up(re + _up(k * _U * shadow))  # re + E
+    # math.exp overflows past about 709.78
+    lip = 1.0 if name != "exp" else _up(math.exp(hi)) if hi < 709 else math.inf
+    ulps = _up(_up(math.ulp(value) + math.ulp(slope))
+               + _up(abs(ze) * math.ulp(max(lip, abs(value)))))
+    carried = _up(_up(lip * _up(1.0 + abs(ze))) * shadow)
+    shadow = _up(_up(abs(value) + abs(slope))
+                 + _up(carried + _up(ulps / (k * _U))))
+    return {0: pair}, shadow, k, 0
 
 
 def poly_diff(x, index: int):
@@ -955,8 +1001,8 @@ def eval_enclosure(f: Expr, boxes: Sequence[DualBox]) -> DualBox:
 def expand_polynomial(f: Expr) -> tuple:
     """f's program run on polynomial registers: the register
     ``(terms, shadow, order, degree)`` that the comment above ``_POLYS``
-    describes.  Raises :class:`NotPolynomial` at a primitive, or past
-    ``MAX_DEGREE`` or ``MAX_MONOMIALS``."""
+    describes.  Raises :class:`NotPolynomial` at a primitive of a
+    non-constant, or past ``MAX_DEGREE`` or ``MAX_MONOMIALS``."""
     return _run(lower_expr(f), _POLYS, _poly_vars(f.arity))
 
 

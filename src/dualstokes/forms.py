@@ -142,17 +142,20 @@ def _pullback(w: DiffForm, comps, jac, targets, arith: tuple, zero) -> dict:
     arithmetic of :mod:`.expr`: the sum, from `zero`, over the form's
     indices I of the coefficient run on the map's component registers
     `comps`, times the minor of the jacobian registers `jac`, rows I
-    against the target's columns.  A coefficient whose minor is the
-    exact zero is neither run nor added."""
+    against the target's columns, added in the form's order.  A
+    coefficient runs once, for the first of its minors that is not the
+    exact zero, and not at all if there is none; a term whose minor is
+    the exact zero is not added."""
     _, _, add, _, mul, _, _ = arith
-    out = {}
-    for target in targets:
-        acc = zero
-        for index, coeff in w.coeffs.items():
+    out = dict.fromkeys(targets, zero)
+    for index, coeff in w.coeffs.items():
+        value = None
+        for target in targets:
             det = _minor([[jac[i][j] for j in target] for i in index], arith)
             if not _exact_zero(det):
-                acc = add(acc, mul(_run(lower_expr(coeff), arith, comps), det))
-        out[target] = acc
+                if value is None:
+                    value = _run(lower_expr(coeff), arith, comps)
+                out[target] = add(out[target], mul(value, det))
     return out
 
 

@@ -105,20 +105,14 @@ class Refinement(Record):
 # integration of forms over cubes and chains
 
 
-def _within(est: IntegralEstimate | None, refinement: Refinement) -> bool:
-    return (est is not None and est.gap_re <= refinement.tol_re
-            and est.gap_ze <= refinement.tol_ze)
-
-
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
                         refinement: Refinement) -> IntegralEstimate:
     """Pull the form back through the cube's map and integrate the result.
 
-    Each representation is tried once, and the first exact bracket whose
-    gaps meet the refinement's tolerances is taken: that of the pullback
-    on polynomial registers, then that of the symbolic pullback's
-    integrand, which is a polynomial also where the fold makes a
-    primitive of a pinned coordinate a constant.  Otherwise that
+    The exact bracket of the pullback on polynomial registers is taken
+    when its gaps meet the refinement's tolerances; exp, sin or cos of a
+    constant register, such as a coordinate that the map holds fixed,
+    folds to a constant there.  Otherwise the symbolic pullback's
     integrand takes the Darboux refinement.
     """
     if w.n != cube.n:
@@ -135,16 +129,11 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
         est = polynomial_estimate(pullback_polynomial(cube.mapping, w), rect)
     except (NotPolynomial, OverflowError):  # an int constant past floats
         est = None
-    if _within(est, refinement):
+    if (est is not None and est.gap_re <= refinement.tol_re
+            and est.gap_ze <= refinement.tol_ze):
         return est
     integrand = pullback(cube.mapping, w).coefficient(tuple(range(cube.k)))
-    est = polynomial_estimate(integrand, rect)
-    if _within(est, refinement):
-        return est
-    return integral_estimate(
-        integrand, rect, tol_re=refinement.tol_re, tol_ze=refinement.tol_ze,
-        base_subdivisions=refinement.base_subdivisions,
-        max_doublings=refinement.max_doublings)
+    return integral_estimate(integrand, rect, **refinement.to_dict())
 
 
 def integrate_over_chain(w: DiffForm, chain: Chain,

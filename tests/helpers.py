@@ -15,9 +15,9 @@ from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         make_interval, perm_sign, sample_points, sin)
 from dualstokes.cubes import MERGE_TOL
 from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
-                             _PREC_NEG, _PREC_POW, _ZERO_NODE, Add, Const,
-                             Mul, Neg, Node, PowInt, Prim, Sub, Var, _add,
-                             _const_text, _mul, _neg, _pow, _prim,
+                             _PREC_NEG, _PREC_POW, _ZERO_NODE, PRIMITIVES,
+                             Add, Const, Mul, Neg, Node, PowInt, Prim, Sub,
+                             Var, _add, _const_text, _mul, _neg, _pow, _prim,
                              _prim_value, _sub, lower_expr)
 from dualstokes.intervals import _TWO_PI, _crosses, _iexp, _ipow, _iscale
 
@@ -242,12 +242,14 @@ def _exact_dual_power(x, n: int):
     return re ** n, n * re ** (n - 1) * ze
 
 
-def reference_exact_expansion(f: Expr, args=None, dim: int = None) -> dict:
+def reference_exact_expansion(f: Expr, args=None, dim: int = None,
+                              prim=None) -> dict:
     """f's lowered program run on polynomials with ``Fraction`` dual
     coefficients (eps^2 = 0), from the exact values of its float
     constants: ``{exponent tuple: (re, ze)}``.  ``args[i]``, an exact
     polynomial in `dim` variables, stands for x(i+1); by default x(i+1)
-    is itself.  Raises ``ValueError`` at exp, sin or cos."""
+    is itself.  At exp, sin or cos the value is ``prim(name, argument)``,
+    or without `prim` a ``ValueError``."""
     if args is None:
         dim = f.arity
         args = [{tuple(int(i == j) for i in range(dim)): (Fraction(1), 0)}
@@ -269,10 +271,37 @@ def reference_exact_expansion(f: Expr, args=None, dim: int = None) -> dict:
             value = {zero: (Fraction(1), 0)}
             for _ in range(b):
                 value = _exact_mul(value, regs[a])
-        else:
+        elif prim is None:
             raise ValueError(f"{op} is not a polynomial")
+        else:
+            value = prim(op, regs[a])
         regs.append(value)
     return regs[-1]
+
+
+def reference_primitive(name: str, x: Fraction) -> tuple:
+    """(lo, hi) Fractions around exp, sin or cos of the rational x: the
+    Taylor sum about 0 up to the first term below 2^-160, widened by the
+    Lagrange remainder bound ``M |x|^n / n!`` of the n terms taken, with
+    M = 1 for sin and cos and 3^ceil(x) (e < 3) for exp above 0."""
+    signs = {"exp": (1, 1, 1, 1), "sin": (0, 1, 0, -1),
+             "cos": (1, 0, -1, 0)}[name]
+    total, term, n = Fraction(0), Fraction(1), 0  # term = x^n / n!
+    while n < 4 or abs(term) >= Fraction(1, 2 ** 160):
+        total += signs[n % 4] * term
+        n += 1
+        term = term * x / n
+    bound = abs(term) * (3 ** max(0, math.ceil(x)) if name == "exp" else 1)
+    return total - bound, total + bound
+
+
+def reference_primitive_pair(name: str, re: Fraction, ze: Fraction) -> tuple:
+    """The (re, ze) intervals around the lifted primitive at re + ze*eps,
+    ``prim(re) + ze*prim'(re)*eps``, from :func:`reference_primitive`."""
+    slope = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}[name]
+    lo, hi = reference_primitive(slope[0], re)
+    ends = sorted((slope[1] * ze * lo, slope[1] * ze * hi))
+    return reference_primitive(name, re), tuple(ends)
 
 
 def reference_exact_partial(poly: dict, index: int) -> dict:
@@ -285,21 +314,34 @@ def reference_exact_partial(poly: dict, index: int) -> dict:
     return out
 
 
-def reference_exact_map(mapping: ExprMap) -> list:
+def reference_exact_map(mapping: ExprMap, roots: dict = None) -> list:
     """Each component of the map as an exact polynomial.  A pinned map's
     (a face's, or a face of a face's) are its root map's components
     composed exactly with the pinned constants, so no rounding of the
-    substitution is folded in."""
-    if mapping._pin is None:
-        return [reference_exact_expansion(c) for c in mapping.components]
-    root, pins = mapping._pin
-    dim = mapping.arity
-    args = [{tuple(int(i == j) for i in range(dim)): (Fraction(1), 0)}
-            for j in range(dim)]
-    for index, value in pins:  # ascending root indices
-        args.insert(index,
-                    {(0,) * dim: (Fraction(value.re), Fraction(value.ze))})
-    return [reference_exact_expansion(c, args, dim) for c in root.components]
+    substitution is folded in.  `roots`, when given, keeps each root
+    map's exact components, so the faces of one root expand it once."""
+    root, pins = mapping._pin or (mapping, ())
+    exact = None if roots is None else roots.get(root)
+    if exact is None:
+        exact = [reference_exact_expansion(c) for c in root.components]
+        if roots is not None:
+            roots[root] = exact
+    for index, value in reversed(pins):  # descending root indices
+        exact = [_exact_pin(c, index, (Fraction(value.re), Fraction(value.ze)))
+                 for c in exact]
+    return exact
+
+
+def _exact_pin(poly: dict, index: int, value) -> dict:
+    # the exact polynomial with x(index+1) = value, a dual (re, ze)
+    out = {}
+    for key, (re, ze) in poly.items():
+        p = key[index]
+        f_re, f_ze = _exact_dual_power(value, p) if p else (1, 0)
+        key = key[:index] + key[index + 1:]
+        old_re, old_ze = out.get(key, (0, 0))
+        out[key] = (old_re + re * f_re, old_ze + re * f_ze + ze * f_re)
+    return out
 
 
 def reference_exact_compose(poly: dict, args: list, dim: int) -> dict:
@@ -315,26 +357,139 @@ def reference_exact_compose(poly: dict, args: list, dim: int) -> dict:
     return total
 
 
-def reference_exact_pullback(mapping: ExprMap, w) -> dict:
+def reference_exact_pullback(mapping: ExprMap, w, roots: dict = None,
+                             extra=None) -> dict:
     """The coefficient on dx1^...^dxm of the pullback of the m-form `w`
     through the map of arity m, as an exact polynomial: the components
     expanded (:func:`reference_exact_map`), their partials, each minor by
     permutation expansion with the sign counted from inversions, and
     each coefficient expanded and composed with the components, all in
     ``Fraction`` arithmetic.  `w` is a :class:`DiffForm`, or its
-    coefficients as ``{index: exact polynomial}``."""
+    coefficients as ``{index: exact polynomial}``; `roots` is
+    :func:`reference_exact_map`'s.  A coefficient with variables past
+    the components' takes ``extra(components, m)`` for them, as
+    :func:`reference_formal_values` gives."""
     if not isinstance(w, dict):
         w = {index: reference_exact_expansion(coeff)
              for index, coeff in w.coeffs.items()}
     m = mapping.arity
-    comps = reference_exact_map(mapping)
+    comps = reference_exact_map(mapping, roots)
     jac = [[reference_exact_partial(c, j) for j in range(m)] for c in comps]
+    args = comps + extra(comps, m) if extra else comps
     total = {}
     for index, coeff in w.items():
         det = reference_exact_det([jac[i] for i in index], m)
-        composed = reference_exact_compose(coeff, comps, m)
+        composed = reference_exact_compose(coeff, args, m)
         total = _exact_add(total, _exact_mul(composed, det))
     return total
+
+
+# Forms whose coefficients take exp, sin and cos of coordinates: in
+# n-space, exp, sin and cos of x(j+1) are the formal variables n + 3j,
+# n + 3j + 1 and n + 3j + 2 of polynomials in 4n variables, which the
+# chain rule differentiates; through a map whose component j is a
+# constant c, each is the formal constant prim(c), a FormalSum.
+
+
+class FormalSum:
+    """A polynomial with Fraction coefficients in formal constants, each
+    named by a pair such as ``("sin", Fraction(1, 2))`` for sin(1/2):
+    ``{sorted tuple of names: coefficient}``.  It adds, subtracts and
+    multiplies with itself, ints and Fractions, and compares equal to a
+    number when it is that constant."""
+
+    def __init__(self, terms: dict):
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    @staticmethod
+    def of(x) -> "FormalSum":
+        return x if isinstance(x, FormalSum) else FormalSum({(): Fraction(x)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, value in FormalSum.of(other).terms.items():
+            out[key] = out.get(key, 0) + value
+        return FormalSum(out)
+
+    def __mul__(self, other):
+        out = {}
+        for ka, va in self.terms.items():
+            for kb, vb in FormalSum.of(other).terms.items():
+                key = tuple(sorted(ka + kb))
+                out[key] = out.get(key, 0) + va * vb
+        return FormalSum(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -FormalSum.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __eq__(self, other):
+        return self.terms == FormalSum.of(other).terms
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"FormalSum({self.terms!r})"
+
+
+def _formal_variable(slot: int, dim: int) -> dict:
+    return {tuple(int(i == slot) for i in range(dim)): (Fraction(1), 0)}
+
+
+def reference_formal_expansion(f: Expr) -> dict:
+    """f's exact expansion in 4n variables, n = f.arity, whose primitives
+    each take a coordinate x(j+1) and are the formal variable of their
+    name and j."""
+    n = f.arity
+
+    def prim(name, arg):
+        (key, value), = arg.items()
+        assert value == (1, 0) and sorted(key) == [0] * (4 * n - 1) + [1]
+        return _formal_variable(n + 3 * key.index(1)
+                                + PRIMITIVES.index(name), 4 * n)
+
+    args = [_formal_variable(j, 4 * n) for j in range(n)]
+    return reference_exact_expansion(f, args, 4 * n, prim)
+
+
+def reference_formal_partial(poly: dict, index: int, n: int) -> dict:
+    """The partial derivative in x(index+1) of a polynomial of
+    :func:`reference_formal_expansion`, by the chain rule: exp' = exp,
+    sin' = cos and cos' = -sin."""
+    out = reference_exact_partial(poly, index)
+    e, s, c = (n + 3 * index + k for k in range(3))
+    for slot, derivative, sign in ((e, e, 1), (s, c, 1), (c, s, -1)):
+        out = _exact_add(out, _exact_mul(reference_exact_partial(poly, slot),
+                                         _formal_variable(derivative, 4 * n)),
+                         sign)
+    return out
+
+
+def reference_formal_values(comps: list, dim: int) -> list:
+    """exp, sin and cos of each component, an exact polynomial in `dim`
+    variables, in the order of the formal variables, as constant
+    polynomials with FormalSum coefficients: ``prim(c + d eps) = prim(c)
+    + d prim'(c) eps``.  A component that is no constant has none, and
+    using it fails."""
+    zero, values = (0,) * dim, []
+    for comp in comps:
+        if any(map(any, comp)):
+            values += [None] * 3
+            continue
+        c, d = comp.get(zero, (Fraction(0), 0))
+        sym = {name: FormalSum({((name, c),): Fraction(1)})
+               for name in PRIMITIVES}
+        values += [{zero: (sym["exp"], d * sym["exp"])},
+                   {zero: (sym["sin"], d * sym["cos"])},
+                   {zero: (sym["cos"], -d * sym["sin"])}]
+    return values
 
 
 def reference_exact_det(matrix, dim: int) -> dict:

@@ -13,17 +13,19 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         cos, cr_check, eval_dual, eval_enclosure, exp,
                         exprs_equal, is_zero_expr, jacobian, parse_expr,
                         partial_diff, render_expr, sample_points, sin)
-from dualstokes import expr
+from dualstokes import CubeDomain, expr
+from dualstokes.darboux import polynomial_estimate
 from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
                              _NODES, _PAIRS, _POLYS, Add, Const, Mul, Neg,
                              NotPolynomial, PowInt, Prim, Sub, Var, _add, _mul,
                              _poly_vars, _run, _sub, expand_polynomial,
                              lower_expr, partial_diffs, poly_diff)
-from helpers import (point_in_box, random_box, random_expr, random_map,
-                     random_poly, reference_cr_check, reference_diff,
-                     reference_enclose, reference_eval,
-                     reference_exact_expansion, reference_exact_partial,
-                     reference_exprs_equal,
+from helpers import (THETAS, bracket_contains, point_in_box, random_box,
+                     random_expr, random_map, random_poly, reference_cr_check,
+                     reference_diff, reference_enclose, reference_eval,
+                     reference_exact_expansion, reference_exact_integral,
+                     reference_exact_partial, reference_exprs_equal,
+                     reference_primitive_pair,
                      reference_render, reference_subst, small_point,
                      trees_match)
 
@@ -1070,6 +1072,128 @@ def test_polynomial_registers_refuse_too_many_monomials():
 def test_polynomial_register_of_a_raw_zeroth_power_is_one():
     f = Expr(PowInt(Add(Var(0), Const(Dual(2.0, -1.0))), 0), 1)
     assert expand_polynomial(f) == ({0: (1.0, 0.0)}, 1.0, 0, 0)
+
+
+# primitives folded on constant registers
+
+
+def _constant_argument(rng: random.Random):
+    """A node whose polynomial register is a constant, though the node is
+    none: one constant under a raw node, a sum, difference or product of
+    two, which rounds, or the exact zero of a product with 0.0.  Real
+    parts lie in [-10, 10]; some parts are 0.0, -0.0 or large."""
+    def part(scale):
+        return rng.choice((0.0, -0.0, rng.uniform(-scale, scale),
+                           rng.uniform(-scale, scale)))
+
+    def const():
+        return Const(Dual(part(5.0), rng.choice((part(3.0), 1e3, -0.1))))
+    roll = rng.random()
+    if roll < 0.15:
+        return Mul(Var(0), Const(Dual(0.0, 0.0)))  # the exact zero
+    if roll < 0.4:
+        return Neg(const())
+    return rng.choice((Add, Sub, Mul))(const(), const())
+
+
+def test_folded_primitive_brackets_hold_the_exact_value():
+    # the fold gives the pair the point arithmetic gives at the
+    # argument register's constant; its error is
+    # within gamma(2N) times its shadow of every value the Fraction
+    # oracle allows; and the exact bracket of the folded register, alone
+    # or times a polynomial, holds the oracle's enclosure of the integral
+    rng = random.Random(2525)
+    u = Fraction(1, 2 ** 53)
+    for _ in range(300):
+        name = rng.choice(("exp", "sin", "cos"))
+        arg = _constant_argument(rng)
+        (re, ze), = reference_exact_expansion(Expr(arg, 1)).values() or [
+            (Fraction(0), Fraction(0))]
+        if abs(re) > 10:
+            continue
+        terms, shadow, order, degree = register = expand_polynomial(
+            Expr(Prim(name, arg), 1))
+        # the exact zero, whose register holds no term, is (0.0, 0.0)
+        point = expand_polynomial(Expr(arg, 1))[0].get(0, (0.0, 0.0))
+        assert repr(terms) == repr({0: expr._prim_pair(name, point)})
+        assert degree == 0
+        (lo_re, hi_re), (lo_ze, hi_ze) = reference_primitive_pair(name, re, ze)
+        got_re, got_ze = map(Fraction, terms[0])
+        error = (max(abs(got_re - lo_re), abs(got_re - hi_re))
+                 + max(abs(got_ze - lo_ze), abs(got_ze - hi_ze)))
+        assert error <= (2 * order + 1) * u * Fraction(shadow), (name, arg)
+        dim = rng.randint(1, 3)
+        rect = CubeDomain(rng.choice(THETAS), rng.choice((0.0, 0.5, 1.0)),
+                          dim).rectangle()
+        factor = random_poly(rng, dim, depth=2)
+        g_re, g_ze = reference_exact_integral(factor, rect)
+        est = polynomial_estimate(_POLYS[4](
+            register, expand_polynomial(factor)), rect)
+        for p_re in (lo_re, hi_re):
+            for p_ze in (lo_ze, hi_ze):
+                exact = (p_re * g_re, p_re * g_ze + p_ze * g_re)
+                assert bracket_contains(est, exact), (name, arg, factor)
+
+
+def test_folded_primitive_bounds_its_argument_error_box():
+    # an argument register of order N and shadow S stands for every exact
+    # pair within gamma(2N) S of its floats in the 1-norm; at the corners
+    # of that box and between them, the folded register of order K and
+    # shadow S' is within gamma(K) S' of the oracle's every value, and S'
+    # bounds the 1-norm of each
+    rng = random.Random(2626)
+    u = Fraction(1, 2 ** 53)
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+    for _ in range(60):
+        name = rng.choice(("exp", "sin", "cos"))
+        re = rng.choice((0.0, -0.0, rng.uniform(-10.0, 10.0)))
+        ze = rng.choice((0.0, -0.0, rng.uniform(-50.0, 50.0)))
+        shadow = abs(re) + abs(ze) + rng.choice((0.0, 1.0, 1e3))
+        order = rng.randint(0 if shadow == 0 else 1, 40)
+        terms, folded, k, _ = expr._poly_prim(
+            name, ({0: (re, ze)}, shadow, order, 0))
+        radius = gamma(2 * order) * Fraction(shadow)
+        got_re, got_ze = map(Fraction, terms[0])
+        for a in (Fraction(1), Fraction(-1), Fraction(1, 2),
+                  Fraction(-1, 3), Fraction(0)):
+            for b in {1 - abs(a), abs(a) - 1}:
+                (lo_re, hi_re), (lo_ze, hi_ze) = reference_primitive_pair(
+                    name, Fraction(re) + a * radius, Fraction(ze) + b * radius)
+                error = (max(abs(got_re - lo_re), abs(got_re - hi_re))
+                         + max(abs(got_ze - lo_ze), abs(got_ze - hi_ze)))
+                assert error <= gamma(k) * Fraction(folded), (name, re, ze)
+                size = max(abs(lo_re), abs(hi_re)) + max(abs(lo_ze),
+                                                         abs(hi_ze))
+                assert size <= Fraction(folded), (name, re, ze)
+
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos"])
+def test_folded_primitive_raises_where_the_point_arithmetic_does(name):
+    # exp overflows past about 709.78, and sin and cos have no value at
+    # an infinite or NaN argument; the fold raises there, and only there
+    for re in (0.0, -0.0, 1.0, 709.7, 709.78, 709.79, 710.0, 1e308, -1e308,
+               math.inf, -math.inf, math.nan):
+        for ze in (0.0, -0.0, 2.5):
+            register = ({0: (re, ze)}, abs(re) + abs(ze), 1, 0)
+            try:
+                want = expr._prim_pair(name, (re, ze))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    expr._poly_prim(name, register)
+                continue
+            assert repr(expr._poly_prim(name, register)[0]) == repr(
+                {0: want})
+
+
+def test_folded_primitive_refuses_a_non_constant():
+    # a monomial whose coefficient is 0.0 still makes the register no
+    # constant: its exact coefficient need not be 0
+    x1 = _poly_vars(1)[0]
+    for register in (x1, _POLYS[3](x1, x1), _POLYS[4](x1, x1)):
+        with pytest.raises(NotPolynomial):
+            expr._poly_prim("sin", register)
 
 
 # the register derivative

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dualstokes.forms as forms
 from dualstokes import (CubeDomain, DiffForm, Dual, DualVec, Expr, ExprMap,
                         SingularCube, Theta, ascending_tuples, basis_form,
                         compose, d_of_function, eval_dual, exprs_equal,
@@ -12,8 +13,10 @@ from dualstokes import (CubeDomain, DiffForm, Dual, DualVec, Expr, ExprMap,
                         jacobian, merge_sign, parse_expr, partial_diff,
                         perm_sign, pullback, wedge, wedge_forms, zero_form)
 from dualstokes.darboux import polynomial_estimate
-from dualstokes.expr import _POLYS, NotPolynomial, expand_polynomial, poly_diff
-from dualstokes.forms import _minor, pullback_polynomial
+from dualstokes.expr import (_NODES, _POLYS, Const, NotPolynomial, _add, _mul,
+                             _run, expand_polynomial, lower_expr,
+                             partial_diffs, poly_diff)
+from dualstokes.forms import _exact_zero, _minor, pullback_polynomial
 from helpers import (THETAS, bracket_contains, random_expr, random_form,
                      random_map, reference_dense_minor, reference_exact_det,
                      reference_exact_expansion, reference_exact_integral,
@@ -530,6 +533,55 @@ def test_register_pullback_is_the_symbolic_pullback():
         # integer coefficients: both are exact, up to zero coefficients
         assert ({key: c for key, c in terms.items() if c != (0.0, 0.0)}
                 == {key: c for key, c in want.items() if c != (0.0, 0.0)})
+
+
+def _pullback_per_target(mapping: ExprMap, w: DiffForm) -> tuple:
+    """The pullback, with every coefficient run anew for each target
+    whose minor is not the exact zero, and the number of coefficient runs
+    that takes."""
+    m, runs = mapping.arity, 0
+    comps = [c.node for c in mapping.components]
+    jac = [[p.node for p in partial_diffs(c, range(m))]
+           for c in mapping.components]
+    out = {}
+    for target in ascending_tuples(m, w.k):
+        acc = Const(Dual(-0.0, -0.0))
+        for index, coeff in w.coeffs.items():
+            det = _minor([[jac[i][j] for j in target] for i in index], _NODES)
+            if not _exact_zero(det):
+                runs += 1
+                acc = _add(acc, _mul(_run(lower_expr(coeff), _NODES, comps),
+                                     det))
+        out[target] = Expr(acc, m)
+    return DiffForm(m, w.k, out), runs
+
+
+def test_pullback_runs_each_coefficient_once(monkeypatch):
+    # each target's minors are nonzero for two of the three coefficients:
+    # a run per target and coefficient is 6 runs, one per coefficient 3
+    w = form_from_strings(3, 1, {(0,): "x1*x2", (1,): "sin(x3)",
+                                 (2,): "x1+x3"})
+    mapping = ExprMap(tuple(parse_expr(t, 3)
+                            for t in ("x1*x2", "x2+x3", "x3*x1")))
+    assert _pullback_per_target(mapping, w)[1] == 6
+    runs = []
+    run = forms._run
+    monkeypatch.setattr(forms, "_run",
+                        lambda *args: runs.append(args) or run(*args))
+    pullback(mapping, w)
+    assert len(runs) == 3
+    # the nodes are interned, so one run per coefficient gives the very
+    # same nodes
+    rng = random.Random(4242)
+    cases = [(mapping, w)] + [
+        (random_map(rng, k, n, depth=2), random_form(rng, n, k, prims=True))
+        for k, n in ((rng.randint(1, 3), rng.randint(3, 4))
+                     for _ in range(30))]
+    for mapping, w in cases:
+        want = _pullback_per_target(mapping, w)[0].coeffs
+        got = pullback(mapping, w).coeffs
+        assert got.keys() == want.keys()
+        assert all(got[t].node is want[t].node for t in want)
 
 
 def test_register_pullback_refuses_what_is_no_polynomial():

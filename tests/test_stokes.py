@@ -22,11 +22,14 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         scenario_from_dict, standard_cube, theta_cmp,
                         verify_stokes, write_report_csv, write_report_json)
 from dualstokes.darboux import NotFinite
+from dualstokes.expr import NotPolynomial
 from dualstokes.forms import pullback_polynomial
-from helpers import (THETAS, _exact_add, bracket_contains, load_bench_module,
-                     random_chain, random_form, reference_exact_expansion,
-                     reference_exact_integral, reference_exact_partial,
-                     reference_exact_pullback)
+from helpers import (THETAS, FormalSum, _exact_add, bracket_contains,
+                     load_bench_module, random_chain, random_form,
+                     reference_exact_expansion, reference_exact_integral,
+                     reference_exact_partial, reference_exact_pullback,
+                     reference_formal_expansion, reference_formal_partial,
+                     reference_formal_values, reference_primitive)
 
 
 def _report(converged: bool = True, passed: bool = True) -> StokesReport:
@@ -422,15 +425,17 @@ _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
 def _fixed_scenario(kind, arg):
     if kind == "bundled":
         return builtin_scenario(arg)
-    if kind in _SCENARIO_FILES:
-        return next(s for s in load_scenarios(_SCENARIO_FILES[kind])
-                    if s.name == arg)
+    if kind in _SCENARIO_FILES or kind == "folded-primitive":
+        path = _SCENARIO_FILES.get(kind, _FOLDED_PRIMITIVE)
+        return next(s for s in load_scenarios(path) if s.name == arg)
     workloads = load_bench_module("workloads")
     return getattr(workloads, kind.replace("-", "_"))(stokes, arg)[0]
 
 
 _FILED = [(kind, s.name) for kind, path in _SCENARIO_FILES.items()
           for s in load_scenarios(path)]
+_FOLDED = [("folded-primitive", s.name)
+           for s in load_scenarios(_FOLDED_PRIMITIVE)]
 
 
 @pytest.mark.parametrize("kind, arg", _FIXED + _FILED)
@@ -453,12 +458,12 @@ def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
     # holds the exact integral of the literal form over the literal map,
     # and a face's over its cube's map composed exactly with the pinned
     # endpoint; a 0-cube is a point value, not an integral
-    faces = 0
+    faces, roots = 0, {}  # each root map expanded once
     for w, cube, est in brackets:
         faces += cube.mapping._pin is not None
         if cube.k:
             assert bracket_contains(est, reference_exact_integral(
-                reference_exact_pullback(cube.mapping, w),
+                reference_exact_pullback(cube.mapping, w, roots),
                 cube.domain.rectangle())), cube
     assert faces == len(chain_normalize(boundary(scenario.chain)).terms)
     if kind == "tiled-chain-3d":
@@ -471,13 +476,14 @@ def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
             assert max(lo1, lo2) <= min(hi1, hi2), part
 
 
-def _exact_chain_integral(coeffs, chain) -> tuple:
+def _exact_chain_integral(coeffs, chain, roots: dict, extra=None) -> tuple:
     """The weighted sum of the exact integrals of the form with exact
     coefficients `coeffs` over each term of the chain, unnormalized; a
-    0-cube's is the form's exact value at its point."""
+    0-cube's is the form's exact value at its point.  `roots` and
+    `extra` are ``reference_exact_pullback``'s."""
     total_re = total_ze = Fraction(0)
     for weight, cube in chain.terms:
-        poly = reference_exact_pullback(cube.mapping, coeffs)
+        poly = reference_exact_pullback(cube.mapping, coeffs, roots, extra)
         re, ze = (poly.get((), (0, 0)) if cube.k == 0 else
                   reference_exact_integral(poly, cube.domain.rectangle()))
         total_re, total_ze = total_re + weight * re, total_ze + weight * ze
@@ -494,7 +500,7 @@ _ROUNDED_ENDS = pytest.mark.xfail(
 @pytest.mark.parametrize("kind, arg", [
     pytest.param(kind, arg, marks=_ROUNDED_ENDS)
     if arg == "rounded-ends-curve-type1" else (kind, arg)
-    for kind, arg in _FILED] + [
+    for kind, arg in _FILED + _FOLDED] + [
     ("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS] + [
     ("tiled-chain-3d", seed) for seed in range(1, 21)])
 def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
@@ -504,28 +510,47 @@ def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
     # a 0-cube its exact point value, and every face summed, the
     # cancelling ones included.  The two are equal, and each float chain
     # bracket holds that value.  Every bundled scenario and every scenario
-    # file but the folded-primitive and nonpolynomial ones is polynomial
+    # file but the folded-primitive and nonpolynomial ones is polynomial;
+    # the folded-primitive ones take sin(x3) on the face x3 = 0.5, so
+    # their exact values are formal sums in sin(1/2) and cos(1/2), and
+    # must be the same rational multiple of sin(1/2)
     scenario = _fixed_scenario(kind, arg)
     w, chain = scenario.form, scenario.chain
+    formal = kind == "folded-primitive"
+    expand, partial, extra = ((
+        reference_formal_expansion,
+        lambda poly, i: reference_formal_partial(poly, i, w.n),
+        reference_formal_values) if formal else (
+        reference_exact_expansion, reference_exact_partial, None))
     exact_w, dw = {}, {}
     for index, coeff in w.coeffs.items():
-        exact_w[index] = poly = reference_exact_expansion(coeff)
+        exact_w[index] = poly = expand(coeff)
         for i in range(w.n):
             if i in index:
                 continue
             # dx(i+1) moves past each dx(j+1) with j < i into place
             sign = (-1) ** sum(j < i for j in index)
             key = tuple(sorted(index + (i,)))
-            dw[key] = _exact_add(dw.get(key, {}),
-                                 reference_exact_partial(poly, i), sign)
+            dw[key] = _exact_add(dw.get(key, {}), partial(poly, i), sign)
     faces = boundary(chain)
     assert len(faces.terms) == 2 * chain.k * len(chain.terms)
-    exact = _exact_chain_integral(dw, chain)
-    assert exact == _exact_chain_integral(exact_w, faces)
+    roots = {}  # each root map expanded once, for its cube and its faces
+    exact = _exact_chain_integral(dw, chain, roots, extra)
+    assert exact == _exact_chain_integral(exact_w, faces, roots, extra)
     assert exact != (0, 0)
+    values = [exact]
+    if formal:
+        # q sin(1/2), q a dual rational: held at both ends of the oracle's
+        # enclosure of sin(1/2), it is held at every value between
+        sine = (("sin", Fraction(1, 2)),)
+        parts = [FormalSum.of(part).terms for part in exact]
+        assert all(terms.keys() <= {sine} for terms in parts), exact
+        q_re, q_ze = (terms.get(sine, 0) for terms in parts)
+        values = [(q_re * s, q_ze * s)
+                  for s in reference_primitive("sin", Fraction(1, 2))]
     for form, side in ((exterior_derivative(w), chain), (w, faces)):
         est = integrate_over_chain(form, side, scenario.refinement)
-        assert bracket_contains(est, exact), (est, exact)
+        assert all(bracket_contains(est, v) for v in values), (est, exact)
 
 
 def _square(text: str, theta=Theta.TYPE1):
@@ -548,7 +573,8 @@ def _square(text: str, theta=Theta.TYPE1):
 @pytest.mark.parametrize("theta", THETAS)
 def test_fallback_is_the_darboux_refinement(text, refinement, theta):
     f, rect, w, cube = _square(text, theta)
-    assert stokes.polynomial_estimate(f, rect) is None
+    with pytest.raises(NotPolynomial):
+        pullback_polynomial(cube.mapping, w)
     est = integrate_over_cube(w, cube, refinement)
     assert est.subdivisions > 0
     assert est == integral_estimate(
@@ -575,7 +601,8 @@ def test_bracket_wider_than_the_tolerance_falls_back():
     # the exact bracket always has a gap, so tolerance 0 refines, and
     # runs out of budget as it did before exact brackets
     f, rect, w, cube = _square("x1*x2")
-    assert stokes.polynomial_estimate(f, rect).gap_re > 0.0
+    register = pullback_polynomial(cube.mapping, w)
+    assert stokes.polynomial_estimate(register, rect).gap_re > 0.0
     refinement = Refinement(0.0, 0.0, 2, 1)
     with pytest.raises(NotConverged) as got:
         integrate_over_cube(w, cube, refinement)
@@ -587,7 +614,8 @@ def test_bracket_wider_than_the_tolerance_falls_back():
 
 def test_non_finite_exact_bracket_falls_back_to_the_overflow():
     f, rect, w, cube = _square("1e200*x1*1e200")
-    assert stokes.polynomial_estimate(f, rect) is None
+    register = pullback_polynomial(cube.mapping, w)
+    assert stokes.polynomial_estimate(register, rect) is None
     with pytest.raises(OverflowError, match="not finite"):
         integrate_over_cube(w, cube, Refinement())
 
@@ -666,16 +694,13 @@ def test_warped_tiling(scenario, monkeypatch):
 
 @pytest.mark.parametrize("scenario", load_scenarios(_FOLDED_PRIMITIVE),
                          ids=lambda s: s.name)
-def test_folded_primitive_is_exact_after_the_symbolic_pullback(
-        scenario, monkeypatch):
-    # sin(x3) is no polynomial on registers, but on the face x3 = 0.5 the
-    # symbolic pullback folds it to the constant sin(0.5), so the
-    # integrand it gives is a polynomial, and its bracket exact
-    calls = []
-    symbolic = stokes.pullback
-    monkeypatch.setattr(stokes, "pullback",
-                        lambda f, w: calls.append(f) or symbolic(f, w))
+def test_folded_primitive_is_exact_on_registers(scenario, monkeypatch):
+    # on the face x3 = 0.5, x3 is a constant register, and sin of it folds
+    # to the constant register of sin(0.5): every integrand is a
+    # polynomial register, every bracket exact, and nothing is pulled
+    # back symbolically
+    monkeypatch.setattr(stokes, "integral_estimate",
+                        lambda f, rect, **_: pytest.fail(f"{f} refines"))
+    assert _pullbacks(scenario, monkeypatch) == 0
     report = run_scenario(scenario)
-    assert report.converged and report.passed
     assert report.lhs.subdivisions == report.rhs.subdivisions == 0
-    assert calls
