@@ -327,9 +327,14 @@ def _key_weights(count: int) -> tuple:
 
 
 def _agree(left: _Fingerprint, right: _Fingerprint, tol: float) -> bool:
-    """Maps of one signature within `tol` at every point, in point order."""
+    """Maps of one signature within `tol` at every point, in point order;
+    equal finite floats (their sum is finite) agree for `tol` >= 0."""
+    equal_agrees = tol >= 0  # False for NaN
     for i in range(len(left.points)):
-        for x, y in zip(left.at(i), right.at(i)):
+        xs, ys = left.at(i), right.at(i)
+        if equal_agrees and xs == ys and (total := sum(xs)) - total == 0.0:
+            continue
+        for x, y in zip(xs, ys):
             if not abs(x - y) <= tol:  # so NaN and inf never agree
                 return False
     return True

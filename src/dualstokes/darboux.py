@@ -419,7 +419,7 @@ def _weight_table(key: str, ends: tuple, degree: int) -> tuple:
     return tuple(table)
 
 
-def polynomial_estimate(f: tuple, rect: ThetaRectangle
+def polynomial_estimate(f: tuple, rect: ThetaRectangle | Theta
                         ) -> IntegralEstimate | None:
     """The exact integral of a polynomial integrand, a constant included,
     in a bracket that bounds every rounding; None when that bracket is
@@ -428,8 +428,9 @@ def polynomial_estimate(f: tuple, rect: ThetaRectangle
     `f` is a polynomial register of :mod:`.expr`, monomials ``c x^P``
     with dual float coefficients, as :func:`.forms.pullback_polynomial`
     and :func:`.expr.expand_polynomial` make; its variables beyond the
-    rectangle's dimension are not checked.  By the fundamental
-    theorem of calculus, which the dual reals keep (eps^2 = 0), each
+    rectangle's dimension are not checked; a :class:`.dual.Theta` for
+    `rect` is a point, where a constant integrates to itself.  By the
+    fundamental theorem of calculus, which the dual reals keep (eps^2 = 0), each
     integrates over the box to ``c`` times the product over the axes of
     ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)``, and the value is the sum of
     those products, all in the float operations of ``Dual``.
@@ -472,7 +473,10 @@ def polynomial_estimate(f: tuple, rect: ThetaRectangle
     order, as a Darboux bracket's do, and ``subdivisions`` is 0.
     """
     terms, shadow, order, degree = f
-    tables = [_axis_weights(iv, degree) for iv in rect.intervals]
+    theta, intervals = (rect, ()) if isinstance(rect, Theta) else (
+        rect.theta, rect.intervals)
+    tables = ([_axis_weights(iv, degree) for iv in intervals]
+              or [((1.0, 0.0, 1.0, 0),)])  # a point's weight, exactly 1
     mask = (1 << KEY_BITS) - 1
     v_re = v_ze = 0.0
     w_top, n_top = 0.0, 0
@@ -499,7 +503,7 @@ def polynomial_estimate(f: tuple, rect: ThetaRectangle
     hi_re = math.nextafter(v_re + radius, math.inf)
     lo_ze = math.nextafter(v_ze - radius, -math.inf)
     hi_ze = math.nextafter(v_ze + radius, math.inf)
-    if rect.theta.sign < 0:
+    if theta.sign < 0:
         lo_ze, hi_ze = hi_ze, lo_ze
     est = IntegralEstimate.from_bounds(Dual(lo_re, lo_ze), Dual(hi_re, hi_ze),
                                        0)

@@ -4,10 +4,10 @@ For a (k-1)-form w and a k-chain c the claim under test is that the
 integral of dw over c matches the integral of w over the normalized
 boundary of c.  Both sides are sums of per-cube brackets, so each
 carries an explicit gap: exact brackets for polynomial integrands,
-constants included, Darboux brackets for the rest.  The verdict compares
-the bracket midpoints against a tolerance derived from those gaps (with
-an absolute floor), which keeps the check honest — a sloppy bracket
-widens the tolerance instead of silently passing.
+constants and points included, Darboux brackets for the rest.  The
+verdict compares the bracket midpoints against a tolerance derived from
+those gaps (with an absolute floor), which keeps the check honest — a
+sloppy bracket widens the tolerance instead of silently passing.
 
 Scenarios bundle a form, a chain, and refinement settings into a plain
 dict (JSON-friendly).  Loading validates every field, rejecting
@@ -26,9 +26,10 @@ from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       NotConverged, NotFinite, integral_estimate,
                       polynomial_estimate)
 from .dual import Dual, Record, Theta
-from .expr import ExprMap, NotPolynomial, ParseError, eval_dual, parse_expr
+from .expr import (_POLYS, ExprMap, NotPolynomial, ParseError, eval_dual,
+                   parse_expr, poly_diff, poly_pin)
 from .forms import (DiffForm, exterior_derivative, pullback,
-                    pullback_polynomial)
+                    pullback_polynomial, pullback_registers)
 
 DEFAULT_STOKES_TOL = 1e-3
 REPORT_SCHEMA_VERSION = "stokes-report/1"
@@ -105,42 +106,101 @@ class Refinement(Record):
 # integration of forms over cubes and chains
 
 
+# A verdict's registers, which `verify_stokes` hands to every term of both
+# sides as `integrate_over_cube`'s `_verdict`: a dict from the id of each
+# root map F of arity k (the chain keeps it alive) to the R_i of
+# F*w = sum_i R_i dx^(i omitted), from one run of F's program, or None
+# where they raise, and under None the symbolic dw, built only if a term
+# of the chain falls back to its own pullback.  A cube of the chain
+# integrates d(F*w) = sum_i (-1)^i dR_i/dx_i, and its face x_i = v
+# integrates R_i pinned at v, so neither needs dw.
+
+
+def _verdict_integrand(w: DiffForm, cube: SingularCube, verdict: dict):
+    # the cube's integrand register from its root's R_i; None for a cube
+    # that is no root of arity k or face of one, or whose R_i raise
+    root, pins = cube.mapping._pin or (cube.mapping, ())
+    k = w.k + 1
+    if root.arity != k or len(pins) > 1:
+        return None
+    key = id(root)
+    if key not in verdict:
+        try:  # the targets omit x(k), ..., x1, in that order
+            verdict[key] = [*pullback_registers(root, w).values()][::-1]
+        except (NotPolynomial, OverflowError):
+            verdict[key] = None
+    coeffs = verdict[key]
+    if coeffs is None:
+        return None
+    if pins:
+        (i, value), = pins
+        return poly_pin(coeffs[i], i, value)
+    add, sub = _POLYS[2:4]
+    total = poly_diff(coeffs[0], 0)
+    for i in range(1, k):
+        total = (sub if i % 2 else add)(total, poly_diff(coeffs[i], i))
+    return total
+
+
+def _bracket(register, cube: SingularCube) -> IntegralEstimate | None:
+    # over the cube's rectangle, or a 0-cube's point
+    return polynomial_estimate(
+        register, cube.domain.rectangle() if cube.k else cube.theta)
+
+
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
-                        refinement: Refinement) -> IntegralEstimate:
+                        refinement: Refinement, *,
+                        _verdict: dict | None = None) -> IntegralEstimate:
     """Pull the form back through the cube's map and integrate the result.
 
-    The exact bracket of the pullback on polynomial registers is taken
-    when its gaps meet the refinement's tolerances; exp, sin or cos of a
-    constant register, such as a coordinate that the map holds fixed,
-    folds to a constant there.  Otherwise the symbolic pullback's
-    integrand takes the Darboux refinement.
+    The pullback runs on polynomial registers, and its bracket over the
+    cube's rectangle, or a 0-cube's point, is taken within the
+    refinement's tolerances; a wider one raises NotConverged carrying
+    it.  Only an integrand that is no polynomial register, or whose
+    bracket is not finite, takes the Darboux refinement of the symbolic
+    pullback, or for a 0-cube its point value.  Within a verdict, a cube
+    of the chain integrates d of the form, and a term first tries its
+    root's registers (`_verdict`, see :func:`_verdict_integrand`).
     """
+    if _verdict is not None:
+        register = _verdict_integrand(w, cube, _verdict)
+        est = None if register is None else _bracket(register, cube)
+        if (est is not None and est.gap_re <= refinement.tol_re
+                and est.gap_ze <= refinement.tol_ze):
+            return est
+        if cube.k > w.k:
+            if None not in _verdict:
+                _verdict[None] = exterior_derivative(w)
+            w = _verdict[None]
     if w.n != cube.n:
         raise ValueError(
             f"form lives in dimension {w.n} but the cube maps into {cube.n}")
     if w.k != cube.k:
         raise ValueError(
             f"cannot integrate a {w.k}-form over a {cube.k}-cube")
+    try:
+        est = _bracket(pullback_polynomial(cube.mapping, w), cube)
+    except (NotPolynomial, OverflowError):  # an int constant past floats
+        est = None
+    if est is not None:
+        if est.gap_re <= refinement.tol_re and est.gap_ze <= refinement.tol_ze:
+            return est
+        raise NotConverged(est, refinement.tol_re, refinement.tol_ze)
     if cube.k == 0:
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
-    rect = cube.domain.rectangle()
-    try:
-        est = polynomial_estimate(pullback_polynomial(cube.mapping, w), rect)
-    except (NotPolynomial, OverflowError):  # an int constant past floats
-        est = None
-    if (est is not None and est.gap_re <= refinement.tol_re
-            and est.gap_ze <= refinement.tol_ze):
-        return est
     integrand = pullback(cube.mapping, w).coefficient(tuple(range(cube.k)))
-    return integral_estimate(integrand, rect, **refinement.to_dict())
+    return integral_estimate(integrand, cube.domain.rectangle(),
+                             **refinement.to_dict())
 
 
-def integrate_over_chain(w: DiffForm, chain: Chain,
-                         refinement: Refinement) -> IntegralEstimate:
+def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,
+                         *, _verdict: dict | None = None
+                         ) -> IntegralEstimate:
     """Weighted sum of per-cube brackets over the normalized chain.
 
-    Gaps accumulate by |weight|.  Raises :class:`.darboux.NotFinite`
+    Gaps accumulate by |weight|; `_verdict` is
+    :func:`integrate_over_cube`'s.  Raises :class:`.darboux.NotFinite`
     when a cube's bracket, or the sum's value or a gap, is not finite.
     """
     chain = chain_normalize(chain)
@@ -148,7 +208,7 @@ def integrate_over_chain(w: DiffForm, chain: Chain,
     finest = 0
     for weight, cube in chain.terms:
         try:
-            est = integrate_over_cube(w, cube, refinement)
+            est = integrate_over_cube(w, cube, refinement, _verdict=_verdict)
         except NotFinite as exc:
             raise NotFinite(f"the chain sum is not finite: {exc}") from exc
         a, b = weight * est.lower.re, weight * est.upper.re
@@ -299,10 +359,12 @@ def verify_stokes(w: DiffForm, chain: Chain,
                   scenario: str | None = None) -> StokesReport:
     """Compare the chain integral of dw with the boundary integral of w.
 
-    The pass tolerance per component is the larger of `tol_floor` and
-    ten times the summed bracket gaps, so the verdict never claims more
-    precision than the integrations delivered.  A blown refinement
-    budget yields converged=False rather than an exception.
+    Both sides integrate from one register pullback of w per root map,
+    so a polynomial verdict builds no symbolic dw.  The pass tolerance
+    per component is the larger of `tol_floor` and ten times the summed
+    bracket gaps, so the verdict never claims more precision than the
+    integrations delivered.  A blown refinement budget, or a bracket
+    wider than the tolerances, yields converged=False, not an exception.
     """
     if w.k != chain.k - 1:
         raise ValueError(
@@ -313,9 +375,11 @@ def verify_stokes(w: DiffForm, chain: Chain,
             f"form dimension {w.n} does not match chain dimension {chain.n}")
     meta = dict(scenario=scenario, theta=chain.theta, r=chain.r,
                 k=chain.k, n=chain.n)
+    verdict = {}
     try:
-        lhs = integrate_over_chain(exterior_derivative(w), chain, refinement)
-        rhs = integrate_over_chain(w, boundary(chain), refinement)
+        lhs = integrate_over_chain(w, chain, refinement, _verdict=verdict)
+        rhs = integrate_over_chain(w, boundary(chain), refinement,
+                                   _verdict=verdict)
     except NotConverged as exc:
         return StokesReport(
             converged=False, passed=False, lhs=None, rhs=None,

@@ -321,15 +321,25 @@ def reference_exact_map(mapping: ExprMap, roots: dict = None) -> list:
     substitution is folded in.  `roots`, when given, keeps each root
     map's exact components, so the faces of one root expand it once."""
     root, pins = mapping._pin or (mapping, ())
-    exact = None if roots is None else roots.get(root)
-    if exact is None:
-        exact = [reference_exact_expansion(c) for c in root.components]
-        if roots is not None:
-            roots[root] = exact
-    for index, value in reversed(pins):  # descending root indices
-        exact = [_exact_pin(c, index, (Fraction(value.re), Fraction(value.ze)))
-                 for c in exact]
-    return exact
+    exact = _exact_root(root, {} if roots is None else roots)[0]
+    return _exact_pins(exact, pins)
+
+
+def _exact_root(root: ExprMap, roots: dict) -> tuple:
+    # the root map's exact components and their jacobian, kept in roots
+    if root not in roots:
+        comps = [reference_exact_expansion(c) for c in root.components]
+        roots[root] = comps, [[reference_exact_partial(c, j)
+                               for j in range(root.arity)] for c in comps]
+    return roots[root]
+
+
+def _exact_pins(polys: list, pins) -> list:
+    # each polynomial with the pinned constants in, at descending indices
+    for index, value in reversed(pins):
+        value = Fraction(value.re), Fraction(value.ze)
+        polys = [_exact_pin(poly, index, value) for poly in polys]
+    return polys
 
 
 def _exact_pin(poly: dict, index: int, value) -> dict:
@@ -361,27 +371,43 @@ def reference_exact_pullback(mapping: ExprMap, w, roots: dict = None,
                              extra=None) -> dict:
     """The coefficient on dx1^...^dxm of the pullback of the m-form `w`
     through the map of arity m, as an exact polynomial: the components
-    expanded (:func:`reference_exact_map`), their partials, each minor by
-    permutation expansion with the sign counted from inversions, and
-    each coefficient expanded and composed with the components, all in
-    ``Fraction`` arithmetic.  `w` is a :class:`DiffForm`, or its
-    coefficients as ``{index: exact polynomial}``; `roots` is
-    :func:`reference_exact_map`'s.  A coefficient with variables past
-    the components' takes ``extra(components, m)`` for them, as
-    :func:`reference_formal_values` gives."""
+    expanded, their partials, each minor by permutation expansion with
+    the sign counted from inversions, and each coefficient expanded and
+    composed with the components, all in ``Fraction`` arithmetic.  `w`
+    is a :class:`DiffForm`, or its coefficients as ``{index: exact
+    polynomial}``.  A coefficient with variables past the components'
+    takes ``extra(components, m)`` for them, as
+    :func:`reference_formal_values` gives.
+
+    A pinned map's is its root map's coefficient on the root's unpinned
+    axes, with the pinned constants in (:func:`_exact_pin`): each root
+    map's components, jacobian, coefficients composed with them, and
+    minors are taken once and kept in `roots`, when given, per root and
+    coefficient dict, which must then live as long as `roots`."""
     if not isinstance(w, dict):
         w = {index: reference_exact_expansion(coeff)
              for index, coeff in w.coeffs.items()}
-    m = mapping.arity
-    comps = reference_exact_map(mapping, roots)
-    jac = [[reference_exact_partial(c, j) for j in range(m)] for c in comps]
-    args = comps + extra(comps, m) if extra else comps
-    total = {}
-    for index, coeff in w.items():
-        det = reference_exact_det([jac[i] for i in index], m)
-        composed = reference_exact_compose(coeff, args, m)
-        total = _exact_add(total, _exact_mul(composed, det))
-    return total
+    roots = {} if roots is None else roots
+    root, pins = mapping._pin or (mapping, ())
+    pinned = {index for index, _ in pins}
+    target = tuple(j for j in range(root.arity) if j not in pinned)
+    key = (root, id(w), target)
+    if key not in roots:
+        comps, jac = _exact_root(root, roots)
+        if (root, id(w)) not in roots:
+            args = comps + extra(comps, root.arity) if extra else comps
+            roots[root, id(w)] = {
+                index: reference_exact_compose(coeff, args, root.arity)
+                for index, coeff in w.items()}
+        total = {}
+        for index, composed in roots[root, id(w)].items():
+            det = roots.get((root, index, target))
+            if det is None:
+                det = roots[root, index, target] = reference_exact_det(
+                    [[jac[i][j] for j in target] for i in index], root.arity)
+            total = _exact_add(total, _exact_mul(composed, det))
+        roots[key] = total
+    return _exact_pins([roots[key]], pins)[0]
 
 
 # Forms whose coefficients take exp, sin and cos of coordinates: in
@@ -529,25 +555,27 @@ def reference_exact_integral(f, rect: ThetaRectangle):
     Each monomial ``c x^P`` of :func:`reference_exact_expansion` integrates
     to ``c`` times the product over the axes of
     ``(b^(p+1) - a^(p+1)) / (p+1)``, in exact dual arithmetic from the
-    rectangle's float endpoints.  Returns ``(re, ze)`` as Fractions.
+    rectangle's float endpoints, one table of them per interval.  Returns
+    ``(re, ze)`` as Fractions.
     """
-    @functools.cache
-    def piece(axis: int, p: int):
-        iv = rect.intervals[axis]
-        ends = [(Fraction(x.re), Fraction(x.ze)) for x in (iv.a, iv.b)]
-        lo, hi = (_exact_dual_power(x, p + 1) for x in ends)
-        return (hi[0] - lo[0]) / (p + 1), (hi[1] - lo[1]) / (p + 1)
-
     poly = f if isinstance(f, dict) else reference_exact_expansion(f)
     total_re = total_ze = Fraction(0)
     for key, (c_re, c_ze) in poly.items():
         w = (Fraction(1), Fraction(0))
-        for axis, p in enumerate(key):
-            w_re, w_ze = piece(axis, p)
+        for iv, p in zip(rect.intervals, key, strict=True):
+            w_re, w_ze = _exact_weight(iv, p)
             w = (w[0] * w_re, w[0] * w_ze + w[1] * w_re)
         total_re += c_re * w[0]
         total_ze += c_re * w[1] + c_ze * w[0]
     return total_re, total_ze
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_weight(iv: ThetaInterval, p: int) -> tuple:
+    # (b^(p+1) - a^(p+1)) / (p+1) of the interval, exactly
+    ends = [(Fraction(x.re), Fraction(x.ze)) for x in (iv.a, iv.b)]
+    lo, hi = (_exact_dual_power(x, p + 1) for x in ends)
+    return (hi[0] - lo[0]) / (p + 1), (hi[1] - lo[1]) / (p + 1)
 
 
 def bracket_contains(est, value) -> bool:

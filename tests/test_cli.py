@@ -273,11 +273,17 @@ def test_verify_wave_of_non_finite_argument_is_overflow(tmp_path, expr):
     assert "overflowed the float range" in err
 
 
+# tolerances that a register bracket of a value near 1e300 meets
+_WIDE = {"tol_re": 1e300, "tol_ze": 1e300}
+
+
 def test_integrate_chain_sum_past_the_float_range_is_overflow(tmp_path):
-    # each cube's bracket is finite; weight times bracket is not
+    # each cube's bracket is finite, and its gap, about 1e-14 of its
+    # value, within the tolerance; weight times bracket is not finite
     big = {**_AREA, "form": {"degree": 2, "coeffs": [
         {"index": [1, 2], "expr": "1e300"}]},
-        "cubes": [{"weight": 10 ** 30, "map": ["x1", "x2"]}]}
+        "cubes": [{"weight": 10 ** 30, "map": ["x1", "x2"]}],
+        "refinement": _WIDE}
     err = _assert_config_error_in_subprocess(tmp_path, big,
                                              command="integrate")
     assert "overflowed the float range" in err
@@ -288,7 +294,8 @@ def test_verify_chain_sum_past_the_float_range_is_overflow(tmp_path):
     # both sides overflow: a NaN verdict would exit 1 as a failed check
     big = {**_AREA, "form": {"degree": 1, "coeffs": [
         {"index": [2], "expr": "1e120*x1"}]},
-        "cubes": [{"weight": 10 ** 200, "map": ["x1", "x2"]}] * 2}
+        "cubes": [{"weight": 10 ** 200, "map": ["x1", "x2"]}] * 2,
+        "refinement": _WIDE}
     report = tmp_path / "report.json"
     err = _assert_config_error_in_subprocess(tmp_path, big,
                                              "--json", str(report))

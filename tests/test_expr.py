@@ -19,13 +19,13 @@ from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
                              _NODES, _PAIRS, _POLYS, Add, Const, Mul, Neg,
                              NotPolynomial, PowInt, Prim, Sub, Var, _add, _mul,
                              _poly_vars, _run, _sub, expand_polynomial,
-                             lower_expr, partial_diffs, poly_diff)
-from helpers import (THETAS, bracket_contains, point_in_box, random_box,
-                     random_expr, random_map, random_poly, reference_cr_check,
-                     reference_diff, reference_enclose, reference_eval,
-                     reference_exact_expansion, reference_exact_integral,
-                     reference_exact_partial, reference_exprs_equal,
-                     reference_primitive_pair,
+                             lower_expr, partial_diffs, poly_diff, poly_pin)
+from helpers import (THETAS, _exact_pin, bracket_contains, point_in_box,
+                     random_box, random_expr, random_map, random_poly,
+                     reference_cr_check, reference_diff, reference_enclose,
+                     reference_eval, reference_exact_expansion,
+                     reference_exact_integral, reference_exact_partial,
+                     reference_exprs_equal, reference_primitive_pair,
                      reference_render, reference_subst, small_point,
                      trees_match)
 
@@ -1276,3 +1276,97 @@ def test_register_derivative_of_a_variable_it_does_not_read_is_zero():
     assert poly_diff(register, 1) == ({}, 0.0, register[2] + 1, 1)
     # the shadow scales by the largest exponent of the variable, 2 here
     assert poly_diff(register, 0)[1] == register[1] * 2
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, 0.5, 1.0))
+def test_register_pin_bounds_the_exact_pin(theta, r):
+    # a seeded register pinned at 0 or at b = 1 +- r*eps, on each of its
+    # variables: its monomials are among those the exact expansion pinned
+    # exactly has, the later variables one lower; its coefficients are
+    # within gamma(2N) times its shadow of those, in 1-norm; and its
+    # bracket over the face's domain, a point for arity 1, holds their
+    # exact integral
+    rng = random.Random(3300 + 10 * int(theta) + int(2 * r))
+    u = Fraction(1, 2 ** 53)
+    checked = 0
+    while checked < 40:
+        arity = rng.randint(1, 3)
+        scale = Expr.constant(Dual(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                              arity)
+        f = random_poly(rng, arity, depth=4) * scale + scale * 0.1
+        try:
+            register = expand_polynomial(f)
+        except NotPolynomial:
+            continue
+        checked += 1
+        exact = reference_exact_expansion(f)
+        for index in range(arity):
+            for value in (Dual(0.0), Dual(1.0, theta.sign * r)):
+                pinned = poly_pin(register, index, value)
+                terms, shadow, order, degree = pinned
+                want = _exact_pin(exact, index,
+                                  (Fraction(value.re), Fraction(value.ze)))
+                got = {_exponents(key, arity - 1): pair
+                       for key, pair in terms.items()}
+                assert got.keys() <= want.keys(), (str(f), index, value)
+                error = Fraction(0)
+                for exps, (w_re, w_ze) in want.items():
+                    re, ze = map(Fraction, got.get(exps, (0.0, 0.0)))
+                    error += abs(re - w_re) + abs(ze - w_ze)
+                assert error <= (2 * order + 1) * u * Fraction(shadow)
+                assert all(sum(exps) <= degree for exps in got)
+                if arity == 1:
+                    est = polynomial_estimate(pinned, theta)
+                    integral = want.get((), (0, 0))
+                else:
+                    rect = CubeDomain(theta, r, arity - 1).rectangle()
+                    est = polynomial_estimate(pinned, rect)
+                    integral = reference_exact_integral(want, rect)
+                assert bracket_contains(est, integral), (str(f), index, value)
+
+
+def test_register_pin_at_zero_or_of_an_absent_variable_is_exact():
+    # at 0 a monomial in the variable vanishes, and one without it keeps
+    # its coefficient: no arithmetic, so shadow and order stay; the
+    # exact zero stays the exact zero at any value
+    register = expand_polynomial(parse_expr("0.1*x1^2*x3 + 0.3*x2*x3 + 7", 3))
+    terms, shadow, order, degree = poly_pin(register, 0, Dual(0.0, -0.0))
+    x2x3, x1x2 = (1 << KEY_BITS) + (1 << 2 * KEY_BITS), 1 + (1 << KEY_BITS)
+    assert terms == {x1x2: register[0][x2x3], 0: register[0][0]}
+    assert (shadow, order, degree) == register[1:]
+    absent = expand_polynomial(parse_expr("0.1*x1 + 2", 2))
+    assert poly_pin(absent, 1, Dual(1.0, 0.5)) == absent
+    zero = ({}, 0.0, 3, 2)
+    for value in (Dual(0.0), Dual(1.0, 0.5), Dual(1.0, -1.0)):
+        assert poly_pin(zero, 1, value)[:2] == ({}, 0.0)
+
+
+def test_register_pin_bounds_the_worst_error_its_shadow_admits():
+    # a register of order N and shadow S admits any exact polynomial
+    # within gamma(N) A of its floats in the 1-norm, A = S / (1 -
+    # gamma(N)); pinned at b = 1 + r*eps, the worst one, off by that on
+    # its monomial in x1^p, moves by |b^p| = 1 + p*r times as much, and
+    # the pinned register's shadow and order still bound it
+    u = Fraction(1, 2 ** 53)
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    for p in (1, 5, 10):
+        for r in (0.5, 1.0):
+            key = p + (1 << KEY_BITS)  # x1^p x2
+            register = ({key: (0.3, 0.7), 0: (0.1, 0.0)}, 1.1, 20, p + 1)
+            terms, shadow, order, _ = poly_pin(register, 0, Dual(1.0, r))
+            got = {_exponents(k, 1): pair for k, pair in terms.items()}
+            reach = gamma(20) * Fraction(1.1) / (1 - gamma(20))
+            for d_re, d_ze in ((reach, 0), (-reach, 0), (0, reach),
+                               (0, -reach)):
+                exact = {(p, 1): (Fraction(0.3) + d_re, Fraction(0.7) + d_ze),
+                         (0, 0): (Fraction(0.1), Fraction(0))}
+                want = _exact_pin(exact, 0, (Fraction(1), Fraction(r)))
+                error = sum(abs(Fraction(got.get(e, (0.0, 0.0))[i]) - c[i])
+                            for e, c in want.items() for i in (0, 1))
+                bound = Fraction(shadow) / (1 - gamma(order))
+                assert error <= gamma(order) * bound, (p, r)
+                assert sum(abs(x) for c in want.values() for x in c) <= bound

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         scenario_from_dict, standard_cube, theta_cmp,
                         verify_stokes, write_report_csv, write_report_json)
 from dualstokes.darboux import NotFinite
-from dualstokes.expr import NotPolynomial
+from dualstokes.expr import _POLYS, NotPolynomial
 from dualstokes.forms import pullback_polynomial
 from helpers import (THETAS, FormalSum, _exact_add, bracket_contains,
                      load_bench_module, random_chain, random_form,
@@ -69,12 +70,13 @@ def test_refinement_from_dict():
 
 
 def test_zero_cube_integral_is_exact_eval():
+    # the point's register bracket: it bounds the roundings of the value
     dom = CubeDomain(Theta.TYPE1, 0.5, 0)
     cube = SingularCube(dom, ExprMap((parse_expr("2", 0),)))
     w = DiffForm(1, 0, {(): parse_expr("x1^2+1", 1)})
     est = integrate_over_cube(w, cube, Refinement())
     assert est.value == Dual(5.0, 0.0)
-    assert est.gap_re == 0.0 and est.gap_ze == 0.0
+    assert bracket_contains(est, (5, 0))
     assert est.subdivisions == 0
 
 
@@ -107,10 +109,13 @@ def test_empty_chain_integral_is_zero():
     ("1.7e308", 1),       # finite sums whose midpoint overflows
 ])
 def test_chain_sum_past_the_float_range_overflows(text, weight):
+    # a tolerance that the cube's register bracket, about 1e-14 of its
+    # value wide, meets, so that the chain sum is reached
     w = DiffForm(2, 2, {(0, 1): parse_expr(text, 2)})
     cube = standard_cube(Theta.TYPE1, 0.5, 2)
     with pytest.raises(OverflowError, match="chain sum is not finite"):
-        integrate_over_chain(w, chain_of(cube, weight), Refinement())
+        integrate_over_chain(w, chain_of(cube, weight),
+                             Refinement(1e300, 1e300))
 
 
 def test_type2_bracket_orientation():
@@ -415,7 +420,9 @@ _FOLDED_PRIMITIVE = Path(__file__).with_name("folded_primitive_scenarios.json")
 _TILED_CHAIN = Path(__file__).with_name("tiled_chain_scenarios.json")
 _SCENARIO_FILES = {
     "polynomial-chain": _POLYNOMIAL_CHAIN, "tiled-chain": _TILED_CHAIN,
-    "dimension": Path(__file__).with_name("dimension_scenarios.json")}
+    "dimension": Path(__file__).with_name("dimension_scenarios.json"),
+    "cancelling-derivative": Path(__file__).with_name(
+        "cancelling_derivative_scenarios.json")}
 
 _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
           + [("saddle-fine", 0)]
@@ -438,85 +445,11 @@ _FOLDED = [("folded-primitive", s.name)
            for s in load_scenarios(_FOLDED_PRIMITIVE)]
 
 
-@pytest.mark.parametrize("kind, arg", _FIXED + _FILED)
-def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
-    scenario = _fixed_scenario(kind, arg)
-    monkeypatch.setattr(stokes, "integral_estimate",
-                        lambda f, rect, **_: pytest.fail(f"{f} refines"))
-    brackets = []
-    integrate = stokes.integrate_over_cube
-
-    def spy(w, cube, refinement):
-        est = integrate(w, cube, refinement)
-        brackets.append((w, cube, est))
-        return est
-
-    monkeypatch.setattr(stokes, "integrate_over_cube", spy)
-    report = run_scenario(scenario)
-    assert report.converged and report.passed
-    # every cube integral, constants included, is an exact bracket that
-    # holds the exact integral of the literal form over the literal map,
-    # and a face's over its cube's map composed exactly with the pinned
-    # endpoint; a 0-cube is a point value, not an integral
-    faces, roots = 0, {}  # each root map expanded once
-    for w, cube, est in brackets:
-        faces += cube.mapping._pin is not None
-        if cube.k:
-            assert bracket_contains(est, reference_exact_integral(
-                reference_exact_pullback(cube.mapping, w, roots),
-                cube.domain.rectangle())), cube
-    assert faces == len(chain_normalize(boundary(scenario.chain)).terms)
-    if kind == "tiled-chain-3d":
-        for side in (report.lhs, report.rhs):
-            assert side.gap_re < 1e-9 and side.gap_ze < 1e-9
-        for part in ("re", "ze"):
-            (lo1, hi1), (lo2, hi2) = (
-                sorted((getattr(s.lower, part), getattr(s.upper, part)))
-                for s in (report.lhs, report.rhs))
-            assert max(lo1, lo2) <= min(hi1, hi2), part
-
-
-def _exact_chain_integral(coeffs, chain, roots: dict, extra=None) -> tuple:
-    """The weighted sum of the exact integrals of the form with exact
-    coefficients `coeffs` over each term of the chain, unnormalized; a
-    0-cube's is the form's exact value at its point.  `roots` and
-    `extra` are ``reference_exact_pullback``'s."""
-    total_re = total_ze = Fraction(0)
-    for weight, cube in chain.terms:
-        poly = reference_exact_pullback(cube.mapping, coeffs, roots, extra)
-        re, ze = (poly.get((), (0, 0)) if cube.k == 0 else
-                  reference_exact_integral(poly, cube.domain.rectangle()))
-        total_re, total_ze = total_re + weight * re, total_ze + weight * ze
-    return total_re, total_ze
-
-
-_ROUNDED_ENDS = pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 2: a curve's boundary is 0-cubes, whose point values "
-        "IntegralEstimate.exact rounds to nearest with gap 0, so the rhs "
-        "bracket misses the exact value of the float data"))
-
-
-@pytest.mark.parametrize("kind, arg", [
-    pytest.param(kind, arg, marks=_ROUNDED_ENDS)
-    if arg == "rounded-ends-curve-type1" else (kind, arg)
-    for kind, arg in _FILED + _FOLDED] + [
-    ("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS] + [
-    ("tiled-chain-3d", seed) for seed in range(1, 21)])
-def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
-    # the integral of dw over the chain and of w over its boundary, both
-    # exact in dual rationals: d from the coefficients' exact partials,
-    # each face its root map composed exactly with its pinned endpoints,
-    # a 0-cube its exact point value, and every face summed, the
-    # cancelling ones included.  The two are equal, and each float chain
-    # bracket holds that value.  Every bundled scenario and every scenario
-    # file but the folded-primitive and nonpolynomial ones is polynomial;
-    # the folded-primitive ones take sin(x3) on the face x3 = 0.5, so
-    # their exact values are formal sums in sin(1/2) and cos(1/2), and
-    # must be the same rational multiple of sin(1/2)
-    scenario = _fixed_scenario(kind, arg)
-    w, chain = scenario.form, scenario.chain
-    formal = kind == "folded-primitive"
+def _exact_forms(w, formal: bool = False) -> tuple:
+    """The coefficients of w and of dw as exact polynomials, dw from the
+    exact partials of w's, and ``reference_exact_pullback``'s `extra`.
+    With `formal`, exp, sin and cos of a coordinate are formal variables
+    (``reference_formal_expansion``)."""
     expand, partial, extra = ((
         reference_formal_expansion,
         lambda poly, i: reference_formal_partial(poly, i, w.n),
@@ -532,9 +465,89 @@ def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
             sign = (-1) ** sum(j < i for j in index)
             key = tuple(sorted(index + (i,)))
             dw[key] = _exact_add(dw.get(key, {}), partial(poly, i), sign)
+    return exact_w, dw, extra
+
+
+def _exact_cube_integral(coeffs, cube, roots: dict, extra=None) -> tuple:
+    """The exact integral of the form with exact coefficients `coeffs`
+    over the cube; a 0-cube's is the form's exact value at its point.
+    `roots` and `extra` are ``reference_exact_pullback``'s."""
+    poly = reference_exact_pullback(cube.mapping, coeffs, roots, extra)
+    if cube.k == 0:
+        return poly.get((), (0, 0))
+    return reference_exact_integral(poly, cube.domain.rectangle())
+
+
+@pytest.mark.parametrize("kind, arg", _FIXED + _FILED)
+def test_fixed_scenarios_integrate_exactly(kind, arg, monkeypatch):
+    scenario = _fixed_scenario(kind, arg)
+    monkeypatch.setattr(stokes, "integral_estimate",
+                        lambda f, rect, **_: pytest.fail(f"{f} refines"))
+    brackets = []
+    integrate = stokes.integrate_over_cube
+
+    def spy(w, cube, refinement, **private):
+        est = integrate(w, cube, refinement, **private)
+        brackets.append((cube, est))
+        return est
+
+    monkeypatch.setattr(stokes, "integrate_over_cube", spy)
+    report = run_scenario(scenario)
+    assert report.converged and report.passed
+    # every bracket that the verdict sums, 0-cubes included, holds the
+    # exact integral of the literal form's d over a cube of the chain,
+    # and of the form over a face, its cube's map composed exactly with
+    # the pinned endpoint
+    exact_w, dw, _ = _exact_forms(scenario.form)
+    faces, roots = 0, {}  # each root map's pullbacks taken once
+    for cube, est in brackets:
+        faces += cube.mapping._pin is not None
+        coeffs = dw if cube.k == scenario.k else exact_w
+        assert bracket_contains(
+            est, _exact_cube_integral(coeffs, cube, roots)), cube
+    assert faces == len(chain_normalize(boundary(scenario.chain)).terms)
+    if kind == "tiled-chain-3d":
+        for side in (report.lhs, report.rhs):
+            assert side.gap_re < 1e-9 and side.gap_ze < 1e-9
+        for part in ("re", "ze"):
+            (lo1, hi1), (lo2, hi2) = (
+                sorted((getattr(s.lower, part), getattr(s.upper, part)))
+                for s in (report.lhs, report.rhs))
+            assert max(lo1, lo2) <= min(hi1, hi2), part
+
+
+def _exact_chain_integral(coeffs, chain, roots: dict, extra=None) -> tuple:
+    """The weighted sum of :func:`_exact_cube_integral` over each term of
+    the chain, unnormalized."""
+    total_re = total_ze = Fraction(0)
+    for weight, cube in chain.terms:
+        re, ze = _exact_cube_integral(coeffs, cube, roots, extra)
+        total_re, total_ze = total_re + weight * re, total_ze + weight * ze
+    return total_re, total_ze
+
+
+@pytest.mark.parametrize("kind, arg", _FILED + _FOLDED + [
+    ("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS] + [
+    ("tiled-chain-3d", seed) for seed in range(1, 21)])
+def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
+    # the integral of dw over the chain and of w over its boundary, both
+    # exact in dual rationals: d from the coefficients' exact partials,
+    # each face its root map composed exactly with its pinned endpoints,
+    # a 0-cube its exact point value, and every face summed, the
+    # cancelling ones included.  The two are equal, and each float chain
+    # bracket holds that value: the verdict's own two, and the chain
+    # integrals of dw and w outside a verdict.  Every bundled scenario
+    # and every scenario file but the folded-primitive and nonpolynomial
+    # ones is polynomial; the folded-primitive ones take sin(x3) on the
+    # face x3 = 0.5, so their exact values are formal sums in sin(1/2)
+    # and cos(1/2), and must be the same rational multiple of sin(1/2)
+    scenario = _fixed_scenario(kind, arg)
+    w, chain = scenario.form, scenario.chain
+    formal = kind == "folded-primitive"
+    exact_w, dw, extra = _exact_forms(w, formal)
     faces = boundary(chain)
     assert len(faces.terms) == 2 * chain.k * len(chain.terms)
-    roots = {}  # each root map expanded once, for its cube and its faces
+    roots = {}  # each root map's pullbacks taken once, for all its faces
     exact = _exact_chain_integral(dw, chain, roots, extra)
     assert exact == _exact_chain_integral(exact_w, faces, roots, extra)
     assert exact != (0, 0)
@@ -548,9 +561,18 @@ def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
         q_re, q_ze = (terms.get(sine, 0) for terms in parts)
         values = [(q_re * s, q_ze * s)
                   for s in reference_primitive("sin", Fraction(1, 2))]
-    for form, side in ((exterior_derivative(w), chain), (w, faces)):
-        est = integrate_over_chain(form, side, scenario.refinement)
+    report = run_scenario(scenario)
+    for est in (report.lhs, report.rhs,
+                integrate_over_chain(w, faces, scenario.refinement)):
         assert all(bracket_contains(est, v) for v in values), (est, exact)
+    # ROADMAP item 3(b): exterior_derivative folds the constants of the
+    # partials in floats, and the chain integral of that d, outside a
+    # verdict, misses the exact value where a fold rounds, as the
+    # cancelling-derivative scenarios' does; a verdict builds no d
+    est = integrate_over_chain(exterior_derivative(w), chain,
+                               scenario.refinement)
+    assert all(bracket_contains(est, v) for v in values) == (
+        kind != "cancelling-derivative"), (est, exact)
 
 
 def _square(text: str, theta=Theta.TYPE1):
@@ -597,19 +619,42 @@ def test_constant_bracket_holds_the_exact_value(theta):
     assert bracket_contains(est, exact)
 
 
-def test_bracket_wider_than_the_tolerance_falls_back():
-    # the exact bracket always has a gap, so tolerance 0 refines, and
-    # runs out of budget as it did before exact brackets
+def test_bracket_wider_than_the_tolerance_falls_back(monkeypatch):
+    # the exact bracket always has a gap, so tolerance 0 is missed: the
+    # cube does not converge, and the NotConverged carries the register
+    # bracket, not a refinement of the float-folded integrand
     f, rect, w, cube = _square("x1*x2")
     register = pullback_polynomial(cube.mapping, w)
-    assert stokes.polynomial_estimate(register, rect).gap_re > 0.0
-    refinement = Refinement(0.0, 0.0, 2, 1)
+    est = stokes.polynomial_estimate(register, rect)
+    assert est.gap_re > 0.0
+    monkeypatch.setattr(stokes, "integral_estimate",
+                        lambda f, rect, **_: pytest.fail(f"{f} refines"))
     with pytest.raises(NotConverged) as got:
-        integrate_over_cube(w, cube, refinement)
-    with pytest.raises(NotConverged) as want:
-        integral_estimate(f, rect, tol_re=0.0, tol_ze=0.0,
-                          base_subdivisions=2, max_doublings=1)
-    assert got.value.estimate == want.value.estimate
+        integrate_over_cube(w, cube, Refinement(0.0, 0.0, 2, 1))
+    assert got.value.estimate == est
+
+
+def test_near_singular_cube_does_not_converge_on_its_register_bracket():
+    # a*d - b*c rounds to 0.0 in floats but is 2^-38 exactly: the register
+    # bracket holds 2^-38 and is too wide for the default tolerance, so
+    # the cube does not converge, and the bracket it carries holds the
+    # exact value, where the Darboux refinement of the folded integrand
+    # gave 0 with gap 0
+    a = d = 2.0 ** 33 * (1 + 2.0 ** -52)
+    b, c = 2.0 ** 33 * (1 + 2.0 ** -51), 2.0 ** 33
+    mapping = ExprMap((parse_expr(f"{a!r}*x1+{b!r}*x2", 2),
+                       parse_expr(f"{c!r}*x1+{d!r}*x2", 2)))
+    cube = SingularCube(CubeDomain(Theta.TYPE1, 0.0, 2), mapping)
+    w = DiffForm(2, 2, {(0, 1): parse_expr("1", 2)})
+    with pytest.raises(NotConverged) as got:
+        integrate_over_cube(w, cube, Refinement())
+    assert 2.0 ** -38 == 3.637978807091713e-12
+    assert bracket_contains(got.value.estimate, (Fraction(1, 2 ** 38), 0))
+    assert got.value.estimate.subdivisions == 0
+    chain = Chain(Theta.TYPE1, 0.0, 2, 2, ((1, cube),))
+    report = verify_stokes(DiffForm(2, 1, {(1,): parse_expr("x1", 2)}),
+                           chain)
+    assert not report.converged and "gap" in report.note
 
 
 def test_non_finite_exact_bracket_falls_back_to_the_overflow():
@@ -642,6 +687,27 @@ def test_polynomial_verdicts_pull_back_on_registers(kind, arg, monkeypatch):
     # boundaries are 0-cubes, a surface in 4-space, r = 1 and negative
     # weights
     assert _pullbacks(_fixed_scenario(kind, arg), monkeypatch) == 0
+
+
+@pytest.mark.parametrize("kind, arg", _FIXED + _FILED + _FOLDED)
+def test_polynomial_verdict_runs_each_root_map_once(kind, arg, monkeypatch):
+    # no symbolic d, no symbolic pullback, and one run of each root map's
+    # program on polynomial registers, which its cube and faces share
+    scenario = _fixed_scenario(kind, arg)
+    runs = Counter()
+    run = ExprMap.run
+
+    def counting(mapping, arith, args):
+        if arith is _POLYS and mapping._pin is None:
+            runs[id(mapping)] += 1
+        return run(mapping, arith, args)
+
+    monkeypatch.setattr(ExprMap, "run", counting)
+    monkeypatch.setattr(stokes, "exterior_derivative",
+                        lambda w: pytest.fail("d is built"))
+    assert _pullbacks(scenario, monkeypatch) == 0
+    assert runs == Counter(id(cube.mapping)
+                           for _, cube in scenario.chain.terms)
 
 
 @pytest.mark.parametrize("scenario", load_scenarios(_NONPOLYNOMIAL),
