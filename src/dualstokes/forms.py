@@ -6,7 +6,7 @@ the symbolic partials, and pullbacks stay symbolic too: the
 change-of-variables determinant is expanded into an expression, so a
 pulled-back form can be differentiated or pulled back again without any
 numerics; but the partials fold their constants in floats, unbounded.
-The same loop runs on polynomial registers (:func:`pullback_registers`),
+The same loop runs on polynomial registers (:func:`pullback_polynomial`),
 whose shadows bound every rounding: a verdict pulls its (k-1)-form back
 once per root map and builds no symbolic ``d w``.  Pointwise evaluation
 hands off to the alternating-tensor machinery.
@@ -180,27 +180,22 @@ def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
     return DiffForm(m, w.k, {t: Expr(node, m) for t, node in out.items()})
 
 
-def pullback_registers(f: ExprMap, w: DiffForm) -> dict:
-    """:func:`pullback`'s coefficients as polynomial registers of
-    :mod:`.expr`: the map's program runs once on them, the form's
-    coefficients run on the components' registers, and the jacobian (by
-    :func:`.expr.poly_diff`) and its minors are registers too, so the
-    shadow and order bound all their roundings.  Raises where
-    :func:`.expr.expand_polynomial` would."""
+def pullback_polynomial(f: ExprMap, w: DiffForm) -> dict:
+    """:func:`pullback`'s coefficient on every target index, as a
+    polynomial register of :mod:`.expr`: the map's program runs once on
+    polynomial registers, the form's coefficients run on the components'
+    registers, and the jacobian (by :func:`.expr.poly_diff`) and its
+    minors are registers too, so the shadow and order bound all their
+    roundings.  Raises where :func:`.expr.expand_polynomial` would."""
+    if f.dim_out != w.n:
+        raise ValueError(
+            f"map lands in dimension {f.dim_out} but the form lives in "
+            f"dimension {w.n}")
     comps = f.run(_POLYS, _poly_vars(f.arity))
     jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
     zero = ({}, 0.0, 0, 0)  # the zero polynomial
     return _pullback(w, comps, jac, ascending_tuples(f.arity, w.k), _POLYS,
                      zero)
-
-
-def pullback_polynomial(f: ExprMap, w: DiffForm) -> tuple:
-    """:func:`pullback`'s coefficient on dx1^...^dxm, for a map of arity m
-    and an m-form, as the register :func:`pullback_registers` gives."""
-    if f.dim_out != w.n or f.arity != w.k:
-        raise ValueError(
-            f"need a form of degree {f.arity} on dimension {f.dim_out}")
-    return pullback_registers(f, w)[tuple(range(f.arity))]
 
 
 wedge_forms = wedge  # the forms-layer name of the shared wedge

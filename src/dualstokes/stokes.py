@@ -29,7 +29,7 @@ from .dual import Dual, Record, Theta
 from .expr import (_POLYS, ExprMap, NotPolynomial, ParseError, eval_dual,
                    parse_expr, poly_diff, poly_pin)
 from .forms import (DiffForm, exterior_derivative, pullback,
-                    pullback_polynomial, pullback_registers)
+                    pullback_polynomial)
 
 DEFAULT_STOKES_TOL = 1e-3
 REPORT_SCHEMA_VERSION = "stokes-report/1"
@@ -126,7 +126,7 @@ def _verdict_integrand(w: DiffForm, cube: SingularCube, verdict: dict):
     key = id(root)
     if key not in verdict:
         try:  # the targets omit x(k), ..., x1, in that order
-            verdict[key] = [*pullback_registers(root, w).values()][::-1]
+            verdict[key] = [*pullback_polynomial(root, w).values()][::-1]
         except (NotPolynomial, OverflowError):
             verdict[key] = None
     coeffs = verdict[key]
@@ -179,7 +179,8 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
         raise ValueError(
             f"cannot integrate a {w.k}-form over a {cube.k}-cube")
     try:
-        est = _bracket(pullback_polynomial(cube.mapping, w), cube)
+        est = _bracket(pullback_polynomial(cube.mapping, w)[
+            tuple(range(cube.k))], cube)
     except (NotPolynomial, OverflowError):  # an int constant past floats
         est = None
     if est is not None:

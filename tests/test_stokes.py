@@ -624,7 +624,7 @@ def test_bracket_wider_than_the_tolerance_falls_back(monkeypatch):
     # cube does not converge, and the NotConverged carries the register
     # bracket, not a refinement of the float-folded integrand
     f, rect, w, cube = _square("x1*x2")
-    register = pullback_polynomial(cube.mapping, w)
+    register = pullback_polynomial(cube.mapping, w)[(0, 1)]
     est = stokes.polynomial_estimate(register, rect)
     assert est.gap_re > 0.0
     monkeypatch.setattr(stokes, "integral_estimate",
@@ -659,7 +659,7 @@ def test_near_singular_cube_does_not_converge_on_its_register_bracket():
 
 def test_non_finite_exact_bracket_falls_back_to_the_overflow():
     f, rect, w, cube = _square("1e200*x1*1e200")
-    register = pullback_polynomial(cube.mapping, w)
+    register = pullback_polynomial(cube.mapping, w)[(0, 1)]
     assert stokes.polynomial_estimate(register, rect) is None
     with pytest.raises(OverflowError, match="not finite"):
         integrate_over_cube(w, cube, Refinement())
@@ -718,7 +718,7 @@ def test_nonpolynomial_verdicts_pull_back_symbolically(scenario, monkeypatch):
 
 def test_register_bracket_that_is_not_finite_falls_back(monkeypatch):
     f, rect, w, cube = _square("x1*1e200*1e200")
-    register = pullback_polynomial(cube.mapping, w)
+    register = pullback_polynomial(cube.mapping, w)[(0, 1)]
     assert any(register[0])  # no constant
     assert stokes.polynomial_estimate(register, rect) is None
     calls = []
