@@ -383,7 +383,7 @@ def reference_exact_pullback(mapping: ExprMap, w, roots: dict = None,
     axes, with the pinned constants in (:func:`_exact_pin`): each root
     map's components, jacobian, coefficients composed with them, and
     minors are taken once and kept in `roots`, when given, per root and
-    coefficient dict, which must then live as long as `roots`."""
+    coefficient dict (kept there too, so its id stays its own)."""
     if not isinstance(w, dict):
         w = {index: reference_exact_expansion(coeff)
              for index, coeff in w.coeffs.items()}
@@ -396,11 +396,11 @@ def reference_exact_pullback(mapping: ExprMap, w, roots: dict = None,
         comps, jac = _exact_root(root, roots)
         if (root, id(w)) not in roots:
             args = comps + extra(comps, root.arity) if extra else comps
-            roots[root, id(w)] = {
+            roots[root, id(w)] = w, {
                 index: reference_exact_compose(coeff, args, root.arity)
                 for index, coeff in w.items()}
         total = {}
-        for index, composed in roots[root, id(w)].items():
+        for index, composed in roots[root, id(w)][1].items():
             det = roots.get((root, index, target))
             if det is None:
                 det = roots[root, index, target] = reference_exact_det(
