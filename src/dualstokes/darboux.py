@@ -430,10 +430,11 @@ def polynomial_estimate(f: tuple, rect: ThetaRectangle | Theta
     and :func:`.expr.expand_polynomial` make; its variables beyond the
     rectangle's dimension are not checked; a :class:`.dual.Theta` for
     `rect` is a point, where a constant integrates to itself.  By the
-    fundamental theorem of calculus, which the dual reals keep (eps^2 = 0), each
-    integrates over the box to ``c`` times the product over the axes of
-    ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)``, and the value is the sum of
-    those products, all in the float operations of ``Dual``.
+    fundamental theorem of calculus, which the dual reals keep
+    (eps^2 = 0), each integrates over the box to ``c`` times the product
+    over the axes of ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)``, and the
+    value is the sum of those products, all in the float operations of
+    ``Dual``.
 
     The bound is the a-priori one of Higham, *Accuracy and Stability of
     Numerical Algorithms* (2nd ed., SIAM 2002), section 3.1.  Read the

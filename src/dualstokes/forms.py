@@ -140,16 +140,22 @@ def _exact_zero(entry) -> bool:
     return not entry[1] if type(entry) is tuple else _is_zero_node(entry)
 
 
-def _pullback(w: DiffForm, comps, jac, targets, arith: tuple, zero) -> dict:
-    """The pulled-back coefficient on each target index, under an
-    arithmetic of :mod:`.expr`: the sum, from `zero`, over the form's
-    indices I of the coefficient run on the map's component registers
-    `comps`, times the minor of the jacobian registers `jac`, rows I
-    against the target's columns, added in the form's order.  A
+def _pullback(f: ExprMap, w: DiffForm, comps, jac, arith: tuple,
+              zero) -> dict:
+    """The pulled-back coefficient on each target index of the map `f`,
+    under an arithmetic of :mod:`.expr`: the sum, from `zero`, over the
+    form's indices I of the coefficient run on the map's component
+    registers `comps`, times the minor of the jacobian registers `jac`,
+    rows I against the target's columns, added in the form's order.  A
     coefficient runs once, for the first of its minors that is not the
     exact zero, and not at all if there is none; a term whose minor is
     the exact zero is not added."""
+    if f.dim_out != w.n:
+        raise ValueError(
+            f"map lands in dimension {f.dim_out} but the form lives in "
+            f"dimension {w.n}")
     _, _, add, _, mul, _, _ = arith
+    targets = ascending_tuples(f.arity, w.k)
     out = dict.fromkeys(targets, zero)
     for index, coeff in w.coeffs.items():
         value = None
@@ -165,18 +171,13 @@ def _pullback(w: DiffForm, comps, jac, targets, arith: tuple, zero) -> dict:
 def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
     """Substitute the map into a form, symbolically: :func:`_pullback` on
     nodes, with the symbolic jacobian, for every target index."""
-    if f.dim_out != w.n:
-        raise ValueError(
-            f"map lands in dimension {f.dim_out} but the form lives in "
-            f"dimension {w.n}")
     m = f.arity
     comps = [c.node for c in f.components]
     jac = [[p.node for p in partial_diffs(c, range(m))]
            for c in f.components]
     # the zero is -0.0, the exact identity of float addition, so a sum
     # from it is its first term, signed zeros included
-    out = _pullback(w, comps, jac, ascending_tuples(m, w.k), _NODES,
-                    Const(Dual(-0.0, -0.0)))
+    out = _pullback(f, w, comps, jac, _NODES, Const(Dual(-0.0, -0.0)))
     return DiffForm(m, w.k, {t: Expr(node, m) for t, node in out.items()})
 
 
@@ -187,15 +188,9 @@ def pullback_polynomial(f: ExprMap, w: DiffForm) -> dict:
     registers, and the jacobian (by :func:`.expr.poly_diff`) and its
     minors are registers too, so the shadow and order bound all their
     roundings.  Raises where :func:`.expr.expand_polynomial` would."""
-    if f.dim_out != w.n:
-        raise ValueError(
-            f"map lands in dimension {f.dim_out} but the form lives in "
-            f"dimension {w.n}")
     comps = f.run(_POLYS, _poly_vars(f.arity))
     jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
-    zero = ({}, 0.0, 0, 0)  # the zero polynomial
-    return _pullback(w, comps, jac, ascending_tuples(f.arity, w.k), _POLYS,
-                     zero)
+    return _pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0))  # zero poly
 
 
 wedge_forms = wedge  # the forms-layer name of the shared wedge

@@ -106,32 +106,25 @@ class Refinement(Record):
 # integration of forms over cubes and chains
 
 
-# A verdict's registers, which `verify_stokes` hands to every term of both
-# sides as `integrate_over_cube`'s `_verdict`: a dict from the id of each
-# root map F of arity k (the chain keeps it alive) to the R_i of
-# F*w = sum_i R_i dx^(i omitted), from one run of F's program, or None
-# where they raise, and under None the symbolic dw, built only if a term
-# of the chain falls back to its own pullback.  A cube of the chain
-# integrates d(F*w) = sum_i (-1)^i dR_i/dx_i, and its face x_i = v
-# integrates R_i pinned at v, so neither needs dw.
-
-
 def _verdict_integrand(w: DiffForm, cube: SingularCube, verdict: dict):
-    # the cube's integrand register from its root's R_i; None for a cube
-    # that is no root of arity k or face of one, or whose R_i raise
+    # A verdict's dict maps the id of each root map F of arity k (the
+    # chain keeps it alive) to the registers of F*w = sum_i R_i dx^(i
+    # omitted) from one run of F's program, or to None where they raise,
+    # and None to dw once a term falls back.  A cube of the chain
+    # integrates d(F*w) = sum_i (-1)^i dR_i/dx_i, its face x_i = v the R_i
+    # pinned at v.  None for any other cube, or where the R_i raise.
     root, pins = cube.mapping._pin or (cube.mapping, ())
     k = w.k + 1
     if root.arity != k or len(pins) > 1:
         return None
-    key = id(root)
-    if key not in verdict:
-        try:  # the targets omit x(k), ..., x1, in that order
-            verdict[key] = [*pullback_polynomial(root, w).values()][::-1]
+    if id(root) not in verdict:
+        try:
+            verdict[id(root)] = pullback_polynomial(root, w)
         except (NotPolynomial, OverflowError):
-            verdict[key] = None
-    coeffs = verdict[key]
-    if coeffs is None:
+            verdict[id(root)] = None
+    if (regs := verdict[id(root)]) is None:
         return None
+    coeffs = [regs[(*range(i), *range(i + 1, k))] for i in range(k)]
     if pins:
         (i, value), = pins
         return poly_pin(coeffs[i], i, value)
@@ -142,47 +135,43 @@ def _verdict_integrand(w: DiffForm, cube: SingularCube, verdict: dict):
     return total
 
 
-def _bracket(register, cube: SingularCube) -> IntegralEstimate | None:
-    # over the cube's rectangle, or a 0-cube's point
-    return polynomial_estimate(
-        register, cube.domain.rectangle() if cube.k else cube.theta)
-
-
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
                         refinement: Refinement, *,
                         _verdict: dict | None = None) -> IntegralEstimate:
     """Pull the form back through the cube's map and integrate the result.
 
-    The pullback runs on polynomial registers, and its bracket over the
-    cube's rectangle, or a 0-cube's point, is taken within the
-    refinement's tolerances; a wider one raises NotConverged carrying
+    The pullback's bracket on polynomial registers, over the cube's
+    rectangle or a 0-cube's point, is returned within the refinement's
+    tolerances; a finite one that is wider raises NotConverged carrying
     it.  Only an integrand that is no polynomial register, or whose
     bracket is not finite, takes the Darboux refinement of the symbolic
-    pullback, or for a 0-cube its point value.  Within a verdict, a cube
-    of the chain integrates d of the form, and a term first tries its
-    root's registers (`_verdict`, see :func:`_verdict_integrand`).
+    pullback (a 0-cube its point value).  In a verdict (`_verdict`) a
+    cube of the chain integrates d of the form, and the register comes
+    from its root's (:func:`_verdict_integrand`); where that fails the
+    term is taken as outside a verdict, with d built once per verdict.
     """
+    where = cube.domain.rectangle() if cube.k else cube.theta
+    est = None
     if _verdict is not None:
         register = _verdict_integrand(w, cube, _verdict)
-        est = None if register is None else _bracket(register, cube)
-        if (est is not None and est.gap_re <= refinement.tol_re
-                and est.gap_ze <= refinement.tol_ze):
-            return est
-        if cube.k > w.k:
+        if register is not None:
+            est = polynomial_estimate(register, where)
+        if est is None and cube.k > w.k:
             if None not in _verdict:
                 _verdict[None] = exterior_derivative(w)
             w = _verdict[None]
-    if w.n != cube.n:
-        raise ValueError(
-            f"form lives in dimension {w.n} but the cube maps into {cube.n}")
-    if w.k != cube.k:
-        raise ValueError(
-            f"cannot integrate a {w.k}-form over a {cube.k}-cube")
-    try:
-        est = _bracket(pullback_polynomial(cube.mapping, w)[
-            tuple(range(cube.k))], cube)
-    except (NotPolynomial, OverflowError):  # an int constant past floats
-        est = None
+    if est is None:
+        if w.n != cube.n:
+            raise ValueError(
+                f"form lives in dimension {w.n} but the cube maps into {cube.n}")
+        if w.k != cube.k:
+            raise ValueError(
+                f"cannot integrate a {w.k}-form over a {cube.k}-cube")
+        try:
+            est = polynomial_estimate(pullback_polynomial(cube.mapping, w)[
+                tuple(range(cube.k))], where)
+        except (NotPolynomial, OverflowError):  # an int constant past floats
+            pass
     if est is not None:
         if est.gap_re <= refinement.tol_re and est.gap_ze <= refinement.tol_ze:
             return est
@@ -191,8 +180,7 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
     integrand = pullback(cube.mapping, w).coefficient(tuple(range(cube.k)))
-    return integral_estimate(integrand, cube.domain.rectangle(),
-                             **refinement.to_dict())
+    return integral_estimate(integrand, where, **refinement.to_dict())
 
 
 def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,

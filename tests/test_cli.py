@@ -273,6 +273,20 @@ def test_verify_wave_of_non_finite_argument_is_overflow(tmp_path, expr):
     assert "overflowed the float range" in err
 
 
+def test_integrate_large_constant_does_not_converge_by_default(tmp_path):
+    # tolerances are absolute: the register bracket of 1e300 is about
+    # 1e-14 of it wide, far above the default 1e-6, so the cube reports
+    # NOCONV (exit 3) with that bracket's gap, at 0 subdivisions
+    big = {**_AREA, "name": "big", "form": {"degree": 2, "coeffs": [
+        {"index": [1, 2], "expr": "1e300"}]}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    code, out, _ = run_cli("integrate", "--scenario", str(path))
+    assert code == 3
+    assert out.startswith("NOCONV big: gap (")
+    assert "above tolerance (1e-06, 1e-06) after 0 subdivisions" in out
+
+
 # tolerances that a register bracket of a value near 1e300 meets
 _WIDE = {"tol_re": 1e300, "tol_ze": 1e300}
 

@@ -118,6 +118,19 @@ def test_chain_sum_past_the_float_range_overflows(text, weight):
                              Refinement(1e300, 1e300))
 
 
+def test_large_constant_does_not_converge_at_the_default_tolerance():
+    # the tolerances are absolute, and the register bracket of 1e300 over
+    # [0, 1 + 0.5 eps]^2 is about 1e-14 of it wide: the cube does not
+    # converge, and carries that bracket, which holds 1e300 (1 + eps)
+    w = DiffForm(2, 2, {(0, 1): parse_expr("1e300", 2)})
+    with pytest.raises(NotConverged) as got:
+        integrate_over_cube(w, standard_cube(Theta.TYPE1, 0.5, 2),
+                            Refinement())
+    est = got.value.estimate
+    assert est.subdivisions == 0 and 1e280 < est.gap_re < 1e290
+    assert bracket_contains(est, (Fraction(1e300), Fraction(1e300)))
+
+
 def test_type2_bracket_orientation():
     w = DiffForm(2, 2, {(0, 1): parse_expr("x1*x2", 2)})
     cube = standard_cube(Theta.TYPE2, 0.5, 2)
@@ -654,6 +667,34 @@ def test_near_singular_cube_does_not_converge_on_its_register_bracket():
     chain = Chain(Theta.TYPE1, 0.0, 2, 2, ((1, cube),))
     report = verify_stokes(DiffForm(2, 1, {(1,): parse_expr("x1", 2)}),
                            chain)
+    assert not report.converged and "gap" in report.note
+
+
+def test_verdict_bracket_wider_than_the_tolerance_does_not_converge(
+        monkeypatch):
+    # cancelling-partial-type1 at a tolerance that the bracket of the
+    # symbolic dw (gap about 2e-30, around its folded 2^-54) meets and
+    # the register divergence's (about 2e-14) does not: the chain cube
+    # does not converge, its NotConverged carries the verdict's bracket,
+    # which holds the exact 2^-55 (1 + eps), and no d is built
+    scenario = _fixed_scenario("cancelling-derivative",
+                               "cancelling-partial-type1")
+    w, chain = scenario.form, scenario.chain
+    folded = integrate_over_chain(exterior_derivative(w), chain,
+                                  Refinement())
+    tight = Refinement(1e-20, 1e-20)
+    assert folded.gap_re <= tight.tol_re and folded.gap_ze <= tight.tol_ze
+    monkeypatch.setattr(stokes, "exterior_derivative",
+                        lambda w: pytest.fail("d is built"))
+    monkeypatch.setattr(stokes, "integral_estimate",
+                        lambda f, rect, **_: pytest.fail(f"{f} refines"))
+    with pytest.raises(NotConverged) as got:
+        integrate_over_chain(w, chain, tight, _verdict={})
+    exact = (Fraction(1, 2 ** 55), Fraction(1, 2 ** 55))
+    assert not bracket_contains(folded, exact)
+    assert bracket_contains(got.value.estimate, exact)
+    assert got.value.estimate.gap_re > tight.tol_re
+    report = verify_stokes(w, chain, tight)
     assert not report.converged and "gap" in report.note
 
 
