@@ -95,11 +95,9 @@ def _cmd_selftest(args) -> int:
     reports = [run_scenario(s) for s in builtin_scenarios()]
     for report in reports:
         _print_report(report)
-    code = exit_code(reports)
-    total = len(reports)
-    good = sum(1 for r in reports if r.passed)
-    print(f"{good}/{total} bundled scenarios passed")
-    return code
+    good = sum(r.passed for r in reports)
+    print(f"{good}/{len(reports)} bundled scenarios passed")
+    return exit_code(reports)
 
 
 def _cmd_list(args) -> int:

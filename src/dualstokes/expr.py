@@ -820,6 +820,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 200
 
 
+def _folded(build, op: str, pos: int, *operands) -> Node:
+    # a smart constructor folds constants, and raises where the fold
+    # overflows: an error in the text, at the operator's offset
+    try:
+        return build(*operands)
+    except OverflowError as exc:
+        raise ParseError(f"{op!r} overflows the float range", pos) from exc
+
+
 class _Parser:
     def __init__(self, text: str, arity: int):
         self.tokens = _tokenize(text)
@@ -880,10 +889,10 @@ class _Parser:
             node = _neg(self.factor())
         else:
             node = self.atom()
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "^":
                 self.advance()
-                node = _pow(node, self.uint())
+                node = _folded(_pow, "^", pos, node, self.uint())
         self.depth -= 1
         return node
 
@@ -909,7 +918,7 @@ class _Parser:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return _prim(value, inner)
+                return _folded(_prim, value, pos, value, inner)
             if value[0] == "x" and value[1:].isdigit():
                 index = int(value[1:])
                 if index < 1 or index > self.arity:

@@ -7,8 +7,9 @@ change-of-variables determinant is expanded into an expression, so a
 pulled-back form can be differentiated or pulled back again without any
 numerics; but the partials fold their constants in floats, unbounded.
 The same loop runs on polynomial registers (:func:`pullback_polynomial`),
-whose shadows bound every rounding: a verdict pulls its (k-1)-form back
-once per root map and builds no symbolic ``d w``.  Pointwise evaluation
+whose shadows bound every rounding: a chain integral pulls its form back
+once per root map, for the map's cube and all its faces, and a verdict
+builds no symbolic ``d w``.  Pointwise evaluation
 hands off to the alternating-tensor machinery.
 
 A form is the container of :mod:`.tensors` with expression

@@ -7,7 +7,8 @@ carries an explicit gap: exact brackets for polynomial integrands,
 constants and points included, Darboux brackets for the rest.  The
 verdict compares the bracket midpoints against a tolerance derived from
 those gaps (with an absolute floor), which keeps the check honest — a
-sloppy bracket widens the tolerance instead of silently passing.
+sloppy bracket widens the tolerance instead of silently passing — and
+fails two brackets that are disjoint, whatever the tolerance.
 
 Scenarios bundle a form, a chain, and refinement settings into a plain
 dict (JSON-friendly).  Loading validates every field, rejecting
@@ -58,6 +59,12 @@ def _integer(value, what: str, lowest: int | None = None) -> int:
     raise ScenarioError(f"{what} must be an integer{bound}")
 
 
+def _string(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ScenarioError(f"{what} must be a string")
+
+
 def _object(data, what: str, required=(), optional=()) -> dict:
     """`data`, checked to be a JSON object holding every key of
     `required` and no key outside `required` and `optional`."""
@@ -106,76 +113,78 @@ class Refinement(Record):
 # integration of forms over cubes and chains
 
 
-def _verdict_integrand(w: DiffForm, cube: SingularCube, verdict: dict):
-    # A verdict's dict maps the id of each root map F of arity k (the
-    # chain keeps it alive) to the registers of F*w = sum_i R_i dx^(i
-    # omitted) from one run of F's program, or to None where they raise,
-    # and None to dw once a term falls back.  A cube of the chain
-    # integrates d(F*w) = sum_i (-1)^i dR_i/dx_i, its face x_i = v the R_i
-    # pinned at v.  None for any other cube, or where the R_i raise.
+def _registers(f: ExprMap, w: DiffForm) -> dict | None:
+    try:
+        return pullback_polynomial(f, w)
+    except (NotPolynomial, OverflowError):  # an int constant past floats
+        return None
+
+
+def _register(w: DiffForm, cube: SingularCube, roots: dict):
+    # `roots` maps the id of each root map F (its cubes keep it alive) to
+    # the registers of F*w = sum_J R_J dx^J from one run of F's program,
+    # or to None where they raise.  On F's free axes J, a cube of w's
+    # degree integrates R_J, one of a degree more (a verdict's chain)
+    # d(F*w)'s sum_t (-1)^t dR_(J omit j_t)/dx_(j_t), each with F's pins
+    # applied highest index first, so that lower ones keep their place.
+    # A face whose root raises reads its own pullback; None where that
+    # raises too, or for a cube of d.
     root, pins = cube.mapping._pin or (cube.mapping, ())
-    k = w.k + 1
-    if root.arity != k or len(pins) > 1:
-        return None
-    if id(root) not in verdict:
-        try:
-            verdict[id(root)] = pullback_polynomial(root, w)
-        except (NotPolynomial, OverflowError):
-            verdict[id(root)] = None
-    if (regs := verdict[id(root)]) is None:
-        return None
-    coeffs = [regs[(*range(i), *range(i + 1, k))] for i in range(k)]
-    if pins:
-        (i, value), = pins
-        return poly_pin(coeffs[i], i, value)
-    add, sub = _POLYS[2:4]
-    total = poly_diff(coeffs[0], 0)
-    for i in range(1, k):
-        total = (sub if i % 2 else add)(total, poly_diff(coeffs[i], i))
+    if id(root) not in roots:
+        roots[id(root)] = _registers(root, w)
+    if (regs := roots[id(root)]) is None:
+        own = None if cube.k > w.k or not pins else _registers(cube.mapping, w)
+        return None if own is None else own[tuple(range(cube.k))]
+    pinned = {index for index, _ in pins}
+    free = [i for i in range(root.arity) if i not in pinned]
+    if cube.k == w.k:
+        total = regs[tuple(free)]
+    else:
+        add, sub = _POLYS[2:4]
+        for t, j in enumerate(free):
+            term = poly_diff(regs[(*free[:t], *free[t + 1:])], j)
+            total = term if not t else (sub if t % 2 else add)(total, term)
+    for index, value in reversed(pins):
+        total = poly_pin(total, index, value)
     return total
 
 
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
-                        refinement: Refinement, *,
-                        _verdict: dict | None = None) -> IntegralEstimate:
+                        refinement: Refinement, *, _roots: dict | None = None,
+                        _verdict: bool = False) -> IntegralEstimate:
     """Pull the form back through the cube's map and integrate the result.
 
-    The pullback's bracket on polynomial registers, over the cube's
-    rectangle or a 0-cube's point, is returned within the refinement's
-    tolerances; a finite one that is wider raises NotConverged carrying
-    it.  Only an integrand that is no polynomial register, or whose
-    bracket is not finite, takes the Darboux refinement of the symbolic
-    pullback (a 0-cube its point value).  In a verdict (`_verdict`) a
-    cube of the chain integrates d of the form, and the register comes
-    from its root's (:func:`_verdict_integrand`); where that fails the
-    term is taken as outside a verdict, with d built once per verdict.
+    The integrand is a polynomial register from one run of the program
+    of the cube's root map (its own, or the one a face pins), pinned at
+    the face's endpoints; only a face whose root raises reads its own
+    pullback.  Its bracket, over the cube's rectangle or a 0-cube's
+    point, is returned within the refinement's tolerances; a finite one
+    that is wider raises NotConverged carrying it.  Only an integrand
+    that is no polynomial register, or whose bracket is not finite,
+    takes the Darboux refinement of the symbolic pullback (a 0-cube its
+    point value).  `_roots` caches each root map's registers.  In a
+    verdict (`_verdict`) a cube of one more dimension than the form
+    integrates d of the form: the divergence of its root's registers, or
+    where they raise, the Darboux refinement of the symbolic d, which is
+    built once in `_roots`.
     """
+    if w.n != cube.n:
+        raise ValueError(
+            f"form lives in dimension {w.n} but the cube maps into {cube.n}")
+    if not w.k <= cube.k <= w.k + _verdict:
+        raise ValueError(f"cannot integrate a {w.k}-form over a {cube.k}-cube")
+    roots = {} if _roots is None else _roots
     where = cube.domain.rectangle() if cube.k else cube.theta
-    est = None
-    if _verdict is not None:
-        register = _verdict_integrand(w, cube, _verdict)
-        if register is not None:
-            est = polynomial_estimate(register, where)
-        if est is None and cube.k > w.k:
-            if None not in _verdict:
-                _verdict[None] = exterior_derivative(w)
-            w = _verdict[None]
-    if est is None:
-        if w.n != cube.n:
-            raise ValueError(
-                f"form lives in dimension {w.n} but the cube maps into {cube.n}")
-        if w.k != cube.k:
-            raise ValueError(
-                f"cannot integrate a {w.k}-form over a {cube.k}-cube")
-        try:
-            est = polynomial_estimate(pullback_polynomial(cube.mapping, w)[
-                tuple(range(cube.k))], where)
-        except (NotPolynomial, OverflowError):  # an int constant past floats
-            pass
-    if est is not None:
+    register = _register(w, cube, roots)
+    if register is not None and (
+            est := polynomial_estimate(register, where)) is not None:
         if est.gap_re <= refinement.tol_re and est.gap_ze <= refinement.tol_ze:
             return est
         raise NotConverged(est, refinement.tol_re, refinement.tol_ze)
+    if cube.k > w.k:
+        if None not in roots:
+            roots[None] = exterior_derivative(w)
+        w = roots[None]
     if cube.k == 0:
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
@@ -188,16 +197,21 @@ def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,
                          ) -> IntegralEstimate:
     """Weighted sum of per-cube brackets over the normalized chain.
 
-    Gaps accumulate by |weight|; `_verdict` is
-    :func:`integrate_over_cube`'s.  Raises :class:`.darboux.NotFinite`
-    when a cube's bracket, or the sum's value or a gap, is not finite.
+    Gaps accumulate by |weight|.  Every term reads one cache of root
+    registers (:func:`integrate_over_cube`'s `_roots`), so a root map's
+    program runs once for all its cubes and faces; a verdict passes its
+    own as `_verdict`, which both sides share, and the chain's cubes then
+    integrate d of the form.  Raises :class:`.darboux.NotFinite` when a
+    cube's bracket, or the sum's value or a gap, is not finite.
     """
     chain = chain_normalize(chain)
+    roots = {} if _verdict is None else _verdict
     lo_re = hi_re = lo_ze = hi_ze = 0.0
     finest = 0
     for weight, cube in chain.terms:
         try:
-            est = integrate_over_cube(w, cube, refinement, _verdict=_verdict)
+            est = integrate_over_cube(w, cube, refinement, _roots=roots,
+                                      _verdict=_verdict is not None)
         except NotFinite as exc:
             raise NotFinite(f"the chain sum is not finite: {exc}") from exc
         a, b = weight * est.lower.re, weight * est.upper.re
@@ -207,13 +221,13 @@ def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,
         lo_ze += min(a, b)
         hi_ze += max(a, b)
         finest = max(finest, est.subdivisions)
-    if chain.theta.sign > 0:
-        lower, upper = Dual(lo_re, lo_ze), Dual(hi_re, hi_ze)
-    else:
-        lower, upper = Dual(lo_re, hi_ze), Dual(hi_re, lo_ze)
-    est = IntegralEstimate.from_bounds(lower, upper, finest)
+    # the lower end of a type-2 bracket has the greater ze part
+    ze = (lo_ze, hi_ze) if chain.theta.sign > 0 else (hi_ze, lo_ze)
+    est = IntegralEstimate.from_bounds(Dual(lo_re, ze[0]), Dual(hi_re, ze[1]),
+                                       finest)
     if not est.finite():
-        raise NotFinite(f"the chain sum is not finite: {lower}, {upper}")
+        raise NotFinite(
+            f"the chain sum is not finite: {est.lower}, {est.upper}")
     return est
 
 
@@ -352,7 +366,8 @@ def verify_stokes(w: DiffForm, chain: Chain,
     so a polynomial verdict builds no symbolic dw.  The pass tolerance
     per component is the larger of `tol_floor` and ten times the summed
     bracket gaps, so the verdict never claims more precision than the
-    integrations delivered.  A blown refinement budget, or a bracket
+    integrations delivered; brackets disjoint in either part fail
+    whatever the tolerance.  A blown refinement budget, or a bracket
     wider than the tolerances, yields converged=False, not an exception.
     """
     if w.k != chain.k - 1:
@@ -378,8 +393,14 @@ def verify_stokes(w: DiffForm, chain: Chain,
     diff_ze = abs(lhs.value.ze - rhs.value.ze)
     tol_re = max(10.0 * (lhs.gap_re + rhs.gap_re), tol_floor)
     tol_ze = max(10.0 * (lhs.gap_ze + rhs.gap_ze), tol_floor)
+    # brackets disjoint in a part hold no value in common, whatever the
+    # tolerances say
+    meet = all(max(min(a), min(b)) <= min(max(a), max(b)) for a, b in (
+        ((lhs.lower.re, lhs.upper.re), (rhs.lower.re, rhs.upper.re)),
+        ((lhs.lower.ze, lhs.upper.ze), (rhs.lower.ze, rhs.upper.ze))))
     return StokesReport(
-        converged=True, passed=(diff_re <= tol_re and diff_ze <= tol_ze),
+        converged=True,
+        passed=meet and diff_re <= tol_re and diff_ze <= tol_ze,
         lhs=lhs, rhs=rhs, diff_re=diff_re, diff_ze=diff_ze,
         tol_re=tol_re, tol_ze=tol_ze, **meta)
 
@@ -439,9 +460,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Validate a raw scenario dict (1-based indices) into a Scenario."""
     _object(data, "scenario", ("name", "theta", "r", "n", "k", "form"),
             ("cubes", "refinement", "expected", "tol_floor", "description"))
-    name = data["name"]
-    if not isinstance(name, str):
-        raise ScenarioError("name must be a string")
+    name = _string(data["name"], "name")
     theta = _integer(data["theta"], "theta")
     if theta not in (1, 2):
         raise ScenarioError("theta must be 1 or 2")
@@ -453,8 +472,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     raw_coeffs = form.get("coeffs", [])
     if not isinstance(raw_coeffs, list):
         raise ScenarioError("form coeffs must be a list")
-    coeffs = []
-    seen = set()
+    coeffs = {}  # in the file's order
     for item in raw_coeffs:
         index = _object(item, "form coefficient", ("index", "expr"))["index"]
         if not isinstance(index, list) or len(index) != degree:
@@ -466,12 +484,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if any(a >= b for a, b in zip(shifted, shifted[1:])):
             raise ScenarioError(
                 f"coefficient index {index} must be strictly increasing")
-        if shifted in seen:
+        if shifted in coeffs:
             raise ScenarioError(f"coefficient index {index} is repeated")
-        seen.add(shifted)
-        if not isinstance(item["expr"], str):
-            raise ScenarioError("coefficient expr must be a string")
-        coeffs.append((shifted, item["expr"]))
+        coeffs[shifted] = _string(item["expr"], "coefficient expr")
     raw_cubes = data.get("cubes")
     if raw_cubes is None:
         if n != k:
@@ -499,13 +514,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         expected = (_number(expected["re"], "expected re", None),
                     _number(expected["ze"], "expected ze", None))
     tol_floor = _number(data.get("tol_floor", DEFAULT_STOKES_TOL), "tol_floor")
-    description = data.get("description", "")
-    if not isinstance(description, str):
-        raise ScenarioError("description must be a string")
+    description = _string(data.get("description", ""), "description")
     return Scenario(
         name=name, theta=Theta(theta), r=r, n=n, k=k,
-        form_degree=degree, form_coeffs=tuple(coeffs), cubes=tuple(cubes),
-        refinement=refinement, description=description,
+        form_degree=degree, form_coeffs=tuple(coeffs.items()),
+        cubes=tuple(cubes), refinement=refinement, description=description,
         expected=expected, tol_floor=tol_floor)
 
 

@@ -231,6 +231,15 @@ def test_verify_overflow_is_config_error(tmp_path, expr):
     assert "overflow" in err
 
 
+@pytest.mark.parametrize("expr", ["exp(1000)", "1e200^2", "sin(1e308*10)"])
+def test_verify_fold_that_overflows_is_config_error(tmp_path, expr):
+    # the constant folds overflow while the scenario loads, and load
+    # reports a bad form
+    err = _assert_config_error_in_subprocess(
+        tmp_path, _square_with_coefficient(expr))
+    assert "bad form" in err and "overflows the float range" in err
+
+
 def test_verify_deep_nesting_is_config_error(tmp_path):
     deep = "(" * 3000 + "x1" + ")" * 3000
     err = _assert_config_error_in_subprocess(

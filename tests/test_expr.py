@@ -102,6 +102,20 @@ def test_parse_rejects_overflowing_literal(text, position):
     assert eval_dual(parse_expr("1.7e308", 0), ()) == Dual(1.7e308)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("exp(1000)", 0), ("1e200^2", 5), ("sin(1e308*10)", 0),
+    ("x1+cos(2*exp(800))", 9)])
+def test_parse_rejects_a_fold_that_overflows(text, position):
+    # the parser folds constants, and a fold that raises OverflowError is
+    # an error in the text, at the operator's offset; a fold that
+    # overflows to inf without one, as 1e308*10 does, is left to the
+    # brackets that read it
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse_expr(text, 1)
+    assert err.value.position == position
+    assert parse_expr("1e308*10*x1", 1).node.lhs.value == Dual(math.inf)
+
+
 _NESTINGS = {"parens": ("(", ")"), "minus": ("-", ""), "calls": ("sin(", ")")}
 
 

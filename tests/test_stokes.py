@@ -14,11 +14,11 @@ import dualstokes.stokes as stokes
 from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         ExprMap, IntegralEstimate, NotConverged, Ordering,
                         REPORT_SCHEMA, Refinement, ScenarioError, SingularCube,
-                        StokesReport, Theta, boundary, builtin_scenario,
-                        builtin_scenarios, chain_normalize, chain_of,
-                        exit_code, exterior_derivative, integral_estimate,
-                        integrate_over_chain, integrate_over_cube,
-                        load_scenarios, parse_expr,
+                        StokesReport, Theta, ascending_tuples, boundary,
+                        builtin_scenario, builtin_scenarios, chain_normalize,
+                        chain_of, exit_code, exterior_derivative, face,
+                        integral_estimate, integrate_over_chain,
+                        integrate_over_cube, load_scenarios, parse_expr,
                         pullback, run_integral, run_scenario, run_suite,
                         scenario_from_dict, standard_cube, theta_cmp,
                         verify_stokes, write_report_csv, write_report_json)
@@ -27,8 +27,9 @@ from dualstokes.expr import _POLYS, NotPolynomial
 from dualstokes.forms import pullback_polynomial
 from helpers import (THETAS, FormalSum, _exact_add, bracket_contains,
                      load_bench_module, random_chain, random_form,
-                     reference_exact_expansion, reference_exact_integral,
-                     reference_exact_partial, reference_exact_pullback,
+                     random_poly, reference_exact_expansion,
+                     reference_exact_integral, reference_exact_partial,
+                     reference_exact_pullback,
                      reference_formal_expansion, reference_formal_partial,
                      reference_formal_values, reference_primitive)
 
@@ -345,6 +346,18 @@ def test_scenario_validation_errors():
             scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("expr", ["exp(1000)", "1e200^2", "sin(1e308*10)"])
+def test_fold_that_overflows_is_a_scenario_error(expr, tmp_path):
+    data = _broken(form={"degree": 1, "coeffs": [{"index": [2],
+                                                  "expr": expr}]})
+    with pytest.raises(ScenarioError, match="bad form"):
+        scenario_from_dict(data)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="overflows the float range"):
+        load_scenarios(path)
+
+
 def test_loaded_scenario_is_not_parsed_again(monkeypatch):
     verification = builtin_scenario("type1-saddle-surface")
     top = scenario_from_dict({**_BASE, "form": {
@@ -586,6 +599,123 @@ def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
                                scenario.refinement)
     assert all(bracket_contains(est, v) for v in values) == (
         kind != "cancelling-derivative"), (est, exact)
+
+
+def _no_d_nor_refinement(monkeypatch) -> list:
+    """The (cube, bracket) of every term that :func:`integrate_over_cube`
+    integrates from here on, where building d or refining fails."""
+    monkeypatch.setattr(stokes, "exterior_derivative",
+                        lambda w: pytest.fail("d is built"))
+    monkeypatch.setattr(stokes, "integral_estimate",
+                        lambda f, rect, **_: pytest.fail(f"{f} refines"))
+    brackets = []
+    integrate = stokes.integrate_over_cube
+
+    def spy(w, cube, refinement, **private):
+        est = integrate(w, cube, refinement, **private)
+        brackets.append((cube, est))
+        return est
+
+    monkeypatch.setattr(stokes, "integrate_over_cube", spy)
+    return brackets
+
+
+def test_verdict_on_a_chain_of_faces_reads_its_root_registers(monkeypatch):
+    # the 0-form 0.1*x1 + 0.2*x1 - 0.3*x1 is 2^-55 x1 in the exact values
+    # of its floats, and the symbolic d folds its partial to 2^-54: on the
+    # face x2 = b of the square, the lhs is the divergence of the square's
+    # registers pinned at b, and holds 2^-55 (1 + 0.5 eps) as the rhs
+    # does, from one run of the square's program; the folded d misses it
+    square = standard_cube(Theta.TYPE1, 0.5, 2)
+    w = DiffForm(2, 0, {(): parse_expr("0.1*x1+0.2*x1-0.3*x1", 2)})
+    chain = chain_of(face(square, 2, 1))
+    exact = (Fraction(1, 2 ** 55), Fraction(1, 2 ** 56))
+    assert Fraction(0.1) + Fraction(0.2) - Fraction(0.3) == exact[0]
+    folded = integrate_over_chain(exterior_derivative(w), chain, Refinement())
+    assert not bracket_contains(folded, exact)
+    runs = Counter()
+    run = ExprMap.run
+
+    def counting(mapping, arith, args):
+        if arith is _POLYS:
+            runs[id(mapping)] += 1
+        return run(mapping, arith, args)
+
+    monkeypatch.setattr(ExprMap, "run", counting)
+    brackets = _no_d_nor_refinement(monkeypatch)
+    report = verify_stokes(w, chain)
+    assert report.converged and report.passed
+    assert bracket_contains(report.lhs, exact)
+    assert bracket_contains(report.rhs, exact)
+    assert runs == Counter([id(square.mapping)])
+    assert len(brackets) == 3  # the face and its two ends
+
+
+_PINNED = [("tiled-chain-3d", seed) for seed in range(1, 6)] + [
+    ("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS
+    if d["k"] == 2]
+
+
+@pytest.mark.parametrize("pinned", ["boundary", "face"])
+@pytest.mark.parametrize("kind, arg", _PINNED)
+def test_verdicts_on_pinned_chains_hold_the_exact_values(kind, arg, pinned,
+                                                         monkeypatch):
+    # a verdict on the boundary of a chain, or on the face x1 = b of its
+    # first cube, with a seeded form of degree k - 2: each term reads its
+    # root map's registers through one pin or two, the chain's terms the
+    # divergence, and no d is built.  Every bracket holds the exact
+    # integral of its term, and both sides hold the exact value, which
+    # on a boundary is 0: the boundary of a boundary cancels to nothing
+    scenario = _fixed_scenario(kind, arg)
+    cube = scenario.chain.terms[0][1]
+    chain = (boundary(scenario.chain) if pinned == "boundary"
+             else chain_of(face(cube, 1, 1)))
+    rng = random.Random(f"{kind} {arg}")
+    # the product of the coordinates, so that d of the form is not zero on
+    # the face
+    product = parse_expr("*".join(f"x{i + 1}" for i in range(chain.n)),
+                         chain.n)
+    w = DiffForm(chain.n, chain.k - 1, {
+        index: random_poly(rng, chain.n, 2) + product
+        for index in ascending_tuples(chain.n, chain.k - 1)})
+    brackets = _no_d_nor_refinement(monkeypatch)
+    report = verify_stokes(w, chain, scenario.refinement)
+    assert report.converged and report.passed
+    exact_w, dw, _ = _exact_forms(w)
+    roots = {}
+    for term, est in brackets:
+        coeffs = dw if term.k == chain.k else exact_w
+        assert bracket_contains(
+            est, _exact_cube_integral(coeffs, term, roots)), term
+    exact = _exact_chain_integral(dw, chain, roots)
+    if pinned == "boundary":
+        assert exact == (0, 0)
+        assert report.rhs == IntegralEstimate.exact(Dual(0.0, 0.0))
+    else:
+        assert exact == _exact_chain_integral(exact_w, boundary(chain), roots)
+    for side in (report.lhs, report.rhs):
+        assert bracket_contains(side, exact), (side, exact)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-7, 1e-9])
+def test_verdict_fails_where_every_side_1_face_is_shifted(delta,
+                                                          monkeypatch):
+    # a defect planted in the faces: each side-1 face of tiled seed 1 is
+    # pinned at b + delta.  The midpoints differ by about 16 delta, within
+    # the 1e-3 floor of the tolerance, but the brackets, about 1e-9 wide,
+    # are disjoint, so the verdict fails
+    scenario = _fixed_scenario("tiled-chain-3d", 1)
+    ends = CubeDomain._face_domain
+
+    def shifted(domain):
+        faces, (a, b) = ends(domain)
+        return faces, (a, b + delta)
+
+    monkeypatch.setattr(CubeDomain, "_face_domain", shifted)
+    report = run_scenario(scenario)
+    assert report.converged and not report.passed
+    assert report.diff_re <= report.tol_re and report.diff_ze <= report.tol_ze
+    assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
 
 
 def _square(text: str, theta=Theta.TYPE1):
