@@ -8,7 +8,7 @@ constants and points included, Darboux brackets for the rest.  The
 verdict compares the bracket midpoints against a tolerance derived from
 those gaps (with an absolute floor), which keeps the check honest — a
 sloppy bracket widens the tolerance instead of silently passing — and
-fails two brackets that are disjoint, whatever the tolerance.
+fails two exact brackets that are disjoint, whatever the tolerance.
 
 Scenarios bundle a form, a chain, and refinement settings into a plain
 dict (JSON-friendly).  Loading validates every field, rejecting
@@ -135,8 +135,7 @@ def _register(w: DiffForm, cube: SingularCube, roots: dict):
     if (regs := roots[id(root)]) is None:
         own = None if cube.k > w.k or not pins else _registers(cube.mapping, w)
         return None if own is None else own[tuple(range(cube.k))]
-    pinned = {index for index, _ in pins}
-    free = [i for i in range(root.arity) if i not in pinned]
+    free = sorted(set(range(root.arity)) - dict(pins).keys())
     if cube.k == w.k:
         total = regs[tuple(free)]
     else:
@@ -182,9 +181,7 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
             return est
         raise NotConverged(est, refinement.tol_re, refinement.tol_ze)
     if cube.k > w.k:
-        if None not in roots:
-            roots[None] = exterior_derivative(w)
-        w = roots[None]
+        w = roots[None] = roots.get(None) or exterior_derivative(w)
     if cube.k == 0:
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
@@ -366,9 +363,10 @@ def verify_stokes(w: DiffForm, chain: Chain,
     so a polynomial verdict builds no symbolic dw.  The pass tolerance
     per component is the larger of `tol_floor` and ten times the summed
     bracket gaps, so the verdict never claims more precision than the
-    integrations delivered; brackets disjoint in either part fail
-    whatever the tolerance.  A blown refinement budget, or a bracket
-    wider than the tolerances, yields converged=False, not an exception.
+    integrations delivered; exact brackets (neither side refined)
+    disjoint in either part fail whatever the tolerance.  A blown
+    refinement budget, or a bracket wider than the tolerances, yields
+    converged=False, not an exception.
     """
     if w.k != chain.k - 1:
         raise ValueError(
@@ -393,14 +391,18 @@ def verify_stokes(w: DiffForm, chain: Chain,
     diff_ze = abs(lhs.value.ze - rhs.value.ze)
     tol_re = max(10.0 * (lhs.gap_re + rhs.gap_re), tol_floor)
     tol_ze = max(10.0 * (lhs.gap_ze + rhs.gap_ze), tol_floor)
-    # brackets disjoint in a part hold no value in common, whatever the
-    # tolerances say
-    meet = all(max(min(a), min(b)) <= min(max(a), max(b)) for a, b in (
-        ((lhs.lower.re, lhs.upper.re), (rhs.lower.re, rhs.upper.re)),
-        ((lhs.lower.ze, lhs.upper.ze), (rhs.lower.ze, rhs.upper.ze))))
+    # register brackets (no refinement on either side) bound every
+    # rounding, so two that are disjoint in a part hold no value in
+    # common, whatever the tolerances say; Darboux brackets are not
+    # rounded outward, so they are left to the tolerances
+    s = chain.theta.sign  # a type-2 bracket's lower end has the greater ze
+    apart = lhs.subdivisions == rhs.subdivisions == 0 and (
+        max(lhs.lower.re, rhs.lower.re) > min(lhs.upper.re, rhs.upper.re)
+        or max(s * lhs.lower.ze, s * rhs.lower.ze)
+        > min(s * lhs.upper.ze, s * rhs.upper.ze))
     return StokesReport(
         converged=True,
-        passed=meet and diff_re <= tol_re and diff_ze <= tol_ze,
+        passed=not apart and diff_re <= tol_re and diff_ze <= tol_ze,
         lhs=lhs, rhs=rhs, diff_re=diff_re, diff_ze=diff_ze,
         tol_re=tol_re, tol_ze=tol_ze, **meta)
 

@@ -718,6 +718,29 @@ def test_verdict_fails_where_every_side_1_face_is_shifted(delta,
     assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
 
 
+def test_disjoint_darboux_brackets_are_left_to_the_tolerance():
+    # c*x1*exp(eps*x2) dx2 with c = 0.1 + 0.2 - 0.3, which is 2^-55 in the
+    # exact values of its floats, on the square shifted to x1 in [2, 3]:
+    # exp is no polynomial, so both sides refine, and the Darboux brackets,
+    # not rounded outward, are 0 wide in re at two roundings of c, the
+    # folded d's 2^-54 on the lhs and c*3 - c*2 in floats on the rhs.  Both
+    # miss the exact 2^-55 (1 + 1.5 eps) and are disjoint, yet the theorem
+    # holds, so the pair passes on the tolerance
+    scenario = scenario_from_dict({
+        "name": "shifted-exp", "theta": 1, "r": 0.5, "n": 2, "k": 2,
+        "form": {"degree": 1, "coeffs": [
+            {"index": [2], "expr": "(0.1*x1+0.2*x1-0.3*x1)*exp(eps*x2)"}]},
+        "cubes": [{"map": ["x1+2", "x2"]}]})
+    report = run_scenario(scenario)
+    assert report.converged and report.passed
+    lhs, rhs = report.lhs, report.rhs
+    assert lhs.subdivisions and rhs.subdivisions
+    assert lhs.upper.re < rhs.lower.re
+    exact = (Fraction(1, 2 ** 55), Fraction(3, 2 ** 56))
+    assert not bracket_contains(lhs, exact)
+    assert not bracket_contains(rhs, exact)
+
+
 def _square(text: str, theta=Theta.TYPE1):
     """The integrand and rectangle of text*dx1^dx2 over the inflated
     square, and the form and cube that give them."""

@@ -8,7 +8,7 @@ git revision when one is given:
     python tools/src_lines.py            # the work tree
     python tools/src_lines.py HEAD~1     # a revision, read through git
 
-It prints the total, and with --files the count of each file.
+It prints the total.
 """
 
 from __future__ import annotations
@@ -69,16 +69,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", help="a git revision; default: "
                         "the work tree")
-    parser.add_argument("--files", action="store_true",
-                        help="print each file's count too")
     args = parser.parse_args(argv)
-    counts = {name: code_lines(text)
-              for name, text in sources(args.rev).items()}
-    if args.files:
-        for name, count in counts.items():
-            print(f"{count:6d} {name}")
-    print(f"src/ code lines at {args.rev or 'the work tree'}: "
-          f"{sum(counts.values())}")
+    total = sum(map(code_lines, sources(args.rev).values()))
+    print(f"src/ code lines at {args.rev or 'the work tree'}: {total}")
     return 0
 
 
