@@ -53,22 +53,22 @@ MERGE_TOL = 1e-9
 class CubeDomain(Record):
     """The immutable model domain: k axes of [0, 1 + (sign of theta)*r*eps].
 
-    Its rectangle, its sample table and its face domain are built on
-    first use and kept outside the fields, so they neither compare nor
-    pickle: every cube and face over one domain object shares them.
+    Its side interval, rectangle, sample table and face domain are built
+    on first use and kept outside the fields, so they neither compare
+    nor pickle: every cube and face over one domain object shares them.
     They hang on the object, not on a table keyed by ``(theta, r, k)``,
     because ``0.0 == -0.0`` while their endpoints and samples differ.
     """
 
     _fields = ("theta", "r", "k")
-    __slots__ = _fields + ("_rectangle", "_sample", "_faces")
+    __slots__ = _fields + ("_side", "_rectangle", "_sample", "_faces")
 
     def __init__(self, theta: Theta, r: float, k: int):
         self.theta, self.r, self.k = Theta(theta), float(r), k
         if not 0 <= self.r < math.inf:
             raise ValueError("inflation must be finite and nonnegative")
         _check_natural(k, "dimensions")
-        self._rectangle = self._sample = self._faces = None
+        self._side = self._rectangle = self._sample = self._faces = None
 
     @property
     def b(self) -> Dual:
@@ -78,9 +78,21 @@ class CubeDomain(Record):
         if self.k == 0:
             raise ValueError("a 0-dimensional domain has no rectangle")
         if self._rectangle is None:
-            side = make_interval(self.theta, ZERO, self.b)
-            self._rectangle = ThetaRectangle(self.theta, (side,) * self.k)
+            self._rectangle = ThetaRectangle(self.theta, self.axes(()))
         return self._rectangle
+
+    def axes(self, pins: tuple) -> list:
+        """The axes of :func:`.darboux.polynomial_estimate` for a cube over
+        this domain whose map pins its root map's variables at `pins`,
+        ``(index, value)`` pairs (:meth:`.expr.ExprMap.pin`): one per
+        variable of the root, the side [0, b] where it is free and the
+        pinned value where it is pinned."""
+        if self._side is None:
+            self._side = make_interval(self.theta, ZERO, self.b)
+        axes = [self._side] * (self.k + len(pins))
+        for index, value in pins:
+            axes[index] = value
+        return axes
 
     def sample_points(self) -> tuple[tuple[Dual, ...], ...]:
         """Fixed pseudo-random points of the domain, for map comparison."""
@@ -163,10 +175,10 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
     the cube's domain object (:class:`CubeDomain`).  Its map is the
     cube's map with that argument pinned (:meth:`.expr.ExprMap.pin`): it
     runs the program of the cube's root map (its own, unless the cube is
-    a face) with each endpoint as a constant of each arithmetic, so on
-    polynomial registers the endpoints' roundings are bounded, and it
+    a face) with each endpoint as a constant of each arithmetic, and it
     builds the nodes composing with the endpoints would only when its
-    components are asked for.
+    components are asked for.  Its integral reads the root's register,
+    with each endpoint as a point axis (:meth:`CubeDomain.axes`).
     """
     k = cube.k
     _check_natural(axis, "axes")

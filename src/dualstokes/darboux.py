@@ -389,37 +389,50 @@ class IntegralEstimate(Record):
 _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
 
 
-def _axis_weights(iv: ThetaInterval, degree: int) -> tuple:
-    """``(re, ze, shadow, order)`` of ``(b^(p+1) - a^(p+1)) / (p+1)`` for
-    p = 0 .. degree, the powers by repeated Dual multiplication; built once
-    per interval and degree, keyed by the repr of the endpoints, which
-    tells 0.0 from -0.0 and 1 from 1.0 as the float operations do."""
-    ends = (iv.a.re, iv.a.ze, iv.b.re, iv.b.ze)
+def _axis_weights(axis: ThetaInterval | Dual, degree: int) -> tuple:
+    """``(re, ze, shadow, order)`` of the weight of x^p on `axis`, for
+    p = 0 .. degree: ``(b^(p+1) - a^(p+1)) / (p+1)`` over an interval
+    ``[a, b]``, ``v^p`` at a point v.  Built once per axis and degree,
+    keyed by the repr of the ends, which tells 0.0 from -0.0 and 1 from
+    1.0 as the float operations do."""
+    ends = ((axis.re, axis.ze) if isinstance(axis, Dual)
+            else (axis.a.re, axis.a.ze, axis.b.re, axis.b.ze))
     return _weight_table(repr(ends), ends, degree)
+
+
+def _powers(re: float, ze: float, top: int):
+    # v^j, j = 1 .. top, by repeated Dual multiplication, with its
+    # shadow ||v||^j (+ 3 TINY a product)
+    s = abs(re) + abs(ze)
+    p_re, p_ze, p_s = re, ze, s
+    for _ in range(top):
+        yield p_re, p_ze, p_s
+        p_re, p_ze = p_re * re, p_re * ze + p_ze * re
+        p_s = p_s * s + 3.0 * TINY
 
 
 @functools.lru_cache(maxsize=256)
 def _weight_table(key: str, ends: tuple, degree: int) -> tuple:
+    # the orders and shadows :func:`polynomial_estimate` derives: a
+    # power v^j has order 2j - 1; a point's weight v^p is its power,
+    # v^0 the exact 1 and every power of the exact zero the exact zero
+    # with shadow 0 and order 0; an interval's (b^j - a^j) / j, j = p + 1,
+    # has order 2j + 2
+    if len(ends) == 2:
+        re, ze = ends
+        exact = not (re or ze)
+        return ((1.0, 0.0, 1.0, 0),) + tuple(
+            (p_re, p_ze, 0.0, 0) if exact else (p_re, p_ze, p_s, 2 * j - 1)
+            for j, (p_re, p_ze, p_s) in enumerate(_powers(re, ze, degree), 1))
     a_re, a_ze, b_re, b_ze = ends
-    table = []
-    # the powers a^j, b^j and their shadows ||a||^j, ||b||^j (+ 3 TINY a
-    # product); order 2j - 1, then 2j for the difference, 2j + 2 for the
-    # quotient and its shadow's sum
-    a_s, b_s = abs(a_re) + abs(a_ze), abs(b_re) + abs(b_ze)
-    pa_re, pa_ze, pa_s = a_re, a_ze, a_s
-    pb_re, pb_ze, pb_s = b_re, b_ze, b_s
-    for p in range(degree + 1):
-        j = float(p + 1)
-        table.append(((pb_re - pa_re) / j, (pb_ze - pa_ze) / j,
-                      (pb_s + pa_s) / j + 2.0 * TINY, 2 * p + 4))
-        pa_re, pa_ze = pa_re * a_re, pa_re * a_ze + pa_ze * a_re
-        pb_re, pb_ze = pb_re * b_re, pb_re * b_ze + pb_ze * b_re
-        pa_s = pa_s * a_s + 3.0 * TINY
-        pb_s = pb_s * b_s + 3.0 * TINY
-    return tuple(table)
+    return tuple(((pb_re - pa_re) / j, (pb_ze - pa_ze) / j,
+                  (pb_s + pa_s) / j + 2.0 * TINY, 2 * j + 2)
+                 for j, ((pa_re, pa_ze, pa_s), (pb_re, pb_ze, pb_s))
+                 in enumerate(zip(_powers(a_re, a_ze, degree + 1),
+                                  _powers(b_re, b_ze, degree + 1)), 1))
 
 
-def polynomial_estimate(f: tuple, rect: ThetaRectangle | Theta
+def polynomial_estimate(f: tuple, theta: Theta, axes: Sequence
                         ) -> IntegralEstimate | None:
     """The exact integral of a polynomial integrand, a constant included,
     in a bracket that bounds every rounding; None when that bracket is
@@ -427,19 +440,22 @@ def polynomial_estimate(f: tuple, rect: ThetaRectangle | Theta
 
     `f` is a polynomial register of :mod:`.expr`, monomials ``c x^P``
     with dual float coefficients, as :func:`.forms.pullback_polynomial`
-    and :func:`.expr.expand_polynomial` make; its variables beyond the
-    rectangle's dimension are not checked; a :class:`.dual.Theta` for
-    `rect` is a point, where a constant integrates to itself.  By the
-    fundamental theorem of calculus, which the dual reals keep
-    (eps^2 = 0), each integrates over the box to ``c`` times the product
-    over the axes of ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)``, and the
-    value is the sum of those products, all in the float operations of
-    ``Dual``.
+    and :func:`.expr.expand_polynomial` make.  `axes` holds one entry per
+    variable, in order: a :class:`ThetaInterval` of order type `theta`,
+    which the variable is integrated over, or a :class:`.dual.Dual`
+    point, where it is pinned, as a cube's face pins its root map's
+    variable at an endpoint; no axes at all is a point, where a constant
+    integrates to itself.  Variables beyond the axes are not checked.  By
+    the fundamental theorem of calculus, which the dual reals keep
+    (eps^2 = 0), each monomial integrates to ``c`` times the product over
+    the axes of its weights: ``w(p) = (b^(p+1) - a^(p+1)) / (p+1)`` on an
+    interval, ``v^p`` at a point v, and the value is the sum of those
+    products, all in the float operations of ``Dual``.
 
     The bound is the a-priori one of Higham, *Accuracy and Stability of
     Numerical Algorithms* (2nd ed., SIAM 2002), section 3.1.  Read the
-    whole computation, from the program's float constants and the
-    rectangle's float endpoints to the value, as one straight-line
+    whole computation, from the program's float constants and the axes'
+    float endpoints to the value, as one straight-line
     program of real sums, differences, products and quotients by an
     integer.  A float operation returns ``(x op y)(1 + d) + e`` with
     ``|d| <= u = 2^-53``, and ``e = 0`` except for a product or quotient
@@ -459,6 +475,16 @@ def polynomial_estimate(f: tuple, rect: ThetaRectangle | Theta
     expands into no such terms; its register carries a shadow and an
     order for which the same bound holds, and every later operation
     keeps it, as the comment above ``expr._POLYS`` says.
+    The weights are such registers too.  A power ``v^j`` by ``j - 1``
+    dual products has order ``2j - 2`` in its parts, and its shadow
+    ``||v||^j`` order ``2j - 1``: one rounding for ``|re| + |ze|`` and
+    two for each of the ``j - 1`` products, each plus 3 TINY for its
+    underflow.  At the exact zero every such product is an exact zero,
+    so a point's weights ``v^p``, p > 0, have shadow 0 and order 0
+    there, and its ``v^0`` is the exact 1 at any point.  An interval's
+    weight takes one more rounding for the difference and one for the
+    quotient, and its shadow ``(||b||^j + ||a||^j) / j + 2 TINY`` three,
+    for the sum, the quotient and the TINY: order ``2j + 2``.
     For the integral, N adds the order of the weights, the two
     roundings of a dual product and one per accumulated monomial, and
     ``S = S(coefficients) * max S(weight) + 3 TINY`` per monomial, as
@@ -470,13 +496,11 @@ def polynomial_estimate(f: tuple, rect: ThetaRectangle | Theta
     each rounded outward by one float with ``math.nextafter``.  Both
     parts get the same radius.  A value, shadow or radius that
     overflowed is not finite, and neither is the bracket then, so no
-    overflow goes unseen.  Lower and upper follow the rectangle's
-    order, as a Darboux bracket's do, and ``subdivisions`` is 0.
+    overflow goes unseen.  Lower and upper follow `theta`'s order, as a
+    Darboux bracket's do, and ``subdivisions`` is 0.
     """
     terms, shadow, order, degree = f
-    theta, intervals = (rect, ()) if isinstance(rect, Theta) else (
-        rect.theta, rect.intervals)
-    tables = ([_axis_weights(iv, degree) for iv in intervals]
+    tables = ([_axis_weights(axis, degree) for axis in axes]
               or [((1.0, 0.0, 1.0, 0),)])  # a point's weight, exactly 1
     mask = (1 << KEY_BITS) - 1
     v_re = v_ze = 0.0

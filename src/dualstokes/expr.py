@@ -622,49 +622,6 @@ def poly_diff(x, index: int):
     return out, shadow * top if top else 0.0, order + 1, max(degree - 1, 0)
 
 
-# A pin fixes variable i of a register at a dual float v, such as a
-# face's endpoint: a monomial c x^P with P_i = p becomes c v^p, v^p by
-# repeated dual products, and monomials that meet on one key add up, the
-# program of a product with the constant registers of v's powers.  So,
-# as for a product, the order adds the most roundings of a power (2p,
-# and 1 for |v| = |re| + |ze| in its shadow), two for the dual product
-# and one for each of the at most p + 1 monomials that meet, p the
-# largest exponent of x_i; and the shadow is the register's times that
-# of the largest power, |v|^p, or 1, plus 3 TINY a monomial, as
-# |c v^p| <= |c| |v|^p in the 1-norm.  Where v is the exact zero or no
-# monomial holds x_i, a monomial vanishes or keeps its coefficient with
-# no rounding, and shadow and order stay.
-
-
-def poly_pin(x, index: int, value: Dual):
-    """A polynomial register with variable `index` fixed at the dual
-    `value` and each later variable one lower, with the shadow and
-    order the comment above derives."""
-    terms, shadow, order, degree = x
-    shift, mask = KEY_BITS * index, (1 << KEY_BITS) - 1
-    low = (1 << shift) - 1
-    v_re, v_ze = value.re, value.ze
-    v_s = abs(v_re) + abs(v_ze)
-    powers, out = [(1.0, 0.0, 1.0)], {}  # v^p and its shadow
-    for k, (c_re, c_ze) in terms.items():
-        p = (k >> shift) & mask
-        if p and not v_s:
-            continue  # zero at the exact zero
-        while len(powers) <= p:
-            a_re, a_ze, a_s = powers[-1]
-            powers.append((a_re * v_re, a_re * v_ze + a_ze * v_re,
-                           a_s * v_s + 3.0 * TINY))
-        w_re, w_ze, _ = powers[p]
-        k = (k & low) | (k >> (shift + KEY_BITS) << shift)
-        term, old = (c_re * w_re, c_re * w_ze + c_ze * w_re), out.get(k)
-        out[k] = term if old is None else (old[0] + term[0], old[1] + term[1])
-    top = len(powers) - 1
-    if not top:
-        return out, shadow, order, degree
-    return (out, shadow * max(powers[-1][2], 1.0) + (3 * len(terms)) * TINY,
-            order + 3 * top + 4, degree)
-
-
 _POLYS = (
     _poly_const,
     lambda x: ({k: (-re, -ze) for k, (re, ze) in x[0].items()},) + x[1:],

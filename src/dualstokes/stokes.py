@@ -28,7 +28,7 @@ from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       polynomial_estimate)
 from .dual import Dual, Record, Theta
 from .expr import (_POLYS, ExprMap, NotPolynomial, ParseError, eval_dual,
-                   parse_expr, poly_diff, poly_pin)
+                   parse_expr, poly_diff)
 from .forms import (DiffForm, exterior_derivative, pullback,
                     pullback_polynomial)
 
@@ -120,32 +120,30 @@ def _registers(f: ExprMap, w: DiffForm) -> dict | None:
         return None
 
 
-def _register(w: DiffForm, cube: SingularCube, roots: dict):
+def _register(w: DiffForm, cube: SingularCube, roots: dict) -> tuple:
     # `roots` maps the id of each root map F (its cubes keep it alive) to
     # the registers of F*w = sum_J R_J dx^J from one run of F's program,
-    # or to None where they raise.  On F's free axes J, a cube of w's
-    # degree integrates R_J, one of a degree more (a verdict's chain)
-    # d(F*w)'s sum_t (-1)^t dR_(J omit j_t)/dx_(j_t), each with F's pins
-    # applied highest index first, so that lower ones keep their place.
-    # A face whose root raises reads its own pullback; None where that
-    # raises too, or for a cube of d.
+    # or to None where they raise.  A cube's register is read in F's
+    # variables, and returned with its map's pins: on its free axes J, a
+    # cube of w's degree reads R_J, one of a degree more (a verdict's
+    # chain) d(F*w)'s sum_t (-1)^t dR_(J omit j_t)/dx_(j_t).  A face whose
+    # root raises reads its own pullback, pinning nothing; the register
+    # is None where that raises too, or for a cube of d.
     root, pins = cube.mapping._pin or (cube.mapping, ())
     if id(root) not in roots:
         roots[id(root)] = _registers(root, w)
     if (regs := roots[id(root)]) is None:
         own = None if cube.k > w.k or not pins else _registers(cube.mapping, w)
-        return None if own is None else own[tuple(range(cube.k))]
-    free = sorted(set(range(root.arity)) - dict(pins).keys())
+        return (None if own is None else own[tuple(range(cube.k))]), ()
+    pinned = [index for index, _ in pins]
+    free = [i for i in range(root.arity) if i not in pinned]
     if cube.k == w.k:
-        total = regs[tuple(free)]
-    else:
-        add, sub = _POLYS[2:4]
-        for t, j in enumerate(free):
-            term = poly_diff(regs[(*free[:t], *free[t + 1:])], j)
-            total = term if not t else (sub if t % 2 else add)(total, term)
-    for index, value in reversed(pins):
-        total = poly_pin(total, index, value)
-    return total
+        return regs[tuple(free)], pins
+    add, sub = _POLYS[2:4]
+    for t, j in enumerate(free):
+        term = poly_diff(regs[(*free[:t], *free[t + 1:])], j)
+        total = term if not t else (sub if t % 2 else add)(total, term)
+    return total, pins
 
 
 def integrate_over_cube(w: DiffForm, cube: SingularCube,
@@ -154,17 +152,19 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
     """Pull the form back through the cube's map and integrate the result.
 
     The integrand is a polynomial register from one run of the program
-    of the cube's root map (its own, or the one a face pins), pinned at
-    the face's endpoints; only a face whose root raises reads its own
-    pullback.  Its bracket, over the cube's rectangle or a 0-cube's
-    point, is returned within the refinement's tolerances; a finite one
-    that is wider raises NotConverged carrying it.  Only an integrand
-    that is no polynomial register, or whose bracket is not finite,
-    takes the Darboux refinement of the symbolic pullback (a 0-cube its
-    point value).  `_roots` caches each root map's registers.  In a
-    verdict (`_verdict`) a cube of one more dimension than the form
-    integrates d of the form: the divergence of its root's registers, or
-    where they raise, the Darboux refinement of the symbolic d, which is
+    of the cube's root map (its own, or the one a face pins), in the
+    root's variables; only a face whose root raises reads its own
+    pullback.  Its bracket, over the side [0, b] on each free variable
+    and at the pinned endpoint on each pinned one (a 0-cube that pins
+    nothing is a point), is returned within the refinement's
+    tolerances; a finite one that is wider raises NotConverged carrying
+    it.  Only an integrand that is no polynomial register, or whose
+    bracket is not finite, takes the Darboux refinement of the symbolic
+    pullback over the cube's rectangle (a 0-cube its point value).
+    `_roots` caches each root map's registers.  In a verdict
+    (`_verdict`) a cube of one more dimension than the form integrates
+    d of the form: the divergence of its root's registers, or where
+    they raise, the Darboux refinement of the symbolic d, which is
     built once in `_roots`.
     """
     if w.n != cube.n:
@@ -173,10 +173,9 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
     if not w.k <= cube.k <= w.k + _verdict:
         raise ValueError(f"cannot integrate a {w.k}-form over a {cube.k}-cube")
     roots = {} if _roots is None else _roots
-    where = cube.domain.rectangle() if cube.k else cube.theta
-    register = _register(w, cube, roots)
-    if register is not None and (
-            est := polynomial_estimate(register, where)) is not None:
+    register, pins = _register(w, cube, roots)
+    if register is not None and (est := polynomial_estimate(
+            register, cube.theta, cube.domain.axes(pins))) is not None:
         if est.gap_re <= refinement.tol_re and est.gap_ze <= refinement.tol_ze:
             return est
         raise NotConverged(est, refinement.tol_re, refinement.tol_ze)
@@ -186,7 +185,8 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
         point = cube.mapping.eval(())
         return IntegralEstimate.exact(eval_dual(w.coefficient(()), point))
     integrand = pullback(cube.mapping, w).coefficient(tuple(range(cube.k)))
-    return integral_estimate(integrand, where, **refinement.to_dict())
+    return integral_estimate(integrand, cube.domain.rectangle(),
+                             **refinement.to_dict())
 
 
 def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,

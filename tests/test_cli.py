@@ -88,6 +88,16 @@ def test_integrate_without_inputs_names_only_its_flags():
     assert err == "error: nothing to run: pass --scenario or --builtin\n"
 
 
+@pytest.mark.parametrize("component", ["x3", "x2+"])
+def test_verify_cube_map_that_does_not_parse_exits_2(tmp_path, component):
+    path = tmp_path / "bad-map.json"
+    path.write_text(json.dumps(
+        {**_AREA, "cubes": [{"map": ["x1", component]}]}))
+    code, out, err = run_cli("verify", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad cube map" in err
+
+
 def test_verify_bad_inputs(tmp_path):
     code, _, err = run_cli("verify", "--scenario",
                            str(tmp_path / "absent.json"))

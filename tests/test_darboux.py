@@ -539,7 +539,8 @@ def _exact_cases(seed: int, count: int):
 
 def test_exact_bracket_holds_the_exact_integral():
     for f, rect in _exact_cases(1414, 240):
-        est = polynomial_estimate(expand_polynomial(f), rect)
+        est = polynomial_estimate(expand_polynomial(f), rect.theta,
+                                  rect.intervals)
         assert est is not None, f
         assert est.subdivisions == 0
         assert _leq(est.lower, est.upper, rect.theta)
@@ -553,7 +554,8 @@ def test_exact_bracket_holds_the_exact_integral_on_wide_rectangles():
         theta = rng.choice(THETAS)
         rect = random_rectangle(rng, theta, dim, span=rng.choice((0.5, 40.0)))
         f = _dual_poly(rng, dim)
-        est = polynomial_estimate(expand_polynomial(f), rect)
+        est = polynomial_estimate(expand_polynomial(f), rect.theta,
+                                  rect.intervals)
         assert est is not None and _leq(est.lower, est.upper, theta)
         assert bracket_contains(est, reference_exact_integral(f, rect)), f
 
@@ -569,7 +571,8 @@ def _overlap(est, lower, upper) -> bool:
 def test_exact_bracket_overlaps_the_darboux_brackets():
     # at the default base level and at one doubling
     for f, rect in _exact_cases(1416, 60):
-        est = polynomial_estimate(expand_polynomial(f), rect)
+        est = polynomial_estimate(expand_polynomial(f), rect.theta,
+                                  rect.intervals)
         for n in (4, 8):
             lower, upper = darboux_sums(f, uniform_partition(rect, n))
             assert _overlap(est, lower, upper), (f, n)
@@ -583,7 +586,8 @@ def test_exact_bracket_bounds_underflow(text):
     # could ask of it
     rect = CubeDomain(Theta.TYPE2, 0.5, 2).rectangle()
     f = parse_expr(text, 2)
-    est = polynomial_estimate(expand_polynomial(f), rect)
+    est = polynomial_estimate(expand_polynomial(f), rect.theta,
+                              rect.intervals)
     assert bracket_contains(est, reference_exact_integral(f, rect))
     assert est.gap_re < 1e-290 and est.gap_ze < 1e-290
 
@@ -592,11 +596,11 @@ def test_exact_bracket_of_a_hand_example():
     # x1 over [0, 1+eps]: (1+eps)^2/2 = 0.5+eps, rounding nowhere
     rect = make_rectangle(Theta.TYPE1, [(0, Dual(1, 1))])
     x1 = expand_polynomial(parse_expr("x1", 1))
-    est = polynomial_estimate(x1, rect)
+    est = polynomial_estimate(x1, rect.theta, rect.intervals)
     assert est.value == Dual(0.5, 1.0)
     assert 0.0 < est.gap_re < 1e-14 and 0.0 < est.gap_ze < 1e-14
     mirrored = make_rectangle(Theta.TYPE2, [(0, Dual(1, -1))])
-    est = polynomial_estimate(x1, mirrored)
+    est = polynomial_estimate(x1, mirrored.theta, mirrored.intervals)
     assert est.value == Dual(0.5, -1.0)
     assert est.lower.ze > est.upper.ze
 
@@ -620,7 +624,7 @@ def test_exact_bracket_declines(text, expands):
             expand_polynomial(parse_expr(text, 3))
         return
     assert polynomial_estimate(expand_polynomial(parse_expr(text, 3)),
-                               rect) is None
+                               rect.theta, rect.intervals) is None
 
 
 def test_exact_bracket_of_a_constant():
@@ -628,7 +632,8 @@ def test_exact_bracket_of_a_constant():
     # volume as it does for any other polynomial
     rect = CubeDomain(Theta.TYPE1, 0.5, 3).rectangle()
     f = parse_expr("2.5+eps", 3)
-    est = polynomial_estimate(expand_polynomial(f), rect)
+    est = polynomial_estimate(expand_polynomial(f), rect.theta,
+                              rect.intervals)
     assert est.subdivisions == 0 and 0.0 < est.gap_re < 1e-12
     assert bracket_contains(est, reference_exact_integral(f, rect))
 
@@ -637,21 +642,24 @@ def test_monomial_cap_is_what_declines():
     rect = CubeDomain(Theta.TYPE1, 0.5, 3).rectangle()
     # C(10 + 3, 3) = 286 monomials of degree at most 10 in three variables
     assert polynomial_estimate(
-        expand_polynomial(parse_expr("(x1+x2+x3+1)^9", 3)), rect)
+        expand_polynomial(parse_expr("(x1+x2+x3+1)^9", 3)), rect.theta,
+        rect.intervals)
     assert MAX_MONOMIALS < 286
     with pytest.raises(NotPolynomial, match="monomials"):
         expand_polynomial(parse_expr("(x1+x2+x3+1)^10", 3))
 
 
 def test_weight_tables_are_built_once_per_interval_and_degree(monkeypatch):
-    # all 81 integrals of the tiled chain share one interval per axis
+    # all 81 integrals of the tiled chain share one interval per axis, and
+    # its faces one point per endpoint
     scenario = load_bench_module("workloads").tiled_chain_3d(stokes, 1)[0]
     asked = []
     build = darboux._axis_weights
 
-    def spy(iv, degree):
-        asked.append((repr((iv.a.re, iv.a.ze, iv.b.re, iv.b.ze)), degree))
-        return build(iv, degree)
+    def spy(axis, degree):
+        ends = (axis,) if isinstance(axis, Dual) else (axis.a, axis.b)
+        asked.append((repr([(end.re, end.ze) for end in ends]), degree))
+        return build(axis, degree)
 
     monkeypatch.setattr(darboux, "_axis_weights", spy)
     darboux._weight_table.cache_clear()
@@ -682,7 +690,8 @@ def test_exact_bracket_whose_midpoint_overflows_is_none():
     # the value is about 1.7e308 and finite; the midpoint of its ends is not
     rect = make_rectangle(Theta.TYPE1, [(0, math.sqrt(2.0))])
     f = parse_expr("1.7e308*x1", 1)
-    assert polynomial_estimate(expand_polynomial(f), rect) is None
+    assert polynomial_estimate(expand_polynomial(f), rect.theta,
+                               rect.intervals) is None
 
 
 def test_integral_estimate_rejects_an_overflowing_midpoint():

@@ -13,13 +13,13 @@ from dualstokes import (Dual, DualBox, DualMap, DualVec, EPS, Expr, ExprMap,
                         cos, cr_check, eval_dual, eval_enclosure, exp,
                         exprs_equal, is_zero_expr, jacobian, parse_expr,
                         partial_diff, render_expr, sample_points, sin)
-from dualstokes import CubeDomain, expr
+from dualstokes import CubeDomain, Theta, darboux, expr
 from dualstokes.darboux import polynomial_estimate
 from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
                              _NODES, _PAIRS, _POLYS, Add, Const, Mul, Neg,
                              NotPolynomial, PowInt, Prim, Sub, Var, _add, _mul,
                              _poly_vars, _run, _sub, expand_polynomial,
-                             lower_expr, partial_diffs, poly_diff, poly_pin)
+                             lower_expr, partial_diffs, poly_diff)
 from helpers import (THETAS, _exact_pin, bracket_contains, point_in_box,
                      random_box, random_expr, random_map, random_poly,
                      reference_cr_check, reference_diff, reference_enclose,
@@ -1142,7 +1142,7 @@ def test_folded_primitive_brackets_hold_the_exact_value():
         factor = random_poly(rng, dim, depth=2)
         g_re, g_ze = reference_exact_integral(factor, rect)
         est = polynomial_estimate(_POLYS[4](
-            register, expand_polynomial(factor)), rect)
+            register, expand_polynomial(factor)), rect.theta, rect.intervals)
         for p_re in (lo_re, hi_re):
             for p_ze in (lo_ze, hi_ze):
                 exact = (p_re * g_re, p_re * g_ze + p_ze * g_re)
@@ -1295,14 +1295,12 @@ def test_register_derivative_of_a_variable_it_does_not_read_is_zero():
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("r", (0.0, 0.5, 1.0))
 def test_register_pin_bounds_the_exact_pin(theta, r):
-    # a seeded register pinned at 0 or at b = 1 +- r*eps, on each of its
-    # variables: its monomials are among those the exact expansion pinned
-    # exactly has, the later variables one lower; its coefficients are
-    # within gamma(2N) times its shadow of those, in 1-norm; and its
-    # bracket over the face's domain, a point for arity 1, holds their
-    # exact integral
+    # a seeded register with each of its variables in turn pinned at 0
+    # or at b = 1 +- r*eps, a point axis, and the others over the face's
+    # sides [0, b]: its bracket holds the exact integral of the exact
+    # expansion pinned exactly, over the face's domain, a point for
+    # arity 1
     rng = random.Random(3300 + 10 * int(theta) + int(2 * r))
-    u = Fraction(1, 2 ** 53)
     checked = 0
     while checked < 40:
         arity = rng.randint(1, 3)
@@ -1315,53 +1313,56 @@ def test_register_pin_bounds_the_exact_pin(theta, r):
             continue
         checked += 1
         exact = reference_exact_expansion(f)
+        face = CubeDomain(theta, r, arity - 1)
         for index in range(arity):
             for value in (Dual(0.0), Dual(1.0, theta.sign * r)):
-                pinned = poly_pin(register, index, value)
-                terms, shadow, order, degree = pinned
+                est = polynomial_estimate(register, theta,
+                                          face.axes(((index, value),)))
                 want = _exact_pin(exact, index,
                                   (Fraction(value.re), Fraction(value.ze)))
-                got = {_exponents(key, arity - 1): pair
-                       for key, pair in terms.items()}
-                assert got.keys() <= want.keys(), (str(f), index, value)
-                error = Fraction(0)
-                for exps, (w_re, w_ze) in want.items():
-                    re, ze = map(Fraction, got.get(exps, (0.0, 0.0)))
-                    error += abs(re - w_re) + abs(ze - w_ze)
-                assert error <= (2 * order + 1) * u * Fraction(shadow)
-                assert all(sum(exps) <= degree for exps in got)
                 if arity == 1:
-                    est = polynomial_estimate(pinned, theta)
                     integral = want.get((), (0, 0))
                 else:
-                    rect = CubeDomain(theta, r, arity - 1).rectangle()
-                    est = polynomial_estimate(pinned, rect)
-                    integral = reference_exact_integral(want, rect)
+                    integral = reference_exact_integral(want,
+                                                        face.rectangle())
                 assert bracket_contains(est, integral), (str(f), index, value)
 
 
 def test_register_pin_at_zero_or_of_an_absent_variable_is_exact():
-    # at 0 a monomial in the variable vanishes, and one without it keeps
-    # its coefficient: no arithmetic, so shadow and order stay; the
-    # exact zero stays the exact zero at any value
+    # a point at the exact zero weighs x^p, p > 0, by the exact zero with
+    # shadow 0 and order 0, and x^0 by the exact 1: it adds no rounding,
+    # so the value is that of the register without its monomials in the
+    # variable, over the other axes; so is a point on a variable that no
+    # monomial holds; and the exact zero integrates to the exact zero
+    for zero in (Dual(0.0), Dual(0.0, -0.0), Dual(-0.0, 0.0)):
+        assert darboux._axis_weights(zero, 3) == (
+            (1.0, 0.0, 1.0, 0),) + ((0.0, 0.0, 0.0, 0),) * 3
+    side = CubeDomain(Theta.TYPE2, 0.5, 1).axes(())[0]
     register = expand_polynomial(parse_expr("0.1*x1^2*x3 + 0.3*x2*x3 + 7", 3))
-    terms, shadow, order, degree = poly_pin(register, 0, Dual(0.0, -0.0))
     x2x3, x1x2 = (1 << KEY_BITS) + (1 << 2 * KEY_BITS), 1 + (1 << KEY_BITS)
-    assert terms == {x1x2: register[0][x2x3], 0: register[0][0]}
-    assert (shadow, order, degree) == register[1:]
+    dropped = ({x1x2: register[0][x2x3], 0: register[0][0]},) + register[1:]
+    within = polynomial_estimate(dropped, Theta.TYPE2, [side, side])
+    for zero in (Dual(0.0), Dual(0.0, -0.0)):
+        est = polynomial_estimate(register, Theta.TYPE2, [zero, side, side])
+        assert est.value == within.value
+        assert bracket_contains(est, (within.value.re, within.value.ze))
     absent = expand_polynomial(parse_expr("0.1*x1 + 2", 2))
-    assert poly_pin(absent, 1, Dual(1.0, 0.5)) == absent
+    est = polynomial_estimate(absent, Theta.TYPE2, [side, Dual(1.0, -0.5)])
+    assert est.value == polynomial_estimate(absent, Theta.TYPE2,
+                                            [side]).value
     zero = ({}, 0.0, 3, 2)
     for value in (Dual(0.0), Dual(1.0, 0.5), Dual(1.0, -1.0)):
-        assert poly_pin(zero, 1, value)[:2] == ({}, 0.0)
+        est = polynomial_estimate(zero, Theta.TYPE2, [value, side])
+        assert est.value == ZERO and bracket_contains(est, (0, 0))
+        assert est.gap_re == est.gap_ze < darboux.TINY
 
 
 def test_register_pin_bounds_the_worst_error_its_shadow_admits():
     # a register of order N and shadow S admits any exact polynomial
     # within gamma(N) A of its floats in the 1-norm, A = S / (1 -
-    # gamma(N)); pinned at b = 1 + r*eps, the worst one, off by that on
-    # its monomial in x1^p, moves by |b^p| = 1 + p*r times as much, and
-    # the pinned register's shadow and order still bound it
+    # gamma(N)); with x1 pinned at b = 1 + r*eps, the worst one, off by
+    # that on its monomial in x1^p, moves by |b^p| = 1 + p*r times as
+    # much, and the bracket over x2 in [0, b] still holds its integral
     u = Fraction(1, 2 ** 53)
 
     def gamma(n):
@@ -1371,16 +1372,14 @@ def test_register_pin_bounds_the_worst_error_its_shadow_admits():
         for r in (0.5, 1.0):
             key = p + (1 << KEY_BITS)  # x1^p x2
             register = ({key: (0.3, 0.7), 0: (0.1, 0.0)}, 1.1, 20, p + 1)
-            terms, shadow, order, _ = poly_pin(register, 0, Dual(1.0, r))
-            got = {_exponents(k, 1): pair for k, pair in terms.items()}
+            face = CubeDomain(Theta.TYPE1, r, 1)
+            est = polynomial_estimate(register, Theta.TYPE1,
+                                      face.axes(((0, Dual(1.0, r)),)))
             reach = gamma(20) * Fraction(1.1) / (1 - gamma(20))
             for d_re, d_ze in ((reach, 0), (-reach, 0), (0, reach),
                                (0, -reach)):
                 exact = {(p, 1): (Fraction(0.3) + d_re, Fraction(0.7) + d_ze),
                          (0, 0): (Fraction(0.1), Fraction(0))}
                 want = _exact_pin(exact, 0, (Fraction(1), Fraction(r)))
-                error = sum(abs(Fraction(got.get(e, (0.0, 0.0))[i]) - c[i])
-                            for e, c in want.items() for i in (0, 1))
-                bound = Fraction(shadow) / (1 - gamma(order))
-                assert error <= gamma(order) * bound, (p, r)
-                assert sum(abs(x) for c in want.values() for x in c) <= bound
+                integral = reference_exact_integral(want, face.rectangle())
+                assert bracket_contains(est, integral), (p, r, d_re, d_ze)

@@ -400,7 +400,7 @@ def test_register_pullback_brackets_the_exact_integral(k, theta, r):
         register = pullback_polynomial(mapping, w)[tuple(range(k))]
         # a constant is a polynomial of degree 0, and its bracket is exact
         # in the same way
-        est = polynomial_estimate(register, rect)
+        est = polynomial_estimate(register, rect.theta, rect.intervals)
         assert bracket_contains(est, reference_exact_integral(
             reference_exact_pullback(mapping, w), rect)), (mapping, w)
         nonconstant += any(register[0])
@@ -427,7 +427,8 @@ def test_face_pullback_brackets_the_exact_integral(k, theta, r):
                 f = face(cube, axis, side)
                 rect = f.domain.rectangle()
                 est = polynomial_estimate(pullback_polynomial(
-                    f.mapping, w)[tuple(range(k))], rect)
+                    f.mapping, w)[tuple(range(k))], rect.theta,
+                    rect.intervals)
                 assert bracket_contains(est, reference_exact_integral(
                     reference_exact_pullback(f.mapping, w), rect)), (
                     cube, axis, side)
@@ -446,9 +447,10 @@ def test_face_bracket_bounds_the_endpoint_rounding():
     exact = reference_exact_integral(reference_exact_pullback(f.mapping, w),
                                      rect)
     pinned = polynomial_estimate(pullback_polynomial(f.mapping, w)[(0,)],
-                                 rect)
+                                 rect.theta, rect.intervals)
     folded = polynomial_estimate(
-        pullback_polynomial(ExprMap(f.mapping.components), w)[(0,)], rect)
+        pullback_polynomial(ExprMap(f.mapping.components), w)[(0,)],
+        rect.theta, rect.intervals)
     assert bracket_contains(pinned, exact)
     assert not bracket_contains(folded, exact)
 
@@ -470,7 +472,7 @@ def test_register_pullback_keeps_a_minor_that_rounds_to_zero():
         w = form_from_strings(n, 2, coeffs)
         register = pullback_polynomial(mapping, w)[(0, 1)]
         assert register[1] > 0.0  # not the exact zero
-        est = polynomial_estimate(register, rect)
+        est = polynomial_estimate(register, rect.theta, rect.intervals)
         assert bracket_contains(est, reference_exact_integral(
             reference_exact_pullback(mapping, w), rect)), n
 
@@ -516,7 +518,7 @@ def test_minor_brackets_the_exact_determinant():
                           2).rectangle()
         exact = reference_exact_det([[e[1] for e in row] for row in entries],
                                     2)
-        est = polynomial_estimate(det, rect)
+        est = polynomial_estimate(det, rect.theta, rect.intervals)
         assert bracket_contains(est, reference_exact_integral(exact, rect))
     assert skipped > 100
 

@@ -84,7 +84,7 @@ def test_report_matches_golden(name):
 
 @pytest.mark.parametrize("name", POLYNOMIAL_NAMES)
 def test_darboux_path_matches_its_golden(name, monkeypatch):
-    monkeypatch.setattr(stokes, "polynomial_estimate", lambda f, rect: None)
+    monkeypatch.setattr(stokes, "polynomial_estimate", lambda f, theta, axes: None)
     assert _record(_scenario(name)) == _golden(DARBOUX_GOLDEN)[name]
 
 
@@ -122,7 +122,7 @@ def _write_goldens() -> None:
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     exact = stokes.polynomial_estimate
-    stokes.polynomial_estimate = lambda f, rect: None
+    stokes.polynomial_estimate = lambda f, theta, axes: None
     try:
         records = {name: _record(_scenario(name)) for name in POLYNOMIAL_NAMES}
     finally:

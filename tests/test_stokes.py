@@ -247,7 +247,10 @@ def test_json_report_writer():
     assert len(data) == 2
     for item in data:
         jsonschema.validate(item, REPORT_SCHEMA)
-    assert StokesReport.from_dict(data[0]).to_dict() == data[0]
+        assert StokesReport.from_dict(item).to_dict() == item
+    noconv = StokesReport.from_dict(data[1])
+    assert noconv.lhs is noconv.rhs is None and not noconv.converged
+    assert noconv == _report(converged=False)
 
 
 def test_csv_report_writer():
@@ -356,6 +359,14 @@ def test_fold_that_overflows_is_a_scenario_error(expr, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ScenarioError, match="overflows the float range"):
         load_scenarios(path)
+
+
+@pytest.mark.parametrize("component", ["x3", "x2+"])
+def test_cube_map_that_does_not_parse_is_a_scenario_error(component):
+    # x3 reads past the k = 2 variables of the domain, and x2+ ends early
+    data = _broken(cubes=[{"map": ["x1", component]}])
+    with pytest.raises(ScenarioError, match="bad cube map"):
+        scenario_from_dict(data)
 
 
 def test_loaded_scenario_is_not_parsed_again(monkeypatch):
@@ -718,6 +729,45 @@ def test_verdict_fails_where_every_side_1_face_is_shifted(delta,
     assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
 
 
+@pytest.mark.parametrize("mutant, fails", [("drop", True), ("flip", True),
+                                           ("drop a zero face", False)])
+def test_verdict_fails_where_an_outer_face_is_dropped_or_flipped(
+        mutant, fails, monkeypatch):
+    # defects planted in the boundary of tiled seed 1, whose 54 outer
+    # faces the exact oracle integrates: the face dropped, or its sign
+    # flipped, is the one of least exact integral above the correct
+    # verdict's summed gaps, so the verdict must fail; a dropped face
+    # whose exact integral is 0 changes nothing the verdict can see
+    scenario = _fixed_scenario("tiled-chain-3d", 1)
+    report = run_scenario(scenario)
+    gap_re = report.lhs.gap_re + report.rhs.gap_re
+    gap_ze = report.lhs.gap_ze + report.rhs.gap_ze
+    exact_w, dw, _ = _exact_forms(scenario.form)
+    outer = chain_normalize(boundary(scenario.chain))
+    roots = {}
+    exact = [_exact_cube_integral(exact_w, cube, roots)
+             for _, cube in outer.terms]
+    if fails:
+        _, i = min((abs(re) + abs(ze), i) for i, (re, ze) in enumerate(exact)
+                   if abs(re) > gap_re or abs(ze) > gap_ze)
+    else:
+        i = exact.index((0, 0))
+    terms = list(outer.terms)
+    weight, cube = terms[i]
+    terms[i:i + 1] = [] if mutant.startswith("drop") else [(-weight, cube)]
+    planted = Chain(outer.theta, outer.r, outer.k, outer.n, tuple(terms))
+    # the planted boundary misses the exact lhs by that face's integral,
+    # once or twice
+    times = 1 if mutant.startswith("drop") else 2
+    lhs = _exact_chain_integral(dw, scenario.chain, roots)
+    rhs = _exact_chain_integral(exact_w, planted, roots)
+    assert tuple(a - b for a, b in zip(lhs, rhs)) == tuple(
+        times * weight * part for part in exact[i])
+    monkeypatch.setattr(stokes, "boundary", lambda chain: planted)
+    report = run_scenario(scenario)
+    assert report.converged and report.passed is not fails
+
+
 def test_disjoint_darboux_brackets_are_left_to_the_tolerance():
     # c*x1*exp(eps*x2) dx2 with c = 0.1 + 0.2 - 0.3, which is 2^-55 in the
     # exact values of its floats, on the square shifted to x1 in [2, 3]:
@@ -791,7 +841,7 @@ def test_bracket_wider_than_the_tolerance_falls_back(monkeypatch):
     # bracket, not a refinement of the float-folded integrand
     f, rect, w, cube = _square("x1*x2")
     register = pullback_polynomial(cube.mapping, w)[(0, 1)]
-    est = stokes.polynomial_estimate(register, rect)
+    est = stokes.polynomial_estimate(register, rect.theta, rect.intervals)
     assert est.gap_re > 0.0
     monkeypatch.setattr(stokes, "integral_estimate",
                         lambda f, rect, **_: pytest.fail(f"{f} refines"))
@@ -854,7 +904,8 @@ def test_verdict_bracket_wider_than_the_tolerance_does_not_converge(
 def test_non_finite_exact_bracket_falls_back_to_the_overflow():
     f, rect, w, cube = _square("1e200*x1*1e200")
     register = pullback_polynomial(cube.mapping, w)[(0, 1)]
-    assert stokes.polynomial_estimate(register, rect) is None
+    assert stokes.polynomial_estimate(register, rect.theta,
+                                      rect.intervals) is None
     with pytest.raises(OverflowError, match="not finite"):
         integrate_over_cube(w, cube, Refinement())
 
@@ -914,7 +965,8 @@ def test_register_bracket_that_is_not_finite_falls_back(monkeypatch):
     f, rect, w, cube = _square("x1*1e200*1e200")
     register = pullback_polynomial(cube.mapping, w)[(0, 1)]
     assert any(register[0])  # no constant
-    assert stokes.polynomial_estimate(register, rect) is None
+    assert stokes.polynomial_estimate(register, rect.theta,
+                                      rect.intervals) is None
     calls = []
     symbolic = stokes.pullback
     monkeypatch.setattr(stokes, "pullback",
