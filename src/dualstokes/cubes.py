@@ -53,26 +53,26 @@ MERGE_TOL = 1e-9
 class CubeDomain(Record):
     """The immutable model domain: k axes of [0, 1 + (sign of theta)*r*eps].
 
-    Its side interval, rectangle, sample table and face domain are built
-    on first use and kept outside the fields, so they neither compare
-    nor pickle: every cube and face over one domain object shares them.
-    They hang on the object, not on a table keyed by ``(theta, r, k)``,
-    because ``0.0 == -0.0`` while their endpoints and samples differ.
+    Its far end `b` is built with it, and its side interval, rectangle,
+    sample table and face domain on first use, all kept outside the
+    fields, so they neither compare nor pickle: every cube and face over
+    one domain object shares them.  They hang on the object, not on a
+    table keyed by ``(theta, r, k)``, because ``0.0 == -0.0`` while their
+    endpoints and samples differ.
     """
 
     _fields = ("theta", "r", "k")
-    __slots__ = _fields + ("_side", "_rectangle", "_sample", "_faces")
+    __slots__ = _fields + ("b", "_side", "_rectangle", "_sample", "_faces")
 
     def __init__(self, theta: Theta, r: float, k: int):
-        self.theta, self.r, self.k = Theta(theta), float(r), k
+        if theta.__class__ is not Theta:
+            theta = Theta(theta)
+        self.theta, self.r, self.k = theta, float(r), k
         if not 0 <= self.r < math.inf:
             raise ValueError("inflation must be finite and nonnegative")
         _check_natural(k, "dimensions")
+        self.b = Dual(1.0, theta.sign * self.r)
         self._side = self._rectangle = self._sample = self._faces = None
-
-    @property
-    def b(self) -> Dual:
-        return Dual(1.0, self.theta.sign * self.r)
 
     def rectangle(self) -> ThetaRectangle:
         if self.k == 0:
@@ -205,7 +205,9 @@ class Chain(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity
 
     def __init__(self, theta: Theta, r: float, k: int, n: int, terms: tuple):
-        signature = (Theta(theta), float(r), k, n)
+        if theta.__class__ is not Theta:
+            theta = Theta(theta)
+        signature = (theta, float(r), k, n)
         self.theta, self.r, self.k, self.n = signature
         kept = []
         for weight, cube in tuple(terms):

@@ -80,7 +80,8 @@ class NotConverged(RuntimeError):
 class ThetaInterval(Record):
     """All points between `a` and `b` in the type-theta order; immutable."""
 
-    __slots__ = _fields = ("theta", "a", "b")
+    _fields = ("theta", "a", "b")
+    __slots__ = _fields + ("_weights",)  # not a field: see _axis_weights
 
     def __init__(self, theta: Theta, a: Dual, b: Dual):
         for name, end in (("a", a), ("b", b)):
@@ -105,7 +106,9 @@ class ThetaInterval(Record):
 
 
 def make_interval(theta: Theta, a, b) -> ThetaInterval:
-    return ThetaInterval(Theta(theta), as_dual(a), as_dual(b))
+    if theta.__class__ is not Theta:
+        theta = Theta(theta)
+    return ThetaInterval(theta, as_dual(a), as_dual(b))
 
 
 class ThetaRectangle(Record):
@@ -372,9 +375,13 @@ class IntegralEstimate(Record):
     @staticmethod
     def from_bounds(lower: Dual, upper: Dual,
                     subdivisions: int) -> "IntegralEstimate":
-        return IntegralEstimate((lower + upper) * 0.5, lower, upper,
-                                abs(upper.re - lower.re),
-                                abs(upper.ze - lower.ze), subdivisions)
+        # the float operations of ``(lower + upper) * 0.5`` in Dual
+        # arithmetic, so signed zeros, inf and NaN come out as there
+        l_re, l_ze, u_re, u_ze = lower.re, lower.ze, upper.re, upper.ze
+        s_re, s_ze = l_re + u_re, l_ze + u_ze
+        return IntegralEstimate(Dual(s_re * 0.5, s_re * 0.0 + s_ze * 0.5),
+                                lower, upper, abs(u_re - l_re),
+                                abs(u_ze - l_ze), subdivisions)
 
     @staticmethod
     def exact(value: Dual) -> "IntegralEstimate":
@@ -382,8 +389,9 @@ class IntegralEstimate(Record):
 
     def finite(self) -> bool:
         """Whether the midpoint and the gaps are finite (so the ends are)."""
-        return all(map(math.isfinite, (self.value.re, self.value.ze,
-                                       self.gap_re, self.gap_ze)))
+        isfinite, value = math.isfinite, self.value
+        return (isfinite(value.re) and isfinite(value.ze)
+                and isfinite(self.gap_re) and isfinite(self.gap_ze))
 
 
 _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
@@ -392,12 +400,20 @@ _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
 def _axis_weights(axis: ThetaInterval | Dual, degree: int) -> tuple:
     """``(re, ze, shadow, order)`` of the weight of x^p on `axis`, for
     p = 0 .. degree: ``(b^(p+1) - a^(p+1)) / (p+1)`` over an interval
-    ``[a, b]``, ``v^p`` at a point v.  Built once per axis and degree,
+    ``[a, b]``, ``v^p`` at a point v.  The axis object keeps its tables
+    by degree; a miss reads the one built once per ends and degree,
     keyed by the repr of the ends, which tells 0.0 from -0.0 and 1 from
     1.0 as the float operations do."""
-    ends = ((axis.re, axis.ze) if isinstance(axis, Dual)
-            else (axis.a.re, axis.a.ze, axis.b.re, axis.b.ze))
-    return _weight_table(repr(ends), ends, degree)
+    try:
+        tables = axis._weights
+    except AttributeError:
+        tables = axis._weights = {}
+    table = tables.get(degree)
+    if table is None:
+        ends = ((axis.re, axis.ze) if isinstance(axis, Dual)
+                else (axis.a.re, axis.a.ze, axis.b.re, axis.b.ze))
+        table = tables[degree] = _weight_table(repr(ends), ends, degree)
+    return table
 
 
 def _powers(re: float, ze: float, top: int):
@@ -500,14 +516,14 @@ def polynomial_estimate(f: tuple, theta: Theta, axes: Sequence
     Darboux bracket's do, and ``subdivisions`` is 0.
     """
     terms, shadow, order, degree = f
-    tables = ([_axis_weights(axis, degree) for axis in axes]
-              or [((1.0, 0.0, 1.0, 0),)])  # a point's weight, exactly 1
+    first, *rest = ([_axis_weights(axis, degree) for axis in axes]
+                    or [((1.0, 0.0, 1.0, 0),)])  # a point's weight, exactly 1
     mask = (1 << KEY_BITS) - 1
     v_re = v_ze = 0.0
     w_top, n_top = 0.0, 0
     for key, (c_re, c_ze) in terms.items():
-        w_re, w_ze, w_s, w_n = tables[0][key & mask]
-        for table in tables[1:]:
+        w_re, w_ze, w_s, w_n = first[key & mask]
+        for table in rest:
             key >>= KEY_BITS
             o_re, o_ze, o_s, o_n = table[key & mask]
             w_re, w_ze = w_re * o_re, w_re * o_ze + w_ze * o_re

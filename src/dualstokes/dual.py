@@ -21,10 +21,10 @@ class Theta(IntEnum):
     TYPE1 = 1
     TYPE2 = 2
 
-    @property
-    def sign(self) -> int:
-        """Orientation of the ze axis under this order (+1 or -1)."""
-        return 1 if self is Theta.TYPE1 else -1
+    def __init__(self, value: int):
+        # the orientation of the ze axis under this order (+1 or -1), an
+        # attribute of each member, as it is read once or more per term
+        self.sign = 1 if value == 1 else -1
 
 
 class Ordering(Enum):
@@ -75,7 +75,9 @@ class Dual(Record):
     nothing in this package needs it.
     """
 
-    __slots__ = _fields = ("re", "ze")
+    _fields = ("re", "ze")
+    # not a field: a pinned point's weight tables, see darboux._axis_weights
+    __slots__ = _fields + ("_weights",)
 
     def __init__(self, re: float, ze: float = 0.0):
         self.re, self.ze = re, ze
@@ -140,6 +142,9 @@ EPS = Dual(0.0, 1.0)
 def _as_dual_or_none(value) -> Dual | None:
     if isinstance(value, Dual):
         return value
+    # an exact float or int needs no ABC check; float() of a float is it
+    if value.__class__ is float or value.__class__ is int:
+        return Dual(float(value))
     if isinstance(value, Real):
         return Dual(float(value))
     return None

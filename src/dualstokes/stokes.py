@@ -167,15 +167,16 @@ def integrate_over_cube(w: DiffForm, cube: SingularCube,
     they raise, the Darboux refinement of the symbolic d, which is
     built once in `_roots`.
     """
-    if w.n != cube.n:
+    domain = cube.domain
+    if w.n != cube.mapping.dim_out:
         raise ValueError(
             f"form lives in dimension {w.n} but the cube maps into {cube.n}")
-    if not w.k <= cube.k <= w.k + _verdict:
+    if not w.k <= domain.k <= w.k + _verdict:
         raise ValueError(f"cannot integrate a {w.k}-form over a {cube.k}-cube")
     roots = {} if _roots is None else _roots
     register, pins = _register(w, cube, roots)
     if register is not None and (est := polynomial_estimate(
-            register, cube.theta, cube.domain.axes(pins))) is not None:
+            register, domain.theta, domain.axes(pins))) is not None:
         if est.gap_re <= refinement.tol_re and est.gap_ze <= refinement.tol_ze:
             return est
         raise NotConverged(est, refinement.tol_re, refinement.tol_ze)
@@ -211,13 +212,18 @@ def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,
                                       _verdict=_verdict is not None)
         except NotFinite as exc:
             raise NotFinite(f"the chain sum is not finite: {exc}") from exc
-        a, b = weight * est.lower.re, weight * est.upper.re
-        lo_re += min(a, b)
-        hi_re += max(a, b)
-        a, b = weight * est.lower.ze, weight * est.upper.ze
-        lo_ze += min(a, b)
-        hi_ze += max(a, b)
-        finest = max(finest, est.subdivisions)
+        # the min and max of each part's two products without the builtin
+        # calls, taken as those take them: the first unless the second is
+        # strictly less (greater)
+        lower, upper = est.lower, est.upper
+        a, b = weight * lower.re, weight * upper.re
+        lo_re += b if b < a else a
+        hi_re += b if b > a else a
+        a, b = weight * lower.ze, weight * upper.ze
+        lo_ze += b if b < a else a
+        hi_ze += b if b > a else a
+        if est.subdivisions > finest:
+            finest = est.subdivisions
     # the lower end of a type-2 bracket has the greater ze part
     ze = (lo_ze, hi_ze) if chain.theta.sign > 0 else (hi_ze, lo_ze)
     est = IntegralEstimate.from_bounds(Dual(lo_re, ze[0]), Dual(hi_re, ze[1]),

@@ -10,7 +10,7 @@ from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         chain_of, compose, cubes_equal, eval_dual, exp, face,
                         parse_expr, run_scenario, scenario_from_dict, sin,
                         standard_cube)
-from dualstokes import cubes as cubes_module, expr
+from dualstokes import cubes as cubes_module, darboux, expr
 from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _Fingerprint,
                               _domain_sample, _key_weights, _near)
 from dualstokes.expr import _PAIRS, Add, Const, Mul, PowInt, Var
@@ -132,6 +132,19 @@ def test_signed_zero_domains_keep_their_own_derived_data():
     for dom in (minus, plus):  # built in the other order: still their own
         again = CubeDomain(Theta.TYPE1, dom.r, 2)
         assert repr(again.rectangle()) == repr(dom.rectangle())
+    # so do the weight tables of the endpoints their faces pin, and of
+    # their sides, whichever is read first, and each is kept by its owner
+    darboux._weight_table.cache_clear()
+    fresh = darboux._weight_table.__wrapped__
+    for dom in (minus, plus):
+        b = dom._face_domain()[1][1]
+        for axis, ends in ((b, (b.re, b.ze)), (dom.axes(())[0],
+                                              (0.0, 0.0, b.re, b.ze))):
+            table = darboux._axis_weights(axis, 4)
+            assert repr(table) == repr(fresh(repr(ends), ends, 4))
+            assert darboux._axis_weights(axis, 4) is table
+    assert repr(darboux._axis_weights(plus.b, 4)) != \
+        repr(darboux._axis_weights(minus.b, 4))
 
 
 def test_faces_of_one_boundary_share_one_domain():

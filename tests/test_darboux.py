@@ -686,6 +686,20 @@ def test_weight_tables_tell_apart_what_the_float_operations_do():
     assert repr(tables[3]) != repr(tables[4])  # 3**41 rounds as a float
 
 
+def test_bracket_midpoint_and_gaps_are_those_of_dual_arithmetic():
+    # from_bounds works in floats, in the operations of (lower + upper) *
+    # 0.5 and of the gaps' differences in Dual arithmetic, so signed
+    # zeros, inf, NaN, an overflowing sum and a subnormal come out as there
+    parts = (0.0, -0.0, 1.5, math.inf, -math.inf, math.nan, 1.7e308,
+             -1.7e308, 5e-324)
+    for l_re, l_ze, u_re, u_ze in itertools.product(parts, repeat=4):
+        lower, upper = Dual(l_re, l_ze), Dual(u_re, u_ze)
+        est = darboux.IntegralEstimate.from_bounds(lower, upper, 3)
+        want = ((lower + upper) * 0.5, lower, upper,
+                abs(upper.re - lower.re), abs(upper.ze - lower.ze), 3)
+        assert repr(est._values()) == repr(want)
+
+
 def test_exact_bracket_whose_midpoint_overflows_is_none():
     # the value is about 1.7e308 and finite; the midpoint of its ends is not
     rect = make_rectangle(Theta.TYPE1, [(0, math.sqrt(2.0))])

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,20 @@ def test_ring_operations():
     assert (EPS * EPS).is_zero()
     assert x * ONE == x
     assert x * ZERO == ZERO
+    # an exact float or int skips the ABC check; a bool, a Fraction and a
+    # float subclass take it; all give Dual(float(v))'s bits, signed
+    # zeros and NaN included, or its OverflowError
+    class Sub(float):
+        pass
+
+    for x in (Dual(2, 3), Dual(-0.0, 1.5), Dual(0.1, math.inf)):
+        for v in (2.5, -0.0, math.nan, 3, 0, True, Fraction(1, 3), Sub(-0.0)):
+            d = Dual(float(v))
+            for got, want in ((x + v, x + d), (v + x, x + d), (x - v, x - d),
+                              (v - x, d - x), (x * v, x * d), (v * x, x * d)):
+                assert repr(got) == repr(want), (x, v)
+        with pytest.raises(OverflowError):
+            x + 10 ** 400
 
 
 def test_integer_powers():
@@ -94,6 +109,9 @@ def test_theta_enum():
     assert Theta.TYPE2.sign == -1
     assert Theta(1) is Theta.TYPE1
     assert Theta(2) is Theta.TYPE2
+    assert Theta(1).sign == 1 and Theta(2).sign == -1
+    assert Theta(Theta.TYPE2) is Theta.TYPE2
+    assert list(Theta) == [Theta.TYPE1, Theta.TYPE2]  # sign is no member
     with pytest.raises(ValueError):
         Theta(3)
 

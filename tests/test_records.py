@@ -15,7 +15,8 @@ from dualstokes import (AltTensor, Chain, CubeDomain, DiffForm, Dual, DualBox,
                         DualMap, Expr, ExprMap, IntegralEstimate, Partition,
                         Refinement, Scenario, SingularCube, StokesReport,
                         Theta, ThetaInterval, ThetaRectangle, builtin_scenario,
-                        parse_expr, standard_cube, uniform_partition)
+                        make_interval, parse_expr, standard_cube,
+                        uniform_partition)
 from dualstokes.tensors import Graded
 
 T1 = "<Theta.TYPE1: 1>"
@@ -176,9 +177,16 @@ def test_cubes_chains_tensors_and_forms_compare_by_identity():
 def test_construction_coerces_and_checks_as_before():
     domain = CubeDomain(1, 1, 2)
     assert domain.theta is Theta.TYPE1 and repr(domain.r) == "1.0"
+    assert domain == CubeDomain(Theta.TYPE1, 1.0, 2)
+    assert repr(domain.b) == repr(CubeDomain(Theta.TYPE1, 1.0, 2).b) == \
+        "Dual(re=1.0, ze=1.0)"
+    assert repr(CubeDomain(2, 1, 2).b) == "Dual(re=1.0, ze=-1.0)"
+    assert make_interval(2, 0, 1) == make_interval(Theta.TYPE2, 0, 1)
     point = standard_cube(Theta.TYPE2, 0.0, 0)
     chain = Chain(2, 0, 0, 1, ((0, point),))  # a zero weight is dropped
     assert chain.theta is Theta.TYPE2 and chain.r == 0.0 and not chain.terms
+    assert Chain(2, 0, 0, 1, ((3, point),)).terms == ((3, point),)
+    assert chain.theta.sign == -1 and domain.theta.sign == 1
     assert ExprMap([parse_expr("x1", 1)]).components == (parse_expr("x1", 1),)
     assert DualMap([[1, 2]]).entries == ((Dual(1.0), Dual(2.0)),)
     part = uniform_partition(

@@ -729,15 +729,17 @@ def test_verdict_fails_where_every_side_1_face_is_shifted(delta,
     assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
 
 
-@pytest.mark.parametrize("mutant, fails", [("drop", True), ("flip", True),
-                                           ("drop a zero face", False)])
+@pytest.mark.parametrize("mutant, fails", [
+    ("drop", True), ("flip", True), ("duplicate", True),
+    ("drop a zero face", False), ("duplicate a zero face", False)])
 def test_verdict_fails_where_an_outer_face_is_dropped_or_flipped(
         mutant, fails, monkeypatch):
     # defects planted in the boundary of tiled seed 1, whose 54 outer
-    # faces the exact oracle integrates: the face dropped, or its sign
-    # flipped, is the one of least exact integral above the correct
-    # verdict's summed gaps, so the verdict must fail; a dropped face
-    # whose exact integral is 0 changes nothing the verdict can see
+    # faces the exact oracle integrates: the face dropped, duplicated or
+    # with its sign flipped is the one of least exact integral above the
+    # correct verdict's summed gaps, so the verdict must fail; a face
+    # whose exact integral is 0, dropped or duplicated, changes nothing
+    # the verdict can see
     scenario = _fixed_scenario("tiled-chain-3d", 1)
     report = run_scenario(scenario)
     gap_re = report.lhs.gap_re + report.rhs.gap_re
@@ -754,11 +756,14 @@ def test_verdict_fails_where_an_outer_face_is_dropped_or_flipped(
         i = exact.index((0, 0))
     terms = list(outer.terms)
     weight, cube = terms[i]
-    terms[i:i + 1] = [] if mutant.startswith("drop") else [(-weight, cube)]
+    # the face's place in the planted boundary, and how often the planted
+    # boundary misses the exact lhs by its integral: a duplicate, which
+    # normalization merges into one term of twice the weight, counts it
+    # once too often
+    terms[i:i + 1], times = {"drop": ([], 1), "flip": ([(-weight, cube)], 2),
+                             "duplicate": ([(weight, cube)] * 2, -1),
+                             }[mutant.split()[0]]
     planted = Chain(outer.theta, outer.r, outer.k, outer.n, tuple(terms))
-    # the planted boundary misses the exact lhs by that face's integral,
-    # once or twice
-    times = 1 if mutant.startswith("drop") else 2
     lhs = _exact_chain_integral(dw, scenario.chain, roots)
     rhs = _exact_chain_integral(exact_w, planted, roots)
     assert tuple(a - b for a, b in zip(lhs, rhs)) == tuple(
