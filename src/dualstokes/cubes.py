@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 import random
@@ -43,7 +44,7 @@ from .dual import Dual, Record, Theta, ZERO
 # compose is unused here but stays a module attribute: the benchmark's
 # tracer (bench/spans.py) rebinds cubes.compose.
 from .expr import (TINY, _PAIRS, Expr, ExprMap, _check_natural, compose,
-                   listwise)
+                   pair_columns)
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -109,10 +110,13 @@ class CubeDomain(Record):
 
     def _face_domain(self) -> tuple:
         """The domain of this domain's faces, and the endpoints 0 and b
-        that its sides 0 and 1 pin."""
+        that its sides 0 and 1 pin.  The face domain's side is this
+        domain's side object, whose ends are the same bits, so the weight
+        tables that side keeps serve the faces too."""
         if self._faces is None:
-            self._faces = (CubeDomain(self.theta, self.r, self.k - 1),
-                           (ZERO, self.b))
+            faces = CubeDomain(self.theta, self.r, self.k - 1)
+            faces._side = self.axes(())[0]
+            self._faces = faces, (ZERO, self.b)
         return self._faces
 
 
@@ -121,14 +125,17 @@ class CubeDomain(Record):
 def _domain_sample(k: int, ze_span: float, ze_sign: float):
     """The sample points as duals, the same points with each coordinate as
     its (re, ze) float pair, and points 1.. as one lane register per
-    variable (see :data:`_LANE_ARITH`)."""
+    variable, the (re list, ze list) of its columns (see
+    :data:`_LANE_ARITH`)."""
     rng = random.Random(_FINGERPRINT_SEED ^ (k * 1009))
     points = tuple(  # a 0-dimensional domain is one point
         tuple(Dual(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * ze_span)
               for _ in range(k))
         for _ in range(_FINGERPRINT_POINTS if k else 1))
     pairs = tuple(tuple((c.re, c.ze) for c in point) for point in points)
-    return points, pairs, tuple(zip(*pairs[1:]))
+    lanes = tuple(tuple(map(list, zip(*column)))
+                  for column in zip(*pairs[1:]))
+    return points, pairs, lanes
 
 
 class SingularCube(Record):
@@ -270,14 +277,20 @@ def boundary(obj) -> Chain:
     return Chain(obj.theta, obj.r, obj.k - 1, obj.n, faces)
 
 
-# Lane registers: a dual value at each of the sample points 1..15 as the
-# list of its (re, ze) pairs, so one run of a map's program evaluates all
+# Lane registers: a dual value at each of the sample points 1..15 as its
+# columns (re list, ze list), so one run of a map's program evaluates all
 # fifteen points, each by the point arithmetic of .expr, with its bits and
 # its OverflowError.
 _LANES = _FINGERPRINT_POINTS - 1
 
 
-_LANE_ARITH = listwise(_PAIRS, _LANES)
+_LANE_ARITH = pair_columns(_LANES)
+
+
+def _lane_points(comps: list) -> list[tuple[float, ...]]:
+    """A lane run's component registers as points 1..15, each flattened
+    to ``(re, ze, re, ze, ...)``."""
+    return list(zip(*[column for comp in comps for column in comp]))
 
 
 class _Fingerprint:
@@ -304,8 +317,7 @@ class _Fingerprint:
         values, mapping = self.values, self.cube.mapping
         if i == 1 == len(values):
             try:
-                comps = mapping.run(_LANE_ARITH, self.lanes)
-                values += [sum(point, ()) for point in zip(*comps)]
+                values += _lane_points(mapping.run(_LANE_ARITH, self.lanes))
             except OverflowError:
                 pass  # point by point, as below
         if i == len(values):
@@ -342,15 +354,25 @@ def _key_weights(count: int) -> tuple:
 
 def _agree(left: _Fingerprint, right: _Fingerprint, tol: float) -> bool:
     """Maps of one signature within `tol` at every point, in point order;
-    equal finite floats (their sum is finite) agree for `tol` >= 0."""
+    equal finite floats (their sum is finite) agree for `tol` >= 0.  Each
+    step evaluates both maps at the first point not yet compared and then
+    compares, at once, every point from there that both maps hold."""
     equal_agrees = tol >= 0  # False for NaN
-    for i in range(len(left.points)):
-        xs, ys = left.at(i), right.at(i)
-        if equal_agrees and xs == ys and (total := sum(xs)) - total == 0.0:
+    i, count = 0, len(left.points)
+    while i < count:
+        left.at(i)
+        right.at(i)
+        end = min(len(left.values), len(right.values))
+        xs, ys = left.values[i:end], right.values[i:end]
+        i = end
+        if equal_agrees and xs == ys and (
+                (total := sum(itertools.chain.from_iterable(xs)))
+                - total == 0.0):
             continue
-        for x, y in zip(xs, ys):
-            if not abs(x - y) <= tol:  # so NaN and inf never agree
-                return False
+        for x_row, y_row in zip(xs, ys):
+            for x, y in zip(x_row, y_row):
+                if not abs(x - y) <= tol:  # so NaN and inf never agree
+                    return False
     return True
 
 

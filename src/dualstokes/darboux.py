@@ -278,12 +278,13 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     code = lower_expr(f)
     regs = [None] * len(code)
     args = [None] * dim
-    # (register, instruction) by level; the constants' level -1 is last
+    # the steps by level, a step's last field; the constants' level -1 is
+    # last
     runs = [[] for _ in range(dim + 1)]
-    for r, ins in enumerate(code):
-        runs[ins.level].append((r, ins))
+    for step in code:
+        runs[step[-1]].append(step)
     run_steps(runs.pop(), BOXES, regs, args)
-    top = code[-1].level  # the integrand's enclosure is final in this loop
+    top = code[-1][-1]  # the integrand's enclosure is final in this loop
     axes = partition.axes
     pieces = [list(zip(_boxes(points), _widths(points)))
               for points in axes[:max(top, 0)]]
@@ -316,7 +317,7 @@ def darboux_sums(f: Expr, partition: Partition) -> tuple[Dual, Dual]:
     # enters as repeat(its box); a constant's registers have all run: its
     # column run, runs[-1], is empty, and its column repeats its enclosure
     column_run, columns = runs[top], listwise(BOXES, len(widths))
-    outer = [r for r, ins in enumerate(code) if ins.level < max(top, 0)]
+    outer = [r for r, _, _, _, level in code if level < max(top, 0)]
     cols = [None] * len(code)
 
     def sum_column(vols, sums):

@@ -37,7 +37,8 @@ substitution, differentiation, rendering, interval enclosure and
 expansion into monomials are one interpreter, :func:`run_steps`, under
 several arithmetics (for boxes, :data:`.intervals.BOXES`; for
 polynomials, ``_POLYS``), and :func:`listwise` runs any of them over
-lists of values, one per lane.
+lists of values, one per lane (:func:`pair_columns` runs the point
+arithmetic over float columns).
 :func:`partial_diffs` takes every partial a caller needs from one
 gradient run, whose registers hold each instruction's node and its
 partials; each partial is the tree :func:`partial_diff` builds for its
@@ -54,11 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import re as _regex
 import struct
 import weakref
-from collections import namedtuple
+from itertools import repeat
 
 from .dual import (Dual, DualVec, EPS, ONE, Record, ZERO, as_dual,
                    _as_dual_or_none)
@@ -324,30 +326,32 @@ def _prim(name: str, a: Node) -> Node:
 # ---------------------------------------------------------------------------
 # lowering to a straight-line program
 
-# Instruction i writes register i and reads only earlier registers, so
-# one pass in order runs the program; the last instruction holds the
-# value of the whole expression.  A map's program, lowered from all its
-# components at once, holds each component's value in the register
-# `_lower` gives for it.  Equal subexpressions are one node, so each
-# lowers to one instruction, once per program.  `level` is the node's:
-# the highest variable index an instruction reads, directly or through
-# its operands, or -1 for none.  Over a product of boxes its result
-# depends only on the boxes of axes 0..level, so a loop nest over the
-# axes can run it in the loop of axis `level`.  An instruction's fields:
-#   op     "const", "var", "neg", "add", "sub", "mul", "pow", a primitive
-#   a      the constant (Dual), the variable index, or an operand register
-#   b      the second operand register, the exponent, or None
-#   level  that highest variable index
-Instr = namedtuple("Instr", "op a b level")
+# Step i writes register i and reads only earlier registers, so one pass
+# in order runs the program; the last step holds the value of the whole
+# expression.  A map's program, lowered from all its components at once,
+# holds each component's value in the register `_lower` gives for it.
+# Equal subexpressions are one node, so each lowers to one step, once per
+# program.  `level` is the node's: the highest variable index a step
+# reads, directly or through its operands, or -1 for none.  Over a product
+# of boxes its result depends only on the boxes of axes 0..level, so a
+# loop nest over the axes can run it in the loop of axis `level`.  A step
+# is the plain tuple (register, op, a, b, level), which unpacks faster
+# than a named tuple:
+#   register  i, the register it writes
+#   op        "const", "var", "neg", "add", "sub", "mul", "pow", a primitive
+#   a         the constant (Dual), the variable index, or an operand register
+#   b         the second operand register, the exponent, or None
+#   level     that highest variable index
 
 
-def lower_expr(f: Expr) -> tuple[Instr, ...]:
-    """The expression as a straight-line program, common subexpressions
-    once; it is built on first use and kept with `f`'s node."""
+def lower_expr(f: Expr) -> tuple[tuple, ...]:
+    """The expression as a straight-line program of steps, common
+    subexpressions once; it is built on first use and kept with `f`'s
+    node."""
     return _program(f.node)
 
 
-def _program(node: Node) -> tuple[Instr, ...]:
+def _program(node: Node) -> tuple[tuple, ...]:
     code = node._code
     if code is None:
         code = node._code = _lower((node,))[0]
@@ -360,7 +364,7 @@ _LEAVES = ("const", "var")
 def _lower(roots) -> tuple:
     """One program for all of `roots`, in order, and the list of each
     root's register."""
-    code: list[Instr] = []
+    code: list[tuple] = []
     regs: dict[int, int] = {}  # id(node) -> register; roots keep nodes alive
     stack = list(roots)[::-1]
     while stack:
@@ -386,7 +390,7 @@ def _lower(roots) -> tuple:
             a = ra
         stack.pop()
         regs[id(node)] = len(code)
-        code.append(Instr(op, a, b, node._level))
+        code.append((len(code), op, a, b, node._level))
     return tuple(code), [regs[id(root)] for root in roots]
 
 
@@ -398,12 +402,12 @@ def _lower(roots) -> tuple:
 # (Dual), (x), (x, y), (x, y), (x, y), (x, exponent) and (name, x).
 
 
-def run_steps(steps: Iterable[tuple[int, Instr]], arith: tuple, regs: list,
+def run_steps(steps: Iterable[tuple], arith: tuple, regs: list,
               args: Sequence) -> None:
-    """Run (register, instruction) pairs, in order, into `regs`, which
+    """Run steps (see :func:`lower_expr`), in order, into `regs`, which
     holds the registers they read; `args[i]` is the value of x(i+1)."""
     const, neg, add, sub, mul, power, prim = arith
-    for r, (op, a, b, _) in steps:
+    for r, op, a, b, _ in steps:
         match op:
             case "var":
                 regs[r] = args[a]
@@ -438,10 +442,10 @@ def listwise(arith: tuple, n: int) -> tuple:
             lambda name, x: [prim(name, p) for p in x])
 
 
-def _run(code: tuple[Instr, ...], arith: tuple, args: Sequence):
+def _run(code: tuple[tuple, ...], arith: tuple, args: Sequence):
     """The value of the last register; `args[i]` is the value of x(i+1)."""
     regs = [None] * len(code)
-    run_steps(enumerate(code), arith, regs, args)
+    run_steps(code, arith, regs, args)
     return regs[-1]
 
 
@@ -464,6 +468,58 @@ _PAIRS = (
     lambda x, y: (x[0] - y[0], x[1] - y[1]),
     lambda x, y: (x[0] * y[0], x[0] * y[1] + x[1] * y[0]),
     _pair_pow, _prim_pair)
+
+
+# The same arithmetic on columns: a register holds a dual value at n points
+# as (re list, ze list), and each op maps the float operations of its
+# `_PAIRS` op above over the columns, in their order, so each lane gets
+# the bits, and the OverflowError, of a run on that lane's pair.  A change
+# to a formula of `_PAIRS` is a change to its column form here.
+
+
+def _columns_neg(x):
+    re, ze = x
+    return list(map(operator.neg, re)), list(map(operator.neg, ze))
+
+
+def _columns_add(x, y):
+    (xr, xz), (yr, yz) = x, y
+    return list(map(operator.add, xr, yr)), list(map(operator.add, xz, yz))
+
+
+def _columns_sub(x, y):
+    (xr, xz), (yr, yz) = x, y
+    return list(map(operator.sub, xr, yr)), list(map(operator.sub, xz, yz))
+
+
+def _columns_mul(x, y):
+    (xr, xz), (yr, yz) = x, y
+    mul = operator.mul
+    return (list(map(mul, xr, yr)),
+            list(map(operator.add, map(mul, xr, yz), map(mul, xz, yr))))
+
+
+def _columns_pow(x, exponent: int):
+    re, ze = x
+    if exponent == 0:
+        return [1.0] * len(re), [0.0] * len(re)
+    mul = operator.mul
+    return (list(map(pow, re, repeat(exponent))),
+            list(map(mul, map(mul, repeat(exponent),
+                              map(pow, re, repeat(exponent - 1))), ze)))
+
+
+def _columns_prim(name: str, x):
+    re, ze = zip(*map(_prim_pair, repeat(name), zip(*x)))
+    return list(re), list(ze)
+
+
+def pair_columns(n: int) -> tuple:
+    """`_PAIRS` on registers that hold a dual value at `n` points as its
+    columns (re list, ze list); a constant is its pair on every lane."""
+    return (lambda value: ([value.re] * n, [value.ze] * n), _columns_neg,
+            _columns_add, _columns_sub, _columns_mul, _columns_pow,
+            _columns_prim)
 
 
 # Polynomial registers, for exact integration (see
@@ -1161,7 +1217,7 @@ class ExprMap(Record):
             self._code = _lower([c.node for c in self._components])
         code, outs = self._code
         regs = [None] * len(code)
-        run_steps(enumerate(code), arith, regs, args)
+        run_steps(code, arith, regs, args)
         return [regs[r] for r in outs]
 
     @staticmethod

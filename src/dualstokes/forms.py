@@ -26,8 +26,6 @@ structural equality.
 
 from __future__ import annotations
 
-import functools
-
 from .dual import ONE, ZERO, Dual
 # compose and partial_diff are unused here but stay module attributes:
 # the benchmark's tracer (bench/spans.py) rebinds forms.compose and
@@ -125,14 +123,18 @@ def _minor(matrix, arith: tuple):
     const, neg, add, sub, mul, _, _ = arith
     total = None
     for perm, sign in signed_permutations(len(matrix)):
-        entries = [matrix[row][col] for row, col in enumerate(perm)]
-        if any(map(_exact_zero, entries)):
-            continue
-        term = functools.reduce(mul, entries) if entries else const(ONE)
-        if total is None:
-            total = term if sign > 0 else neg(term)
+        # every entry is checked before any product is formed
+        for row, col in enumerate(perm):
+            if _exact_zero(matrix[row][col]):
+                break
         else:
-            total = (add if sign > 0 else sub)(total, term)
+            term = matrix[0][perm[0]] if perm else const(ONE)
+            for row in range(1, len(perm)):  # left to right
+                term = mul(term, matrix[row][perm[row]])
+            if total is None:
+                total = term if sign > 0 else neg(term)
+            else:
+                total = (add if sign > 0 else sub)(total, term)
     return const(ZERO) if total is None else total
 
 

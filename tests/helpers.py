@@ -256,7 +256,7 @@ def reference_exact_expansion(f: Expr, args=None, dim: int = None,
                 for j in range(dim)]
     zero = (0,) * dim
     regs = []
-    for op, a, b, _ in lower_expr(f):
+    for _, op, a, b, _ in lower_expr(f):
         if op == "const":
             value = {zero: (Fraction(a.re), Fraction(a.ze))}
         elif op == "var":

@@ -10,9 +10,10 @@ from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         chain_of, compose, cubes_equal, eval_dual, exp, face,
                         parse_expr, run_scenario, scenario_from_dict, sin,
                         standard_cube)
-from dualstokes import cubes as cubes_module, darboux, expr
+from dualstokes import cubes as cubes_module, darboux, expr, stokes
 from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _Fingerprint,
-                              _domain_sample, _key_weights, _near)
+                              _domain_sample, _key_weights, _lane_points,
+                              _near)
 from dualstokes.expr import _PAIRS, Add, Const, Mul, PowInt, Var
 from helpers import (THETAS, load_bench_module, random_chain, random_cube,
                      random_map, reference_chain_normalize,
@@ -72,13 +73,17 @@ def test_domain_sample_points_are_built_once(theta, r, k):
     # repr tells 0.0 from -0.0, which the ze parts carry for r = 0
     assert repr(dom.sample_points()) == repr(reference_domain_points(dom))
     assert CubeDomain(theta, r, k).sample_points() is dom.sample_points()
-    # one table: the same points as float pairs, and 1.. as lane registers
+    # one table: the same points as float pairs, and 1.. as lane registers,
+    # one (re list, ze list) of columns per variable
     points, pairs, lanes = dom._table()
     assert points is dom.sample_points()
     assert repr(pairs) == repr(tuple(tuple((c.re, c.ze) for c in point)
                                      for point in points))
-    assert len(lanes) == k and all(len(lane) == 15 for lane in lanes)
-    assert repr(lanes) == repr(tuple(zip(*pairs[1:])))
+    assert len(lanes) == k and all(type(re) is type(ze) is list
+                                   and len(re) == len(ze) == 15
+                                   for re, ze in lanes)
+    assert repr(tuple(zip(*(zip(re, ze) for re, ze in lanes)))) \
+        == repr(pairs[1:])
 
 
 def test_domain_sample_caches_are_bounded():
@@ -145,6 +150,29 @@ def test_signed_zero_domains_keep_their_own_derived_data():
             assert darboux._axis_weights(axis, 4) is table
     assert repr(darboux._axis_weights(plus.b, 4)) != \
         repr(darboux._axis_weights(minus.b, 4))
+
+
+def test_face_domains_share_their_parent_side(monkeypatch):
+    # the face domain's side is its parent's side object, so a freshly
+    # loaded saddle-fine reads the side's weight tables off their owner at
+    # the degrees the parent's integrals built: no table of its first
+    # verdict misses its owner twice, and at most 6 of its 10 reads miss
+    # (the endpoint 0 is one object for every scenario, which may already
+    # hold its tables)
+    scenario = load_bench_module("workloads").saddle_fine(stokes, 1)[0]
+    dom = scenario.chain.terms[0][1].domain
+    faces = dom._face_domain()[0]
+    side = dom.axes(())[0]
+    assert faces.axes(())[0] is side and faces.rectangle().intervals[0] is side
+    misses = []
+    build = darboux._weight_table
+    monkeypatch.setattr(darboux, "_weight_table",
+                        lambda *args: misses.append(args) or build(*args))
+    run_scenario(scenario)
+    assert len(set(misses)) == len(misses) <= 6
+    misses.clear()
+    run_scenario(scenario)  # a second verdict reads every table off its owner
+    assert not misses
 
 
 def test_faces_of_one_boundary_share_one_domain():
@@ -446,6 +474,13 @@ def test_non_finite_values_never_agree():
     assert not cubes_equal(b, b)
     assert len(chain_normalize(chain_of(a) - chain_of(b)).terms) == 2
     assert len(chain_normalize(chain_of(b) - chain_of(b)).terms) == 2
+    # exactly 0 at point 0, and infinite without a NaN at points 1..15,
+    # where equal values are compared many points at once
+    x = Expr.variable(0, 1)
+    start = Expr.constant(dom.sample_points()[0][0], 1)
+    c = SingularCube(dom, ExprMap(((x - start) * 1e308 * 1e308,)))
+    assert not cubes_equal(c, c)
+    assert len(chain_normalize(chain_of(c) - chain_of(c)).terms) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +759,8 @@ def _count_runs(monkeypatch) -> dict:
 
     def counting(self, arith, args):
         if depth[0] == 0:
-            if arith is _LANE_ARITH:
-                points = tuple(zip(*args))
+            if arith is _LANE_ARITH:  # a (re, ze) column pair per variable
+                points = tuple(zip(*(zip(re, ze) for re, ze in args)))
             else:
                 points = (tuple(args),)
             runs[id(self)].append(points)
@@ -796,29 +831,72 @@ def _lane_maps(rng: random.Random, k: int) -> list:
     return maps
 
 
+def _pinned_lane_maps(rng: random.Random, k: int, b: Dual) -> list:
+    """Maps of arity k that pin one or two variables of a root map: at 0,
+    at b, at -0.0 and at 1e200, where x^3 and exp overflow.  A pinned
+    value is the same on every lane, and so is each op on only such
+    values: the pow, prim and product that read the pin, and the
+    component that is the pin itself, a constant component broadcast to
+    the 15 lanes."""
+    ends = (ZERO, b, Dual(-0.0, -0.0), Dual(1e200, 0.5))
+    maps = []
+    for extra in (1, 2):
+        arity = k + extra
+        x, last = Expr.variable(0, arity), Expr.variable(arity - 1, arity)
+        roots = _lane_maps(rng, arity)[:6] + [ExprMap((
+            x, x ** 3 * last, exp(x) + last, sin(x) * last, x * last,
+            Expr.constant(Dual(-0.0, 0.0), arity) * x))]
+        for root in roots:
+            for _ in range(3):
+                pinned = root
+                for i in range(extra):  # x1 first, then any other
+                    at = rng.randrange(pinned.arity) if i else 0
+                    pinned = pinned.pin(at, rng.choice(ends))
+                maps.append(pinned)
+    return maps
+
+
+def _lane_outcome(mapping, points, lanes) -> str:
+    """The outcome of the map's lane run: "raised" where the map raises
+    OverflowError at one of points 1..15, and its lane run raises too;
+    else the lane run gives each point the bits one run per point gives,
+    -0.0 included, each component as two columns of 15, and the outcome
+    is "constant" where a component has the same bits on every lane, else
+    "lanes"."""
+    want = []
+    try:
+        for point in points[1:]:
+            want.append(sum(mapping.run(_PAIRS, point), ()))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            mapping.run(_LANE_ARITH, lanes)
+        return "raised"
+    comps = mapping.run(_LANE_ARITH, lanes)
+    assert all(type(re) is type(ze) is list and len(re) == len(ze) == 15
+               for re, ze in comps), mapping
+    assert repr(_lane_points(comps)) == repr(want), mapping
+    constant = any(len(set(map(repr, zip(re, ze)))) == 1 for re, ze in comps)
+    return "constant" if constant else "lanes"
+
+
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("r", (0.0, 0.5))
 def test_lane_run_gives_the_point_values(theta, r):
     # one run on lane registers gives each of points 1..15 the bits one
     # run per point gives, -0.0 included, or raises where any would
     rng = random.Random(f"lanes/{theta}/{r}")
-    raised = 0
+    pinned_rng = random.Random(f"pinned lanes/{theta}/{r}")
+    outcomes, pinned = Counter(), Counter()
     for k in (1, 2, 3):
-        _, points, lanes = CubeDomain(theta, r, k)._table()
+        domain = CubeDomain(theta, r, k)
+        _, points, lanes = domain._table()
         for mapping in _lane_maps(rng, k):
-            want = []
-            try:
-                for point in points[1:]:
-                    want.append(sum(mapping.run(_PAIRS, point), ()))
-            except OverflowError:
-                with pytest.raises(OverflowError):
-                    mapping.run(_LANE_ARITH, lanes)
-                raised += 1
-                continue
-            comps = mapping.run(_LANE_ARITH, lanes)
-            got = [sum(point, ()) for point in zip(*comps)]
-            assert repr(got) == repr(want), mapping
-    assert raised == 6
+            outcomes[_lane_outcome(mapping, points, lanes)] += 1
+        # faces and faces of faces, with registers the same on every lane
+        for mapping in _pinned_lane_maps(pinned_rng, k, domain.b):
+            pinned[_lane_outcome(mapping, points, lanes)] += 1
+    assert outcomes["raised"] == 6
+    assert {"raised", "constant"} <= set(pinned)
 
 
 def _normalize_outcome(normalize, chain):

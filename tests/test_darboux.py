@@ -295,7 +295,7 @@ def _assert_sums_match_reference(f, part):
     got = darboux_sums(f, part)
     ref = reference_darboux_sums(f, part)
     dim = part.rect.dim
-    if lower_expr(f)[-1].level == dim - 1:
+    if lower_expr(f)[-1][-1] == dim - 1:  # the level of the last step
         assert repr(got) == repr(ref)
         return
     slack = (len(part.cells) + 2 * dim + 4) * Fraction(2) ** -52
@@ -342,7 +342,7 @@ def test_sums_over_unread_axes_match_reference_exactly(theta):
                                           "x1 - x2*eps", "x1*eps")]
     for rect, text in cases:
         f = parse_expr(text, rect.dim)
-        assert lower_expr(f)[-1].level < rect.dim - 1
+        assert lower_expr(f)[-1][-1] < rect.dim - 1  # the last step's level
         for n in (1, 2, 4, 8):
             part = uniform_partition(rect, n)
             assert (repr(darboux_sums(f, part))

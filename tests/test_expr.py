@@ -452,16 +452,18 @@ def test_lowering_shares_equal_subtrees():
     x1, x2 = Expr.variable(0, 2), Expr.variable(1, 2)
     f = (x1 + x2) * (Expr.variable(0, 2) + Expr.variable(1, 2))
     assert f.node.lhs is f.node.rhs  # equal trees are one node
-    code = lower_expr(f)
-    assert [ins.op for ins in code] == ["var", "var", "add", "mul"]
-    assert code[3].a == code[3].b == 2
+    code = lower_expr(f)  # (register, op, a, b, level) steps
+    assert [(r, op) for r, op, _, _, _ in code] == [
+        (0, "var"), (1, "var"), (2, "add"), (3, "mul")]
+    _, _, a, b, _ = code[3]
+    assert a == b == 2
 
 
 def test_lowering_keeps_signed_zero_constants_apart():
     x1 = Expr.variable(0, 1)
     f = x1 * Expr.constant(Dual(0.0, 1.0), 1) + x1 * Expr.constant(
         Dual(-0.0, 1.0), 1)
-    consts = [ins.a for ins in lower_expr(f) if ins.op == "const"]
+    consts = [a for _, op, a, _, _ in lower_expr(f) if op == "const"]
     assert [repr(c) for c in consts] == [repr(Dual(0.0, 1.0)),
                                          repr(Dual(-0.0, 1.0))]
 
@@ -472,7 +474,8 @@ def test_deep_operator_chains_build_and_lower():
         f = exp(f) * 2.0 + 1.0
     code = lower_expr(f)
     assert len(code) == 3 * 1000 + 3  # x2, 2.0, 1.0, then exp, mul, add
-    assert code[-1].op == "add" and code[-1].level == 1
+    _, op, _, _, level = code[-1]
+    assert op == "add" and level == 1
     with pytest.raises(ValueError):
         Expr(f.node, 1)  # the node's stored level says it reads x2
 
@@ -562,17 +565,18 @@ def test_lowering_levels_are_highest_variable_read():
         arity = rng.randint(0, 3)
         code = lower_expr(random_expr(rng, arity, depth=4))
         reads = []  # variables each register reads, directly or not
-        for ins in code:
-            if ins.op == "const":
+        for r, op, a, b, level in code:
+            assert r == len(reads)  # step i writes register i
+            if op == "const":
                 read = set()
-            elif ins.op == "var":
-                read = {ins.a}
+            elif op == "var":
+                read = {a}
             else:
-                read = set(reads[ins.a])
-                if ins.op in ("add", "sub", "mul"):
-                    read |= reads[ins.b]
+                read = set(reads[a])
+                if op in ("add", "sub", "mul"):
+                    read |= reads[b]
             reads.append(read)
-            assert ins.level == max(read, default=-1)
+            assert level == max(read, default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +717,7 @@ def test_map_programs_lower_shared_nodes_once():
     # x1, 2.5 and x once, not three times; x2 once, not twice
     assert [len(lower_expr(c)) for c in m.components] == [3, 8, 8]
     assert len(code) == 3 + 5 + 4
-    assert outs == [2, 7, 11] and code[2].op == "add"
+    assert outs == [2, 7, 11] and code[2][1] == "add"
     m.run(_NODES, [Var(1), Var(0)])
     assert m._code[0] is code  # kept with the map, whatever the arithmetic
     rng = random.Random(5)

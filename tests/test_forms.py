@@ -502,15 +502,25 @@ def test_minor_brackets_the_exact_determinant():
     # the sparse, sign-free expansion skips exact-zero entries and applies
     # signs by add, sub and neg: its bracket holds the exact determinant
     # of the entries' exact values, and it counts no more roundings than
-    # the dense expansion through constants +-1
+    # the dense expansion through constants +-1.  It forms no product in a
+    # permutation with an exact-zero entry, not even of the entries before
+    # that one: size - 1 products for each permutation without one
     rng = random.Random(2323)
     skipped = 0
+    products = []
+    counting = _POLYS[:4] + (
+        lambda x, y: products.append(None) or _POLYS[4](x, y),) + _POLYS[5:]
     for _ in range(160):
         size = rng.randint(1, 4)
         entries = [[_minor_entry(rng) for _ in range(size)]
                    for _ in range(size)]
         registers = [[e[0] for e in row] for row in entries]
-        det = _minor(registers, _POLYS)
+        products.clear()
+        det = _minor(registers, counting)
+        assert len(products) == (size - 1) * sum(
+            not any(_exact_zero(registers[row][col])
+                    for row, col in enumerate(perm))
+            for perm in itertools.permutations(range(size)))
         dense = reference_dense_minor(registers, _POLYS)
         assert det[2] <= dense[2]
         skipped += det[2] < dense[2]

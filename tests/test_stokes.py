@@ -23,7 +23,8 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         scenario_from_dict, standard_cube, theta_cmp,
                         verify_stokes, write_report_csv, write_report_json)
 from dualstokes.darboux import NotFinite
-from dualstokes.expr import _POLYS, NotPolynomial
+from dualstokes import forms
+from dualstokes.expr import _POLYS, NotPolynomial, _poly_vars, poly_diff
 from dualstokes.forms import pullback_polynomial
 from helpers import (THETAS, FormalSum, _exact_add, bracket_contains,
                      load_bench_module, random_chain, random_form,
@@ -771,6 +772,62 @@ def test_verdict_fails_where_an_outer_face_is_dropped_or_flipped(
     monkeypatch.setattr(stokes, "boundary", lambda chain: planted)
     report = run_scenario(scenario)
     assert report.converged and report.passed is not fails
+
+
+def test_verdict_fails_where_d_is_scaled(monkeypatch):
+    # a defect planted on the pullback side of tiled seed 1: every
+    # coefficient of each partial that d of the root registers takes is
+    # scaled by 1 + 1e-6, so the lhs moves by about 1.6e-5, within the
+    # tolerance, but the brackets are disjoint and the verdict fails
+    scenario = _fixed_scenario("tiled-chain-3d", 1)
+    diff = stokes.poly_diff
+
+    def scaled(register, index):
+        terms, shadow, order, degree = diff(register, index)
+        s = 1.0 + 1e-6
+        return ({key: (re * s, ze * s) for key, (re, ze) in terms.items()},
+                shadow * s, order, degree)
+
+    monkeypatch.setattr(stokes, "poly_diff", scaled)
+    report = run_scenario(scenario)
+    assert report.converged and not report.passed
+    assert report.diff_re <= report.tol_re and report.diff_ze <= report.tol_ze
+    assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
+
+
+def _transposed_jacobian_report(monkeypatch):
+    """Tiled seed 1 verified with a pullback that swaps the jacobian's
+    entries (0, 1) and (1, 0), and the exact integral of dw over the
+    chain by the oracle, which pulls back correctly."""
+    scenario = _fixed_scenario("tiled-chain-3d", 1)
+    _, dw, _ = _exact_forms(scenario.form)
+    exact = _exact_chain_integral(dw, scenario.chain, {})
+
+    def transposed(f, w):
+        comps = f.run(_POLYS, _poly_vars(f.arity))
+        jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
+        jac[0][1], jac[1][0] = jac[1][0], jac[0][1]
+        return forms._pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0))
+
+    monkeypatch.setattr(stokes, "pullback_polynomial", transposed)
+    return run_scenario(scenario), exact
+
+
+def test_transposed_jacobian_moves_the_lhs_off_the_exact_value(monkeypatch):
+    # the mutant's lhs, 16.2321 + 32.4644 eps, is a tight bracket that
+    # misses the true 15.9575 + 31.7770 eps by far more than its width
+    report, exact = _transposed_jacobian_report(monkeypatch)
+    assert report.converged
+    assert not bracket_contains(report.lhs, exact)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "both sides read the same root registers, so a register verdict "
+    "checks the fundamental theorem on those registers, not the pullback "
+    "that made them: a wrong jacobian moves lhs and rhs alike"))
+def test_verdict_fails_where_the_jacobian_is_transposed(monkeypatch):
+    report, _ = _transposed_jacobian_report(monkeypatch)
+    assert report.converged and not report.passed
 
 
 def test_disjoint_darboux_brackets_are_left_to_the_tolerance():

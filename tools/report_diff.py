@@ -3,12 +3,15 @@ work tree.
 
     python tools/report_diff.py BASE
 
-Runs every bundled scenario and every scenario of ``tests/*_scenarios.json``
-(the work tree's files, on both sides) through the package at BASE and
-through the work tree's, each in a process of its own, and compares each
-verdict's ``to_dict()`` and the ``repr`` of each side's bracket ends.  It
-prints each scenario that differs, with the fields that moved, old and
-new, and exits 1 when one does, 0 when every verdict is bit-identical.
+Runs every bundled scenario, every scenario of ``tests/*_scenarios.json``
+and the benchmark's ``saddle-fine`` and ``tiled-chain-3d`` seeds 1-20
+(built by the work tree's ``bench/workloads.py``, which it imports without
+writing bytecode; the work tree's files on both sides) through the package
+at BASE and through the work tree's, each in a process of its own, and
+compares each verdict's ``to_dict()`` and the ``repr`` of each side's
+bracket ends.  It prints each scenario that differs, with the fields that
+moved, old and new, and exits 1 when one does, 0 when every verdict is
+bit-identical.
 BASE is unpacked by ``git archive`` into a temporary directory.
 """
 
@@ -24,11 +27,14 @@ from pathlib import Path
 from bench_pairs import ROOT, checkout
 
 # run in a child whose PYTHONPATH holds one side's src/; argv holds the
-# scenario files, and it prints, keyed by file and scenario, each field
-# of each verdict's report and each bracket end, by its repr, as JSON
+# work tree's bench/ directory and the scenario files, and it prints,
+# keyed by source and scenario, each field of each verdict's report and
+# each bracket end, by its repr, as JSON
 _COLLECT = """
 import json, sys
 from dualstokes import stokes
+sys.path.insert(0, sys.argv[1])
+import workloads
 
 def flat(prefix, value, into):
     if isinstance(value, dict):
@@ -53,15 +59,19 @@ def collect(source, scenarios):
 
 out = {}
 collect("bundled", stokes.builtin_scenarios())
-for path in sys.argv[1:]:
+for path in sys.argv[2:]:
     collect(path, stokes.load_scenarios(path))
+collect("bench", workloads.saddle_fine(stokes, 1))
+for seed in range(1, 21):
+    collect(f"bench seed {seed}", workloads.tiled_chain_3d(stokes, seed))
 print(json.dumps(out))
 """
 
 
 def collect(src: Path, files: list) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _COLLECT, *files], cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-B", "-c", _COLLECT,
+                           str(ROOT / "bench"), *files], cwd=ROOT,
                           env=env, stdout=subprocess.PIPE, text=True,
                           check=False)
     if proc.returncode:
