@@ -20,10 +20,13 @@ Each domain's sample is one table built once per ``(k, b.ze)``, for the
 256 most recently used, and within one normalization each term's map is
 evaluated at most once per sample point, on float pairs, only when a
 comparison reaches that point: point 0 in one run, and points 1..15 in
-one more run on lane registers.  A sorted index of each group's key, a
-weighted sum of all the floats of its map at point 0, lets a term skip
-every group too far from it to agree; the window is wide enough for the
-key's own roundings, so that is exact (see :func:`chain_normalize`).
+one more run on lane registers, made only where the polynomial
+registers of the two maps' roots cannot prove that they agree at every
+point (:func:`_proved`; its rounding bound is derived above it).  A
+sorted index of each group's key, a weighted sum of all the floats of
+its map at point 0, lets a term skip every group too far from it to
+agree; the window is wide enough for the key's own roundings, so that
+is exact (see :func:`chain_normalize`).
 
 A domain object keeps its rectangle, its sample table and the domain of
 its faces once built, so the cubes of a scenario, which share one
@@ -39,12 +42,13 @@ import math
 import operator
 import random
 
-from .darboux import ThetaRectangle, make_interval
+from .darboux import ThetaRectangle, _axis_weights, make_interval
 from .dual import Dual, Record, Theta, ZERO
 # compose is unused here but stays a module attribute: the benchmark's
 # tracer (bench/spans.py) rebinds cubes.compose.
-from .expr import (TINY, _PAIRS, Expr, ExprMap, _check_natural, compose,
-                   pair_columns)
+from .expr import (KEY_BITS, TINY, _BOUND_ORDER, _BOUNDS, _PAIRS, _POLYS, _U,
+                   Expr, ExprMap, NotPolynomial, _check_natural, _poly_vars,
+                   _up, compose, pair_columns)
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -299,19 +303,21 @@ class _Fingerprint:
     ``values[i]`` holds the components at point i flattened to
     ``(re, ze, re, ze, ...)``; comparisons walk the points in order, so
     the values evaluated so far are always a prefix.  Point 0 is one run
-    of the map's program; the first comparison that passes it evaluates
-    all the others in one run on lane registers, or, if that run raises
+    of the map's program; the first comparison that passes it and that
+    the root registers cannot settle (:func:`_proved`) evaluates all the
+    others in one run on lane registers, or, if that run raises
     ``OverflowError``, point by point, so an error surfaces at the point
     where it arises.
     """
 
-    __slots__ = ("cube", "points", "lanes", "values", "_key")
+    __slots__ = ("cube", "points", "lanes", "values", "_key", "_window",
+                 "_face")
 
     def __init__(self, cube: SingularCube):
         self.cube = cube
         _, self.points, self.lanes = cube.domain._table()
         self.values: list[tuple[float, ...]] = []
-        self._key = None
+        self._key = self._face = None
 
     def at(self, i: int) -> tuple[float, ...]:
         values, mapping = self.values, self.cube.mapping
@@ -327,18 +333,55 @@ class _Fingerprint:
     def key(self) -> float:
         """The candidate index's key: ``fsum`` of the floats at point 0,
         each times its weight (see :func:`_key_weights`); NaN when one of
-        them is NaN, and inf when one is infinite and none is NaN."""
+        them is NaN, and inf when one is infinite and none is NaN.  The
+        parts of the window's half-width that do not depend on the
+        tolerance are kept with it, for :func:`_near`."""
         if self._key is None:
             values = self.at(0)
+            weights, total = _key_weights(len(values))
             try:
-                key = math.fsum(map(operator.mul,
-                                    _key_weights(len(values))[0], values))
+                key = math.fsum(map(operator.mul, weights, values))
             except ValueError:  # inf + -inf
                 key = math.inf
             if key - key != 0.0 and any(x != x for x in values):
                 key = math.nan
+            self._window = (max(map(abs, values), default=0.0) * 2.0 ** -48,
+                           total, len(values) * TINY)
             self._key = key
         return self._key
+
+    def face(self, proofs: dict):
+        """``(registers, root, reach, error, degree)`` for
+        :func:`_proved`, or None where the root's program is no
+        polynomial within the limits: the polynomial register of each
+        component, in the map's own variables; the root map; a bound, at
+        least 1, on the 1-norm of every sample coordinate of the domain,
+        of its end b and of every pinned value; the registers' certified
+        error; and their degree."""
+        if self._face is None:
+            mapping = self.cube.mapping
+            root, pins = mapping._pin or (mapping, ())
+            self._face = False
+            regs = _component_registers(root, proofs)
+            if regs is None or (certified := _root_error(root, regs,
+                                                         proofs)) is None:
+                return None
+            error, degree = certified
+            reach = _domain_reach(self.cube.domain, proofs)
+            try:
+                for index, value in pins[::-1]:
+                    norm = _up(abs(value.re) + abs(value.ze))
+                    if not norm <= reach:  # NaN too: the bound runs fail
+                        reach = norm
+                    regs = _pin_registers(regs, index, value, degree)
+                    if value.re or value.ze:
+                        error = None  # products change orders and shadows
+                if error is None and (error := _certified(regs)) is None:
+                    return None
+            except OverflowError:  # an int pin past the floats
+                return None
+            self._face = regs, root, reach, error, degree
+        return self._face or None
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,14 +395,21 @@ def _key_weights(count: int) -> tuple:
     return tuple((i + 1) * scale for i in range(count)), total * scale
 
 
-def _agree(left: _Fingerprint, right: _Fingerprint, tol: float) -> bool:
+def _agree(left: _Fingerprint, right: _Fingerprint, tol: float,
+           proofs: dict) -> bool:
     """Maps of one signature within `tol` at every point, in point order;
     equal finite floats (their sum is finite) agree for `tol` >= 0.  Each
     step evaluates both maps at the first point not yet compared and then
-    compares, at once, every point from there that both maps hold."""
+    compares, at once, every point from there that both maps hold.  Past
+    point 0, points that a map has not evaluated yet are evaluated only
+    where the root registers cannot prove that the two agree at all of
+    them (:func:`_proved`, with its cache `proofs`)."""
     equal_agrees = tol >= 0  # False for NaN
     i, count = 0, len(left.points)
     while i < count:
+        if i == 1 and min(len(left.values), len(right.values)) == 1 and \
+                _proved(left, right, tol, proofs):
+            return True
         left.at(i)
         right.at(i)
         end = min(len(left.values), len(right.values))
@@ -381,10 +431,11 @@ def cubes_equal(left: SingularCube, right: SingularCube,
     """Same signature and maps agreeing on the domain's sample points."""
     if left.signature() != right.signature():
         return False
-    return _agree(_Fingerprint(left), _Fingerprint(right), tol)
+    return _agree(_Fingerprint(left), _Fingerprint(right), tol, {})
 
 
-def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
+def chain_normalize(chain: Chain, tol: float = MERGE_TOL,
+                    _proofs: dict | None = None) -> Chain:
     """Merge terms with pointwise-equal cubes and drop zero weights.
 
     Each term joins the first earlier group, in creation order, whose
@@ -410,11 +461,21 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     it, and at most once per point, in two runs unless the second
     overflows (see :class:`_Fingerprint`), so a one-term chain evaluates
     nothing: the first group's key is read when a second term arrives.
+    Past point 0 a comparison first tries to prove agreement at every
+    point from the polynomial registers of the two maps' roots
+    (:func:`_proved`), and evaluates points 1..15 only where that proof
+    fails; a proof never decides that maps disagree, so every merge is
+    the one the sampled rule makes.  Each root map's program runs at
+    most once per call on polynomial registers: `_proofs` holds them,
+    with the proofs' other work, and a verdict passes one cache to both
+    its normalizations and its pullbacks (:mod:`.stokes`).
     """
     groups: list[list] = []  # [weight, fingerprint], in creation order
     keys: list[float] = []   # the index: sorted keys of the groups ...
     ids: list[int] = []      # ... and those groups' places in `groups`
     keyed = 0                # groups whose key has been read
+    # root registers, bound runs and sample bounds for the proofs
+    proofs = {} if _proofs is None else _proofs
     for weight, cube in chain.terms:
         mine = _Fingerprint(cube)
         near = ()
@@ -428,7 +489,7 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
                 keyed += 1
             near = _near(keys, ids, mine, tol, len(groups))
         for g in near:
-            if _agree(groups[g][1], mine, tol):
+            if _agree(groups[g][1], mine, tol, proofs):
                 groups[g][0] += weight
                 break
         else:
@@ -461,14 +522,200 @@ def _near(keys: list[float], ids: list[int], mine: _Fingerprint,
     nothing; all of them when an end of the window is not finite (an
     infinite key, an infinite or NaN `tol`, or a half-width past the
     float range)."""
-    x, values = mine.key(), mine.at(0)
+    x = mine.key()
     if x != x:  # NaN agrees with nothing
         return ()
-    top = max(map(abs, values), default=0.0)
-    h = ((2.0 * tol + top * 2.0 ** -48) * _key_weights(len(values))[1]
-         * _SLACK + len(values) * TINY)
+    top, total, tiny = mine._window
+    h = (2.0 * tol + top) * total * _SLACK + tiny
     lo, hi = x - h, x + h
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return range(count)
     return sorted(ids[bisect.bisect_left(keys, lo):
                       bisect.bisect_right(keys, hi)])
+
+
+# Proving that two maps agree at every sample point, from their roots'
+# registers.  Each map runs its root's program, with its pins in place,
+# at each point z.  For a component, let P be the exact polynomial that
+# program computes on its float constants, with the pins substituted, so
+# that P(z) is the exact value at z.  The dual 1-norm
+# ||a + b eps|| = |a| + |b| is submultiplicative, so a polynomial Q of
+# degree at most D has ||Q(z)|| <= ||Q|| max(1, M)^D, ||Q|| the sum of
+# its coefficients' norms and M a bound on every ||z_i||.  Three facts
+# bound the distance between the two maps' floats at z:
+#   - the map's register F (`_pin_registers`: its root's register with
+#     each pin substituted as a point weight of
+#     `darboux.polynomial_estimate`, a pin at 0 dropping every term it
+#     reads exactly, and one rounding counted per term that meets another
+#     on a key) has ||P - F|| at most gamma(2N) S, N its order and S its
+#     shadow, by the argument of `polynomial_estimate`;
+#   - the pair run's value is within gamma(2n) s of P(z) in the 1-norm,
+#     (s, n) the map's bound register (`expr._BOUNDS`), run on inputs of
+#     norm M, and it is finite, with no step that raises;
+#   - F_L(z) - F_R(z) is the value of a polynomial of norm ||F_L - F_R||.
+# So every float the lanes would compare differs from its twin by at most
+#     (||F_L - F_R|| + gamma(2N_L) S_L + gamma(2N_R) S_R) max(1, M)^D
+#         + gamma(2n_L) s_L + gamma(2n_R) s_R,
+# and a difference at most `tol`, a float, rounds to at most `tol`.  For
+# N <= 2^24, (2N + 1) u >= gamma(2N).  The bound is computed upward:
+# each product, sum and pow by `_up` (pow within one ulp, so twice), and
+# ||F_L - F_R||, a sum over at most 2 MAX_MONOMIALS keys, by at most
+# 2 MAX_MONOMIALS + 2 roundings to nearest on each term (a difference
+# or sum that is subnormal is exact), so times 1 + 2^-40 it is at least
+# the exact norm.  One bound serves every component: the largest
+# ||F_L - F_R|| over them, and the errors summed over them.  An infinite
+# bound proves agreement only at an infinite `tol`, which needs no more
+# than finite values at every point.  A NaN or negative `tol` proves
+# nothing; nor does a program with a primitive, or one past the limits
+# of `_POLYS` or `_BOUNDS`.
+_SLACK_40 = 1.0 + 2.0 ** -40
+_FIELD = (1 << KEY_BITS) - 1
+
+
+def _proved(left: _Fingerprint, right: _Fingerprint, tol: float,
+            proofs: dict) -> bool:
+    """True when the comment above proves that the two maps agree within
+    `tol` at every sample point; False says nothing."""
+    mine, theirs = left.face(proofs), right.face(proofs)
+    if mine is None or theirs is None:
+        return False
+    regs, root, reach, error, degree = mine
+    other_regs, other_root, other_reach, other_error, other_degree = theirs
+    if not other_reach <= reach:
+        reach = other_reach
+    runs = _root_bounds(root, reach, proofs)
+    other_runs = _root_bounds(other_root, reach, proofs)
+    if runs is None or other_runs is None:
+        return False
+    try:
+        scale = _up(_up(reach ** max(degree, other_degree)))
+    except OverflowError:
+        return False
+    diff = 0.0  # the largest ||F_L - F_R|| over the components
+    for reg, other_reg in zip(regs, other_regs):
+        f, g = reg[0], other_reg[0]
+        norm = 0.0
+        get = g.get
+        for key, (re, ze) in f.items():
+            other = get(key)
+            if other is None:
+                norm += abs(re) + abs(ze)
+            else:
+                norm += abs(re - other[0]) + abs(ze - other[1])
+        for key, (re, ze) in g.items():
+            if key not in f:
+                norm += abs(re) + abs(ze)
+        if norm > diff or norm != norm:
+            diff = norm
+    bound = _up(_up(_up(_up(diff * _SLACK_40) + _up(error + other_error))
+                    * scale) + _up(runs + other_runs))
+    return bound <= tol
+
+
+def _certified(regs: list) -> float | None:
+    """At least the sum of gamma(2N) S over the registers, or None past
+    N = 2^24.  Each (2N + 1) S rounds once, and relatively, as no product
+    of an integer and a float loses to underflow, and `fsum` once more,
+    so times 1 + 2^-40 and rounded up their sum bounds the exact one."""
+    if max(reg[2] for reg in regs) > _BOUND_ORDER:
+        return None
+    total = math.fsum([(2 * order + 1) * shadow
+                       for _, shadow, order, _ in regs])
+    return _up(_up(total * _SLACK_40) * _U)
+
+
+def _root_error(root: ExprMap, regs: list, proofs: dict) -> tuple | None:
+    """``(error, degree)`` of the root map's registers `regs`: their
+    certified error (:func:`_certified`) and the largest degree; once
+    per root and `proofs` cache, under the key ``(id(root),)``."""
+    key = id(root),
+    if key not in proofs:
+        error = _certified(regs)
+        proofs[key] = None if error is None else (
+            error, max(reg[3] for reg in regs))
+    return proofs[key]
+
+
+def _component_registers(mapping: ExprMap, proofs: dict) -> list | None:
+    """The polynomial register of each component of the map, from one
+    run of its program per `proofs` cache, or None where it raises.  A
+    verdict shares the cache with its pullbacks (:mod:`.stokes`), so a
+    root map's program runs once on polynomial registers for both."""
+    if id(mapping) not in proofs:  # the chain's cubes keep it alive
+        try:
+            proofs[id(mapping)] = mapping.run(_POLYS,
+                                              _poly_vars(mapping.arity))
+        except (NotPolynomial, OverflowError):
+            proofs[id(mapping)] = None
+    return proofs[id(mapping)]
+
+
+def _root_bounds(root: ExprMap, reach: float, proofs: dict) -> float | None:
+    """At least the sum of gamma(2n) s over the root's components' bound
+    registers (`expr._BOUNDS`), every input of norm at most `reach`;
+    None where that run raises, so that some sample value may not be
+    finite or some step may raise."""
+    key = id(root), reach
+    if key not in proofs:
+        try:
+            proofs[key] = _certified([(None, shadow, order, None) for
+                                      shadow, order in root.run(
+                                          _BOUNDS, [(reach, 0)] * root.arity)])
+        except (NotPolynomial, OverflowError):
+            proofs[key] = None
+    return proofs[key]
+
+
+def _domain_reach(domain: CubeDomain, proofs: dict) -> float:
+    """At least 1, and an upper bound on the norm of the domain's end b
+    and of every coordinate of its sample points; once per call."""
+    if id(domain) not in proofs:
+        b = domain.b
+        proofs[id(domain)] = max(
+            1.0, _up(abs(b.re) + abs(b.ze)),
+            *[_up(abs(re) + abs(ze))
+              for point in domain._table()[1] for re, ze in point])
+    return proofs[id(domain)]
+
+
+def _pin_registers(regs: list, index: int, value: Dual, degree: int) -> list:
+    """The registers with `value` substituted for variable `index`, as a
+    point weight (:func:`.darboux._axis_weights`), and that variable's
+    field dropped from the keys; orders and shadows as the comment above
+    `_proved` says.  `degree` is at least each register's."""
+    shift = KEY_BITS * index
+    low = (1 << shift) - 1
+    if not (value.re or value.ze):
+        # the exact zero: drop, exactly; the keys left have 0 in the
+        # field dropped, so no two of them meet
+        return [({key & low | key >> KEY_BITS & ~low: c
+                  for key, c in terms.items() if not key >> shift & _FIELD},
+                 shadow, order, deg)
+                for terms, shadow, order, deg in regs]
+    table = _axis_weights(value, degree)
+    pinned = []
+    for terms, shadow, order, deg in regs:
+        out: dict = {}
+        w_top, n_top, products, merged = 1.0, 0, 0, 0
+        for key, (re, ze) in terms.items():
+            power = key >> shift & _FIELD
+            if power:
+                w_re, w_ze, w_s, w_n = table[power]
+                re, ze = re * w_re, re * w_ze + ze * w_re
+                products += 1
+                if w_s > w_top:
+                    w_top = w_s
+                if w_n > n_top:
+                    n_top = w_n
+            key = key & low | key >> KEY_BITS & ~low
+            if key in out:
+                old = out[key]
+                out[key] = old[0] + re, old[1] + ze
+                merged += 1
+            else:
+                out[key] = re, ze
+        if products:
+            shadow = shadow * w_top + (3 * products) * TINY
+            order += n_top + 2
+        pinned.append((out, shadow, order + merged, deg))
+    return pinned

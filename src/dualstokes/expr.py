@@ -36,7 +36,8 @@ once.  Every other walk runs on the program: point evaluation,
 substitution, differentiation, rendering, interval enclosure and
 expansion into monomials are one interpreter, :func:`run_steps`, under
 several arithmetics (for boxes, :data:`.intervals.BOXES`; for
-polynomials, ``_POLYS``), and :func:`listwise` runs any of them over
+polynomials, ``_POLYS``; for the rounding bounds of point runs,
+``_BOUNDS``), and :func:`listwise` runs any of them over
 lists of values, one per lane (:func:`pair_columns` runs the point
 arithmetic over float columns).
 :func:`partial_diffs` takes every partial a caller needs from one
@@ -682,6 +683,65 @@ _POLYS = (
     _poly_const,
     lambda x: ({k: (-re, -ze) for k, (re, ze) in x[0].items()},) + x[1:],
     _poly_sum(1.0), _poly_sum(-1.0), _poly_mul, _poly_pow, _poly_prim)
+
+
+# Bound registers: what a point run (`_PAIRS`) of the same program may
+# compute at any point whose every coordinate has 1-norm |re| + |ze| at
+# most its variable's register's shadow.  A register is (shadow, order),
+# as a polynomial register's two bounds on the pair run's one value: the
+# shadow is the program run exactly on the absolute values (an upper
+# bound for each input), with sub as add, plus TINY for each u TINY of
+# absolute error an underflow may leave, and the order the most
+# roundings on any term of the value and of the shadow alike.  So the
+# pair run's value is within gamma(2 order) shadow of the exact value in
+# the 1-norm, by the argument of :func:`.darboux.polynomial_estimate`.
+# The ops round as `_PAIRS` does: a sum once, a dual product's parts
+# once and twice, each of its three float products adding TINY; the
+# pair power ``(re^e, e re^(e-1) ze)`` takes libm's pow within one ulp,
+# that is 2 roundings, or an absolute 2 u TINY, so its parts have orders
+# e N + 2 and e N + 4, and its underflows add at most
+# ((2e + 1) ||x|| + 3) TINY, while ``(|re| + |ze|)^e`` bounds the exact
+# parts' 1-norm; x^0 is the exact 1.  A constant's shadow rounds once.
+# Each step's shadow must be at most 2^1020 and its order at most 2^24,
+# else it raises OverflowError: then every float the pair run computes
+# is below 2^1021, e re^(e-1) included (at most |re|^e where |re| >= e,
+# and below 64^64 where not), so no step overflows, raises or makes a
+# NaN.  A primitive, or a power past MAX_DEGREE, raises NotPolynomial.
+
+_BOUND_LIMIT = 2.0 ** 1020
+_BOUND_ORDER = 1 << 24
+
+
+def _bounded(shadow: float, order: int):
+    if shadow <= _BOUND_LIMIT and order <= _BOUND_ORDER:  # False for NaN
+        return shadow, order
+    raise OverflowError("a bound register past its limits")
+
+
+def _bound_sum(x, y):
+    return _bounded(x[0] + y[0], (x[1] if x[1] > y[1] else y[1]) + 1)
+
+
+def _bound_pow(x, exponent: int):
+    if exponent == 0:
+        return 1.0, 0
+    if exponent > MAX_DEGREE:
+        raise NotPolynomial(f"degree above {MAX_DEGREE}")
+    shadow, order = x
+    return _bounded(shadow ** exponent
+                    + ((2 * exponent + 1) * shadow + 3.0) * TINY,
+                    exponent * order + 4)
+
+
+def _bound_prim(name: str, x):
+    raise NotPolynomial(f"{name} has no bound register")
+
+
+_BOUNDS = (
+    lambda value: _bounded(abs(value.re) + abs(value.ze), 1),
+    lambda x: x, _bound_sum, _bound_sum,
+    lambda x, y: _bounded(x[0] * y[0] + 3.0 * TINY, x[1] + y[1] + 2),
+    _bound_pow, _bound_prim)
 
 # registers hold nodes, built (and folded) by the smart constructors
 _NODES = (Const, _neg, _add, _sub, _mul, _pow, _prim)

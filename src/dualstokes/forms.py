@@ -184,16 +184,33 @@ def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
     return DiffForm(m, w.k, {t: Expr(node, m) for t, node in out.items()})
 
 
-def pullback_polynomial(f: ExprMap, w: DiffForm) -> dict:
+class RegisterPullback(dict):
+    """:func:`pullback_polynomial`'s registers by target index, which
+    also keeps, as `components`, the registers of the map's components
+    that they come from."""
+
+    __slots__ = ("components",)
+
+
+def pullback_polynomial(f: ExprMap, w: DiffForm) -> RegisterPullback:
     """:func:`pullback`'s coefficient on every target index, as a
     polynomial register of :mod:`.expr`: the map's program runs once on
     polynomial registers, the form's coefficients run on the components'
     registers, and the jacobian (by :func:`.expr.poly_diff`) and its
     minors are registers too, so the shadow and order bound all their
     roundings.  Raises where :func:`.expr.expand_polynomial` would."""
-    comps = f.run(_POLYS, _poly_vars(f.arity))
+    return _register_pullback(f, w, f.run(_POLYS, _poly_vars(f.arity)))
+
+
+def _register_pullback(f: ExprMap, w: DiffForm,
+                       comps: list) -> RegisterPullback:
+    """:func:`pullback_polynomial` from the registers `comps` of the
+    map's components."""
     jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
-    return _pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0))  # zero poly
+    out = RegisterPullback(
+        _pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0)))  # zero poly
+    out.components = comps
+    return out
 
 
 wedge_forms = wedge  # the forms-layer name of the shared wedge

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import sys
 
-from .cubes import Chain, CubeDomain, SingularCube, boundary, chain_normalize
+from .cubes import (MERGE_TOL, Chain, CubeDomain, SingularCube, boundary,
+                    chain_normalize)
 from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       DEFAULT_TOL_RE, DEFAULT_TOL_ZE, IntegralEstimate,
                       NotConverged, NotFinite, integral_estimate,
@@ -29,8 +30,8 @@ from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
 from .dual import Dual, Record, Theta
 from .expr import (_POLYS, ExprMap, NotPolynomial, ParseError, eval_dual,
                    parse_expr, poly_diff)
-from .forms import (DiffForm, exterior_derivative, pullback,
-                    pullback_polynomial)
+from .forms import (DiffForm, _register_pullback, exterior_derivative,
+                    pullback, pullback_polynomial)
 
 DEFAULT_STOKES_TOL = 1e-3
 REPORT_SCHEMA_VERSION = "stokes-report/1"
@@ -113,11 +114,29 @@ class Refinement(Record):
 # integration of forms over cubes and chains
 
 
-def _registers(f: ExprMap, w: DiffForm) -> dict | None:
+# the key, in a verdict's cache of root registers, of the cache that the
+# proofs of chain normalization keep (`cubes.chain_normalize`'s `_proofs`),
+# which holds each root map's component registers: the verdict's two
+# normalizations and its pullbacks share them, so that a root map's
+# program runs once on polynomial registers
+_PROOFS = "proofs"
+
+
+def _registers(f: ExprMap, w: DiffForm, roots: dict) -> dict | None:
+    # the pullback of a map whose program a proof of chain normalization
+    # has run on polynomial registers reads those; any other keeps its
+    # components' registers for the proofs to come (see `_PROOFS`)
+    proofs = roots.setdefault(_PROOFS, {})
     try:
-        return pullback_polynomial(f, w)
+        if id(f) in proofs:
+            comps = proofs[id(f)]
+            return None if comps is None else _register_pullback(f, w, comps)
+        regs = pullback_polynomial(f, w)
     except (NotPolynomial, OverflowError):  # an int constant past floats
         return None
+    if (comps := getattr(regs, "components", None)) is not None:
+        proofs[id(f)] = comps  # a pullback put in its place may keep none
+    return regs
 
 
 def _register(w: DiffForm, cube: SingularCube, roots: dict) -> tuple:
@@ -131,9 +150,10 @@ def _register(w: DiffForm, cube: SingularCube, roots: dict) -> tuple:
     # is None where that raises too, or for a cube of d.
     root, pins = cube.mapping._pin or (cube.mapping, ())
     if id(root) not in roots:
-        roots[id(root)] = _registers(root, w)
+        roots[id(root)] = _registers(root, w, roots)
     if (regs := roots[id(root)]) is None:
-        own = None if cube.k > w.k or not pins else _registers(cube.mapping, w)
+        own = (None if cube.k > w.k or not pins
+               else _registers(cube.mapping, w, roots))
         return (None if own is None else own[tuple(range(cube.k))]), ()
     pinned = [index for index, _ in pins]
     free = [i for i in range(root.arity) if i not in pinned]
@@ -196,14 +216,15 @@ def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,
     """Weighted sum of per-cube brackets over the normalized chain.
 
     Gaps accumulate by |weight|.  Every term reads one cache of root
-    registers (:func:`integrate_over_cube`'s `_roots`), so a root map's
-    program runs once for all its cubes and faces; a verdict passes its
-    own as `_verdict`, which both sides share, and the chain's cubes then
-    integrate d of the form.  Raises :class:`.darboux.NotFinite` when a
+    registers (:func:`integrate_over_cube`'s `_roots`), which the
+    normalization's proofs share, so a root map's program runs once for
+    all its cubes and faces; a verdict passes its own as `_verdict`,
+    which both sides share, and the chain's cubes then integrate d of
+    the form.  Raises :class:`.darboux.NotFinite` when a
     cube's bracket, or the sum's value or a gap, is not finite.
     """
-    chain = chain_normalize(chain)
     roots = {} if _verdict is None else _verdict
+    chain = chain_normalize(chain, MERGE_TOL, roots.setdefault(_PROOFS, {}))
     lo_re = hi_re = lo_ze = hi_ze = 0.0
     finest = 0
     for weight, cube in chain.terms:

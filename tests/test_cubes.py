@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -752,13 +753,16 @@ def test_normalize_compares_only_near_keys(monkeypatch):
 
 def _count_runs(monkeypatch) -> dict:
     """id(map) -> the sample points each run of that map evaluated, one
-    tuple of points per run; a pinned map's run of its parent is its own."""
+    tuple of points per run; a pinned map's run of its parent is its own.
+    Runs on other arithmetics evaluate no sample point, and are left out:
+    a root map's runs on polynomial and bound registers, which prove that
+    maps agree (see test_normalize_runs_each_root_once_on_registers)."""
     runs = defaultdict(list)
     depth = [0]
     original = ExprMap.run
 
     def counting(self, arith, args):
-        if depth[0] == 0:
+        if depth[0] == 0 and (arith is _PAIRS or arith is _LANE_ARITH):
             if arith is _LANE_ARITH:  # a (re, ze) column pair per variable
                 points = tuple(zip(*(zip(re, ze) for re, ze in args)))
             else:
@@ -784,9 +788,10 @@ def _evaluated(runs: dict) -> dict:
 
 
 def test_normalize_evaluates_each_map_at_most_once_per_point(monkeypatch):
-    # point 0 is one run, and the first comparison past it evaluates the
-    # other 15 points in one lane run, so no point is evaluated twice and
-    # no map's program runs more than twice in one normalization
+    # point 0 is one run, and the first comparison past it that the root
+    # registers cannot settle evaluates the other 15 points in one lane
+    # run, so no point is evaluated twice and no map's program runs more
+    # than twice in one normalization
     runs = _count_runs(monkeypatch)
     rng = random.Random(8)
     chain_normalize(chain_of(random_cube(rng, Theta.TYPE1, 0.5, 2, 2)))
@@ -798,20 +803,68 @@ def test_normalize_evaluates_each_map_at_most_once_per_point(monkeypatch):
     chain_normalize(Chain(Theta.TYPE1, 0.5, 1, 1, ((1, x), (1, y))))
     assert _evaluated(runs) == {id(x.mapping): 1, id(y.mapping): 1}
     runs.clear()
+    # equal maps agree by their registers, past point 0
     shifted = _shifted(x, Dual(0.0))
     assert cubes_equal(x, shifted)
-    assert _evaluated(runs) == {id(x.mapping): 16, id(shifted.mapping): 16}
+    assert _evaluated(runs) == {id(x.mapping): 1, id(shifted.mapping): 1}
+    runs.clear()
+    # maps 1e-12 |x1| apart agree at 1.2e-12, where the registers' bound
+    # 1.5e-12 proves nothing, so the lanes decide
+    parted = SingularCube(dom, ExprMap((parse_expr("x1*(1+1e-12)", 1),)))
+    assert cubes_equal(x, parted, 1.2e-12)
+    assert _evaluated(runs) == {id(x.mapping): 16, id(parted.mapping): 16}
     runs.clear()
     cubes = scenario_from_dict(
         load_bench_module("workloads").tiled_chain_dict(1)).chain
     faces = boundary(cubes)
     assert len(chain_normalize(faces).terms) == 54
     # twin inner faces come from different cubes: all 162 face maps are
-    # read at point 0, and the 108 that a comparison takes past it are
-    # evaluated at all 16 points
+    # read at point 0, and the registers of their roots prove the 54
+    # merges, so no map is evaluated past it
     counts = _evaluated(runs)
     assert set(counts) == {id(cube.mapping) for _, cube in faces.terms}
-    assert Counter(counts.values()) == {16: 108, 1: 54}
+    assert Counter(counts.values()) == {1: 162}
+
+
+def test_normalize_runs_each_root_once_on_registers(monkeypatch):
+    # within one normalization each root map's program runs at most once
+    # on polynomial registers, and on bound registers once per bound on
+    # its inputs, which is one for the faces at 0 and at b of one domain;
+    # the faces' maps run no program of their own there
+    registers = Counter()
+    original = ExprMap.run
+
+    def counting(self, arith, args):
+        if arith is expr._POLYS or arith is expr._BOUNDS:
+            registers[id(self), arith is expr._POLYS] += 1
+        return original(self, arith, args)
+
+    monkeypatch.setattr(ExprMap, "run", counting)
+    cubes = scenario_from_dict(
+        load_bench_module("workloads").tiled_chain_dict(1)).chain
+    assert len(chain_normalize(boundary(cubes)).terms) == 54
+    roots = {id(cube.mapping) for _, cube in cubes.terms}
+    assert Counter(registers.values()) == {1: 54}
+    assert {key for key, _ in registers} == roots
+    registers.clear()
+    assert len(chain_normalize(boundary(cubes)).terms) == 54
+    assert Counter(registers.values()) == {1: 54}  # nothing kept between
+
+
+def test_tiled_boundaries_normalize_with_no_lane_run(monkeypatch):
+    # every merge of a tiled boundary, seeds 1-20, is proved by the
+    # registers, so no map runs on lane registers
+    lanes = []
+    original = ExprMap.run
+
+    def counting(self, arith, args):
+        lanes.append(arith is _LANE_ARITH)
+        return original(self, arith, args)
+
+    monkeypatch.setattr(ExprMap, "run", counting)
+    for seed in range(1, 21):
+        assert len(chain_normalize(_tiled_boundary(seed)).terms) == 54
+    assert lanes and not any(lanes)
 
 
 def _lane_maps(rng: random.Random, k: int) -> list:
@@ -936,6 +989,117 @@ def test_overflow_at_a_later_point_surfaces_as_it_did():
             assert got == _normalize_outcome(reference_chain_normalize, ch)
             outcomes.add(type(got))
     assert outcomes == {list, tuple}  # some returned, some raised
+
+
+def _count_proofs(monkeypatch) -> Counter:
+    """How often `cubes._proved` proved agreement (True) and how often it
+    left a comparison to the lanes (False)."""
+    proofs = Counter()
+    original = cubes_module._proved
+
+    def counting(*args):
+        proved = original(*args)
+        proofs[proved] += 1
+        return proved
+
+    monkeypatch.setattr(cubes_module, "_proved", counting)
+    return proofs
+
+
+def test_polynomial_overflow_at_a_later_point_surfaces_as_it_did(
+        monkeypatch):
+    # (c*x1)^2 overflows at sample point j > 1 only, where pow raises, so
+    # the bound registers, which cover every point, prove nothing and the
+    # lanes raise or return as the reference does; (x1*1e-200)^2
+    # underflows to 0 at every point, and the registers prove that
+    dom = CubeDomain(Theta.TYPE1, 0.0, 1)  # r = 0: every ze part is 0
+    xs = [p[0].re for p in reference_domain_points(dom)]
+    j = max(range(2, 16), key=xs.__getitem__)
+    assert xs[j] > max(xs[:2])
+    c = math.sqrt(sys.float_info.max) / xs[j] * 1.001
+    assert (c * max(xs[:j])) ** 2 < math.inf
+    with pytest.raises(OverflowError):
+        (c * xs[j]) ** 2
+    p0 = repr(xs[0])
+
+    def cube(first, second):
+        return SingularCube(dom, ExprMap((parse_expr(first, 1),
+                                          parse_expr(second, 1))))
+
+    grow, grown = f"({c!r}*x1)^2", f"(x1*{c!r})^2"  # equal values
+    tiny, tinier = "(x1*1e-200)^2", "(1e-200*x1)^2"
+    parting = f"x1+(x1-{p0})"  # equal to x1 at point 0 only
+    cases = [[cube("x1", grow), cube("x1", grown)],
+             [cube("x1", grow), cube(parting, grown)],
+             [cube("x1", grow), cube("x1", "x1"), cube("x1", grown)],
+             [cube("x1", tiny), cube("x1", tinier), cube(parting, tiny)]]
+    outcomes, proofs = set(), _count_proofs(monkeypatch)
+    for cubes in cases:
+        chain = Chain(Theta.TYPE1, 0.0, 1, 2, tuple((1, c) for c in cubes))
+        for ch in (chain, chain + chain):
+            for tol in (0.0, MERGE_TOL, math.inf):
+                got = _normalize_outcome(
+                    lambda x: chain_normalize(x, tol), ch)
+                assert got == _normalize_outcome(
+                    lambda x: reference_chain_normalize(x, tol), ch)
+                outcomes.add(type(got))
+    assert outcomes == {list, tuple}
+    assert proofs[True] and proofs[False]
+
+
+def test_normalize_pin_past_the_floats_matches_reference():
+    # a pin at an int past the float range, which the map reads only as
+    # x2^0: its runs never convert it, while its registers would, so the
+    # proof leaves the comparison to the lanes
+    dom = CubeDomain(Theta.TYPE1, 0.5, 2)
+    faces = dom._face_domain()[0]
+    x1, x2 = Expr.variable(0, 2), Expr.variable(1, 2)
+    mapping = ExprMap((x1 + x2 ** 0, x1))
+    twins = [SingularCube(faces, mapping.pin(1, Dual(10 ** 400)))
+             for _ in range(2)]
+    chain = Chain(Theta.TYPE1, 0.5, 1, 2, ((1, twins[0]), (-1, twins[1])))
+    assert _terms(chain_normalize(chain)) == \
+        _terms(reference_chain_normalize(chain)) == []
+
+
+def _rounding_maps(c: float) -> list:
+    """Pairs of root maps of arity 3 with equal exact values and floats
+    apart by their roundings: x1 + c - c against x1, and products of
+    x1, x2 and x3 against their re-association."""
+    x1, x2, x3 = (Expr.variable(i, 3) for i in range(3))
+    shift = (x1 + c) - c
+    return [(ExprMap((shift, x2, x3 * x2)), ExprMap((x1, x2, x3 * x2))),
+            (ExprMap(((x1 * x2) * x3, x1, shift * x3)),
+             ExprMap((x1 * (x2 * x3), x1, x1 * x3)))]
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, 0.5, 1.0))
+def test_normalize_proofs_match_reference_at_rounding_scale(theta, r,
+                                                          monkeypatch):
+    # maps whose floats part by their roundings alone: a face of each
+    # pinned at 0, at b or at -0.0, in both orders, at tolerances from 0
+    # past the roundings to inf and NaN.  The registers prove some merges
+    # and leave others to the lanes; either way the reference's merges
+    proofs = _count_proofs(monkeypatch)
+    domain = CubeDomain(theta, r, 3)
+    faces, ends = domain._face_domain()
+    values = (ZERO, ends[1], Dual(-0.0, -0.0))
+    tols = (0.0, 1e-15, MERGE_TOL, 1e-6, 1.0, math.inf, math.nan)
+    for c in (1.0, 1e4, 1e8, 1e12):
+        for mine, theirs in _rounding_maps(c):
+            terms = []
+            for index in range(3):
+                for value in values:
+                    terms += [(1, SingularCube(faces, mine.pin(index, value))),
+                              (-1, SingularCube(faces,
+                                                theirs.pin(index, value)))]
+            chain = Chain(theta, r, 2, 3, tuple(terms))
+            for ch in (chain, Chain(theta, r, 2, 3, tuple(terms[::-1]))):
+                for tol in tols:
+                    assert _terms(chain_normalize(ch, tol)) == \
+                        _terms(reference_chain_normalize(ch, tol))
+    assert proofs[True] and proofs[False]
 
 
 def test_pinned_faces_normalize_by_their_runs():

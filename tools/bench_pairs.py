@@ -1,15 +1,19 @@
 """Run the benchmark in pairs: a git revision against the work tree.
 
-    python tools/bench_pairs.py BASE [--pairs N] [--seconds S] [--out FILE]
+    python tools/bench_pairs.py BASE [--pairs N] [--seconds S] [--seed N]
+                                     [--out FILE]
 
-Each pair runs ``bench/run.py --workload all --trace 0 --seconds S`` once
-in a checkout of BASE and once in the work tree, each side from its own
-files, and alternates which side runs first.  The result, written to
-FILE (``BENCH.json`` by default; name it ``BENCH_<change>.json`` for a
-change's claim), holds for each workload and end-to-end metric of
-``BENCHMARK.json`` each side's runs, median and quartiles, and the
-pairs each side won (ties count for neither), along with the verdicts
-each run attempted and failed.  The checkout is unpacked by
+Each pair runs ``bench/run.py --workload all --trace 0 --seconds S
+--seed N`` once in a checkout of BASE and once in the work tree, each
+side from its own files, and alternates which side runs first.  After
+the pairs, each side makes one ``--trace 1`` run of the same length and
+seed.  The result, written to FILE (``BENCH.json`` by default; name it
+``BENCH_<change>.json`` for a change's claim), holds for each workload
+and end-to-end metric of ``BENCHMARK.json`` each side's runs, median
+and quartiles, and the pairs each side won (ties count for neither),
+along with the verdicts each run attempted and failed; and, for each
+workload, each side's per-layer metrics from its traced run, each a
+median over that run's traced passes.  The checkout is unpacked by
 ``git archive`` into a temporary directory, removed at exit, so the
 repository's own files and ``.git`` are left as they were.
 """
@@ -43,11 +47,15 @@ def checkout(rev: str):
         yield Path(tmp)
 
 
-def run_bench(root: Path, seconds: float) -> dict:
+def bench_command(seconds: float, seed: int, trace: int) -> list:
+    return [sys.executable, "bench/run.py", "--workload", "all", "--trace",
+            str(trace), "--seconds", str(seconds), "--seed", str(seed)]
+
+
+def run_bench(root: Path, seconds: float, seed: int, trace: int = 0) -> dict:
     """The last line of ``bench/run.py --workload all`` in `root`."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "all", "--trace", "0",
-         "--seconds", str(seconds)],
+        bench_command(seconds, seed, trace),
         cwd=root, stdout=subprocess.PIPE, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -67,6 +75,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=4.0,
                         help="bench/run.py --seconds, the same on both sides")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="bench/run.py --seed, the same on both sides")
     parser.add_argument("--out", default="BENCH.json")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -83,8 +93,11 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                runs[side].append(run_bench(roots[side], args.seconds))
+                runs[side].append(run_bench(roots[side], args.seconds,
+                                            args.seed))
             print(f"pair {i + 1} of {args.pairs} done", file=sys.stderr)
+        traced = {side: run_bench(roots[side], args.seconds, args.seed, 1)
+                  for side in ("base", "head")}
     workloads = {}
     for workload in spec["workloads"]:
         name, metrics = workload["name"], {}
@@ -100,14 +113,27 @@ def main(argv=None) -> int:
                 "base_won": sum(sign * (b - h) < 0 for b, h in zip(base, head)),
             }
         workloads[name] = metrics
+    per_layer = {
+        workload["name"]: {
+            metric["name"]: {
+                "unit": metric["unit"], "better": metric["better"],
+                **{side: traced[side]["metrics"][
+                    f"{workload['name']}.{metric['name']}"]["value"]
+                   for side in traced}}
+            for metric in spec["per_layer"]}
+        for workload in spec["workloads"]}
     result = {
         "base": base_rev, "head": f"the work tree at {head_rev}",
-        "command": ["python3", "bench/run.py", "--workload", "all",
-                    "--trace", "0", "--seconds", str(args.seconds)],
+        "command": ["python3"] + bench_command(args.seconds, args.seed, 0)[1:],
+        "traced_command": ["python3"] + bench_command(
+            args.seconds, args.seed, 1)[1:],
         "pairs": args.pairs,
         "verdicts": {side: [[run["attempted"], run["failed"]]
                             for run in runs[side]] for side in runs},
+        "traced_verdicts": {side: [run["attempted"], run["failed"]]
+                            for side, run in traced.items()},
         "workloads": workloads,
+        "per_layer": per_layer,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
