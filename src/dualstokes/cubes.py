@@ -42,7 +42,7 @@ import math
 import operator
 import random
 
-from .darboux import ThetaRectangle, _axis_weights, make_interval
+from .darboux import ThetaInterval, ThetaRectangle, _axis_weights
 from .dual import Dual, Record, Theta, ZERO
 # compose is unused here but stays a module attribute: the benchmark's
 # tracer (bench/spans.py) rebinds cubes.compose.
@@ -92,8 +92,9 @@ class CubeDomain(Record):
         ``(index, value)`` pairs (:meth:`.expr.ExprMap.pin`): one per
         variable of the root, the side [0, b] where it is free and the
         pinned value where it is pinned."""
-        if self._side is None:
-            self._side = make_interval(self.theta, ZERO, self.b)
+        if self._side is None:  # in order, as __init__ checks r
+            side = self._side = object.__new__(ThetaInterval)
+            side.theta, side.a, side.b = self.theta, ZERO, self.b
         axes = [self._side] * (self.k + len(pins))
         for index, value in pins:
             axes[index] = value
@@ -114,12 +115,16 @@ class CubeDomain(Record):
 
     def _face_domain(self) -> tuple:
         """The domain of this domain's faces, and the endpoints 0 and b
-        that its sides 0 and 1 pin.  The face domain's side is this
-        domain's side object, whose ends are the same bits, so the weight
-        tables that side keeps serve the faces too."""
+        that its sides 0 and 1 pin.  The face domain's side and its end b
+        are this domain's objects, whose bits are the same, so the weight
+        tables they keep serve the faces too.  It is built without the
+        checks of ``__init__``, which this domain passed with the same
+        theta and r (a domain with faces has k >= 1)."""
         if self._faces is None:
-            faces = CubeDomain(self.theta, self.r, self.k - 1)
-            faces._side = self.axes(())[0]
+            faces = object.__new__(CubeDomain)
+            faces.theta, faces.r, faces.k, faces.b, faces._side = (
+                self.theta, self.r, self.k - 1, self.b, self.axes(())[0])
+            faces._rectangle = faces._sample = faces._faces = None
             self._faces = faces, (ZERO, self.b)
         return self._faces
 
@@ -200,12 +205,8 @@ def face(cube: SingularCube, axis: int, side: int) -> SingularCube:
         raise ValueError(f"axis must be in 1..{k}")
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
-    return _face(cube, axis - 1, side)
-
-
-def _face(cube: SingularCube, index: int, side: int) -> SingularCube:
     domain, ends = cube.domain._face_domain()
-    return SingularCube(domain, cube.mapping.pin(index, ends[side]))
+    return SingularCube(domain, cube.mapping.pin(axis - 1, ends[side]))
 
 
 class Chain(Record):
@@ -274,10 +275,13 @@ def boundary(obj) -> Chain:
         raise TypeError("expected a cube or a chain")
     if obj.k == 0:
         raise ValueError("a 0-dimensional cube or chain has no boundary")
-    faces = tuple((-weight if (axis + side) % 2 else weight,
-                   _face(cube, axis - 1, side))
-                  for weight, cube in terms
-                  for axis in range(1, obj.k + 1) for side in (0, 1))
+    faces = []
+    for weight, cube in terms:
+        domain, ends = cube.domain._face_domain()
+        pin = cube.mapping.pin
+        faces += [(weight if (index + side) % 2 else -weight,
+                   SingularCube(domain, pin(index, ends[side])))
+                  for index in range(obj.k) for side in (0, 1)]
     return Chain(obj.theta, obj.r, obj.k - 1, obj.n, faces)
 
 
@@ -310,24 +314,25 @@ class _Fingerprint:
     where it arises.
     """
 
-    __slots__ = ("cube", "points", "lanes", "values", "_key", "_window",
-                 "_face")
+    __slots__ = ("cube", "values", "_key", "_window", "_face")
 
     def __init__(self, cube: SingularCube):
         self.cube = cube
-        _, self.points, self.lanes = cube.domain._table()
         self.values: list[tuple[float, ...]] = []
         self._key = self._face = None
 
     def at(self, i: int) -> tuple[float, ...]:
-        values, mapping = self.values, self.cube.mapping
-        if i == 1 == len(values):
-            try:
-                values += _lane_points(mapping.run(_LANE_ARITH, self.lanes))
-            except OverflowError:
-                pass  # point by point, as below
+        values = self.values
         if i == len(values):
-            values.append(sum(mapping.run(_PAIRS, self.points[i]), ()))
+            mapping = self.cube.mapping
+            _, points, lanes = self.cube.domain._table()
+            if i == 1:
+                try:
+                    values += _lane_points(mapping.run(_LANE_ARITH, lanes))
+                except OverflowError:
+                    pass  # point by point, as below
+            if i == len(values):
+                values.append(sum(mapping.run(_PAIRS, points[i]), ()))
         return values[i]
 
     def key(self) -> float:
@@ -405,7 +410,7 @@ def _agree(left: _Fingerprint, right: _Fingerprint, tol: float,
     where the root registers cannot prove that the two agree at all of
     them (:func:`_proved`, with its cache `proofs`)."""
     equal_agrees = tol >= 0  # False for NaN
-    i, count = 0, len(left.points)
+    i, count = 0, len(left.cube.domain._table()[0])
     while i < count:
         if i == 1 and min(len(left.values), len(right.values)) == 1 and \
                 _proved(left, right, tol, proofs):
@@ -494,6 +499,8 @@ def chain_normalize(chain: Chain, tol: float = MERGE_TOL,
                 break
         else:
             groups.append([weight, mine])
+    if len(groups) == len(chain.terms):  # no merge: the terms as they are
+        return chain
     return Chain(chain.theta, chain.r, chain.k, chain.n,
                  tuple((w, f.cube) for w, f in groups))
 
@@ -528,7 +535,7 @@ def _near(keys: list[float], ids: list[int], mine: _Fingerprint,
     top, total, tiny = mine._window
     h = (2.0 * tol + top) * total * _SLACK + tiny
     lo, hi = x - h, x + h
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if lo - lo + (hi - hi) != 0.0:  # an end that is not finite
         return range(count)
     return sorted(ids[bisect.bisect_left(keys, lo):
                       bisect.bisect_right(keys, hi)])

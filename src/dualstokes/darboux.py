@@ -389,10 +389,12 @@ class IntegralEstimate(Record):
         return IntegralEstimate(value, value, value, 0.0, 0.0, 0)
 
     def finite(self) -> bool:
-        """Whether the midpoint and the gaps are finite (so the ends are)."""
-        isfinite, value = math.isfinite, self.value
-        return (isfinite(value.re) and isfinite(value.ze)
-                and isfinite(self.gap_re) and isfinite(self.gap_ze))
+        """Whether the midpoint and the gaps are finite (so the ends are):
+        x - x is 0.0 for a finite x and NaN for any other, so their sum
+        is 0.0 exactly when all four are finite."""
+        value, gap_re, gap_ze = self.value, self.gap_re, self.gap_ze
+        return (value.re - value.re + (value.ze - value.ze)
+                + (gap_re - gap_re) + (gap_ze - gap_ze)) == 0.0
 
 
 _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
@@ -401,19 +403,17 @@ _MAX_ORDER = 1 << 24  # so that (2N + 1) * u >= gamma(2N), see below
 def _axis_weights(axis: ThetaInterval | Dual, degree: int) -> tuple:
     """``(re, ze, shadow, order)`` of the weight of x^p on `axis`, for
     p = 0 .. degree: ``(b^(p+1) - a^(p+1)) / (p+1)`` over an interval
-    ``[a, b]``, ``v^p`` at a point v.  The axis object keeps its tables
-    by degree; a miss reads the one built once per ends and degree,
-    keyed by the repr of the ends, which tells 0.0 from -0.0 and 1 from
-    1.0 as the float operations do."""
-    try:
-        tables = axis._weights
-    except AttributeError:
-        tables = axis._weights = {}
-    table = tables.get(degree)
-    if table is None:
+    ``[a, b]``, ``v^p`` at a point v.  Entry p does not depend on the
+    degree a table is built for, so the axis object keeps one table, the
+    longest asked of it, and reads any lower degree off its prefix; a
+    miss reads the one built once per ends and degree, keyed by the repr
+    of the ends, which tells 0.0 from -0.0 and 1 from 1.0 as the float
+    operations do."""
+    table = getattr(axis, "_weights", ())
+    if len(table) <= degree:
         ends = ((axis.re, axis.ze) if isinstance(axis, Dual)
                 else (axis.a.re, axis.a.ze, axis.b.re, axis.b.ze))
-        table = tables[degree] = _weight_table(repr(ends), ends, degree)
+        table = axis._weights = _weight_table(repr(ends), ends, degree)
     return table
 
 

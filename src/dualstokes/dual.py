@@ -76,7 +76,7 @@ class Dual(Record):
     """
 
     _fields = ("re", "ze")
-    # not a field: a pinned point's weight tables, see darboux._axis_weights
+    # not a field: a pinned point's weight table, see darboux._axis_weights
     __slots__ = _fields + ("_weights",)
 
     def __init__(self, re: float, ze: float = 0.0):

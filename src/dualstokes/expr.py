@@ -164,7 +164,8 @@ class Var(Node):
     index = property(lambda self: self._a)
 
     def __new__(cls, index: int):  # 0-based
-        _check_natural(index, "variable indices")
+        if index.__class__ is not int or index < 0:
+            _check_natural(index, "variable indices")
         return _node(cls, ("var", index), "var", index, None)
 
 
@@ -580,8 +581,9 @@ def _poly_sum(sign: float):
             old = get(k)
             terms[k] = ((sign * re, sign * ze) if old is None
                         else (old[0] + sign * re, old[1] + sign * ze))
-        return _checked(terms, x[1] + y[1], max(x[2], y[2]) + 1,
-                        max(x[3], y[3]))
+        return _checked(terms, x[1] + y[1],
+                        (x[2] if x[2] > y[2] else y[2]) + 1,
+                        x[3] if x[3] > y[3] else y[3])
     return combine
 
 
@@ -670,12 +672,14 @@ def poly_diff(x, index: int):
     that factor on every coefficient; no term in it gives no terms."""
     terms, shadow, order, degree = x
     shift, mask = KEY_BITS * index, (1 << KEY_BITS) - 1
+    unit = 1 << shift
     out, top = {}, 0
     for k, (re, ze) in terms.items():
         p = (k >> shift) & mask
         if p:
-            out[k - (1 << shift)] = (re * p, ze * p)
-            top = max(top, p)
+            out[k - unit] = (re * p, ze * p)
+            if p > top:
+                top = p
     return out, shadow * top if top else 0.0, order + 1, max(degree - 1, 0)
 
 
@@ -876,15 +880,15 @@ _TOKEN = _regex.compile(
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text)
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", end))
     return tokens
 
 
@@ -903,81 +907,70 @@ def _folded(build, op: str, pos: int, *operands) -> Node:
 
 
 class _Parser:
+    # Only an op token's text is an operator or a parenthesis, so a token
+    # is that op exactly when its text is.
+
     def __init__(self, text: str, arity: int):
         self.tokens = _tokenize(text)
         self.idx = 0
         self.arity = arity
         self.depth = 0  # levels open around the current factor
 
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        token = self.tokens[self.idx]
-        self.idx += 1
-        return token
-
     def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
+        _, value, pos = self.tokens[self.idx]
+        if value != op:
             raise ParseError(f"expected {op!r}", pos)
-        self.advance()
+        self.idx += 1
 
     def parse(self) -> Node:
         node = self.expr()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.idx]
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
         return node
 
     def expr(self) -> Node:
-        node = self.term()
+        # terms joined by + and -, each factors joined by *, left to right
+        tokens, op = self.tokens, None
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                rhs = self.term()
-                node = _add(node, rhs) if value == "+" else _sub(node, rhs)
-            else:
+            term = self.factor()
+            while tokens[self.idx][1] == "*":
+                self.idx += 1
+                term = _mul(term, self.factor())
+            node = (term if op is None else _add(node, term) if op == "+"
+                    else _sub(node, term))
+            op = tokens[self.idx][1]
+            if op != "+" and op != "-":
                 return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                node = _mul(node, self.factor())
-            else:
-                return node
+            self.idx += 1
 
     def factor(self) -> Node:
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.idx]
         if self.depth > MAX_NESTING:
             raise ParseError(
                 f"expression nested more than {MAX_NESTING} levels deep", pos)
         self.depth += 1
-        if kind == "op" and value == "-":
-            self.advance()
+        self.idx += 1
+        if value == "-":
             node = _neg(self.factor())
         else:
-            node = self.atom()
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
+            node = self.atom(kind, value, pos)
+            _, value, pos = self.tokens[self.idx]
+            if value == "^":
+                self.idx += 1
                 node = _folded(_pow, "^", pos, node, self.uint())
         self.depth -= 1
         return node
 
     def uint(self) -> int:
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.idx]
         if kind != "num" or not value.isdigit():
             raise ParseError("expected a nonnegative integer exponent", pos)
-        self.advance()
+        self.idx += 1
         return int(value)
 
-    def atom(self) -> Node:
-        kind, value, pos = self.advance()
+    def atom(self, kind: str, value: str, pos: int) -> Node:
+        # the factor's first token, which it has consumed
         if kind == "num":
             number = float(value)
             if not math.isfinite(number):
@@ -1000,7 +993,7 @@ class _Parser:
                         pos)
                 return Var(index - 1)
             raise ParseError(f"unknown identifier {value!r}", pos)
-        if kind == "op" and value == "(":
+        if value == "(":
             node = self.expr()
             self.expect_op(")")
             return node
@@ -1252,30 +1245,32 @@ class ExprMap(Record):
         x1 = 0 of ``x1*((x2+1)*1e300*1e300)`` the components give 0 and the
         run NaN, and the sample values chains normalize by come from the
         run."""
-        _check_natural(index, "variable indices")
+        if index.__class__ is not int or index < 0:
+            _check_natural(index, "variable indices")
         if index >= self.arity:
             raise ValueError("variable index out of range")
         root, pins = self._pin or (self, ())
         for at, _ in pins:  # ascending, so `index` becomes the root's
             index += at <= index
+        pin = index, value if value.__class__ is Dual else as_dual(value)
         pinned = object.__new__(ExprMap)
         pinned._components = pinned._code = None
-        pinned._pin = root, tuple(sorted(pins + ((index, as_dual(value)),)))
+        pinned._pin = root, tuple(sorted((*pins, pin))) if pins else (pin,)
         pinned.arity, pinned.dim_out = self.arity - 1, self.dim_out
         return pinned
 
     def run(self, arith: tuple, args: Sequence) -> list:
         """Each component's register, from one run of the map's program
         under `arith`; `args[i]` is the value of x(i+1)."""
+        mapping = self
         if self._pin is not None:
-            root, pins = self._pin
+            mapping, pins = self._pin
             args = list(args)
             for index, value in pins:
                 args.insert(index, arith[0](value))
-            return root.run(arith, args)
-        if self._code is None:
-            self._code = _lower([c.node for c in self._components])
-        code, outs = self._code
+        if mapping._code is None:
+            mapping._code = _lower([c.node for c in mapping._components])
+        code, outs = mapping._code
         regs = [None] * len(code)
         run_steps(code, arith, regs, args)
         return [regs[r] for r in outs]

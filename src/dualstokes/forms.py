@@ -184,33 +184,22 @@ def pullback(f: ExprMap, w: DiffForm) -> DiffForm:
     return DiffForm(m, w.k, {t: Expr(node, m) for t, node in out.items()})
 
 
-class RegisterPullback(dict):
-    """:func:`pullback_polynomial`'s registers by target index, which
-    also keeps, as `components`, the registers of the map's components
-    that they come from."""
-
-    __slots__ = ("components",)
-
-
-def pullback_polynomial(f: ExprMap, w: DiffForm) -> RegisterPullback:
+def pullback_polynomial(f: ExprMap, w: DiffForm,
+                        comps: list | None = None) -> dict:
     """:func:`pullback`'s coefficient on every target index, as a
     polynomial register of :mod:`.expr`: the map's program runs once on
-    polynomial registers, the form's coefficients run on the components'
-    registers, and the jacobian (by :func:`.expr.poly_diff`) and its
-    minors are registers too, so the shadow and order bound all their
-    roundings.  Raises where :func:`.expr.expand_polynomial` would."""
-    return _register_pullback(f, w, f.run(_POLYS, _poly_vars(f.arity)))
-
-
-def _register_pullback(f: ExprMap, w: DiffForm,
-                       comps: list) -> RegisterPullback:
-    """:func:`pullback_polynomial` from the registers `comps` of the
-    map's components."""
-    jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
-    out = RegisterPullback(
-        _pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0)))  # zero poly
-    out.components = comps
-    return out
+    polynomial registers (unless `comps` holds the components' registers
+    from such a run), the form's coefficients run on the components'
+    registers, and the jacobian rows the form's indices read (by
+    :func:`.expr.poly_diff`) and their minors are registers too, so the
+    shadow and order bound all their roundings.  Raises where
+    :func:`.expr.expand_polynomial` would."""
+    if comps is None:
+        comps = f.run(_POLYS, _poly_vars(f.arity))
+    rows = {i for index in w.coeffs for i in index}
+    jac = [[poly_diff(c, j) for j in range(f.arity)] if i in rows else None
+           for i, c in enumerate(comps)]
+    return _pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0))  # zero poly
 
 
 wedge_forms = wedge  # the forms-layer name of the shared wedge

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import sys
 
-from .cubes import (MERGE_TOL, Chain, CubeDomain, SingularCube, boundary,
-                    chain_normalize)
+from .cubes import (MERGE_TOL, Chain, CubeDomain, SingularCube,
+                    _component_registers, boundary, chain_normalize)
 from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
                       DEFAULT_TOL_RE, DEFAULT_TOL_ZE, IntegralEstimate,
                       NotConverged, NotFinite, integral_estimate,
@@ -30,8 +30,7 @@ from .darboux import (DEFAULT_BASE_SUBDIVISIONS, DEFAULT_MAX_DOUBLINGS,
 from .dual import Dual, Record, Theta
 from .expr import (_POLYS, ExprMap, NotPolynomial, ParseError, eval_dual,
                    parse_expr, poly_diff)
-from .forms import (DiffForm, _register_pullback, exterior_derivative,
-                    pullback, pullback_polynomial)
+from .forms import DiffForm, exterior_derivative, pullback, pullback_polynomial
 
 DEFAULT_STOKES_TOL = 1e-3
 REPORT_SCHEMA_VERSION = "stokes-report/1"
@@ -66,14 +65,15 @@ def _string(value, what: str) -> str:
     raise ScenarioError(f"{what} must be a string")
 
 
-def _object(data, what: str, required=(), optional=()) -> dict:
-    """`data`, checked to be a JSON object holding every key of
-    `required` and no key outside `required` and `optional`."""
+def _object(data, what: str) -> dict:
+    """`data`, checked to be a JSON object holding every key that
+    `_SHAPES` requires of a `what` and no key outside those it allows."""
+    required, allowed = _SHAPES[what]
     if not isinstance(data, dict):
         raise ScenarioError(f"{what} must be an object")
-    extra = data.keys() - {*required, *optional}
-    if extra:
-        raise ScenarioError(f"unknown {what} keys: {sorted(extra)}")
+    if not data.keys() <= allowed:
+        raise ScenarioError(
+            f"unknown {what} keys: {sorted(data.keys() - allowed)}")
     for key in required:
         if key not in data:
             raise ScenarioError(f"{what} is missing {key!r}")
@@ -85,6 +85,18 @@ def _object(data, what: str, required=(), optional=()) -> dict:
 _REFINEMENT_FIELDS = {"tol_re": (_number, 0.0), "tol_ze": (_number, 0.0),
                       "base_subdivisions": (_integer, 1),
                       "max_doublings": (_integer, 0)}
+
+# the keys each object of a scenario must hold, and all those it may hold
+_SHAPES = {what: (required, frozenset(required + optional))
+           for what, required, optional in (
+               ("scenario", ("name", "theta", "r", "n", "k", "form"),
+                ("cubes", "refinement", "expected", "tol_floor",
+                 "description")),
+               ("form", ("degree",), ("coeffs",)),
+               ("form coefficient", ("index", "expr"), ()),
+               ("cube", ("map",), ("weight",)),
+               ("expected", ("re", "ze"), ()),
+               ("refinement", (), tuple(_REFINEMENT_FIELDS)))}
 
 
 class Refinement(Record):
@@ -101,7 +113,7 @@ class Refinement(Record):
 
     @staticmethod
     def from_dict(data: dict) -> "Refinement":
-        _object(data, "refinement", optional=_REFINEMENT_FIELDS)
+        _object(data, "refinement")
         fields = _REFINEMENT_FIELDS.items()
         return Refinement(**{key: read(data[key], key, least)
                              for key, (read, least) in fields if key in data})
@@ -123,20 +135,13 @@ _PROOFS = "proofs"
 
 
 def _registers(f: ExprMap, w: DiffForm, roots: dict) -> dict | None:
-    # the pullback of a map whose program a proof of chain normalization
-    # has run on polynomial registers reads those; any other keeps its
-    # components' registers for the proofs to come (see `_PROOFS`)
-    proofs = roots.setdefault(_PROOFS, {})
+    # the pullback reads the map's component registers from the proofs'
+    # cache (see `_PROOFS`), which runs its program on them at most once
+    comps = _component_registers(f, roots.setdefault(_PROOFS, {}))
     try:
-        if id(f) in proofs:
-            comps = proofs[id(f)]
-            return None if comps is None else _register_pullback(f, w, comps)
-        regs = pullback_polynomial(f, w)
+        return None if comps is None else pullback_polynomial(f, w, comps)
     except (NotPolynomial, OverflowError):  # an int constant past floats
         return None
-    if (comps := getattr(regs, "components", None)) is not None:
-        proofs[id(f)] = comps  # a pullback put in its place may keep none
-    return regs
 
 
 def _register(w: DiffForm, cube: SingularCube, roots: dict) -> tuple:
@@ -148,16 +153,17 @@ def _register(w: DiffForm, cube: SingularCube, roots: dict) -> tuple:
     # chain) d(F*w)'s sum_t (-1)^t dR_(J omit j_t)/dx_(j_t).  A face whose
     # root raises reads its own pullback, pinning nothing; the register
     # is None where that raises too, or for a cube of d.
-    root, pins = cube.mapping._pin or (cube.mapping, ())
+    mapping, k = cube.mapping, cube.domain.k
+    root, pins = mapping._pin or (mapping, ())
     if id(root) not in roots:
         roots[id(root)] = _registers(root, w, roots)
     if (regs := roots[id(root)]) is None:
-        own = (None if cube.k > w.k or not pins
-               else _registers(cube.mapping, w, roots))
-        return (None if own is None else own[tuple(range(cube.k))]), ()
-    pinned = [index for index, _ in pins]
-    free = [i for i in range(root.arity) if i not in pinned]
-    if cube.k == w.k:
+        own = None if k > w.k or not pins else _registers(mapping, w, roots)
+        return (None if own is None else own[tuple(range(k))]), ()
+    free = [*range(root.arity)]
+    for index, _ in pins[::-1]:  # pins ascend: delete from the last
+        del free[index]
+    if k == w.k:
         return regs[tuple(free)], pins
     add, sub = _POLYS[2:4]
     for t, j in enumerate(free):
@@ -223,14 +229,14 @@ def integrate_over_chain(w: DiffForm, chain: Chain, refinement: Refinement,
     the form.  Raises :class:`.darboux.NotFinite` when a
     cube's bracket, or the sum's value or a gap, is not finite.
     """
-    roots = {} if _verdict is None else _verdict
+    roots, verdict = ({}, False) if _verdict is None else (_verdict, True)
     chain = chain_normalize(chain, MERGE_TOL, roots.setdefault(_PROOFS, {}))
     lo_re = hi_re = lo_ze = hi_ze = 0.0
     finest = 0
     for weight, cube in chain.terms:
         try:
             est = integrate_over_cube(w, cube, refinement, _roots=roots,
-                                      _verdict=_verdict is not None)
+                                      _verdict=verdict)
         except NotFinite as exc:
             raise NotFinite(f"the chain sum is not finite: {exc}") from exc
         # the min and max of each part's two products without the builtin
@@ -477,8 +483,8 @@ class Scenario(Record):
         terms = []
         try:
             for weight, components in self.cubes:
-                mapping = ExprMap(tuple(parse_expr(text, self.k)
-                                        for text in components))
+                mapping = ExprMap([parse_expr(text, self.k)
+                                   for text in components])
                 terms.append((weight, SingularCube(domain, mapping)))
             return Chain(self.theta, self.r, self.k, self.n, tuple(terms))
         except (ParseError, ValueError) as exc:
@@ -487,8 +493,7 @@ class Scenario(Record):
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a raw scenario dict (1-based indices) into a Scenario."""
-    _object(data, "scenario", ("name", "theta", "r", "n", "k", "form"),
-            ("cubes", "refinement", "expected", "tol_floor", "description"))
+    _object(data, "scenario")
     name = _string(data["name"], "name")
     theta = _integer(data["theta"], "theta")
     if theta not in (1, 2):
@@ -496,14 +501,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     r = _number(data["r"], "r")
     n = _integer(data["n"], "n", 1)
     k = _integer(data["k"], "k", 1)
-    form = _object(data["form"], "form", ("degree",), ("coeffs",))
+    form = _object(data["form"], "form")
     degree = _integer(form["degree"], "form degree", 0)
     raw_coeffs = form.get("coeffs", [])
     if not isinstance(raw_coeffs, list):
         raise ScenarioError("form coeffs must be a list")
     coeffs = {}  # in the file's order
     for item in raw_coeffs:
-        index = _object(item, "form coefficient", ("index", "expr"))["index"]
+        index = _object(item, "form coefficient")["index"]
         if not isinstance(index, list) or len(index) != degree:
             raise ScenarioError(
                 f"coefficient index {index!r} must list {degree} integers")
@@ -527,7 +532,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError("cubes must be a nonempty list")
         cubes = []
         for item in raw_cubes:
-            _object(item, "cube", ("map",), ("weight",))
+            _object(item, "cube")
             weight = _integer(item.get("weight", 1), "cube weight")
             if abs(weight) > sys.float_info.max:
                 raise ScenarioError("cube weight is past the float range")
@@ -539,16 +544,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     refinement = Refinement.from_dict(data.get("refinement", {}))
     expected = data.get("expected")
     if expected is not None:
-        _object(expected, "expected", ("re", "ze"))
+        _object(expected, "expected")
         expected = (_number(expected["re"], "expected re", None),
                     _number(expected["ze"], "expected ze", None))
     tol_floor = _number(data.get("tol_floor", DEFAULT_STOKES_TOL), "tol_floor")
     description = _string(data.get("description", ""), "description")
-    return Scenario(
-        name=name, theta=Theta(theta), r=r, n=n, k=k,
-        form_degree=degree, form_coeffs=tuple(coeffs.items()),
-        cubes=tuple(cubes), refinement=refinement, description=description,
-        expected=expected, tol_floor=tol_floor)
+    return Scenario(name, Theta(theta), r, n, k, degree, tuple(coeffs.items()),
+                    tuple(cubes), refinement, description, expected, tol_floor)
 
 
 def load_scenarios(path) -> list[Scenario]:
@@ -686,13 +688,13 @@ BUILTIN_SCENARIO_DICTS = (
 
 
 def builtin_scenarios() -> list[Scenario]:
-    return [scenario_from_dict(dict(d)) for d in BUILTIN_SCENARIO_DICTS]
+    return [scenario_from_dict(d) for d in BUILTIN_SCENARIO_DICTS]
 
 
 def builtin_scenario(name: str) -> Scenario:
     for data in BUILTIN_SCENARIO_DICTS:
         if data["name"] == name:
-            return scenario_from_dict(dict(data))
+            return scenario_from_dict(data)
     known = ", ".join(d["name"] for d in BUILTIN_SCENARIO_DICTS)
     raise ScenarioError(f"no bundled scenario named {name!r} (have: {known})")
 

@@ -176,6 +176,47 @@ def test_face_domains_share_their_parent_side(monkeypatch):
     assert not misses
 
 
+def test_selftest_suite_does_its_fixed_work_once(monkeypatch):
+    # what one fresh suite of the bundled scenarios costs beyond its
+    # arithmetic, counted while an earlier suite is alive, as in a
+    # benchmark pass (so interned nodes and their programs are shared):
+    # each scenario lowers its one map's program; a domain's side is
+    # built without make_interval; only the face domains read a sample
+    # table (a one-term chain compares nothing); each axis object misses
+    # its weight table only where a verdict asks it for a higher degree
+    # than it holds, 22 times, and the value-keyed store builds 13
+    # distinct tables; the boundaries' 26 faces each run their map once
+    # at sample point 0, and no map runs at any other point
+    earlier = stokes.builtin_scenarios()
+    stokes.run_suite(earlier)
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: counts.update(
+            [name]) or original(*args))
+        return original
+
+    count(expr, "_lower")
+    count(darboux, "make_interval")
+    count(cubes_module, "_domain_sample")
+    store = count(darboux, "_weight_table")
+    store.cache_clear()
+    run = ExprMap.run
+
+    def point_runs(mapping, arith, args):
+        if arith is _PAIRS or arith is _LANE_ARITH:
+            counts["point runs" if arith is _PAIRS else "lane runs"] += 1
+        return run(mapping, arith, args)
+
+    monkeypatch.setattr(ExprMap, "run", point_runs)
+    reports = stokes.run_suite(stokes.builtin_scenarios())
+    assert all(r.passed for r in reports) and earlier
+    assert counts == {"_lower": 8, "_domain_sample": 8, "_weight_table": 22,
+                      "point runs": 26}
+    assert store.cache_info().misses == 13
+
+
 def test_faces_of_one_boundary_share_one_domain():
     # a scenario's cubes share one domain, so their faces, and the faces
     # of those, share one face domain each
@@ -192,21 +233,59 @@ def test_faces_of_one_boundary_share_one_domain():
 
 
 def test_tiled_verdict_builds_two_intervals(monkeypatch):
-    # one rectangle for the 27 cubes and one for their 54 faces
-    from dualstokes import cubes as cubes_module, darboux
-    calls = []
-    original = darboux.make_interval
+    # the 27 cubes and their 54 faces integrate over one interval, the
+    # side of the cubes' domain, which their face domain shares: the
+    # integrals read that one interval object, and make_interval builds
+    # none (at most two, one per domain, is what the name allows)
+    calls, sides = [], set()
+    original, weights = darboux.make_interval, darboux._axis_weights
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    def reading(axis, degree):
+        if not isinstance(axis, Dual):
+            sides.add(id(axis))
+        return weights(axis, degree)
+
     monkeypatch.setattr(darboux, "make_interval", counting)
-    monkeypatch.setattr(cubes_module, "make_interval", counting)
+    monkeypatch.setattr(darboux, "_axis_weights", reading)
     scenario = scenario_from_dict(
         load_bench_module("workloads").tiled_chain_dict(1))
     report = run_scenario(scenario)
-    assert report.passed and len(calls) <= 2
+    assert report.passed and not calls
+    assert sides == {id(scenario.chain.terms[0][1].domain.axes(())[0])}
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, -0.0, 0.5, 1e308))
+def test_domain_side_is_the_interval_make_interval_checks(theta, r):
+    # a domain builds its side [0, b] without the checks of make_interval,
+    # which its check on r implies: 0 <= r < inf puts b = 1 + (sign of
+    # theta) r eps, finite, after 0 in theta's order, signed zeros and
+    # the largest r included
+    dom = CubeDomain(theta, r, 2)
+    side = dom.axes(())[0]
+    checked = darboux.make_interval(theta, ZERO, dom.b)
+    assert type(side) is type(checked)
+    assert repr(side._values()) == repr(checked._values())
+    assert side.a is ZERO and side.b is dom.b
+    for bad in (-1e-300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="inflation"):
+            CubeDomain(theta, bad, 2)
+    # the face domains, down to dimension 0, skip __init__'s checks too,
+    # which their parent passed: each is the domain __init__ would build,
+    # and shares its parent's side and end b
+    for k in (2, 1):
+        faces, ends = dom._face_domain()
+        want = CubeDomain(theta, r, k - 1)
+        assert faces == want and repr(faces) == repr(want)
+        assert repr(faces.b) == repr(want.b) and faces.b is dom.b
+        assert ends == (ZERO, dom.b) and ends[1] is dom.b
+        assert faces.axes(())[:k - 1] == [side] * (k - 1)
+        assert faces._rectangle is faces._sample is faces._faces is None
+        dom = faces
 
 
 # ---------------------------------------------------------------------------

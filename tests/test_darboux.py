@@ -10,6 +10,7 @@ from dualstokes import (CubeDomain, Dual, Expr, IncomparableEndpoints,
                         darboux_sums, integral_estimate, make_interval,
                         make_rectangle, parse_expr, theta_cmp,
                         uniform_partition)
+import dualstokes.cubes as cubes
 import dualstokes.darboux as darboux
 import dualstokes.stokes as stokes
 from dualstokes.darboux import NotFinite, ThetaInterval, polynomial_estimate
@@ -651,38 +652,61 @@ def test_monomial_cap_is_what_declines():
 
 def test_weight_tables_are_built_once_per_interval_and_degree(monkeypatch):
     # all 81 integrals of the tiled chain share one interval per axis, and
-    # its faces one point per endpoint
+    # its faces one point per endpoint; an axis object keeps one table,
+    # the longest asked of it, so it looks a table up only for a degree
+    # above the one it holds, each (ends, degree) once, and every entry an
+    # integral or a proof of normalization (which pins registers at the
+    # endpoints) reads is bit for bit that of a table built for its degree
     scenario = load_bench_module("workloads").tiled_chain_3d(stokes, 1)[0]
-    asked = []
-    build = darboux._axis_weights
+    asked, lookups = [], []
+    build, store = darboux._axis_weights, darboux._weight_table
 
     def spy(axis, degree):
-        ends = (axis,) if isinstance(axis, Dual) else (axis.a, axis.b)
-        asked.append((repr([(end.re, end.ze) for end in ends]), degree))
-        return build(axis, degree)
+        table = build(axis, degree)
+        ends = ((axis.re, axis.ze) if isinstance(axis, Dual)
+                else (axis.a.re, axis.a.ze, axis.b.re, axis.b.ze))
+        fresh = store.__wrapped__(repr(ends), ends, degree)
+        assert repr(table[:degree + 1]) == repr(fresh)
+        asked.append((repr(ends), degree))
+        return table
+
+    def counting(key, ends, degree):
+        lookups.append((key, degree))
+        return store(key, ends, degree)
 
     monkeypatch.setattr(darboux, "_axis_weights", spy)
-    darboux._weight_table.cache_clear()
+    monkeypatch.setattr(cubes, "_axis_weights", spy)
+    monkeypatch.setattr(darboux, "_weight_table", counting)
+    store.cache_clear()
     assert stokes.run_scenario(scenario).passed
-    builds = darboux._weight_table.cache_info().misses
+    builds = store.cache_info().misses
+    assert len(set(lookups)) == len(lookups) == builds  # none built twice
     assert 0 < builds <= len(set(asked)) < len(asked)
 
 
 def test_weight_tables_tell_apart_what_the_float_operations_do():
-    # 0.0 and -0.0, and 1 and 1.0, are equal endpoints whose powers and
-    # differences may differ in bits, so each has a table of its own
+    # 0.0 and -0.0, and 1 and 1.0, are equal endpoints and points whose
+    # powers and differences may differ in bits, so each has a table of
+    # its own; a lower degree reads the prefix of the table an axis
+    # holds, and a higher one replaces it by a longer table, whose
+    # prefix is the shorter one
     darboux._weight_table.cache_clear()
     fresh = darboux._weight_table.__wrapped__
     ends = [(0.0, 1.0), (-0.0, 1.0), (0, 1), (0.0, 3.0), (0, 3)]
+    points = [Dual(0.0, 0.5), Dual(-0.0, 0.5), Dual(1, 0), Dual(1.0, 0.0)]
     tables = []
-    for a, b in ends:
-        iv = ThetaInterval(Theta.TYPE1, Dual(a, 0.0), Dual(b, 0.5))
-        table = darboux._axis_weights(iv, 40)
-        parts = (iv.a.re, iv.a.ze, iv.b.re, iv.b.ze)
+    for axis in [ThetaInterval(Theta.TYPE1, Dual(a, 0.0), Dual(b, 0.5))
+                 for a, b in ends] + points:
+        parts = ((axis.re, axis.ze) if isinstance(axis, Dual)
+                 else (axis.a.re, axis.a.ze, axis.b.re, axis.b.ze))
+        short = darboux._axis_weights(axis, 3)
+        table = darboux._axis_weights(axis, 40)
         assert repr(table) == repr(fresh(repr(parts), parts, 40))
-        assert darboux._axis_weights(iv, 40) is table
+        assert repr(table[:4]) == repr(short)
+        assert darboux._axis_weights(axis, 40) is table
+        assert darboux._axis_weights(axis, 7) is table
         tables.append(table)
-    assert darboux._weight_table.cache_info().misses == len(ends)
+    assert darboux._weight_table.cache_info().misses == 2 * len(tables)
     assert repr(tables[3]) != repr(tables[4])  # 3**41 rounds as a float
 
 
@@ -715,3 +739,15 @@ def test_integral_estimate_rejects_an_overflowing_midpoint():
     assert math.isfinite(lower.re) and math.isfinite(upper.ze)
     with pytest.raises(NotFinite, match="midpoint"):
         integral_estimate(parse_expr("1.7e308", 2), rect)
+
+
+def test_bracket_is_finite_exactly_when_its_midpoint_and_gaps_are():
+    # finite() sums x - x over the midpoint's parts and the gaps, which is
+    # 0.0 for a finite x and NaN for any other, so no sum can overflow
+    parts = (0.0, -0.0, 1.5, 1.7e308, -1.7e308, 5e-324, math.inf,
+             -math.inf, math.nan)
+    for v_re, v_ze, g_re, g_ze in itertools.product(parts, repeat=4):
+        est = darboux.IntegralEstimate(Dual(v_re, v_ze), ZERO, ZERO, g_re,
+                                       g_ze, 0)
+        assert est.finite() == all(map(math.isfinite,
+                                       (v_re, v_ze, g_re, g_ze)))

@@ -24,7 +24,7 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         verify_stokes, write_report_csv, write_report_json)
 from dualstokes.darboux import NotFinite
 from dualstokes import forms
-from dualstokes.expr import _POLYS, NotPolynomial, _poly_vars, poly_diff
+from dualstokes.expr import _POLYS, NotPolynomial
 from dualstokes.forms import pullback_polynomial
 from helpers import (THETAS, FormalSum, _exact_add, bracket_contains,
                      load_bench_module, random_chain, random_form,
@@ -803,13 +803,15 @@ def _transposed_jacobian_report(monkeypatch):
     _, dw, _ = _exact_forms(scenario.form)
     exact = _exact_chain_integral(dw, scenario.chain, {})
 
-    def transposed(f, w):
-        comps = f.run(_POLYS, _poly_vars(f.arity))
-        jac = [[poly_diff(c, j) for j in range(f.arity)] for c in comps]
-        jac[0][1], jac[1][0] = jac[1][0], jac[0][1]
-        return forms._pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0))
+    pull = forms._pullback
 
-    monkeypatch.setattr(stokes, "pullback_polynomial", transposed)
+    def transposed(f, w, comps, jac, arith, zero):
+        if arith is _POLYS:  # the register pullback's jacobian only
+            jac = [list(row) for row in jac]
+            jac[0][1], jac[1][0] = jac[1][0], jac[0][1]
+        return pull(f, w, comps, jac, arith, zero)
+
+    monkeypatch.setattr(forms, "_pullback", transposed)
     return run_scenario(scenario), exact
 
 

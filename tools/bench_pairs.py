@@ -13,7 +13,14 @@ and end-to-end metric of ``BENCHMARK.json`` each side's runs, median
 and quartiles, and the pairs each side won (ties count for neither),
 along with the verdicts each run attempted and failed; and, for each
 workload, each side's per-layer metrics from its traced run, each a
-median over that run's traced passes.  The checkout is unpacked by
+median over that run's traced passes.  For each workload and end-to-end
+metric it also writes, and prints, two verdicts on the head: whether a
+claimed gain would stand (``claim``: the head won at least nine tenths
+of the pairs, and its median is better than the base's by more than the
+distance between the base's quartiles), and whether the head's median is
+worse than the base's by more than the metric's ``bound`` in
+``BENCHMARK.json``, taken as a fraction of the base's median
+(``regressed``).  The checkout is unpacked by
 ``git archive`` into a temporary directory, removed at exit, so the
 repository's own files and ``.git`` are left as they were.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -69,6 +77,22 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def judge(row: dict, bound: float, pairs: int) -> dict:
+    """The claim rule and the regression bound on one metric's row: the
+    gain is the base median less the head's, signed so that a better
+    head is positive, and the change the gain's opposite over the base
+    median."""
+    base, head = row["base"], row["head"]
+    sign = 1 if row["better"] == "lower" else -1
+    gain = sign * (base["median"] - head["median"])
+    change = -gain / abs(base["median"]) if base["median"] else -gain
+    return {
+        "claim": (row["head_won"] >= math.ceil(0.9 * pairs)
+                  and gain > base["q3"] - base["q1"]),
+        "gain": gain, "base_iqr": base["q3"] - base["q1"],
+        "change": change, "bound": bound, "regressed": change > bound}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the git revision to compare against")
@@ -106,12 +130,13 @@ def main(argv=None) -> int:
             base, head = ([run["metrics"][key]["value"] for run in runs[side]]
                           for side in ("base", "head"))
             sign = 1 if metric["better"] == "lower" else -1
-            metrics[metric["name"]] = {
+            row = metrics[metric["name"]] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "base": summary(base), "head": summary(head),
                 "head_won": sum(sign * (h - b) < 0 for b, h in zip(base, head)),
                 "base_won": sum(sign * (b - h) < 0 for b, h in zip(base, head)),
             }
+            row.update(judge(row, metric["bound"], args.pairs))
         workloads[name] = metrics
     per_layer = {
         workload["name"]: {
@@ -142,7 +167,10 @@ def main(argv=None) -> int:
         for metric, row in metrics.items():
             print(f"{name:<15} {metric:<13} base {row['base']['median']:.6g} "
                   f"head {row['head']['median']:.6g} {row['unit']}, head won "
-                  f"{row['head_won']} of {args.pairs}")
+                  f"{row['head_won']} of {args.pairs}, change "
+                  f"{row['change']:+.1%} (bound {row['bound']:.0%}); claim "
+                  f"{'holds' if row['claim'] else 'does not hold'}"
+                  f"{', REGRESSED past the bound' if row['regressed'] else ''}")
     return 0
 
 
