@@ -59,7 +59,7 @@ class CubeDomain(Record):
     """The immutable model domain: k axes of [0, 1 + (sign of theta)*r*eps].
 
     Its far end `b` is built with it, and its side interval, rectangle,
-    sample table and face domain on first use, all kept outside the
+    sample table, face domain and reach on first use, all kept outside the
     fields, so they neither compare nor pickle: every cube and face over
     one domain object shares them.  They hang on the object, not on a
     table keyed by ``(theta, r, k)``, because ``0.0 == -0.0`` while their
@@ -67,7 +67,8 @@ class CubeDomain(Record):
     """
 
     _fields = ("theta", "r", "k")
-    __slots__ = _fields + ("b", "_side", "_rectangle", "_sample", "_faces")
+    __slots__ = _fields + ("b", "_side", "_rectangle", "_sample", "_faces",
+                           "_reach")
 
     def __init__(self, theta: Theta, r: float, k: int):
         if theta.__class__ is not Theta:
@@ -78,6 +79,7 @@ class CubeDomain(Record):
         _check_natural(k, "dimensions")
         self.b = Dual(1.0, theta.sign * self.r)
         self._side = self._rectangle = self._sample = self._faces = None
+        self._reach = None
 
     def rectangle(self) -> ThetaRectangle:
         if self.k == 0:
@@ -124,9 +126,20 @@ class CubeDomain(Record):
             faces = object.__new__(CubeDomain)
             faces.theta, faces.r, faces.k, faces.b, faces._side = (
                 self.theta, self.r, self.k - 1, self.b, self.axes(())[0])
-            faces._rectangle = faces._sample = faces._faces = None
+            faces._rectangle = faces._sample = faces._faces = faces._reach = None
             self._faces = faces, (ZERO, self.b)
         return self._faces
+
+    def _sample_reach(self) -> float:
+        """At least 1, and an upper bound on the norm ``|re| + |ze|`` of
+        the end b and of every coordinate of the sample points."""
+        if self._reach is None:
+            b = self.b
+            self._reach = max(1.0, _up(abs(b.re) + abs(b.ze)),
+                              *[_up(abs(re) + abs(ze))
+                                for point in self._table()[1]
+                                for re, ze in point])
+        return self._reach
 
 
 # one entry per (k, b.ze), so a sweep over r would grow an unbounded cache
@@ -343,61 +356,76 @@ class _Fingerprint:
         tolerance are kept with it, for :func:`_near`."""
         if self._key is None:
             values = self.at(0)
-            weights, total = _key_weights(len(values))
+            weights, total, tiny = (_KEY_WEIGHTS[len(values)] if len(
+                values) < len(_KEY_WEIGHTS) else _key_weights(len(values)))
             try:
                 key = math.fsum(map(operator.mul, weights, values))
             except ValueError:  # inf + -inf
                 key = math.inf
-            if key - key != 0.0 and any(x != x for x in values):
-                key = math.nan
-            self._window = (max(map(abs, values), default=0.0) * 2.0 ** -48,
-                           total, len(values) * TINY)
+            if key - key == 0.0:  # finite, so is every value: no NaN scan
+                top = abs(max(max(values), -min(values))) if values else 0.0
+            else:
+                if any(x != x for x in values):
+                    key = math.nan
+                top = max(map(abs, values))
+            self._window = top * 2.0 ** -48, total, tiny
             self._key = key
         return self._key
 
     def face(self, proofs: dict):
-        """``(registers, root, reach, error, degree)`` for
+        """``(registers, zero, root, reach, error, degree)`` for
         :func:`_proved`, or None where the root's program is no
         polynomial within the limits: the polynomial register of each
-        component, in the map's own variables; the root map; a bound, at
-        least 1, on the 1-norm of every sample coordinate of the domain,
-        of its end b and of every pinned value; the registers' certified
-        error; and their degree."""
+        component with every pin substituted, in the map's own variables,
+        except for a map whose one pin is at 0, whose registers are its
+        root's and whose `zero` is that pin's variable (:func:`_proved`
+        drops its terms as it reads them; else `zero` is None); the root's
+        proof record (:class:`_Root`); a bound, at least 1, on the 1-norm
+        of every sample coordinate of the domain, of its end b and of
+        every pinned value; the registers' certified error; and their
+        degree."""
         if self._face is None:
             mapping = self.cube.mapping
             root, pins = mapping._pin or (mapping, ())
             self._face = False
-            regs = _component_registers(root, proofs)
-            if regs is None or (certified := _root_error(root, regs,
-                                                         proofs)) is None:
+            _component_registers(root, proofs)  # its proof record
+            if not (certified := (record := proofs[id(root)]).certified):
                 return None
-            error, degree = certified
-            reach = _domain_reach(self.cube.domain, proofs)
-            try:
-                for index, value in pins[::-1]:
-                    norm = _up(abs(value.re) + abs(value.ze))
-                    if not norm <= reach:  # NaN too: the bound runs fail
-                        reach = norm
-                    regs = _pin_registers(regs, index, value, degree)
-                    if value.re or value.ze:
-                        error = None  # products change orders and shadows
-                if error is None and (error := _certified(regs)) is None:
+            (error, degree), zero = certified, None
+            regs, reach = record.regs, self.cube.domain._sample_reach()
+            if len(pins) == 1 and not (pins[0][1].re or pins[0][1].ze):
+                zero = pins[0][0]
+            elif pins:
+                try:
+                    for index, value in pins[::-1]:
+                        if value.re or value.ze:  # a pin at 0 has norm 0
+                            norm = _up(abs(value.re) + abs(value.ze))
+                            if not norm <= reach:  # NaN: the bounds fail
+                                reach = norm
+                            error = None  # products change orders, shadows
+                        regs = _pin_registers(regs, index, value, degree)
+                    if error is None and (error := _certified(regs)) is None:
+                        return None
+                except OverflowError:  # an int pin past the floats
                     return None
-            except OverflowError:  # an int pin past the floats
-                return None
-            self._face = regs, root, reach, error, degree
+            self._face = regs, zero, record, reach, error, degree
         return self._face or None
 
 
-@functools.lru_cache(maxsize=None)
 def _key_weights(count: int) -> tuple:
-    """Weights for `count` floats, and their sum: the integers 1..count
-    (a fixed, generic choice) times the power of two that brings their
-    sum to at most 1/4, so each product and every partial sum of them
-    stays finite for finite floats."""
-    total = count * (count + 1) // 2
-    scale = 0.25 / 2.0 ** max(total - 1, 0).bit_length()
-    return tuple((i + 1) * scale for i in range(count)), total * scale
+    """Weights for `count` floats, their sum and ``count * TINY``: the
+    integers 1..count (a fixed, generic choice) times the power of two
+    that brings their sum to at most 1/4, so each product and every
+    partial sum of them stays finite for finite floats.  Entry `count`
+    of the table `_KEY_WEIGHTS`, which grows to hold it."""
+    for n in range(len(_KEY_WEIGHTS), count + 1):
+        scale = 0.25 / 2.0 ** max(n * (n + 1) // 2 - 1, 0).bit_length()
+        _KEY_WEIGHTS.append((tuple((i + 1) * scale for i in range(n)),
+                             n * (n + 1) // 2 * scale, n * TINY))
+    return _KEY_WEIGHTS[count]
+
+
+_KEY_WEIGHTS: list[tuple] = []
 
 
 def _agree(left: _Fingerprint, right: _Fingerprint, tol: float,
@@ -537,8 +565,8 @@ def _near(keys: list[float], ids: list[int], mine: _Fingerprint,
     lo, hi = x - h, x + h
     if lo - lo + (hi - hi) != 0.0:  # an end that is not finite
         return range(count)
-    return sorted(ids[bisect.bisect_left(keys, lo):
-                      bisect.bisect_right(keys, hi)])
+    found = ids[bisect.bisect_left(keys, lo):bisect.bisect_right(keys, hi)]
+    return sorted(found) if len(found) > 1 else found
 
 
 # Proving that two maps agree at every sample point, from their roots'
@@ -582,40 +610,59 @@ _FIELD = (1 << KEY_BITS) - 1
 def _proved(left: _Fingerprint, right: _Fingerprint, tol: float,
             proofs: dict) -> bool:
     """True when the comment above proves that the two maps agree within
-    `tol` at every sample point; False says nothing."""
+    `tol` at every sample point; False says nothing.  ||F_L - F_R|| is
+    taken in one pass over the registers of one map, dropping the terms
+    that read its pin at 0 as it goes (:meth:`_Fingerprint.face`), with
+    those of the other at hand."""
     mine, theirs = left.face(proofs), right.face(proofs)
     if mine is None or theirs is None:
         return False
-    regs, root, reach, error, degree = mine
-    other_regs, other_root, other_reach, other_error, other_degree = theirs
+    if mine[1] is not None and theirs[1] is None:  # read mine in the pass
+        mine, theirs = theirs, mine
+    elif mine[1] is not None:  # both pin at 0: substitute one of them
+        left._face = mine = (_pin_registers(mine[0], mine[1], ZERO, 0), None,
+                             *mine[2:])
+    regs, _, record, reach, error, degree = mine
+    other_regs, zero, other_record, other_reach, other_error, other_degree = \
+        theirs
     if not other_reach <= reach:
         reach = other_reach
-    runs = _root_bounds(root, reach, proofs)
-    other_runs = _root_bounds(other_root, reach, proofs)
+    runs = _root_bounds(record, reach)
+    other_runs = _root_bounds(other_record, reach)
     if runs is None or other_runs is None:
         return False
+    up, inf = math.nextafter, math.inf
     try:
-        scale = _up(_up(reach ** max(degree, other_degree)))
+        scale = up(up(reach ** max(degree, other_degree), inf), inf)
     except OverflowError:
         return False
+    mask, low = 0, -1  # the pin at 0 to drop, and the bits below its field
+    if zero is not None:
+        mask, low = _FIELD << KEY_BITS * zero, (1 << KEY_BITS * zero) - 1
+    high = ~low
     diff = 0.0  # the largest ||F_L - F_R|| over the components
     for reg, other_reg in zip(regs, other_regs):
         f, g = reg[0], other_reg[0]
-        norm = 0.0
-        get = g.get
-        for key, (re, ze) in f.items():
-            other = get(key)
+        norm, matched = 0.0, 0
+        get = f.get
+        for key, (re, ze) in g.items():
+            if key & mask:  # it reads the pin at 0: the exact zero
+                continue
+            other = get(key & low | key >> KEY_BITS & high)
             if other is None:
                 norm += abs(re) + abs(ze)
             else:
                 norm += abs(re - other[0]) + abs(ze - other[1])
-        for key, (re, ze) in g.items():
-            if key not in f:
-                norm += abs(re) + abs(ze)
+                matched += 1
+        if matched < len(f):  # the keys of F_L that F_R has not
+            for key, (re, ze) in f.items():
+                if key & low | (key & high) << KEY_BITS not in g:
+                    norm += abs(re) + abs(ze)
         if norm > diff or norm != norm:
             diff = norm
-    bound = _up(_up(_up(_up(diff * _SLACK_40) + _up(error + other_error))
-                    * scale) + _up(runs + other_runs))
+    bound = up(up(up(up(diff * _SLACK_40, inf)
+                     + up(error + other_error, inf), inf) * scale, inf)
+               + up(runs + other_runs, inf), inf)
     return bound <= tol
 
 
@@ -624,65 +671,62 @@ def _certified(regs: list) -> float | None:
     N = 2^24.  Each (2N + 1) S rounds once, and relatively, as no product
     of an integer and a float loses to underflow, and `fsum` once more,
     so times 1 + 2^-40 and rounded up their sum bounds the exact one."""
-    if max(reg[2] for reg in regs) > _BOUND_ORDER:
-        return None
-    total = math.fsum([(2 * order + 1) * shadow
-                       for _, shadow, order, _ in regs])
-    return _up(_up(total * _SLACK_40) * _U)
+    terms = []
+    for _, shadow, order, _ in regs:
+        if order > _BOUND_ORDER:
+            return None
+        terms.append((2 * order + 1) * shadow)
+    up, inf = math.nextafter, math.inf
+    return up(up(math.fsum(terms) * _SLACK_40, inf) * _U, inf)
 
 
-def _root_error(root: ExprMap, regs: list, proofs: dict) -> tuple | None:
-    """``(error, degree)`` of the root map's registers `regs`: their
-    certified error (:func:`_certified`) and the largest degree; once
-    per root and `proofs` cache, under the key ``(id(root),)``."""
-    key = id(root),
-    if key not in proofs:
-        error = _certified(regs)
-        proofs[key] = None if error is None else (
+class _Root:
+    """A root map's proof record, kept in a `proofs` cache under the id of
+    the map (the chain's cubes keep it alive): the polynomial register of
+    each component from one run of its program, or None where it raises;
+    ``(error, degree)``, their certified error (:func:`_certified`) and
+    largest degree, or False where there is none; and the error of its
+    bound registers per reach (:func:`_root_bounds`)."""
+
+    __slots__ = ("map", "regs", "certified", "bounds")
+
+    def __init__(self, mapping: ExprMap):
+        self.map, self.bounds = mapping, {}
+        try:
+            regs = self.regs = mapping.run(_POLYS, _poly_vars(mapping.arity))
+        except (NotPolynomial, OverflowError):
+            regs = self.regs = None
+        error = None if regs is None else _certified(regs)
+        self.certified = error is not None and (
             error, max(reg[3] for reg in regs))
-    return proofs[key]
 
 
 def _component_registers(mapping: ExprMap, proofs: dict) -> list | None:
     """The polynomial register of each component of the map, from one
-    run of its program per `proofs` cache, or None where it raises.  A
-    verdict shares the cache with its pullbacks (:mod:`.stokes`), so a
-    root map's program runs once on polynomial registers for both."""
-    if id(mapping) not in proofs:  # the chain's cubes keep it alive
-        try:
-            proofs[id(mapping)] = mapping.run(_POLYS,
-                                              _poly_vars(mapping.arity))
-        except (NotPolynomial, OverflowError):
-            proofs[id(mapping)] = None
-    return proofs[id(mapping)]
+    run of its program per `proofs` cache (its :class:`_Root` record),
+    or None where it raises.  A verdict shares the cache with its
+    pullbacks (:mod:`.stokes`), so a root map's program runs once on
+    polynomial registers for both."""
+    if (record := proofs.get(id(mapping))) is None:
+        record = proofs[id(mapping)] = _Root(mapping)
+    return record.regs
 
 
-def _root_bounds(root: ExprMap, reach: float, proofs: dict) -> float | None:
+def _root_bounds(record: _Root, reach: float) -> float | None:
     """At least the sum of gamma(2n) s over the root's components' bound
     registers (`expr._BOUNDS`), every input of norm at most `reach`;
     None where that run raises, so that some sample value may not be
-    finite or some step may raise."""
-    key = id(root), reach
-    if key not in proofs:
+    finite or some step may raise.  Once per record and reach."""
+    bounds = record.bounds
+    if reach not in bounds:
+        root = record.map
         try:
-            proofs[key] = _certified([(None, shadow, order, None) for
-                                      shadow, order in root.run(
-                                          _BOUNDS, [(reach, 0)] * root.arity)])
+            bounds[reach] = _certified([(None, shadow, order, None) for
+                                        shadow, order in root.run(
+                                            _BOUNDS, [(reach, 0)] * root.arity)])
         except (NotPolynomial, OverflowError):
-            proofs[key] = None
-    return proofs[key]
-
-
-def _domain_reach(domain: CubeDomain, proofs: dict) -> float:
-    """At least 1, and an upper bound on the norm of the domain's end b
-    and of every coordinate of its sample points; once per call."""
-    if id(domain) not in proofs:
-        b = domain.b
-        proofs[id(domain)] = max(
-            1.0, _up(abs(b.re) + abs(b.ze)),
-            *[_up(abs(re) + abs(ze))
-              for point in domain._table()[1] for re, ze in point])
-    return proofs[id(domain)]
+            bounds[reach] = None
+    return bounds[reach]
 
 
 def _pin_registers(regs: list, index: int, value: Dual, degree: int) -> list:
@@ -699,28 +743,26 @@ def _pin_registers(regs: list, index: int, value: Dual, degree: int) -> list:
                   for key, c in terms.items() if not key >> shift & _FIELD},
                  shadow, order, deg)
                 for terms, shadow, order, deg in regs]
-    table = _axis_weights(value, degree)
-    pinned = []
+    table, high, pinned = _axis_weights(value, degree), ~low, []
     for terms, shadow, order, deg in regs:
         out: dict = {}
         w_top, n_top, products, merged = 1.0, 0, 0, 0
-        for key, (re, ze) in terms.items():
-            power = key >> shift & _FIELD
-            if power:
+        for key, c in terms.items():
+            if power := key >> shift & _FIELD:
                 w_re, w_ze, w_s, w_n = table[power]
-                re, ze = re * w_re, re * w_ze + ze * w_re
+                re = c[0]
+                c = re * w_re, re * w_ze + c[1] * w_re
                 products += 1
                 if w_s > w_top:
                     w_top = w_s
                 if w_n > n_top:
                     n_top = w_n
-            key = key & low | key >> KEY_BITS & ~low
-            if key in out:
-                old = out[key]
-                out[key] = old[0] + re, old[1] + ze
-                merged += 1
+            key = key & low | key >> KEY_BITS & high
+            if (old := out.get(key)) is None:
+                out[key] = c
             else:
-                out[key] = re, ze
+                out[key] = old[0] + c[0], old[1] + c[1]
+                merged += 1
         if products:
             shadow = shadow * w_top + (3 * products) * TINY
             order += n_top + 2

@@ -419,13 +419,15 @@ def _axis_weights(axis: ThetaInterval | Dual, degree: int) -> tuple:
 
 def _powers(re: float, ze: float, top: int):
     # v^j, j = 1 .. top, by repeated Dual multiplication, with its
-    # shadow ||v||^j (+ 3 TINY a product)
+    # shadow ||v||^j (+ 3 TINY a product); no power past v^top is taken,
+    # so an int end whose square is past the floats still has its v^1
     s = abs(re) + abs(ze)
     p_re, p_ze, p_s = re, ze, s
-    for _ in range(top):
+    for j in range(top):
+        if j:
+            p_re, p_ze = p_re * re, p_re * ze + p_ze * re
+            p_s = p_s * s + 3.0 * TINY
         yield p_re, p_ze, p_s
-        p_re, p_ze = p_re * re, p_re * ze + p_ze * re
-        p_s = p_s * s + 3.0 * TINY
 
 
 @functools.lru_cache(maxsize=256)

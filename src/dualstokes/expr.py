@@ -411,20 +411,20 @@ def run_steps(steps: Iterable[tuple], arith: tuple, regs: list,
     const, neg, add, sub, mul, power, prim = arith
     for r, op, a, b, _ in steps:
         match op:
+            case "mul":
+                regs[r] = mul(regs[a], regs[b])
+            case "add":
+                regs[r] = add(regs[a], regs[b])
             case "var":
                 regs[r] = args[a]
             case "const":
                 regs[r] = const(a)
-            case "add":
-                regs[r] = add(regs[a], regs[b])
-            case "sub":
-                regs[r] = sub(regs[a], regs[b])
-            case "mul":
-                regs[r] = mul(regs[a], regs[b])
-            case "neg":
-                regs[r] = neg(regs[a])
             case "pow":
                 regs[r] = power(regs[a], b)
+            case "sub":
+                regs[r] = sub(regs[a], regs[b])
+            case "neg":
+                regs[r] = neg(regs[a])
             case _:
                 regs[r] = prim(op, regs[a])
 

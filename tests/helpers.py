@@ -598,6 +598,27 @@ def reference_domain_points(domain: CubeDomain):
         for _ in range(16))
 
 
+def reference_key(values: tuple) -> tuple:
+    """The candidate key of the floats of a map at point 0, and the parts
+    of its window's half-width, by their defining formulas: ``fsum`` of
+    each float times its weight, the integers 1..n times the power of
+    two that brings their sum to at most 1/4; inf where that sum raises
+    (inf + -inf), NaN where the key is not finite and a float is NaN;
+    then ``max|x| * 2^-48``, the weights' sum and ``n * TINY``."""
+    count = len(values)
+    total = count * (count + 1) // 2
+    scale = 0.25 / 2.0 ** max(total - 1, 0).bit_length()
+    weights = [(i + 1) * scale for i in range(count)]
+    try:
+        key = math.fsum(w * x for w, x in zip(weights, values))
+    except ValueError:
+        key = math.inf
+    if not math.isfinite(key) and any(math.isnan(x) for x in values):
+        key = math.nan
+    top = max(map(abs, values), default=0.0)
+    return key, (top * 2.0 ** -48, total * scale, count * 2.0 ** -1022)
+
+
 def reference_chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     """Pairwise merge: each term against each group, both maps evaluated anew.
 

@@ -18,7 +18,7 @@ from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _Fingerprint,
 from dualstokes.expr import _PAIRS, Add, Const, Mul, PowInt, Var
 from helpers import (THETAS, load_bench_module, random_chain, random_cube,
                      random_map, reference_chain_normalize,
-                     reference_domain_points)
+                     reference_domain_points, reference_key)
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +810,24 @@ def test_normalize_key_of_non_finite_values():
     assert math.isfinite(_Point0((1.7e308,) * 4).key())
 
 
+@pytest.mark.parametrize("size", (0, 1, 2, 5, 6, 17, 40))
+def test_normalize_key_and_window_are_their_formulas(size):
+    # seeded tuples of signed zeros, subnormals, +-inf, NaN, +-1e308 and
+    # ordinary floats, the empty tuple included: the key and every part of
+    # the window, bit for bit, are those of the defining formulas
+    specials = (0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1040, math.inf,
+                -math.inf, math.nan, 1e308, -1e308)
+    rng = random.Random(f"key formula/{size}")
+    for _ in range(400 if size else 1):
+        values = tuple(rng.choice(specials) if rng.random() < 0.5
+                       else rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(
+                           -320, 308) for _ in range(size))
+        got = _Point0(values)
+        key, window = reference_key(values)
+        assert repr(got.key()) == repr(key), values
+        assert repr(got._window) == repr(window), values
+
+
 def test_normalize_compares_only_near_keys(monkeypatch):
     # the key reads every float at point 0, so a term is compared with
     # little more than the groups it merges with
@@ -928,6 +946,61 @@ def test_normalize_runs_each_root_once_on_registers(monkeypatch):
     registers.clear()
     assert len(chain_normalize(boundary(cubes)).terms) == 54
     assert Counter(registers.values()) == {1: 54}  # nothing kept between
+
+
+def test_tiled_verdict_normalizes_with_its_fixed_work(monkeypatch):
+    # the work of a tiled verdict's two normalizations, seed 1: each of
+    # the 27 cubes and 162 faces runs at point 0 and nowhere else; each
+    # root map keeps one proof record, its program run once on
+    # polynomial registers (shared with the pullbacks) and once on bound
+    # registers, at the one reach of the boundary's faces; the 108 inner
+    # faces build one face record each, and the 54 twin pairs are proved
+    runs, records, proofs = Counter(), Counter(), []
+    run, face_of = ExprMap.run, _Fingerprint.face
+    make, proved = cubes_module._Root.__init__, cubes_module._proved
+
+    def counting_run(self, arith, args):
+        names = {id(_PAIRS): "pairs", id(_LANE_ARITH): "lanes",
+                 id(expr._POLYS): "polys", id(expr._BOUNDS): "bounds"}
+        name = names.get(id(arith))
+        if name:
+            runs[name, id(self)] += 1
+        if name == "bounds":
+            runs["reach", args[0]] += 1
+        return run(self, arith, args)
+
+    def counting_face(self, cache):
+        records["faces"] += self._face is None
+        return face_of(self, cache)
+
+    def counting_make(self, mapping):
+        records[id(mapping)] += 1
+        make(self, mapping)
+
+    def counting_proved(*args):
+        proofs.append(proved(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(ExprMap, "run", counting_run)
+    monkeypatch.setattr(_Fingerprint, "face", counting_face)
+    monkeypatch.setattr(cubes_module._Root, "__init__", counting_make)
+    monkeypatch.setattr(cubes_module, "_proved", counting_proved)
+    scenario = load_bench_module("workloads").tiled_chain_3d(stokes, 1)[0]
+    roots = {id(cube.mapping) for _, cube in scenario.chain.terms}
+    for _ in range(2):  # nothing is kept from one verdict to the next
+        runs.clear(), records.clear(), proofs.clear()
+        assert run_scenario(scenario).passed
+        kinds = Counter()
+        for (kind, key), count in runs.items():
+            kinds[kind] += count
+            if kind in ("polys", "bounds"):
+                assert key in roots and count == 1
+        assert kinds == {"pairs": 189, "polys": 27, "bounds": 27,
+                         "reach": 27}
+        assert len({key for kind, key in runs if kind == "reach"}) == 1
+        assert records.pop("faces") == 108
+        assert set(records) == roots and set(records.values()) == {1}
+        assert proofs == [True] * 54
 
 
 def test_tiled_boundaries_normalize_with_no_lane_run(monkeypatch):

@@ -751,3 +751,65 @@ def test_bracket_is_finite_exactly_when_its_midpoint_and_gaps_are():
                                        g_ze, 0)
         assert est.finite() == all(map(math.isfinite,
                                        (v_re, v_ze, g_re, g_ze)))
+
+
+def _reference_weight_table(ends: tuple, degree: int) -> tuple:
+    """The weight table as it was built by powers that ran one product
+    past the last power a table needs: for float ends that product is
+    finite or inf and never read, so every entry must be this one's."""
+    def powers(re, ze, top):
+        s = abs(re) + abs(ze)
+        p_re, p_ze, p_s = re, ze, s
+        for _ in range(top):
+            yield p_re, p_ze, p_s
+            p_re, p_ze = p_re * re, p_re * ze + p_ze * re
+            p_s = p_s * s + 3.0 * darboux.TINY
+
+    if len(ends) == 2:
+        re, ze = ends
+        exact = not (re or ze)
+        return ((1.0, 0.0, 1.0, 0),) + tuple(
+            (p_re, p_ze, 0.0, 0) if exact else (p_re, p_ze, p_s, 2 * j - 1)
+            for j, (p_re, p_ze, p_s) in enumerate(powers(re, ze, degree), 1))
+    a_re, a_ze, b_re, b_ze = ends
+    return tuple(((pb_re - pa_re) / j, (pb_ze - pa_ze) / j,
+                  (pb_s + pa_s) / j + 2.0 * darboux.TINY, 2 * j + 2)
+                 for j, ((pa_re, pa_ze, pa_s), (pb_re, pb_ze, pb_s))
+                 in enumerate(zip(powers(a_re, a_ze, degree + 1),
+                                  powers(b_re, b_ze, degree + 1)), 1))
+
+
+def test_float_end_weight_tables_are_unchanged():
+    # points and intervals at float ends, signed zeros, subnormals, ends
+    # near the float range whose next power overflows, and inf and NaN:
+    # every table, bit for bit, as the powers that ran one product past
+    # the last built it
+    fresh = darboux._weight_table.__wrapped__
+    parts = (0.0, -0.0, 5e-324, 0.5, -1.5, 1.0 + 2.0 ** -52, 1e154, 1e200,
+             -1.7e308, math.inf, math.nan)
+    for degree in (0, 1, 2, 5):
+        for ends in itertools.product(parts, repeat=2):
+            assert repr(fresh(repr(ends), ends, degree)) == \
+                repr(_reference_weight_table(ends, degree))
+        rng = random.Random(f"weight tables/{degree}")
+        for _ in range(200):
+            ends = tuple(rng.choice(parts) for _ in range(4))
+            assert repr(fresh(repr(ends), ends, degree)) == \
+                repr(_reference_weight_table(ends, degree))
+
+
+def test_int_end_past_the_floats_squared_has_its_bracket():
+    # 10**200 squared is past the float range: a table of degree 1 needs
+    # no square, so the bracket of x1 at the point 10**200 is built, and
+    # holds the exact value, as it does at the float 1e200
+    for end, exact in ((Dual(10 ** 200, 0), Fraction(10 ** 200)),
+                       (Dual(1e200, 0.0), Fraction(1e200))):
+        est = polynomial_estimate(({1: (1.0, 0.0)}, 1.0, 0, 1),
+                                  Theta.TYPE1, [end])
+        assert est is not None and est.finite()
+        assert Fraction(est.lower.re) <= exact <= Fraction(est.upper.re)
+        assert Fraction(est.lower.ze) <= 0 <= Fraction(est.upper.ze)
+    # a square of it is past the floats, as it was
+    with pytest.raises(OverflowError):
+        polynomial_estimate(({2: (1.0, 0.0)}, 1.0, 0, 2), Theta.TYPE1,
+                            [Dual(10 ** 200, 0)])

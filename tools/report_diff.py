@@ -8,10 +8,13 @@ and the benchmark's ``saddle-fine`` and ``tiled-chain-3d`` seeds 1-20
 (built by the work tree's ``bench/workloads.py``, which it imports without
 writing bytecode; the work tree's files on both sides) through the package
 at BASE and through the work tree's, each in a process of its own, and
-compares each verdict's ``to_dict()`` and the ``repr`` of each side's
-bracket ends.  It prints each scenario that differs, with the fields that
-moved, old and new, and exits 1 when one does, 0 when every verdict is
-bit-identical.
+compares each verdict's ``to_dict()``, the ``repr`` of each side's
+bracket ends, and each side's normalized chain: its term count, and each
+term's weight and first cube, the cube named by the position of its root
+map in the verdict's chain and by its pins.  So a change to normalization
+shows that it merges the same terms, not only that the brackets match.
+It prints each scenario that differs, with the fields that moved, old and
+new, and exits 1 when one does, 0 when every verdict is bit-identical.
 BASE is unpacked by ``git archive`` into a temporary directory.
 """
 
@@ -28,8 +31,12 @@ from bench_pairs import ROOT, checkout
 
 # run in a child whose PYTHONPATH holds one side's src/; argv holds the
 # work tree's bench/ directory and the scenario files, and it prints,
-# keyed by source and scenario, each field of each verdict's report and
-# each bracket end, by its repr, as JSON
+# keyed by source and scenario, each field of each verdict's report, each
+# bracket end and each term of each normalized chain, by its repr, as
+# JSON.  The verdict's normalizations are read by wrapping the
+# `stokes.chain_normalize` it calls; a term's cube is named by its root
+# map's position in the verdict's chain and its pins, which name the same
+# cube on both sides
 _COLLECT = """
 import json, sys
 from dualstokes import stokes
@@ -43,9 +50,24 @@ def flat(prefix, value, into):
     else:
         into[prefix[:-1]] = repr(value)
 
+normalized = []
+normalize = stokes.chain_normalize
+
+def spy(chain, *args):
+    result = normalize(chain, *args)
+    normalized.append(result)
+    return result
+
+stokes.chain_normalize = spy
+
+def name(cube, roots):
+    root, pins = getattr(cube.mapping, "_pin", None) or (cube.mapping, ())
+    return f"cube {roots.get(id(root), '?')} pins {pins!r}"
+
 def collect(source, scenarios):
     for scenario in scenarios:
         entry = out[f"{source}: {scenario.name}"] = {}
+        normalized.clear()
         try:
             report = stokes.run_scenario(scenario)
         except Exception as exc:
@@ -56,6 +78,13 @@ def collect(source, scenarios):
             if est is not None:
                 entry[f"{side}.lower"] = repr(est.lower)
                 entry[f"{side}.upper"] = repr(est.upper)
+        roots = {id(cube.mapping): i
+                 for i, (_, cube) in enumerate(scenario.chain.terms)}
+        for side, chain in zip(("lhs", "rhs"), normalized):
+            entry[f"{side}.normalized.terms"] = repr(len(chain.terms))
+            for i, (weight, cube) in enumerate(chain.terms):
+                entry[f"{side}.normalized.{i}"] = (
+                    f"{weight:+d} {name(cube, roots)}")
 
 out = {}
 collect("bundled", stokes.builtin_scenarios())
