@@ -20,9 +20,10 @@ Each domain's sample is one table built once per ``(k, b.ze)``, for the
 256 most recently used, and within one normalization each term's map is
 evaluated at most once per sample point, on float pairs, only when a
 comparison reaches that point: point 0 in one run, and points 1..15 in
-one more run on lane registers, made only where the polynomial
-registers of the two maps' roots cannot prove that they agree at every
-point (:func:`_proved`; its rounding bound is derived above it).  A
+one more run on lane registers, lists of their 15 pairs, made only
+where the polynomial registers of the two maps' roots cannot prove that
+they agree at every point (:func:`_proved`; its rounding bound is
+derived above it).  A comparison walks the points in order.  A
 sorted index of each group's key, a weighted sum of all the floats of
 its map at point 0, lets a term skip every group too far from it to
 agree; the window is wide enough for the key's own roundings, so that
@@ -37,10 +38,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import operator
 import random
+from numbers import Real
 
 from .darboux import ThetaInterval, ThetaRectangle, _axis_weights
 from .dual import Dual, Record, Theta, ZERO
@@ -48,7 +49,7 @@ from .dual import Dual, Record, Theta, ZERO
 # tracer (bench/spans.py) rebinds cubes.compose.
 from .expr import (KEY_BITS, TINY, _BOUND_ORDER, _BOUNDS, _PAIRS, _POLYS, _U,
                    Expr, ExprMap, NotPolynomial, _check_natural, _poly_vars,
-                   _up, compose, pair_columns)
+                   _up, compose, listwise)
 
 _FINGERPRINT_SEED = 0xC0BE
 _FINGERPRINT_POINTS = 16
@@ -73,9 +74,15 @@ class CubeDomain(Record):
     def __init__(self, theta: Theta, r: float, k: int):
         if theta.__class__ is not Theta:
             theta = Theta(theta)
-        self.theta, self.r, self.k = theta, float(r), k
-        if not 0 <= self.r < math.inf:
+        if isinstance(r, bool) or not isinstance(r, Real):
+            raise TypeError("inflation must be a real number")
+        try:
+            r = float(r)
+        except OverflowError:  # an int or fraction past the floats
+            r = math.inf
+        if not 0 <= r < math.inf:
             raise ValueError("inflation must be finite and nonnegative")
+        self.theta, self.r, self.k = theta, r, k
         _check_natural(k, "dimensions")
         self.b = Dual(1.0, theta.sign * self.r)
         self._side = self._rectangle = self._sample = self._faces = None
@@ -147,7 +154,7 @@ class CubeDomain(Record):
 def _domain_sample(k: int, ze_span: float, ze_sign: float):
     """The sample points as duals, the same points with each coordinate as
     its (re, ze) float pair, and points 1.. as one lane register per
-    variable, the (re list, ze list) of its columns (see
+    variable, the list of its pairs at those points (see
     :data:`_LANE_ARITH`)."""
     rng = random.Random(_FINGERPRINT_SEED ^ (k * 1009))
     points = tuple(  # a 0-dimensional domain is one point
@@ -155,8 +162,7 @@ def _domain_sample(k: int, ze_span: float, ze_sign: float):
               for _ in range(k))
         for _ in range(_FINGERPRINT_POINTS if k else 1))
     pairs = tuple(tuple((c.re, c.ze) for c in point) for point in points)
-    lanes = tuple(tuple(map(list, zip(*column)))
-                  for column in zip(*pairs[1:]))
+    lanes = tuple(map(list, zip(*pairs[1:])))
     return points, pairs, lanes
 
 
@@ -298,20 +304,17 @@ def boundary(obj) -> Chain:
     return Chain(obj.theta, obj.r, obj.k - 1, obj.n, faces)
 
 
-# Lane registers: a dual value at each of the sample points 1..15 as its
-# columns (re list, ze list), so one run of a map's program evaluates all
+# Lane registers: a dual value at each of the sample points 1..15 as the
+# list of its (re, ze) pairs, so one run of a map's program evaluates all
 # fifteen points, each by the point arithmetic of .expr, with its bits and
 # its OverflowError.
-_LANES = _FINGERPRINT_POINTS - 1
-
-
-_LANE_ARITH = pair_columns(_LANES)
+_LANE_ARITH = listwise(_PAIRS, _FINGERPRINT_POINTS - 1)
 
 
 def _lane_points(comps: list) -> list[tuple[float, ...]]:
     """A lane run's component registers as points 1..15, each flattened
     to ``(re, ze, re, ze, ...)``."""
-    return list(zip(*[column for comp in comps for column in comp]))
+    return [sum(point, ()) for point in zip(*comps)]
 
 
 class _Fingerprint:
@@ -322,7 +325,8 @@ class _Fingerprint:
     the values evaluated so far are always a prefix.  Point 0 is one run
     of the map's program; the first comparison that passes it and that
     the root registers cannot settle (:func:`_proved`) evaluates all the
-    others in one run on lane registers, or, if that run raises
+    others in one run on lane registers (:data:`_LANE_ARITH`, each a list
+    of the pairs at points 1..15), or, if that run raises
     ``OverflowError``, point by point, so an error surfaces at the point
     where it arises.
     """
@@ -431,31 +435,21 @@ _KEY_WEIGHTS: list[tuple] = []
 def _agree(left: _Fingerprint, right: _Fingerprint, tol: float,
            proofs: dict) -> bool:
     """Maps of one signature within `tol` at every point, in point order;
-    equal finite floats (their sum is finite) agree for `tol` >= 0.  Each
-    step evaluates both maps at the first point not yet compared and then
-    compares, at once, every point from there that both maps hold.  Past
+    equal finite floats (their sum is finite) agree for `tol` >= 0.  Past
     point 0, points that a map has not evaluated yet are evaluated only
     where the root registers cannot prove that the two agree at all of
     them (:func:`_proved`, with its cache `proofs`)."""
     equal_agrees = tol >= 0  # False for NaN
-    i, count = 0, len(left.cube.domain._table()[0])
-    while i < count:
+    for i in range(len(left.cube.domain._table()[0])):
         if i == 1 and min(len(left.values), len(right.values)) == 1 and \
                 _proved(left, right, tol, proofs):
             return True
-        left.at(i)
-        right.at(i)
-        end = min(len(left.values), len(right.values))
-        xs, ys = left.values[i:end], right.values[i:end]
-        i = end
-        if equal_agrees and xs == ys and (
-                (total := sum(itertools.chain.from_iterable(xs)))
-                - total == 0.0):
+        xs, ys = left.at(i), right.at(i)
+        if equal_agrees and xs == ys and (total := sum(xs)) - total == 0.0:
             continue
-        for x_row, y_row in zip(xs, ys):
-            for x, y in zip(x_row, y_row):
-                if not abs(x - y) <= tol:  # so NaN and inf never agree
-                    return False
+        for x, y in zip(xs, ys):
+            if not abs(x - y) <= tol:  # so NaN and inf never agree
+                return False
     return True
 
 

@@ -37,9 +37,8 @@ substitution, differentiation, rendering, interval enclosure and
 expansion into monomials are one interpreter, :func:`run_steps`, under
 several arithmetics (for boxes, :data:`.intervals.BOXES`; for
 polynomials, ``_POLYS``; for the rounding bounds of point runs,
-``_BOUNDS``), and :func:`listwise` runs any of them over
-lists of values, one per lane (:func:`pair_columns` runs the point
-arithmetic over float columns).
+``_BOUNDS``), and :func:`listwise` runs any of them over lists of
+values, one per lane.
 :func:`partial_diffs` takes every partial a caller needs from one
 gradient run, whose registers hold each instruction's node and its
 partials; each partial is the tree :func:`partial_diff` builds for its
@@ -56,12 +55,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 import re as _regex
 import struct
 import weakref
-from itertools import repeat
 
 from .dual import (Dual, DualVec, EPS, ONE, Record, ZERO, as_dual,
                    _as_dual_or_none)
@@ -470,58 +467,6 @@ _PAIRS = (
     lambda x, y: (x[0] - y[0], x[1] - y[1]),
     lambda x, y: (x[0] * y[0], x[0] * y[1] + x[1] * y[0]),
     _pair_pow, _prim_pair)
-
-
-# The same arithmetic on columns: a register holds a dual value at n points
-# as (re list, ze list), and each op maps the float operations of its
-# `_PAIRS` op above over the columns, in their order, so each lane gets
-# the bits, and the OverflowError, of a run on that lane's pair.  A change
-# to a formula of `_PAIRS` is a change to its column form here.
-
-
-def _columns_neg(x):
-    re, ze = x
-    return list(map(operator.neg, re)), list(map(operator.neg, ze))
-
-
-def _columns_add(x, y):
-    (xr, xz), (yr, yz) = x, y
-    return list(map(operator.add, xr, yr)), list(map(operator.add, xz, yz))
-
-
-def _columns_sub(x, y):
-    (xr, xz), (yr, yz) = x, y
-    return list(map(operator.sub, xr, yr)), list(map(operator.sub, xz, yz))
-
-
-def _columns_mul(x, y):
-    (xr, xz), (yr, yz) = x, y
-    mul = operator.mul
-    return (list(map(mul, xr, yr)),
-            list(map(operator.add, map(mul, xr, yz), map(mul, xz, yr))))
-
-
-def _columns_pow(x, exponent: int):
-    re, ze = x
-    if exponent == 0:
-        return [1.0] * len(re), [0.0] * len(re)
-    mul = operator.mul
-    return (list(map(pow, re, repeat(exponent))),
-            list(map(mul, map(mul, repeat(exponent),
-                              map(pow, re, repeat(exponent - 1))), ze)))
-
-
-def _columns_prim(name: str, x):
-    re, ze = zip(*map(_prim_pair, repeat(name), zip(*x)))
-    return list(re), list(ze)
-
-
-def pair_columns(n: int) -> tuple:
-    """`_PAIRS` on registers that hold a dual value at `n` points as its
-    columns (re list, ze list); a constant is its pair on every lane."""
-    return (lambda value: ([value.re] * n, [value.ze] * n), _columns_neg,
-            _columns_add, _columns_sub, _columns_mul, _columns_pow,
-            _columns_prim)
 
 
 # Polynomial registers, for exact integration (see

@@ -3,14 +3,16 @@ import pickle
 import random
 import sys
 from collections import Counter, defaultdict
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dualstokes import (Chain, CubeDomain, Dual, DualVec, Expr, ExprMap,
                         SingularCube, Theta, ZERO, boundary, chain_normalize,
                         chain_of, compose, cubes_equal, eval_dual, exp, face,
-                        parse_expr, run_scenario, scenario_from_dict, sin,
-                        standard_cube)
+                        load_scenarios, parse_expr, run_scenario,
+                        scenario_from_dict, sin, standard_cube)
 from dualstokes import cubes as cubes_module, darboux, expr, stokes
 from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _Fingerprint,
                               _domain_sample, _key_weights, _lane_points,
@@ -33,8 +35,18 @@ def test_domain_endpoint():
         CubeDomain(Theta.TYPE1, -0.1, 1)
     with pytest.raises(ValueError):
         CubeDomain(Theta.TYPE1, 1.0, -1)
-    for r in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
+    # an int or a Fraction past the floats is not finite either
+    for r in (math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
+              Fraction(10 ** 400, 3)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            CubeDomain(Theta.TYPE1, r, 2)
+    # an int or a Fraction within them is kept as its float
+    for r, ze in ((1, 1.0), (Fraction(1, 2), 0.5)):
+        dom = CubeDomain(Theta.TYPE2, r, 2)
+        assert type(dom.r) is float and dom.b == Dual(1, -ze)
+    # the inflation is a real number: True is not 1, nor "0.5" a half
+    for r in (True, False, "0.5", None, Dual(0.5), 0.5j):
+        with pytest.raises(TypeError, match="real number"):
             CubeDomain(Theta.TYPE1, r, 2)
     # the dimension is an integer: True is not 1, nor 2.0 two
     for k in (2.0, True, "2", None):
@@ -75,16 +87,14 @@ def test_domain_sample_points_are_built_once(theta, r, k):
     assert repr(dom.sample_points()) == repr(reference_domain_points(dom))
     assert CubeDomain(theta, r, k).sample_points() is dom.sample_points()
     # one table: the same points as float pairs, and 1.. as lane registers,
-    # one (re list, ze list) of columns per variable
+    # one list of 15 (re, ze) pairs per variable
     points, pairs, lanes = dom._table()
     assert points is dom.sample_points()
     assert repr(pairs) == repr(tuple(tuple((c.re, c.ze) for c in point)
                                      for point in points))
-    assert len(lanes) == k and all(type(re) is type(ze) is list
-                                   and len(re) == len(ze) == 15
-                                   for re, ze in lanes)
-    assert repr(tuple(zip(*(zip(re, ze) for re, ze in lanes)))) \
-        == repr(pairs[1:])
+    assert len(lanes) == k and all(type(lane) is list and len(lane) == 15
+                                   for lane in lanes)
+    assert repr(tuple(zip(*lanes))) == repr(pairs[1:])
 
 
 def test_domain_sample_caches_are_bounded():
@@ -860,8 +870,8 @@ def _count_runs(monkeypatch) -> dict:
 
     def counting(self, arith, args):
         if depth[0] == 0 and (arith is _PAIRS or arith is _LANE_ARITH):
-            if arith is _LANE_ARITH:  # a (re, ze) column pair per variable
-                points = tuple(zip(*(zip(re, ze) for re, ze in args)))
+            if arith is _LANE_ARITH:  # a list of (re, ze) pairs per variable
+                points = tuple(zip(*args))
             else:
                 points = (tuple(args),)
             runs[id(self)].append(points)
@@ -1019,6 +1029,21 @@ def test_tiled_boundaries_normalize_with_no_lane_run(monkeypatch):
     assert lanes and not any(lanes)
 
 
+def test_exp_warped_tilings_cancel_on_lane_runs(monkeypatch):
+    # the twin edges of an exp-warped 2x2 tiling are no polynomials, so no
+    # proof settles them: each of the 8 twins is evaluated at all 16
+    # points, in two runs, and the 8 outer edges at point 0 only
+    runs = _count_runs(monkeypatch)
+    path = Path(__file__).with_name("exp_warped_tiling_scenarios.json")
+    for scenario in load_scenarios(path):
+        assert len(chain_normalize(boundary(scenario.chain)).terms) == 8
+        assert Counter(_evaluated(runs).values()) == {1: 8, 16: 8}
+        runs.clear()
+        report = run_scenario(scenario)
+        assert report.converged and report.passed
+        runs.clear()
+
+
 def _lane_maps(rng: random.Random, k: int) -> list:
     """Seeded maps with exp, sin and cos, and with a raw x^0, a -0.0
     constant and a product that is -0.0 at every point."""
@@ -1065,9 +1090,9 @@ def _lane_outcome(mapping, points, lanes) -> str:
     """The outcome of the map's lane run: "raised" where the map raises
     OverflowError at one of points 1..15, and its lane run raises too;
     else the lane run gives each point the bits one run per point gives,
-    -0.0 included, each component as two columns of 15, and the outcome
-    is "constant" where a component has the same bits on every lane, else
-    "lanes"."""
+    -0.0 included, each component as a list of 15 (re, ze) pairs, and the
+    outcome is "constant" where a component has the same bits on every
+    lane, else "lanes"."""
     want = []
     try:
         for point in points[1:]:
@@ -1077,10 +1102,10 @@ def _lane_outcome(mapping, points, lanes) -> str:
             mapping.run(_LANE_ARITH, lanes)
         return "raised"
     comps = mapping.run(_LANE_ARITH, lanes)
-    assert all(type(re) is type(ze) is list and len(re) == len(ze) == 15
-               for re, ze in comps), mapping
+    assert all(type(comp) is list and len(comp) == 15
+               for comp in comps), mapping
     assert repr(_lane_points(comps)) == repr(want), mapping
-    constant = any(len(set(map(repr, zip(re, ze)))) == 1 for re, ze in comps)
+    constant = any(len(set(map(repr, comp))) == 1 for comp in comps)
     return "constant" if constant else "lanes"
 
 
@@ -1212,6 +1237,29 @@ def test_normalize_pin_past_the_floats_matches_reference():
     chain = Chain(Theta.TYPE1, 0.5, 1, 2, ((1, twins[0]), (-1, twins[1])))
     assert _terms(chain_normalize(chain)) == \
         _terms(reference_chain_normalize(chain)) == []
+
+
+def test_equal_rows_whose_sum_overflows_agree(monkeypatch):
+    # two constant maps at 1.5e308: each point's floats are equal, but
+    # their sum is past the float range, so they are compared float by
+    # float, and agree.  The registers' bound is past 2^1020, where no
+    # proof is made, so the lanes decide points 1..15
+    runs, proofs = _count_runs(monkeypatch), _count_proofs(monkeypatch)
+    dom = CubeDomain(Theta.TYPE1, 0.5, 1)
+    big = parse_expr("1.5e308", 1)
+    twins = [SingularCube(dom, ExprMap((big, big))) for _ in range(2)]
+    assert sum(_Fingerprint(twins[0]).at(0)) == math.inf
+    runs.clear()
+    chain = Chain(Theta.TYPE1, 0.5, 1, 2, ((1, twins[0]), (1, twins[1])))
+    for tol in (0.0, MERGE_TOL):
+        assert _terms(chain_normalize(chain, tol)) == [(2, id(twins[0]))]
+        assert _evaluated(runs) == {id(twins[0].mapping): 16,
+                                    id(twins[1].mapping): 16}
+        runs.clear()
+        assert _terms(reference_chain_normalize(chain, tol)) == \
+            [(2, id(twins[0]))]
+        runs.clear()
+    assert proofs == {False: 2}
 
 
 def _rounding_maps(c: float) -> list:
