@@ -56,6 +56,21 @@ _FINGERPRINT_POINTS = 16
 MERGE_TOL = 1e-9
 
 
+def _inflation(r) -> float:
+    """The inflation `r` of a domain or chain as a float: a real number,
+    not a bool, finite and nonnegative.  A float takes one comparison."""
+    if r.__class__ is not float:
+        if isinstance(r, bool) or not isinstance(r, Real):
+            raise TypeError("inflation must be a real number")
+        try:
+            r = float(r)
+        except OverflowError:  # an int or fraction past the floats
+            r = math.inf
+    if not 0 <= r < math.inf:
+        raise ValueError("inflation must be finite and nonnegative")
+    return r
+
+
 class CubeDomain(Record):
     """The immutable model domain: k axes of [0, 1 + (sign of theta)*r*eps].
 
@@ -74,15 +89,7 @@ class CubeDomain(Record):
     def __init__(self, theta: Theta, r: float, k: int):
         if theta.__class__ is not Theta:
             theta = Theta(theta)
-        if isinstance(r, bool) or not isinstance(r, Real):
-            raise TypeError("inflation must be a real number")
-        try:
-            r = float(r)
-        except OverflowError:  # an int or fraction past the floats
-            r = math.inf
-        if not 0 <= r < math.inf:
-            raise ValueError("inflation must be finite and nonnegative")
-        self.theta, self.r, self.k = theta, r, k
+        self.theta, self.r, self.k = theta, _inflation(r), k
         _check_natural(k, "dimensions")
         self.b = Dual(1.0, theta.sign * self.r)
         self._side = self._rectangle = self._sample = self._faces = None
@@ -238,7 +245,7 @@ class Chain(Record):
     def __init__(self, theta: Theta, r: float, k: int, n: int, terms: tuple):
         if theta.__class__ is not Theta:
             theta = Theta(theta)
-        signature = (theta, float(r), k, n)
+        signature = (theta, _inflation(r), k, n)
         self.theta, self.r, self.k, self.n = signature
         kept = []
         for weight, cube in tuple(terms):

@@ -492,6 +492,14 @@ _PAIRS = (
 # and cos of a constant register fold to a constant whose shadow and
 # order `_poly_prim` sets by its own bound; of any other register they
 # raise NotPolynomial.
+# The ops cost their float work and little else.  add and sub take y's
+# coefficients as they are, or negated, which is what a product with 1.0
+# or -1.0 gives, bit for bit; a product checks the monomial cap only past
+# MAX_MONOMIALS pairs, since fewer pairs make fewer monomials;
+# `poly_gradient` gives `poly_diff` in every variable from one pass over
+# the terms.  A sum from the zero register ({}, 0.0, 0, 0) is its addend
+# with the order one up (0.0 plus a shadow, never -0.0, is that shadow),
+# which `forms._pullback` takes in place of the sum.
 
 KEY_BITS = 8
 MAX_DEGREE = 64       # below 2**KEY_BITS, so no exponent spills over
@@ -511,24 +519,28 @@ def _poly_const(value: Dual):
     return {0: (re, ze)}, abs(re) + abs(ze), 1, 0
 
 
-def _checked(terms: dict, shadow: float, order: int, degree: int):
-    if len(terms) > MAX_MONOMIALS:
-        raise NotPolynomial(f"more than {MAX_MONOMIALS} monomials")
-    return terms, shadow, order, degree
-
-
-def _poly_sum(sign: float):
-    """add (sign 1.0) or sub (sign -1.0); the sign multiplies exactly."""
+def _poly_sum(negate: bool):
+    """add, or sub when `negate`: y's coefficients are added in as they
+    are, or negated, which is exact, as the product with 1.0 or -1.0
+    that they once went through was."""
     def combine(x, y):
-        terms = dict(x[0])
+        (xt, xs, xo, xd), (yt, ys, yo, yd) = x, y
+        terms = dict(xt)
         get = terms.get
-        for k, (re, ze) in y[0].items():
-            old = get(k)
-            terms[k] = ((sign * re, sign * ze) if old is None
-                        else (old[0] + sign * re, old[1] + sign * ze))
-        return _checked(terms, x[1] + y[1],
-                        (x[2] if x[2] > y[2] else y[2]) + 1,
-                        x[3] if x[3] > y[3] else y[3])
+        if negate:
+            for k, (re, ze) in yt.items():
+                old = get(k)
+                terms[k] = ((-re, -ze) if old is None
+                            else (old[0] - re, old[1] - ze))
+        else:
+            for k, c in yt.items():
+                old = get(k)
+                terms[k] = (c if old is None
+                            else (old[0] + c[0], old[1] + c[1]))
+        if len(terms) > MAX_MONOMIALS:
+            raise NotPolynomial(f"more than {MAX_MONOMIALS} monomials")
+        return (terms, xs + ys, (xo if xo > yo else yo) + 1,
+                xd if xd > yd else yd)
     return combine
 
 
@@ -551,9 +563,11 @@ def _poly_mul(x, y):
                 terms[k] = (ar * br, ar * bz + az * br)
             else:
                 terms[k] = (old[0] + ar * br, old[1] + (ar * bz + az * br))
-    shadow = xs * ys + (3 * len(xt) * len(yt)) * TINY
-    return _checked(terms, shadow, xo + yo + min(len(xt), len(yt)) + 1,
-                    xd + yd)
+    lx, ly = len(xt), len(yt)
+    if lx * ly > MAX_MONOMIALS and len(terms) > MAX_MONOMIALS:
+        raise NotPolynomial(f"more than {MAX_MONOMIALS} monomials")
+    return (terms, xs * ys + (3 * lx * ly) * TINY,
+            xo + yo + (lx if lx < ly else ly) + 1, xd + yd)
 
 
 def _poly_pow(x, exponent: int):
@@ -625,13 +639,40 @@ def poly_diff(x, index: int):
             out[k - unit] = (re * p, ze * p)
             if p > top:
                 top = p
-    return out, shadow * top if top else 0.0, order + 1, max(degree - 1, 0)
+    return (out, shadow * top if top else 0.0, order + 1,
+            degree - 1 if degree else 0)
+
+
+def poly_gradient(x, arity: int) -> list:
+    """:func:`poly_diff` of a register in every variable below `arity`,
+    which must hold all of its variables, bit for bit, from one pass over
+    its terms: each term's exponents are read off its key from the
+    lowest field up."""
+    terms, shadow, order, degree = x
+    mask = (1 << KEY_BITS) - 1
+    outs = [{} for _ in range(arity)]
+    tops = [0] * arity
+    for k, (re, ze) in terms.items():
+        rest, j, unit = k, 0, 1
+        while rest:
+            p = rest & mask
+            if p:
+                outs[j][k - unit] = (re * p, ze * p)
+                if p > tops[j]:
+                    tops[j] = p
+            rest >>= KEY_BITS
+            j += 1
+            unit <<= KEY_BITS
+    order += 1
+    degree = degree - 1 if degree else 0
+    return [(out, shadow * top if top else 0.0, order, degree)
+            for out, top in zip(outs, tops)]
 
 
 _POLYS = (
     _poly_const,
     lambda x: ({k: (-re, -ze) for k, (re, ze) in x[0].items()},) + x[1:],
-    _poly_sum(1.0), _poly_sum(-1.0), _poly_mul, _poly_pow, _poly_prim)
+    _poly_sum(False), _poly_sum(True), _poly_mul, _poly_pow, _poly_prim)
 
 
 # Bound registers: what a point run (`_PAIRS`) of the same program may

@@ -9,7 +9,13 @@ numerics; but the partials fold their constants in floats, unbounded.
 The same loop runs on polynomial registers (:func:`pullback_polynomial`),
 whose shadows bound every rounding: a chain integral pulls its form back
 once per root map, for the map's cube and all its faces, and a verdict
-builds no symbolic ``d w``.  Pointwise evaluation
+builds no symbolic ``d w``.  On registers that pullback costs little
+but its products: a minor of size 1 or 2 is the expansion unrolled, a
+target's sum starts at its first term rather than at the zero register,
+and each jacobian row the form reads is one pass over its component's
+terms (:func:`.expr.poly_gradient`); each gives the very registers that
+the plain loops give, bit for bit (see :func:`_minor` and
+:func:`_pullback`).  Pointwise evaluation
 hands off to the alternating-tensor machinery.
 
 A form is the container of :mod:`.tensors` with expression
@@ -33,7 +39,7 @@ from .dual import ONE, ZERO, Dual
 from .expr import (_NODES, _PAIRS, _POLYS, Const, Expr, ExprMap,
                    _is_zero_node, _point_pairs, _poly_vars, _run, compose,
                    is_zero_expr, lower_expr, partial_diff, partial_diffs,
-                   poly_diff)
+                   poly_gradient)
 from .tensors import (AltTensor, Graded, add_term, ascending_tuples,
                       merge_sign, signed_permutations, wedge)
 
@@ -105,11 +111,12 @@ def form_eval(w: DiffForm, point, vectors) -> Dual:
     return tensor.evaluate(vectors)
 
 
-def _minor(matrix, arith: tuple):
-    """Determinant of a square matrix by permutation expansion, under an
-    arithmetic of :mod:`.expr`: nodes for :func:`pullback`, polynomial
-    registers for :func:`pullback_polynomial`, both through
-    :func:`_pullback`.
+def _minor(rows, cols, arith: tuple):
+    """The minor of the matrix `rows` at the columns `cols`, that is the
+    determinant of the square matrix of ``rows[i][cols[j]]``, by
+    permutation expansion under an arithmetic of :mod:`.expr`: nodes for
+    :func:`pullback`, polynomial registers for
+    :func:`pullback_polynomial`, both through :func:`_pullback`.
 
     A term with an exact-zero entry (the zero node, or a register whose
     shadow is 0) is skipped, and each sign is applied by adding or
@@ -119,10 +126,29 @@ def _minor(matrix, arith: tuple):
     absolute values alike, and a product with -1 is a negation.  So the
     result is the exact determinant of the same float entries, and a
     register's shadow and order bound the roundings of the operations
-    that remain, which are fewer."""
+    that remain, which are fewer.
+
+    Sizes 1 and 2 are the expansion unrolled, with no permutation table
+    and no matrix built: the entry itself, or ``a*d - b*c`` with the same
+    exact-zero checks, the same ``mul`` of the same entries in the same
+    order, ``sub`` of the second term, ``neg`` of it where ``a*d`` drops
+    out and ``const(ZERO)`` where both do.  These are the very operations
+    the loop makes, so the result is the loop's, bit for bit."""
     const, neg, add, sub, mul, _, _ = arith
+    size = len(cols)
+    if size == 1:
+        entry = rows[0][cols[0]]
+        return const(ZERO) if _exact_zero(entry) else entry
+    if size == 2:  # the expansion below, unrolled: a*d - b*c
+        (top, bottom), (j, l) = rows, cols
+        a, b, c, d = top[j], top[l], bottom[j], bottom[l]
+        total = None if _exact_zero(a) or _exact_zero(d) else mul(a, d)
+        if _exact_zero(b) or _exact_zero(c):
+            return const(ZERO) if total is None else total
+        return neg(mul(b, c)) if total is None else sub(total, mul(b, c))
+    matrix = [[row[j] for j in cols] for row in rows]
     total = None
-    for perm, sign in signed_permutations(len(matrix)):
+    for perm, sign in signed_permutations(size):
         # every entry is checked before any product is formed
         for row, col in enumerate(perm):
             if _exact_zero(matrix[row][col]):
@@ -152,7 +178,14 @@ def _pullback(f: ExprMap, w: DiffForm, comps, jac, arith: tuple,
     rows I against the target's columns, added in the form's order.  A
     coefficient runs once, for the first of its minors that is not the
     exact zero, and not at all if there is none; a term whose minor is
-    the exact zero is not added."""
+    the exact zero is not added.
+
+    A target's first term is not added to `zero` where it is a register
+    (and `zero` the zero register ``({}, 0.0, 0, 0)``): that sum copies
+    the term's coefficients, adds 0.0 to its shadow, which is at least
+    +0.0, keeps its degree and counts one rounding more, so the term's
+    own terms and shadow, with its order one up, are that sum bit for
+    bit, without the copy.  A node is added to `zero`."""
     if f.dim_out != w.n:
         raise ValueError(
             f"map lands in dimension {f.dim_out} but the form lives in "
@@ -161,13 +194,18 @@ def _pullback(f: ExprMap, w: DiffForm, comps, jac, arith: tuple,
     targets = ascending_tuples(f.arity, w.k)
     out = dict.fromkeys(targets, zero)
     for index, coeff in w.coeffs.items():
-        value = None
+        value, rows = None, [jac[i] for i in index]
         for target in targets:
-            det = _minor([[jac[i][j] for j in target] for i in index], arith)
+            det = _minor(rows, target, arith)
             if not _exact_zero(det):
                 if value is None:
                     value = _run(lower_expr(coeff), arith, comps)
-                out[target] = add(out[target], mul(value, det))
+                term = mul(value, det)
+                total = out[target]
+                if total is not zero or type(term) is not tuple:
+                    out[target] = add(total, term)
+                else:  # a register's first term
+                    out[target] = term[0], term[1], term[2] + 1, term[3]
     return out
 
 
@@ -190,14 +228,14 @@ def pullback_polynomial(f: ExprMap, w: DiffForm,
     polynomial register of :mod:`.expr`: the map's program runs once on
     polynomial registers (unless `comps` holds the components' registers
     from such a run), the form's coefficients run on the components'
-    registers, and the jacobian rows the form's indices read (by
-    :func:`.expr.poly_diff`) and their minors are registers too, so the
-    shadow and order bound all their roundings.  Raises where
+    registers, and the jacobian rows the form's indices read (each by
+    one :func:`.expr.poly_gradient` pass) and their minors are registers
+    too, so the shadow and order bound all their roundings.  Raises where
     :func:`.expr.expand_polynomial` would."""
     if comps is None:
         comps = f.run(_POLYS, _poly_vars(f.arity))
     rows = {i for index in w.coeffs for i in index}
-    jac = [[poly_diff(c, j) for j in range(f.arity)] if i in rows else None
+    jac = [poly_gradient(c, f.arity) if i in rows else None
            for i, c in enumerate(comps)]
     return _pullback(f, w, comps, jac, _POLYS, ({}, 0.0, 0, 0))  # zero poly
 

@@ -10,16 +10,21 @@ from fractions import Fraction
 from pathlib import Path
 
 from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
-                        Expr, ExprMap, SingularCube, Theta, ThetaInterval,
-                        ThetaRectangle, ZERO, ascending_tuples, cos, exp,
-                        make_interval, perm_sign, sample_points, sin)
+                        Expr, ExprMap, ONE, SingularCube, Theta,
+                        ThetaInterval, ThetaRectangle, ZERO, ascending_tuples,
+                        cos, exp, make_interval, perm_sign, sample_points,
+                        sin)
 from dualstokes.cubes import MERGE_TOL
-from dualstokes.expr import (_ONE_NODE, _PREC_ADD, _PREC_ATOM, _PREC_MUL,
-                             _PREC_NEG, _PREC_POW, _ZERO_NODE, PRIMITIVES,
-                             Add, Const, Mul, Neg, Node, PowInt, Prim, Sub,
-                             Var, _add, _const_text, _mul, _neg, _pow, _prim,
-                             _prim_value, _sub, lower_expr)
+from dualstokes.expr import (_ONE_NODE, _POLYS, _PREC_ADD, _PREC_ATOM,
+                             _PREC_MUL, _PREC_NEG, _PREC_POW, _ZERO_NODE,
+                             KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, PRIMITIVES,
+                             TINY, Add, Const, Mul, Neg, Node, NotPolynomial,
+                             PowInt, Prim, Sub, Var, _add, _const_text, _mul,
+                             _neg, _poly_vars, _pow, _prim, _prim_value, _run,
+                             _sub, lower_expr)
+from dualstokes.forms import _exact_zero
 from dualstokes.intervals import _TWO_PI, _crosses, _iexp, _ipow, _iscale
+from dualstokes.tensors import signed_permutations
 
 THETAS = (Theta.TYPE1, Theta.TYPE2)
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -546,6 +551,140 @@ def reference_dense_minor(matrix, arith: tuple):
             term = mul(term, matrix[row][col])
         total = add(total, term)
     return total
+
+
+# The register pullback as it was before its size-1 and size-2 minors were
+# unrolled, its sums started from the first term, its sign products
+# dropped and its jacobian rows taken in one pass: the reference that the
+# new paths must match bit for bit.
+
+
+def _reference_checked(terms: dict, shadow: float, order: int, degree: int):
+    if len(terms) > MAX_MONOMIALS:
+        raise NotPolynomial(f"more than {MAX_MONOMIALS} monomials")
+    return terms, shadow, order, degree
+
+
+def _reference_poly_sum(sign: float):
+    def combine(x, y):
+        terms = dict(x[0])
+        get = terms.get
+        for k, (re, ze) in y[0].items():
+            old = get(k)
+            terms[k] = ((sign * re, sign * ze) if old is None
+                        else (old[0] + sign * re, old[1] + sign * ze))
+        return _reference_checked(terms, x[1] + y[1],
+                                  (x[2] if x[2] > y[2] else y[2]) + 1,
+                                  x[3] if x[3] > y[3] else y[3])
+    return combine
+
+
+def _reference_poly_mul(x, y):
+    (xt, xs, xo, xd), (yt, ys, yo, yd) = x, y
+    if not (xs and ys):
+        return {}, 0.0, 0, 0
+    if xd + yd > MAX_DEGREE:
+        raise NotPolynomial(f"degree above {MAX_DEGREE}")
+    terms = {}
+    get = terms.get
+    pairs = yt.items()
+    for ka, (ar, az) in xt.items():
+        for kb, (br, bz) in pairs:
+            k = ka + kb
+            old = get(k)
+            if old is None:
+                terms[k] = (ar * br, ar * bz + az * br)
+            else:
+                terms[k] = (old[0] + ar * br, old[1] + (ar * bz + az * br))
+    shadow = xs * ys + (3 * len(xt) * len(yt)) * TINY
+    return _reference_checked(terms, shadow,
+                              xo + yo + min(len(xt), len(yt)) + 1, xd + yd)
+
+
+def _reference_poly_pow(x, exponent: int):
+    if exponent == 0:
+        return {0: (1.0, 0.0)}, 1.0, 0, 0
+    if exponent > MAX_DEGREE:
+        raise NotPolynomial(f"degree above {MAX_DEGREE}")
+    power = x
+    for _ in range(exponent - 1):
+        power = _reference_poly_mul(power, x)
+    return power
+
+
+# the polynomial arithmetic with the old sums, products and powers
+REFERENCE_POLYS = (_POLYS[0], _POLYS[1], _reference_poly_sum(1.0),
+                   _reference_poly_sum(-1.0), _reference_poly_mul,
+                   _reference_poly_pow, _POLYS[6])
+
+
+def reference_poly_diff(x, index: int):
+    terms, shadow, order, degree = x
+    shift, mask = KEY_BITS * index, (1 << KEY_BITS) - 1
+    unit = 1 << shift
+    out, top = {}, 0
+    for k, (re, ze) in terms.items():
+        p = (k >> shift) & mask
+        if p:
+            out[k - unit] = (re * p, ze * p)
+            if p > top:
+                top = p
+    return out, shadow * top if top else 0.0, order + 1, max(degree - 1, 0)
+
+
+def reference_minor(matrix, arith: tuple):
+    """The permutation expansion of ``forms._minor`` at every size."""
+    const, neg, add, sub, mul, _, _ = arith
+    total = None
+    for perm, sign in signed_permutations(len(matrix)):
+        for row, col in enumerate(perm):
+            if _exact_zero(matrix[row][col]):
+                break
+        else:
+            term = matrix[0][perm[0]] if perm else const(ONE)
+            for row in range(1, len(perm)):
+                term = mul(term, matrix[row][perm[row]])
+            if total is None:
+                total = term if sign > 0 else neg(term)
+            else:
+                total = (add if sign > 0 else sub)(total, term)
+    return const(ZERO) if total is None else total
+
+
+def reference_pullback(f: ExprMap, w: DiffForm, comps, jac, arith: tuple,
+                       zero) -> dict:
+    """``forms._pullback`` with every sum started by adding its first term
+    to `zero`, and a matrix list and :func:`reference_minor` per minor."""
+    if f.dim_out != w.n:
+        raise ValueError("the map and the form differ in dimension")
+    _, _, add, _, mul, _, _ = arith
+    targets = ascending_tuples(f.arity, w.k)
+    out = dict.fromkeys(targets, zero)
+    for index, coeff in w.coeffs.items():
+        value = None
+        for target in targets:
+            det = reference_minor([[jac[i][j] for j in target]
+                                   for i in index], arith)
+            if not _exact_zero(det):
+                if value is None:
+                    value = _run(lower_expr(coeff), arith, comps)
+                out[target] = add(out[target], mul(value, det))
+    return out
+
+
+def reference_pullback_polynomial(f: ExprMap, w: DiffForm,
+                                  comps: list | None = None,
+                                  arith: tuple = REFERENCE_POLYS,
+                                  zero: tuple = None) -> dict:
+    """``forms.pullback_polynomial`` on the reference arithmetic, with a
+    :func:`reference_poly_diff` per jacobian entry of the rows read."""
+    if comps is None:
+        comps = f.run(arith, _poly_vars(f.arity))
+    rows = {i for index in w.coeffs for i in index}
+    jac = [[reference_poly_diff(c, j) for j in range(f.arity)]
+           if i in rows else None for i, c in enumerate(comps)]
+    return reference_pullback(f, w, comps, jac, arith,
+                              ({}, 0.0, 0, 0) if zero is None else zero)
 
 
 def reference_exact_integral(f, rect: ThetaRectangle):

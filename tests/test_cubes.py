@@ -56,6 +56,26 @@ def test_domain_endpoint():
         standard_cube(Theta.TYPE1, 0.5, False)
 
 
+def test_chain_inflation_is_checked_as_the_domain_s():
+    # an empty chain has no cube whose domain checks r: it checks r itself
+    # with the domain's check and messages
+    for r in (True, "0.5", None, 0.5j):
+        with pytest.raises(TypeError, match="real number"):
+            Chain(Theta.TYPE1, r, 1, 1, ())
+    for r in (-3, -0.1, math.nan, math.inf, 10 ** 400,
+              Fraction(10 ** 400, 3)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Chain(Theta.TYPE1, r, 1, 1, ())
+    for r, want in ((Fraction(1, 2), 0.5), (1, 1.0), (0.5, 0.5)):
+        chain = Chain(Theta.TYPE2, r, 1, 1, ())
+        assert type(chain.r) is float and chain.r == want
+    # a chain with a cube matches its domain's float r
+    cube = standard_cube(Theta.TYPE1, 0.5, 1)
+    assert Chain(Theta.TYPE1, Fraction(1, 2), 1, 1, ((1, cube),)).terms
+    # -0.0 is kept, as the domain keeps it
+    assert math.copysign(1.0, Chain(Theta.TYPE1, -0.0, 1, 1, ()).r) == -1.0
+
+
 def test_domain_rectangle():
     dom = CubeDomain(Theta.TYPE2, 1.0, 2)
     rect = dom.rectangle()

@@ -13,15 +13,17 @@ from dualstokes import (CubeDomain, DiffForm, Dual, DualVec, Expr, ExprMap,
                         jacobian, merge_sign, parse_expr, partial_diff,
                         perm_sign, pullback, wedge, wedge_forms, zero_form)
 from dualstokes.darboux import polynomial_estimate
-from dualstokes.expr import (_NODES, _POLYS, Const, NotPolynomial, _add, _mul,
-                             _run, expand_polynomial, lower_expr,
-                             partial_diffs, poly_diff)
+from dualstokes.expr import (_NODES, _POLYS, KEY_BITS, Const, NotPolynomial,
+                             _add, _mul, _run, expand_polynomial, lower_expr,
+                             partial_diffs, poly_diff, poly_gradient)
 from dualstokes.forms import _exact_zero, _minor, pullback_polynomial
-from helpers import (THETAS, bracket_contains, random_expr, random_form,
-                     random_map, reference_dense_minor, reference_exact_det,
-                     reference_exact_expansion, reference_exact_integral,
-                     reference_exact_partial, reference_exact_pullback,
-                     small_point)
+from helpers import (REFERENCE_POLYS, THETAS, bracket_contains, random_expr,
+                     random_form, random_map, reference_dense_minor,
+                     reference_exact_det, reference_exact_expansion,
+                     reference_exact_integral, reference_exact_partial,
+                     reference_exact_pullback, reference_minor,
+                     reference_poly_diff, reference_pullback,
+                     reference_pullback_polynomial, small_point)
 
 
 def _vecs(rng, n, count):
@@ -516,7 +518,7 @@ def test_minor_brackets_the_exact_determinant():
                    for _ in range(size)]
         registers = [[e[0] for e in row] for row in entries]
         products.clear()
-        det = _minor(registers, counting)
+        det = _minor(registers, range(size), counting)
         assert len(products) == (size - 1) * sum(
             not any(_exact_zero(registers[row][col])
                     for row, col in enumerate(perm))
@@ -531,6 +533,137 @@ def test_minor_brackets_the_exact_determinant():
         est = polynomial_estimate(det, rect.theta, rect.intervals)
         assert bracket_contains(est, reference_exact_integral(exact, rect))
     assert skipped > 100
+
+
+def _odd_register(rng: random.Random):
+    """A register in x1, x2: an exact zero at order 0 or above, with no
+    terms or with zero coefficients of either sign, a register with
+    -0.0 parts and a positive shadow, or one of :func:`_minor_entry`'s."""
+    roll = rng.random()
+    if roll < 0.15:
+        return {}, 0.0, rng.randint(0, 4), rng.randint(0, 2)
+    if roll < 0.25:
+        return {0: (-0.0, 0.0), 1: (0.0, -0.0)}, 0.0, rng.randint(1, 3), 1
+    if roll < 0.4:
+        return ({1 << KEY_BITS: (-0.0, -0.0), 0: (rng.uniform(-2, 2), -0.0),
+                 1: (0.0, rng.uniform(-2, 2))}, 4.0, rng.randint(0, 3), 1)
+    return _minor_entry(rng)[0]
+
+
+def test_minor_is_the_reference_expansion():
+    # the unrolled minors of sizes 1 and 2, and the loop above them, of
+    # rows up to one entry wider than the minor at ascending columns, give
+    # the permutation expansion's registers bit for bit (terms in order,
+    # signed zeros, shadow, order, degree), on the new arithmetic and on
+    # the reference one alike, and the very same nodes
+    rng = random.Random(3535)
+    zeros = (Const(Dual(0.0, 0.0)), Const(Dual(-0.0, -0.0)))
+    for _ in range(400):
+        size = rng.randint(0, 4)
+        width = rng.randint(size, size + 1)
+        cols = sorted(rng.sample(range(width), size))
+        rows = [[_odd_register(rng) for _ in range(width)]
+                for _ in range(size)]
+        matrix = [[row[j] for j in cols] for row in rows]
+        want = repr(reference_minor(matrix, REFERENCE_POLYS))
+        assert repr(_minor(rows, cols, _POLYS)) == want, (rows, cols)
+        assert repr(reference_minor(matrix, _POLYS)) == want, matrix
+        nodes = [[rng.choice(zeros) if rng.random() < 0.3
+                  else random_expr(rng, 2, depth=2).node
+                  for _ in range(width)] for _ in range(size)]
+        assert _minor(nodes, cols, _NODES) is reference_minor(
+            [[row[j] for j in cols] for row in nodes], _NODES)
+
+
+def test_register_sums_and_products_are_the_reference_ones():
+    # add and sub take y's coefficients as they are, or negated, where
+    # the reference multiplies them by 1.0 or -1.0; the product checks the
+    # monomial cap only past 256 pairs: the same registers, and the same
+    # NotPolynomial past the cap
+    rng = random.Random(3536)
+    pool = [_odd_register(rng) for _ in range(60)]
+    for x, y in itertools.product(pool, repeat=2):
+        for op, ref in zip(_POLYS[2:5], REFERENCE_POLYS[2:5]):
+            assert repr(op(x, y)) == repr(ref(x, y)), (x, y)
+
+    def powers(count, var):  # 1, x, ..., x^(count-1) in one variable
+        return ({j << KEY_BITS * var: (1.0, 0.0) for j in range(count)},
+                1.0, 0, count - 1)
+
+    # 289 pairs and 33 monomials; 400 pairs and 400 monomials; a sum of
+    # 200 and 200 distinct monomials
+    x17 = powers(17, 0)
+    assert repr(_POLYS[4](x17, x17)) == repr(REFERENCE_POLYS[4](x17, x17))
+    for op, x, y in ((4, powers(20, 0), powers(20, 1)),
+                     (2, powers(200, 0), powers(201, 1)),
+                     (3, powers(200, 0), powers(201, 1))):
+        for arith in (_POLYS, REFERENCE_POLYS):
+            with pytest.raises(NotPolynomial, match="256 monomials"):
+                arith[op](x, y)
+
+
+def test_jacobian_row_is_the_reference_partials():
+    # one pass gives every partial as poly_diff and its reference do
+    rng = random.Random(3537)
+    registers = [_odd_register(rng) for _ in range(200)]
+    registers += [expand_polynomial(random_expr(rng, 3, depth=3,
+                                                prims=False))
+                  for _ in range(200)]
+    for register in registers:
+        want = [reference_poly_diff(register, j) for j in range(3)]
+        assert repr(poly_gradient(register, 3)) == repr(want), register
+        assert repr([poly_diff(register, j) for j in range(3)]) == repr(want)
+
+
+def test_register_pullback_is_the_reference_pullback():
+    # seeded maps and forms, k = 0-3 and n = k..k+1 (n = 1 for k = 0): each target's
+    # register, in the targets' order, is the reference pipeline's bit for
+    # bit (its jacobian by poly_diff, each minor by the permutation loop,
+    # each sum from the zero register, the old sums and products)
+    rng = random.Random(3538)
+    for _ in range(120):
+        k = rng.randint(0, 3)
+        n = rng.randint(max(k, 1), k + 1)  # a map has a component
+        mapping = random_map(rng, k, n, depth=2, prims=False)
+        w = random_form(rng, n, k, depth=2)
+        try:
+            want = reference_pullback_polynomial(mapping, w)
+        except NotPolynomial:
+            with pytest.raises(NotPolynomial):
+                pullback_polynomial(mapping, w)
+            continue
+        got = pullback_polynomial(mapping, w)
+        assert list(got) == list(want)
+        assert repr(got) == repr(want), (mapping, w)
+
+
+def test_register_pullback_of_odd_registers_is_the_reference_one():
+    # the same, on component and jacobian registers with exact zeros and
+    # -0.0 parts, where every fourth product is a zero-shadow register of
+    # order 3: such a term starts a sum as the reference's sum from the
+    # zero register does, its order one up
+    rng = random.Random(3539)
+
+    def odd(arith):
+        calls = []
+
+        def mul(x, y):
+            calls.append(None)
+            return ({}, 0.0, 3, 1) if len(calls) % 4 == 0 else arith[4](x, y)
+        return arith[:4] + (mul,) + arith[5:]
+
+    for _ in range(150):
+        k = rng.randint(0, 3)
+        n = rng.randint(max(k, 1), k + 1)  # a map has a component
+        mapping = random_map(rng, k, n, depth=1, prims=False)
+        w = random_form(rng, n, k, depth=2)
+        comps = [_odd_register(rng) for _ in range(n)]
+        jac = [[_odd_register(rng) for _ in range(k)] for _ in range(n)]
+        zero = ({}, 0.0, 0, 0)
+        got = forms._pullback(mapping, w, comps, jac, odd(_POLYS), zero)
+        want = reference_pullback(mapping, w, comps, jac,
+                                  odd(REFERENCE_POLYS), zero)
+        assert repr(got) == repr(want), (mapping, w, comps, jac)
 
 
 def test_register_pullback_is_the_symbolic_pullback():
@@ -560,7 +693,7 @@ def _pullback_per_target(mapping: ExprMap, w: DiffForm) -> tuple:
     for target in ascending_tuples(m, w.k):
         acc = Const(Dual(-0.0, -0.0))
         for index, coeff in w.coeffs.items():
-            det = _minor([[jac[i][j] for j in target] for i in index], _NODES)
+            det = _minor([jac[i] for i in index], target, _NODES)
             if not _exact_zero(det):
                 runs += 1
                 acc = _add(acc, _mul(_run(lower_expr(coeff), _NODES, comps),

@@ -26,13 +26,14 @@ from dualstokes.darboux import NotFinite
 from dualstokes import forms
 from dualstokes.expr import _POLYS, NotPolynomial
 from dualstokes.forms import pullback_polynomial
-from helpers import (THETAS, FormalSum, _exact_add, bracket_contains,
-                     load_bench_module, random_chain, random_form,
-                     random_poly, reference_exact_expansion,
+from helpers import (REFERENCE_POLYS, THETAS, FormalSum, _exact_add,
+                     bracket_contains, load_bench_module, random_chain,
+                     random_form, random_poly, reference_exact_expansion,
                      reference_exact_integral, reference_exact_partial,
                      reference_exact_pullback,
                      reference_formal_expansion, reference_formal_partial,
-                     reference_formal_values, reference_primitive)
+                     reference_formal_values, reference_primitive,
+                     reference_pullback_polynomial)
 
 
 def _report(converged: bool = True, passed: bool = True) -> StokesReport:
@@ -793,6 +794,54 @@ def test_verdict_fails_where_d_is_scaled(monkeypatch):
     assert report.converged and not report.passed
     assert report.diff_re <= report.tol_re and report.diff_ze <= report.tol_ze
     assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
+
+
+def _counting(arith: tuple, counts: Counter) -> tuple:
+    """`arith` with its products and its sums (add and sub) counted."""
+    const, neg, add, sub, mul, power, prim = arith
+
+    def counted(name, op):
+        return lambda x, y: counts.update((name,)) or op(x, y)
+    return (const, neg, counted("combine", add), counted("combine", sub),
+            counted("mul", mul), power, prim)
+
+
+def test_tiled_root_pullbacks_do_their_fixed_work(monkeypatch):
+    # the 27 root pullbacks of a tiled verdict, seed 1, against the
+    # reference pipeline on the same component registers: as many
+    # products, so no rounding is dropped; as many sums but one for each
+    # target that receives a term, which starts its sum; one jacobian pass
+    # per component row the form reads, where the reference takes a
+    # partial per row and variable
+    scenario = _fixed_scenario("tiled-chain-3d", 1)
+    counts, want, gradients, rows_read = Counter(), Counter(), [], []
+    pull, gradient = stokes.pullback_polynomial, forms.poly_gradient
+
+    def spy(f, w, comps):
+        zero = ({}, 0.0, 0, 0)
+        ref = reference_pullback_polynomial(
+            f, w, comps, _counting(REFERENCE_POLYS, want), zero)
+        want["roots"] += 1
+        want["targets"] += sum(r is not zero for r in ref.values())
+        rows = {i for index in w.coeffs for i in index}
+        want["partials"] += len(rows) * f.arity
+        rows_read.extend(id(comps[i]) for i in sorted(rows))
+        got = pull(f, w, comps)
+        assert repr(got) == repr(ref)
+        return got
+
+    def counting_gradient(register, arity):
+        gradients.append(id(register))
+        return gradient(register, arity)
+
+    monkeypatch.setattr(stokes, "pullback_polynomial", spy)
+    monkeypatch.setattr(forms, "poly_gradient", counting_gradient)
+    monkeypatch.setattr(forms, "_POLYS", _counting(_POLYS, counts))
+    assert run_scenario(scenario).passed
+    assert want == {"roots": 27, "mul": 513, "combine": 189, "targets": 81,
+                    "partials": 243}
+    assert counts == {"mul": 513, "combine": 189 - 81}
+    assert sorted(gradients) == sorted(rows_read) and len(gradients) == 81
 
 
 def _transposed_jacobian_report(monkeypatch):

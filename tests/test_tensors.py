@@ -301,7 +301,7 @@ def test_permutation_degree_cap():
         big.as_general()
     x1 = Expr.variable(0, 1)
     with pytest.raises(ValueError):
-        _minor([[x1.node] * 9 for _ in range(9)], _NODES)
+        _minor([[x1.node] * 9 for _ in range(9)], range(9), _NODES)
 
 
 def test_tensors_equal_discriminates():

@@ -9,10 +9,13 @@ and the benchmark's ``saddle-fine`` and ``tiled-chain-3d`` seeds 1-20
 writing bytecode; the work tree's files on both sides) through the package
 at BASE and through the work tree's, each in a process of its own, and
 compares each verdict's ``to_dict()``, the ``repr`` of each side's
-bracket ends, and each side's normalized chain: its term count, and each
+bracket ends, each side's normalized chain (its term count, and each
 term's weight and first cube, the cube named by the position of its root
-map in the verdict's chain and by its pins.  So a change to normalization
-shows that it merges the same terms, not only that the brackets match.
+map in the verdict's chain and by its pins) and the ``repr`` of each
+target's register of each root pullback, in the order the verdict takes
+them.  So a change to normalization shows that it merges the same terms,
+and a change to the pullback that its registers keep their terms' order,
+shadow, order and degree, not only that the brackets match.
 It prints each scenario that differs, with the fields that moved, old and
 new, and exits 1 when one does, 0 when every verdict is bit-identical.
 BASE is unpacked by ``git archive`` into a temporary directory.
@@ -29,19 +32,18 @@ from pathlib import Path
 
 from bench_pairs import ROOT, checkout
 
-# run in a child whose PYTHONPATH holds one side's src/; argv holds the
-# work tree's bench/ directory and the scenario files, and it prints,
-# keyed by source and scenario, each field of each verdict's report, each
-# bracket end and each term of each normalized chain, by its repr, as
-# JSON.  The verdict's normalizations are read by wrapping the
-# `stokes.chain_normalize` it calls; a term's cube is named by its root
-# map's position in the verdict's chain and its pins, which name the same
-# cube on both sides
-_COLLECT = """
+# the collector: run in a child whose PYTHONPATH holds one side's src/,
+# it keys by source and scenario each field of each verdict's report,
+# each bracket end, each term of each normalized chain and each target's
+# register of each root pullback, by its repr.  The verdict's
+# normalizations and pullbacks are read by wrapping the
+# `stokes.chain_normalize` and `stokes.pullback_polynomial` it calls; a
+# term's cube is named by its root map's position in the verdict's chain
+# and its pins, which name the same cube on both sides, and so is the map
+# of a pullback
+_SPIES = """
 import json, sys
 from dualstokes import stokes
-sys.path.insert(0, sys.argv[1])
-import workloads
 
 def flat(prefix, value, into):
     if isinstance(value, dict):
@@ -50,24 +52,30 @@ def flat(prefix, value, into):
     else:
         into[prefix[:-1]] = repr(value)
 
-normalized = []
-normalize = stokes.chain_normalize
+normalized, pulled = [], []
+normalize, pull = stokes.chain_normalize, stokes.pullback_polynomial
 
 def spy(chain, *args):
     result = normalize(chain, *args)
     normalized.append(result)
     return result
 
-stokes.chain_normalize = spy
+def spy_pull(f, w, comps):
+    result = pull(f, w, comps)
+    pulled.append((f, result))
+    return result
 
-def name(cube, roots):
-    root, pins = getattr(cube.mapping, "_pin", None) or (cube.mapping, ())
+stokes.chain_normalize, stokes.pullback_polynomial = spy, spy_pull
+
+def name(mapping, roots):
+    root, pins = getattr(mapping, "_pin", None) or (mapping, ())
     return f"cube {roots.get(id(root), '?')} pins {pins!r}"
 
 def collect(source, scenarios):
     for scenario in scenarios:
         entry = out[f"{source}: {scenario.name}"] = {}
         normalized.clear()
+        pulled.clear()
         try:
             report = stokes.run_scenario(scenario)
         except Exception as exc:
@@ -84,9 +92,20 @@ def collect(source, scenarios):
             entry[f"{side}.normalized.terms"] = repr(len(chain.terms))
             for i, (weight, cube) in enumerate(chain.terms):
                 entry[f"{side}.normalized.{i}"] = (
-                    f"{weight:+d} {name(cube, roots)}")
+                    f"{weight:+d} {name(cube.mapping, roots)}")
+        for i, (f, registers) in enumerate(pulled):
+            for target, register in registers.items():
+                entry[f"pullback.{i}.{target}"] = (
+                    f"{name(f, roots)} {register!r}")
 
 out = {}
+"""
+
+# the collector's run: argv holds the work tree's bench/ directory and the
+# scenario files, and it prints what it collected as JSON
+_COLLECT = _SPIES + """
+sys.path.insert(0, sys.argv[1])
+import workloads
 collect("bundled", stokes.builtin_scenarios())
 for path in sys.argv[2:]:
     collect(path, stokes.load_scenarios(path))
