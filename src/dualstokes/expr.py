@@ -39,11 +39,21 @@ several arithmetics (for boxes, :data:`.intervals.BOXES`; for
 polynomials, ``_POLYS``; for the rounding bounds of point runs,
 ``_BOUNDS``), and :func:`listwise` runs any of them over lists of
 values, one per lane.
-:func:`partial_diffs` takes every partial a caller needs from one
-gradient run, whose registers hold each instruction's node and its
-partials; each partial is the tree :func:`partial_diff` builds for its
-variable alone.  The parser is the only recursion, capped by
-``MAX_NESTING``.
+
+Every derivative comes from one rule set, :func:`jets`, which lifts any
+of these arithmetics to registers of a value and its partials: the
+product rule, ``k x^(k-1)`` and the derivatives of exp, sin and cos are
+written there once.  Lifted on nodes, it is :func:`partial_diffs`,
+which takes every partial a caller needs from one run (and so the
+symbolic ``d``, pullback and jacobian); each partial is the tree
+:func:`partial_diff` builds for its variable alone.  Lifted on
+``_POLYS`` it gives the partials of a polynomial program, and on
+:data:`.intervals.BOXES` enclosures of its gradient, for derivatives
+still to be taken on registers and cells.  The register pullback keeps
+:func:`poly_diff` and :func:`poly_gradient`, which differentiate an
+expanded register monomial by monomial: product-rule partials of the
+same program round differently, so they would move its brackets.  The
+parser is the only recursion, capped by ``MAX_NESTING``.
 
 Point programs run on ``(re, ze)`` float pairs with the float operations
 of :class:`Dual`, so they give Dual arithmetic's bits, and its
@@ -441,6 +451,47 @@ def listwise(arith: tuple, n: int) -> tuple:
             lambda name, x: [prim(name, p) for p in x])
 
 
+def jets(arith: tuple, n: int, values: tuple | None = None) -> tuple:
+    """`arith` lifted to registers ``(value, (d_1, ..., d_n))``, a value
+    and its partials in `n` directions, by forward-mode differentiation:
+    the product rule, ``k x^(k-1)`` and the derivatives of exp, sin and
+    cos, written once for every arithmetic (Griewank and Walther,
+    *Evaluating Derivatives*, ch. 3).  A constant's partials are
+    ``const(ZERO)``, as are those of a raw ``x^0``; a variable's register
+    is the caller's, ``(x, unit vector)`` for a gradient.  The partials
+    run under `arith`, the values under `values` if given: an arithmetic
+    on the same values that builds them otherwise, such as the raw node
+    constructors, which keep each instruction's own node."""
+    const, neg, add, sub, mul, power, prim = arith
+    v_const, v_neg, v_add, v_sub, v_mul, v_pow, v_prim = values or arith
+    zeros = (const(ZERO),) * n
+
+    def product(x, y):
+        (u, du), (v, dv) = x, y
+        return v_mul(u, v), tuple([add(mul(p, v), mul(u, q))
+                                   for p, q in zip(du, dv)])
+
+    def raised(x, exponent: int):
+        u, du = x
+        if exponent == 0:
+            return v_pow(u, 0), zeros
+        scale = mul(const(Dual(float(exponent))), power(u, exponent - 1))
+        return v_pow(u, exponent), tuple([mul(scale, p) for p in du])
+
+    def lifted(name: str, x):
+        u, du = x
+        value = v_prim(name, u)
+        slope = (value if name == "exp" else prim("cos", u) if name == "sin"
+                 else neg(prim("sin", u)))
+        return value, tuple([mul(slope, p) for p in du])
+
+    return (lambda value: (v_const(value), zeros),
+            lambda x: (v_neg(x[0]), tuple(map(neg, x[1]))),
+            lambda x, y: (v_add(x[0], y[0]), tuple(map(add, x[1], y[1]))),
+            lambda x, y: (v_sub(x[0], y[0]), tuple(map(sub, x[1], y[1]))),
+            product, raised, lifted)
+
+
 def _run(code: tuple[tuple, ...], arith: tuple, args: Sequence):
     """The value of the last register; `args[i]` is the value of x(i+1)."""
     regs = [None] * len(code)
@@ -733,52 +784,10 @@ _BOUNDS = (
     lambda x, y: _bounded(x[0] * y[0] + 3.0 * TINY, x[1] + y[1] + 2),
     _bound_pow, _bound_prim)
 
-# registers hold nodes, built (and folded) by the smart constructors
+# registers hold nodes, built (and folded) by the smart constructors, or,
+# as the values of `partial_diffs`' jets, by the raw ones
 _NODES = (Const, _neg, _add, _sub, _mul, _pow, _prim)
-
-
-# The gradient run: registers hold (node, partials).  The node is the
-# instruction's own, which its raw constructor returns, interned, from
-# the operands' nodes; the partials, one per variable asked for, are
-# built by the smart constructors, each as a run for that variable alone
-# would build it.
-
-
-def _gradient_arithmetic(count: int) -> tuple:
-    zeros = (_ZERO_NODE,) * count
-    return (lambda value: (Const(value), zeros),) + _GRADIENT
-
-
-def _g_mul(x, y):
-    (u, du), (v, dv) = x, y
-    return Mul(u, v), tuple([_add(_mul(p, v), _mul(u, q))
-                             for p, q in zip(du, dv)])
-
-
-def _g_pow(x, exponent: int):
-    u, du = x
-    if exponent == 0:  # a raw x^0 is the constant 1
-        return PowInt(u, 0), (_ZERO_NODE,) * len(du)
-    scaled = _mul(Const(Dual(float(exponent))), _pow(u, exponent - 1))
-    return PowInt(u, exponent), tuple([_mul(scaled, p) for p in du])
-
-
-def _g_prim(name: str, x):
-    u, du = x
-    if name == "exp":
-        outer = Prim("exp", u)
-    elif name == "sin":
-        outer = _prim("cos", u)
-    else:
-        outer = _neg(_prim("sin", u))
-    return Prim(name, u), tuple([_mul(outer, p) for p in du])
-
-
-_GRADIENT = (
-    lambda x: (Neg(x[0]), tuple(map(_neg, x[1]))),
-    lambda x, y: (Add(x[0], y[0]), tuple(map(_add, x[1], y[1]))),
-    lambda x, y: (Sub(x[0], y[0]), tuple(map(_sub, x[1], y[1]))),
-    _g_mul, _g_pow, _g_prim)
+_RAW_NODES = (Const, Neg, Add, Sub, Mul, PowInt, Prim)
 
 
 # Registers hold a node's repr, in the Name(field=value, ...) form of a Record.
@@ -1134,8 +1143,8 @@ def partial_diffs(f: Expr, indices: Sequence[int]) -> tuple[Expr, ...]:
     args = [(Var(i), tuple([_ONE_NODE if i == j else _ZERO_NODE
                             for j in indices]))
             for i in range(f.arity)]
-    _, partials = _run(lower_expr(f), _gradient_arithmetic(len(indices)),
-                       args)
+    lifted = jets(_NODES, len(indices), _RAW_NODES)
+    _, partials = _run(lower_expr(f), lifted, args)
     return tuple([Expr(p, f.arity) for p in partials])
 
 

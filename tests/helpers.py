@@ -19,9 +19,9 @@ from dualstokes.expr import (_ONE_NODE, _POLYS, _PREC_ADD, _PREC_ATOM,
                              _PREC_MUL, _PREC_NEG, _PREC_POW, _ZERO_NODE,
                              KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, PRIMITIVES,
                              TINY, Add, Const, Mul, Neg, Node, NotPolynomial,
-                             PowInt, Prim, Sub, Var, _add, _const_text, _mul,
-                             _neg, _poly_vars, _pow, _prim, _prim_value, _run,
-                             _sub, lower_expr)
+                             PowInt, Prim, Sub, Var, _add, _check_natural,
+                             _const_text, _mul, _neg, _poly_vars, _pow, _prim,
+                             _prim_value, _run, _sub, lower_expr)
 from dualstokes.forms import _exact_zero
 from dualstokes.intervals import _TWO_PI, _crosses, _iexp, _ipow, _iscale
 from dualstokes.tensors import signed_permutations
@@ -685,6 +685,67 @@ def reference_pullback_polynomial(f: ExprMap, w: DiffForm,
            if i in rows else None for i, c in enumerate(comps)]
     return reference_pullback(f, w, comps, jac, arith,
                               ({}, 0.0, 0, 0) if zero is None else zero)
+
+
+# The node-only forward mode that ``partial_diffs`` ran before
+# ``expr.jets``: registers hold (node, partials), the node the
+# instruction's own, built by its raw constructor, the partials by the
+# folding ones.  The reference its partials must match node for node.
+
+
+def _reference_gradient(count: int) -> tuple:
+    zeros = (_ZERO_NODE,) * count
+    return (lambda value: (Const(value), zeros),) + _REFERENCE_GRADIENT
+
+
+def _reference_g_mul(x, y):
+    (u, du), (v, dv) = x, y
+    return Mul(u, v), tuple([_add(_mul(p, v), _mul(u, q))
+                             for p, q in zip(du, dv)])
+
+
+def _reference_g_pow(x, exponent: int):
+    u, du = x
+    if exponent == 0:  # a raw x^0 is the constant 1
+        return PowInt(u, 0), (_ZERO_NODE,) * len(du)
+    scaled = _mul(Const(Dual(float(exponent))), _pow(u, exponent - 1))
+    return PowInt(u, exponent), tuple([_mul(scaled, p) for p in du])
+
+
+def _reference_g_prim(name: str, x):
+    u, du = x
+    if name == "exp":
+        outer = Prim("exp", u)
+    elif name == "sin":
+        outer = _prim("cos", u)
+    else:
+        outer = _neg(_prim("sin", u))
+    return Prim(name, u), tuple([_mul(outer, p) for p in du])
+
+
+_REFERENCE_GRADIENT = (
+    lambda x: (Neg(x[0]), tuple(map(_neg, x[1]))),
+    lambda x, y: (Add(x[0], y[0]), tuple(map(_add, x[1], y[1]))),
+    lambda x, y: (Sub(x[0], y[0]), tuple(map(_sub, x[1], y[1]))),
+    _reference_g_mul, _reference_g_pow, _reference_g_prim)
+
+
+def reference_partial_diffs(f: Expr, indices) -> tuple:
+    """``partial_diffs`` by the reference gradient run: the partials, as
+    nodes, with respect to each variable of `indices`."""
+    indices = tuple(indices)
+    if not indices:
+        return ()
+    for i in indices:
+        _check_natural(i, "variable indices")
+    if max(indices) >= f.arity:
+        raise ValueError("variable index out of range")
+    args = [(Var(i), tuple([_ONE_NODE if i == j else _ZERO_NODE
+                            for j in indices]))
+            for i in range(f.arity)]
+    _, partials = _run(lower_expr(f), _reference_gradient(len(indices)),
+                       args)
+    return partials
 
 
 def reference_exact_integral(f, rect: ThetaRectangle):

@@ -18,16 +18,17 @@ from dualstokes.darboux import polynomial_estimate
 from dualstokes.expr import (KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, MAX_NESTING,
                              _NODES, _PAIRS, _POLYS, Add, Const, Mul, Neg,
                              NotPolynomial, PowInt, Prim, Sub, Var, _add, _mul,
-                             _poly_vars, _run, _sub, expand_polynomial,
+                             _poly_vars, _run, _sub, expand_polynomial, jets,
                              lower_expr, partial_diffs, poly_diff)
+from dualstokes.intervals import BOXES
 from helpers import (THETAS, _exact_pin, bracket_contains, point_in_box,
                      random_box, random_expr, random_map, random_poly,
                      reference_cr_check, reference_diff, reference_enclose,
                      reference_eval, reference_exact_expansion,
                      reference_exact_integral, reference_exact_partial,
-                     reference_exprs_equal, reference_primitive_pair,
-                     reference_render, reference_subst, small_point,
-                     trees_match)
+                     reference_exprs_equal, reference_partial_diffs,
+                     reference_primitive_pair, reference_render,
+                     reference_subst, small_point, trees_match)
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +915,49 @@ def test_walks_match_reference_tree_walks():
                 == _outcome(lambda: reference_subst(node, repl)))
 
 
+def _nodes_or_error(fn):
+    # the nodes themselves, or the class of what was raised
+    try:
+        return tuple(fn())
+    except Exception as exc:
+        return type(exc)
+
+
+def _identity_cases():
+    yield from _walk_cases()
+    rng = random.Random(3636)
+    for _ in range(120):
+        yield random_expr(rng, rng.randint(1, 4), depth=rng.randint(1, 5))
+    ends = (ZERO, ONE, Dual(1.0, 0.5), Dual(1.0, -1.0))
+    for _ in range(30):  # map components, and those of faces
+        mapping = random_map(rng, rng.randint(2, 4), rng.randint(1, 3), 3)
+        yield from mapping.components
+        face = mapping.pin(rng.randrange(mapping.arity), rng.choice(ends))
+        yield from face.components
+        if face.arity > 1:
+            yield from face.pin(rng.randrange(face.arity),
+                                rng.choice(ends)).components
+
+
+def test_partial_diffs_are_the_reference_nodes():
+    # the jets on nodes give the very nodes the node-only gradient run
+    # gave, or raise what it raised, raw x^0, int-field constants and
+    # overflowing ** and exp included
+    checked = 0
+    for f in _identity_cases():
+        indices = range(f.arity)
+        got = _nodes_or_error(
+            lambda: [p.node for p in partial_diffs(f, indices)])
+        want = _nodes_or_error(lambda: reference_partial_diffs(f, indices))
+        if isinstance(want, tuple):
+            assert len(got) == len(want), f
+            assert all(a is b for a, b in zip(got, want)), f
+            checked += f.arity > 0
+        else:
+            assert got is want, f
+    assert checked >= 400
+
+
 def _enclosure_outcome(fn):
     try:
         return repr(fn())
@@ -1062,6 +1106,62 @@ def test_polynomial_registers_bound_their_expansion():
     rng = random.Random(4343)
     for _ in range(200):
         _check_expansion(random_poly(rng, rng.randint(1, 3), depth=4))
+
+
+def _jet_run(f, arith, args):
+    """f's program run on the jets of `arith`, x(i+1) seeded with
+    ``(args[i], unit vector i)``: its value and its gradient."""
+    one, zero = arith[0](ONE), arith[0](ZERO)
+    seeds = [(x, tuple([one if i == j else zero for j in range(f.arity)]))
+             for i, x in enumerate(args)]
+    return _run(lower_expr(f), jets(arith, f.arity), seeds)
+
+
+def test_polynomial_jets_hold_the_exact_partials():
+    # product-rule partials on polynomial registers round otherwise than
+    # poly_diff's, but each keeps the register's bound: within gamma(2N)
+    # times its shadow of the exact partial, computed in Fractions
+    rng = random.Random(3131)
+    checked = 0
+    for _ in range(80):
+        arity = rng.randint(1, 3)
+        scale = Expr.constant(Dual(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                              arity)
+        f = random_poly(rng, arity, depth=4) * scale + scale * 0.1
+        try:
+            value, partials = _jet_run(f, _POLYS, _poly_vars(arity))
+        except NotPolynomial:
+            continue
+        assert repr(value) == repr(expand_polynomial(f))
+        for j, register in enumerate(partials):
+            _check_derivative(f, j, register)
+        checked += 1
+    assert checked >= 50
+
+
+def test_box_jets_enclose_the_point_jets():
+    # the point run's partials are, within 1e-9 of their 1-norm plus
+    # 1e-9, those the tree walk differentiates and evaluates (the two
+    # round in different orders).  BOXES rounds its ends to nearest, not
+    # outward, so an end may miss them by roundoff.  The slack allowed
+    # is 1e-12 of the partial's 1-norm, plus 1e-12, far above the few
+    # ulps that rounding to nearest leaves at these magnitudes; at these
+    # seeds no end misses at all
+    rng = random.Random(5353)
+    for _ in range(150):
+        arity = rng.randint(1, 3)
+        f = random_expr(rng, arity, depth=3)
+        boxes = [random_box(rng) for _ in range(arity)]
+        value, grad = _jet_run(f, BOXES, [b.intervals() for b in boxes])
+        assert value == eval_enclosure(f, boxes).intervals()
+        for _ in range(8):
+            p = [point_in_box(rng, b) for b in boxes]
+            _, at = _jet_run(f, _PAIRS, [(c.re, c.ze) for c in p])
+            for j, (box, (re, ze)) in enumerate(zip(grad, at)):
+                want = reference_eval(reference_diff(f.node, j), p)
+                tol = 1e-12 * (1 + abs(re) + abs(ze))
+                assert abs(re - want.re) + abs(ze - want.ze) <= 1e3 * tol
+                assert DualBox(*box).contains(Dual(re, ze), tol), (str(f), p)
 
 
 @pytest.mark.parametrize("text", [
@@ -1251,11 +1351,13 @@ def test_register_derivative_matches_random_symbolic_partials():
             assert _nonzero(got) == _nonzero(want), (str(f), j)
 
 
-def _check_derivative(f, j):
-    """The register derivative is within gamma(2N) times its shadow, in
-    1-norm, of the exact partial of the exact expansion, and its degree
-    bounds every monomial's."""
-    terms, shadow, order, degree = poly_diff(expand_polynomial(f), j)
+def _check_derivative(f, j, register=None):
+    """The register derivative, or `register`, is within gamma(2N) times
+    its shadow, in 1-norm, of the exact partial of the exact expansion,
+    and its degree bounds every monomial's."""
+    if register is None:
+        register = poly_diff(expand_polynomial(f), j)
+    terms, shadow, order, degree = register
     got = {_exponents(key, f.arity): pair for key, pair in terms.items()}
     exact = reference_exact_partial(reference_exact_expansion(f), j)
     error = Fraction(0)

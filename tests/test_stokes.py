@@ -19,9 +19,10 @@ from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         chain_of, exit_code, exterior_derivative, face,
                         integral_estimate, integrate_over_chain,
                         integrate_over_cube, load_scenarios, parse_expr,
-                        pullback, run_integral, run_scenario, run_suite,
-                        scenario_from_dict, standard_cube, theta_cmp,
-                        verify_stokes, write_report_csv, write_report_json)
+                        pullback, render_expr, run_integral, run_scenario,
+                        run_suite, scenario_from_dict, standard_cube,
+                        theta_cmp, verify_stokes, write_report_csv,
+                        write_report_json)
 from dualstokes.darboux import NotFinite
 from dualstokes import forms
 from dualstokes.expr import _POLYS, NotPolynomial
@@ -468,9 +469,50 @@ _FIXED = ([("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS]
           + [("tiled-chain-3d", seed) for seed in range(1, 21)])
 
 
+# the (k, n) of the random chains: k = 1-3 and n = k..min(k+1, 4)
+_RANDOM_SHAPES = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
+
+
+def _random_chain_scenario(case: int):
+    """Seeded random polynomial chain `case` of ROADMAP item 4's family:
+    its (k, n) from ``_RANDOM_SHAPES``, both orders for each, r = 0, 0.5
+    and 1 in turn; two cubes of integer weights of both signs, each
+    component x(i mod k + 1) plus a random polynomial, and a (k-1)-form
+    each of whose coefficients is a random polynomial plus the cube of
+    the first variable its index leaves out, so that d of it is no
+    constant's zero.  A register bracket takes no subdivision, and its
+    certified rounding bound is far from tight at these degrees: one
+    cube of case 10 is off the exact value by 5e-13 but its bracket is
+    1.1e-4 wide, past the default cube tolerance of 1e-6.  So the chains
+    ask for tol_floor's 1e-3."""
+    k, n = _RANDOM_SHAPES[case // 2]
+    rng = random.Random(3600 + case)
+
+    def text(arity):
+        return render_expr(random_poly(rng, arity, depth=2))
+
+    weights = [rng.choice((1, 2)), -rng.choice((1, 2))]
+    rng.shuffle(weights)
+    indices = ascending_tuples(n, k - 1)
+    kept = [index for index in indices if rng.random() < 0.7] or indices[:1]
+    return scenario_from_dict({
+        "name": f"random-chain-{case}", "theta": 1 + case % 2,
+        "r": (0.0, 0.5, 1.0)[case % 3], "n": n, "k": k,
+        "form": {"degree": k - 1, "coeffs": [
+            {"index": [i + 1 for i in index],
+             "expr": f"x{min(set(range(n)) - set(index)) + 1}^3+({text(n)})"}
+            for index in kept]},
+        "cubes": [{"weight": weight, "map": [
+            f"x{i % k + 1}+({text(k)})" for i in range(n)]}
+            for weight in weights],
+        "refinement": {"tol_re": 1e-3, "tol_ze": 1e-3}})
+
+
 def _fixed_scenario(kind, arg):
     if kind == "bundled":
         return builtin_scenario(arg)
+    if kind == "random-chain":
+        return _random_chain_scenario(arg)
     if kind in _SCENARIO_FILES or kind == "folded-primitive":
         path = _SCENARIO_FILES.get(kind, _FOLDED_PRIMITIVE)
         return next(s for s in load_scenarios(path) if s.name == arg)
@@ -567,7 +609,8 @@ def _exact_chain_integral(coeffs, chain, roots: dict, extra=None) -> tuple:
 
 @pytest.mark.parametrize("kind, arg", _FILED + _FOLDED + [
     ("bundled", d["name"]) for d in stokes.BUILTIN_SCENARIO_DICTS] + [
-    ("tiled-chain-3d", seed) for seed in range(1, 21)])
+    ("tiled-chain-3d", seed) for seed in range(1, 21)] + [
+    ("random-chain", case) for case in range(2 * len(_RANDOM_SHAPES))])
 def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
     # the integral of dw over the chain and of w over its boundary, both
     # exact in dual rationals: d from the coefficients' exact partials,
@@ -601,6 +644,7 @@ def test_stokes_holds_exactly_on_tiled_chains(kind, arg):
         values = [(q_re * s, q_ze * s)
                   for s in reference_primitive("sin", Fraction(1, 2))]
     report = run_scenario(scenario)
+    assert report.converged and report.passed
     for est in (report.lhs, report.rhs,
                 integrate_over_chain(w, faces, scenario.refinement)):
         assert all(bracket_contains(est, v) for v in values), (est, exact)

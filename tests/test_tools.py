@@ -84,3 +84,46 @@ def test_report_diff_names_each_root_pullback_register(monkeypatch):
     moved = {field for field, value in collected().items()
              if entry.get(field) != value}
     assert moved >= set(pulled)
+
+
+def test_report_diff_names_each_derivative_node(monkeypatch):
+    # asked for derivatives, the collector keys the repr of each
+    # scenario's symbolic d and of its symbolic pullback by each cube's
+    # map, named by the cube's position in the chain, so partials that
+    # move (here each one doubled) move every one of those fields
+    from dualstokes import forms, stokes
+    monkeypatch.syspath_prepend(str(TOOLS))
+    spies = _load("report_diff")._SPIES
+    scenarios = [s for s in stokes.builtin_scenarios() if s.form.k]
+    assert scenarios
+
+    def collected() -> dict:
+        for attr in ("chain_normalize", "pullback_polynomial"):
+            monkeypatch.setattr(stokes, attr, getattr(stokes, attr))
+        scope = {}
+        exec(spies, scope)
+        scope["collect"]("bundled", scenarios, True)
+        return scope["out"]
+
+    def derived(entry: dict) -> dict:
+        return {field: value for field, value in entry.items()
+                if field == "d" or field.startswith("symbolic pullback")}
+
+    out = collected()
+    for scenario in scenarios:
+        entry = derived(out[f"bundled: {scenario.name}"])
+        w = scenario.form
+        assert entry.pop("d") == repr(forms.exterior_derivative(w))
+        assert entry == {
+            f"symbolic pullback cube {i}": repr(forms.pullback(cube.mapping,
+                                                               w))
+            for i, (_, cube) in enumerate(scenario.chain.terms)}
+
+    partial_diffs = forms.partial_diffs
+    monkeypatch.setattr(forms, "partial_diffs", lambda f, indices: tuple(
+        p * 2.0 for p in partial_diffs(f, indices)))
+    moved = collected()
+    for key, entry in out.items():
+        before, after = derived(entry), derived(moved[key])
+        assert before.keys() == after.keys()
+        assert all(before[field] != after[field] for field in before), key

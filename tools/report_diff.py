@@ -15,7 +15,12 @@ map in the verdict's chain and by its pins) and the ``repr`` of each
 target's register of each root pullback, in the order the verdict takes
 them.  So a change to normalization shows that it merges the same terms,
 and a change to the pullback that its registers keep their terms' order,
-shadow, order and degree, not only that the brackets match.
+shadow, order and degree, not only that the brackets match.  For every
+bundled and ``tests/*_scenarios.json`` scenario it also compares the
+``repr`` of the form's symbolic ``exterior_derivative`` and of its
+symbolic ``pullback`` by each cube's map, named by the cube's position
+in the chain, so a change to the derivatives names every node it moves,
+whether or not a verdict reads it.
 It prints each scenario that differs, with the fields that moved, old and
 new, and exits 1 when one does, 0 when every verdict is bit-identical.
 BASE is unpacked by ``git archive`` into a temporary directory.
@@ -35,7 +40,9 @@ from bench_pairs import ROOT, checkout
 # the collector: run in a child whose PYTHONPATH holds one side's src/,
 # it keys by source and scenario each field of each verdict's report,
 # each bracket end, each term of each normalized chain and each target's
-# register of each root pullback, by its repr.  The verdict's
+# register of each root pullback, by its repr, and, when asked, the
+# repr of the form's symbolic d and of its symbolic pullback by each
+# cube's map, outside the verdict.  The verdict's
 # normalizations and pullbacks are read by wrapping the
 # `stokes.chain_normalize` and `stokes.pullback_polynomial` it calls; a
 # term's cube is named by its root map's position in the verdict's chain
@@ -43,7 +50,7 @@ from bench_pairs import ROOT, checkout
 # of a pullback
 _SPIES = """
 import json, sys
-from dualstokes import stokes
+from dualstokes import forms, stokes
 
 def flat(prefix, value, into):
     if isinstance(value, dict):
@@ -71,11 +78,24 @@ def name(mapping, roots):
     root, pins = getattr(mapping, "_pin", None) or (mapping, ())
     return f"cube {roots.get(id(root), '?')} pins {pins!r}"
 
-def collect(source, scenarios):
+def derive(entry, scenario):
+    w = scenario.form
+    builds = [("d", forms.exterior_derivative, (w,))] + [
+        (f"symbolic pullback cube {i}", forms.pullback, (cube.mapping, w))
+        for i, (_, cube) in enumerate(scenario.chain.terms)]
+    for field, build, args in builds:
+        try:
+            entry[field] = repr(build(*args))
+        except Exception as exc:
+            entry[field] = f"{type(exc).__name__}: {exc}"
+
+def collect(source, scenarios, derivatives=False):
     for scenario in scenarios:
         entry = out[f"{source}: {scenario.name}"] = {}
         normalized.clear()
         pulled.clear()
+        if derivatives:
+            derive(entry, scenario)
         try:
             report = stokes.run_scenario(scenario)
         except Exception as exc:
@@ -106,9 +126,9 @@ out = {}
 _COLLECT = _SPIES + """
 sys.path.insert(0, sys.argv[1])
 import workloads
-collect("bundled", stokes.builtin_scenarios())
+collect("bundled", stokes.builtin_scenarios(), True)
 for path in sys.argv[2:]:
-    collect(path, stokes.load_scenarios(path))
+    collect(path, stokes.load_scenarios(path), True)
 collect("bench", workloads.saddle_fine(stokes, 1))
 for seed in range(1, 21):
     collect(f"bench seed {seed}", workloads.tiled_chain_3d(stokes, seed))
