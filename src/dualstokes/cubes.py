@@ -21,9 +21,11 @@ Each domain's sample is one table built once per ``(k, b.ze)``, for the
 evaluated at most once per sample point, on float pairs, only when a
 comparison reaches that point: point 0 in one run, and points 1..15 in
 one more run on lane registers, lists of their 15 pairs, made only
-where the polynomial registers of the two maps' roots cannot prove that
-they agree at every point (:func:`_proved`; its rounding bound is
-derived above it).  A comparison walks the points in order.  A
+where the polynomial registers of the two maps cannot prove that they
+agree at every point (:func:`_proved`, which compares them key for key;
+its rounding bound is derived above it).  Each map's registers are its
+root's with every pin substituted, a pin at 0 like any other
+(:func:`_pin_registers`).  A comparison walks the points in order.  A
 sorted index of each group's key, a weighted sum of all the floats of
 its map at point 0, lets a term skip every group too far from it to
 agree; the window is wide enough for the key's own roundings, so that
@@ -384,42 +386,38 @@ class _Fingerprint:
         return self._key
 
     def face(self, proofs: dict):
-        """``(registers, zero, root, reach, error, degree)`` for
-        :func:`_proved`, or None where the root's program is no
-        polynomial within the limits: the polynomial register of each
-        component with every pin substituted, in the map's own variables,
-        except for a map whose one pin is at 0, whose registers are its
-        root's and whose `zero` is that pin's variable (:func:`_proved`
-        drops its terms as it reads them; else `zero` is None); the root's
-        proof record (:class:`_Root`); a bound, at least 1, on the 1-norm
-        of every sample coordinate of the domain, of its end b and of
-        every pinned value; the registers' certified error; and their
-        degree."""
+        """``(registers, root, reach, error, degree)`` for :func:`_proved`,
+        or None where the root's program is no polynomial within the
+        limits: the polynomial register of each component with every pin
+        substituted (:func:`_pin_registers`), in the map's own variables;
+        the root's proof record (:class:`_Root`); a bound, at least 1, on
+        the 1-norm of every sample coordinate of the domain, of its end b
+        and of every pinned value; the registers' certified error; and
+        their degree.  Pins at 0 drop terms exactly and change no order or
+        shadow, so a map pinned only at 0 keeps its root's error, and its
+        reach is its domain's."""
         if self._face is None:
             mapping = self.cube.mapping
             root, pins = mapping._pin or (mapping, ())
             self._face = False
-            _component_registers(root, proofs)  # its proof record
-            if not (certified := (record := proofs[id(root)]).certified):
+            record = _component_registers(root, proofs)
+            if not (certified := record.certified):
                 return None
-            (error, degree), zero = certified, None
-            regs, reach = record.regs, self.cube.domain._sample_reach()
-            if len(pins) == 1 and not (pins[0][1].re or pins[0][1].ze):
-                zero = pins[0][0]
-            elif pins:
-                try:
-                    for index, value in pins[::-1]:
-                        if value.re or value.ze:  # a pin at 0 has norm 0
-                            norm = _up(abs(value.re) + abs(value.ze))
-                            if not norm <= reach:  # NaN: the bounds fail
-                                reach = norm
-                            error = None  # products change orders, shadows
-                        regs = _pin_registers(regs, index, value, degree)
-                    if error is None and (error := _certified(regs)) is None:
-                        return None
-                except OverflowError:  # an int pin past the floats
+            (error, degree), regs = certified, record.regs
+            reach = self.cube.domain._sample_reach()
+            try:
+                for index, value in pins[::-1]:
+                    if value.re or value.ze:  # a pin at 0 has norm 0
+                        norm = _up(abs(value.re) + abs(value.ze))
+                        if not norm <= reach:  # NaN: the bounds fail
+                            reach = norm
+                        error = None  # products change orders, shadows
+                    regs = _pin_registers(regs, index, value, degree)
+                if error is None and (error := _certified(regs)) is None:
                     return None
-            self._face = regs, zero, record, reach, error, degree
+            except OverflowError:  # an int pin past the floats
+                return None
+            self._face = regs, record, reach, error, degree
         return self._face or None
 
 
@@ -579,8 +577,8 @@ def _near(keys: list[float], ids: list[int], mine: _Fingerprint,
 # degree at most D has ||Q(z)|| <= ||Q|| max(1, M)^D, ||Q|| the sum of
 # its coefficients' norms and M a bound on every ||z_i||.  Three facts
 # bound the distance between the two maps' floats at z:
-#   - the map's register F (`_pin_registers`: its root's register with
-#     each pin substituted as a point weight of
+#   - the map's register F (`_pin_registers`, run on every pin: its
+#     root's register with each pin substituted as a point weight of
 #     `darboux.polynomial_estimate`, a pin at 0 dropping every term it
 #     reads exactly, and one rounding counted per term that meets another
 #     on a key) has ||P - F|| at most gamma(2N) S, N its order and S its
@@ -595,7 +593,8 @@ def _near(keys: list[float], ids: list[int], mine: _Fingerprint,
 # and a difference at most `tol`, a float, rounds to at most `tol`.  For
 # N <= 2^24, (2N + 1) u >= gamma(2N).  The bound is computed upward:
 # each product, sum and pow by `_up` (pow within one ulp, so twice), and
-# ||F_L - F_R||, a sum over at most 2 MAX_MONOMIALS keys, by at most
+# ||F_L - F_R||, a sum over at most 2 MAX_MONOMIALS keys (the union of
+# the two registers' keys, each in its map's own variables), by at most
 # 2 MAX_MONOMIALS + 2 roundings to nearest on each term (a difference
 # or sum that is subnormal is exact), so times 1 + 2^-40 it is at least
 # the exact norm.  One bound serves every component: the largest
@@ -612,20 +611,15 @@ def _proved(left: _Fingerprint, right: _Fingerprint, tol: float,
             proofs: dict) -> bool:
     """True when the comment above proves that the two maps agree within
     `tol` at every sample point; False says nothing.  ||F_L - F_R|| is
-    taken in one pass over the registers of one map, dropping the terms
-    that read its pin at 0 as it goes (:meth:`_Fingerprint.face`), with
-    those of the other at hand."""
+    taken key for key over the two maps' pinned registers
+    (:meth:`_Fingerprint.face`): one pass over the right map's terms,
+    with the left's at hand, and a second over the left's only where the
+    first did not meet all of them."""
     mine, theirs = left.face(proofs), right.face(proofs)
     if mine is None or theirs is None:
         return False
-    if mine[1] is not None and theirs[1] is None:  # read mine in the pass
-        mine, theirs = theirs, mine
-    elif mine[1] is not None:  # both pin at 0: substitute one of them
-        left._face = mine = (_pin_registers(mine[0], mine[1], ZERO, 0), None,
-                             *mine[2:])
-    regs, _, record, reach, error, degree = mine
-    other_regs, zero, other_record, other_reach, other_error, other_degree = \
-        theirs
+    regs, record, reach, error, degree = mine
+    other_regs, other_record, other_reach, other_error, other_degree = theirs
     if not other_reach <= reach:
         reach = other_reach
     runs = _root_bounds(record, reach)
@@ -637,27 +631,20 @@ def _proved(left: _Fingerprint, right: _Fingerprint, tol: float,
         scale = up(up(reach ** max(degree, other_degree), inf), inf)
     except OverflowError:
         return False
-    mask, low = 0, -1  # the pin at 0 to drop, and the bits below its field
-    if zero is not None:
-        mask, low = _FIELD << KEY_BITS * zero, (1 << KEY_BITS * zero) - 1
-    high = ~low
     diff = 0.0  # the largest ||F_L - F_R|| over the components
     for reg, other_reg in zip(regs, other_regs):
         f, g = reg[0], other_reg[0]
         norm, matched = 0.0, 0
         get = f.get
         for key, (re, ze) in g.items():
-            if key & mask:  # it reads the pin at 0: the exact zero
-                continue
-            other = get(key & low | key >> KEY_BITS & high)
-            if other is None:
+            if (other := get(key)) is None:
                 norm += abs(re) + abs(ze)
             else:
                 norm += abs(re - other[0]) + abs(ze - other[1])
                 matched += 1
         if matched < len(f):  # the keys of F_L that F_R has not
             for key, (re, ze) in f.items():
-                if key & low | (key & high) << KEY_BITS not in g:
+                if key not in g:
                     norm += abs(re) + abs(ze)
         if norm > diff or norm != norm:
             diff = norm
@@ -702,15 +689,15 @@ class _Root:
             error, max(reg[3] for reg in regs))
 
 
-def _component_registers(mapping: ExprMap, proofs: dict) -> list | None:
-    """The polynomial register of each component of the map, from one
-    run of its program per `proofs` cache (its :class:`_Root` record),
-    or None where it raises.  A verdict shares the cache with its
-    pullbacks (:mod:`.stokes`), so a root map's program runs once on
+def _component_registers(mapping: ExprMap, proofs: dict) -> _Root:
+    """The map's :class:`_Root` record, made once per `proofs` cache:
+    the polynomial register of each component from one run of its
+    program, or None where it raises.  A verdict shares the cache with
+    its pullbacks (:mod:`.stokes`), so a root map's program runs once on
     polynomial registers for both."""
     if (record := proofs.get(id(mapping))) is None:
         record = proofs[id(mapping)] = _Root(mapping)
-    return record.regs
+    return record
 
 
 def _root_bounds(record: _Root, reach: float) -> float | None:
@@ -737,14 +724,15 @@ def _pin_registers(regs: list, index: int, value: Dual, degree: int) -> list:
     `_proved` says.  `degree` is at least each register's."""
     shift = KEY_BITS * index
     low = (1 << shift) - 1
+    high = ~low
     if not (value.re or value.ze):
         # the exact zero: drop, exactly; the keys left have 0 in the
         # field dropped, so no two of them meet
-        return [({key & low | key >> KEY_BITS & ~low: c
+        return [({key & low | key >> KEY_BITS & high: c
                   for key, c in terms.items() if not key >> shift & _FIELD},
                  shadow, order, deg)
                 for terms, shadow, order, deg in regs]
-    table, high, pinned = _axis_weights(value, degree), ~low, []
+    table, pinned = _axis_weights(value, degree), []
     for terms, shadow, order, deg in regs:
         out: dict = {}
         w_top, n_top, products, merged = 1.0, 0, 0, 0

@@ -67,13 +67,17 @@ class IncomparableEndpoints(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Refinement hit its doubling budget; `estimate` is the last bracket."""
+    """Refinement hit its doubling budget, or an exact register bracket,
+    which no subdivision narrows, is wider than the tolerance; `estimate`
+    is the last bracket."""
 
     def __init__(self, estimate: "IntegralEstimate", tol_re: float, tol_ze: float):
+        n = estimate.subdivisions
         super().__init__(
             f"gap ({estimate.gap_re:.3g}, {estimate.gap_ze:.3g}) above "
-            f"tolerance ({tol_re:.3g}, {tol_ze:.3g}) after "
-            f"{estimate.subdivisions} subdivisions per axis")
+            f"tolerance ({tol_re:.3g}, {tol_ze:.3g}) " + (
+                f"after {n} subdivisions per axis" if n else
+                "in an exact register bracket, which no subdivision narrows"))
         self.estimate = estimate
 
 

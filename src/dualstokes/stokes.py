@@ -137,7 +137,7 @@ _PROOFS = "proofs"
 def _registers(f: ExprMap, w: DiffForm, roots: dict) -> dict | None:
     # the pullback reads the map's component registers from the proofs'
     # cache (see `_PROOFS`), which runs its program on them at most once
-    comps = _component_registers(f, roots.setdefault(_PROOFS, {}))
+    comps = _component_registers(f, roots.setdefault(_PROOFS, {})).regs
     try:
         return None if comps is None else pullback_polynomial(f, w, comps)
     except (NotPolynomial, OverflowError):  # an int constant past floats

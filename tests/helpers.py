@@ -14,14 +14,16 @@ from dualstokes import (Chain, CubeDomain, DiffForm, Dual, DualBox, DualVec,
                         ThetaInterval, ThetaRectangle, ZERO, ascending_tuples,
                         cos, exp, make_interval, perm_sign, sample_points,
                         sin)
-from dualstokes.cubes import MERGE_TOL
+from dualstokes.cubes import (_FIELD, _SLACK_40, MERGE_TOL, _certified,
+                              _component_registers, _pin_registers,
+                              _root_bounds)
 from dualstokes.expr import (_ONE_NODE, _POLYS, _PREC_ADD, _PREC_ATOM,
                              _PREC_MUL, _PREC_NEG, _PREC_POW, _ZERO_NODE,
                              KEY_BITS, MAX_DEGREE, MAX_MONOMIALS, PRIMITIVES,
                              TINY, Add, Const, Mul, Neg, Node, NotPolynomial,
                              PowInt, Prim, Sub, Var, _add, _check_natural,
                              _const_text, _mul, _neg, _poly_vars, _pow, _prim,
-                             _prim_value, _run, _sub, lower_expr)
+                             _prim_value, _run, _sub, _up, lower_expr)
 from dualstokes.forms import _exact_zero
 from dualstokes.intervals import _TWO_PI, _crosses, _iexp, _ipow, _iscale
 from dualstokes.tensors import signed_permutations
@@ -823,10 +825,13 @@ def reference_chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
     """Pairwise merge: each term against each group, both maps evaluated anew.
 
     This is the rule `chain_normalize` implements; it must give the same
-    weights, in the same order, keeping the same cube objects.
+    weights, in the same order, keeping the same cube objects.  The terms
+    share one signature, so one draw of the sample points serves them all.
     """
+    points = chain.terms and reference_domain_points(chain.terms[0][1].domain)
+
     def agree(left, right):
-        for point in reference_domain_points(left.domain):
+        for point in points:
             a = left.mapping.eval(point)
             b = right.mapping.eval(point)
             for x, y in zip(a, b):
@@ -844,6 +849,98 @@ def reference_chain_normalize(chain: Chain, tol: float = MERGE_TOL) -> Chain:
             groups.append([weight, cube])
     return Chain(chain.theta, chain.r, chain.k, chain.n,
                  tuple((w, c) for w, c in groups if w != 0))
+
+
+# The twin proof as `cubes._proved` made it before every pin, a pin at 0
+# included, went through `_pin_registers`: a map whose one pin is at 0
+# kept its root's registers, and the proof read that map second, skipping
+# the terms that read the pin and translating every other key as it went.
+# The proof must hold or fail as this one does on every pair.
+
+
+def reference_face(fingerprint, proofs: dict):
+    """``(registers, zero, root, reach, error, degree)``, or None: a map
+    whose one pin is at 0 keeps its root's registers, and `zero` is that
+    pin's variable; every other map substitutes each pin, and `zero` is
+    None.  Built anew on each call."""
+    mapping = fingerprint.cube.mapping
+    root, pins = mapping._pin or (mapping, ())
+    record = _component_registers(root, proofs)
+    if not (certified := record.certified):
+        return None
+    (error, degree), zero = certified, None
+    regs, reach = record.regs, fingerprint.cube.domain._sample_reach()
+    if len(pins) == 1 and not (pins[0][1].re or pins[0][1].ze):
+        zero = pins[0][0]
+    elif pins:
+        try:
+            for index, value in pins[::-1]:
+                if value.re or value.ze:
+                    norm = _up(abs(value.re) + abs(value.ze))
+                    if not norm <= reach:
+                        reach = norm
+                    error = None
+                regs = _pin_registers(regs, index, value, degree)
+            if error is None and (error := _certified(regs)) is None:
+                return None
+        except OverflowError:
+            return None
+    return regs, zero, record, reach, error, degree
+
+
+def reference_proved(left, right, tol: float, proofs: dict) -> bool:
+    """The proof of :func:`reference_face`'s faces: a face with a `zero`
+    is read second, or, where both have one, the left one substitutes
+    its pin at 0; the second face's terms that read its pin at 0 are
+    skipped and its other keys translated to the first's."""
+    mine, theirs = reference_face(left, proofs), reference_face(right, proofs)
+    if mine is None or theirs is None:
+        return False
+    if mine[1] is not None and theirs[1] is None:
+        mine, theirs = theirs, mine
+    elif mine[1] is not None:
+        mine = (_pin_registers(mine[0], mine[1], ZERO, 0), None, *mine[2:])
+    regs, _, record, reach, error, degree = mine
+    other_regs, zero, other_record, other_reach, other_error, other_degree = \
+        theirs
+    if not other_reach <= reach:
+        reach = other_reach
+    runs = _root_bounds(record, reach)
+    other_runs = _root_bounds(other_record, reach)
+    if runs is None or other_runs is None:
+        return False
+    up, inf = math.nextafter, math.inf
+    try:
+        scale = up(up(reach ** max(degree, other_degree), inf), inf)
+    except OverflowError:
+        return False
+    mask, low = 0, -1
+    if zero is not None:
+        mask, low = _FIELD << KEY_BITS * zero, (1 << KEY_BITS * zero) - 1
+    high = ~low
+    diff = 0.0
+    for reg, other_reg in zip(regs, other_regs):
+        f, g = reg[0], other_reg[0]
+        norm, matched = 0.0, 0
+        for key, (re, ze) in g.items():
+            if key & mask:
+                continue
+            other = f.get(key & low | key >> KEY_BITS & high)
+            if other is None:
+                norm += abs(re) + abs(ze)
+            else:
+                norm += abs(re - other[0]) + abs(ze - other[1])
+                matched += 1
+        if matched < len(f):
+            for key, (re, ze) in f.items():
+                if key & low | (key & high) << KEY_BITS not in g:
+                    norm += abs(re) + abs(ze)
+        if norm > diff or norm != norm:
+            diff = norm
+    bound = up(up(up(up(diff * _SLACK_40, inf)
+                     + up(error + other_error, inf), inf) * scale, inf)
+               + up(runs + other_runs, inf), inf)
+    return bound <= tol
 
 
 # The tree walks that expressions ran on before they ran on the lowered

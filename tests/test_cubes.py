@@ -20,7 +20,8 @@ from dualstokes.cubes import (MERGE_TOL, _LANE_ARITH, _Fingerprint,
 from dualstokes.expr import _PAIRS, Add, Const, Mul, PowInt, Var
 from helpers import (THETAS, load_bench_module, random_chain, random_cube,
                      random_map, reference_chain_normalize,
-                     reference_domain_points, reference_key)
+                     reference_domain_points, reference_key,
+                     reference_proved)
 
 
 # ---------------------------------------------------------------------------
@@ -1320,6 +1321,137 @@ def test_normalize_proofs_match_reference_at_rounding_scale(theta, r,
                     assert _terms(chain_normalize(ch, tol)) == \
                         _terms(reference_chain_normalize(ch, tol))
     assert proofs[True] and proofs[False]
+
+
+def _zero_pin(cube: SingularCube):
+    """The variable of a map whose one pin is at 0, else None."""
+    pins = cube.mapping._pin[1] if cube.mapping._pin else ()
+    if len(pins) == 1 and not (pins[0][1].re or pins[0][1].ze):
+        return pins[0][0]
+    return None
+
+
+def _proofs_checked(monkeypatch) -> Counter:
+    """Runs `reference_proved` beside each call of `cubes._proved`, on the
+    same pair and cache, and asserts that both give the same bool.  Counts
+    each outcome by the pair's pins at 0: "one" where one map's only pin
+    is at 0, "same" or "apart" where both maps' are, on the same variable
+    or on different ones, and "none" where neither map's is."""
+    checked = Counter()
+    original = cubes_module._proved
+
+    def checking(left, right, tol, proofs):
+        got = original(left, right, tol, proofs)
+        assert got is reference_proved(left, right, tol, proofs)
+        zeros = _zero_pin(left.cube), _zero_pin(right.cube)
+        if None in zeros:
+            kind = "none" if zeros == (None, None) else "one"
+        else:
+            kind = "same" if zeros[0] == zeros[1] else "apart"
+        checked[kind, got] += 1
+        return got
+
+    monkeypatch.setattr(cubes_module, "_proved", checking)
+    return checked
+
+
+def test_twin_proofs_match_reference_on_tilings_and_scenarios(monkeypatch):
+    # each face builds its registers with every pin substituted, a pin at
+    # 0 like any other, and the proof compares them key for key: on the
+    # boundaries of the tiled seeds 1-20 and on every scenario file's
+    # chain and boundary, every proof holds or fails as the reference's,
+    # which read a face pinned at 0 on its root's registers, and every
+    # normalized chain is the reference's.  The exp-warped tilings' twins
+    # are no polynomials, so both proofs fail there
+    checked = _proofs_checked(monkeypatch)
+    chains = [_tiled_boundary(seed) for seed in range(1, 21)]
+    for path in sorted(Path(__file__).parent.glob("*_scenarios.json")):
+        for scenario in load_scenarios(path):
+            chains.append(scenario.chain)
+            if scenario.chain.k:
+                chains.append(boundary(scenario.chain))
+    for chain in chains:
+        assert _terms(chain_normalize(chain)) == \
+            _terms(reference_chain_normalize(chain))
+    assert checked["one", True] >= 54 * 20
+    assert checked["one", False] >= 4 * 2  # the exp-warped twin pairs
+
+
+def _pinned_twins(c: float, b: Expr) -> list:
+    """For each variable i, two root maps of arity 3 whose floats part by
+    roundings: one of them, its partner read at ``x_i - b``, so that
+    their faces x_i = 0 and x_i = b are twins, and its partner with x_i
+    and the next variable swapped, so that their faces at 0 on the two
+    variables are twins."""
+    x1, x2, x3 = (Expr.variable(i, 3) for i in range(3))
+
+    def one(x1, x2, x3):
+        return ExprMap((((x1 + c) - c) * x3, (x1 * x2) * x3, x2 + x3 * x1))
+
+    def other(x1, x2, x3):
+        return ExprMap((x1 * x3, x1 * (x2 * x3), x2 + x1 * x3))
+
+    twins = []
+    for i in range(3):
+        shifted, swapped = [x1, x2, x3], [x1, x2, x3]
+        shifted[i] = shifted[i] - b
+        j = (i + 1) % 3
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        twins.append((i, one(x1, x2, x3), other(*shifted), other(*swapped)))
+    return twins
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("r", (0.0, 0.5))
+def test_twin_proofs_match_reference_on_pinned_faces(theta, r, monkeypatch):
+    # twin faces pinned at 0 and at b, both at 0 on the same variable or
+    # on different ones, faces of faces, and a pin at an int past the
+    # float range, in both orders and at tolerances from 0 past the
+    # roundings to inf: every proof holds or fails as the reference's,
+    # and every normalized chain is the reference's
+    checked = _proofs_checked(monkeypatch)
+    domain = CubeDomain(theta, r, 3)
+    faces, (zero, b) = domain._face_domain()
+    chains = []
+    for c in (1.0, 1e8):
+        terms, cubes = [], []
+        for i, one, shifted, swapped in _pinned_twins(
+                c, Expr.constant(b, 3)):
+            j = (i + 1) % 3
+            terms += [(1, SingularCube(faces, one.pin(i, zero))),
+                      (-1, SingularCube(faces, shifted.pin(i, b))),
+                      (2, SingularCube(faces, one.pin(i, zero))),
+                      (-2, SingularCube(faces, shifted.pin(i, zero))),
+                      (3, SingularCube(faces, swapped.pin(j, zero)))]
+            cubes += [(1, SingularCube(domain, one)),
+                      (-1, SingularCube(domain, swapped))]
+        chains.append(Chain(theta, r, 2, 3, tuple(terms)))
+        chains.append(boundary(Chain(theta, r, 3, 3, tuple(cubes))))
+    # faces at 0 equal at point 0 only, one with keys the other lacks
+    x1, x2, x3 = (Expr.variable(i, 3) for i in range(3))
+    q = Expr.constant(faces.sample_points()[0][1], 3)
+    parting = [ExprMap((x2 + x3 * (x3 - q), x1)), ExprMap((x2, x1))]
+    chains.append(Chain(theta, r, 2, 2, tuple(
+        (1, SingularCube(faces, m.pin(0, zero))) for m in parting)))
+    # a pin past the floats, beside a pin at 0 and on an edge with one
+    huge = Dual(10 ** 400)
+    root = ExprMap((x1 + x2 ** 0 + x3, x1 * x3))
+    twins = [(faces, root.pin(1, huge), root.pin(0, zero)),
+             (faces._face_domain()[0], root.pin(1, huge).pin(0, zero),
+              root.pin(0, zero).pin(0, huge))]
+    for where, first, second in twins:
+        chains.append(Chain(theta, r, where.k, 2, tuple(
+            (w, SingularCube(where, m)) for w in (1, -1)
+            for m in (first, second))))
+    tols = (0.0, 1e-15, MERGE_TOL, math.inf)
+    for chain in chains:
+        for ch in (chain, Chain(theta, r, chain.k, chain.n,
+                                chain.terms[::-1])):
+            for tol in tols:
+                assert _terms(chain_normalize(ch, tol)) == \
+                    _terms(reference_chain_normalize(ch, tol))
+    for kind in ("one", "same", "apart", "none"):
+        assert checked[kind, True] and checked[kind, False], kind
 
 
 def test_pinned_faces_normalize_by_their_runs():

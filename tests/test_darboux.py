@@ -439,6 +439,10 @@ def test_not_converged_carries_estimate():
     assert est.subdivisions == 16
     assert est.gap_re > 0.0
     assert abs(est.value.re - 1 / 3) < 0.1
+    # a Darboux bracket says how far refinement went
+    assert str(err.value) == (f"gap ({est.gap_re:.3g}, {est.gap_ze:.3g}) "
+                              "above tolerance (0, 0) after 16 subdivisions "
+                              "per axis")
 
 
 @pytest.mark.parametrize("text", ["1e308*10*x1", "1e200*x1*1e200",

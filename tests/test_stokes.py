@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import dualstokes.cubes as cubes_module
 import dualstokes.stokes as stokes
 from dualstokes import (Chain, CubeDomain, DEFAULT_STOKES_TOL, DiffForm, Dual,
                         ExprMap, IntegralEstimate, NotConverged, Ordering,
@@ -773,6 +774,59 @@ def test_verdict_fails_where_every_side_1_face_is_shifted(delta,
     assert report.converged and not report.passed
     assert report.diff_re <= report.tol_re and report.diff_ze <= report.tol_ze
     assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
+
+
+def test_verdict_fails_where_the_merge_tolerance_is_too_wide(monkeypatch):
+    # a defect planted in the merge rule: two unit squares side by side,
+    # the second shifted off the first by delta, so their facing faces
+    # are apart by delta and must not cancel.  At MERGE_TOL the boundary
+    # keeps all 8 faces and the verdict passes; at a merge tolerance of
+    # 1e-4 a proof that holds merges the facing faces, which drops delta/2
+    # from the rhs, and the register brackets of the two sides, about
+    # 1e-15 wide, are disjoint, so the verdict fails
+    delta = 1e-6
+    maps = [ExprMap((parse_expr("x1", 2), parse_expr("x2", 2))),
+            ExprMap((parse_expr(f"x1 + {1.0 + delta!r}", 2),
+                     parse_expr("x2", 2)))]
+    domain = CubeDomain(Theta.TYPE1, 0.0, 2)
+    chain = Chain(Theta.TYPE1, 0.0, 2, 2,
+                  tuple((1, SingularCube(domain, m)) for m in maps))
+    w = DiffForm(2, 1, {(1,): parse_expr("x1*x2", 2)})
+    assert len(chain_normalize(boundary(chain)).terms) == 8
+    report = verify_stokes(w, chain)
+    assert report.converged and report.passed
+    proofs = []
+    proved = cubes_module._proved
+
+    def counting(*args):
+        proofs.append(proved(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(cubes_module, "_proved", counting)
+    monkeypatch.setattr(stokes, "MERGE_TOL", 1e-4)
+    report = verify_stokes(w, chain)
+    assert proofs == [True]
+    assert len(chain_normalize(boundary(chain), 1e-4).terms) == 6
+    assert report.converged and not report.passed
+    assert report.lhs.subdivisions == report.rhs.subdivisions == 0
+    assert report.diff_re <= report.tol_re and report.diff_ze <= report.tol_ze
+    assert report.diff_re > report.lhs.gap_re + report.rhs.gap_re
+    assert abs(report.rhs.value.re - report.lhs.value.re - delta / 2) < 1e-12
+
+
+def test_register_bracket_wider_than_its_tolerance_says_so():
+    # a register bracket is exact: no subdivision narrows it, so its
+    # NOCONV note says that instead of a count of 0 subdivisions
+    cube = standard_cube(Theta.TYPE1, 0.0, 2)
+    w = DiffForm(2, 2, {(0, 1): parse_expr("1e300", 2)})
+    with pytest.raises(NotConverged) as err:
+        integrate_over_cube(w, cube, Refinement())
+    est = err.value.estimate
+    assert est.subdivisions == 0 and est.gap_re > 1e-6
+    assert str(err.value) == (
+        f"gap ({est.gap_re:.3g}, {est.gap_ze:.3g}) above tolerance "
+        "(1e-06, 1e-06) in an exact register bracket, which no subdivision "
+        "narrows")
 
 
 @pytest.mark.parametrize("mutant, fails", [

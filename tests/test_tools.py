@@ -44,6 +44,26 @@ def test_bench_pairs_judges_the_claim_rule_and_the_bound():
                  10)["regressed"]
 
 
+def _spied(monkeypatch, missing=()) -> dict:
+    """The collector's namespace after it wrapped the package's functions,
+    each of which is put back after the test, as if `cubes` lacked the
+    attributes `missing` while it did."""
+    from dualstokes import cubes, expr, stokes
+    monkeypatch.syspath_prepend(str(TOOLS))
+    for owner, attr in ((stokes, "chain_normalize"),
+                        (stokes, "pullback_polynomial"),
+                        (cubes, "_proved"), (expr.ExprMap, "run")):
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    saved = {attr: getattr(cubes, attr) for attr in missing}
+    for attr in missing:
+        monkeypatch.delattr(cubes, attr)
+    scope = {}
+    exec(_load("report_diff")._SPIES, scope)
+    for attr, value in saved.items():
+        monkeypatch.setattr(cubes, attr, value, raising=False)
+    return scope
+
+
 def test_report_diff_names_each_root_pullback_register(monkeypatch):
     # the collector keys each target's register of each root pullback of
     # a verdict by its repr, with the root's position in the chain, so
@@ -51,16 +71,11 @@ def test_report_diff_names_each_root_pullback_register(monkeypatch):
     # fields (every register here has more than one term)
     from dualstokes import forms, stokes
     from helpers import load_bench_module
-    monkeypatch.syspath_prepend(str(TOOLS))
-    spies = _load("report_diff")._SPIES
     scenario = load_bench_module("workloads").tiled_chain_3d(stokes, 1)[0]
     w = scenario.form
 
     def collected() -> dict:
-        for attr in ("chain_normalize", "pullback_polynomial"):
-            monkeypatch.setattr(stokes, attr, getattr(stokes, attr))
-        scope = {}
-        exec(spies, scope)  # wraps the two, as the collector's child does
+        scope = _spied(monkeypatch)  # as the collector's child does
         scope["collect"]("tiled", [scenario])
         return scope["out"]["tiled: tiled-chain-3d"]
 
@@ -92,16 +107,11 @@ def test_report_diff_names_each_derivative_node(monkeypatch):
     # map, named by the cube's position in the chain, so partials that
     # move (here each one doubled) move every one of those fields
     from dualstokes import forms, stokes
-    monkeypatch.syspath_prepend(str(TOOLS))
-    spies = _load("report_diff")._SPIES
     scenarios = [s for s in stokes.builtin_scenarios() if s.form.k]
     assert scenarios
 
     def collected() -> dict:
-        for attr in ("chain_normalize", "pullback_polynomial"):
-            monkeypatch.setattr(stokes, attr, getattr(stokes, attr))
-        scope = {}
-        exec(spies, scope)
+        scope = _spied(monkeypatch)
         scope["collect"]("bundled", scenarios, True)
         return scope["out"]
 
@@ -127,3 +137,60 @@ def test_report_diff_names_each_derivative_node(monkeypatch):
         before, after = derived(entry), derived(moved[key])
         assert before.keys() == after.keys()
         assert all(before[field] != after[field] for field in before), key
+
+
+def test_report_diff_counts_proofs_and_lane_runs(monkeypatch):
+    # per side, the twin proofs that held and failed and the lane runs of
+    # the side's normalization: the tiled boundary's 54 twin pairs are
+    # proved; the exp-warped tiling's 4 are no polynomials, so each proof
+    # fails and each of the 8 twins makes one lane run; the cubes of
+    # either chain reach no proof
+    from dualstokes import stokes
+    from helpers import load_bench_module
+    tiled = load_bench_module("workloads").tiled_chain_3d(stokes, 1)[0]
+    warped = stokes.load_scenarios(
+        TOOLS.parent / "tests" / "exp_warped_tiling_scenarios.json")[0]
+    scope = _spied(monkeypatch)
+    scope["collect"]("s", [tiled, warped])
+    want = {"tiled-chain-3d": ("0", "0", "0", "54", "0", "0"),
+            warped.name: ("0", "0", "0", "0", "4", "8")}
+    for name, counts in want.items():
+        entry = scope["out"][f"s: {name}"]
+        assert tuple(entry[f"count.{side}.{count}"]
+                     for side in ("lhs", "rhs")
+                     for count in scope["COUNTS"]) == counts
+    # a revision without the proofs or the lane arithmetic reads "n/a"
+    scope = _spied(monkeypatch, ("_proved", "_LANE_ARITH"))
+    scope["collect"]("s", [tiled])
+    entry = scope["out"]["s: tiled-chain-3d"]
+    assert {entry[f"count.{side}.{count}"] for side in ("lhs", "rhs")
+            for count in scope["COUNTS"]} == {"n/a"}
+
+
+def test_report_diff_lists_count_changes_apart_from_verdicts(monkeypatch,
+                                                             capsys):
+    # counts that differ are listed under their own heading and leave the
+    # exit status 0; a verdict field that differs makes it 1
+    import contextlib
+    monkeypatch.syspath_prepend(str(TOOLS))
+    module = _load("report_diff")
+    old = {"a": {"passed": "True", "count.rhs.proofs_held": "54"},
+           "b": {"passed": "True", "count.rhs.lane_runs": "0"}}
+    new = {"a": {"passed": "True", "count.rhs.proofs_held": "n/a"},
+           "b": {"passed": "True", "count.rhs.lane_runs": "0"}}
+    sides = iter([old, new, old, {**new, "b": {"passed": "False"}}])
+    monkeypatch.setattr(module, "checkout",
+                        lambda rev: contextlib.nullcontext(TOOLS))
+    monkeypatch.setattr(module, "collect", lambda src, files: next(sides))
+    assert module.main(["BASE"]) == 0
+    out = capsys.readouterr().out
+    verdicts, counts = out.split("Proof and lane-run counts")
+    assert verdicts.startswith("0 of 2 verdicts differ from BASE")
+    assert "a\n  count.rhs.proofs_held: 54 -> n/a\n" in counts
+    assert counts.rstrip().endswith(
+        "1 of 2 scenarios differ in their proof or lane-run counts from BASE")
+    assert module.main(["BASE"]) == 1
+    verdicts, counts = capsys.readouterr().out.split(
+        "Proof and lane-run counts")
+    assert "b\n  passed: True -> False\n" in verdicts
+    assert "b\n  count.rhs.lane_runs: 0 -> None\n" in counts

@@ -23,6 +23,15 @@ in the chain, so a change to the derivatives names every node it moves,
 whether or not a verdict reads it.
 It prints each scenario that differs, with the fields that moved, old and
 new, and exits 1 when one does, 0 when every verdict is bit-identical.
+
+It also counts, per scenario and side, the work of that side's
+normalization: the twin proofs that held (``cubes._proved`` True), those
+that failed, and the lane runs (runs on ``cubes._LANE_ARITH``); a count
+that a revision cannot make, as it lacks ``_proved`` or ``_LANE_ARITH``,
+reads "n/a".  A proof changes no report, so these counts are where a
+change to the proofs shows.  Every scenario whose counts differ is
+listed under a heading of its own, after the verdicts; those listings
+leave the exit status as the verdicts set it.
 BASE is unpacked by ``git archive`` into a temporary directory.
 """
 
@@ -47,10 +56,36 @@ from bench_pairs import ROOT, checkout
 # `stokes.chain_normalize` and `stokes.pullback_polynomial` it calls; a
 # term's cube is named by its root map's position in the verdict's chain
 # and its pins, which name the same cube on both sides, and so is the map
-# of a pullback
+# of a pullback.  Each normalization's proofs that held and failed and its
+# lane runs are counted by wrapping `cubes._proved` and `ExprMap.run`,
+# where the package has them, and keyed as "count.<side>.<name>"
 _SPIES = """
 import json, sys
-from dualstokes import forms, stokes
+from dualstokes import cubes, expr, forms, stokes
+
+COUNTS = ("proofs_held", "proofs_failed", "lane_runs")
+proved, lanes = getattr(cubes, "_proved", None), getattr(cubes, "_LANE_ARITH",
+                                                         None)
+tally = [0, 0, 0]  # the current normalization's counts, in COUNTS order
+tallies = []
+
+if proved is not None:
+    def spy_proved(*args):
+        held = proved(*args)
+        tally[0 if held else 1] += 1
+        return held
+
+    cubes._proved = spy_proved
+
+if lanes is not None:
+    run = expr.ExprMap.run
+
+    def spy_run(self, arith, args):
+        if arith is lanes:
+            tally[2] += 1
+        return run(self, arith, args)
+
+    expr.ExprMap.run = spy_run
 
 def flat(prefix, value, into):
     if isinstance(value, dict):
@@ -63,8 +98,12 @@ normalized, pulled = [], []
 normalize, pull = stokes.chain_normalize, stokes.pullback_polynomial
 
 def spy(chain, *args):
+    tally[:] = [0, 0, 0]
     result = normalize(chain, *args)
     normalized.append(result)
+    held = proved is not None
+    tallies.append([tally[0] if held else "n/a", tally[1] if held else "n/a",
+                    tally[2] if lanes is not None else "n/a"])
     return result
 
 def spy_pull(f, w, comps):
@@ -94,6 +133,7 @@ def collect(source, scenarios, derivatives=False):
         entry = out[f"{source}: {scenario.name}"] = {}
         normalized.clear()
         pulled.clear()
+        tallies.clear()
         if derivatives:
             derive(entry, scenario)
         try:
@@ -108,6 +148,9 @@ def collect(source, scenarios, derivatives=False):
                 entry[f"{side}.upper"] = repr(est.upper)
         roots = {id(cube.mapping): i
                  for i, (_, cube) in enumerate(scenario.chain.terms)}
+        for side, counts in zip(("lhs", "rhs"), tallies):
+            for count, value in zip(COUNTS, counts):
+                entry[f"count.{side}.{count}"] = str(value)
         for side, chain in zip(("lhs", "rhs"), normalized):
             entry[f"{side}.normalized.terms"] = repr(len(chain.terms))
             for i, (weight, cube) in enumerate(chain.terms):
@@ -157,19 +200,32 @@ def main(argv=None) -> int:
     with checkout(args.base) as base_root:
         old = collect(base_root / "src", files)
     new = collect(ROOT / "src", files)
+    keys = sorted(old.keys() | new.keys())
+    changed = _listing(old, new, keys, False)
+    print(f"{changed} of {len(keys)} verdicts differ from {args.base}")
+    print(f"\nProof and lane-run counts that differ from {args.base}:")
+    counted = _listing(old, new, keys, True)
+    print(f"{counted} of {len(keys)} scenarios differ in their proof or "
+          f"lane-run counts from {args.base}")
+    return 1 if changed else 0
+
+
+def _listing(old: dict, new: dict, keys: list, counts: bool) -> int:
+    """Print each scenario whose fields differ, with the fields that
+    moved, old and new: only its counts if `counts`, else all the rest;
+    return how many differ."""
     changed = 0
-    for key in sorted(old.keys() | new.keys()):
+    for key in keys:
         before, after = old.get(key, {}), new.get(key, {})
         moved = [field for field in sorted(before.keys() | after.keys())
-                 if before.get(field) != after.get(field)]
+                 if field.startswith("count.") == counts
+                 and before.get(field) != after.get(field)]
         if moved:
             changed += 1
             print(key)
             for field in moved:
                 print(f"  {field}: {before.get(field)} -> {after.get(field)}")
-    print(f"{changed} of {len(old.keys() | new.keys())} verdicts differ "
-          f"from {args.base}")
-    return 1 if changed else 0
+    return changed
 
 
 if __name__ == "__main__":
